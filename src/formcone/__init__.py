@@ -65,7 +65,6 @@ from .groebner import (
     GroebnerBasis,
     MembershipLifter,
     buchberger,
-    exact_divide,
     is_groebner,
     normal_form,
     syzygy_basis,

@@ -17,10 +17,10 @@ from .cas import DIALECTS, emit_cas_script
 from .criterion import (
     CriterionParams,
     DefectRecord,
+    checked_dim,
+    checked_grades,
     cohen_macaulay_report,
     defect_scan,
-    grade_by_recursion,
-    koszul_grade,
 )
 from .criterion import system_images as _system_images
 from .errors import (
@@ -117,13 +117,7 @@ def run_command(command: str, spec: SessionSpec, dialect: str = "macaulay2") -> 
         return {"command": "hilbert", "upto": params.n_max, "values": values}
 
     if command == "dim":
-        pres = ctx.form_presentation("module")
-        dim_graded = graded_dim(pres)
-        dim_module = ctx.ideal_m.krull_dim()
-        if dim_graded != dim_module:
-            raise ConsistencyError(
-                f"graded dimension {dim_graded} differs from module dimension {dim_module}"
-            )
+        dim_graded = checked_dim(ctx, ctx.form_presentation("module"))
         return _schema(params, dim=dim_graded,
                        timings={"seconds": time.perf_counter() - started})
 
@@ -158,12 +152,7 @@ def run_command(command: str, spec: SessionSpec, dialect: str = "macaulay2") -> 
 
     if command == "grade":
         pres = ctx.form_presentation("module")
-        direct = koszul_grade(pres, _system_images(ctx, pres))
-        recursion = grade_by_recursion(ctx, params)
-        if direct.value != recursion.value:
-            raise ConsistencyError(
-                f"grade mismatch: koszul {direct.value} vs recursion {recursion.value}"
-            )
+        direct, recursion = checked_grades(ctx, pres, _system_images(ctx, pres), params)
         return _schema(
             params, grade=int(direct.value),
             certificates={

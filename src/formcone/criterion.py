@@ -31,13 +31,14 @@ from .filtration import FiltrationContext, GradedQuotientPresentation
 from .graded import (
     GradedElement,
     GradeReport,
+    annihilator_witness,
     depth,
     graded_dim,
     is_regular_element,
     is_system_of_parameters,
     koszul_grade,
 )
-from .ideals import PresentedIdeal
+from .ideals import PresentedIdeal, meet_of_colons
 from .rings import Polynomial
 
 
@@ -181,12 +182,10 @@ def defect_at(ctx: FiltrationContext, n: int,
     stabilized_l = params.l_max
     current: PresentedIdeal | None = None
     for l in range(1, params.l_max + 1):
-        pieces = []
-        for i, s in enumerate(ctx.system):
-            pieces.append(ctx.power_colon(n + l * s.degree, ctx.system_power(i, l)))
-        current = pieces[0]
-        for piece in pieces[1:]:
-            current = current.intersect(piece)
+        current = meet_of_colons(
+            [ctx.q_power(n + l * s.degree) for s in ctx.system],
+            [ctx.system_power(i, l) for i in range(len(ctx.system))],
+        )
         if prev is not None:
             if not current.contains_ideal(prev):
                 raise ConsistencyError(
@@ -282,17 +281,8 @@ def regular_form_exists(ctx: FiltrationContext) -> tuple[bool, Polynomial | None
     """
     pres = ctx.form_presentation("module")
     images = system_images(ctx, pres)
-    reps = tuple(e.representative for e in images)
-    ann = pres.ideal.colon_ideal(pres.ideal.spawn(reps))
-    if ann.equals(pres.ideal):
-        return True, None
-    witness = next(
-        (w for w in (pres.reduce(g) for g in ann.groebner().generators) if not w.is_zero()),
-        None,
-    )
-    if witness is None:
-        raise ConsistencyError("annihilator grew but reduced to nothing")
-    return False, witness
+    witness = annihilator_witness(pres, (e.representative for e in images))
+    return witness is None, witness
 
 
 def _candidate_multipliers(ctx: FiltrationContext, c_i: int, d: int,
@@ -477,6 +467,32 @@ def grade_by_recursion(ctx: FiltrationContext,
             raise ConsistencyError("recursion depth exceeded the module dimension")
 
 
+def checked_dim(ctx: FiltrationContext, pres: GradedQuotientPresentation) -> int:
+    """Dimension of the graded module, which must equal the module's own."""
+    dim_graded = graded_dim(pres)
+    dim_module = ctx.ideal_m.krull_dim()
+    if dim_graded != dim_module:
+        raise ConsistencyError(
+            f"graded dimension {dim_graded} differs from module dimension {dim_module}"
+        )
+    return dim_graded
+
+
+def checked_grades(ctx: FiltrationContext, pres: GradedQuotientPresentation, images,
+                   params: CriterionParams = DEFAULT_PARAMS) -> tuple[GradeReport, GradeReport]:
+    """The grade of the system's initial forms by both exact routes, Koszul
+    homology and the regular-step recursion, which must agree."""
+    direct = koszul_grade(pres, images)
+    recursion = grade_by_recursion(ctx, params)
+    if direct.value != recursion.value:
+        raise ConsistencyError(
+            "grade mismatch between the Koszul route and the recursion: "
+            f"{direct.value} vs {recursion.value}; system="
+            f"{[str(s.element) for s in ctx.system]}"
+        )
+    return direct, recursion
+
+
 def cohen_macaulay_report(ctx: FiltrationContext,
                           params: CriterionParams = DEFAULT_PARAMS) -> CriterionReport:
     """Assemble depth, dimension, both grade routes, and the verdict.
@@ -497,22 +513,10 @@ def cohen_macaulay_report(ctx: FiltrationContext,
             "origin (translate coordinates first)"
         )
     pres = ctx.form_presentation("module")
-    dim_graded = graded_dim(pres)
-    dim_module = ctx.ideal_m.krull_dim()
-    if dim_graded != dim_module:
-        raise ConsistencyError(
-            f"graded dimension {dim_graded} differs from module dimension {dim_module}"
-        )
+    dim_graded = checked_dim(ctx, pres)
     depth_report = depth(pres)
     images = system_images(ctx, pres)
-    direct = koszul_grade(pres, images)
-    recursion = grade_by_recursion(ctx, params)
-    if direct.value != recursion.value:
-        raise ConsistencyError(
-            "grade mismatch between the Koszul route and the recursion: "
-            f"{direct.value} vs {recursion.value}; system="
-            f"{[str(s.element) for s in ctx.system]}"
-        )
+    direct, recursion = checked_grades(ctx, pres, images, params)
     scan = defect_scan(ctx, params)
     sop = is_system_of_parameters(pres, images)
     if sop and depth_report.value != direct.value:

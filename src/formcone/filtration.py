@@ -276,7 +276,7 @@ class FiltrationContext:
         return cache[n]
 
     def power_colon(self, n: int, f: Polynomial, modulo: str = "module") -> PresentedIdeal:
-        """(q^n + I) : f, memoized across the scan loops."""
+        """(q^n + I) : f, memoized on the context."""
         key = (n, modulo, f)
         if key not in self._colon_cache:
             self._colon_cache[key] = self.q_power(n, modulo).colon(f)
@@ -462,15 +462,6 @@ class FiltrationContext:
             self.q_generators, (), probe_cap=self.probe_cap,
             step_budget=self.step_budget,
             _validated_system=self.system,
-            _shared_products=self._products,
-        )
-
-    def with_system(self, system) -> "FiltrationContext":
-        """Same data with a different (re-validated) system."""
-        return FiltrationContext(
-            self.ring, self.base_generators, self.module_generators,
-            self.q_generators, system, probe_cap=self.probe_cap,
-            step_budget=self.step_budget,
             _shared_products=self._products,
         )
 

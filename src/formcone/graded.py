@@ -179,6 +179,19 @@ def graded_dim(pres: GradedQuotientPresentation) -> int:
 # Regularity
 # ---------------------------------------------------------------------------
 
+def annihilator_witness(pres: GradedQuotientPresentation, reps) -> Polynomial | None:
+    """A nonzero class of the presented quotient killed by every element of
+    ``reps``, or None when (H : (reps)) = H, i.e. no nonzero class is."""
+    ann = pres.ideal.colon_ideal(pres.ideal.spawn(tuple(reps)))
+    if ann.equals(pres.ideal):
+        return None
+    for g in ann.groebner().generators:
+        w = pres.reduce(g)
+        if not w.is_zero():
+            return w
+    raise ConsistencyError("annihilator grew but no witness survived reduction")
+
+
 def is_regular_element(pres: GradedQuotientPresentation, b: GradedElement) -> RegularityResult:
     """Exact verdict: b is regular iff (H : b) = H; otherwise a nonzero
     annihilator class is returned as witness.
@@ -191,14 +204,8 @@ def is_regular_element(pres: GradedQuotientPresentation, b: GradedElement) -> Re
             raise ValidationError("element belongs to a different presentation")
     if b.degree < 0:
         raise ValidationError("regularity test expects nonnegative degree")
-    colon = pres.ideal.colon(b.representative)
-    if colon.equals(pres.ideal):
-        return RegularityResult(True)
-    for g in colon.groebner().generators:
-        w = pres.reduce(g)
-        if not w.is_zero():
-            return RegularityResult(False, w)
-    raise ConsistencyError("colon grew but no witness survived reduction")
+    witness = annihilator_witness(pres, (b.representative,))
+    return RegularityResult(witness is None, witness)
 
 
 def colon_chain_regularity(ctx: FiltrationContext, b: Polynomial, d: int,
@@ -238,6 +245,16 @@ def _koszul_columns(reps: list[Polynomial], subsets_hi, subsets_lo, ring):
     return cols
 
 
+def _scaled_units(h_gens, rank: int, ring) -> list[FreeModuleElement]:
+    """The vectors h * e_j of P^rank: they span H * P^rank."""
+    zero = ring.zero()
+    return [
+        FreeModuleElement(ring, tuple(h if k == j else zero for k in range(rank)))
+        for h in h_gens
+        for j in range(rank)
+    ]
+
+
 def koszul_grade(pres: GradedQuotientPresentation, generators) -> GradeReport:
     """grade of the ideal spanned by ``generators`` on the presented module,
     via the top nonvanishing Koszul homology index.
@@ -263,12 +280,8 @@ def koszul_grade(pres: GradedQuotientPresentation, generators) -> GradeReport:
 
     # top index: homology is the annihilator of the generator ideal
     if r > 0:
-        ann = pres.ideal.colon_ideal(pres.ideal.spawn(tuple(reps)))
-        if not ann.equals(pres.ideal):
-            witness = next(
-                w for w in (pres.reduce(g) for g in ann.groebner().generators)
-                if not w.is_zero()
-            )
+        witness = annihilator_witness(pres, reps)
+        if witness is not None:
             return GradeReport(0, "koszul", (KoszulWitness(r, (witness,)),))
 
     order = pres.order
@@ -277,31 +290,15 @@ def koszul_grade(pres: GradedQuotientPresentation, generators) -> GradeReport:
         subsets_hi = list(combinations(range(r), i))
         subsets_lo = list(combinations(range(r), i - 1))
         cols = _koszul_columns(reps, subsets_hi, subsets_lo, ring)
-        target_rank = len(subsets_lo)
-        stack = list(cols)
-        for h in h_gens:
-            for j in range(target_rank):
-                comps = [ring.zero()] * target_rank
-                comps[j] = h
-                stack.append(FreeModuleElement(ring, comps))
-        kernel = syzygy_basis(stack, order, budget)
-        cycles = [FreeModuleElement(ring, s.components[: len(cols)]) for s in kernel]
+        cycles = syzygy_basis(cols, order, budget,
+                              _scaled_units(h_gens, len(subsets_lo), ring))
 
         subsets_up = list(combinations(range(r), i + 1))
-        boundary = []
-        if subsets_up and i + 1 <= r:
-            boundary.extend(_koszul_columns(reps, subsets_up, subsets_hi, ring))
-        rank_i = len(subsets_hi)
-        for h in h_gens:
-            for j in range(rank_i):
-                comps = [ring.zero()] * rank_i
-                comps[j] = h
-                boundary.append(FreeModuleElement(ring, comps))
-        boundary_gb = buchberger(boundary, order, budget) if boundary else None
+        boundary = _koszul_columns(reps, subsets_up, subsets_hi, ring)
+        boundary += _scaled_units(h_gens, len(subsets_hi), ring)
+        boundary_gb = buchberger(boundary, order, budget)
         for cycle in cycles:
-            if cycle.is_zero():
-                continue
-            residue = normal_form(cycle, boundary_gb) if boundary_gb else cycle
+            residue = normal_form(cycle, boundary_gb)
             if not residue.is_zero():
                 return GradeReport(
                     r - i, "koszul",

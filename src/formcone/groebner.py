@@ -374,37 +374,52 @@ def is_groebner(gens, order: MonomialOrder = DEGREVLEX,
     return True
 
 
-def syzygy_basis(columns, order: MonomialOrder = DEGREVLEX,
-                 step_budget: int = DEFAULT_STEP_BUDGET) -> list[FreeModuleElement]:
-    """Generators of the kernel of P^k -> P^r sending unit vectors to the columns.
+def _graph_basis(ring: PolynomialRing, heads, relations, order: MonomialOrder,
+                 step_budget: int) -> GroebnerBasis:
+    """POT basis of the graph vectors ``head_i (+) e_i`` and ``relation (+) 0``.
 
-    Method: compute a module Groebner basis of the graph vectors
-    ``column_i (+) e_i`` inside P^(r+k) under position-over-term with the
-    original positions dominating; basis elements whose first block vanishes
-    are exactly the syzygies.
+    ``heads`` and ``relations`` are component tuples of one length r; the
+    result lives in P^(r+k) for k heads, with the r head positions dominating.
     """
-    cols = list(columns)
+    k = len(heads)
+    zero, one = ring.zero(), ring.one()
+    graph = [
+        FreeModuleElement(ring, head + tuple(one if j == i else zero for j in range(k)))
+        for i, head in enumerate(heads)
+    ]
+    graph += [FreeModuleElement(ring, rel + (zero,) * k) for rel in relations]
+    return buchberger(graph, order, step_budget)
+
+
+def syzygy_basis(columns, order: MonomialOrder = DEGREVLEX,
+                 step_budget: int = DEFAULT_STEP_BUDGET,
+                 relations=()) -> list[FreeModuleElement]:
+    """Reduced basis of the kernel of P^k -> P^r/N sending e_i to column i.
+
+    N is the submodule spanned by ``relations`` (empty: plain syzygies).
+    Method: one module Groebner basis of the graph vectors
+    ``column_i (+) e_i`` and ``relation (+) 0`` inside P^(r+k) under
+    position-over-term with the original positions dominating; basis
+    elements whose first block vanishes are the kernel, and their tails form
+    its reduced basis.  Colons, intersections and Koszul cycles are all this
+    one kernel (Greuel-Pfister, sections 1.8 and 2.8).
+    """
+    cols, rels = list(columns), list(relations)
     if not cols:
         return []
-    ring, rank = _common_shape(cols)
-    if rank is None:
-        rank = 1
-        cols = [FreeModuleElement(ring, (c,)) for c in cols]
-    k = len(cols)
-    zero = ring.zero()
-    one = ring.one()
-    graph = []
-    for i, col in enumerate(cols):
-        tail = [zero] * k
-        tail[i] = one
-        graph.append(FreeModuleElement(ring, col.components + tuple(tail)))
-    gb = buchberger(graph, order, step_budget)
-    out = []
-    for g in gb.generators:
-        head, tail = g.components[:rank], g.components[rank:]
-        if all(c.is_zero() for c in head):
-            out.append(FreeModuleElement(ring, tail))
-    return out
+    ring, rank = _common_shape(cols + rels)
+
+    def parts(v):
+        return (v,) if rank is None else v.components
+
+    r = 1 if rank is None else rank
+    gb = _graph_basis(ring, [parts(c) for c in cols], [parts(v) for v in rels],
+                      order, step_budget)
+    return [
+        FreeModuleElement(ring, g.components[r:])
+        for g in gb.generators
+        if all(c.is_zero() for c in g.components[:r])
+    ]
 
 
 class MembershipLifter:
@@ -425,14 +440,7 @@ class MembershipLifter:
             raise ValidationError("MembershipLifter works on ring elements")
         self.ring = ring
         self.gens = gens
-        zero = ring.zero()
-        one = ring.one()
-        graph = []
-        for i, g in enumerate(gens):
-            tail = [zero] * len(gens)
-            tail[i] = one
-            graph.append(FreeModuleElement(ring, (g,) + tuple(tail)))
-        self._gb = buchberger(graph, order, step_budget)
+        self._gb = _graph_basis(ring, [(g,) for g in gens], (), order, step_budget)
 
     def lift(self, f: Polynomial) -> list[Polynomial] | None:
         if f.ring != self.ring:
@@ -443,29 +451,3 @@ class MembershipLifter:
         if not r.components[0].is_zero():
             return None
         return [-c for c in r.components[1:]]
-
-
-def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    """Quotient f/g when g divides f exactly; raises otherwise."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    fld = f.ring.field
-    lm, lc = g.leading_term(order)
-    work = dict(f.terms)
-    quo: dict = {}
-    key = order.key()
-    while work:
-        m = max(work, key=key)
-        if not mono_divides(lm, m):
-            raise ValidationError("exact division failed: remainder is nonzero")
-        qm = mono_div(m, lm)
-        qc = fld.div(work[m], lc)
-        quo[qm] = qc
-        for gm, gc in g.terms.items():
-            t = mono_mul(gm, qm)
-            s = fld.add(work.get(t, 0), fld.neg(fld.mul(qc, gc)))
-            if s:
-                work[t] = s
-            else:
-                work.pop(t, None)
-    return Polynomial(f.ring, quo)

@@ -13,10 +13,11 @@ from itertools import combinations
 from .errors import RingMismatchError, ValidationError
 from .groebner import (
     DEFAULT_STEP_BUDGET,
+    FreeModuleElement,
     GroebnerBasis,
     buchberger,
-    exact_divide,
     normal_form,
+    syzygy_basis,
 )
 from .rings import DEGREVLEX, MonomialOrder, Polynomial, PolynomialRing, block_order
 
@@ -119,37 +120,19 @@ class PresentedIdeal:
         return self.spawn(tuple(level.values()))
 
     def intersect(self, other: "PresentedIdeal") -> "PresentedIdeal":
-        """I cap J by eliminating one tag variable from t*I + (1-t)*J.
-
-        Both sides enter through their reduced bases, which keeps the tag
-        elimination small when the listed generators are redundant.
-        """
-        self._check(other)
-        gens = _intersect_raw(self.ring, self.groebner().generators,
-                              other.groebner().generators, self.step_budget)
-        return self.spawn(gens)
+        """I cap J = (I : 1) cap (J : 1), one module kernel (see ``meet_of_colons``)."""
+        one = self.ring.one()
+        return meet_of_colons((self, other), (one, one))
 
     def colon(self, f: Polynomial) -> "PresentedIdeal":
         """(I : f) = {g : g*f in I}; colon by a member returns the unit ideal."""
-        self._check_ring(f)
-        if f.is_zero():
-            return PresentedIdeal.unit(self.ring, self.base)
-        meet = _intersect_raw(self.ring, self.groebner().generators, (f,), self.step_budget)
-        gens = tuple(exact_divide(g, f) for g in meet)
-        return self.spawn(gens)
+        return meet_of_colons((self,), (f,))
 
     def colon_ideal(self, other: "PresentedIdeal") -> "PresentedIdeal":
         """(I : J) as the intersection of the colons by J's listed generators."""
         self._check(other)
-        out: PresentedIdeal | None = None
-        for g in other.generators:
-            if g.is_zero():
-                continue
-            piece = self.colon(g)
-            out = piece if out is None else out.intersect(piece)
-        if out is None:
-            return PresentedIdeal.unit(self.ring, self.base)
-        return out
+        gens = other.generators or (self.ring.zero(),)  # (I : 0) is the unit ideal
+        return meet_of_colons((self,) * len(gens), gens)
 
     def saturation(self, f: Polynomial) -> tuple["PresentedIdeal", int]:
         """(I : f^inf) plus the first exponent k with (I:f^k) = (I:f^(k+1)).
@@ -225,19 +208,27 @@ class PresentedIdeal:
         return f"({gens}) in {self.ring}"
 
 
-def _intersect_raw(ring: PolynomialRing, gens_a, gens_b, step_budget: int) -> tuple[Polynomial, ...]:
-    """Generators of (gens_a) cap (gens_b) as plain ideals of P."""
-    tag = ring.fresh_name("t")
-    big = ring.extend((tag,), at_end=False)
-    shift = list(range(1, ring.nvars + 1))
-    t = big.var(0)
-    lifted = [t * g.map_to(big, shift) for g in gens_a]
-    lifted += [(big.one() - t) * g.map_to(big, shift) for g in gens_b]
-    gb = buchberger(lifted, block_order((0,)), step_budget)
-    back = list(range(ring.nvars))
-    out = []
-    for g in gb.generators:
-        if all(m[0] == 0 for m in g.terms):
-            out.append(g.map_to(ring, [0] + back))
-    # map_to with slot 0 reused is safe here: the tag exponent is zero throughout
-    return tuple(out)
+def meet_of_colons(ideals, elements) -> PresentedIdeal:
+    """The intersection of the colons (I_k : f_k), all in one ring and base.
+
+    It is one module kernel: the kernel of P -> (+)_k P/I_k sending 1 to
+    (f_k), computed by ``syzygy_basis`` with the reduced bases of the I_k as
+    relations.  The result's generators are its reduced basis.
+    """
+    ideals, elements = tuple(ideals), tuple(elements)
+    if not ideals or len(ideals) != len(elements):
+        raise ValidationError("need one element per ideal, and at least one ideal")
+    first = ideals[0]
+    for ideal, f in zip(ideals, elements):
+        first._check(ideal)
+        first._check_ring(f)
+    ring, t = first.ring, len(ideals)
+    zero = ring.zero()
+    relations = [
+        FreeModuleElement(ring, tuple(g if j == k else zero for j in range(t)))
+        for k, ideal in enumerate(ideals)
+        for g in ideal.groebner().generators
+    ]
+    kernel = syzygy_basis((FreeModuleElement(ring, elements),), DEGREVLEX,
+                          first.step_budget, relations)
+    return first.spawn(v.components[0] for v in kernel)

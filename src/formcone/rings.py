@@ -262,11 +262,9 @@ class PolynomialRing:
         c = self.field.coerce(coeff)
         return Polynomial(self, {tuple(expts): c} if c else {})
 
-    def extend(self, new_names: Iterable[str], at_end: bool = True) -> "PolynomialRing":
-        """Fresh ring with extra variables appended (or prepended)."""
-        extra = tuple(new_names)
-        names = self.variables + extra if at_end else extra + self.variables
-        return PolynomialRing(self.field, names)
+    def extend(self, new_names: Iterable[str]) -> "PolynomialRing":
+        """Fresh ring with extra variables appended."""
+        return PolynomialRing(self.field, self.variables + tuple(new_names))
 
     def drop(self, indexes: Iterable[int]) -> "PolynomialRing":
         gone = set(indexes)

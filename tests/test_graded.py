@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -18,8 +19,11 @@ from formcone import (
     is_regular_element,
     is_system_of_parameters,
     koszul_grade,
+    syzygy_basis,
 )
 from formcone.filtration import GradedQuotientPresentation
+from formcone.graded import _koszul_columns
+from formcone.groebner import FreeModuleElement
 
 R1 = PolynomialRing(QQ, ("Y",))
 R2 = PolynomialRing(QQ, ("X", "Y"))
@@ -177,6 +181,41 @@ def test_koszul_middle_homology_indices():
     # grade 1 via one regular combination then a nilpotent quotient
     two = [GradedElement(hyp, Xs, 1), GradedElement(hyp, Ys, 1)]
     assert koszul_grade(hyp, two).value == 1
+
+
+def test_relations_match_stacked_syzygies_on_koszul_examples():
+    """Cycles modulo H * P^rank from ``relations`` equal the stacked route:
+    the h * e_j vectors as extra columns, then the first block of each syzygy."""
+    X, Y = R2.gens()
+    Xs, Ys, Zs = RS.gens()
+    examples = [
+        (plain(R2), (X, Y)),
+        (plain(R2, X**3), (Y, X)),
+        (curve_cone(), (Xs, Ys, Zs)),
+        (plain(RS), (Xs, Ys, Zs)),
+        (plain(RS, Xs * Ys), (Xs, Ys, Zs)),
+        (plain(RS, Xs * Ys), (Xs, Ys)),
+        (plain(RS, Xs * Ys, Xs * Zs), (Xs, Ys, Zs)),
+        (plain(RS, Xs * Zs, Ys * Zs), (Xs, Ys, Zs)),
+    ]
+    compared = 0
+    for pres, reps in examples:
+        ring, r = pres.ring, len(reps)
+        h_gens = pres.groebner().generators
+        for i in range(r - 1, 0, -1):
+            subsets_lo = list(combinations(range(r), i - 1))
+            cols = _koszul_columns(list(reps), list(combinations(range(r), i)), subsets_lo, ring)
+            rank = len(subsets_lo)
+            relations = [
+                FreeModuleElement(ring, tuple(h if k == j else ring.zero() for k in range(rank)))
+                for h in h_gens for j in range(rank)
+            ]
+            stacked = syzygy_basis(cols + relations, pres.order)
+            sliced = [FreeModuleElement(ring, s.components[:len(cols)]) for s in stacked]
+            expected = [v for v in sliced if not v.is_zero()]
+            assert syzygy_basis(cols, pres.order, relations=relations) == expected
+            compared += bool(expected)
+    assert compared >= 8
 
 
 def test_koszul_grade_permutation_invariant():

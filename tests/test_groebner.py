@@ -13,7 +13,6 @@ from formcone import (
     Polynomial,
     PolynomialRing,
     buchberger,
-    exact_divide,
     exact_rank,
     is_groebner,
     normal_form,
@@ -251,14 +250,6 @@ def test_membership_lifter_roundtrip():
         acc = acc + h * g
     assert acc == target
     assert lifter.lift(RS.one()) is None
-
-
-def test_exact_divide():
-    x, y = R2.gens()
-    f = (x + y) * (x * x - y)
-    assert exact_divide(f, x + y) == x * x - y
-    with pytest.raises(Exception):
-        exact_divide(x * x + y, x)
 
 
 def test_step_budget_is_a_resource_error():

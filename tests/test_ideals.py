@@ -5,10 +5,13 @@ import pytest
 
 from formcone import (
     QQ,
+    FieldSpec,
     PolynomialRing,
     PresentedIdeal,
     RingMismatchError,
+    ValidationError,
 )
+from formcone.ideals import meet_of_colons
 
 R2 = PolynomialRing(QQ, ("x", "y"))
 RS = PolynomialRing(QQ, ("X", "Y", "Z"))
@@ -231,3 +234,95 @@ def test_intersection_universal_property_on_monomials():
         assert I.contains_ideal(meet) and J.contains_ideal(meet)
         if I.contains_ideal(K) and J.contains_ideal(K):
             assert meet.contains_ideal(K)
+
+
+# ---------------------------------------------------------------------------
+# Reference route: tag-variable elimination (kept here, not in the package)
+# ---------------------------------------------------------------------------
+
+def tag_meet(gens_a, gens_b):
+    """Generators of (gens_a) cap (gens_b) as ideals of P: eliminate a tag t
+    from t*(gens_a) + (1 - t)*(gens_b)."""
+    ring = (gens_a + gens_b)[0].ring
+    n = ring.nvars
+    big = ring.extend((ring.fresh_name("t"),))
+    t, emb = big.var(n), list(range(n))
+    lifted = [t * g.map_to(big, emb) for g in gens_a]
+    lifted += [(big.one() - t) * g.map_to(big, emb) for g in gens_b]
+    meet = PresentedIdeal(big, (), lifted).eliminate([n])
+    return tuple(g.map_to(ring, emb + [0]) for g in meet.generators)
+
+
+def divide(g, f):
+    """g / f for a multiple g of f, by leading-term division."""
+    ring = g.ring
+    lead, coeff = f.leading_term()
+    quotient = ring.zero()
+    while not g.is_zero():
+        mono, c = g.leading_term()
+        assert all(a >= b for a, b in zip(mono, lead)), "not a multiple"
+        term = ring.monomial(tuple(a - b for a, b in zip(mono, lead)), ring.field.div(c, coeff))
+        quotient = quotient + term
+        g = g - term * f
+    return quotient
+
+
+def tag_intersect(I, J):
+    return I.spawn(tag_meet(I.combined(), J.combined()))
+
+
+def tag_colon(I, f):
+    """(I : f) = (I cap (f)) / f, the principal ideal taken in P."""
+    return I.spawn(divide(g, f) for g in tag_meet(I.combined(), (f,)))
+
+
+def test_colon_and_intersection_match_tag_elimination():
+    rng = random.Random(67)
+    x, y = R2.gens()
+    pool = [x * x, x * y, y**3, x**3 - y * y, x * y * y, x + y * y]
+    bases = [(), (x * x * y,), (x**3 - y**2,)]
+    for _ in range(20):
+        base = rng.choice(bases)
+        I = ideal2(*rng.sample(pool, rng.randint(1, 3)), base=base)
+        J = ideal2(*rng.sample(pool, rng.randint(1, 2)), base=base)
+        f = rng.choice((x, y, x + y, x * y - y))
+        assert I.colon(f).equals(tag_colon(I, f))
+        assert I.intersect(J).equals(tag_intersect(I, J))
+        assert I.colon_ideal(J).equals(tag_intersect(tag_colon(I, J.generators[0]),
+                                                     tag_colon(I, J.generators[-1])))
+    X, Y, Z = RS.gens()
+    curve = PresentedIdeal(RS, curve_base(), (X * Y, Z))
+    assert curve.colon(X).equals(tag_colon(curve, X))
+    assert curve.intersect(curve.spawn((Y,))).equals(tag_intersect(curve, curve.spawn((Y,))))
+    F3 = PolynomialRing(FieldSpec(3), ("x", "y"))
+    u, v = F3.gens()
+    I = PresentedIdeal(F3, (u**3 - v**2,), (u * v, v**3))
+    assert I.colon(u + 2 * v).equals(tag_colon(I, u + 2 * v))
+
+
+def test_meet_of_colons_checks_its_arguments():
+    x, y = R2.gens()
+    with pytest.raises(RingMismatchError):
+        meet_of_colons((ideal2(x), ideal2(y, base=(x * x,))), (x, y))
+    with pytest.raises(RingMismatchError):
+        meet_of_colons((ideal2(x),), (RS.var(0),))
+    with pytest.raises(ValidationError):
+        meet_of_colons((ideal2(x),), (x, y))
+
+
+def test_two_element_level_ideals_match_tag_elimination(corpus):
+    """The level ideals of every two-element corpus system, as one kernel,
+    against two tag-route colons and a tag-route intersection."""
+    checked = 0
+    for inst in corpus:
+        ctx = inst.ctx
+        if len(ctx.system) != 2:
+            continue
+        for n, l in ((0, 1), (1, 2), (2, 3)):
+            targets = [ctx.q_power(n + l * s.degree) for s in ctx.system]
+            powers = [ctx.system_power(i, l) for i in range(2)]
+            expected = tag_intersect(tag_colon(targets[0], powers[0]),
+                                     tag_colon(targets[1], powers[1]))
+            assert meet_of_colons(targets, powers).equals(expected), (inst.name, n, l)
+        checked += 1
+    assert checked >= 5
