@@ -8,6 +8,10 @@ order underneath.  Ring polynomials are the rank-1 case.
 Determinism contract: fixed generators plus a fixed order produce the
 identical reduced basis (reduced bases are unique up to scaling, and output
 is monic and sorted by leading term).
+
+Cost notes: each basis run computes a term's order key once (a memo local
+to the run), interreduces in a single pass, and updates coefficients with
+one multiply and one add per term, reducing mod p only in characteristic p.
 """
 
 from __future__ import annotations
@@ -132,11 +136,18 @@ def _from_vec(vec: dict, ring: PolynomialRing, rank: int | None):
 
 
 def _term_key(order: MonomialOrder):
+    """Sort key on ``(position, monomial)`` terms, memoised for one basis run.
+
+    The memo lives in the returned closure, so it is dropped with the run.
+    """
     mono_key = order.key()
+    memo: dict = {}
 
     def key(term):
-        pos, mono = term
-        return (-pos, mono_key(mono))
+        k = memo.get(term)
+        if k is None:
+            k = memo[term] = (-term[0], mono_key(term[1]))
+        return k
 
     return key
 
@@ -147,9 +158,13 @@ def _lead(vec: dict, key):
 
 def _sub_scaled(vec: dict, other: dict, q_mono, q_coeff, fld) -> None:
     """In place: vec -= q_coeff * x^q_mono * other."""
-    for (p, m), c in other.items():
-        t = (p, mono_mul(m, q_mono))
-        s = fld.add(vec.get(t, 0), fld.neg(fld.mul(q_coeff, c)))
+    p = fld.characteristic
+    neg = -q_coeff
+    for (pos, m), c in other.items():
+        t = (pos, mono_mul(m, q_mono))
+        s = vec.get(t, 0) + neg * c
+        if p:
+            s %= p
         if s:
             vec[t] = s
         else:
@@ -217,6 +232,9 @@ def _engine(vectors: list[dict], order: MonomialOrder, fld, step_budget: int,
     Product criterion only in rank one (it is unsound for modules); chain
     criterion only against pairs whose S-polynomial reduction is already
     established, which avoids the classical circular-skip pitfall.
+    ``step_budget`` bounds the S-polynomial reductions; pairs either
+    criterion skips are not counted.  One term-key memo serves the whole run,
+    the final interreduction included.
     """
     key = _term_key(order)
     basis = [_normalize(v, key, fld) for v in vectors if v]
@@ -246,11 +264,6 @@ def _engine(vectors: list[dict], order: MonomialOrder, fld, step_budget: int,
 
     steps = 0
     while heap:
-        steps += 1
-        if steps > step_budget:
-            raise BudgetExceededError(
-                f"pair-reduction budget {step_budget} exhausted; raise step_budget"
-            )
         _, _, i, j = heapq.heappop(heap)
         (pi, mi), (pj, mj) = leads[i], leads[j]
         lcm = mono_lcm(mi, mj)
@@ -267,6 +280,11 @@ def _engine(vectors: list[dict], order: MonomialOrder, fld, step_budget: int,
                 break
         if skip:
             continue
+        steps += 1
+        if steps > step_budget:
+            raise BudgetExceededError(
+                f"pair-reduction budget {step_budget} exhausted; raise step_budget"
+            )
         s = _spoly(basis[i], basis[j], leads[i], leads[j], key, fld)
         r = _reduce_full(s, basis, leads, key, fld)
         established.add((i, j))
@@ -279,7 +297,13 @@ def _engine(vectors: list[dict], order: MonomialOrder, fld, step_budget: int,
 
 
 def _interreduce(basis: list[dict], leads: list, key, fld) -> list[dict]:
-    # minimal leads first, deterministic order
+    """Reduced basis from a Groebner basis: monic, sorted by ascending lead.
+
+    Keeps the elements with minimal leads, then reduces each against the
+    others in one pass.  No lead is divisible by another, so reduction never
+    changes a lead; every tail is then irreducible against the final leads,
+    and a second pass would change nothing.
+    """
     order_ix = sorted(range(len(basis)), key=lambda i: key(leads[i]))
     minimal: list[dict] = []
     min_leads: list = []
@@ -287,21 +311,12 @@ def _interreduce(basis: list[dict], leads: list, key, fld) -> list[dict]:
         if not any(p == leads[i][0] and mono_divides(m, leads[i][1]) for p, m in min_leads):
             minimal.append(basis[i])
             min_leads.append(leads[i])
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = minimal[:i] + minimal[i + 1:]
-            other_leads = min_leads[:i] + min_leads[i + 1:]
-            r = _reduce_full(minimal[i], others, other_leads, key, fld)
-            if r != minimal[i]:
-                minimal[i] = _normalize(r, key, fld)
-                changed = True
     monic = []
-    for v in minimal:
-        inv = fld.inv(v[_lead(v, key)])
-        monic.append({t: fld.mul(c, inv) for t, c in v.items()})
-    monic.sort(key=lambda v: key(_lead(v, key)))
+    for i, lead in enumerate(min_leads):
+        r = _reduce_full(minimal[i], minimal[:i] + minimal[i + 1:],
+                         min_leads[:i] + min_leads[i + 1:], key, fld)
+        inv = fld.inv(r[lead])
+        monic.append({t: fld.mul(c, inv) for t, c in r.items()})
     return monic
 
 

@@ -75,7 +75,8 @@ class PresentedIdeal:
     def contains_ideal(self, other: "PresentedIdeal") -> bool:
         self._check(other)
         gb = self.groebner()
-        return all(normal_form(g, gb).is_zero() for g in other.combined())
+        # _check ensured a shared base, and self contains its own base
+        return all(normal_form(g, gb).is_zero() for g in other.generators)
 
     def is_proper(self) -> bool:
         gb = self.groebner().generators
@@ -213,7 +214,8 @@ def meet_of_colons(ideals, elements) -> PresentedIdeal:
 
     It is one module kernel: the kernel of P -> (+)_k P/I_k sending 1 to
     (f_k), computed by ``syzygy_basis`` with the reduced bases of the I_k as
-    relations.  The result's generators are its reduced basis.
+    relations.  The result's generators are its reduced, monic, sorted
+    DEGREVLEX basis, so they seed its basis cache.
     """
     ideals, elements = tuple(ideals), tuple(elements)
     if not ideals or len(ideals) != len(elements):
@@ -231,4 +233,6 @@ def meet_of_colons(ideals, elements) -> PresentedIdeal:
     ]
     kernel = syzygy_basis((FreeModuleElement(ring, elements),), DEGREVLEX,
                           first.step_budget, relations)
-    return first.spawn(v.components[0] for v in kernel)
+    result = first.spawn(v.components[0] for v in kernel)
+    result._gb_cache[DEGREVLEX] = GroebnerBasis(result.generators, DEGREVLEX)
+    return result

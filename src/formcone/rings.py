@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import add, le
 from typing import Callable, Iterable, Union
 
 from .errors import ParseError, RingMismatchError, ValidationError
@@ -85,6 +86,9 @@ class FieldSpec:
         return pow(a, -1, self.characteristic)
 
     def div(self, a: Coefficient, b: Coefficient) -> Coefficient:
+        """a / b for canonical coefficients (Fractions over QQ, as ``coerce`` gives)."""
+        if self.characteristic == 0:
+            return a / b  # b == 0 raises ZeroDivisionError
         return self.mul(a, self.inv(b))
 
     def __str__(self) -> str:
@@ -99,12 +103,12 @@ QQ = FieldSpec(0)
 # ---------------------------------------------------------------------------
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True iff a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,3 +135,22 @@ def test_run_command_payload_reuse():
     payload = run_command("cm-check", spec)
     text = emit_report(payload)
     assert json.loads(text)["verdict"] == "not-cohen-macaulay"
+
+
+def test_json_report_is_independent_of_hash_seed():
+    """Per-run caches must not let set or dict iteration order leak into output."""
+    root = Path(__file__).resolve().parent.parent
+    code = ("import sys; from formcone.cli import main; "
+            "sys.exit(main(['cm-check', 'demos/semigroup_curve.fc', '--json']))")
+    reports = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"),
+                                                            os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        report.pop("timings")
+        reports.append(report)
+    assert reports[0] == reports[1]

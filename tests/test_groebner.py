@@ -3,7 +3,9 @@ from itertools import product as cartesian
 
 import pytest
 
+import formcone.groebner as groebner_module
 from formcone import (
+    DEGREVLEX,
     LEX,
     QQ,
     BudgetExceededError,
@@ -13,10 +15,13 @@ from formcone import (
     Polynomial,
     PolynomialRing,
     buchberger,
+    block_order,
     exact_rank,
     is_groebner,
+    mono_compare,
     normal_form,
     syzygy_basis,
+    weighted_order,
 )
 
 R2 = PolynomialRing(QQ, ("x", "y"))
@@ -252,11 +257,22 @@ def test_membership_lifter_roundtrip():
     assert lifter.lift(RS.one()) is None
 
 
-def test_step_budget_is_a_resource_error():
+def test_step_budget_is_a_resource_error(monkeypatch):
     x, y, z = R3.gens()
     gens = [x**3 - y * z, y**3 - x * z, z**3 - x * y, x * y * z - x - y - z]
     with pytest.raises(BudgetExceededError):
         buchberger(gens, step_budget=3)
+    # the budget counts S-polynomial reductions, not the pairs a criterion skips
+    reductions = []
+    spoly = groebner_module._spoly
+    monkeypatch.setattr(groebner_module, "_spoly",
+                        lambda *args: reductions.append(1) or spoly(*args))
+    expected = buchberger(gens)
+    monkeypatch.undo()
+    n = len(reductions)
+    assert buchberger(gens, step_budget=n) == expected
+    with pytest.raises(BudgetExceededError):
+        buchberger(gens, step_budget=n - 1)
 
 
 def test_prime_field_groebner():
@@ -265,3 +281,58 @@ def test_prime_field_groebner():
     gb = buchberger([x * x + y, y * y + x])
     assert is_groebner(list(gb.generators))
     assert normal_form(x**4 + x, gb).is_zero()  # x^4 = y^2 = x
+
+
+def _random_element(rng, ring, rank):
+    """A random polynomial (rank None) or module element; module entries are
+    squarefree, since exponents up to 2 make some LEX module bases explode."""
+    field = ring.field
+    top = 2 if rank is None else 1
+    comps = []
+    for _ in range(rank or 1):
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            mono = tuple(rng.randint(0, top) for _ in range(ring.nvars))
+            terms[mono] = field.coerce(rng.randint(-3, 3))
+        comps.append(Polynomial(ring, terms))
+    return comps[0] if rank is None else FreeModuleElement(ring, comps)
+
+
+def _lead_and_tail(element, order):
+    """((position, monomial), coefficient) of the lead under position-over-term
+    with position 0 greatest, plus the remaining terms as (position, monomial)."""
+    comps = (element,) if isinstance(element, Polynomial) else element.components
+    terms = [(p, m) for p, c in enumerate(comps) for m in c.sorted_terms(order)]
+    (p, (mono, coeff)), rest = terms[0], terms[1:]
+    return (p, mono), coeff, [(q, m) for q, (m, _) in rest]
+
+
+@pytest.mark.parametrize("characteristic", [0, 2, 3])
+def test_engine_output_is_canonical(characteristic):
+    """Reduced bases on random inputs: monic, sorted by lead, minimal leads,
+    irreducible tails, a Groebner basis, and a fixed point of the engine."""
+    ring = PolynomialRing(FieldSpec(characteristic), ("x", "y", "z"))
+    rng = random.Random(101 + characteristic)
+    orders = [DEGREVLEX, LEX, block_order([0]), weighted_order([2, 1, 3])]
+    several = 0
+    for order in orders:
+        for rank in (None, 2):
+            for _ in range(10):
+                gens = [_random_element(rng, ring, rank) for _ in range(rng.randint(1, 3))]
+                out = buchberger(gens, order).generators
+                several += len(out) > 1
+                analysed = [_lead_and_tail(g, order) for g in out]
+                leads = [lead for lead, _, _ in analysed]
+                assert all(coeff == 1 for _, coeff, _ in analysed)
+                for (p, m), (q, n) in zip(leads, leads[1:]):
+                    assert p > q or (p == q and mono_compare(order, m, n) < 0)
+                for i, (p, m) in enumerate(leads):
+                    for j, (q, n) in enumerate(leads):
+                        assert i == j or p != q or not all(a <= b for a, b in zip(m, n))
+                for _, _, tail in analysed:
+                    for q, n in tail:
+                        assert not any(p == q and all(a <= b for a, b in zip(m, n))
+                                       for p, m in leads)
+                assert is_groebner(list(out), order)
+                assert buchberger(list(out), order).generators == out
+    assert several >= 20

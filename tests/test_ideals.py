@@ -4,12 +4,14 @@ from itertools import product as cartesian
 import pytest
 
 from formcone import (
+    DEGREVLEX,
     QQ,
     FieldSpec,
     PolynomialRing,
     PresentedIdeal,
     RingMismatchError,
     ValidationError,
+    buchberger,
 )
 from formcone.ideals import meet_of_colons
 
@@ -326,3 +328,49 @@ def test_two_element_level_ideals_match_tag_elimination(corpus):
             assert meet_of_colons(targets, powers).equals(expected), (inst.name, n, l)
         checked += 1
     assert checked >= 5
+
+
+def assert_seeded_basis(result):
+    """The kernel seeds the DEGREVLEX basis cache with the result's reduced basis."""
+    assert DEGREVLEX in result._gb_cache
+    fresh = buchberger(result.combined(), DEGREVLEX).generators
+    assert result._gb_cache[DEGREVLEX].generators == fresh
+    assert result.groebner().generators == fresh
+
+
+def test_kernel_results_seed_their_basis_cache(corpus):
+    x, y = R2.gens()
+    base = (x**3 - y * y,)
+    I, J = ideal2(x * x, x * y, base=base), ideal2(y**3, x + y * y, base=base)
+    for result in (I.colon(y), I.colon(x + y), I.intersect(J), I.colon_ideal(J),
+                   ideal2(x * y).colon(x), ideal2(x * y).intersect(ideal2(y * y))):
+        assert_seeded_basis(result)
+    zero = ideal2().colon(x)  # zero kernel, empty base
+    assert zero.generators == () and zero.is_zero()
+    assert_seeded_basis(zero)
+    unit = I.colon(x * x)  # colon by a member
+    assert not unit.is_proper()
+    assert_seeded_basis(unit)
+    checked = 0
+    for inst in corpus:
+        ctx = inst.ctx
+        if len(ctx.system) != 2:
+            continue
+        for n, l in ((0, 1), (1, 2)):
+            targets = [ctx.q_power(n + l * s.degree) for s in ctx.system]
+            powers = [ctx.system_power(i, l) for i in range(2)]
+            assert_seeded_basis(meet_of_colons(targets, powers))
+        checked += 1
+    assert checked >= 5
+
+
+def test_contains_ideal_matches_elementwise_membership():
+    rng = random.Random(71)
+    x, y = R2.gens()
+    pool = [x * x, x * y, y**3, x**3 - y * y, x * y * y, x + y * y, x, y]
+    bases = [(), (x * x * y,), (x**3 - y**2,)]
+    for _ in range(30):
+        base = rng.choice(bases)
+        I = ideal2(*rng.sample(pool, rng.randint(1, 3)), base=base)
+        J = ideal2(*rng.sample(pool, rng.randint(1, 3)), base=base)
+        assert I.contains_ideal(J) == all(I.contains(g) for g in J.combined())

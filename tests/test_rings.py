@@ -65,6 +65,15 @@ def test_difference_of_squares():
     assert (x + y) * (x - y) == x**2 - y**2
 
 
+def test_field_division():
+    F7 = FieldSpec(7)
+    assert QQ.div(Fraction(3, 4), Fraction(-3, 2)) == Fraction(-1, 2)
+    assert F7.div(3, 5) == F7.mul(3, F7.inv(5)) == 2
+    for fld in (QQ, F7):
+        with pytest.raises(ZeroDivisionError):
+            fld.div(fld.coerce(1), fld.coerce(0))
+
+
 def test_prime_field_scalars():
     F5 = PolynomialRing(FieldSpec(5), ("x",))
     x, = F5.gens()
