@@ -16,10 +16,10 @@ BASE = (X**4 - Y * Z, Y**3 - X * Z, Z**2 - X**3 * Y**2)
 # its maximal ideal at the origin.
 ctx = FiltrationContext(RS, BASE, (), (X, Y, Z), [(X, 1)])
 
-rees = ctx.rees_presentation("module")
+rees = ctx.rees_presentation()
 print("blowup presentation lives in:", rees.ring)
 
-form = ctx.form_presentation("module")
+form = ctx.form_presentation()
 print("graded quotient ideal (weighted basis):")
 for g in form.groebner().generators:
     print("  ", g.to_string(form.order))

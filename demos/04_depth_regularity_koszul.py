@@ -22,7 +22,7 @@ RS = PolynomialRing(QQ, ("X", "Y", "Z"))
 X, Y, Z = RS.gens()
 BASE = (X**4 - Y * Z, Y**3 - X * Z, Z**2 - X**3 * Y**2)
 ctx = FiltrationContext(RS, BASE, (), (X, Y, Z), [(X, 1)])
-cone = ctx.form_presentation("module")
+cone = ctx.form_presentation()
 
 # (1) Is the class of X regular on the tangent cone?  No: Z kills it.
 image = ctx.graded_image(X, 1, cone)
@@ -47,5 +47,5 @@ print("system of parameters:", is_system_of_parameters(cone, images))
 R2 = PolynomialRing(QQ, ("x", "y"))
 x, y = R2.gens()
 cusp = FiltrationContext(R2, (x * x - y**3,), (), (x, y), [(y, 1)])
-cusp_cone = cusp.form_presentation("module")
+cusp_cone = cusp.form_presentation()
 print("cusp cone depth/dim:", depth(cusp_cone).value, "/", graded_dim(cusp_cone))

@@ -44,7 +44,6 @@ from .errors import (
 from .filtration import (
     FiltrationContext,
     GradedQuotientPresentation,
-    InitialForm,
     SystemElement,
 )
 from .graded import (
@@ -65,22 +64,10 @@ from .groebner import (
     GroebnerBasis,
     MembershipLifter,
     buchberger,
-    is_groebner,
     normal_form,
     syzygy_basis,
 )
 from .ideals import PresentedIdeal
-from .oracle import (
-    ComponentBasis,
-    OracleDefect,
-    component_basis,
-    defect_agrees,
-    exact_rank,
-    kernel_sample,
-    multiplication_matrix,
-    truncated_defect,
-    truncated_regularity,
-)
 from .rings import (
     DEGREVLEX,
     LEX,

@@ -17,6 +17,7 @@ from .cas import DIALECTS, emit_cas_script
 from .criterion import (
     CriterionParams,
     DefectRecord,
+    checked_depth,
     checked_dim,
     checked_grades,
     cohen_macaulay_report,
@@ -32,9 +33,8 @@ from .errors import (
     RingMismatchError,
     ValidationError,
 )
-from .graded import depth as graded_depth
 from .graded import graded_dim, hilbert_function
-from .session import SessionSpec, parse_session
+from .session import PARAM_KEYS, SessionSpec, parse_session
 
 COMMANDS = (
     "gb", "formring", "hilbert", "dim", "depth", "lzero", "grade",
@@ -97,7 +97,7 @@ def run_command(command: str, spec: SessionSpec, dialect: str = "macaulay2") -> 
         }
 
     if command == "formring":
-        pres = ctx.form_presentation("module")
+        pres = ctx.form_presentation()
         payload = {
             "command": "formring",
             "presentation_ring": str(pres.ring),
@@ -112,22 +112,18 @@ def run_command(command: str, spec: SessionSpec, dialect: str = "macaulay2") -> 
         return payload
 
     if command == "hilbert":
-        pres = ctx.form_presentation("module")
+        pres = ctx.form_presentation()
         values = hilbert_function(pres, params.n_max)
         return {"command": "hilbert", "upto": params.n_max, "values": values}
 
     if command == "dim":
-        dim_graded = checked_dim(ctx, ctx.form_presentation("module"))
+        dim_graded = checked_dim(ctx, ctx.form_presentation())
         return _schema(params, dim=dim_graded,
                        timings={"seconds": time.perf_counter() - started})
 
     if command == "depth":
-        if ctx.local_model_mismatch:
-            raise ValidationError(
-                "depth assumes the filtration ideal sits inside the variable ideal"
-            )
-        pres = ctx.form_presentation("module")
-        report = graded_depth(pres)
+        pres = ctx.form_presentation()
+        report = checked_depth(ctx, pres)
         return _schema(
             params, depth=int(report.value), dim=graded_dim(pres),
             certificates={"method": report.method,
@@ -151,7 +147,7 @@ def run_command(command: str, spec: SessionSpec, dialect: str = "macaulay2") -> 
         )
 
     if command == "grade":
-        pres = ctx.form_presentation("module")
+        pres = ctx.form_presentation()
         direct, recursion = checked_grades(ctx, pres, _system_images(ctx, pres), params)
         return _schema(
             params, grade=int(direct.value),
@@ -238,13 +234,14 @@ def _render_human(payload: dict) -> str:
 
 def _apply_overrides(spec: SessionSpec, overrides: list[str]) -> SessionSpec:
     params = spec.params
-    valid = {f.name for f in fields(CriterionParams)} - {"search_coefficients"}
     for item in overrides:
         if "=" not in item:
             raise ValidationError(f"--set expects key=value, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
-        if key not in valid:
-            raise ValidationError(f"unknown parameter {key!r}; known: {', '.join(sorted(valid))}")
+        if key not in PARAM_KEYS:
+            raise ValidationError(
+                f"unknown parameter {key!r}; known: {', '.join(sorted(PARAM_KEYS))}"
+            )
         try:
             params = replace(params, **{key: int(value)})
         except ValueError:

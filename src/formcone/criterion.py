@@ -258,7 +258,7 @@ def system_images(ctx: FiltrationContext,
     to the +infinity sentinel and the criterion does not apply.
     """
     _require_exact_system(ctx)
-    pres = pres or ctx.form_presentation("module")
+    pres = pres or ctx.form_presentation()
     out = []
     for s in ctx.system:
         image = ctx.graded_image(s.element, s.degree, pres)
@@ -279,7 +279,7 @@ def regular_form_exists(ctx: FiltrationContext) -> tuple[bool, Polynomial | None
     Returns the verdict and, when negative, a nonzero annihilator class that
     kills every candidate at once.
     """
-    pres = ctx.form_presentation("module")
+    pres = ctx.form_presentation()
     images = system_images(ctx, pres)
     witness = annihilator_witness(pres, (e.representative for e in images))
     return witness is None, witness
@@ -329,7 +329,7 @@ def find_regular_lift(ctx: FiltrationContext,
     Failure is a search-budget outcome, never a mathematical verdict.
     """
     _require_exact_system(ctx)
-    pres = ctx.form_presentation("module")
+    pres = ctx.form_presentation()
     rng = random.Random(params.seed)
     coeffs = _coefficient_sets(ctx, params, rng)
     degrees = sorted({s.degree for s in ctx.system})
@@ -467,6 +467,18 @@ def grade_by_recursion(ctx: FiltrationContext,
             raise ConsistencyError("recursion depth exceeded the module dimension")
 
 
+def checked_depth(ctx: FiltrationContext, pres: GradedQuotientPresentation) -> GradeReport:
+    """Depth of the graded module, taken at the origin: inputs whose
+    filtration ideal is not inside the variable ideal are refused."""
+    if ctx.local_model_mismatch:
+        raise ValidationError(
+            "filtration ideal is not inside the variable ideal; depth and the "
+            "Cohen-Macaulay verdict assume the distinguished point is the "
+            "origin (translate coordinates first)"
+        )
+    return depth(pres)
+
+
 def checked_dim(ctx: FiltrationContext, pres: GradedQuotientPresentation) -> int:
     """Dimension of the graded module, which must equal the module's own."""
     dim_graded = graded_dim(pres)
@@ -506,15 +518,9 @@ def cohen_macaulay_report(ctx: FiltrationContext,
     (scans, the equivalence check, and the grade recursion still apply).
     """
     _require_exact_system(ctx)
-    if ctx.local_model_mismatch:
-        raise ValidationError(
-            "filtration ideal is not inside the variable ideal; depth and the "
-            "Cohen-Macaulay verdict assume the distinguished point is the "
-            "origin (translate coordinates first)"
-        )
-    pres = ctx.form_presentation("module")
+    pres = ctx.form_presentation()
+    depth_report = checked_depth(ctx, pres)
     dim_graded = checked_dim(ctx, pres)
-    depth_report = depth(pres)
     images = system_images(ctx, pres)
     direct, recursion = checked_grades(ctx, pres, images, params)
     scan = defect_scan(ctx, params)

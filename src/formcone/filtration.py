@@ -1,6 +1,6 @@
 """Adic filtration toolkit for cyclic modules M = A/I_M over A = P/I_A.
 
-Provides initial degrees/forms along the q-adic filtration, Rees-algebra and
+Provides initial degrees along the q-adic filtration, Rees-algebra and
 associated-graded (form ring) presentations by tag-variable elimination, a
 direct lowest-form tangent-cone route for cross-checking, and the passage
 M -> M/bM used by the depth recursion.  Contexts are immutable; caches are
@@ -38,19 +38,6 @@ class SystemElement:
     degree: int
     zero_flag: bool = False
     exact: bool = True
-
-
-@dataclass(frozen=True)
-class InitialForm:
-    """representative + q^(degree+1): the leading class along the filtration.
-
-    ``zero_flag`` marks elements inside every probed power; by convention
-    their initial form is treated as zero.
-    """
-
-    representative: Polynomial
-    degree: int
-    zero_flag: bool = False
 
 
 def _fresh_names(ring: PolynomialRing, stem: str, count: int) -> list[str]:
@@ -109,21 +96,12 @@ class GradedQuotientPresentation:
     def contains(self, f: Polynomial) -> bool:
         return self.reduce(f).is_zero()
 
-    def dim(self) -> int:
-        return self.ideal.krull_dim()
-
     def quotient_by(self, reps) -> "GradedQuotientPresentation":
         """Presentation of the quotient by the listed (homogeneous) elements."""
         return GradedQuotientPresentation(
             self.ring, self.weights, self.ideal.sum_with(*reps),
             self.kind, self.context, self.y_offset,
         )
-
-    def embed_ambient(self, f: Polynomial) -> Polynomial:
-        """Ambient ring element viewed in the degree-0 slots of the presentation."""
-        if self.y_offset == 0:
-            raise ValidationError("presentation has no degree-0 slots")
-        return f.map_to(self.ring, list(range(self.y_offset)))
 
     def variable_cone(self) -> "GradedQuotientPresentation":
         """Rename y-variables onto the ambient variables they present.
@@ -212,7 +190,6 @@ class FiltrationContext:
         self._products: dict[int, tuple] = _shared_products if _shared_products is not None else {}
         self._powers_base: dict[int, PresentedIdeal] = {}
         self._powers_module: dict[int, PresentedIdeal] = {}
-        self._colon_cache: dict = {}
         self._system_powers: dict = {}
         self._lifters: dict[int, MembershipLifter] = {}
         self._presentations: dict = {}
@@ -275,20 +252,13 @@ class FiltrationContext:
             cache[n] = ideal
         return cache[n]
 
-    def power_colon(self, n: int, f: Polynomial, modulo: str = "module") -> PresentedIdeal:
-        """(q^n + I) : f, memoized on the context."""
-        key = (n, modulo, f)
-        if key not in self._colon_cache:
-            self._colon_cache[key] = self.q_power(n, modulo).colon(f)
-        return self._colon_cache[key]
-
     def system_power(self, index: int, exponent: int) -> Polynomial:
         key = (index, exponent)
         if key not in self._system_powers:
             self._system_powers[key] = self.system[index].element ** exponent
         return self._system_powers[key]
 
-    # -- initial degrees and forms ---------------------------------------------
+    # -- initial degrees -------------------------------------------------------
 
     def initial_degree(self, a: Polynomial, cap: int | None = None,
                        modulo: str = "base") -> int | None:
@@ -303,25 +273,12 @@ class FiltrationContext:
                 return c - 1
         return None
 
-    def initial_form(self, a: Polynomial, modulo: str = "base") -> InitialForm:
-        degree = self.initial_degree(a, modulo=modulo)
-        if degree is None:
-            return InitialForm(a, self.probe_cap, zero_flag=True)
-        return InitialForm(a, degree)
-
     # -- graded presentations -----------------------------------------------------
 
-    def _target_gens(self, target: str) -> tuple[Polynomial, ...]:
-        if target == "module":
-            return self.base_generators + self.module_generators
-        if target == "ring":
-            return self.base_generators
-        raise ValidationError("target must be 'module' or 'ring'")
-
-    def rees_presentation(self, target: str = "module") -> GradedQuotientPresentation:
-        """Presentation of the blowup algebra: eliminate the tag T from
-        I_target + (y_j - f_j T)."""
-        key = ("rees", target)
+    def rees_presentation(self) -> GradedQuotientPresentation:
+        """Presentation of the blowup algebra of M: eliminate the tag T from
+        I_M + (y_j - f_j T)."""
+        key = ("rees",)
         if key in self._presentations:
             return self._presentations[key]
         n = self.ring.nvars
@@ -332,7 +289,7 @@ class FiltrationContext:
         emb = list(range(n))
         t_index = n + s
         t = big.var(t_index)
-        gens = [g.map_to(big, emb) for g in self._target_gens(target)]
+        gens = [g.map_to(big, emb) for g in self.base_generators + self.module_generators]
         for j, f in enumerate(self.q_generators):
             gens.append(big.var(n + j) - f.map_to(big, emb) * t)
         gb = buchberger(gens, block_order((t_index,)), self.step_budget)
@@ -350,22 +307,21 @@ class FiltrationContext:
         self._presentations[key] = pres
         return pres
 
-    def form_presentation(self, target: str = "module") -> GradedQuotientPresentation:
-        """Associated-graded presentation: the Rees presentation modulo the
-        filtration ideal rewritten in the degree-0 variables."""
-        key = ("form", target)
+    def form_presentation(self) -> GradedQuotientPresentation:
+        """Associated-graded presentation of M: the Rees presentation modulo
+        the filtration ideal rewritten in the degree-0 variables."""
+        key = ("form",)
         if key in self._presentations:
             return self._presentations[key]
-        rees = self.rees_presentation(target)
+        rees = self.rees_presentation()
         pres_ring = rees.ring
         n = self.ring.nvars
         emb = list(range(n))
         gens = rees.ideal.generators + tuple(f.map_to(pres_ring, emb) for f in self.q_generators)
-        kind = "form-module" if target == "module" else "form-ring"
         pres = GradedQuotientPresentation(
             pres_ring, rees.weights,
             PresentedIdeal(pres_ring, (), gens, self.step_budget),
-            kind, self, n,
+            "form-module", self, n,
         )
         for g in pres.groebner().generators:
             if not pres.is_y_homogeneous(g):

@@ -172,7 +172,7 @@ def hilbert_function(pres: GradedQuotientPresentation, upto: int) -> list[int]:
 
 def graded_dim(pres: GradedQuotientPresentation) -> int:
     """Krull dimension of the presented graded quotient."""
-    return pres.dim()
+    return pres.ideal.krull_dim()
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ def colon_chain_regularity(ctx: FiltrationContext, b: Polynomial, d: int,
     if computed != d:
         raise ValidationError(f"stated degree {d} but initial degree is {computed}")
     for n in range(n_max + 1):
-        lhs = ctx.power_colon(n + d, b)
+        lhs = ctx.q_power(n + d).colon(b)
         if not lhs.equals(ctx.q_power(n)):
             return False
     return True
@@ -327,10 +327,10 @@ def is_system_of_parameters(pres: GradedQuotientPresentation, elems) -> bool:
     """True iff the count matches the dimension and the quotient by the
     elements is zero-dimensional."""
     elems = list(elems)
-    d = pres.dim()
+    d = graded_dim(pres)
     if len(elems) != d:
         return False
     if d == 0:
         return True
     reps = [e.representative for e in elems]
-    return pres.quotient_by(reps).dim() == 0
+    return graded_dim(pres.quotient_by(reps)) == 0

@@ -103,7 +103,6 @@ class GroebnerBasis:
 
     generators: tuple
     order: MonomialOrder
-    reduced: bool = True
 
     def __iter__(self):
         return iter(self.generators)
@@ -366,27 +365,6 @@ def normal_form(element, basis: GroebnerBasis):
     leads = [_lead(v, key) for v in vecs]
     r = _reduce_full(_to_vec(element), vecs, leads, key, ring.field)
     return _from_vec(r, ring, rank)
-
-
-def is_groebner(gens, order: MonomialOrder = DEGREVLEX,
-                step_budget: int = DEFAULT_STEP_BUDGET) -> bool:
-    """True iff every S-polynomial of the list reduces to zero against it."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return True
-    ring, _ = _common_shape(gens)
-    fld = ring.field
-    key = _term_key(order)
-    vecs = [_to_vec(g) for g in gens]
-    leads = [_lead(v, key) for v in vecs]
-    for j in range(len(vecs)):
-        for i in range(j):
-            if leads[i][0] != leads[j][0]:
-                continue
-            s = _spoly(vecs[i], vecs[j], leads[i], leads[j], key, fld)
-            if _reduce_full(s, vecs, leads, key, fld):
-                return False
-    return True
 
 
 def _graph_basis(ring: PolynomialRing, heads, relations, order: MonomialOrder,

@@ -40,10 +40,6 @@ class PresentedIdeal:
 
     # -- construction helpers -------------------------------------------------
 
-    @classmethod
-    def unit(cls, ring: PolynomialRing, base=()) -> "PresentedIdeal":
-        return cls(ring, base, (ring.one(),))
-
     def spawn(self, generators) -> "PresentedIdeal":
         """Same ring and base, new generators."""
         return PresentedIdeal(self.ring, self.base, tuple(generators), self.step_budget)
@@ -98,27 +94,6 @@ class PresentedIdeal:
         self._check(other)
         gens = tuple(dict.fromkeys(f * g for f in self.generators for g in other.generators))
         return self.spawn(gens)
-
-    def power(self, n: int) -> "PresentedIdeal":
-        """n-th power in A (n = 0 gives the unit ideal).
-
-        Generators are the degree-n multiset products of the listed
-        generators, so the count stays polynomial in n.
-        """
-        if n < 0:
-            raise ValidationError("negative ideal power")
-        if n == 0:
-            return PresentedIdeal.unit(self.ring, self.base)
-        if n == 1:
-            return self
-        level = {(i,): g for i, g in enumerate(self.generators)}
-        for _ in range(n - 1):
-            nxt: dict = {}
-            for combo, poly in level.items():
-                for i in range(combo[-1], len(self.generators)):
-                    nxt[combo + (i,)] = poly * self.generators[i]
-            level = nxt
-        return self.spawn(tuple(level.values()))
 
     def intersect(self, other: "PresentedIdeal") -> "PresentedIdeal":
         """I cap J = (I : 1) cap (J : 1), one module kernel (see ``meet_of_colons``)."""

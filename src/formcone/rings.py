@@ -120,10 +120,6 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 # ---------------------------------------------------------------------------
 # Monomial orders
 # ---------------------------------------------------------------------------
@@ -312,9 +308,6 @@ class Polynomial:
     def min_degree(self) -> int:
         return min((sum(m) for m in self.terms), default=-1)
 
-    def constant_coefficient(self) -> Coefficient:
-        return self.terms.get((0,) * self.ring.nvars, self.ring.field.coerce(0))
-
     def leading_term(self, order: MonomialOrder = DEGREVLEX) -> tuple[Monomial, Coefficient]:
         """The order-maximal (monomial, coefficient) pair; error on zero."""
         if not self.terms:
@@ -418,12 +411,6 @@ class Polynomial:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def monic(self, order: MonomialOrder = DEGREVLEX) -> "Polynomial":
-        if not self.terms:
-            return self
-        _, c = self.leading_term(order)
-        return self.scale(self.ring.field.inv(c))
 
     # -- structure maps ------------------------------------------------------
 
@@ -552,10 +539,6 @@ class _Tokens:
         item = self.peek()
         self.index += 1
         return item
-
-    def error(self, message: str, expected: tuple[str, ...]):
-        _, _, col = self.peek()
-        raise ParseError(message, self.line, col, expected)
 
 
 def parse_polynomial(ring: PolynomialRing, text: str, line: int = 1, col_offset: int = 0) -> Polynomial:

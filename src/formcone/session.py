@@ -21,7 +21,8 @@ from .errors import ParseError, ValidationError
 from .filtration import FiltrationContext
 from .rings import FieldSpec, Polynomial, PolynomialRing, parse_polynomial
 
-_PARAM_KEYS = {f.name for f in fields(CriterionParams)} - {"search_coefficients"}
+# the keys a `set` line or a `--set` flag may name
+PARAM_KEYS = frozenset(f.name for f in fields(CriterionParams)) - {"search_coefficients"}
 
 
 @dataclass(frozen=True)
@@ -124,9 +125,9 @@ def parse_session(text: str) -> SessionSpec:
             if "=" not in rest:
                 raise ParseError("set needs key = value", lineno, indent + 1, ("key = value",))
             key, value = (part.strip() for part in rest.split("=", 1))
-            if key not in _PARAM_KEYS:
+            if key not in PARAM_KEYS:
                 raise ParseError(f"unknown parameter {key!r}", lineno, indent + 1,
-                                 tuple(sorted(_PARAM_KEYS)))
+                                 tuple(sorted(PARAM_KEYS)))
             try:
                 params = replace(params, **{key: int(value)})
             except ValueError:
@@ -212,7 +213,7 @@ def print_session(spec: SessionSpec) -> str:
         lines.append(f"a: {', '.join(chunks)}")
     defaults = CriterionParams()
     for f in fields(CriterionParams):
-        if f.name not in _PARAM_KEYS:
+        if f.name not in PARAM_KEYS:
             continue
         value = getattr(spec.params, f.name)
         if value != getattr(defaults, f.name):

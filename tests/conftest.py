@@ -32,7 +32,7 @@ def corpus_results(corpus):
         started = time.perf_counter()
         equivalence = defect_regularity_equivalence(inst.ctx, CORPUS_PARAMS)
         report = cohen_macaulay_report(inst.ctx, CORPUS_PARAMS)
-        pres = inst.ctx.form_presentation("module")
+        pres = inst.ctx.form_presentation()
         out.append({
             "instance": inst,
             "equivalence": equivalence,

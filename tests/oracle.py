@@ -1,10 +1,12 @@
-"""Degreewise brute-force oracle over finite-dimensional graded slices.
+"""Reference checks for the test suite; the package does not use them.
 
-Represents graded components by their standard monomials and cross-checks the
-Groebner-route answers with exact linear algebra (fraction-free elimination
-over the integers for characteristic 0, plain elimination mod p) and with
-definitional membership tests.  Disagreement with the main route is always a
-hard failure of the library, never a tolerance issue.
+Degreewise brute force over finite-dimensional graded slices: graded
+components are represented by their standard monomials, and the Groebner-route
+answers are cross-checked with exact linear algebra (fraction-free
+elimination over the integers for characteristic 0, plain elimination mod p)
+and with definitional membership tests.  ``is_groebner`` checks Buchberger's
+S-pair criterion on a generator list.  Disagreement with the main route is
+always a hard failure of the library, never a tolerance issue.
 """
 
 from __future__ import annotations
@@ -14,9 +16,37 @@ from fractions import Fraction
 from itertools import product as cartesian
 from math import gcd
 
-from .errors import InfiniteComponentError, ValidationError
-from .filtration import FiltrationContext, GradedQuotientPresentation
-from .rings import FieldSpec, Monomial, Polynomial
+from formcone.errors import InfiniteComponentError, ValidationError
+from formcone.filtration import FiltrationContext, GradedQuotientPresentation
+from formcone.groebner import (
+    _common_shape,
+    _lead,
+    _reduce_full,
+    _spoly,
+    _term_key,
+    _to_vec,
+)
+from formcone.rings import DEGREVLEX, FieldSpec, Monomial, MonomialOrder, Polynomial
+
+
+def is_groebner(gens, order: MonomialOrder = DEGREVLEX) -> bool:
+    """True iff every S-polynomial of the list reduces to zero against it."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return True
+    ring, _ = _common_shape(gens)
+    fld = ring.field
+    key = _term_key(order)
+    vecs = [_to_vec(g) for g in gens]
+    leads = [_lead(v, key) for v in vecs]
+    for j in range(len(vecs)):
+        for i in range(j):
+            if leads[i][0] != leads[j][0]:
+                continue
+            s = _spoly(vecs[i], vecs[j], leads[i], leads[j], key, fld)
+            if _reduce_full(s, vecs, leads, key, fld):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

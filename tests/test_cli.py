@@ -99,6 +99,21 @@ def test_exit_code_for_input_errors(tmp_path, capsys):
     assert main(["cm-check", str(claim)]) == 2
 
 
+def test_depth_and_cm_check_refuse_a_shifted_filtration(tmp_path, capsys):
+    """q = (x - 1, y) is not inside the variable ideal: both depth routes
+    refuse the input with the one message of ``checked_depth``."""
+    shifted = tmp_path / "shifted.fc"
+    shifted.write_text("field QQ\nvars x, y\nq: x - 1, y\na: y\n", encoding="utf-8")
+    errors = []
+    for command in ("depth", "cm-check"):
+        assert main([command, str(shifted), "--json"]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert "filtration ideal is not inside the variable ideal" in errors[0]
+
+
 def test_exit_code_for_budget_exhaustion(curve_file, capsys):
     code = main(["gb", str(curve_file), "--set", "step_budget=2"])
     assert code == 3

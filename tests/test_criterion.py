@@ -106,7 +106,7 @@ def test_annihilator_witness_kills_all_candidates():
     ctx = curve_context(q="m")
     exists, witness = regular_form_exists(ctx)
     assert not exists
-    pres = ctx.form_presentation("module")
+    pres = ctx.form_presentation()
     images = system_images(ctx, pres)
     for image in images:
         assert pres.contains(witness * image.representative)
@@ -118,7 +118,7 @@ def test_grade_recursion_on_regular_plane():
     report = grade_by_recursion(ctx)
     assert report.value == 2
     assert len(report.certificate) == 2
-    pres = ctx.form_presentation("module")
+    pres = ctx.form_presentation()
     direct = koszul_grade(pres, system_images(ctx, pres))
     assert direct.value == 2
 
@@ -138,7 +138,7 @@ def test_certificate_replays_through_successive_quotients():
     assert report.value >= 1
     work = ctx
     for step in report.certificate:
-        pres = work.form_presentation("module")
+        pres = work.form_presentation()
         image = work.graded_image(step.element, step.degree, pres)
         from formcone import GradedElement
 
@@ -263,7 +263,7 @@ def test_exact_and_bounded_regularity_agree_on_corpus(corpus):
             continue
         if d != element.degree:
             continue  # module-relative degree differs; chain test not comparable
-        pres = ctx.form_presentation("module")
+        pres = ctx.form_presentation()
         image = ctx.graded_image(element.element, d, pres)
         exact = is_regular_element(pres, GradedElement(pres, image, d)).regular
         bounded = colon_chain_regularity(ctx, element.element, d, n_max=6)

@@ -7,6 +7,7 @@ from formcone import (
     PolynomialRing,
     PresentedIdeal,
     ValidationError,
+    graded_dim,
     hilbert_function,
     is_regular_element,
 )
@@ -60,10 +61,8 @@ def test_initial_form_zero_flag_convention():
     R1 = PolynomialRing(QQ, ("x",))
     x, = R1.gens()
     ctx = FiltrationContext(R1, (x * x - x**3,), (), (x,), [], probe_cap=8)
-    form = ctx.initial_form(x * x)
-    assert form.zero_flag
-    plain = ctx.initial_form(x)
-    assert not plain.zero_flag and plain.degree == 1
+    assert ctx.initial_degree(x * x) is None  # the zero-form convention
+    assert ctx.initial_degree(x) == 1
     ctx2 = FiltrationContext(R1, (x * x - x**3,), (), (x,), [(x * x, None)], probe_cap=8)
     assert ctx2.system[0].zero_flag
     from formcone import defect_at
@@ -76,19 +75,19 @@ def test_rees_presentations():
     R1 = PolynomialRing(QQ, ("x",))
     x, = R1.gens()
     ctx1 = FiltrationContext(R1, (), (), (x,), [])
-    assert ctx1.rees_presentation("ring").ideal.is_zero()
+    assert ctx1.rees_presentation().ideal.is_zero()
 
     # full variable ideal on the plane: a single Koszul relation
     x, y = R2.gens()
     ctx2 = FiltrationContext(R2, (), (), (x, y), [])
-    rees = ctx2.rees_presentation("ring")
+    rees = ctx2.rees_presentation()
     ring = rees.ring
     X, Y, Y1, Y2 = (ring.var(i) for i in range(4))
     assert rees.ideal.equals(PresentedIdeal(ring, (), (X * Y2 - Y * Y1,)))
 
     # curve ring: the degree-0 slice of the blowup presentation is the base ideal
     ctx3 = curve_context()
-    rees3 = ctx3.rees_presentation("module")
+    rees3 = ctx3.rees_presentation()
     x_only = [
         g for g in rees3.ideal.groebner(rees3.order).generators
         if all(all(m[i] == 0 for i in range(3, 6)) for m in g.terms)
@@ -101,15 +100,15 @@ def test_rees_presentations():
 def test_form_presentation_of_regular_plane():
     x, y = R2.gens()
     ctx = FiltrationContext(R2, (), (), (x, y), [])
-    form = ctx.form_presentation("ring")
+    form = ctx.form_presentation()
     assert form.contains(form.ring.var(0)) and form.contains(form.ring.var(1))
-    assert form.dim() == 2
+    assert graded_dim(form) == 2
     assert hilbert_function(form, 4) == [1, 2, 3, 4, 5]
 
 
 def test_form_presentation_of_curve_matches_named_cone():
     ctx = curve_context()
-    form = ctx.form_presentation("module")
+    form = ctx.form_presentation()
     cone = form.variable_cone()
     X, Y, Z = RS.gens()
     expected = PresentedIdeal(RS, (), (X * Z, Y * Z, Y**4, Z * Z))
@@ -122,7 +121,7 @@ def test_form_presentation_of_monomial_nilpotents():
     ctx = FiltrationContext(R2, (x * x, x * y), (), (x, y), [])
     direct = ctx.tangent_cone_direct()
     assert direct.ideal.equals(PresentedIdeal(R2, (), (x * x, x * y)))
-    form = ctx.form_presentation("module")
+    form = ctx.form_presentation()
     assert form.variable_cone().ideal.equals(direct.ideal)
 
 
@@ -158,7 +157,7 @@ def test_direct_and_elimination_cones_agree(base, module):
         ring.gens(), [],
     )
     direct = ctx.tangent_cone_direct()
-    renamed = ctx.form_presentation("module").variable_cone()
+    renamed = ctx.form_presentation().variable_cone()
     assert direct.ideal.equals(renamed.ideal)
     assert hilbert_function(direct, 10) == hilbert_function(renamed, 10)
 
@@ -167,7 +166,7 @@ def test_degree_zero_slice_matches_quotient():
     # degree-0 part of the graded presentation is A/(q + I_M)
     x, y = R2.gens()
     ctx = FiltrationContext(R2, (x**3 - y**4,), (), (x, y), [])
-    form = ctx.form_presentation("module")
+    form = ctx.form_presentation()
     x_only = [
         g for g in form.groebner().generators
         if all(all(m[i] == 0 for i in range(2, 4)) for m in g.terms)
@@ -189,8 +188,8 @@ def test_graded_dimension_equals_module_dimension(base, q):
     x, y = R2.gens()
     q_gens = (x, y) if q == "m" else (x,)
     ctx = FiltrationContext(R2, tuple(parse(e) for e in base), (), q_gens, [])
-    form = ctx.form_presentation("module")
-    assert form.dim() == ctx.ideal_m.krull_dim()
+    form = ctx.form_presentation()
+    assert graded_dim(form) == ctx.ideal_m.krull_dim()
 
 
 def test_quotient_by_element():
@@ -210,7 +209,7 @@ def test_quotient_by_element():
 def test_graded_image_consistency():
     ctx = curve_context()
     X = RS.var(0)
-    form = ctx.form_presentation("module")
+    form = ctx.form_presentation()
     image = ctx.graded_image(X, 1, form)
     assert image == form.ring.var(3)  # the slot presenting the first q-generator
     assert ctx.system[0].degree == ctx.initial_degree(ctx.system[0].element)
@@ -221,11 +220,11 @@ def test_quotient_hilbert_matches_graded_quotient_for_regular_step():
     # the quotient of the graded module by that initial form, degreewise
     x, y = R2.gens()
     ctx = FiltrationContext(R2, (x**3 - y**3,), (), (x, y), [(x, 1)])
-    form = ctx.form_presentation("module")
+    form = ctx.form_presentation()
     image = ctx.graded_image(x, 1, form)
     element = GradedElement(form, image, 1)
     assert is_regular_element(form, element).regular
     quotient_pres = form.quotient_by((image,))
     ctx_quot = ctx.quotient_by_element(x)
-    form_quot = ctx_quot.form_presentation("module")
+    form_quot = ctx_quot.form_presentation()
     assert hilbert_function(quotient_pres, 10) == hilbert_function(form_quot, 10)

@@ -58,7 +58,7 @@ def test_hilbert_functions():
 def test_hilbert_on_mixed_weights():
     # form presentation of the curve carries weight-0 ambient slots; the
     # graded dimensions must match the pure cone
-    form = curve_context().form_presentation("module")
+    form = curve_context().form_presentation()
     assert hilbert_function(form, 7) == [1, 3, 3, 4, 4, 4, 4, 4]
 
 
@@ -138,7 +138,7 @@ def test_exact_and_chain_regularity_agree():
         ctx = FiltrationContext(R2, base, (), R2.gens(), [])
         b = R2.parse(elem_expr)
         d = ctx.initial_degree(b, modulo="module")
-        form = ctx.form_presentation("module")
+        form = ctx.form_presentation()
         image = ctx.graded_image(b, d, form)
         exact = is_regular_element(form, GradedElement(form, image, d)).regular
         bounded = colon_chain_regularity(ctx, b, d, n_max=8)
@@ -246,7 +246,7 @@ def test_depth_with_degree_zero_generators():
     # principal filtration leaves surviving weight-0 variables in play
     x, y = R2.gens()
     ctx = FiltrationContext(R2, (), (), (x,), [])
-    form = ctx.form_presentation("ring")
+    form = ctx.form_presentation()
     report = depth(form)
     assert report.value == 2 == graded_dim(form)
 

@@ -2,6 +2,7 @@ import random
 from itertools import product as cartesian
 
 import pytest
+from oracle import exact_rank, is_groebner, kernel_sample
 
 import formcone.groebner as groebner_module
 from formcone import (
@@ -16,8 +17,6 @@ from formcone import (
     PolynomialRing,
     buchberger,
     block_order,
-    exact_rank,
-    is_groebner,
     mono_compare,
     normal_form,
     syzygy_basis,
@@ -190,10 +189,6 @@ def test_syzygy_bounded_completeness():
 def _linear_algebra_syzygy(cols, degree_cap):
     """One relation vector of bounded degree found by exact elimination over
     the coefficient unknowns, independent of any basis machinery."""
-    from itertools import product as cartesian
-
-    from formcone import kernel_sample
-
     ring = cols[0].ring
     unknowns = []  # (column index, multiplier monomial)
     for idx, col in enumerate(cols):
