@@ -78,10 +78,9 @@ from .rings import (
     Polynomial,
     PolynomialRing,
     block_order,
-    mono_compare,
     parse_polynomial,
     weighted_order,
 )
-from .session import SessionSpec, parse_session, print_session
+from .session import SessionSpec, parse_session
 
 __version__ = "0.1.0"

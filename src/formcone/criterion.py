@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import (
     BudgetExceededError,
@@ -334,7 +335,6 @@ def find_regular_lift(ctx: FiltrationContext,
     coeffs = _coefficient_sets(ctx, params, rng)
     degrees = sorted({s.degree for s in ctx.system})
     d_min = min(degrees)
-    budget = params.search_budget
 
     def try_candidate(b: Polynomial, d: int) -> CertificateStep | None:
         try:
@@ -350,48 +350,40 @@ def find_regular_lift(ctx: FiltrationContext,
             return CertificateStep(b, d, element)
         return None
 
-    for d in range(d_min, d_min + params.search_degree_span + 1):
-        pools = [
-            [m * s.element for m in _candidate_multipliers(ctx, s.degree, d, params)]
-            for s in ctx.system
-        ]
-        # single-generator candidates (scaling never changes regularity)
-        for pool in pools:
-            for b in pool:
-                budget -= 1
-                if budget < 0:
-                    return None
-                found = try_candidate(b, d)
-                if found:
-                    return found
-        # pairwise combinations with small coefficients
-        t = len(pools)
-        for i in range(t):
-            for j in range(i + 1, t):
-                for bi in pools[i][:12]:
-                    for bj in pools[j][:12]:
-                        for lam in coeffs:
-                            budget -= 1
-                            if budget < 0:
-                                return None
-                            found = try_candidate(bi + bj.scale(lam), d)
-                            if found:
-                                return found
-        # pseudorandom full combinations
-        for _ in range(params.search_random_rounds):
-            acc = ctx.ring.zero()
+    def candidates():
+        """(candidate, degree) pairs: per degree, singles, pairs, random rounds."""
+        for d in range(d_min, d_min + params.search_degree_span + 1):
+            pools = [
+                [m * s.element for m in _candidate_multipliers(ctx, s.degree, d, params)]
+                for s in ctx.system
+            ]
+            # single-generator candidates (scaling never changes regularity)
             for pool in pools:
-                if not pool:
-                    continue
-                acc = acc + rng.choice(pool).scale(rng.choice(coeffs))
-            budget -= 1
-            if budget < 0:
-                return None
-            if acc.is_zero():
-                continue
-            found = try_candidate(acc, d)
-            if found:
-                return found
+                for b in pool:
+                    yield b, d
+            # pairwise combinations with small coefficients
+            t = len(pools)
+            for i in range(t):
+                for j in range(i + 1, t):
+                    for bi in pools[i][:12]:
+                        for bj in pools[j][:12]:
+                            for lam in coeffs:
+                                yield bi + bj.scale(lam), d
+            # pseudorandom full combinations
+            for _ in range(params.search_random_rounds):
+                acc = ctx.ring.zero()
+                for pool in pools:
+                    if not pool:
+                        continue
+                    acc = acc + rng.choice(pool).scale(rng.choice(coeffs))
+                yield acc, d
+
+    for b, d in islice(candidates(), params.search_budget):
+        if b.is_zero():
+            continue
+        found = try_candidate(b, d)
+        if found:
+            return found
     return None
 
 

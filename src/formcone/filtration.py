@@ -57,20 +57,19 @@ class GradedQuotientPresentation:
     """Polynomial presentation of a graded quotient: k[x-vars, y-vars]/H.
 
     x-variables carry weight 0 (they present the degree-0 part), y-variables
-    carry weight 1 (one per filtration-ideal generator).  For the direct
-    tangent-cone route every variable has weight 1 and ``y_offset`` is 0.
+    carry weight 1 (one per filtration-ideal generator).  ``y_offset`` counts
+    the leading weight-0 variables; for the direct tangent-cone route every
+    variable has weight 1 and it is 0.
     """
 
-    __slots__ = ("ring", "weights", "ideal", "kind", "context", "y_offset", "_order")
+    __slots__ = ("ring", "weights", "ideal", "context", "y_offset", "_order")
 
-    def __init__(self, ring: PolynomialRing, weights, ideal: PresentedIdeal,
-                 kind: str, context, y_offset: int):
+    def __init__(self, ring: PolynomialRing, weights, ideal: PresentedIdeal, context):
         self.ring = ring
         self.weights = tuple(weights)
         self.ideal = ideal
-        self.kind = kind
         self.context = context
-        self.y_offset = y_offset
+        self.y_offset = next((i for i, w in enumerate(self.weights) if w), len(self.weights))
         self._order = weighted_order(self.weights)
         if len(self.weights) != ring.nvars:
             raise ValidationError("one weight per presentation variable required")
@@ -99,8 +98,7 @@ class GradedQuotientPresentation:
     def quotient_by(self, reps) -> "GradedQuotientPresentation":
         """Presentation of the quotient by the listed (homogeneous) elements."""
         return GradedQuotientPresentation(
-            self.ring, self.weights, self.ideal.sum_with(*reps),
-            self.kind, self.context, self.y_offset,
+            self.ring, self.weights, self.ideal.sum_with(*reps), self.context,
         )
 
     def variable_cone(self) -> "GradedQuotientPresentation":
@@ -134,12 +132,8 @@ class GradedQuotientPresentation:
                 gens.append(g.map_to(ambient, positions))
         return GradedQuotientPresentation(
             ambient, (1,) * ambient.nvars,
-            PresentedIdeal(ambient, (), tuple(gens), self.ideal.step_budget),
-            self.kind, ctx, 0,
+            PresentedIdeal(ambient, (), tuple(gens), self.ideal.step_budget), ctx,
         )
-
-    def __str__(self):
-        return f"{self.ring} / ({', '.join(str(g) for g in self.ideal.combined()) or '0'}) [{self.kind}]"
 
 
 class FiltrationContext:
@@ -278,9 +272,6 @@ class FiltrationContext:
     def rees_presentation(self) -> GradedQuotientPresentation:
         """Presentation of the blowup algebra of M: eliminate the tag T from
         I_M + (y_j - f_j T)."""
-        key = ("rees",)
-        if key in self._presentations:
-            return self._presentations[key]
         n = self.ring.nvars
         s = len(self.q_generators)
         y_names = _fresh_names(self.ring, "y", s)
@@ -299,13 +290,10 @@ class FiltrationContext:
             if all(m[t_index] == 0 for m in g.terms):
                 keep.append(g.map_to(pres_ring, list(range(n + s)) + [0]))
         weights = (0,) * n + (1,) * s
-        pres = GradedQuotientPresentation(
+        return GradedQuotientPresentation(
             pres_ring, weights,
-            PresentedIdeal(pres_ring, (), tuple(keep), self.step_budget),
-            "rees", self, n,
+            PresentedIdeal(pres_ring, (), tuple(keep), self.step_budget), self,
         )
-        self._presentations[key] = pres
-        return pres
 
     def form_presentation(self) -> GradedQuotientPresentation:
         """Associated-graded presentation of M: the Rees presentation modulo
@@ -320,8 +308,7 @@ class FiltrationContext:
         gens = rees.ideal.generators + tuple(f.map_to(pres_ring, emb) for f in self.q_generators)
         pres = GradedQuotientPresentation(
             pres_ring, rees.weights,
-            PresentedIdeal(pres_ring, (), gens, self.step_budget),
-            "form-module", self, n,
+            PresentedIdeal(pres_ring, (), gens, self.step_budget), self,
         )
         for g in pres.groebner().generators:
             if not pres.is_y_homogeneous(g):
@@ -367,8 +354,7 @@ class FiltrationContext:
             cone_gens.append(Polynomial(self.ring, slice_terms))
         pres = GradedQuotientPresentation(
             self.ring, (1,) * n,
-            PresentedIdeal(self.ring, (), tuple(cone_gens), self.step_budget),
-            "form-module", self, 0,
+            PresentedIdeal(self.ring, (), tuple(cone_gens), self.step_budget), self,
         )
         self._presentations[key] = pres
         return pres

@@ -290,8 +290,7 @@ def koszul_grade(pres: GradedQuotientPresentation, generators) -> GradeReport:
         subsets_hi = list(combinations(range(r), i))
         subsets_lo = list(combinations(range(r), i - 1))
         cols = _koszul_columns(reps, subsets_hi, subsets_lo, ring)
-        cycles = syzygy_basis(cols, order, budget,
-                              _scaled_units(h_gens, len(subsets_lo), ring))
+        cycles = syzygy_basis(cols, order, budget, [h_gens] * len(subsets_lo))
 
         subsets_up = list(combinations(range(r), i + 1))
         boundary = _koszul_columns(reps, subsets_up, subsets_hi, ring)

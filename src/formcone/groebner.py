@@ -39,7 +39,7 @@ DEFAULT_STEP_BUDGET = 10**6
 class FreeModuleElement:
     """Element of a free module P^rank, one polynomial per position."""
 
-    __slots__ = ("ring", "components", "_hash")
+    __slots__ = ("ring", "components")
 
     def __init__(self, ring: PolynomialRing, components):
         comps = tuple(components)
@@ -48,7 +48,6 @@ class FreeModuleElement:
                 raise RingMismatchError("component from a different ring")
         self.ring = ring
         self.components = comps
-        self._hash = None
 
     @property
     def rank(self) -> int:
@@ -57,29 +56,11 @@ class FreeModuleElement:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
-    def __add__(self, other: "FreeModuleElement") -> "FreeModuleElement":
-        self._check(other)
-        return FreeModuleElement(self.ring, tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "FreeModuleElement") -> "FreeModuleElement":
-        self._check(other)
-        return FreeModuleElement(self.ring, tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def __neg__(self) -> "FreeModuleElement":
-        return FreeModuleElement(self.ring, tuple(-a for a in self.components))
-
-    def scale(self, scalar) -> "FreeModuleElement":
-        return FreeModuleElement(self.ring, tuple(a.scale(scalar) for a in self.components))
-
     def dot(self, polys) -> Polynomial:
         acc = self.ring.zero()
         for c, p in zip(self.components, polys):
             acc = acc + c * p
         return acc
-
-    def _check(self, other: "FreeModuleElement"):
-        if self.ring != other.ring or self.rank != other.rank:
-            raise RingMismatchError("free-module rank or ring mismatch")
 
     def __eq__(self, other):
         return (
@@ -87,11 +68,6 @@ class FreeModuleElement:
             and self.ring == other.ring
             and self.components == other.components
         )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, self.components))
-        return self._hash
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.components) + ")"
@@ -103,12 +79,6 @@ class GroebnerBasis:
 
     generators: tuple
     order: MonomialOrder
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self):
-        return len(self.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +95,13 @@ def _to_vec(element) -> dict:
     }
 
 
-def _from_vec(vec: dict, ring: PolynomialRing, rank: int | None):
+def _from_vec(vec: dict, ring: PolynomialRing, rank: int | None, shift: int = 0):
+    """Public element from a term vector; ``shift`` is taken off every position."""
     if rank is None:
         return Polynomial(ring, {m: c for (_, m), c in vec.items()})
     comps = [dict() for _ in range(rank)]
     for (p, m), c in vec.items():
-        comps[p][m] = c
+        comps[p - shift][m] = c
     return FreeModuleElement(ring, tuple(Polynomial(ring, d) for d in comps))
 
 
@@ -367,59 +338,52 @@ def normal_form(element, basis: GroebnerBasis):
     return _from_vec(r, ring, rank)
 
 
-def _graph_basis(ring: PolynomialRing, heads, relations, order: MonomialOrder,
-                 step_budget: int) -> GroebnerBasis:
-    """POT basis of the graph vectors ``head_i (+) e_i`` and ``relation (+) 0``.
+def _graph_basis(ring: PolynomialRing, r: int, columns, modulo, order: MonomialOrder,
+                 step_budget: int) -> list[dict]:
+    """POT basis of the term vectors ``column_i (+) e_i`` and ``g * e_j``.
 
-    ``heads`` and ``relations`` are component tuples of one length r; the
-    result lives in P^(r+k) for k heads, with the r head positions dominating.
+    ``columns`` are term vectors with positions below r, e_i sits at position
+    r + i, and g runs over ``modulo[j]``; the r column positions dominate.
     """
-    k = len(heads)
-    zero, one = ring.zero(), ring.one()
-    graph = [
-        FreeModuleElement(ring, head + tuple(one if j == i else zero for j in range(k)))
-        for i, head in enumerate(heads)
-    ]
-    graph += [FreeModuleElement(ring, rel + (zero,) * k) for rel in relations]
-    return buchberger(graph, order, step_budget)
+    one, origin = ring.field.coerce(1), (0,) * ring.nvars
+    graph = [{**col, (r + i, origin): one} for i, col in enumerate(columns)]
+    graph += [{(j, m): c for m, c in g.terms.items()}
+              for j, gens in enumerate(modulo) for g in gens]
+    return _engine(graph, order, ring.field, step_budget, rank_one=False)
 
 
 def syzygy_basis(columns, order: MonomialOrder = DEGREVLEX,
                  step_budget: int = DEFAULT_STEP_BUDGET,
-                 relations=()) -> list[FreeModuleElement]:
-    """Reduced basis of the kernel of P^k -> P^r/N sending e_i to column i.
+                 modulo=()) -> list[FreeModuleElement]:
+    """Reduced basis of the kernel of P^k -> (+)_j P/M_j sending e_i to column i.
 
-    N is the submodule spanned by ``relations`` (empty: plain syzygies).
-    Method: one module Groebner basis of the graph vectors
-    ``column_i (+) e_i`` and ``relation (+) 0`` inside P^(r+k) under
-    position-over-term with the original positions dominating; basis
-    elements whose first block vanishes are the kernel, and their tails form
-    its reduced basis.  Colons, intersections and Koszul cycles are all this
-    one kernel (Greuel-Pfister, sections 1.8 and 2.8).
+    ``modulo`` is empty (plain syzygies) or lists, for each of the r
+    positions of the columns, the generators of M_j.  Method: one module
+    Groebner basis of the graph vectors ``column_i (+) e_i`` and ``g * e_j``
+    inside P^(r+k) under position-over-term with the original positions
+    dominating; basis elements with no term below position r are the kernel,
+    and their tails form its reduced basis.  Colons, intersections and
+    Koszul cycles are all this one kernel (Greuel-Pfister, sections 1.8 and
+    2.8).
     """
-    cols, rels = list(columns), list(relations)
+    cols = list(columns)
     if not cols:
         return []
-    ring, rank = _common_shape(cols + rels)
-
-    def parts(v):
-        return (v,) if rank is None else v.components
-
+    ring, rank = _common_shape(cols)
     r = 1 if rank is None else rank
-    gb = _graph_basis(ring, [parts(c) for c in cols], [parts(v) for v in rels],
-                      order, step_budget)
-    return [
-        FreeModuleElement(ring, g.components[r:])
-        for g in gb.generators
-        if all(c.is_zero() for c in g.components[:r])
-    ]
+    if modulo and len(modulo) != r:
+        raise ValidationError(f"modulo lists {len(modulo)} submodules for {r} positions")
+    if any(g.ring != ring for gens in modulo for g in gens):
+        raise RingMismatchError("modulo generator from a different ring")
+    gb = _graph_basis(ring, r, [_to_vec(c) for c in cols], modulo, order, step_budget)
+    return [_from_vec(v, ring, len(cols), r) for v in gb if all(p >= r for p, _ in v)]
 
 
 class MembershipLifter:
     """Express ring elements in terms of a fixed generator list.
 
     Precomputes the graph-module Groebner basis once; each ``lift`` is then a
-    single module normal form.  ``lift(f)`` returns cofactors ``h`` with
+    single reduction of ``f (+) 0``.  ``lift(f)`` returns cofactors ``h`` with
     ``f == sum h_i * gens_i``, or None when f is not in the ideal.
     """
 
@@ -433,14 +397,16 @@ class MembershipLifter:
             raise ValidationError("MembershipLifter works on ring elements")
         self.ring = ring
         self.gens = gens
-        self._gb = _graph_basis(ring, [(g,) for g in gens], (), order, step_budget)
+        self._order = order
+        self._basis = _graph_basis(ring, 1, [_to_vec(g) for g in gens], (), order, step_budget)
+        key = _term_key(order)
+        self._leads = [_lead(v, key) for v in self._basis]
 
     def lift(self, f: Polynomial) -> list[Polynomial] | None:
         if f.ring != self.ring:
             raise RingMismatchError("element lives in a different ring")
-        zero = self.ring.zero()
-        probe = FreeModuleElement(self.ring, (f,) + (zero,) * len(self.gens))
-        r = normal_form(probe, self._gb)
-        if not r.components[0].is_zero():
+        r = _reduce_full(_to_vec(f), self._basis, self._leads, _term_key(self._order),
+                         self.ring.field)
+        if any(p == 0 for p, _ in r):
             return None
-        return [-c for c in r.components[1:]]
+        return [-c for c in _from_vec(r, self.ring, len(self.gens), 1).components]

@@ -90,11 +90,6 @@ class PresentedIdeal:
     def sum_with(self, *polys: Polynomial) -> "PresentedIdeal":
         return self.spawn(self.generators + tuple(polys))
 
-    def product(self, other: "PresentedIdeal") -> "PresentedIdeal":
-        self._check(other)
-        gens = tuple(dict.fromkeys(f * g for f in self.generators for g in other.generators))
-        return self.spawn(gens)
-
     def intersect(self, other: "PresentedIdeal") -> "PresentedIdeal":
         """I cap J = (I : 1) cap (J : 1), one module kernel (see ``meet_of_colons``)."""
         one = self.ring.one()
@@ -188,9 +183,9 @@ def meet_of_colons(ideals, elements) -> PresentedIdeal:
     """The intersection of the colons (I_k : f_k), all in one ring and base.
 
     It is one module kernel: the kernel of P -> (+)_k P/I_k sending 1 to
-    (f_k), computed by ``syzygy_basis`` with the reduced bases of the I_k as
-    relations.  The result's generators are its reduced, monic, sorted
-    DEGREVLEX basis, so they seed its basis cache.
+    (f_k), computed by ``syzygy_basis`` modulo the reduced bases of the I_k.
+    The result's generators are its reduced, monic, sorted DEGREVLEX basis,
+    so they seed its basis cache.
     """
     ideals, elements = tuple(ideals), tuple(elements)
     if not ideals or len(ideals) != len(elements):
@@ -199,15 +194,8 @@ def meet_of_colons(ideals, elements) -> PresentedIdeal:
     for ideal, f in zip(ideals, elements):
         first._check(ideal)
         first._check_ring(f)
-    ring, t = first.ring, len(ideals)
-    zero = ring.zero()
-    relations = [
-        FreeModuleElement(ring, tuple(g if j == k else zero for j in range(t)))
-        for k, ideal in enumerate(ideals)
-        for g in ideal.groebner().generators
-    ]
-    kernel = syzygy_basis((FreeModuleElement(ring, elements),), DEGREVLEX,
-                          first.step_budget, relations)
+    kernel = syzygy_basis((FreeModuleElement(first.ring, elements),), DEGREVLEX,
+                          first.step_budget, [ideal.groebner().generators for ideal in ideals])
     result = first.spawn(v.components[0] for v in kernel)
     result._gb_cache[DEGREVLEX] = GroebnerBasis(result.generators, DEGREVLEX)
     return result

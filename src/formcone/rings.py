@@ -195,15 +195,6 @@ def weighted_order(weights: Iterable[int]) -> MonomialOrder:
     return MonomialOrder(OrderKind.WDEGREVLEX, weights=tuple(weights))
 
 
-def mono_compare(order: MonomialOrder, m1: Monomial, m2: Monomial) -> int:
-    """-1, 0, or 1 as m1 <, =, > m2 under the order."""
-    if len(m1) != len(m2):
-        raise RingMismatchError(f"monomial length mismatch: {len(m1)} vs {len(m2)}")
-    k = order.key()
-    k1, k2 = k(m1), k(m2)
-    return (k1 > k2) - (k1 < k2)
-
-
 # ---------------------------------------------------------------------------
 # Rings and polynomials
 # ---------------------------------------------------------------------------
@@ -394,12 +385,6 @@ class Polynomial:
         fld = self.ring.field
         return Polynomial(self.ring, {m: fld.mul(c, v) for m, v in self.terms.items()})
 
-    def mul_term(self, mono: Monomial, coeff: Coefficient) -> "Polynomial":
-        if not coeff:
-            return self.ring.zero()
-        fld = self.ring.field
-        return Polynomial(self.ring, {mono_mul(m, mono): fld.mul(c, coeff) for m, c in self.terms.items()})
-
     def __pow__(self, n: int):
         if n < 0:
             raise ValidationError("negative polynomial power")
@@ -435,20 +420,6 @@ class Polynomial:
             else:
                 out.pop(mono, None)
         return Polynomial(ring, out)
-
-    def substitute(self, images: list["Polynomial"]) -> "Polynomial":
-        """Evaluate at variable images (all in one common target ring)."""
-        if len(images) != self.ring.nvars:
-            raise RingMismatchError("need one image per variable")
-        target = images[0].ring if images else self.ring
-        acc = target.zero()
-        for m, c in self.terms.items():
-            term = target.constant(c)
-            for i, e in enumerate(m):
-                if e:
-                    term = term * images[i] ** e
-            acc = acc + term
-        return acc
 
     # -- equality / hashing / printing ---------------------------------------
 

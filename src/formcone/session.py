@@ -194,28 +194,3 @@ def parse_session(text: str) -> SessionSpec:
         system=tuple(system),
         params=params,
     )
-
-
-def print_session(spec: SessionSpec) -> str:
-    """Canonical text for a session; parse_session inverts it exactly."""
-    lines = [
-        f"field {spec.field}",
-        f"vars {', '.join(spec.variables)}",
-        f"base: {', '.join(str(g) for g in spec.base) or '0'}",
-        f"module: {', '.join(str(g) for g in spec.module) or '0'}",
-        f"q: {', '.join(str(g) for g in spec.q)}",
-    ]
-    if spec.system:
-        chunks = [
-            f"{poly} @ {claim}" if claim is not None else str(poly)
-            for poly, claim in spec.system
-        ]
-        lines.append(f"a: {', '.join(chunks)}")
-    defaults = CriterionParams()
-    for f in fields(CriterionParams):
-        if f.name not in PARAM_KEYS:
-            continue
-        value = getattr(spec.params, f.name)
-        if value != getattr(defaults, f.name):
-            lines.append(f"set {f.name} = {value}")
-    return "\n".join(lines) + "\n"

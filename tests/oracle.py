@@ -7,16 +7,21 @@ elimination over the integers for characteristic 0, plain elimination mod p)
 and with definitional membership tests.  ``is_groebner`` checks Buchberger's
 S-pair criterion on a generator list.  Disagreement with the main route is
 always a hard failure of the library, never a tolerance issue.
+
+The last section holds small operations that only tests use: monomial
+comparison, term multiplication, substitution, ideal products and session
+printing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import product as cartesian
 from math import gcd
 
-from formcone.errors import InfiniteComponentError, ValidationError
+from formcone.criterion import CriterionParams
+from formcone.errors import InfiniteComponentError, RingMismatchError, ValidationError
 from formcone.filtration import FiltrationContext, GradedQuotientPresentation
 from formcone.groebner import (
     _common_shape,
@@ -26,7 +31,16 @@ from formcone.groebner import (
     _term_key,
     _to_vec,
 )
-from formcone.rings import DEGREVLEX, FieldSpec, Monomial, MonomialOrder, Polynomial
+from formcone.ideals import PresentedIdeal
+from formcone.rings import (
+    DEGREVLEX,
+    FieldSpec,
+    Monomial,
+    MonomialOrder,
+    Polynomial,
+    mono_mul,
+)
+from formcone.session import PARAM_KEYS, SessionSpec
 
 
 def is_groebner(gens, order: MonomialOrder = DEGREVLEX) -> bool:
@@ -209,7 +223,7 @@ def multiplication_matrix(pres: GradedQuotientPresentation, b, n: int) -> list[l
     field = pres.ring.field
     rows = [[field.coerce(0)] * source.dimension for _ in range(target.dimension)]
     for j, mono in enumerate(source.monomials):
-        image = pres.reduce(rep.mul_term(mono, field.coerce(1)))
+        image = pres.reduce(mul_term(rep, mono, field.coerce(1)))
         for m, c in image.terms.items():
             rows[index[m]][j] = c
     return rows
@@ -311,3 +325,71 @@ def defect_agrees(ctx: FiltrationContext, record, degree_cap: int) -> bool:
         if not ok:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Operations only the tests use
+# ---------------------------------------------------------------------------
+
+def mono_compare(order: MonomialOrder, m1: Monomial, m2: Monomial) -> int:
+    """-1, 0, or 1 as m1 <, =, > m2 under the order."""
+    if len(m1) != len(m2):
+        raise RingMismatchError(f"monomial length mismatch: {len(m1)} vs {len(m2)}")
+    k = order.key()
+    k1, k2 = k(m1), k(m2)
+    return (k1 > k2) - (k1 < k2)
+
+
+def mul_term(f: Polynomial, mono: Monomial, coeff) -> Polynomial:
+    """coeff * x^mono * f."""
+    if not coeff:
+        return f.ring.zero()
+    fld = f.ring.field
+    return Polynomial(f.ring, {mono_mul(m, mono): fld.mul(c, coeff) for m, c in f.terms.items()})
+
+
+def substitute(f: Polynomial, images: list[Polynomial]) -> Polynomial:
+    """Evaluate at variable images (all in one common target ring)."""
+    if len(images) != f.ring.nvars:
+        raise RingMismatchError("need one image per variable")
+    target = images[0].ring if images else f.ring
+    acc = target.zero()
+    for m, c in f.terms.items():
+        term = target.constant(c)
+        for i, e in enumerate(m):
+            if e:
+                term = term * images[i] ** e
+        acc = acc + term
+    return acc
+
+
+def product(ideal: PresentedIdeal, other: PresentedIdeal) -> PresentedIdeal:
+    """The product ideal, generated by the pairwise products of generators."""
+    ideal._check(other)
+    gens = tuple(dict.fromkeys(f * g for f in ideal.generators for g in other.generators))
+    return ideal.spawn(gens)
+
+
+def print_session(spec: SessionSpec) -> str:
+    """Canonical text for a session; parse_session inverts it exactly."""
+    lines = [
+        f"field {spec.field}",
+        f"vars {', '.join(spec.variables)}",
+        f"base: {', '.join(str(g) for g in spec.base) or '0'}",
+        f"module: {', '.join(str(g) for g in spec.module) or '0'}",
+        f"q: {', '.join(str(g) for g in spec.q)}",
+    ]
+    if spec.system:
+        chunks = [
+            f"{poly} @ {claim}" if claim is not None else str(poly)
+            for poly, claim in spec.system
+        ]
+        lines.append(f"a: {', '.join(chunks)}")
+    defaults = CriterionParams()
+    for f in fields(CriterionParams):
+        if f.name not in PARAM_KEYS:
+            continue
+        value = getattr(spec.params, f.name)
+        if value != getattr(defaults, f.name):
+            lines.append(f"set {f.name} = {value}")
+    return "\n".join(lines) + "\n"

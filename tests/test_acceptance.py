@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from itertools import product as cartesian
 
 from corpus import CORPUS_PARAMS
-from oracle import component_basis, defect_agrees, is_groebner, truncated_regularity
+from oracle import component_basis, defect_agrees, is_groebner, mul_term, truncated_regularity
 
 from formcone import (
     QQ,
@@ -181,7 +181,7 @@ def test_criterion_7_kernel_randomized_suites():
                 continue
             gb = buchberger(gens)
             member = sum(
-                (g.mul_term((rng.randint(0, 1), rng.randint(0, 1)), rng.randint(1, 2))
+                (mul_term(g, (rng.randint(0, 1), rng.randint(0, 1)), rng.randint(1, 2))
                  for g in gens),
                 ring.zero(),
             )

@@ -154,6 +154,15 @@ def test_search_failure_is_budget_error():
         grade_by_recursion(ctx, starved)
 
 
+def test_search_budget_counts_candidates():
+    # corpus instance inst12: x + y is the 13th candidate the search tries
+    x, y = R2.gens()
+    ctx = FiltrationContext(R2, (x * x * y,), (), (x, y), [(x, None), (y, None)])
+    found = find_regular_lift(ctx, CriterionParams(search_budget=13))
+    assert (found.element, found.degree) == (x + y, 1)
+    assert find_regular_lift(ctx, CriterionParams(search_budget=12)) is None
+
+
 def test_degree_zero_obstruction_is_reported_not_miscomputed():
     # A = k[x,y]/(xy), q = (x), system (x, y): the level modules vanish and the
     # annihilator of the initial forms is zero, yet no homogeneous element of

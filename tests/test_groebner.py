@@ -2,7 +2,7 @@ import random
 from itertools import product as cartesian
 
 import pytest
-from oracle import exact_rank, is_groebner, kernel_sample
+from oracle import exact_rank, is_groebner, kernel_sample, mono_compare, mul_term, substitute
 
 import formcone.groebner as groebner_module
 from formcone import (
@@ -15,9 +15,10 @@ from formcone import (
     MembershipLifter,
     Polynomial,
     PolynomialRing,
+    RingMismatchError,
+    ValidationError,
     buchberger,
     block_order,
-    mono_compare,
     normal_form,
     syzygy_basis,
     weighted_order,
@@ -34,7 +35,7 @@ def semigroup_value(f):
     substitution."""
     Rt = PolynomialRing(QQ, ("t",))
     t, = Rt.gens()
-    return f.substitute([t**4, t**5, t**11])
+    return substitute(f, [t**4, t**5, t**11])
 
 
 def curve_ideal():
@@ -71,7 +72,7 @@ def test_twisted_cubic_elimination():
     # oracle: y^3 - z^2 vanishes on the parametrization (t, t^2, t^3)
     Rt = PolynomialRing(QQ, ("t",))
     t, = Rt.gens()
-    assert (y**3 - z**2).substitute([t, t**2, t**3]).is_zero()
+    assert substitute(y**3 - z**2, [t, t**2, t**3]).is_zero()
     gb = buchberger([x * x - y, x**3 - z], LEX)
     assert y**3 - z**2 in set(gb.generators)
 
@@ -121,7 +122,7 @@ def _bounded_membership(f, gens, degree_cap):
         for expts in cartesian(*(range(room + 1) for _ in range(ring.nvars))):
             if sum(expts) > room:
                 continue
-            columns.append(g.mul_term(tuple(expts), ring.field.coerce(1)))
+            columns.append(mul_term(g, tuple(expts), ring.field.coerce(1)))
     for col in columns + [f]:
         for mono in col.terms:
             rows_index.setdefault(mono, len(rows_index))
@@ -144,7 +145,7 @@ def test_membership_matches_bounded_oracle():
         gens = rng.sample(pool, rng.randint(1, 3))
         gb = buchberger(gens)
         # random probe of moderate degree
-        h = sum((g.mul_term((rng.randint(0, 1), rng.randint(0, 1)), 1) for g in gens),
+        h = sum((mul_term(g, (rng.randint(0, 1), rng.randint(0, 1)), 1) for g in gens),
                 R2.zero())
         probes = [h, h + x, x**2, y**3, h * y]
         for f in probes:
@@ -199,7 +200,7 @@ def _linear_algebra_syzygy(cols, degree_cap):
     rows_index: dict = {}
     columns = []
     for idx, mono in unknowns:
-        shifted = cols[idx].mul_term(mono, ring.field.coerce(1))
+        shifted = mul_term(cols[idx], mono, ring.field.coerce(1))
         columns.append(shifted)
         for m in shifted.terms:
             rows_index.setdefault(m, len(rows_index))
@@ -250,6 +251,36 @@ def test_membership_lifter_roundtrip():
         acc = acc + h * g
     assert acc == target
     assert lifter.lift(RS.one()) is None
+
+
+def test_membership_lifter_over_a_prime_field():
+    F3 = PolynomialRing(FieldSpec(3), ("x", "y"))
+    x, y = F3.gens()
+    gens = [x * x - y, x * y + 2 * y * y]
+    lifter = MembershipLifter(gens)
+    target = (x + 2) * gens[0] + y * y * gens[1]
+    cofactors = lifter.lift(target)
+    assert cofactors is not None
+    assert sum((h * g for h, g in zip(cofactors, gens)), F3.zero()) == target
+    assert lifter.lift(x) is None  # x is 1 at the common zero (1, 1)
+
+
+def test_syzygy_basis_checks_modulo():
+    x, y = R2.gens()
+    col = FreeModuleElement(R2, (x, y))
+    # 1 maps to (x, y), which is zero in P/(x) (+) P/(y): the kernel is all of P
+    assert syzygy_basis([col], modulo=[[x], [y]]) == [FreeModuleElement(R2, (R2.one(),))]
+    with pytest.raises(ValidationError):
+        syzygy_basis([col], modulo=[[x]])
+    with pytest.raises(RingMismatchError):
+        syzygy_basis([col], modulo=[[x], [RS.var(0)]])
+
+
+def test_kernel_budgets_are_resource_errors():
+    with pytest.raises(BudgetExceededError):
+        syzygy_basis(curve_ideal(), step_budget=1)
+    with pytest.raises(BudgetExceededError):
+        MembershipLifter(curve_ideal(), step_budget=1)
 
 
 def test_step_budget_is_a_resource_error(monkeypatch):

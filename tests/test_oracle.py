@@ -29,7 +29,7 @@ RS = PolynomialRing(QQ, ("X", "Y", "Z"))
 
 def plain(ring, *gens):
     return GradedQuotientPresentation(
-        ring, (1,) * ring.nvars, PresentedIdeal(ring, (), gens), "form-module", None, 0,
+        ring, (1,) * ring.nvars, PresentedIdeal(ring, (), gens), None,
     )
 
 

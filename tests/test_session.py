@@ -1,6 +1,7 @@
 import pytest
+from oracle import print_session
 
-from formcone import FieldSpec, ParseError, ValidationError, parse_session, print_session
+from formcone import FieldSpec, ParseError, ValidationError, parse_session
 from formcone.criterion import CriterionParams
 
 CURVE_TEXT = """\
