@@ -166,9 +166,11 @@ def defect_at(ctx: FiltrationContext, n: int,
               params: CriterionParams = DEFAULT_PARAMS) -> DefectRecord:
     """Stabilize the l-chain of colon intersections at level n.
 
-    The ascending-chain property is asserted at every step; violating it is
-    an internal bug, not an input problem.  Budget exhaustion is a reported
-    status, never an exception.
+    The ascending-chain property is asserted at every step where the ideal
+    changes (equal reduced bases contain each other, so containment is
+    tested only when they differ); violating it is an internal bug, not an
+    input problem.  Budget exhaustion is a reported status, never an
+    exception.
     """
     _require_usable_system(ctx)
     if n < 0:
@@ -188,14 +190,14 @@ def defect_at(ctx: FiltrationContext, n: int,
             [ctx.system_power(i, l) for i in range(len(ctx.system))],
         )
         if prev is not None:
-            if not current.contains_ideal(prev):
+            if current.equals(prev):
+                run += 1
+            elif current.contains_ideal(prev):
+                run = 0
+            else:
                 raise ConsistencyError(
                     f"colon chain is not ascending at level n={n}, l={l}"
                 )
-            if current.equals(prev):
-                run += 1
-            else:
-                run = 0
         if run == params.window:
             status = "stabilized"
             stabilized_l = l - params.window

@@ -12,6 +12,15 @@ is monic and sorted by leading term).
 Cost notes: each basis run computes a term's order key once (a memo local
 to the run), interreduces in a single pass, and updates coefficients with
 one multiply and one add per term, reducing mod p only in characteristic p.
+Over QQ the engine holds integer values as Python ints (``_to_vec``) and
+turns them back into Fractions only at the public boundary (``_from_vec``):
+basis elements are primitive integer vectors, and the S-polynomial is formed
+fraction-free, lc(g) * m_f * f - lc(f) * m_g * g.  A kernel basis
+interreduces only its kernel elements.  A run grows one lead index (the
+divisor lookup of every reduction) as its basis grows.  A ``GroebnerBasis``
+builds the lead index of its generators once; ``normal_form`` converts the
+generators to term vectors per call and keeps none, which keeps long-lived
+bases small.
 """
 
 from __future__ import annotations
@@ -19,7 +28,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 
 from .errors import BudgetExceededError, RingMismatchError, ValidationError
 from .rings import (
@@ -80,23 +90,44 @@ class GroebnerBasis:
     generators: tuple
     order: MonomialOrder
 
+    @cached_property
+    def _shape(self):
+        """(ring, rank, nonzero generators, their lead index), computed on first use.
+
+        The term vectors are deliberately not kept: stored beside every
+        cached basis they raise peak memory more than they save time.
+        """
+        gens = tuple(g for g in self.generators if not g.is_zero())
+        if not gens:
+            return None, None, gens, {}
+        ring, rank = _common_shape(gens)
+        key = _term_key(self.order)
+        return ring, rank, gens, _lead_index([_lead(_to_vec(g), key) for g in gens])
+
 
 # ---------------------------------------------------------------------------
 # Internal vector representation
 # ---------------------------------------------------------------------------
 
 def _to_vec(element) -> dict:
+    """Term vector of a public element; integer-valued Fractions become ints."""
     if isinstance(element, Polynomial):
-        return {(0, m): c for m, c in element.terms.items()}
+        return {(0, m): c.numerator if c.denominator == 1 else c
+                for m, c in element.terms.items()}
     return {
-        (i, m): c
+        (i, m): c.numerator if c.denominator == 1 else c
         for i, comp in enumerate(element.components)
         for m, c in comp.terms.items()
     }
 
 
 def _from_vec(vec: dict, ring: PolynomialRing, rank: int | None, shift: int = 0):
-    """Public element from a term vector; ``shift`` is taken off every position."""
+    """Public element from a term vector; ``shift`` is taken off every position.
+
+    Over QQ every coefficient becomes a Fraction again, as ``Polynomial`` holds.
+    """
+    if ring.field.is_rationals:
+        vec = {t: Fraction(c) if type(c) is int else c for t, c in vec.items()}
     if rank is None:
         return Polynomial(ring, {m: c for (_, m), c in vec.items()})
     comps = [dict() for _ in range(rank)]
@@ -142,31 +173,32 @@ def _sub_scaled(vec: dict, other: dict, q_mono, q_coeff, fld) -> None:
 
 
 def _normalize(vec: dict, key, fld) -> dict:
-    """Scale to a canonical representative: primitive integral over QQ, monic over F_p."""
+    """Scale to a canonical representative: over QQ the primitive integer
+    vector (as ints) with a positive lead, over F_p the monic one."""
     if not vec:
         return vec
     if fld.is_rationals:
-        den = 1
-        for c in vec.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        num = 0
-        for c in vec.values():
-            num = gcd(num, abs(c.numerator * den // c.denominator))
-        lead_c = vec[_lead(vec, key)]
-        sign = -1 if lead_c < 0 else 1
-        factor = Fraction(sign * den, num)
-        return {t: c * factor for t, c in vec.items()}
+        den = lcm(*(c.denominator for c in vec.values()))
+        num = gcd(*(c.numerator * (den // c.denominator) for c in vec.values()))
+        if vec[_lead(vec, key)] < 0:
+            num = -num
+        return {t: c.numerator * (den // c.denominator) // num for t, c in vec.items()}
     inv = fld.inv(vec[_lead(vec, key)])
     return {t: fld.mul(c, inv) for t, c in vec.items()}
 
 
-def _reduce_full(vec: dict, basis: list[dict], leads: list, key, fld) -> dict:
-    """Full normal form: no remaining term is divisible by any basis lead."""
-    work = dict(vec)
-    remainder: dict = {}
+def _lead_index(leads) -> dict:
+    """position -> [(lead monomial, basis index)], the divisor lookup of ``_reduce_full``."""
     by_pos: dict[int, list[tuple]] = {}
     for idx, (p, m) in enumerate(leads):
         by_pos.setdefault(p, []).append((m, idx))
+    return by_pos
+
+
+def _reduce_full(vec: dict, basis, by_pos: dict, key, fld) -> dict:
+    """Full normal form: no remaining term is divisible by a lead in ``by_pos``."""
+    work = dict(vec)
+    remainder: dict = {}
     while work:
         t = _lead(work, key)
         pos, mono = t
@@ -181,22 +213,28 @@ def _reduce_full(vec: dict, basis: list[dict], leads: list, key, fld) -> dict:
         lead_mono, idx = hit
         g = basis[idx]
         q_mono = mono_div(mono, lead_mono)
-        q_coeff = fld.div(work[t], g[leads[idx]])
+        q_coeff = fld.div(work[t], g[(pos, lead_mono)])
         _sub_scaled(work, g, q_mono, q_coeff, fld)
     return remainder
 
 
 def _spoly(f: dict, g: dict, lf, lg, key, fld) -> dict:
+    """Fraction-free S-polynomial lc(g) * m_f * f - lc(f) * m_g * g.
+
+    It is lc(f) * lc(g) times the monic S-polynomial, so it reduces to zero
+    exactly when that one does; the engine's F_p elements are monic, where the
+    two coincide.
+    """
     (_, mf), (_, mg) = lf, lg
-    lcm = mono_lcm(mf, mg)
+    m = mono_lcm(mf, mg)
     out = dict()
-    _sub_scaled(out, f, mono_div(lcm, mf), fld.neg(fld.inv(f[lf])), fld)
-    _sub_scaled(out, g, mono_div(lcm, mg), fld.inv(g[lg]), fld)
+    _sub_scaled(out, f, mono_div(m, mf), -g[lg], fld)
+    _sub_scaled(out, g, mono_div(m, mg), f[lf], fld)
     return out
 
 
 def _engine(vectors: list[dict], order: MonomialOrder, fld, step_budget: int,
-            rank_one: bool) -> list[dict]:
+            rank_one: bool, kernel_from: int = 0) -> list[dict]:
     """Buchberger with normal (degree-queue) pair selection.
 
     Product criterion only in rank one (it is unsound for modules); chain
@@ -205,10 +243,18 @@ def _engine(vectors: list[dict], order: MonomialOrder, fld, step_budget: int,
     ``step_budget`` bounds the S-polynomial reductions; pairs either
     criterion skips are not counted.  One term-key memo serves the whole run,
     the final interreduction included.
+
+    ``kernel_from`` > 0 keeps only the elements whose lead position is at
+    least ``kernel_from`` for the interreduction.  Under position-over-term
+    such an element has no term at a lower position, so no other lead
+    divides any of its terms: the kept elements alone decide which of them
+    are minimal and what their tails reduce to, exactly as in the full
+    interreduction.
     """
     key = _term_key(order)
     basis = [_normalize(v, key, fld) for v in vectors if v]
     leads = [_lead(v, key) for v in basis]
+    by_pos = _lead_index(leads)
 
     heap: list = []
     established: set[tuple[int, int]] = set()
@@ -256,23 +302,29 @@ def _engine(vectors: list[dict], order: MonomialOrder, fld, step_budget: int,
                 f"pair-reduction budget {step_budget} exhausted; raise step_budget"
             )
         s = _spoly(basis[i], basis[j], leads[i], leads[j], key, fld)
-        r = _reduce_full(s, basis, leads, key, fld)
+        r = _reduce_full(s, basis, by_pos, key, fld)
         established.add((i, j))
         if r:
             r = _normalize(r, key, fld)
+            p, m = _lead(r, key)
+            by_pos.setdefault(p, []).append((m, len(basis)))
             basis.append(r)
-            leads.append(_lead(r, key))
+            leads.append((p, m))
             push_pairs(len(basis) - 1)
+    if kernel_from:
+        kept = [i for i, (p, _) in enumerate(leads) if p >= kernel_from]
+        basis, leads = [basis[i] for i in kept], [leads[i] for i in kept]
     return _interreduce(basis, leads, key, fld)
 
 
 def _interreduce(basis: list[dict], leads: list, key, fld) -> list[dict]:
     """Reduced basis from a Groebner basis: monic, sorted by ascending lead.
 
-    Keeps the elements with minimal leads, then reduces each against the
-    others in one pass.  No lead is divisible by another, so reduction never
-    changes a lead; every tail is then irreducible against the final leads,
-    and a second pass would change nothing.
+    Keeps the elements with minimal leads, then reduces each tail against
+    all of them in one pass.  A tail term lies below its own lead, so no
+    multiple of that lead divides it; no lead is divisible by another, so
+    reduction never changes a lead; every tail is then irreducible against
+    the final leads, and a second pass would change nothing.
     """
     order_ix = sorted(range(len(basis)), key=lambda i: key(leads[i]))
     minimal: list[dict] = []
@@ -281,10 +333,12 @@ def _interreduce(basis: list[dict], leads: list, key, fld) -> list[dict]:
         if not any(p == leads[i][0] and mono_divides(m, leads[i][1]) for p, m in min_leads):
             minimal.append(basis[i])
             min_leads.append(leads[i])
+    by_pos = _lead_index(min_leads)
     monic = []
-    for i, lead in enumerate(min_leads):
-        r = _reduce_full(minimal[i], minimal[:i] + minimal[i + 1:],
-                         min_leads[:i] + min_leads[i + 1:], key, fld)
+    for v, lead in zip(minimal, min_leads):
+        r = {lead: v[lead]}
+        r.update(_reduce_full({t: c for t, c in v.items() if t != lead}, minimal, by_pos,
+                              key, fld))
         inv = fld.inv(r[lead])
         monic.append({t: fld.mul(c, inv) for t, c in r.items()})
     return monic
@@ -322,34 +376,34 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX,
 
 def normal_form(element, basis: GroebnerBasis):
     """Remainder of full division of ``element`` by ``basis`` (same ambient, same order)."""
-    gens = [g for g in basis.generators if not g.is_zero()]
+    ring, rank, gens, by_pos = basis._shape
     if not gens:
         return element
-    ring, rank = _common_shape(gens)
     if element.ring != ring:
         raise RingMismatchError("element and basis live in different rings")
     e_rank = None if isinstance(element, Polynomial) else element.rank
     if e_rank != rank:
         raise RingMismatchError("element and basis have different ranks")
-    key = _term_key(basis.order)
-    vecs = [_to_vec(g) for g in gens]
-    leads = [_lead(v, key) for v in vecs]
-    r = _reduce_full(_to_vec(element), vecs, leads, key, ring.field)
+    r = _reduce_full(_to_vec(element), [_to_vec(g) for g in gens], by_pos,
+                     _term_key(basis.order), ring.field)
     return _from_vec(r, ring, rank)
 
 
 def _graph_basis(ring: PolynomialRing, r: int, columns, modulo, order: MonomialOrder,
-                 step_budget: int) -> list[dict]:
+                 step_budget: int, kernel_from: int = 0) -> list[dict]:
     """POT basis of the term vectors ``column_i (+) e_i`` and ``g * e_j``.
 
     ``columns`` are term vectors with positions below r, e_i sits at position
     r + i, and g runs over ``modulo[j]``; the r column positions dominate.
+    ``kernel_from`` is passed to ``_engine``: r returns just the reduced
+    elements with no term below position r.
     """
     one, origin = ring.field.coerce(1), (0,) * ring.nvars
     graph = [{**col, (r + i, origin): one} for i, col in enumerate(columns)]
     graph += [{(j, m): c for m, c in g.terms.items()}
               for j, gens in enumerate(modulo) for g in gens]
-    return _engine(graph, order, ring.field, step_budget, rank_one=False)
+    return _engine(graph, order, ring.field, step_budget, rank_one=False,
+                   kernel_from=kernel_from)
 
 
 def syzygy_basis(columns, order: MonomialOrder = DEGREVLEX,
@@ -375,8 +429,9 @@ def syzygy_basis(columns, order: MonomialOrder = DEGREVLEX,
         raise ValidationError(f"modulo lists {len(modulo)} submodules for {r} positions")
     if any(g.ring != ring for gens in modulo for g in gens):
         raise RingMismatchError("modulo generator from a different ring")
-    gb = _graph_basis(ring, r, [_to_vec(c) for c in cols], modulo, order, step_budget)
-    return [_from_vec(v, ring, len(cols), r) for v in gb if all(p >= r for p, _ in v)]
+    gb = _graph_basis(ring, r, [_to_vec(c) for c in cols], modulo, order, step_budget,
+                      kernel_from=r)
+    return [_from_vec(v, ring, len(cols), r) for v in gb]
 
 
 class MembershipLifter:
@@ -400,12 +455,12 @@ class MembershipLifter:
         self._order = order
         self._basis = _graph_basis(ring, 1, [_to_vec(g) for g in gens], (), order, step_budget)
         key = _term_key(order)
-        self._leads = [_lead(v, key) for v in self._basis]
+        self._by_pos = _lead_index([_lead(v, key) for v in self._basis])
 
     def lift(self, f: Polynomial) -> list[Polynomial] | None:
         if f.ring != self.ring:
             raise RingMismatchError("element lives in a different ring")
-        r = _reduce_full(_to_vec(f), self._basis, self._leads, _term_key(self._order),
+        r = _reduce_full(_to_vec(f), self._basis, self._by_pos, _term_key(self._order),
                          self.ring.field)
         if any(p == 0 for p, _ in r):
             return None

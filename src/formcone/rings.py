@@ -86,9 +86,17 @@ class FieldSpec:
         return pow(a, -1, self.characteristic)
 
     def div(self, a: Coefficient, b: Coefficient) -> Coefficient:
-        """a / b for canonical coefficients (Fractions over QQ, as ``coerce`` gives)."""
+        """Exact a / b; over QQ an int quotient of two ints stays an int.
+
+        Over QQ the operands are Fractions (as ``coerce`` gives) or the ints
+        the Groebner engine holds for integer values; the result is never a
+        float.  b == 0 raises ZeroDivisionError.
+        """
         if self.characteristic == 0:
-            return a / b  # b == 0 raises ZeroDivisionError
+            if type(a) is int and type(b) is int:
+                q, r = divmod(a, b)
+                return Fraction(a, b) if r else q
+            return a / b
         return self.mul(a, self.inv(b))
 
     def __str__(self) -> str:

@@ -5,8 +5,9 @@ components are represented by their standard monomials, and the Groebner-route
 answers are cross-checked with exact linear algebra (fraction-free
 elimination over the integers for characteristic 0, plain elimination mod p)
 and with definitional membership tests.  ``is_groebner`` checks Buchberger's
-S-pair criterion on a generator list.  Disagreement with the main route is
-always a hard failure of the library, never a tolerance issue.
+S-pair criterion on a generator list, and ``graph_kernel`` reads a module
+kernel off the fully interreduced graph basis.  Disagreement with the main
+route is always a hard failure of the library, never a tolerance issue.
 
 The last section holds small operations that only tests use: monomial
 comparison, term multiplication, substitution, ideal products and session
@@ -24,12 +25,15 @@ from formcone.criterion import CriterionParams
 from formcone.errors import InfiniteComponentError, RingMismatchError, ValidationError
 from formcone.filtration import FiltrationContext, GradedQuotientPresentation
 from formcone.groebner import (
+    FreeModuleElement,
     _common_shape,
     _lead,
+    _lead_index,
     _reduce_full,
     _spoly,
     _term_key,
     _to_vec,
+    buchberger,
 )
 from formcone.ideals import PresentedIdeal
 from formcone.rings import (
@@ -58,9 +62,30 @@ def is_groebner(gens, order: MonomialOrder = DEGREVLEX) -> bool:
             if leads[i][0] != leads[j][0]:
                 continue
             s = _spoly(vecs[i], vecs[j], leads[i], leads[j], key, fld)
-            if _reduce_full(s, vecs, leads, key, fld):
+            if _reduce_full(s, vecs, _lead_index(leads), key, fld):
                 return False
     return True
+
+
+def graph_kernel(columns, order: MonomialOrder = DEGREVLEX, modulo=()) -> list:
+    """Kernel of P^k -> (+)_j P/M_j, e_i -> column i, by the full route.
+
+    The reduced basis of ``column_i (+) e_i`` and ``g * e_j`` (g in
+    ``modulo[j]``) in P^(r+k) under position-over-term, every element
+    interreduced; the elements whose first r components vanish, shifted
+    down by r.  ``syzygy_basis`` interreduces only those elements.
+    """
+    ring = columns[0].ring
+    heads = [(c,) if isinstance(c, Polynomial) else c.components for c in columns]
+    r, k = len(heads[0]), len(heads)
+    zero, one = ring.zero(), ring.one()
+    graph = [FreeModuleElement(ring, head + tuple(one if j == i else zero for j in range(k)))
+             for i, head in enumerate(heads)]
+    graph += [FreeModuleElement(ring, tuple(g if p == j else zero for p in range(r + k)))
+              for j, gens in enumerate(modulo) for g in gens]
+    return [FreeModuleElement(ring, v.components[r:])
+            for v in buchberger(graph, order).generators
+            if all(c.is_zero() for c in v.components[:r])]
 
 
 # ---------------------------------------------------------------------------

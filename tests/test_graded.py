@@ -3,6 +3,7 @@ import random
 from itertools import combinations
 
 import pytest
+from oracle import graph_kernel
 
 from formcone import (
     QQ,
@@ -185,7 +186,8 @@ def test_koszul_middle_homology_indices():
 
 def test_relations_match_stacked_syzygies_on_koszul_examples():
     """Cycles modulo H * P^rank from ``modulo`` equal the stacked route:
-    the h * e_j vectors as extra columns, then the first block of each syzygy."""
+    the h * e_j vectors as extra columns, then the first block of each syzygy.
+    They also equal the kernel read off the fully interreduced graph basis."""
     X, Y = R2.gens()
     Xs, Ys, Zs = RS.gens()
     examples = [
@@ -214,6 +216,7 @@ def test_relations_match_stacked_syzygies_on_koszul_examples():
             sliced = [FreeModuleElement(ring, s.components[:len(cols)]) for s in stacked]
             expected = [v for v in sliced if not v.is_zero()]
             assert syzygy_basis(cols, pres.order, modulo=[h_gens] * rank) == expected
+            assert graph_kernel(cols, pres.order, [h_gens] * rank) == expected
             compared += bool(expected)
     assert compared >= 8
 

@@ -1,8 +1,17 @@
 import random
+from fractions import Fraction
 from itertools import product as cartesian
 
 import pytest
-from oracle import exact_rank, is_groebner, kernel_sample, mono_compare, mul_term, substitute
+from oracle import (
+    exact_rank,
+    graph_kernel,
+    is_groebner,
+    kernel_sample,
+    mono_compare,
+    mul_term,
+    substitute,
+)
 
 import formcone.groebner as groebner_module
 from formcone import (
@@ -43,6 +52,16 @@ def curve_ideal():
     return [X**4 - Y * Z, Y**3 - X * Z, Z**2 - X**3 * Y**2]
 
 
+def assert_public_coefficients(elements):
+    """The public type contract: over QQ every coefficient is a Fraction,
+    over F_p an int in 0..p-1 (the engine's internal ints never leak)."""
+    for e in elements:
+        for comp in (e,) if isinstance(e, Polynomial) else e.components:
+            p = comp.ring.field.characteristic
+            for c in comp.terms.values():
+                assert (type(c) is int and 0 <= c < p) if p else type(c) is Fraction, c
+
+
 def test_normal_form_membership_basics():
     x, y = R2.gens()
     gb = buchberger([x])
@@ -58,6 +77,8 @@ def test_normal_form_on_curve_ideal():
     assert not semigroup_value(Y**4).is_zero()
     assert normal_form(Y**4 - X**5, gb).is_zero()
     assert not normal_form(Y**4, gb).is_zero()
+    probes = (Y**4, 3 * Y**4 - X**2 * Fraction(1, 2), 2 * Z**3)
+    assert_public_coefficients([normal_form(f, gb) for f in probes])
 
 
 def test_buchberger_principal_and_zero():
@@ -169,6 +190,7 @@ def test_syzygies_koszul_and_duplicate():
     assert triples
     for s in triples:
         assert s.dot(cols).is_zero()
+    assert_public_coefficients(syz + dup + triples + syzygy_basis([2 * X, 3 * Y - Z]))
 
 
 def test_syzygy_bounded_completeness():
@@ -250,6 +272,7 @@ def test_membership_lifter_roundtrip():
     for h, g in zip(cofactors, gens):
         acc = acc + h * g
     assert acc == target
+    assert_public_coefficients(cofactors)
     assert lifter.lift(RS.one()) is None
 
 
@@ -263,6 +286,8 @@ def test_membership_lifter_over_a_prime_field():
     assert cofactors is not None
     assert sum((h * g for h, g in zip(cofactors, gens)), F3.zero()) == target
     assert lifter.lift(x) is None  # x is 1 at the common zero (1, 1)
+    gb = buchberger(gens)
+    assert_public_coefficients(cofactors + [normal_form(x**3 + 2 * y, gb)] + syzygy_basis(gens))
 
 
 def test_syzygy_basis_checks_modulo():
@@ -361,4 +386,28 @@ def test_engine_output_is_canonical(characteristic):
                                        for p, m in leads)
                 assert is_groebner(list(out), order)
                 assert buchberger(list(out), order).generators == out
+                assert_public_coefficients(out)
     assert several >= 20
+
+
+@pytest.mark.parametrize("characteristic", [0, 3])
+def test_syzygy_basis_matches_full_graph_basis(characteristic):
+    """Kernel-only interreduction gives the kernel that the fully interreduced
+    graph basis gives, with and without ``modulo``, on random inputs.  Random
+    rank-2 kernels of three columns, or under LEX or a weighted order, can
+    take minutes over QQ (coefficient swell), so the inputs stay at two
+    columns and the other orders are left to the Koszul examples."""
+    ring = PolynomialRing(FieldSpec(characteristic), ("x", "y", "z"))
+    rng = random.Random(211 + characteristic)
+    nonzero = 0
+    for order in (DEGREVLEX, block_order([0])):
+        for rank in (None, 2):
+            for _ in range(8):
+                cols = [_random_element(rng, ring, rank) for _ in range(rng.randint(1, 2))]
+                mods = [[_random_element(rng, ring, None) for _ in range(rng.randint(0, 2))]
+                        for _ in range(rank or 1)]
+                for modulo in ((), mods):
+                    kernel = syzygy_basis(cols, order, modulo=modulo)
+                    assert kernel == graph_kernel(cols, order, modulo)
+                    nonzero += bool(kernel)
+    assert nonzero >= 30

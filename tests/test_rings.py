@@ -68,6 +68,11 @@ def test_difference_of_squares():
 def test_field_division():
     F7 = FieldSpec(7)
     assert QQ.div(Fraction(3, 4), Fraction(-3, 2)) == Fraction(-1, 2)
+    # exact on the ints the engine holds: never a float
+    assert type(QQ.div(3, 2)) is Fraction and QQ.div(3, 2) == Fraction(3, 2)
+    assert QQ.div(6, 3) == 2
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
     assert F7.div(3, 5) == F7.mul(3, F7.inv(5)) == 2
     for fld in (QQ, F7):
         with pytest.raises(ZeroDivisionError):
