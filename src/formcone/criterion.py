@@ -65,6 +65,10 @@ class CriterionParams:
             raise ValidationError("need n_max >= 0, l_max >= 1, window >= 1")
         if self.degree_cap < 0 or self.probe_cap < 1 or self.step_budget < 1:
             raise ValidationError("need degree_cap >= 0, probe_cap >= 1, step_budget >= 1")
+        if min(self.search_degree_span, self.search_extra_degree, self.search_budget,
+               self.search_random_rounds) < 0:
+            raise ValidationError("need search_degree_span, search_extra_degree, "
+                                  "search_budget and search_random_rounds >= 0")
 
 
 DEFAULT_PARAMS = CriterionParams()

@@ -17,10 +17,14 @@ turns them back into Fractions only at the public boundary (``_from_vec``):
 basis elements are primitive integer vectors, and the S-polynomial is formed
 fraction-free, lc(g) * m_f * f - lc(f) * m_g * g.  A kernel basis
 interreduces only its kernel elements.  A run grows one lead index (the
-divisor lookup of every reduction) as its basis grows.  A ``GroebnerBasis``
-builds the lead index of its generators once; ``normal_form`` converts the
-generators to term vectors per call and keeps none, which keeps long-lived
-bases small.
+divisor lookup of every reduction) as its basis grows, and forms pairs by
+walking the lead index of the new element's position only.  The chain
+criterion keeps, per element, the set of partners whose pair is settled, and
+tests only the intersection of two such sets instead of scanning the basis.
+A single-term vector normalises to coefficient 1 without gcd work.  A
+``GroebnerBasis`` builds the lead index of its generators once;
+``normal_form`` converts the generators to term vectors per call and keeps
+none, which keeps long-lived bases small.
 """
 
 from __future__ import annotations
@@ -174,9 +178,10 @@ def _sub_scaled(vec: dict, other: dict, q_mono, q_coeff, fld) -> None:
 
 def _normalize(vec: dict, key, fld) -> dict:
     """Scale to a canonical representative: over QQ the primitive integer
-    vector (as ints) with a positive lead, over F_p the monic one."""
-    if not vec:
-        return vec
+    vector (as ints) with a positive lead, over F_p the monic one.  For a
+    single term both are coefficient 1."""
+    if len(vec) == 1:
+        return dict.fromkeys(vec, 1)
     if fld.is_rationals:
         den = lcm(*(c.denominator for c in vec.values()))
         num = gcd(*(c.numerator * (den // c.denominator) for c in vec.values()))
@@ -240,6 +245,13 @@ def _engine(vectors: list[dict], order: MonomialOrder, fld, step_budget: int,
     Product criterion only in rank one (it is unsound for modules); chain
     criterion only against pairs whose S-polynomial reduction is already
     established, which avoids the classical circular-skip pitfall.
+    ``partners[i]`` holds every k whose pair with i is established, so a
+    popped pair (i, j) is skipped iff some k in ``partners[i] & partners[j]``
+    has a lead dividing lcm(lead i, lead j).  This is the full scan over all
+    k other than i and j with the same lead position: pairs only ever join
+    elements of one lead position, so every partner shares it; a queued pair
+    is established only after it is popped, so neither i nor j is in the
+    intersection; and the test is existential, so set order is irrelevant.
     ``step_budget`` bounds the S-polynomial reductions; pairs either
     criterion skips are not counted.  One term-key memo serves the whole run,
     the final interreduction included.
@@ -257,23 +269,26 @@ def _engine(vectors: list[dict], order: MonomialOrder, fld, step_budget: int,
     by_pos = _lead_index(leads)
 
     heap: list = []
-    established: set[tuple[int, int]] = set()
+    partners: list[set[int]] = [set() for _ in basis]
+
+    def establish(i: int, j: int):
+        partners[i].add(j)
+        partners[j].add(i)
 
     def push_pairs(j: int):
         pj, mj = leads[j]
         mono_j = len(basis[j]) == 1
-        for i in range(j):
-            pi, mi = leads[i]
-            if pi != pj:
-                continue
+        for mi, i in by_pos[pj]:
+            if i == j:
+                break
             if mono_j and len(basis[i]) == 1:
-                established.add((i, j))  # S-polynomial of two terms is identically zero
+                establish(i, j)  # S-polynomial of two terms is identically zero
                 continue
             lcm = mono_lcm(mi, mj)
             if rank_one and lcm == mono_mul(mi, mj):
-                established.add((i, j))  # coprime leads: S-polynomial reduces to zero
+                establish(i, j)  # coprime leads: S-polynomial reduces to zero
                 continue
-            heapq.heappush(heap, (sum(lcm), key((pi, lcm)), i, j))
+            heapq.heappush(heap, (sum(lcm), key((pj, lcm)), i, j))
 
     for j in range(len(basis)):
         push_pairs(j)
@@ -281,21 +296,11 @@ def _engine(vectors: list[dict], order: MonomialOrder, fld, step_budget: int,
     steps = 0
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        (pi, mi), (pj, mj) = leads[i], leads[j]
-        lcm = mono_lcm(mi, mj)
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
+        common = partners[i] & partners[j]
+        if common:
+            lcm = mono_lcm(leads[i][1], leads[j][1])
+            if any(mono_divides(leads[k][1], lcm) for k in common):
                 continue
-            pk, mk = leads[k]
-            if pk != pi or not mono_divides(mk, lcm):
-                continue
-            a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
-            if a in established and b in established:
-                skip = True
-                break
-        if skip:
-            continue
         steps += 1
         if steps > step_budget:
             raise BudgetExceededError(
@@ -303,13 +308,14 @@ def _engine(vectors: list[dict], order: MonomialOrder, fld, step_budget: int,
             )
         s = _spoly(basis[i], basis[j], leads[i], leads[j], key, fld)
         r = _reduce_full(s, basis, by_pos, key, fld)
-        established.add((i, j))
+        establish(i, j)
         if r:
             r = _normalize(r, key, fld)
             p, m = _lead(r, key)
             by_pos.setdefault(p, []).append((m, len(basis)))
             basis.append(r)
             leads.append((p, m))
+            partners.append(set())
             push_pairs(len(basis) - 1)
     if kernel_from:
         kept = [i for i, (p, _) in enumerate(leads) if p >= kernel_from]

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from operator import add, le
+from operator import add, le, neg, sub
 from typing import Callable, Iterable, Union
 
 from .errors import ParseError, RingMismatchError, ValidationError
@@ -121,11 +121,11 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """Quotient a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ class OrderKind(str, Enum):
 def _drl_key(m: Monomial):
     # Tuple comparison of (total degree, negated reversed exponents) realizes
     # degrevlex: larger key = larger monomial.
-    return (sum(m), tuple(-e for e in reversed(m)))
+    return (sum(m), tuple(map(neg, reversed(m))))
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,16 @@ def test_bad_override_rejected(curve_file, capsys):
     assert main(["gb", str(curve_file), "--set", "nonsense=3"]) == 2
 
 
+def test_negative_search_parameters_are_input_errors(tmp_path, capsys):
+    plane = tmp_path / "plane.fc"
+    plane.write_text("field QQ\nvars x, y\nq: x, y\na: x\n", encoding="utf-8")
+    for key in ("search_budget", "search_degree_span"):
+        assert main(["cm-check", str(plane), "--set", f"{key}=-1"]) == 2, key
+        assert "input error" in capsys.readouterr().err
+    # an empty search is legal and runs out of budget honestly
+    assert main(["cm-check", str(plane), "--set", "search_budget=0"]) == 3
+
+
 def test_emit_cas_dialects(curve_file, capsys):
     assert main(["emit-cas", str(curve_file)]) == 0
     script = capsys.readouterr().out

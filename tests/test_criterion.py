@@ -154,6 +154,14 @@ def test_search_failure_is_budget_error():
         grade_by_recursion(ctx, starved)
 
 
+def test_params_reject_negative_search_bounds():
+    for key in ("search_degree_span", "search_extra_degree", "search_budget",
+                "search_random_rounds"):
+        with pytest.raises(ValidationError):
+            CriterionParams(**{key: -1})
+        assert getattr(CriterionParams(**{key: 0}), key) == 0
+
+
 def test_search_budget_counts_candidates():
     # corpus instance inst12: x + y is the 13th candidate the search tries
     x, y = R2.gens()

@@ -326,6 +326,44 @@ def test_step_budget_is_a_resource_error(monkeypatch):
         buchberger(gens, step_budget=n - 1)
 
 
+def test_pair_decisions_are_pinned(monkeypatch):
+    """The criteria skip exactly the pairs they skipped when these counts were
+    recorded: every change to the pair bookkeeping must reduce the same
+    S-polynomials."""
+    reductions = []
+    spoly = groebner_module._spoly
+    monkeypatch.setattr(groebner_module, "_spoly",
+                        lambda *args: reductions.append(1) or spoly(*args))
+
+    def count(compute):
+        reductions.clear()
+        compute()
+        return len(reductions)
+
+    x, y, z = R3.gens()
+    gens = [x**3 - y * z, y**3 - x * z, z**3 - x * y, x * y * z - x - y - z]
+    assert count(lambda: buchberger(gens)) == 36
+    for characteristic, expected in ((0, 64), (3, 68)):
+        ring = PolynomialRing(FieldSpec(characteristic), ("x", "y", "z"))
+        x, y, z = ring.gens()
+        module = [FreeModuleElement(ring, (x**2 - y * z, y**2)),
+                  FreeModuleElement(ring, (x * y, z**2 - x)),
+                  FreeModuleElement(ring, (y * z + x, x * z)),
+                  FreeModuleElement(ring, (z**2, y**2 - x * y))]
+        assert count(lambda: buchberger(module)) == expected, characteristic
+    x, y, z = R3.gens()
+    columns = [x**2, x * y - z**2, y**3, x * z]
+    assert count(lambda: syzygy_basis(columns, modulo=[[x * y * z, y**2 - z]])) == 24
+
+
+def test_normalize_single_term():
+    key = groebner_module._term_key(DEGREVLEX)
+    term = (0, (1, 0))
+    for fld, c in ((QQ, Fraction(-3, 7)), (FieldSpec(5), 3)):
+        out = groebner_module._normalize({term: c}, key, fld)
+        assert out == {term: 1} and type(out[term]) is int
+
+
 def test_prime_field_groebner():
     F2 = PolynomialRing(FieldSpec(2), ("x", "y"))
     x, y = F2.gens()

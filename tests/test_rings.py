@@ -18,6 +18,7 @@ from formcone import (
     parse_polynomial,
     weighted_order,
 )
+from formcone.rings import _drl_key, mono_div, mono_lcm, mono_mul
 
 R2 = PolynomialRing(QQ, ("x", "y"))
 R3 = PolynomialRing(QQ, ("X", "Y", "Z"))
@@ -162,6 +163,17 @@ def test_orders_total_multiplicative(order):
         au = tuple(i + j for i, j in zip(a, u))
         bu = tuple(i + j for i, j in zip(b, u))
         assert mono_compare(order, au, bu) == cab
+
+
+def test_monomial_helpers_match_their_definitions():
+    rng = random.Random(29)
+    for nvars in range(1, 7):
+        for _ in range(40):
+            a, b = (tuple(rng.randint(0, 5) for _ in range(nvars)) for _ in range(2))
+            assert mono_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+            ab = mono_mul(a, b)
+            assert mono_div(ab, b) == a == tuple(x - y for x, y in zip(ab, b))
+            assert _drl_key(a) == (sum(a), tuple(-e for e in reversed(a)))
 
 
 def test_well_order_has_unit_bottom():
