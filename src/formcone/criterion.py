@@ -284,12 +284,15 @@ def regular_form_exists(ctx: FiltrationContext) -> tuple[bool, Polynomial | None
     graded module iff its annihilator there is zero.
 
     Returns the verdict and, when negative, a nonzero annihilator class that
-    kills every candidate at once.
+    kills every candidate at once.  Memoised per context.
     """
-    pres = ctx.form_presentation()
-    images = system_images(ctx, pres)
-    witness = annihilator_witness(pres, (e.representative for e in images))
-    return witness is None, witness
+    key = ("regular_form",)
+    if key not in ctx.scratch:
+        pres = ctx.form_presentation()
+        images = system_images(ctx, pres)
+        witness = annihilator_witness(pres, (e.representative for e in images))
+        ctx.scratch[key] = (witness is None, witness)
+    return ctx.scratch[key]
 
 
 def _candidate_multipliers(ctx: FiltrationContext, c_i: int, d: int,
@@ -333,9 +336,21 @@ def find_regular_lift(ctx: FiltrationContext,
     """Search the system's ideal for an element whose initial form is regular
     on the graded module; every candidate is checked exactly.
 
-    Failure is a search-budget outcome, never a mathematical verdict.
+    Failure is a search-budget outcome, never a mathematical verdict.  The
+    search is deterministic, so its outcome is memoised per context, keyed by
+    every search parameter.
     """
     _require_exact_system(ctx)
+    key = ("regular_lift", params.search_degree_span, params.search_extra_degree,
+           params.search_coefficients, params.search_budget,
+           params.search_random_rounds, params.seed)
+    if key not in ctx.scratch:
+        ctx.scratch[key] = _search_regular_lift(ctx, params)
+    return ctx.scratch[key]
+
+
+def _search_regular_lift(ctx: FiltrationContext,
+                         params: CriterionParams) -> CertificateStep | None:
     pres = ctx.form_presentation()
     rng = random.Random(params.seed)
     coeffs = _coefficient_sets(ctx, params, rng)

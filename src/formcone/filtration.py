@@ -5,6 +5,13 @@ associated-graded (form ring) presentations by tag-variable elimination, a
 direct lowest-form tangent-cone route for cross-checking, and the passage
 M -> M/bM used by the depth recursion.  Contexts are immutable; caches are
 write-once and shared with derived contexts where sound.
+
+The power ladder q^n + J (J = I_M or I_A) is built level by level from the
+identity (q^(n-1) + J) * q + J = q^n + J, multiplying the previous level's
+reduced basis by q's generators instead of forming all degree-n products.
+Each previous basis element is first reduced modulo J: the part of it that
+lies in J would only add products that are already in J, and their S-pairs
+are wasted work.
 """
 
 from __future__ import annotations
@@ -211,39 +218,63 @@ class FiltrationContext:
     # -- power ladder ---------------------------------------------------------
 
     def q_power_products(self, n: int) -> tuple:
-        """Degree-n multiset products of q's generators as (exponent, polynomial) pairs."""
-        if n in self._products:
-            return self._products[n]
+        """Degree-n multiset products of q's generators as (exponent, polynomial) pairs.
+
+        Levels are filled upward, each from the one below, starting at the
+        highest cached level; the cache always holds levels 0..top.
+        """
+        products = self._products
         s = len(self.q_generators)
-        if n == 0:
-            out = (((0,) * s, self.ring.one()),)
-        else:
-            prev = self.q_power_products(n - 1)
+        if not products:
+            products[0] = (((0,) * s, self.ring.one()),)
+        for level in range(len(products), n + 1):
             seen: dict[tuple, Polynomial] = {}
-            for expt, poly in prev:
-                top = next((i for i in range(s - 1, -1, -1) if expt[i]), 0) if any(expt) else 0
-                start = top if any(expt) else 0
-                for i in range(start, s):
+            for expt, poly in products[level - 1]:
+                # extend only at or after the last used generator: each multiset once
+                top = max((i for i in range(s) if expt[i]), default=0)
+                for i in range(top, s):
                     e = list(expt)
                     e[i] += 1
                     key = tuple(e)
                     if key not in seen:
                         seen[key] = poly * self.q_generators[i]
-            out = tuple(sorted(seen.items()))
-        self._products[n] = out
-        return out
+            products[level] = tuple(sorted(seen.items()))
+        return products[n]
 
     def q_power(self, n: int, modulo: str = "module") -> PresentedIdeal:
-        """q^n + I_M (or + I_A) as a presented ideal, with cached reduced basis."""
-        cache = self._powers_module if modulo == "module" else self._powers_base
-        if n not in cache:
-            gens = tuple(p for _, p in self.q_power_products(n))
-            if modulo == "module":
-                ideal = PresentedIdeal(self.ring, self.base_generators,
-                                       gens + self.module_generators, self.step_budget)
+        """q^n + J as a presented ideal with cached reduced basis, where J is
+        I_M (``modulo="module"``) or I_A (``"base"``).
+
+        Levels 0 and 1 are generated by the products of q's generators.  Each
+        higher level comes from the level below by the identity
+
+            (q^(n-1) + J) * q + J = q^n + J        (J*q lies in J),
+
+        so its generators are the products g*f, with f among q's generators
+        and g among the reduced basis of q^(n-1) + J, plus J's generators.
+        That basis is far smaller than the C(n+k-1, k-1) products of degree
+        n.  Each g is first reduced modulo J's basis, which keeps its class
+        modulo J: the part of g inside J would only contribute products that
+        already lie in J, and the S-pairs they create reduce to zero.  Zero
+        remainders are dropped and the products deduplicated in order.
+        Levels are filled upward from the highest cached one.
+        """
+        if modulo == "module":
+            cache, j_ideal, j_gens = self._powers_module, self.ideal_m, self.module_generators
+        else:
+            cache, j_ideal, j_gens = self._powers_base, self.ideal_a, ()
+        for level in range(len(cache), n + 1):
+            if level <= 1:
+                gens = tuple(p for _, p in self.q_power_products(level))
             else:
-                ideal = PresentedIdeal(self.ring, self.base_generators, gens, self.step_budget)
-            cache[n] = ideal
+                prev = cache[level - 1].groebner().generators
+                if j_ideal.combined():
+                    prev = (j_ideal.reduce(g) for g in prev)
+                gens = tuple(dict.fromkeys(
+                    g * f for g in prev if not g.is_zero() for f in self.q_generators
+                ))
+            cache[level] = PresentedIdeal(self.ring, self.base_generators,
+                                          gens + j_gens, self.step_budget)
         return cache[n]
 
     def system_power(self, index: int, exponent: int) -> Polynomial:

@@ -162,11 +162,12 @@ def test_run_command_payload_reuse():
     assert json.loads(text)["verdict"] == "not-cohen-macaulay"
 
 
-def test_json_report_is_independent_of_hash_seed():
+@pytest.mark.parametrize("command", ["cm-check", "lzero", "full-report"])
+def test_json_report_is_independent_of_hash_seed(command):
     """Per-run caches must not let set or dict iteration order leak into output."""
     root = Path(__file__).resolve().parent.parent
     code = ("import sys; from formcone.cli import main; "
-            "sys.exit(main(['cm-check', 'demos/semigroup_curve.fc', '--json']))")
+            f"sys.exit(main([{command!r}, 'demos/semigroup_curve.fc', '--json']))")
     reports = []
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed,

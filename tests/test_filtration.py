@@ -3,6 +3,7 @@ import pytest
 from formcone import (
     QQ,
     DegenerateSystemError,
+    FieldSpec,
     FiltrationContext,
     PolynomialRing,
     PresentedIdeal,
@@ -12,6 +13,7 @@ from formcone import (
     is_regular_element,
 )
 from formcone.graded import GradedElement
+from formcone.groebner import buchberger
 
 R2 = PolynomialRing(QQ, ("x", "y"))
 RS = PolynomialRing(QQ, ("X", "Y", "Z"))
@@ -228,3 +230,57 @@ def test_quotient_hilbert_matches_graded_quotient_for_regular_step():
     ctx_quot = ctx.quotient_by_element(x)
     form_quot = ctx_quot.form_presentation()
     assert hilbert_function(quotient_pres, 10) == hilbert_function(form_quot, 10)
+
+
+# the three tier-4 inputs, all with q = (x, y, z, w)
+_TIER4_BASES = (
+    ("z^2 - y*w", "y^3 - x*w", "x^3 - y*z", "x^2*y*z - w^2", "x^2*y^2 - z*w"),
+    ("x*z - y^2", "x*w - y*z", "y*w - z^2"),
+)
+
+
+def _ladder_contexts(corpus):
+    """Cold contexts (fresh caches) over every input the ladder test covers."""
+    out = [FiltrationContext(i.ctx.ring, i.ctx.base_generators, i.ctx.module_generators,
+                             i.ctx.q_generators, []) for i in corpus]
+    r4 = PolynomialRing(QQ, ("x", "y", "z", "w"))
+    out += [FiltrationContext(r4, tuple(r4.parse(e) for e in base), (), r4.gens(), [])
+            for base in _TIER4_BASES]
+    out.append(curve_context())  # the demo curve (t^4, t^5, t^11)
+    for field in (QQ, FieldSpec(5)):
+        ring = PolynomialRing(field, ("x", "y"))
+        x, y = ring.gens()
+        out.append(FiltrationContext(ring, (x**2 - y**3,), (), (x + y**2, y), []))
+    X, Y, Z = RS.gens()
+    out.append(FiltrationContext(RS, curve_context().base_generators,
+                                 (Y**2 - X * Z, Z**2), (X, Y, Z), []))
+    return out
+
+
+def test_power_ladder_matches_products(corpus):
+    # q^n + J from the previous power's basis must equal the old route, a
+    # basis of all degree-n products of q's generators plus J
+    for ctx in _ladder_contexts(corpus):
+        for modulo, j_ideal in (("module", ctx.ideal_m), ("base", ctx.ideal_a)):
+            j_gens = ctx.module_generators if modulo == "module" else ()
+            for n in range(9):
+                products = tuple(p for _, p in ctx.q_power_products(n))
+                ideal = ctx.q_power(n, modulo)
+                old = buchberger(products + j_ideal.combined())
+                assert ideal.groebner().generators == old.generators, (str(ctx), modulo, n)
+                assert ideal.base == ctx.base_generators
+                if n <= 1:
+                    assert ideal.generators == products + j_gens
+                else:
+                    ladder = ideal.generators[:len(ideal.generators) - len(j_gens)]
+                    assert ideal.generators[len(ladder):] == j_gens
+                    assert not any(g.is_zero() for g in ladder)
+                    assert len(set(ladder)) == len(ladder)
+
+
+def test_power_ladder_is_built_without_recursion():
+    x, _ = R2.gens()
+    ctx = FiltrationContext(R2, (), (), (x,), [(x, None)])
+    assert ctx.q_power(1100).groebner().generators == (x**1100,)
+    cold = FiltrationContext(R2, (), (), (x,), [(x, None)])
+    assert cold.q_power_products(1100) == (((1100,), x**1100),)
