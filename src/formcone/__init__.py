@@ -62,7 +62,6 @@ from .graded import (
 from .groebner import (
     FreeModuleElement,
     GroebnerBasis,
-    MembershipLifter,
     buchberger,
     normal_form,
     syzygy_basis,

@@ -29,6 +29,7 @@ from .errors import (
     ConsistencyError,
     DegenerateSystemError,
     FormconeError,
+    InfiniteComponentError,
     ParseError,
     RingMismatchError,
     ValidationError,
@@ -41,7 +42,8 @@ COMMANDS = (
     "cm-check", "full-report", "emit-cas",
 )
 
-_INPUT_ERRORS = (ParseError, ValidationError, DegenerateSystemError, RingMismatchError)
+_INPUT_ERRORS = (ParseError, ValidationError, DegenerateSystemError, RingMismatchError,
+                 InfiniteComponentError)
 
 
 def _table_row(rec: DefectRecord) -> dict:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import islice
+from itertools import product as cartesian
 
 from .errors import (
     BudgetExceededError,
@@ -306,8 +307,6 @@ def _candidate_multipliers(ctx: FiltrationContext, c_i: int, d: int,
     out = list(base)
     ring = ctx.ring
     if params.search_extra_degree > 0:
-        from itertools import product as cartesian
-
         for expts in cartesian(*(range(params.search_extra_degree + 1) for _ in range(ring.nvars))):
             total = sum(expts)
             if total == 0 or total > params.search_extra_degree:

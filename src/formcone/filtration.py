@@ -4,7 +4,14 @@ Provides initial degrees along the q-adic filtration, Rees-algebra and
 associated-graded (form ring) presentations by tag-variable elimination, a
 direct lowest-form tangent-cone route for cross-checking, and the passage
 M -> M/bM used by the depth recursion.  Contexts are immutable; caches are
-write-once and shared with derived contexts where sound.
+write-once.
+
+One basis per context, of I_M + (y_j - f_j T) under an order that eliminates
+the tag T, serves both presentations and the graded images.  The image of a
+in degree d is the class of a in q^d M / q^(d+1) M: a lies in q^d M exactly
+when the normal form of a*T^d against that basis is free of T, and the
+T-free normal form is then a polynomial in the x- and y-variables that
+presents the image.
 
 The power ladder q^n + J (J = I_M or I_A) is built level by level from the
 identity (q^(n-1) + J) * q + J = q^n + J, multiplying the previous level's
@@ -19,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, RingMismatchError, ValidationError
-from .groebner import DEFAULT_STEP_BUDGET, MembershipLifter, buchberger
+from .groebner import DEFAULT_STEP_BUDGET, GroebnerBasis, buchberger, normal_form
 from .ideals import PresentedIdeal
 from .rings import (
     Monomial,
@@ -95,8 +102,6 @@ class GradedQuotientPresentation:
         return f.is_homogeneous(self.weights)
 
     def reduce(self, f: Polynomial) -> Polynomial:
-        from .groebner import normal_form
-
         return normal_form(f, self.groebner())
 
     def contains(self, f: Polynomial) -> bool:
@@ -156,8 +161,7 @@ class FiltrationContext:
     def __init__(self, ring: PolynomialRing, base_gens, module_gens, q_gens,
                  system, probe_cap: int = DEFAULT_PROBE_CAP,
                  step_budget: int = DEFAULT_STEP_BUDGET,
-                 _validated_system: tuple[SystemElement, ...] | None = None,
-                 _shared_products: dict | None = None):
+                 _validated_system: tuple[SystemElement, ...] | None = None):
         self.ring = ring
         self.base_generators = tuple(base_gens)
         self.module_generators = tuple(module_gens)
@@ -188,11 +192,10 @@ class FiltrationContext:
             variable_ideal.contains(g) for g in self.q_generators
         )
 
-        self._products: dict[int, tuple] = _shared_products if _shared_products is not None else {}
+        self._products: dict[int, tuple] = {}
         self._powers_base: dict[int, PresentedIdeal] = {}
         self._powers_module: dict[int, PresentedIdeal] = {}
         self._system_powers: dict = {}
-        self._lifters: dict[int, MembershipLifter] = {}
         self._presentations: dict = {}
         self.scratch: dict = {}  # memo space for higher layers; values immutable
 
@@ -300,27 +303,35 @@ class FiltrationContext:
 
     # -- graded presentations -----------------------------------------------------
 
+    def _rees_basis(self) -> tuple[PolynomialRing, GroebnerBasis]:
+        """The ring P[y, T] and the basis of I_M + (y_j - f_j T) in it under
+        the order that eliminates T, the last variable; computed once per
+        context."""
+        key = ("rees",)
+        if key not in self._presentations:
+            n, s = self.ring.nvars, len(self.q_generators)
+            y_names = _fresh_names(self.ring, "y", s)
+            big = self.ring.extend(tuple(y_names) + (self.ring.fresh_name("T"),))
+            emb = list(range(n))
+            t = big.var(n + s)
+            gens = [g.map_to(big, emb) for g in self.base_generators + self.module_generators]
+            for j, f in enumerate(self.q_generators):
+                gens.append(big.var(n + j) - f.map_to(big, emb) * t)
+            gb = buchberger(gens, block_order((n + s,)), self.step_budget)
+            self._presentations[key] = big, gb
+        return self._presentations[key]
+
     def rees_presentation(self) -> GradedQuotientPresentation:
-        """Presentation of the blowup algebra of M: eliminate the tag T from
-        I_M + (y_j - f_j T)."""
-        n = self.ring.nvars
-        s = len(self.q_generators)
-        y_names = _fresh_names(self.ring, "y", s)
-        t_name = self.ring.fresh_name("T")
-        big = self.ring.extend(tuple(y_names) + (t_name,))
-        emb = list(range(n))
-        t_index = n + s
-        t = big.var(t_index)
-        gens = [g.map_to(big, emb) for g in self.base_generators + self.module_generators]
-        for j, f in enumerate(self.q_generators):
-            gens.append(big.var(n + j) - f.map_to(big, emb) * t)
-        gb = buchberger(gens, block_order((t_index,)), self.step_budget)
+        """Presentation of the blowup algebra of M: the T-free elements of
+        the Rees basis, which generate I_M + (y_j - f_j T) with T eliminated."""
+        big, gb = self._rees_basis()
+        t_index = big.nvars - 1
         pres_ring = big.drop((t_index,))
         keep = []
         for g in gb.generators:
             if all(m[t_index] == 0 for m in g.terms):
-                keep.append(g.map_to(pres_ring, list(range(n + s)) + [0]))
-        weights = (0,) * n + (1,) * s
+                keep.append(g.map_to(pres_ring, list(range(t_index)) + [0]))
+        weights = (0,) * self.ring.nvars + (1,) * len(self.q_generators)
         return GradedQuotientPresentation(
             pres_ring, weights,
             PresentedIdeal(pres_ring, (), tuple(keep), self.step_budget), self,
@@ -392,34 +403,32 @@ class FiltrationContext:
 
     # -- graded images of ring elements ---------------------------------------------
 
-    def _power_lifter(self, degree: int) -> MembershipLifter:
-        if degree not in self._lifters:
-            gens = [p for _, p in self.q_power_products(degree)] + list(self.base_generators)
-            self._lifters[degree] = MembershipLifter(gens, step_budget=self.step_budget)
-        return self._lifters[degree]
-
     def graded_image(self, a: Polynomial, degree: int,
                      presentation: GradedQuotientPresentation) -> Polynomial:
-        """Image of a (in q^degree) as a weight-homogeneous element of the
-        presentation: rewrite a over the degree-``degree`` products of q's
-        generators and replace each product by the matching y-monomial."""
+        """Class of a in q^degree M / q^(degree+1) M as a weight-homogeneous
+        element of the presentation.
+
+        a*T^degree lies in the Rees algebra of M exactly when its normal form
+        against the Rees basis is free of T (subalgebra membership,
+        Shannon-Sweedler 1988); that normal form is then a polynomial in the
+        x- and y-variables with the same image in the Rees algebra, and it is
+        reduced modulo the presentation.  With weights 0, 1, 1 on x, y and T
+        the Rees ideal is homogeneous, so its reduced basis is too, and the
+        normal form of a*T^degree already has weight ``degree``.  An element
+        outside q^degree M raises ValidationError; one inside it whose class
+        in M is zero maps to 0.
+        """
+        self._check_ring(a)
         if presentation.y_offset == 0:
             raise ValidationError("presentation has no degree-0 slots; use the elimination route")
-        products = self.q_power_products(degree)
-        lifter = self._power_lifter(degree)
-        cofactors = lifter.lift(a)
-        if cofactors is None:
-            raise ValidationError(f"element is not in power {degree} of the filtration ideal")
-        pres_ring = presentation.ring
-        n = self.ring.nvars
-        emb = list(range(n))
-        acc = pres_ring.zero()
-        for (expt, _), cof in zip(products, cofactors):
-            if cof.is_zero():
-                continue
-            y_mono = (0,) * n + expt
-            acc = acc + cof.map_to(pres_ring, emb) * pres_ring.monomial(y_mono)
-        image = presentation.reduce(acc)
+        big, gb = self._rees_basis()
+        t_index = big.nvars - 1
+        lifted = normal_form(a.map_to(big, list(range(self.ring.nvars)))
+                             * big.var(t_index) ** degree, gb)
+        if any(m[t_index] for m in lifted.terms):
+            raise ValidationError(f"element is not in power {degree} of the filtration "
+                                  "ideal on the module")
+        image = presentation.reduce(lifted.map_to(presentation.ring, list(range(t_index)) + [0]))
         if not presentation.is_y_homogeneous(image):
             raise ConsistencyError("graded image came out inhomogeneous")
         return image
@@ -435,7 +444,6 @@ class FiltrationContext:
             self.q_generators, (), probe_cap=self.probe_cap,
             step_budget=self.step_budget,
             _validated_system=self.system,
-            _shared_products=self._products,
         )
 
     def with_exponent_system(self, pairs) -> "FiltrationContext":
@@ -463,7 +471,6 @@ class FiltrationContext:
             self.q_generators, (), probe_cap=self.probe_cap,
             step_budget=self.step_budget,
             _validated_system=tuple(validated),
-            _shared_products=self._products,
         )
 
     def _check_ring(self, f: Polynomial):

@@ -395,23 +395,6 @@ def normal_form(element, basis: GroebnerBasis):
     return _from_vec(r, ring, rank)
 
 
-def _graph_basis(ring: PolynomialRing, r: int, columns, modulo, order: MonomialOrder,
-                 step_budget: int, kernel_from: int = 0) -> list[dict]:
-    """POT basis of the term vectors ``column_i (+) e_i`` and ``g * e_j``.
-
-    ``columns`` are term vectors with positions below r, e_i sits at position
-    r + i, and g runs over ``modulo[j]``; the r column positions dominate.
-    ``kernel_from`` is passed to ``_engine``: r returns just the reduced
-    elements with no term below position r.
-    """
-    one, origin = ring.field.coerce(1), (0,) * ring.nvars
-    graph = [{**col, (r + i, origin): one} for i, col in enumerate(columns)]
-    graph += [{(j, m): c for m, c in g.terms.items()}
-              for j, gens in enumerate(modulo) for g in gens]
-    return _engine(graph, order, ring.field, step_budget, rank_one=False,
-                   kernel_from=kernel_from)
-
-
 def syzygy_basis(columns, order: MonomialOrder = DEGREVLEX,
                  step_budget: int = DEFAULT_STEP_BUDGET,
                  modulo=()) -> list[FreeModuleElement]:
@@ -435,39 +418,9 @@ def syzygy_basis(columns, order: MonomialOrder = DEGREVLEX,
         raise ValidationError(f"modulo lists {len(modulo)} submodules for {r} positions")
     if any(g.ring != ring for gens in modulo for g in gens):
         raise RingMismatchError("modulo generator from a different ring")
-    gb = _graph_basis(ring, r, [_to_vec(c) for c in cols], modulo, order, step_budget,
-                      kernel_from=r)
-    return [_from_vec(v, ring, len(cols), r) for v in gb]
-
-
-class MembershipLifter:
-    """Express ring elements in terms of a fixed generator list.
-
-    Precomputes the graph-module Groebner basis once; each ``lift`` is then a
-    single reduction of ``f (+) 0``.  ``lift(f)`` returns cofactors ``h`` with
-    ``f == sum h_i * gens_i``, or None when f is not in the ideal.
-    """
-
-    def __init__(self, gens, order: MonomialOrder = DEGREVLEX,
-                 step_budget: int = DEFAULT_STEP_BUDGET):
-        gens = list(gens)
-        if not gens:
-            raise ValidationError("empty generator list")
-        ring, rank = _common_shape(gens)
-        if rank is not None:
-            raise ValidationError("MembershipLifter works on ring elements")
-        self.ring = ring
-        self.gens = gens
-        self._order = order
-        self._basis = _graph_basis(ring, 1, [_to_vec(g) for g in gens], (), order, step_budget)
-        key = _term_key(order)
-        self._by_pos = _lead_index([_lead(v, key) for v in self._basis])
-
-    def lift(self, f: Polynomial) -> list[Polynomial] | None:
-        if f.ring != self.ring:
-            raise RingMismatchError("element lives in a different ring")
-        r = _reduce_full(_to_vec(f), self._basis, self._by_pos, _term_key(self._order),
-                         self.ring.field)
-        if any(p == 0 for p, _ in r):
-            return None
-        return [-c for c in _from_vec(r, self.ring, len(self.gens), 1).components]
+    one, origin = ring.field.coerce(1), (0,) * ring.nvars
+    graph = [{**_to_vec(col), (r + i, origin): one} for i, col in enumerate(cols)]
+    graph += [{(j, m): c for m, c in g.terms.items()}
+              for j, gens in enumerate(modulo) for g in gens]
+    kernel = _engine(graph, order, ring.field, step_budget, rank_one=False, kernel_from=r)
+    return [_from_vec(v, ring, len(cols), r) for v in kernel]

@@ -89,8 +89,11 @@ def parse_session(text: str) -> SessionSpec:
             continue
         stripped = line.lstrip()
         indent = len(line) - len(stripped)
+        word = stripped.split(None, 1)[0]
 
-        if stripped.startswith("field"):
+        if word == "field":
+            if field_spec is not None:
+                raise ParseError("duplicate field declaration", lineno, indent + 1, ())
             rest = stripped[len("field"):].strip()
             parts = rest.split()
             if parts and parts[0] == "QQ" and len(parts) == 1:
@@ -107,7 +110,9 @@ def parse_session(text: str) -> SessionSpec:
                 ring = PolynomialRing(field_spec, variables)
             continue
 
-        if stripped.startswith("vars"):
+        if word == "vars":
+            if variables is not None:
+                raise ParseError("duplicate vars declaration", lineno, indent + 1, ())
             rest = stripped[len("vars"):]
             names = tuple(n.strip() for n, _ in _split_top_level(rest))
             if not names:
@@ -120,7 +125,7 @@ def parse_session(text: str) -> SessionSpec:
                     raise ParseError(str(exc), lineno, indent + 1, ("variable names",))
             continue
 
-        if stripped.startswith("set"):
+        if word == "set":
             rest = stripped[len("set"):]
             if "=" not in rest:
                 raise ParseError("set needs key = value", lineno, indent + 1, ("key = value",))
@@ -176,7 +181,7 @@ def parse_session(text: str) -> SessionSpec:
             raise ParseError(f"unknown section {head!r}", lineno, indent + 1,
                              ("base", "module", "q", "a"))
 
-        raise ParseError(f"unrecognized directive {stripped.split()[0]!r}", lineno, indent + 1,
+        raise ParseError(f"unrecognized directive {word!r}", lineno, indent + 1,
                          ("field", "vars", "base:", "module:", "q:", "a:", "set"))
 
     if field_spec is None:

@@ -6,7 +6,8 @@ answers are cross-checked with exact linear algebra (fraction-free
 elimination over the integers for characteristic 0, plain elimination mod p)
 and with definitional membership tests.  ``is_groebner`` checks Buchberger's
 S-pair criterion on a generator list, and ``graph_kernel`` reads a module
-kernel off the fully interreduced graph basis.  Disagreement with the main
+kernel off the fully interreduced graph basis, and ``lifted_image`` computes
+a graded image by membership lifting.  Disagreement with the main
 route is always a hard failure of the library, never a tolerance issue.
 
 The last section holds small operations that only tests use: monomial
@@ -34,6 +35,7 @@ from formcone.groebner import (
     _term_key,
     _to_vec,
     buchberger,
+    normal_form,
 )
 from formcone.ideals import PresentedIdeal
 from formcone.rings import (
@@ -86,6 +88,34 @@ def graph_kernel(columns, order: MonomialOrder = DEGREVLEX, modulo=()) -> list:
     return [FreeModuleElement(ring, v.components[r:])
             for v in buchberger(graph, order).generators
             if all(c.is_zero() for c in v.components[:r])]
+
+
+def lifted_image(ctx: FiltrationContext, a: Polynomial, degree: int,
+                 pres: GradedQuotientPresentation) -> Polynomial | None:
+    """Graded image of a by membership lifting, or None when a is not in
+    q^degree + I_A.
+
+    Writes a = sum h_i * g_i over the degree-``degree`` products of q's
+    generators and I_A's generators, by one normal form of ``a (+) 0``
+    against the basis of the graph vectors ``g_i (+) e_i``, then replaces
+    each product by its y-monomial and reduces modulo the presentation.
+    ``FiltrationContext.graded_image`` takes one normal form against the
+    Rees basis instead.
+    """
+    ring = ctx.ring
+    products = ctx.q_power_products(degree)
+    gens = [p for _, p in products] + list(ctx.base_generators)
+    zero, one = ring.zero(), ring.one()
+    graph = [FreeModuleElement(ring, (g,) + tuple(one if j == i else zero for j in range(len(gens))))
+             for i, g in enumerate(gens)]
+    rest = normal_form(FreeModuleElement(ring, (a,) + (zero,) * len(gens)), buchberger(graph))
+    if not rest.components[0].is_zero():
+        return None
+    n = ring.nvars
+    acc = pres.ring.zero()
+    for (expt, _), h in zip(products, rest.components[1:]):
+        acc = acc - h.map_to(pres.ring, list(range(n))) * pres.ring.monomial((0,) * n + expt)
+    return pres.reduce(acc)
 
 
 # ---------------------------------------------------------------------------

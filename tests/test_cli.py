@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from formcone.cas import emit_cas_script
-from formcone.cli import emit_report, main, run_command
+from formcone.cli import COMMANDS, emit_report, main, run_command
 from formcone.session import parse_session
 
 CURVE_TEXT = """\
@@ -132,6 +132,31 @@ def test_negative_search_parameters_are_input_errors(tmp_path, capsys):
         assert "input error" in capsys.readouterr().err
     # an empty search is legal and runs out of budget honestly
     assert main(["cm-check", str(plane), "--set", "search_budget=0"]) == 3
+
+
+ADVERSARIAL = {
+    # the degree-0 part k[y] is infinite, so the Hilbert function is undefined
+    "plane": "field QQ\nvars x, y\nq: x\na: x\n",
+    "char2": "field FP 2\nvars x, y, z\nbase: x^2 + y^2 + z^2\nq: x, y, z\na: x, y\n",
+    "not_separated": "field QQ\nvars x, y\nbase: x - x*y\nq: x, y\na: y\n",
+    "degree0": "field QQ\nvars x, y\nq: x, y\na: x + 1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_adversarial_inputs_never_exit_1(tmp_path, capsys, name):
+    """Every command gives a result (0) or refuses the input (2).  Exit 1,
+    returned for a consistency failure or taken by an exception that escapes
+    ``main``, would mean an internal failure on a valid input."""
+    path = tmp_path / f"{name}.fc"
+    path.write_text(ADVERSARIAL[name], encoding="utf-8")
+    codes = {}
+    for command in COMMANDS:
+        codes[command] = main([command, str(path), "--json"])
+        capsys.readouterr()
+    assert {c: code for c, code in codes.items() if code not in (0, 2)} == {}
+    if name == "plane":
+        assert codes["hilbert"] == 2
 
 
 def test_emit_cas_dialects(curve_file, capsys):

@@ -1,4 +1,5 @@
 import pytest
+from oracle import lifted_image
 
 from formcone import (
     QQ,
@@ -255,6 +256,45 @@ def _ladder_contexts(corpus):
     out.append(FiltrationContext(RS, curve_context().base_generators,
                                  (Y**2 - X * Z, Z**2), (X, Y, Z), []))
     return out
+
+
+def test_graded_image_matches_lifting(corpus):
+    # one normal form against the Rees basis must give the image that lifting
+    # over the products of q's generators gives, for each system element a_i
+    # and each m * a_i with m a product of degree 1 or 2
+    r4 = PolynomialRing(QQ, ("x", "y", "z", "w"))
+    curve4, cone4 = _TIER4_BASES
+    tier4 = [FiltrationContext(r4, tuple(r4.parse(e) for e in base), (), r4.gens(),
+                               [(r4.parse(a), None) for a in system])
+             for base, system in ((curve4, ("x",)), (cone4, ("x", "w")), (cone4, ("x",)))]
+    nonzero = 0
+    for ctx in [i.ctx for i in corpus] + tier4 + [curve_context()]:
+        form = ctx.form_presentation()
+        for s in ctx.system:
+            for d in range(3):
+                for _, m in ctx.q_power_products(d):
+                    b = m * s.element
+                    expected = lifted_image(ctx, b, s.degree + d, form)
+                    assert expected is not None
+                    assert ctx.graded_image(b, s.degree + d, form) == expected, (str(ctx), str(b))
+                    nonzero += not expected.is_zero()
+    assert nonzero >= 300  # 304 of the 377 images
+
+    # X is not in q^2 on the curve: both routes refuse it
+    curve = curve_context()
+    X = RS.var(0)
+    form = curve.form_presentation()
+    assert lifted_image(curve, X, 2, form) is None
+    with pytest.raises(ValidationError):
+        curve.graded_image(X, 2, form)
+
+    # x is zero in M = A/(x), so it lies in q^2 M with class 0; lifting
+    # modulo I_A alone refuses it
+    x, _ = R2.gens()
+    ctx = FiltrationContext(R2, (), (x,), R2.gens(), [])
+    form = ctx.form_presentation()
+    assert lifted_image(ctx, x, 2, form) is None
+    assert ctx.graded_image(x, 2, form).is_zero()
 
 
 def test_power_ladder_matches_products(corpus):

@@ -20,8 +20,8 @@ from formcone import (
     QQ,
     BudgetExceededError,
     FieldSpec,
+    FiltrationContext,
     FreeModuleElement,
-    MembershipLifter,
     Polynomial,
     PolynomialRing,
     RingMismatchError,
@@ -261,33 +261,13 @@ def test_module_normal_form_rank_checks():
         normal_form(x, gb)  # rank mismatch
 
 
-def test_membership_lifter_roundtrip():
-    X, Y, Z = RS.gens()
-    gens = [X, Y, Z] + curve_ideal()
-    lifter = MembershipLifter(gens)
-    target = Y**4 - X**5 + X * Y
-    cofactors = lifter.lift(target)
-    assert cofactors is not None
-    acc = RS.zero()
-    for h, g in zip(cofactors, gens):
-        acc = acc + h * g
-    assert acc == target
-    assert_public_coefficients(cofactors)
-    assert lifter.lift(RS.one()) is None
-
-
-def test_membership_lifter_over_a_prime_field():
+def test_prime_field_results_have_public_coefficients():
     F3 = PolynomialRing(FieldSpec(3), ("x", "y"))
     x, y = F3.gens()
     gens = [x * x - y, x * y + 2 * y * y]
-    lifter = MembershipLifter(gens)
-    target = (x + 2) * gens[0] + y * y * gens[1]
-    cofactors = lifter.lift(target)
-    assert cofactors is not None
-    assert sum((h * g for h, g in zip(cofactors, gens)), F3.zero()) == target
-    assert lifter.lift(x) is None  # x is 1 at the common zero (1, 1)
     gb = buchberger(gens)
-    assert_public_coefficients(cofactors + [normal_form(x**3 + 2 * y, gb)] + syzygy_basis(gens))
+    assert_public_coefficients(list(gb.generators) + [normal_form(x**3 + 2 * y, gb)]
+                               + syzygy_basis(gens))
 
 
 def test_syzygy_basis_checks_modulo():
@@ -304,8 +284,11 @@ def test_syzygy_basis_checks_modulo():
 def test_kernel_budgets_are_resource_errors():
     with pytest.raises(BudgetExceededError):
         syzygy_basis(curve_ideal(), step_budget=1)
+    # the Rees basis behind the graded images runs under the context's budget
+    X, Y, Z = RS.gens()
+    ctx = FiltrationContext(RS, tuple(curve_ideal()), (), (X, Y, Z), [(X, 1)], step_budget=5)
     with pytest.raises(BudgetExceededError):
-        MembershipLifter(curve_ideal(), step_budget=1)
+        ctx.rees_presentation()
 
 
 def test_step_budget_is_a_resource_error(monkeypatch):

@@ -87,3 +87,28 @@ def test_set_directives_override_defaults():
 def test_duplicate_sections_rejected():
     with pytest.raises(ParseError):
         parse_session("field QQ\nvars x\nq: x\nq: x\n")
+
+
+def test_directives_are_whole_words():
+    # a section whose name starts with a directive is not that directive
+    with pytest.raises(ParseError) as err:
+        parse_session("field QQ\nvars x\nq: x\nsettings: 3\n")
+    assert (err.value.line, err.value.column) == (4, 1)
+    assert "unknown section 'settings'" in str(err.value)
+    for text in ("fields QQ\nvars x\nq: x\n", "field QQ\nvarsity x\nq: x\n"):
+        with pytest.raises(ParseError) as err:
+            parse_session(text)
+        assert "unrecognized directive" in str(err.value)
+
+
+@pytest.mark.parametrize("text,line,column", [
+    ("field QQ\nfield FP 3\nvars x\nq: x\n", 2, 1),
+    ("field QQ\nvars x\n  vars x, y\nq: x\n", 3, 3),
+    ("field QQ\nvars x\nq: x\nfield FP 3\n", 4, 1),  # after expressions
+    ("field QQ\nvars x\nq: x\nvars x, y\n", 4, 1),
+], ids=["field", "indented-vars", "field-after-expressions", "vars-after-expressions"])
+def test_repeated_declarations_rejected(text, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_session(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert "duplicate" in str(err.value)
