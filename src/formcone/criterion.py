@@ -167,15 +167,84 @@ def _require_exact_system(ctx: FiltrationContext):
 # Level-n scan
 # ---------------------------------------------------------------------------
 
+class _LevelChain:
+    """The l-chain of one level n: ``equal[l-1]`` says C(n, l) = C(n, l-1),
+    where C(n, 0) = q^n M; ``ideal`` is the latest C(n, l); ``closed`` is
+    (l, C(n, l)) at the first l where the window closes, None before."""
+
+    __slots__ = ("n", "equal", "ideal", "closed")
+
+    def __init__(self, n: int, start: PresentedIdeal):
+        self.n = n
+        self.equal: list[bool] = []
+        self.ideal = start
+        self.closed: tuple[int, PresentedIdeal] | None = None
+
+
+def _level_chain(ctx: FiltrationContext, n: int, params: CriterionParams) -> _LevelChain:
+    """Level n's chain: memoised per context for a single-element system,
+    whose chains the propagation rule shares across levels; fresh otherwise."""
+    if len(ctx.system) > 1:
+        return _LevelChain(n, ctx.q_power(n))
+    key = ("chain", n, params.l_max, params.window)
+    if key not in ctx.scratch:
+        ctx.scratch[key] = _LevelChain(n, ctx.q_power(n))
+    return ctx.scratch[key]
+
+
+def _extend(ctx: FiltrationContext, chain: _LevelChain, params: CriterionParams) -> None:
+    """One step of the chain: C(n, l) from C(n, l-1), by the propagation rule
+    when it applies and by one colon kernel otherwise.
+
+    The ascending-chain property is asserted wherever the ideal changes
+    (equal reduced bases contain each other, so containment is tested only
+    when they differ); violating it is an internal bug, not an input problem.
+    """
+    n, l = chain.n, len(chain.equal) + 1
+    if len(ctx.system) == 1 and l >= 2:
+        above = _level_chain(ctx, n + ctx.system[0].degree, params)
+        while len(above.equal) < l - 1:
+            _extend(ctx, above, params)
+        propagated = above.equal[l - 2]
+    else:
+        propagated = False
+    if propagated:
+        equal = True
+    else:
+        current = meet_of_colons(
+            [ctx.q_power(n + l * s.degree) for s in ctx.system],
+            [ctx.system_power(i, l) for i in range(len(ctx.system))],
+        )
+        equal = current.equals(chain.ideal)
+        if not equal and l >= 2 and not current.contains_ideal(chain.ideal):
+            raise ConsistencyError(f"colon chain is not ascending at level n={n}, l={l}")
+        chain.ideal = current
+    chain.equal.append(equal)
+    w = params.window
+    if chain.closed is None and l > w and all(chain.equal[l - w:]):
+        chain.closed = (l, chain.ideal)
+
+
 def defect_at(ctx: FiltrationContext, n: int,
               params: CriterionParams = DEFAULT_PARAMS) -> DefectRecord:
-    """Stabilize the l-chain of colon intersections at level n.
+    """Stabilize the l-chain C(n, l) of colon intersections at level n.
 
-    The ascending-chain property is asserted at every step where the ideal
-    changes (equal reduced bases contain each other, so containment is
-    tested only when they differ); violating it is an internal bug, not an
-    input problem.  Budget exhaustion is a reported status, never an
-    exception.
+    The chain stops once ``window`` consecutive steps from l = 2 on leave it
+    unchanged, or at ``l_max`` (status "budget", a reported status, never an
+    exception).
+
+    For a single element a of degree c, write C(m, 0) = q^m M.  Then
+
+        C(n, l+1) = (C(n+c, l) : a),
+
+    because x*a^(l+1) lies in q^(n+(l+1)c) M exactly when x*a lies in
+    C(n+c, l).  So C(n+c, l) = C(n+c, l-1) implies C(n, l+1) = C(n, l), and
+    each step from l = 2 on first reads that equality from level n+c,
+    extending that level's chain as far as needed (possibly above n_max),
+    and computes a colon kernel only when the equality is absent.  The rule
+    proves only true equalities, so records are those of the direct loop.
+    With two or more elements the rule does not apply and every step is a
+    kernel.
     """
     _require_usable_system(ctx)
     if n < 0:
@@ -184,30 +253,14 @@ def defect_at(ctx: FiltrationContext, n: int,
     if key in ctx.scratch:
         return ctx.scratch[key]
 
-    prev: PresentedIdeal | None = None
-    run = 0
-    status = "budget"
-    stabilized_l = params.l_max
-    current: PresentedIdeal | None = None
-    for l in range(1, params.l_max + 1):
-        current = meet_of_colons(
-            [ctx.q_power(n + l * s.degree) for s in ctx.system],
-            [ctx.system_power(i, l) for i in range(len(ctx.system))],
-        )
-        if prev is not None:
-            if current.equals(prev):
-                run += 1
-            elif current.contains_ideal(prev):
-                run = 0
-            else:
-                raise ConsistencyError(
-                    f"colon chain is not ascending at level n={n}, l={l}"
-                )
-        if run == params.window:
-            status = "stabilized"
-            stabilized_l = l - params.window
-            break
-        prev = current
+    chain = _level_chain(ctx, n, params)
+    while chain.closed is None and len(chain.equal) < params.l_max:
+        _extend(ctx, chain, params)
+    if chain.closed is None:
+        status, stabilized_l, current = "budget", params.l_max, chain.ideal
+    else:
+        closed_l, current = chain.closed
+        status, stabilized_l = "stabilized", closed_l - params.window
 
     target = ctx.q_power(n)
     if not current.contains_ideal(target):

@@ -262,10 +262,7 @@ class FiltrationContext:
         remainders are dropped and the products deduplicated in order.
         Levels are filled upward from the highest cached one.
         """
-        if modulo == "module":
-            cache, j_ideal, j_gens = self._powers_module, self.ideal_m, self.module_generators
-        else:
-            cache, j_ideal, j_gens = self._powers_base, self.ideal_a, ()
+        cache, j_ideal, j_gens = self._ladder(modulo)
         for level in range(len(cache), n + 1):
             if level <= 1:
                 gens = tuple(p for _, p in self.q_power_products(level))
@@ -280,6 +277,15 @@ class FiltrationContext:
                                           gens + j_gens, self.step_budget)
         return cache[n]
 
+    def _ladder(self, modulo: str) -> tuple[dict, PresentedIdeal, tuple]:
+        """(power cache, J, J's extra generators) for ``modulo`` "module"
+        (J = I_M) or "base" (J = I_A); any other value is refused."""
+        if modulo == "module":
+            return self._powers_module, self.ideal_m, self.module_generators
+        if modulo == "base":
+            return self._powers_base, self.ideal_a, ()
+        raise ValidationError(f'modulo must be "module" or "base", not {modulo!r}')
+
     def system_power(self, index: int, exponent: int) -> Polynomial:
         key = (index, exponent)
         if key not in self._system_powers:
@@ -293,7 +299,7 @@ class FiltrationContext:
         """Largest c <= cap with a in q^c (mod I_A or I_M); None once the probe
         cap is hit, which by convention means the initial form is zero."""
         cap = self.probe_cap if cap is None else cap
-        zero_test = self.ideal_a if modulo == "base" else self.ideal_m
+        _, zero_test, _ = self._ladder(modulo)
         if zero_test.contains(a):
             raise ValidationError("element is zero in the quotient; no initial degree")
         for c in range(1, cap + 1):

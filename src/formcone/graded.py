@@ -272,7 +272,8 @@ def koszul_grade(pres: GradedQuotientPresentation, generators) -> GradeReport:
     reps = [g.representative for g in gens]
     r = len(reps)
     ring = pres.ring
-    h_gens = list(pres.groebner().generators)
+    h_gb = pres.groebner()
+    h_gens = list(h_gb.generators)
     if not pres.ideal.is_proper():
         return GradeReport(math.inf, "koszul")
     if not pres.ideal.sum_with(*reps).is_proper():
@@ -290,7 +291,7 @@ def koszul_grade(pres: GradedQuotientPresentation, generators) -> GradeReport:
         subsets_hi = list(combinations(range(r), i))
         subsets_lo = list(combinations(range(r), i - 1))
         cols = _koszul_columns(reps, subsets_hi, subsets_lo, ring)
-        cycles = syzygy_basis(cols, order, budget, [h_gens] * len(subsets_lo))
+        cycles = syzygy_basis(cols, order, budget, [h_gb] * len(subsets_lo))
 
         subsets_up = list(combinations(range(r), i + 1))
         boundary = _koszul_columns(reps, subsets_up, subsets_hi, ring)

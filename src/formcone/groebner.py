@@ -22,6 +22,10 @@ walking the lead index of the new element's position only.  The chain
 criterion keeps, per element, the set of partners whose pair is settled, and
 tests only the intersection of two such sets instead of scanning the basis.
 A single-term vector normalises to coefficient 1 without gcd work.  A
+``syzygy_basis`` modulo entry given as a ``GroebnerBasis`` in the kernel's own
+order is a settled block: no pair is formed inside it, and the chain
+criterion counts its elements as established partners of each other; a plain
+list is never settled, since it need not be a Groebner basis.  A
 ``GroebnerBasis`` builds the lead index of its generators once;
 ``normal_form`` converts the generators to term vectors per call and keeps
 none, which keeps long-lived bases small.
@@ -239,7 +243,7 @@ def _spoly(f: dict, g: dict, lf, lg, key, fld) -> dict:
 
 
 def _engine(vectors: list[dict], order: MonomialOrder, fld, step_budget: int,
-            rank_one: bool, kernel_from: int = 0) -> list[dict]:
+            rank_one: bool, kernel_from: int = 0, settled=()) -> list[dict]:
     """Buchberger with normal (degree-queue) pair selection.
 
     Product criterion only in rank one (it is unsound for modules); chain
@@ -262,11 +266,22 @@ def _engine(vectors: list[dict], order: MonomialOrder, fld, step_budget: int,
     divides any of its terms: the kept elements alone decide which of them
     are minimal and what their tails reduce to, exactly as in the full
     interreduction.
+
+    ``settled`` lists (start, stop) index ranges of ``vectors``, which then
+    holds no zero vector.  Each range is a *settled block*: a Groebner basis
+    in ``order`` whose elements share one position.  Every pair inside a
+    block reduces to zero over the block itself, so no such pair is formed,
+    and the chain criterion counts the elements of a block as established
+    partners of each other: a popped pair (i, j) with i in block B also
+    looks for k in ``partners[j] & B``, and likewise with i and j swapped.
     """
     key = _term_key(order)
     basis = [_normalize(v, key, fld) for v in vectors if v]
     leads = [_lead(v, key) for v in basis]
     by_pos = _lead_index(leads)
+    blocks: list = [None] * len(basis)
+    for start, stop in settled:
+        blocks[start:stop] = [frozenset(range(start, stop))] * (stop - start)
 
     heap: list = []
     partners: list[set[int]] = [set() for _ in basis]
@@ -278,9 +293,12 @@ def _engine(vectors: list[dict], order: MonomialOrder, fld, step_budget: int,
     def push_pairs(j: int):
         pj, mj = leads[j]
         mono_j = len(basis[j]) == 1
+        block_j = blocks[j]
         for mi, i in by_pos[pj]:
             if i == j:
                 break
+            if block_j is not None and i in block_j:
+                continue  # settled: the pair reduces to zero within its block
             if mono_j and len(basis[i]) == 1:
                 establish(i, j)  # S-polynomial of two terms is identically zero
                 continue
@@ -297,6 +315,10 @@ def _engine(vectors: list[dict], order: MonomialOrder, fld, step_budget: int,
     while heap:
         _, _, i, j = heapq.heappop(heap)
         common = partners[i] & partners[j]
+        if blocks[i] is not None:
+            common |= partners[j] & blocks[i]
+        if blocks[j] is not None:
+            common |= partners[i] & blocks[j]
         if common:
             lcm = mono_lcm(leads[i][1], leads[j][1])
             if any(mono_divides(leads[k][1], lcm) for k in common):
@@ -316,6 +338,7 @@ def _engine(vectors: list[dict], order: MonomialOrder, fld, step_budget: int,
             basis.append(r)
             leads.append((p, m))
             partners.append(set())
+            blocks.append(None)
             push_pairs(len(basis) - 1)
     if kernel_from:
         kept = [i for i, (p, _) in enumerate(leads) if p >= kernel_from]
@@ -401,13 +424,19 @@ def syzygy_basis(columns, order: MonomialOrder = DEGREVLEX,
     """Reduced basis of the kernel of P^k -> (+)_j P/M_j sending e_i to column i.
 
     ``modulo`` is empty (plain syzygies) or lists, for each of the r
-    positions of the columns, the generators of M_j.  Method: one module
-    Groebner basis of the graph vectors ``column_i (+) e_i`` and ``g * e_j``
-    inside P^(r+k) under position-over-term with the original positions
-    dominating; basis elements with no term below position r are the kernel,
-    and their tails form its reduced basis.  Colons, intersections and
-    Koszul cycles are all this one kernel (Greuel-Pfister, sections 1.8 and
-    2.8).
+    positions of the columns, M_j as a list of generators or as a
+    ``GroebnerBasis``.  Method: one module Groebner basis of the graph
+    vectors ``column_i (+) e_i`` and ``g * e_j`` inside P^(r+k) under
+    position-over-term with the original positions dominating; basis
+    elements with no term below position r are the kernel, and their tails
+    form its reduced basis.  Colons, intersections and Koszul cycles are all
+    this one kernel (Greuel-Pfister, sections 1.8 and 2.8).
+
+    A ``GroebnerBasis`` entry in ``order`` itself is a settled block of the
+    engine: its S-pairs are known to reduce to zero, so none is formed, and
+    the chain criterion may use them.  A list, or a basis in another order,
+    is taken as plain generators, which need not be a Groebner basis.  The
+    kernel is the same either way.
     """
     cols = list(columns)
     if not cols:
@@ -416,11 +445,18 @@ def syzygy_basis(columns, order: MonomialOrder = DEGREVLEX,
     r = 1 if rank is None else rank
     if modulo and len(modulo) != r:
         raise ValidationError(f"modulo lists {len(modulo)} submodules for {r} positions")
-    if any(g.ring != ring for gens in modulo for g in gens):
-        raise RingMismatchError("modulo generator from a different ring")
     one, origin = ring.field.coerce(1), (0,) * ring.nvars
     graph = [{**_to_vec(col), (r + i, origin): one} for i, col in enumerate(cols)]
-    graph += [{(j, m): c for m, c in g.terms.items()}
-              for j, gens in enumerate(modulo) for g in gens]
-    kernel = _engine(graph, order, ring.field, step_budget, rank_one=False, kernel_from=r)
+    settled = []
+    for j, entry in enumerate(modulo):
+        is_basis = isinstance(entry, GroebnerBasis)
+        gens = entry.generators if is_basis else entry
+        if any(g.ring != ring for g in gens):
+            raise RingMismatchError("modulo generator from a different ring")
+        start = len(graph)
+        graph += [{(j, m): c for m, c in g.terms.items()} for g in gens if not g.is_zero()]
+        if is_basis and entry.order == order:
+            settled.append((start, len(graph)))
+    kernel = _engine(graph, order, ring.field, step_budget, rank_one=False, kernel_from=r,
+                     settled=settled)
     return [_from_vec(v, ring, len(cols), r) for v in kernel]

@@ -183,7 +183,9 @@ def meet_of_colons(ideals, elements) -> PresentedIdeal:
     """The intersection of the colons (I_k : f_k), all in one ring and base.
 
     It is one module kernel: the kernel of P -> (+)_k P/I_k sending 1 to
-    (f_k), computed by ``syzygy_basis`` modulo the reduced bases of the I_k.
+    (f_k), computed by ``syzygy_basis`` modulo the reduced bases of the I_k,
+    which are passed as ``GroebnerBasis`` values so the engine forms no
+    pairs within them.
     The result's generators are its reduced, monic, sorted DEGREVLEX basis,
     so they seed its basis cache.
     """
@@ -195,7 +197,7 @@ def meet_of_colons(ideals, elements) -> PresentedIdeal:
         first._check(ideal)
         first._check_ring(f)
     kernel = syzygy_basis((FreeModuleElement(first.ring, elements),), DEGREVLEX,
-                          first.step_budget, [ideal.groebner().generators for ideal in ideals])
+                          first.step_budget, [ideal.groebner() for ideal in ideals])
     result = first.spawn(v.components[0] for v in kernel)
     result._gb_cache[DEGREVLEX] = GroebnerBasis(result.generators, DEGREVLEX)
     return result

@@ -23,6 +23,12 @@ from formcone import (
 CORPUS_PARAMS = CriterionParams(n_max=8, l_max=12, window=2, degree_cap=6)
 CORPUS_SEED = 20260810
 
+# the bases of the three tier-4 inputs, all with q = (x, y, z, w)
+TIER4_BASES = (
+    ("z^2 - y*w", "y^3 - x*w", "x^3 - y*z", "x^2*y*z - w^2", "x^2*y^2 - z*w"),
+    ("x*z - y^2", "x*w - y*z", "y*w - z^2"),
+)
+
 
 @dataclass
 class Instance:
@@ -120,3 +126,13 @@ def build_corpus() -> list[Instance]:
         if inst is not None:
             instances.append(inst)
     return instances
+
+
+def tier4_contexts() -> list[FiltrationContext]:
+    """The three tier-4 inputs: the curve with a = x, the cone with a = x, w
+    and the cone with a = x."""
+    ring = PolynomialRing(FieldSpec(0), ("x", "y", "z", "w"))
+    curve, cone = TIER4_BASES
+    return [FiltrationContext(ring, tuple(ring.parse(e) for e in base), (), ring.gens(),
+                              [(ring.parse(a), None) for a in system])
+            for base, system in ((curve, ("x",)), (cone, ("x", "w")), (cone, ("x",)))]

@@ -5,9 +5,10 @@ components are represented by their standard monomials, and the Groebner-route
 answers are cross-checked with exact linear algebra (fraction-free
 elimination over the integers for characteristic 0, plain elimination mod p)
 and with definitional membership tests.  ``is_groebner`` checks Buchberger's
-S-pair criterion on a generator list, and ``graph_kernel`` reads a module
-kernel off the fully interreduced graph basis, and ``lifted_image`` computes
-a graded image by membership lifting.  Disagreement with the main
+S-pair criterion on a generator list, ``graph_kernel`` reads a module
+kernel off the fully interreduced graph basis, ``lifted_image`` computes
+a graded image by membership lifting, and ``direct_defect_at`` runs the
+level-n colon chain with one kernel per step.  Disagreement with the main
 route is always a hard failure of the library, never a tolerance issue.
 
 The last section holds small operations that only tests use: monomial
@@ -22,8 +23,13 @@ from fractions import Fraction
 from itertools import product as cartesian
 from math import gcd
 
-from formcone.criterion import CriterionParams
-from formcone.errors import InfiniteComponentError, RingMismatchError, ValidationError
+from formcone.criterion import CriterionParams, DefectRecord
+from formcone.errors import (
+    ConsistencyError,
+    InfiniteComponentError,
+    RingMismatchError,
+    ValidationError,
+)
 from formcone.filtration import FiltrationContext, GradedQuotientPresentation
 from formcone.groebner import (
     FreeModuleElement,
@@ -37,7 +43,7 @@ from formcone.groebner import (
     buchberger,
     normal_form,
 )
-from formcone.ideals import PresentedIdeal
+from formcone.ideals import PresentedIdeal, meet_of_colons
 from formcone.rings import (
     DEGREVLEX,
     FieldSpec,
@@ -380,6 +386,40 @@ def defect_agrees(ctx: FiltrationContext, record, degree_cap: int) -> bool:
         if not ok:
             return False
     return True
+
+
+def direct_defect_at(ctx: FiltrationContext, n: int, params: CriterionParams) -> DefectRecord:
+    """The level-n record by the direct l-loop: one colon kernel per step,
+    no propagation between levels and no memo.  ``defect_at`` must give the
+    same record."""
+    prev = current = None
+    run = 0
+    status, stabilized_l = "budget", params.l_max
+    for l in range(1, params.l_max + 1):
+        current = meet_of_colons(
+            [ctx.q_power(n + l * s.degree) for s in ctx.system],
+            [ctx.system_power(i, l) for i in range(len(ctx.system))],
+        )
+        if prev is not None:
+            if current.equals(prev):
+                run += 1
+            elif current.contains_ideal(prev):
+                run = 0
+            else:
+                raise ConsistencyError(f"colon chain is not ascending at level n={n}, l={l}")
+        if run == params.window:
+            status, stabilized_l = "stabilized", l - params.window
+            break
+        prev = current
+    target = ctx.q_power(n)
+    residues = []
+    for g in current.groebner().generators:
+        r = target.reduce(g)
+        if not r.is_zero() and r not in residues:
+            residues.append(r)
+    return DefectRecord(n=n, stabilized_l=stabilized_l, window=params.window, ideal=current,
+                        vanishing=not residues, quotient_generators=tuple(residues),
+                        certified=False, status=status)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import pytest
+from corpus import CORPUS_PARAMS, tier4_contexts
+from oracle import direct_defect_at
 
+import formcone.ideals as ideals_module
 from formcone import (
     QQ,
     BudgetExceededError,
@@ -22,8 +25,10 @@ from formcone import (
     system_images,
 )
 
+DEMO_PARAMS = CriterionParams(n_max=10)  # the scan bound of demos/semigroup_curve.fc
 R1 = PolynomialRing(QQ, ("x",))
 R2 = PolynomialRing(QQ, ("x", "y"))
+R3 = PolynomialRing(QQ, ("x", "y", "z"))
 RS = PolynomialRing(QQ, ("X", "Y", "Z"))
 
 
@@ -70,6 +75,54 @@ def test_scan_on_regular_line():
     scan = defect_scan(ctx)
     assert scan.all_vanish
     assert all(r.stabilized_l == 1 for r in scan.records)
+
+
+def _record_fields(record):
+    return (record.ideal.groebner().generators, record.vanishing, record.stabilized_l,
+            record.status, record.quotient_generators)
+
+
+def test_propagated_chains_match_the_direct_loop(corpus):
+    # C(n, l+1) = (C(n+c, l) : a) lets single-element chains skip kernels;
+    # every record must still be the one the direct loop gives, whether the
+    # levels are scanned upward (each chain first extended from the level
+    # below) or downward (each chain extended past its own window later)
+    cases = [(i.ctx, CORPUS_PARAMS) for i in corpus]
+    cases += [(ctx, CORPUS_PARAMS) for ctx in tier4_contexts()]
+    cases.append((curve_context(), DEMO_PARAMS))
+    # two elements whose level-1 chain grows again after C(1, 2) = C(1, 1):
+    # reading level 1 + c's flags here would close its window two steps early
+    x, y, z = R3.gens()
+    cases.append((FiltrationContext(R3, (y**3, z**2), (), (x, y, z), [(z, 1), (y, 1)]),
+                  CORPUS_PARAMS))
+    singles = 0
+    for ctx, params in cases:
+        levels = range(params.n_max + 1)
+        reference = [_record_fields(direct_defect_at(ctx, n, params)) for n in levels]
+        for order in (levels, reversed(levels)):
+            cold = ctx.with_exponent_system([(s.element, s.degree) for s in ctx.system])
+            for n in order:
+                assert _record_fields(defect_at(cold, n, params)) == reference[n], (str(ctx), n)
+        singles += len(ctx.system) == 1
+    assert singles >= 20 and singles < len(cases)  # both kinds of system are covered
+
+
+def test_propagation_saves_kernels(monkeypatch):
+    calls = []
+    kernel = ideals_module.syzygy_basis
+    monkeypatch.setattr(ideals_module, "syzygy_basis",
+                        lambda *args: calls.append(1) or kernel(*args))
+
+    def count(scan):
+        calls.clear()
+        scan(curve_context())
+        return len(calls)
+
+    direct = count(lambda ctx: [direct_defect_at(ctx, n, DEMO_PARAMS)
+                                for n in range(DEMO_PARAMS.n_max + 1)])
+    propagated = count(lambda ctx: defect_scan(ctx, DEMO_PARAMS))
+    assert propagated < direct
+    assert (direct, propagated) == (33, 14)
 
 
 def test_empty_system_rejected():

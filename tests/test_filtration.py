@@ -1,4 +1,5 @@
 import pytest
+from corpus import TIER4_BASES, tier4_contexts
 from oracle import lifted_image
 
 from formcone import (
@@ -57,6 +58,22 @@ def test_initial_degrees():
     assert curve_context().initial_degree(RS.var(0)) == 1
     with pytest.raises(ValidationError):
         FiltrationContext(R2, (x,), (), (x, y), []).initial_degree(x)
+
+
+def test_unknown_modulo_is_refused():
+    """q_power and initial_degree read ``modulo`` the same way: "module" or
+    "base", anything else a ValidationError (not a silent fallback)."""
+    x, y = R2.gens()
+    ctx = FiltrationContext(R2, (), (y * y,), (x, y), [])
+    assert ctx.initial_degree(y, modulo="base") == 1
+    assert ctx.initial_degree(y, modulo="module") == 1
+    assert ctx.q_power(2, "module").contains(y * y)
+    assert not ctx.q_power(1, "base").contains(R2.one())
+    for bad in ("Module", "BASE", "", "ideal"):
+        with pytest.raises(ValidationError):
+            ctx.q_power(2, bad)
+        with pytest.raises(ValidationError):
+            ctx.initial_degree(x, modulo=bad)
 
 
 def test_initial_form_zero_flag_convention():
@@ -233,20 +250,13 @@ def test_quotient_hilbert_matches_graded_quotient_for_regular_step():
     assert hilbert_function(quotient_pres, 10) == hilbert_function(form_quot, 10)
 
 
-# the three tier-4 inputs, all with q = (x, y, z, w)
-_TIER4_BASES = (
-    ("z^2 - y*w", "y^3 - x*w", "x^3 - y*z", "x^2*y*z - w^2", "x^2*y^2 - z*w"),
-    ("x*z - y^2", "x*w - y*z", "y*w - z^2"),
-)
-
-
 def _ladder_contexts(corpus):
     """Cold contexts (fresh caches) over every input the ladder test covers."""
     out = [FiltrationContext(i.ctx.ring, i.ctx.base_generators, i.ctx.module_generators,
                              i.ctx.q_generators, []) for i in corpus]
     r4 = PolynomialRing(QQ, ("x", "y", "z", "w"))
     out += [FiltrationContext(r4, tuple(r4.parse(e) for e in base), (), r4.gens(), [])
-            for base in _TIER4_BASES]
+            for base in TIER4_BASES]
     out.append(curve_context())  # the demo curve (t^4, t^5, t^11)
     for field in (QQ, FieldSpec(5)):
         ring = PolynomialRing(field, ("x", "y"))
@@ -262,13 +272,8 @@ def test_graded_image_matches_lifting(corpus):
     # one normal form against the Rees basis must give the image that lifting
     # over the products of q's generators gives, for each system element a_i
     # and each m * a_i with m a product of degree 1 or 2
-    r4 = PolynomialRing(QQ, ("x", "y", "z", "w"))
-    curve4, cone4 = _TIER4_BASES
-    tier4 = [FiltrationContext(r4, tuple(r4.parse(e) for e in base), (), r4.gens(),
-                               [(r4.parse(a), None) for a in system])
-             for base, system in ((curve4, ("x",)), (cone4, ("x", "w")), (cone4, ("x",)))]
     nonzero = 0
-    for ctx in [i.ctx for i in corpus] + tier4 + [curve_context()]:
+    for ctx in [i.ctx for i in corpus] + tier4_contexts() + [curve_context()]:
         form = ctx.form_presentation()
         for s in ctx.system:
             for d in range(3):

@@ -216,6 +216,8 @@ def test_relations_match_stacked_syzygies_on_koszul_examples():
             sliced = [FreeModuleElement(ring, s.components[:len(cols)]) for s in stacked]
             expected = [v for v in sliced if not v.is_zero()]
             assert syzygy_basis(cols, pres.order, modulo=[h_gens] * rank) == expected
+            # the settled form koszul_grade passes: the basis itself
+            assert syzygy_basis(cols, pres.order, modulo=[pres.groebner()] * rank) == expected
             assert graph_kernel(cols, pres.order, [h_gens] * rank) == expected
             compared += bool(expected)
     assert compared >= 8

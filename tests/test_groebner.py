@@ -337,6 +337,41 @@ def test_pair_decisions_are_pinned(monkeypatch):
     x, y, z = R3.gens()
     columns = [x**2, x * y - z**2, y**3, x * z]
     assert count(lambda: syzygy_basis(columns, modulo=[[x * y * z, y**2 - z]])) == 24
+    # the same submodule as its reduced basis: settled, no pair inside it
+    basis = buchberger([x * y * z, y**2 - z])
+    settled = count(lambda: syzygy_basis(columns, modulo=[basis]))
+    assert settled == 24
+    assert settled <= count(lambda: syzygy_basis(columns, modulo=[list(basis.generators)])) == 25
+
+
+@pytest.mark.parametrize("characteristic", [0, 3])
+def test_settled_modulo_gives_the_same_kernel(characteristic):
+    """A ``GroebnerBasis`` modulo entry in the kernel's own order is a settled
+    block of the engine; the kernel must be the one that the same basis as a
+    list, or the raw generators, give.  A basis in another order counts as
+    plain generators.  The orders are DEGREVLEX and a weighted order with a
+    weight-0 variable, as in the graded presentations; random rank-2 kernels
+    under the weighted order can take minutes over QQ, so there the Koszul
+    examples of ``test_graded`` cover rank 2."""
+    ring = PolynomialRing(FieldSpec(characteristic), ("x", "y", "z"))
+    rng = random.Random(307 + characteristic)
+    weighted = weighted_order((0, 1, 1))
+    nonzero = 0
+    for order, other, rank in ((DEGREVLEX, weighted, None), (DEGREVLEX, weighted, 2),
+                               (weighted, DEGREVLEX, None)):
+        for _ in range(8):
+            cols = [_random_element(rng, ring, rank) for _ in range(rng.randint(1, 2))]
+            mods = [[_random_element(rng, ring, None) for _ in range(rng.randint(1, 2))]
+                    for _ in range(rank or 1)]
+            bases = [buchberger(gens, order) for gens in mods]
+            kernel = syzygy_basis(cols, order, modulo=bases)
+            assert kernel == syzygy_basis(cols, order,
+                                          modulo=[list(b.generators) for b in bases])
+            assert kernel == syzygy_basis(cols, order, modulo=mods)
+            elsewhere = [buchberger(gens, other) for gens in mods]
+            assert kernel == syzygy_basis(cols, order, modulo=elsewhere)
+            nonzero += bool(kernel)
+    assert nonzero >= 16
 
 
 def test_normalize_single_term():
