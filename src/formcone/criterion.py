@@ -29,7 +29,7 @@ from .errors import (
     DegenerateSystemError,
     ValidationError,
 )
-from .filtration import FiltrationContext, GradedQuotientPresentation
+from .filtration import FiltrationContext, GradedQuotientPresentation, graded_power_basis
 from .graded import (
     GradedElement,
     GradeReport,
@@ -196,18 +196,27 @@ def _extend(ctx: FiltrationContext, chain: _LevelChain, params: CriterionParams)
     """One step of the chain: C(n, l) from C(n, l-1), by the propagation rule
     when it applies and by one colon kernel otherwise.
 
+    The rule reads level n+c's flag, extending that chain as needed, only
+    while n+c <= n_max; above n_max it reads a flag some earlier step
+    already computed, and otherwise takes the kernel here, which costs about
+    what extending the chain above would.
+
     The ascending-chain property is asserted wherever the ideal changes
     (equal reduced bases contain each other, so containment is tested only
     when they differ); violating it is an internal bug, not an input problem.
     """
     n, l = chain.n, len(chain.equal) + 1
+    propagated = False
     if len(ctx.system) == 1 and l >= 2:
-        above = _level_chain(ctx, n + ctx.system[0].degree, params)
-        while len(above.equal) < l - 1:
-            _extend(ctx, above, params)
-        propagated = above.equal[l - 2]
-    else:
-        propagated = False
+        up = n + ctx.system[0].degree
+        if up <= params.n_max:
+            above = _level_chain(ctx, up, params)
+            while len(above.equal) < l - 1:
+                _extend(ctx, above, params)
+        else:
+            above = ctx.scratch.get(("chain", up, params.l_max, params.window))
+        if above is not None and len(above.equal) >= l - 1:
+            propagated = above.equal[l - 2]
     if propagated:
         equal = True
     else:
@@ -225,6 +234,89 @@ def _extend(ctx: FiltrationContext, chain: _LevelChain, params: CriterionParams)
         chain.closed = (l, chain.ideal)
 
 
+def _shared_colons(ctx: FiltrationContext) -> bool:
+    """True when every level's chain reads one colon sequence: the module
+    ladder is graded (``FiltrationContext.is_graded``) and each system
+    element is homogeneous of its filtration exponent."""
+    return ctx.is_graded() and all(
+        s.element.is_homogeneous() and s.element.total_degree() == s.degree
+        for s in ctx.system
+    )
+
+
+class _ColonSequence:
+    """K_l = intersection over i of (I_M : a_i^l), K_0 = I_M, of a context
+    with shared colons: ``bases[l]`` is K_l's reduced basis, and
+    ``changed[l-1]`` is the least degree in which K_l and K_(l-1) differ,
+    None where they are equal."""
+
+    __slots__ = ("bases", "changed")
+
+    def __init__(self, start: tuple):
+        self.bases = [start]
+        self.changed: list[int | None] = []
+
+
+def _colon_sequence(ctx: FiltrationContext, l: int) -> _ColonSequence:
+    """The context's sequence, extended through K_l, one kernel per step.
+
+    Once K_l = K_(l-1), every later K equals it and no kernel is taken.
+    Take f in K_(l+1) and put f_S = f * prod_(j in S) a_j for a subset S of
+    the system; f_S lies in K_l, by induction down over |S|.  For a_i in S,
+    f_S * a_i^l is a multiple of f * a_i^(l+1), which lies in I_M; for a_i
+    not in S, f_S * a_i lies in K_l = K_(l-1), so f_S * a_i^l lies in I_M.
+    S empty gives f in K_l.  The ascending property is asserted once per
+    step, where the bases differ.
+    """
+    key = ("colon_sequence",)
+    seq = ctx.scratch.get(key)
+    if seq is None:
+        seq = ctx.scratch[key] = _ColonSequence(ctx.ideal_m.groebner().generators)
+    while len(seq.changed) < l:
+        step, prev = len(seq.changed) + 1, seq.bases[-1]
+        if seq.changed and seq.changed[-1] is None:
+            seq.bases.append(prev)
+            seq.changed.append(None)
+            continue
+        current = meet_of_colons(
+            [ctx.ideal_m] * len(ctx.system),
+            [ctx.system_power(i, step) for i in range(len(ctx.system))],
+        )
+        basis = current.groebner().generators
+        differ = set(basis).symmetric_difference(prev)
+        if differ and not all(current.contains(g) for g in prev):
+            raise ConsistencyError(f"colon sequence is not ascending at l={step}")
+        seq.bases.append(basis)
+        seq.changed.append(min(g.total_degree() for g in differ) if differ else None)
+    return seq
+
+
+def _shared_level(ctx: FiltrationContext, n: int,
+                  params: CriterionParams) -> tuple[str, int, PresentedIdeal]:
+    """(status, stabilized_l, C(n, l)) of level n from the colon sequence.
+
+    For homogeneous x, x * a_i^l lies in m^(n+l*c_i) + I_M iff deg x >= n or
+    x * a_i^l lies in I_M, so C(n, l) = K_l + m^n.  Step l leaves the chain
+    unchanged iff K_l and K_(l-1) agree in every degree below n, and the
+    window closes exactly where the chain's flags would close it.
+    """
+    w = params.window
+    run, closed = 0, None
+    for l in range(1, params.l_max + 1):
+        changed = _colon_sequence(ctx, l).changed[l - 1]
+        run = run + 1 if l >= 2 and (changed is None or changed >= n) else 0
+        if run == w:
+            closed = l
+            break
+    if closed is None:
+        status, stabilized_l, l = "budget", params.l_max, params.l_max
+    else:
+        status, stabilized_l, l = "stabilized", closed - w, closed
+    basis = _colon_sequence(ctx, l).bases[l]
+    return status, stabilized_l, ctx.ideal_m.spawn_reduced(
+        graded_power_basis(ctx.ring, basis, n))
+
+
 def defect_at(ctx: FiltrationContext, n: int,
               params: CriterionParams = DEFAULT_PARAMS) -> DefectRecord:
     """Stabilize the l-chain C(n, l) of colon intersections at level n.
@@ -239,12 +331,19 @@ def defect_at(ctx: FiltrationContext, n: int,
 
     because x*a^(l+1) lies in q^(n+(l+1)c) M exactly when x*a lies in
     C(n+c, l).  So C(n+c, l) = C(n+c, l-1) implies C(n, l+1) = C(n, l), and
-    each step from l = 2 on first reads that equality from level n+c,
-    extending that level's chain as far as needed (possibly above n_max),
-    and computes a colon kernel only when the equality is absent.  The rule
-    proves only true equalities, so records are those of the direct loop.
-    With two or more elements the rule does not apply and every step is a
-    kernel.
+    each step from l = 2 on first reads that equality from level n+c and
+    computes a colon kernel only when the equality is absent (see
+    ``_extend`` for how far above n_max it reads).  The rule proves only
+    true equalities, so records are those of the direct loop.  With two or
+    more elements the rule does not apply and every step is a kernel.
+
+    Graded inputs (``_shared_colons``: I_M homogeneous, q + I_A the ideal m
+    of all variables, each a_i homogeneous of degree c_i) take no chain at
+    all: C(n, l) = K_l + m^n with K_l = intersection over i of
+    (I_M : a_i^l), so one kernel per l, memoised per context, serves every
+    level, and each step's equality is read from the degrees below n in
+    which K_l and K_(l-1) agree.  The window, statuses and records are the
+    chain's.
     """
     _require_usable_system(ctx)
     if n < 0:
@@ -253,14 +352,17 @@ def defect_at(ctx: FiltrationContext, n: int,
     if key in ctx.scratch:
         return ctx.scratch[key]
 
-    chain = _level_chain(ctx, n, params)
-    while chain.closed is None and len(chain.equal) < params.l_max:
-        _extend(ctx, chain, params)
-    if chain.closed is None:
-        status, stabilized_l, current = "budget", params.l_max, chain.ideal
+    if _shared_colons(ctx):
+        status, stabilized_l, current = _shared_level(ctx, n, params)
     else:
-        closed_l, current = chain.closed
-        status, stabilized_l = "stabilized", closed_l - params.window
+        chain = _level_chain(ctx, n, params)
+        while chain.closed is None and len(chain.equal) < params.l_max:
+            _extend(ctx, chain, params)
+        if chain.closed is None:
+            status, stabilized_l, current = "budget", params.l_max, chain.ideal
+        else:
+            closed_l, current = chain.closed
+            status, stabilized_l = "stabilized", closed_l - params.window
 
     target = ctx.q_power(n)
     if not current.contains_ideal(target):

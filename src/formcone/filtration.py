@@ -19,20 +19,29 @@ reduced basis by q's generators instead of forming all degree-n products.
 Each previous basis element is first reduced modulo J: the part of it that
 lies in J would only add products that are already in J, and their S-pairs
 are wasted work.
+
+Graded inputs skip the ladder.  When J is homogeneous and q + I_A is the
+ideal m of all variables, q^n + J = m^n + J, whose reduced basis is read off
+J's (``graded_power_basis``): the elements of degree below n, plus the
+degree-n monomials that none of their leads divides.  ``is_graded`` decides
+this once per ladder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from .errors import ConsistencyError, RingMismatchError, ValidationError
 from .groebner import DEFAULT_STEP_BUDGET, GroebnerBasis, buchberger, normal_form
 from .ideals import PresentedIdeal
 from .rings import (
+    DEGREVLEX,
     Monomial,
     Polynomial,
     PolynomialRing,
     block_order,
+    mono_divides,
     weighted_order,
 )
 
@@ -65,6 +74,30 @@ def _fresh_names(ring: PolynomialRing, stem: str, count: int) -> list[str]:
             taken.add(name)
         i += 1
     return out
+
+
+def graded_power_basis(ring: PolynomialRing, basis, n: int) -> tuple[Polynomial, ...]:
+    """Reduced DEGREVLEX basis of m^n + J, from the reduced basis of a
+    homogeneous ideal J (m is the ideal of all variables).
+
+    In degrees below n the sum is J, and from degree n on it holds every
+    monomial.  So its leads are those of J's elements of degree below n,
+    which stay reduced, plus the degree-n monomials that none of them
+    divides; sorted by ascending lead, as the engine returns them.
+    """
+    low = tuple(g for g in basis if g.total_degree() < n)
+    leads = [g.leading_monomial() for g in low]
+    one = ring.field.coerce(1)
+    monos = []
+    for chosen in combinations_with_replacement(range(ring.nvars), n):
+        mono = [0] * ring.nvars
+        for i in chosen:
+            mono[i] += 1
+        mono = tuple(mono)
+        if not any(mono_divides(lead, mono) for lead in leads):
+            monos.append(mono)
+    monos.sort(key=DEGREVLEX.key())
+    return low + tuple(Polynomial(ring, {m: one}) for m in monos)
 
 
 class GradedQuotientPresentation:
@@ -187,9 +220,10 @@ class FiltrationContext:
         if not self.ideal_m.spawn(self.module_generators + self.q_generators).is_proper():
             raise ValidationError("filtration ideal acts as the unit ideal on the module")
 
-        variable_ideal = PresentedIdeal(ring, self.base_generators, ring.gens(), step_budget)
+        self._variable_ideal = PresentedIdeal(ring, self.base_generators, ring.gens(),
+                                              step_budget)
         self.local_model_mismatch = not all(
-            variable_ideal.contains(g) for g in self.q_generators
+            self._variable_ideal.contains(g) for g in self.q_generators
         )
 
         self._products: dict[int, tuple] = {}
@@ -197,6 +231,7 @@ class FiltrationContext:
         self._powers_module: dict[int, PresentedIdeal] = {}
         self._system_powers: dict = {}
         self._presentations: dict = {}
+        self._graded: dict[str, bool] = {}
         self.scratch: dict = {}  # memo space for higher layers; values immutable
 
         if _validated_system is not None:
@@ -261,8 +296,16 @@ class FiltrationContext:
         already lie in J, and the S-pairs they create reduce to zero.  Zero
         remainders are dropped and the products deduplicated in order.
         Levels are filled upward from the highest cached one.
+
+        Where ``is_graded(modulo)`` holds, each level is instead the closed
+        form m^n + J of ``graded_power_basis``, with no basis computation.
         """
         cache, j_ideal, j_gens = self._ladder(modulo)
+        if self.is_graded(modulo):
+            if n not in cache:
+                cache[n] = self.q_ideal.spawn_reduced(
+                    graded_power_basis(self.ring, j_ideal.groebner().generators, n))
+            return cache[n]
         for level in range(len(cache), n + 1):
             if level <= 1:
                 gens = tuple(p for _, p in self.q_power_products(level))
@@ -276,6 +319,19 @@ class FiltrationContext:
             cache[level] = PresentedIdeal(self.ring, self.base_generators,
                                           gens + j_gens, self.step_budget)
         return cache[n]
+
+    def is_graded(self, modulo: str = "module") -> bool:
+        """True when J (I_M for ``modulo="module"``, I_A for ``"base"``) is
+        homogeneous and q + I_A is the ideal m of all variables, so that
+        q^n + J = m^n + J for every n.  Decided once per ladder from bases
+        that construction already computed."""
+        if modulo not in self._graded:
+            _, j_ideal, _ = self._ladder(modulo)
+            self._graded[modulo] = (
+                all(g.is_homogeneous() for g in j_ideal.groebner().generators)
+                and self.q_ideal.equals(self._variable_ideal)
+            )
+        return self._graded[modulo]
 
     def _ladder(self, modulo: str) -> tuple[dict, PresentedIdeal, tuple]:
         """(power cache, J, J's extra generators) for ``modulo`` "module"
@@ -375,9 +431,7 @@ class FiltrationContext:
         key = ("cone",)
         if key in self._presentations:
             return self._presentations[key]
-        variable_ideal = PresentedIdeal(self.ring, self.base_generators,
-                                        self.ring.gens(), self.step_budget)
-        if not self.q_ideal.equals(variable_ideal):
+        if not self.q_ideal.equals(self._variable_ideal):
             raise ValidationError("direct cone route needs q = (all variables)")
         n = self.ring.nvars
         h_name = self.ring.fresh_name("h")

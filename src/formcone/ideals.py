@@ -44,6 +44,13 @@ class PresentedIdeal:
         """Same ring and base, new generators."""
         return PresentedIdeal(self.ring, self.base, tuple(generators), self.step_budget)
 
+    def spawn_reduced(self, basis) -> "PresentedIdeal":
+        """Same ring and base, generated by ``basis``, which must be the
+        result's reduced, monic, sorted DEGREVLEX basis; it seeds the cache."""
+        result = self.spawn(basis)
+        result._gb_cache[DEGREVLEX] = GroebnerBasis(result.generators, DEGREVLEX)
+        return result
+
     def combined(self) -> tuple[Polynomial, ...]:
         return self.generators + self.base
 
@@ -187,7 +194,7 @@ def meet_of_colons(ideals, elements) -> PresentedIdeal:
     which are passed as ``GroebnerBasis`` values so the engine forms no
     pairs within them.
     The result's generators are its reduced, monic, sorted DEGREVLEX basis,
-    so they seed its basis cache.
+    so they seed its basis cache (``spawn_reduced``).
     """
     ideals, elements = tuple(ideals), tuple(elements)
     if not ideals or len(ideals) != len(elements):
@@ -198,6 +205,4 @@ def meet_of_colons(ideals, elements) -> PresentedIdeal:
         first._check_ring(f)
     kernel = syzygy_basis((FreeModuleElement(first.ring, elements),), DEGREVLEX,
                           first.step_budget, [ideal.groebner() for ideal in ideals])
-    result = first.spawn(v.components[0] for v in kernel)
-    result._gb_cache[DEGREVLEX] = GroebnerBasis(result.generators, DEGREVLEX)
-    return result
+    return first.spawn_reduced(v.components[0] for v in kernel)

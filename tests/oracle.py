@@ -8,8 +8,11 @@ and with definitional membership tests.  ``is_groebner`` checks Buchberger's
 S-pair criterion on a generator list, ``graph_kernel`` reads a module
 kernel off the fully interreduced graph basis, ``lifted_image`` computes
 a graded image by membership lifting, and ``direct_defect_at`` runs the
-level-n colon chain with one kernel per step.  Disagreement with the main
-route is always a hard failure of the library, never a tolerance issue.
+level-n colon chain with one kernel per step.  The level checks take q^k M
+from ``product_power``, a basis of the degree-k products of q's generators
+plus I_M, so they share neither the package's power ladder nor its closed
+form for graded inputs.  Disagreement with the main route is always a hard
+failure of the library, never a tolerance issue.
 
 The last section holds small operations that only tests use: monomial
 comparison, term multiplication, substitution, ideal products and session
@@ -307,6 +310,18 @@ def truncated_regularity(pres: GradedQuotientPresentation, b, n_max: int) -> boo
 # Brute-force view of the level-n colon-stable module
 # ---------------------------------------------------------------------------
 
+def product_power(ctx: FiltrationContext, k: int) -> PresentedIdeal:
+    """q^k + I_M generated by the degree-k products of q's generators and
+    I_M's generators, its basis left to ``buchberger``; memoised in the
+    context's scratch space."""
+    key = ("product_power", k)
+    if key not in ctx.scratch:
+        products = tuple(p for _, p in ctx.q_power_products(k))
+        ctx.scratch[key] = PresentedIdeal(ctx.ring, ctx.base_generators,
+                                          products + ctx.module_generators, ctx.step_budget)
+    return ctx.scratch[key]
+
+
 @dataclass(frozen=True)
 class OracleDefect:
     """Definitional membership data for the level-n stabilized colon module."""
@@ -323,7 +338,7 @@ def _definitional_member(ctx: FiltrationContext, g: Polynomial, n: int, l_cap: i
     for i, s in enumerate(ctx.system):
         hit = False
         for k in range(l_cap + 1):
-            power = ctx.q_power(n + k * s.degree)
+            power = product_power(ctx, n + k * s.degree)
             if power.contains(g * ctx.system_power(i, k)):
                 hit = True
                 break
@@ -345,7 +360,7 @@ def truncated_defect(ctx: FiltrationContext, n: int, degree_cap: int, l_cap: int
     if not ctx.system:
         raise ValidationError("empty system")
     members = []
-    target = ctx.q_power(n)
+    target = product_power(ctx, n)
     vanishing = True
     one = ctx.ring.field.coerce(1)
     for expts in _ambient_monomials(ctx, degree_cap):
@@ -374,7 +389,7 @@ def defect_agrees(ctx: FiltrationContext, record, degree_cap: int) -> bool:
     for g in record.ideal.generators:
         if not _definitional_member(ctx, g, record.n, l_cap):
             return False
-    target = ctx.q_power(record.n)
+    target = product_power(ctx, record.n)
     if record.vanishing:
         if record.quotient_generators:
             return False
@@ -397,7 +412,7 @@ def direct_defect_at(ctx: FiltrationContext, n: int, params: CriterionParams) ->
     status, stabilized_l = "budget", params.l_max
     for l in range(1, params.l_max + 1):
         current = meet_of_colons(
-            [ctx.q_power(n + l * s.degree) for s in ctx.system],
+            [product_power(ctx, n + l * s.degree) for s in ctx.system],
             [ctx.system_power(i, l) for i in range(len(ctx.system))],
         )
         if prev is not None:
@@ -411,7 +426,7 @@ def direct_defect_at(ctx: FiltrationContext, n: int, params: CriterionParams) ->
             status, stabilized_l = "stabilized", l - params.window
             break
         prev = current
-    target = ctx.q_power(n)
+    target = product_power(ctx, n)
     residues = []
     for g in current.groebner().generators:
         r = target.reduce(g)

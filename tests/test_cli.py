@@ -159,6 +159,20 @@ def test_adversarial_inputs_never_exit_1(tmp_path, capsys, name):
         assert codes["hilbert"] == 2
 
 
+def test_minors_cm_check(tmp_path, capsys):
+    """The 2x2 minors of a generic 2x3 matrix: a graded input whose level
+    scan reads one shared colon sequence."""
+    path = tmp_path / "minors.fc"
+    path.write_text("field QQ\nvars a, b, c, d, e, f\n"
+                    "base: a*e - b*d, a*f - c*d, b*f - c*e\nq: a, b, c, d, e, f\na: a\n",
+                    encoding="utf-8")
+    assert main(["cm-check", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["verdict"], report["depth"], report["dim"]) == ("cohen-macaulay", 4, 4)
+    assert len(report["lzero_table"]) == 11
+    assert all(row["vanishing"] for row in report["lzero_table"])
+
+
 def test_emit_cas_dialects(curve_file, capsys):
     assert main(["emit-cas", str(curve_file)]) == 0
     script = capsys.readouterr().out

@@ -24,6 +24,7 @@ from formcone import (
     squared_system,
     system_images,
 )
+from formcone.criterion import _shared_colons
 
 DEMO_PARAMS = CriterionParams(n_max=10)  # the scan bound of demos/semigroup_curve.fc
 R1 = PolynomialRing(QQ, ("x",))
@@ -82,11 +83,19 @@ def _record_fields(record):
             record.status, record.quotient_generators)
 
 
+def _fresh(ctx):
+    """A context with the same data and system and cold caches."""
+    return ctx.with_exponent_system([(s.element, s.degree) for s in ctx.system])
+
+
 def test_propagated_chains_match_the_direct_loop(corpus):
-    # C(n, l+1) = (C(n+c, l) : a) lets single-element chains skip kernels;
-    # every record must still be the one the direct loop gives, whether the
-    # levels are scanned upward (each chain first extended from the level
-    # below) or downward (each chain extended past its own window later)
+    # C(n, l+1) = (C(n+c, l) : a) lets single-element chains skip kernels,
+    # and graded inputs (I_M homogeneous, q + I_A = m, each a_i homogeneous
+    # of its degree) read every level off one colon sequence, C(n, l) =
+    # K_l + m^n; every record must still be the one the direct loop gives
+    # with product-built powers, whether the levels are scanned upward
+    # (each chain first extended from the level below) or downward (each
+    # chain extended past its own window later)
     cases = [(i.ctx, CORPUS_PARAMS) for i in corpus]
     cases += [(ctx, CORPUS_PARAMS) for ctx in tier4_contexts()]
     cases.append((curve_context(), DEMO_PARAMS))
@@ -95,16 +104,25 @@ def test_propagated_chains_match_the_direct_loop(corpus):
     x, y, z = R3.gens()
     cases.append((FiltrationContext(R3, (y**3, z**2), (), (x, y, z), [(z, 1), (y, 1)]),
                   CORPUS_PARAMS))
-    singles = 0
+    singles = shared = 0
     for ctx, params in cases:
         levels = range(params.n_max + 1)
         reference = [_record_fields(direct_defect_at(ctx, n, params)) for n in levels]
         for order in (levels, reversed(levels)):
-            cold = ctx.with_exponent_system([(s.element, s.degree) for s in ctx.system])
+            cold = _fresh(ctx)
             for n in order:
                 assert _record_fields(defect_at(cold, n, params)) == reference[n], (str(ctx), n)
+            routes = {key[0] for key in cold.scratch} & {"chain", "colon_sequence"}
+            if _shared_colons(cold):
+                assert routes == {"colon_sequence"}
+            else:
+                assert "colon_sequence" not in routes
         singles += len(ctx.system) == 1
+        shared += _shared_colons(ctx)
     assert singles >= 20 and singles < len(cases)  # both kinds of system are covered
+    # 26 corpus inputs (inst20 and inst31 among them), 2 of tier 4, and the
+    # two-element case, whose colon sequence changes at l = 1, 2 and 3
+    assert shared == 29
 
 
 def test_propagation_saves_kernels(monkeypatch):
@@ -123,6 +141,44 @@ def test_propagation_saves_kernels(monkeypatch):
     propagated = count(lambda ctx: defect_scan(ctx, DEMO_PARAMS))
     assert propagated < direct
     assert (direct, propagated) == (33, 14)
+
+
+def test_shared_colons_save_kernels(corpus, monkeypatch):
+    # inst20, k[x,y,z] with a = (x, y): K_1 = K_0 = 0, so one kernel serves
+    # all nine levels, where the direct loop takes three per level
+    calls = []
+    kernel = ideals_module.syzygy_basis
+    monkeypatch.setattr(ideals_module, "syzygy_basis",
+                        lambda *args: calls.append(1) or kernel(*args))
+    ctx = next(i.ctx for i in corpus if i.name.startswith("inst20"))
+    levels = range(CORPUS_PARAMS.n_max + 1)
+    [direct_defect_at(_fresh(ctx), n, CORPUS_PARAMS) for n in levels]
+    direct = len(calls)
+    calls.clear()
+    defect_scan(_fresh(ctx), CORPUS_PARAMS)
+    assert (direct, len(calls)) == (27, 1)
+
+
+def test_inputs_off_the_graded_case_keep_the_chain():
+    # the inhomogeneous semigroup curve, a homogeneous I_M with an
+    # inhomogeneous system element, q = (x) on the plane, and a system entry
+    # whose exponent is below its degree all take the l-chain
+    x, y = R2.gens()
+    cases = [
+        (curve_context(), DEMO_PARAMS),
+        (FiltrationContext(R2, (x * x,), (), (x, y), [(y + x * x, 1)]), CORPUS_PARAMS),
+        (FiltrationContext(R2, (), (), (x,), [(x, 1)]), CORPUS_PARAMS),
+        (FiltrationContext(R2, (), (), (x, y), []).with_exponent_system([(x * y, 1)]),
+         CORPUS_PARAMS),
+    ]
+    for ctx, params in cases:
+        assert not _shared_colons(ctx), str(ctx)
+        levels = range(params.n_max + 1)
+        reference = [_record_fields(direct_defect_at(ctx, n, params)) for n in levels]
+        assert [_record_fields(defect_at(ctx, n, params)) for n in levels] == reference
+        assert ("colon_sequence",) not in ctx.scratch
+    assert curve_context().is_graded("base") is False
+    assert cases[1][0].is_graded()  # graded ladder, inhomogeneous element
 
 
 def test_empty_system_rejected():

@@ -303,8 +303,10 @@ def test_graded_image_matches_lifting(corpus):
 
 
 def test_power_ladder_matches_products(corpus):
-    # q^n + J from the previous power's basis must equal the old route, a
-    # basis of all degree-n products of q's generators plus J
+    # q^n + J, from the previous power's basis or, on graded ladders, from
+    # the closed form, must equal the old route, a basis of all degree-n
+    # products of q's generators plus J; the ladder's shape is checked where
+    # it is used
     for ctx in _ladder_contexts(corpus):
         for modulo, j_ideal in (("module", ctx.ideal_m), ("base", ctx.ideal_a)):
             j_gens = ctx.module_generators if modulo == "module" else ()
@@ -314,6 +316,8 @@ def test_power_ladder_matches_products(corpus):
                 old = buchberger(products + j_ideal.combined())
                 assert ideal.groebner().generators == old.generators, (str(ctx), modulo, n)
                 assert ideal.base == ctx.base_generators
+                if ctx.is_graded(modulo):
+                    continue
                 if n <= 1:
                     assert ideal.generators == products + j_gens
                 else:
@@ -321,6 +325,39 @@ def test_power_ladder_matches_products(corpus):
                     assert ideal.generators[len(ladder):] == j_gens
                     assert not any(g.is_zero() for g in ladder)
                     assert len(set(ladder)) == len(ladder)
+
+
+def test_graded_powers_need_no_basis_run(corpus, monkeypatch):
+    # m^k + J read off J's reduced basis must be the basis of the degree-k
+    # products plus J (the ladder test covers the corpus and tier-4 inputs
+    # for k <= 8), here on the char-2 quadric and the 2x3 minors, and no
+    # basis computation may run for it
+    f2 = PolynomialRing(FieldSpec(2), ("x", "y", "z"))
+    x, y, z = f2.gens()
+    r6 = PolynomialRing(QQ, ("a", "b", "c", "d", "e", "f"))
+    a, b, c, d, e, f = r6.gens()
+    cases = [
+        (f2, (x**2 + y**2 + z**2,), 8),
+        (r6, (a * e - b * d, a * f - c * d, b * f - c * e), 6),
+    ]
+    contexts = [i.ctx for i in corpus] + tier4_contexts()
+    assert sum(ctx.is_graded() for ctx in contexts) == 28
+    assert [ctx.is_graded("base") for ctx in tier4_contexts()] == [False, True, True]
+    expected = []
+    for ring, base, top in cases:
+        ctx = FiltrationContext(ring, base, (), ring.gens(), [])
+        assert ctx.is_graded("module") and ctx.is_graded("base")
+        for k in range(top + 1):
+            products = tuple(p for _, p in ctx.q_power_products(k))
+            expected.append((ctx, k, buchberger(products + base).generators))
+
+    def refuse(*args):
+        raise AssertionError("graded power ran a basis computation")
+
+    monkeypatch.setattr("formcone.ideals.buchberger", refuse)
+    for ctx, k, basis in expected:
+        for modulo in ("module", "base"):
+            assert ctx.q_power(k, modulo).groebner().generators == basis, (str(ctx), k)
 
 
 def test_power_ladder_is_built_without_recursion():
