@@ -8,8 +8,11 @@ grade and depth, and a Cohen-Macaulayness check for the associated graded
 module driven by stabilized colon intersections, cross-verified by two
 independent exact routes.
 
-All values are immutable after construction and all operations are pure
-functions, so concurrent use on shared inputs is safe.
+Values (polynomials, ideals, records, reports) are immutable after
+construction.  Contexts and ideals memoise in place: Groebner bases, filtration
+powers, and the level chains and colon sequence of the criterion grow as they
+are used.  Scan one context from one thread at a time: two threads extending
+one chain can append the same step twice, which shifts every later flag.
 """
 
 from .criterion import (

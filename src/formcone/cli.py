@@ -28,7 +28,6 @@ from .errors import (
     BudgetExceededError,
     ConsistencyError,
     DegenerateSystemError,
-    FormconeError,
     InfiniteComponentError,
     ParseError,
     RingMismatchError,
@@ -109,7 +108,7 @@ def run_command(command: str, spec: SessionSpec, dialect: str = "macaulay2") -> 
         try:
             cone = pres.variable_cone()
             payload["cone"] = [str(g) for g in cone.ideal.groebner().generators]
-        except (ValidationError, FormconeError):
+        except ValidationError:  # the presentation has no variable cone
             pass
         return payload
 

@@ -11,15 +11,19 @@ Koszul computation must reproduce exactly.  When the initial forms are a
 system of parameters that grade equals the depth, and depth = dimension is
 the Cohen-Macaulay verdict.
 
-Nonvanishing detections are exact (the probed chain only grows); vanishing
-verdicts are bounded by n_max/l_max and every record says so via
-``certified=False``.  The exact graded route is always the authority.
+Each level's l-chain, and the colon sequence that graded inputs share across
+levels, is one append-only chain type that asserts the ascending property as
+it grows; ``defect_at`` reads its stopping window from it.  Nonvanishing
+detections are exact (the probed chain only grows); vanishing verdicts are
+bounded by n_max/l_max and every record says so via ``certified=False``.
+The exact graded route is always the authority.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from itertools import product as cartesian
 
@@ -167,71 +171,67 @@ def _require_exact_system(ctx: FiltrationContext):
 # Level-n scan
 # ---------------------------------------------------------------------------
 
-class _LevelChain:
-    """The l-chain of one level n: ``equal[l-1]`` says C(n, l) = C(n, l-1),
-    where C(n, 0) = q^n M; ``ideal`` is the latest C(n, l); ``closed`` is
-    (l, C(n, l)) at the first l where the window closes, None before."""
+@dataclass(eq=False)
+class _Chain:
+    """An append-only chain of ideals: ``ideals[l]`` is term l, and
+    ``changed[l-1]`` the least degree in which the reduced bases of terms l
+    and l-1 differ (None where they are equal).  Level n's chain starts at
+    C(n, 0) = q^n M, the shared colon sequence at K_0 = I_M."""
 
-    __slots__ = ("n", "equal", "ideal", "closed")
+    ideals: list[PresentedIdeal]
+    label: str
+    changed: list[int | None] = field(default_factory=list)
 
-    def __init__(self, n: int, start: PresentedIdeal):
-        self.n = n
-        self.equal: list[bool] = []
-        self.ideal = start
-        self.closed: tuple[int, PresentedIdeal] | None = None
+    def append(self, term: PresentedIdeal | None = None) -> None:
+        """Add the next term; None repeats the last one, for a step already
+        known to leave the chain unchanged.
+
+        From l = 2 on, each term must contain the one before (step 1 always
+        does, because a colon contains its target).  Equal reduced bases
+        contain each other, so containment is tested only where they differ;
+        a violation is an internal bug, not an input problem.
+        """
+        prev = self.ideals[-1]
+        term = prev if term is None else term
+        basis, before = term.groebner().generators, prev.groebner().generators
+        differ = set(basis).symmetric_difference(before) if basis != before else ()
+        if differ and self.changed and not term.contains_ideal(prev):
+            raise ConsistencyError(
+                f"colon chain is not ascending at {self.label}, l={len(self.ideals)}")
+        self.ideals.append(term)
+        self.changed.append(min(g.total_degree() for g in differ) if differ else None)
 
 
-def _level_chain(ctx: FiltrationContext, n: int, params: CriterionParams) -> _LevelChain:
-    """Level n's chain: memoised per context for a single-element system,
-    whose chains the propagation rule shares across levels; fresh otherwise."""
-    if len(ctx.system) > 1:
-        return _LevelChain(n, ctx.q_power(n))
-    key = ("chain", n, params.l_max, params.window)
-    if key not in ctx.scratch:
-        ctx.scratch[key] = _LevelChain(n, ctx.q_power(n))
-    return ctx.scratch[key]
+def _level_chain(ctx: FiltrationContext, n: int, l: int, params: CriterionParams) -> _Chain:
+    """Level n's chain, extended through C(n, l) and memoised per context by
+    level alone: neither its terms nor its flags depend on l_max or window.
 
-
-def _extend(ctx: FiltrationContext, chain: _LevelChain, params: CriterionParams) -> None:
-    """One step of the chain: C(n, l) from C(n, l-1), by the propagation rule
-    when it applies and by one colon kernel otherwise.
-
-    The rule reads level n+c's flag, extending that chain as needed, only
-    while n+c <= n_max; above n_max it reads a flag some earlier step
-    already computed, and otherwise takes the kernel here, which costs about
-    what extending the chain above would.
-
-    The ascending-chain property is asserted wherever the ideal changes
-    (equal reduced bases contain each other, so containment is tested only
-    when they differ); violating it is an internal bug, not an input problem.
+    For a single element, each step from l = 2 on first tries the
+    propagation rule (see ``defect_at``) and otherwise takes one colon
+    kernel.  The rule reads level n+c's flag, extending that chain as
+    needed, only while n+c <= n_max; above n_max it reads a flag some
+    earlier step already computed, and otherwise takes the kernel here,
+    which costs about what extending the chain above would.
     """
-    n, l = chain.n, len(chain.equal) + 1
-    propagated = False
-    if len(ctx.system) == 1 and l >= 2:
-        up = n + ctx.system[0].degree
-        if up <= params.n_max:
-            above = _level_chain(ctx, up, params)
-            while len(above.equal) < l - 1:
-                _extend(ctx, above, params)
-        else:
-            above = ctx.scratch.get(("chain", up, params.l_max, params.window))
-        if above is not None and len(above.equal) >= l - 1:
-            propagated = above.equal[l - 2]
-    if propagated:
-        equal = True
-    else:
-        current = meet_of_colons(
-            [ctx.q_power(n + l * s.degree) for s in ctx.system],
-            [ctx.system_power(i, l) for i in range(len(ctx.system))],
-        )
-        equal = current.equals(chain.ideal)
-        if not equal and l >= 2 and not current.contains_ideal(chain.ideal):
-            raise ConsistencyError(f"colon chain is not ascending at level n={n}, l={l}")
-        chain.ideal = current
-    chain.equal.append(equal)
-    w = params.window
-    if chain.closed is None and l > w and all(chain.equal[l - w:]):
-        chain.closed = (l, chain.ideal)
+    key = ("chain", n)
+    chain = ctx.scratch.get(key)
+    if chain is None:
+        chain = ctx.scratch[key] = _Chain([ctx.q_power(n)], f"level n={n}")
+    while len(chain.changed) < l:
+        step = len(chain.changed) + 1
+        if len(ctx.system) == 1 and step >= 2:
+            up = n + ctx.system[0].degree
+            above = (_level_chain(ctx, up, step - 1, params) if up <= params.n_max
+                     else ctx.scratch.get(("chain", up)))
+            if above is not None and len(above.changed) >= step - 1 \
+                    and above.changed[step - 2] is None:
+                chain.append()
+                continue
+        chain.append(meet_of_colons(
+            [ctx.q_power(n + step * s.degree) for s in ctx.system],
+            [ctx.system_power(i, step) for i in range(len(ctx.system))],
+        ))
+    return chain
 
 
 def _shared_colons(ctx: FiltrationContext) -> bool:
@@ -244,77 +244,31 @@ def _shared_colons(ctx: FiltrationContext) -> bool:
     )
 
 
-class _ColonSequence:
-    """K_l = intersection over i of (I_M : a_i^l), K_0 = I_M, of a context
-    with shared colons: ``bases[l]`` is K_l's reduced basis, and
-    ``changed[l-1]`` is the least degree in which K_l and K_(l-1) differ,
-    None where they are equal."""
-
-    __slots__ = ("bases", "changed")
-
-    def __init__(self, start: tuple):
-        self.bases = [start]
-        self.changed: list[int | None] = []
-
-
-def _colon_sequence(ctx: FiltrationContext, l: int) -> _ColonSequence:
-    """The context's sequence, extended through K_l, one kernel per step.
+def _colon_sequence(ctx: FiltrationContext, l: int) -> _Chain:
+    """K_l = intersection over i of (I_M : a_i^l), memoised per context and
+    extended through K_l, one kernel per step.
 
     Once K_l = K_(l-1), every later K equals it and no kernel is taken.
     Take f in K_(l+1) and put f_S = f * prod_(j in S) a_j for a subset S of
     the system; f_S lies in K_l, by induction down over |S|.  For a_i in S,
     f_S * a_i^l is a multiple of f * a_i^(l+1), which lies in I_M; for a_i
     not in S, f_S * a_i lies in K_l = K_(l-1), so f_S * a_i^l lies in I_M.
-    S empty gives f in K_l.  The ascending property is asserted once per
-    step, where the bases differ.
+    S empty gives f in K_l.
     """
     key = ("colon_sequence",)
     seq = ctx.scratch.get(key)
     if seq is None:
-        seq = ctx.scratch[key] = _ColonSequence(ctx.ideal_m.groebner().generators)
+        seq = ctx.scratch[key] = _Chain([ctx.ideal_m], "the shared colon sequence")
     while len(seq.changed) < l:
-        step, prev = len(seq.changed) + 1, seq.bases[-1]
         if seq.changed and seq.changed[-1] is None:
-            seq.bases.append(prev)
-            seq.changed.append(None)
+            seq.append()
             continue
-        current = meet_of_colons(
+        step = len(seq.changed) + 1
+        seq.append(meet_of_colons(
             [ctx.ideal_m] * len(ctx.system),
             [ctx.system_power(i, step) for i in range(len(ctx.system))],
-        )
-        basis = current.groebner().generators
-        differ = set(basis).symmetric_difference(prev)
-        if differ and not all(current.contains(g) for g in prev):
-            raise ConsistencyError(f"colon sequence is not ascending at l={step}")
-        seq.bases.append(basis)
-        seq.changed.append(min(g.total_degree() for g in differ) if differ else None)
+        ))
     return seq
-
-
-def _shared_level(ctx: FiltrationContext, n: int,
-                  params: CriterionParams) -> tuple[str, int, PresentedIdeal]:
-    """(status, stabilized_l, C(n, l)) of level n from the colon sequence.
-
-    For homogeneous x, x * a_i^l lies in m^(n+l*c_i) + I_M iff deg x >= n or
-    x * a_i^l lies in I_M, so C(n, l) = K_l + m^n.  Step l leaves the chain
-    unchanged iff K_l and K_(l-1) agree in every degree below n, and the
-    window closes exactly where the chain's flags would close it.
-    """
-    w = params.window
-    run, closed = 0, None
-    for l in range(1, params.l_max + 1):
-        changed = _colon_sequence(ctx, l).changed[l - 1]
-        run = run + 1 if l >= 2 and (changed is None or changed >= n) else 0
-        if run == w:
-            closed = l
-            break
-    if closed is None:
-        status, stabilized_l, l = "budget", params.l_max, params.l_max
-    else:
-        status, stabilized_l, l = "stabilized", closed - w, closed
-    basis = _colon_sequence(ctx, l).bases[l]
-    return status, stabilized_l, ctx.ideal_m.spawn_reduced(
-        graded_power_basis(ctx.ring, basis, n))
 
 
 def defect_at(ctx: FiltrationContext, n: int,
@@ -323,7 +277,8 @@ def defect_at(ctx: FiltrationContext, n: int,
 
     The chain stops once ``window`` consecutive steps from l = 2 on leave it
     unchanged, or at ``l_max`` (status "budget", a reported status, never an
-    exception).
+    exception).  Both routes below keep their terms in one chain type,
+    ``_Chain``, and this one rule reads its per-step flags.
 
     For a single element a of degree c, write C(m, 0) = q^m M.  Then
 
@@ -333,17 +288,17 @@ def defect_at(ctx: FiltrationContext, n: int,
     C(n+c, l).  So C(n+c, l) = C(n+c, l-1) implies C(n, l+1) = C(n, l), and
     each step from l = 2 on first reads that equality from level n+c and
     computes a colon kernel only when the equality is absent (see
-    ``_extend`` for how far above n_max it reads).  The rule proves only
-    true equalities, so records are those of the direct loop.  With two or
-    more elements the rule does not apply and every step is a kernel.
+    ``_level_chain`` for how far above n_max it reads).  The rule proves
+    only true equalities, so records are those of the direct loop.  With two
+    or more elements the rule does not apply and every step is a kernel.
 
     Graded inputs (``_shared_colons``: I_M homogeneous, q + I_A the ideal m
-    of all variables, each a_i homogeneous of degree c_i) take no chain at
-    all: C(n, l) = K_l + m^n with K_l = intersection over i of
-    (I_M : a_i^l), so one kernel per l, memoised per context, serves every
-    level, and each step's equality is read from the degrees below n in
-    which K_l and K_(l-1) agree.  The window, statuses and records are the
-    chain's.
+    of all variables, each a_i homogeneous of degree c_i) take no level
+    chain at all.  For homogeneous x, x * a_i^l lies in m^(n+l*c_i) + I_M
+    iff deg x >= n or x * a_i^l lies in I_M, so C(n, l) = K_l + m^n with
+    K_l = intersection over i of (I_M : a_i^l).  One colon sequence of the
+    K_l, memoised per context, serves every level: step l leaves level n's
+    chain unchanged iff K_l and K_(l-1) agree in every degree below n.
     """
     _require_usable_system(ctx)
     if n < 0:
@@ -352,17 +307,22 @@ def defect_at(ctx: FiltrationContext, n: int,
     if key in ctx.scratch:
         return ctx.scratch[key]
 
-    if _shared_colons(ctx):
-        status, stabilized_l, current = _shared_level(ctx, n, params)
-    else:
-        chain = _level_chain(ctx, n, params)
-        while chain.closed is None and len(chain.equal) < params.l_max:
-            _extend(ctx, chain, params)
-        if chain.closed is None:
-            status, stabilized_l, current = "budget", params.l_max, chain.ideal
-        else:
-            closed_l, current = chain.closed
-            status, stabilized_l = "stabilized", closed_l - params.window
+    shared = _shared_colons(ctx)
+    # on the shared route, terms that differ only in degrees >= n give the
+    # same K_l + m^n, so such a step leaves level n's chain unchanged
+    horizon = n if shared else math.inf
+    w, run = params.window, 0
+    for l in range(1, params.l_max + 1):
+        chain = _colon_sequence(ctx, l) if shared else _level_chain(ctx, n, l, params)
+        changed = chain.changed[l - 1]
+        run = run + 1 if l >= 2 and (changed is None or changed >= horizon) else 0
+        if run == w:
+            break
+    status, stabilized_l = ("stabilized", l - w) if run == w else ("budget", params.l_max)
+    current = chain.ideals[l]
+    if shared:
+        current = ctx.ideal_m.spawn_reduced(
+            graded_power_basis(ctx.ring, current.groebner().generators, n))
 
     target = ctx.q_power(n)
     if not current.contains_ideal(target):

@@ -3,8 +3,10 @@
 Provides initial degrees along the q-adic filtration, Rees-algebra and
 associated-graded (form ring) presentations by tag-variable elimination, a
 direct lowest-form tangent-cone route for cross-checking, and the passage
-M -> M/bM used by the depth recursion.  Contexts are immutable; caches are
-write-once.
+M -> M/bM used by the depth recursion.  A context's inputs are immutable,
+but it memoises in place (powers, presentations, and the ``scratch`` space
+where the criterion grows its level chains), so one context must not be
+scanned from two threads at once.
 
 One basis per context, of I_M + (y_j - f_j T) under an order that eliminates
 the tag T, serves both presentations and the graded images.  The image of a
@@ -232,7 +234,9 @@ class FiltrationContext:
         self._system_powers: dict = {}
         self._presentations: dict = {}
         self._graded: dict[str, bool] = {}
-        self.scratch: dict = {}  # memo space for higher layers; values immutable
+        # memo space for higher layers: records are immutable, but level
+        # chains and the colon sequence in it are extended in place
+        self.scratch: dict = {}
 
         if _validated_system is not None:
             self.system = _validated_system

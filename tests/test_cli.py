@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from formcone.cas import emit_cas_script
+from formcone.errors import BudgetExceededError
+from formcone.filtration import GradedQuotientPresentation
 from formcone.cli import COMMANDS, emit_report, main, run_command
 from formcone.session import parse_session
 
@@ -120,6 +122,17 @@ def test_exit_code_for_budget_exhaustion(curve_file, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_formring_reports_budget_exhaustion_inside_the_cone(curve_file, capsys, monkeypatch):
+    # only the cone's own refusal (ValidationError) drops the "cone" key;
+    # a budget or consistency failure inside it keeps its exit code
+    def exhausted(self):
+        raise BudgetExceededError("step budget spent inside variable_cone")
+
+    monkeypatch.setattr(GradedQuotientPresentation, "variable_cone", exhausted)
+    assert main(["formring", str(curve_file)]) == 3
+    assert "budget exhausted" in capsys.readouterr().err
+
+
 def test_bad_override_rejected(curve_file, capsys):
     assert main(["gb", str(curve_file), "--set", "nonsense=3"]) == 2
 
@@ -202,20 +215,29 @@ def test_run_command_payload_reuse():
 
 
 @pytest.mark.parametrize("command", ["cm-check", "lzero", "full-report"])
-def test_json_report_is_independent_of_hash_seed(command):
-    """Per-run caches must not let set or dict iteration order leak into output."""
+def test_json_report_is_independent_of_hash_seed(command, tmp_path):
+    """Per-run caches must not let set or dict iteration order leak into output.
+
+    The demo curve's levels read level chains; the graded session's read the
+    shared colon sequence, which changes at l = 1 and 2.  Both derive their
+    flags from sets of basis elements.
+    """
     root = Path(__file__).resolve().parent.parent
-    code = ("import sys; from formcone.cli import main; "
-            f"sys.exit(main([{command!r}, 'demos/semigroup_curve.fc', '--json']))")
-    reports = []
-    for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"),
-                                                            os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        report = json.loads(done.stdout)
-        report.pop("timings")
-        reports.append(report)
-    assert reports[0] == reports[1]
+    graded = tmp_path / "graded.fc"
+    graded.write_text("field QQ\nvars x, y, z\nbase: x^2*y, x*z^2\nq: x, y, z\na: x\n",
+                      encoding="utf-8")
+    for path in (root / "demos" / "semigroup_curve.fc", graded):
+        code = ("import sys; from formcone.cli import main; "
+                f"sys.exit(main([{command!r}, {str(path)!r}, '--json']))")
+        reports = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"),
+                                                                os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            report = json.loads(done.stdout)
+            report.pop("timings")
+            reports.append(report)
+        assert reports[0] == reports[1], path.name

@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import pytest
 from corpus import CORPUS_PARAMS, tier4_contexts
 from oracle import direct_defect_at
 
+import formcone.criterion as criterion_module
 import formcone.ideals as ideals_module
 from formcone import (
     QQ,
     BudgetExceededError,
+    ConsistencyError,
     CriterionParams,
     DegenerateSystemError,
     FiltrationContext,
@@ -88,6 +92,13 @@ def _fresh(ctx):
     return ctx.with_exponent_system([(s.element, s.degree) for s in ctx.system])
 
 
+def _two_element_graded_context():
+    # its level-1 chain grows again after C(1, 2) = C(1, 1), and its colon
+    # sequence changes at l = 1, 2 and 3
+    x, y, z = R3.gens()
+    return FiltrationContext(R3, (y**3, z**2), (), (x, y, z), [(z, 1), (y, 1)])
+
+
 def test_propagated_chains_match_the_direct_loop(corpus):
     # C(n, l+1) = (C(n+c, l) : a) lets single-element chains skip kernels,
     # and graded inputs (I_M homogeneous, q + I_A = m, each a_i homogeneous
@@ -95,23 +106,31 @@ def test_propagated_chains_match_the_direct_loop(corpus):
     # K_l + m^n; every record must still be the one the direct loop gives
     # with product-built powers, whether the levels are scanned upward
     # (each chain first extended from the level below) or downward (each
-    # chain extended past its own window later)
-    cases = [(i.ctx, CORPUS_PARAMS) for i in corpus]
-    cases += [(ctx, CORPUS_PARAMS) for ctx in tier4_contexts()]
-    cases.append((curve_context(), DEMO_PARAMS))
-    # two elements whose level-1 chain grows again after C(1, 2) = C(1, 1):
-    # reading level 1 + c's flags here would close its window two steps early
-    x, y, z = R3.gens()
-    cases.append((FiltrationContext(R3, (y**3, z**2), (), (x, y, z), [(z, 1), (y, 1)]),
-                  CORPUS_PARAMS))
-    singles = shared = 0
-    for ctx, params in cases:
-        levels = range(params.n_max + 1)
-        reference = [_record_fields(direct_defect_at(ctx, n, params)) for n in levels]
-        for order in (levels, reversed(levels)):
+    # chain extended past its own window later).  Chains are memoised by
+    # level alone, so some contexts are scanned under a second parameter
+    # set too, on the chains the first scan left
+    def with_narrow(params):
+        return [params, replace(params, window=3, l_max=6)]
+
+    twice = ("inst31", "inst40")  # the shared route; a two-element chain
+    cases = [(i.name, i.ctx, with_narrow(CORPUS_PARAMS) if i.name.startswith(twice)
+              else [CORPUS_PARAMS]) for i in corpus]
+    cases += [("tier4", ctx, [CORPUS_PARAMS]) for ctx in tier4_contexts()]
+    cases.append(("curve", curve_context(), with_narrow(DEMO_PARAMS)))
+    # reading level 1 + c's flags here would close level 1's window two
+    # steps early
+    cases.append(("two-element", _two_element_graded_context(), [CORPUS_PARAMS]))
+    singles = shared = rescanned = 0
+    for name, ctx, param_sets in cases:
+        reference = {params: [_record_fields(direct_defect_at(ctx, n, params))
+                              for n in range(params.n_max + 1)] for params in param_sets}
+        for upward in (True, False):
             cold = _fresh(ctx)
-            for n in order:
-                assert _record_fields(defect_at(cold, n, params)) == reference[n], (str(ctx), n)
+            for params in param_sets:
+                levels = range(params.n_max + 1)
+                for n in levels if upward else reversed(levels):
+                    assert _record_fields(defect_at(cold, n, params)) == reference[params][n], \
+                        (name, params, n)
             routes = {key[0] for key in cold.scratch} & {"chain", "colon_sequence"}
             if _shared_colons(cold):
                 assert routes == {"colon_sequence"}
@@ -119,10 +138,39 @@ def test_propagated_chains_match_the_direct_loop(corpus):
                 assert "colon_sequence" not in routes
         singles += len(ctx.system) == 1
         shared += _shared_colons(ctx)
+        rescanned += len(param_sets) > 1
+        if name.startswith("inst31"):
+            # window 3 reaches inst31's K_4 = (1), so its level 1 does not vanish
+            assert [fields[1] for fields in reference[param_sets[1]][:2]] == [True, False]
     assert singles >= 20 and singles < len(cases)  # both kinds of system are covered
     # 26 corpus inputs (inst20 and inst31 among them), 2 of tier 4, and the
     # two-element case, whose colon sequence changes at l = 1, 2 and 3
     assert shared == 29
+    assert rescanned == 3
+
+
+def test_the_ascending_check_fires_on_both_routes(monkeypatch):
+    # a kernel that returns its own colon target at l = 2, an ideal strictly
+    # inside the step-1 term, must stop a level chain and the shared colon
+    # sequence alike
+    meet = criterion_module.meet_of_colons
+    for ctx in (curve_context(), _two_element_graded_context()):
+        squares = tuple(ctx.system_power(i, 2) for i in range(len(ctx.system)))
+        shrunk = []
+
+        def shrinking(ideals, elements, squares=squares, shrunk=shrunk):
+            ideals, elements = tuple(ideals), tuple(elements)
+            if elements != squares:
+                return meet(ideals, elements)
+            shrunk.append(1)
+            return ideals[0]
+
+        monkeypatch.setattr(criterion_module, "meet_of_colons", shrinking)
+        with pytest.raises(ConsistencyError, match="not ascending"):
+            defect_scan(ctx, DEMO_PARAMS)
+        assert shrunk == [1], str(ctx)
+    assert not _shared_colons(curve_context())
+    assert _shared_colons(_two_element_graded_context())
 
 
 def test_propagation_saves_kernels(monkeypatch):
