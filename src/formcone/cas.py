@@ -9,17 +9,24 @@ executed.
 from __future__ import annotations
 
 from .errors import ValidationError
-from .filtration import _fresh_names
 from .session import SessionSpec
 
 DIALECTS = ("macaulay2", "singular")
+# the names the scripts assign; the Singular script does not use "kk"
+SCRIPT_NAMES = ("kk", "S", "IM", "J", "H", "P", "HG", "G")
 
 
 def _names(spec: SessionSpec):
+    """The Rees variables y1, y2, ..., the tag T, and the script's own names.
+
+    Each script name is the ring's fresh name for its stem, checked against
+    the variables, the y names and T, so no assignment rebinds a variable.
+    """
     ring = spec.ring
-    y_names = _fresh_names(ring, "y", len(spec.q))
+    y_names = ring.fresh_names("y", len(spec.q))
     t_name = ring.fresh_name("T")
-    return y_names, t_name
+    taken = ring.extend(y_names + [t_name])
+    return y_names, t_name, [taken.fresh_name(stem) for stem in SCRIPT_NAMES]
 
 
 def emit_cas_script(spec: SessionSpec, dialect: str = "macaulay2") -> str:
@@ -31,54 +38,54 @@ def emit_cas_script(spec: SessionSpec, dialect: str = "macaulay2") -> str:
 
 
 def _macaulay2(spec: SessionSpec) -> str:
-    y_names, t_name = _names(spec)
-    kk = "QQ" if spec.field.is_rationals else f"ZZ/{spec.field.characteristic}"
+    y_names, t_name, (kk, s, im, j, h, p, hg, g) = _names(spec)
+    field = "QQ" if spec.field.is_rationals else f"ZZ/{spec.field.characteristic}"
     xs = ", ".join(spec.variables)
     ys = ", ".join(y_names)
-    im_gens = [str(g) for g in spec.base + spec.module] or ["0"]
+    im_gens = [str(f) for f in spec.base + spec.module] or ["0"]
     rees_rels = [f"{y} - ({f})*{t_name}" for y, f in zip(y_names, spec.q)]
-    q_gens = ", ".join(str(g) for g in spec.q)
+    q_gens = ", ".join(str(f) for f in spec.q)
     lines = [
         "-- cross-validation script (emitted, never executed by the library)",
-        f"kk = {kk};",
-        f"S = kk[{xs}, {ys}, {t_name}];",
-        f"IM = ideal({', '.join(im_gens)});",
-        f"J = IM + ideal({', '.join(rees_rels)});",
-        f"H = eliminate({t_name}, J);",
-        f"P = kk[{xs}, {ys}, Degrees => {{{len(spec.variables)}:0, {len(y_names)}:1}}];",
-        "HG = sub(H, P) + sub(ideal(" + q_gens + "), P);",
-        "G = P / HG;",
-        "<< \"form ideal: \" << toString gens gb HG << endl;",
-        "<< \"dim: \" << dim G << endl;",
+        f"{kk} = {field};",
+        f"{s} = {kk}[{xs}, {ys}, {t_name}];",
+        f"{im} = ideal({', '.join(im_gens)});",
+        f"{j} = {im} + ideal({', '.join(rees_rels)});",
+        f"{h} = eliminate({t_name}, {j});",
+        f"{p} = {kk}[{xs}, {ys}, Degrees => {{{len(spec.variables)}:0, {len(y_names)}:1}}];",
+        f"{hg} = sub({h}, {p}) + sub(ideal({q_gens}), {p});",
+        f"{g} = {p} / {hg};",
+        f"<< \"form ideal: \" << toString gens gb {hg} << endl;",
+        f"<< \"dim: \" << dim {g} << endl;",
         "needsPackage \"Depth\";",
-        "<< \"depth: \" << depth G << endl;",
+        f"<< \"depth: \" << depth {g} << endl;",
     ]
     return "\n".join(lines) + "\n"
 
 
 def _singular(spec: SessionSpec) -> str:
-    y_names, t_name = _names(spec)
+    y_names, t_name, (_, s, im, j, h, p, hg, g) = _names(spec)
     char = 0 if spec.field.is_rationals else spec.field.characteristic
     xs = ", ".join(spec.variables)
     ys = ", ".join(y_names)
-    im_gens = [str(g) for g in spec.base + spec.module] or ["0"]
+    im_gens = [str(f) for f in spec.base + spec.module] or ["0"]
     rees_rels = [f"{y} - ({f})*{t_name}" for y, f in zip(y_names, spec.q)]
-    q_gens = ", ".join(str(g) for g in spec.q)
+    q_gens = ", ".join(str(f) for f in spec.q)
     lines = [
         "// cross-validation script (emitted, never executed by the library)",
-        f"ring S = {char}, ({xs}, {ys}, {t_name}), dp;",
-        f"ideal IM = {', '.join(im_gens)};",
-        f"ideal J = IM, {', '.join(rees_rels)};",
+        f"ring {s} = {char}, ({xs}, {ys}, {t_name}), dp;",
+        f"ideal {im} = {', '.join(im_gens)};",
+        f"ideal {j} = {im}, {', '.join(rees_rels)};",
         "LIB \"elim.lib\";",
-        f"ideal H = elim(J, {t_name});",
-        f"ring P = {char}, ({xs}, {ys}), dp;",
-        "ideal HG = imap(S, H);",
-        f"HG = HG + ideal({q_gens});",
-        "HG = std(HG);",
-        "print(\"form ideal:\"); print(HG);",
-        "print(\"dim:\"); print(dim(HG));",
+        f"ideal {h} = elim({j}, {t_name});",
+        f"ring {p} = {char}, ({xs}, {ys}), dp;",
+        f"ideal {hg} = imap({s}, {h});",
+        f"{hg} = {hg} + ideal({q_gens});",
+        f"{hg} = std({hg});",
+        f"print(\"form ideal:\"); print({hg});",
+        f"print(\"dim:\"); print(dim({hg}));",
         "LIB \"homolog.lib\";",
-        "qring G = HG;",
+        f"qring {g} = {hg};",
         "print(\"depth:\"); print(depth(std(0)));",
     ]
     return "\n".join(lines) + "\n"

@@ -33,7 +33,12 @@ from .errors import (
     DegenerateSystemError,
     ValidationError,
 )
-from .filtration import FiltrationContext, GradedQuotientPresentation, graded_power_basis
+from .filtration import (
+    DEFAULT_PROBE_CAP,
+    FiltrationContext,
+    GradedQuotientPresentation,
+    graded_power_basis,
+)
 from .graded import (
     GradedElement,
     GradeReport,
@@ -44,6 +49,7 @@ from .graded import (
     is_system_of_parameters,
     koszul_grade,
 )
+from .groebner import DEFAULT_STEP_BUDGET
 from .ideals import PresentedIdeal, meet_of_colons
 from .rings import Polynomial
 
@@ -56,8 +62,8 @@ class CriterionParams:
     l_max: int = 12
     window: int = 2
     degree_cap: int = 8
-    probe_cap: int = 12
-    step_budget: int = 10**6
+    probe_cap: int = DEFAULT_PROBE_CAP
+    step_budget: int = DEFAULT_STEP_BUDGET
     search_degree_span: int = 2
     search_extra_degree: int = 2
     search_coefficients: tuple[int, ...] = (1, -1, 2, -2, 3)

@@ -65,19 +65,6 @@ class SystemElement:
     exact: bool = True
 
 
-def _fresh_names(ring: PolynomialRing, stem: str, count: int) -> list[str]:
-    taken = set(ring.variables)
-    out: list[str] = []
-    i = 1
-    while len(out) < count:
-        name = f"{stem}{i}"
-        if name not in taken:
-            out.append(name)
-            taken.add(name)
-        i += 1
-    return out
-
-
 def graded_power_basis(ring: PolynomialRing, basis, n: int) -> tuple[Polynomial, ...]:
     """Reduced DEGREVLEX basis of m^n + J, from the reduced basis of a
     homogeneous ideal J (m is the ideal of all variables).
@@ -354,15 +341,13 @@ class FiltrationContext:
 
     # -- initial degrees -------------------------------------------------------
 
-    def initial_degree(self, a: Polynomial, cap: int | None = None,
-                       modulo: str = "base") -> int | None:
-        """Largest c <= cap with a in q^c (mod I_A or I_M); None once the probe
-        cap is hit, which by convention means the initial form is zero."""
-        cap = self.probe_cap if cap is None else cap
+    def initial_degree(self, a: Polynomial, modulo: str = "base") -> int | None:
+        """Largest c <= probe_cap with a in q^c (mod I_A or I_M); None once the
+        probe cap is hit, which by convention means the initial form is zero."""
         _, zero_test, _ = self._ladder(modulo)
         if zero_test.contains(a):
             raise ValidationError("element is zero in the quotient; no initial degree")
-        for c in range(1, cap + 1):
+        for c in range(1, self.probe_cap + 1):
             if not self.q_power(c, modulo).contains(a):
                 return c - 1
         return None
@@ -376,7 +361,7 @@ class FiltrationContext:
         key = ("rees",)
         if key not in self._presentations:
             n, s = self.ring.nvars, len(self.q_generators)
-            y_names = _fresh_names(self.ring, "y", s)
+            y_names = self.ring.fresh_names("y", s)
             big = self.ring.extend(tuple(y_names) + (self.ring.fresh_name("T"),))
             emb = list(range(n))
             t = big.var(n + s)

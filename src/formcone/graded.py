@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .errors import ConsistencyError, InfiniteComponentError, ValidationError
 from .filtration import FiltrationContext, GradedQuotientPresentation
-from .groebner import FreeModuleElement, buchberger, normal_form, syzygy_basis
+from .groebner import FreeModuleElement, GraphBasis, normal_form
 from .rings import Monomial, Polynomial
 
 
@@ -229,30 +229,18 @@ def colon_chain_regularity(ctx: FiltrationContext, b: Polynomial, d: int,
 # Koszul grade and depth
 # ---------------------------------------------------------------------------
 
-def _koszul_columns(reps: list[Polynomial], subsets_hi, subsets_lo, ring):
-    """Columns of the Koszul differential Lambda^i -> Lambda^(i-1)."""
-    index_of = {s: j for j, s in enumerate(subsets_lo)}
+def _koszul_columns(reps: list[Polynomial], i: int, ring) -> list[FreeModuleElement]:
+    """Columns of the Koszul differential d_i: Lambda^i -> Lambda^(i-1)."""
+    index_of = {s: j for j, s in enumerate(combinations(range(len(reps)), i - 1))}
     cols = []
     zero = ring.zero()
-    for subset in subsets_hi:
-        comps = [zero] * len(subsets_lo)
-        for k, member in enumerate(subset):
+    for subset in combinations(range(len(reps)), i):
+        comps = [zero] * len(index_of)
+        for k, member in enumerate(subset):  # each rest arises once, with sign (-1)^k
             rest = subset[:k] + subset[k + 1:]
-            sign = 1 if k % 2 == 0 else -1
-            entry = reps[member] if sign > 0 else -reps[member]
-            comps[index_of[rest]] = comps[index_of[rest]] + entry
+            comps[index_of[rest]] = reps[member] if k % 2 == 0 else -reps[member]
         cols.append(FreeModuleElement(ring, comps))
     return cols
-
-
-def _scaled_units(h_gens, rank: int, ring) -> list[FreeModuleElement]:
-    """The vectors h * e_j of P^rank: they span H * P^rank."""
-    zero = ring.zero()
-    return [
-        FreeModuleElement(ring, tuple(h if k == j else zero for k in range(rank)))
-        for h in h_gens
-        for j in range(rank)
-    ]
 
 
 def koszul_grade(pres: GradedQuotientPresentation, generators) -> GradeReport:
@@ -261,7 +249,8 @@ def koszul_grade(pres: GradedQuotientPresentation, generators) -> GradeReport:
 
     Returns the +infinity sentinel when the generators act as the unit ideal.
     Deterministic: homology is probed from the top index downward and the
-    first nonzero index decides.
+    first nonzero index decides.  Below the top index, the ``GraphBasis`` of
+    d_i modulo H gives the cycles at i (kernel) and boundaries at i - 1 (image).
     """
     gens = list(generators)
     for g in gens:
@@ -271,11 +260,7 @@ def koszul_grade(pres: GradedQuotientPresentation, generators) -> GradeReport:
             raise ValidationError("generator from a different presentation ring")
     reps = [g.representative for g in gens]
     r = len(reps)
-    ring = pres.ring
     h_gb = pres.groebner()
-    h_gens = list(h_gb.generators)
-    if not pres.ideal.is_proper():
-        return GradeReport(math.inf, "koszul")
     if not pres.ideal.sum_with(*reps).is_proper():
         return GradeReport(math.inf, "koszul")
 
@@ -285,25 +270,21 @@ def koszul_grade(pres: GradedQuotientPresentation, generators) -> GradeReport:
         if witness is not None:
             return GradeReport(0, "koszul", (KoszulWitness(r, (witness,)),))
 
-    order = pres.order
-    budget = pres.ideal.step_budget
-    for i in range(r - 1, 0, -1):
-        subsets_hi = list(combinations(range(r), i))
-        subsets_lo = list(combinations(range(r), i - 1))
-        cols = _koszul_columns(reps, subsets_hi, subsets_lo, ring)
-        cycles = syzygy_basis(cols, order, budget, [h_gb] * len(subsets_lo))
+    def graph(i: int) -> GraphBasis:
+        return GraphBasis(_koszul_columns(reps, i, pres.ring), pres.order,
+                          pres.ideal.step_budget, [h_gb] * math.comb(r, i - 1))
 
-        subsets_up = list(combinations(range(r), i + 1))
-        boundary = _koszul_columns(reps, subsets_up, subsets_hi, ring)
-        boundary += _scaled_units(h_gens, len(subsets_hi), ring)
-        boundary_gb = buchberger(boundary, order, budget)
-        for cycle in cycles:
-            residue = normal_form(cycle, boundary_gb)
+    above = graph(r) if r > 1 else None
+    for i in range(r - 1, 0, -1):
+        here = graph(i)
+        for cycle in here.kernel:
+            residue = normal_form(cycle, above.image)
             if not residue.is_zero():
                 return GradeReport(
                     r - i, "koszul",
                     (KoszulWitness(i, tuple(residue.components)),),
                 )
+        above = here
     # all higher homology vanished; H_0 = G/(gens)G is nonzero by properness
     return GradeReport(r, "koszul")
 

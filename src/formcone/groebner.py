@@ -3,7 +3,8 @@
 The same engine serves polynomial ideals and submodules of free modules;
 internally every element is a map ``(position, monomial) -> coefficient``
 ordered position-over-term (position 0 greatest) with the caller's monomial
-order underneath.  Ring polynomials are the rank-1 case.
+order underneath.  Ring polynomials are the rank-1 case.  Colons, intersections,
+Koszul cycles and Koszul boundaries are all one ``GraphBasis`` computation.
 
 Determinism contract: fixed generators plus a fixed order produce the
 identical reduced basis (reduced bases are unique up to scaling, and output
@@ -15,14 +16,14 @@ one multiply and one add per term, reducing mod p only in characteristic p.
 Over QQ the engine holds integer values as Python ints (``_to_vec``) and
 turns them back into Fractions only at the public boundary (``_from_vec``):
 basis elements are primitive integer vectors, and the S-polynomial is formed
-fraction-free, lc(g) * m_f * f - lc(f) * m_g * g.  A kernel basis
-interreduces only its kernel elements.  A run grows one lead index (the
+fraction-free, lc(g) * m_f * f - lc(f) * m_g * g.  Each half of a graph
+basis is interreduced by itself.  A run grows one lead index (the
 divisor lookup of every reduction) as its basis grows, and forms pairs by
 walking the lead index of the new element's position only.  The chain
 criterion keeps, per element, the set of partners whose pair is settled, and
 tests only the intersection of two such sets instead of scanning the basis.
 A single-term vector normalises to coefficient 1 without gcd work.  A
-``syzygy_basis`` modulo entry given as a ``GroebnerBasis`` in the kernel's own
+``GraphBasis`` modulo entry given as a ``GroebnerBasis`` in the kernel's own
 order is a settled block: no pair is formed inside it, and the chain
 criterion counts its elements as established partners of each other; a plain
 list is never settled, since it need not be a Groebner basis.  A
@@ -242,9 +243,9 @@ def _spoly(f: dict, g: dict, lf, lg, key, fld) -> dict:
     return out
 
 
-def _engine(vectors: list[dict], order: MonomialOrder, fld, step_budget: int,
-            rank_one: bool, kernel_from: int = 0, settled=()) -> list[dict]:
-    """Buchberger with normal (degree-queue) pair selection.
+def _engine(vectors: list[dict], key, fld, step_budget: int, rank_one: bool,
+            settled=()) -> tuple[list[dict], list]:
+    """Buchberger with normal (degree-queue) pair selection; not interreduced.
 
     Product criterion only in rank one (it is unsound for modules); chain
     criterion only against pairs whose S-polynomial reduction is already
@@ -257,15 +258,8 @@ def _engine(vectors: list[dict], order: MonomialOrder, fld, step_budget: int,
     is established only after it is popped, so neither i nor j is in the
     intersection; and the test is existential, so set order is irrelevant.
     ``step_budget`` bounds the S-polynomial reductions; pairs either
-    criterion skips are not counted.  One term-key memo serves the whole run,
-    the final interreduction included.
-
-    ``kernel_from`` > 0 keeps only the elements whose lead position is at
-    least ``kernel_from`` for the interreduction.  Under position-over-term
-    such an element has no term at a lower position, so no other lead
-    divides any of its terms: the kept elements alone decide which of them
-    are minimal and what their tails reduce to, exactly as in the full
-    interreduction.
+    criterion skips are not counted.  The caller passes the term key, so one
+    memo serves the whole run and the caller's interreduction of its result.
 
     ``settled`` lists (start, stop) index ranges of ``vectors``, which then
     holds no zero vector.  Each range is a *settled block*: a Groebner basis
@@ -275,7 +269,6 @@ def _engine(vectors: list[dict], order: MonomialOrder, fld, step_budget: int,
     partners of each other: a popped pair (i, j) with i in block B also
     looks for k in ``partners[j] & B``, and likewise with i and j swapped.
     """
-    key = _term_key(order)
     basis = [_normalize(v, key, fld) for v in vectors if v]
     leads = [_lead(v, key) for v in basis]
     by_pos = _lead_index(leads)
@@ -340,10 +333,7 @@ def _engine(vectors: list[dict], order: MonomialOrder, fld, step_budget: int,
             partners.append(set())
             blocks.append(None)
             push_pairs(len(basis) - 1)
-    if kernel_from:
-        kept = [i for i, (p, _) in enumerate(leads) if p >= kernel_from]
-        basis, leads = [basis[i] for i in kept], [leads[i] for i in kept]
-    return _interreduce(basis, leads, key, fld)
+    return basis, leads
 
 
 def _interreduce(basis: list[dict], leads: list, key, fld) -> list[dict]:
@@ -399,7 +389,9 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX,
         return GroebnerBasis((), order)
     ring, rank = _common_shape(gens)
     vecs = [_to_vec(g) for g in gens]
-    out = _engine(vecs, order, ring.field, step_budget, rank_one=rank in (None, 1))
+    key = _term_key(order)
+    out = _interreduce(*_engine(vecs, key, ring.field, step_budget, rank_one=rank in (None, 1)),
+                       key, ring.field)
     return GroebnerBasis(tuple(_from_vec(v, ring, rank) for v in out), order)
 
 
@@ -418,45 +410,72 @@ def normal_form(element, basis: GroebnerBasis):
     return _from_vec(r, ring, rank)
 
 
-def syzygy_basis(columns, order: MonomialOrder = DEGREVLEX,
-                 step_budget: int = DEFAULT_STEP_BUDGET,
-                 modulo=()) -> list[FreeModuleElement]:
-    """Reduced basis of the kernel of P^k -> (+)_j P/M_j sending e_i to column i.
+class GraphBasis:
+    """Kernel and image of P^k -> (+)_j P/M_j, e_i -> column i, from one basis.
 
     ``modulo`` is empty (plain syzygies) or lists, for each of the r
     positions of the columns, M_j as a list of generators or as a
-    ``GroebnerBasis``.  Method: one module Groebner basis of the graph
-    vectors ``column_i (+) e_i`` and ``g * e_j`` inside P^(r+k) under
-    position-over-term with the original positions dominating; basis
-    elements with no term below position r are the kernel, and their tails
-    form its reduced basis.  Colons, intersections and Koszul cycles are all
-    this one kernel (Greuel-Pfister, sections 1.8 and 2.8).
-
-    A ``GroebnerBasis`` entry in ``order`` itself is a settled block of the
-    engine: its S-pairs are known to reduce to zero, so none is formed, and
-    the chain criterion may use them.  A list, or a basis in another order,
-    is taken as plain generators, which need not be a Groebner basis.  The
-    kernel is the same either way.
+    ``GroebnerBasis``; one in ``order`` itself is a settled block of the
+    engine, and both halves are the same either way.  Method: one module
+    Groebner basis of the graph vectors ``column_i (+) e_i`` and ``g * e_j``
+    inside P^(r+k) under position-over-term with the original positions
+    dominating; each half is interreduced by itself when first asked for.
+    An element with its lead at position r or later has no term below r, so
+    no other lead divides any of its terms: these elements alone decide which
+    are minimal and what their tails reduce to; shifted down by r they are
+    the reduced ``kernel``.  The others, projected below r, keep their leads
+    and span span(columns) + (+)_j M_j e_j: a Groebner basis of it, which
+    interreduces to its reduced basis, the ``image`` (Greuel-Pfister 2.8).
     """
+
+    def __init__(self, columns, order: MonomialOrder = DEGREVLEX,
+                 step_budget: int = DEFAULT_STEP_BUDGET, modulo=()):
+        cols = list(columns)
+        if not cols:
+            raise ValidationError("a graph basis needs at least one column")
+        ring, rank = _common_shape(cols)
+        r = 1 if rank is None else rank
+        if modulo and len(modulo) != r:
+            raise ValidationError(f"modulo lists {len(modulo)} submodules for {r} positions")
+        one, origin = ring.field.coerce(1), (0,) * ring.nvars
+        graph = [{**_to_vec(col), (r + i, origin): one} for i, col in enumerate(cols)]
+        settled = []
+        for j, entry in enumerate(modulo):
+            is_basis = isinstance(entry, GroebnerBasis)
+            gens = entry.generators if is_basis else entry
+            if any(g.ring != ring for g in gens):
+                raise RingMismatchError("modulo generator from a different ring")
+            start = len(graph)
+            graph += [{(j, m): c for m, c in g.terms.items()} for g in gens if not g.is_zero()]
+            if is_basis and entry.order == order:
+                settled.append((start, len(graph)))
+        self._key, self._order = _term_key(order), order
+        self._ring, self._rank, self._r, self._k = ring, rank, r, len(cols)
+        self._run = _engine(graph, self._key, ring.field, step_budget, False, settled)
+
+    def _half(self, kernel: bool) -> list[dict]:
+        basis, leads = self._run
+        kept = [i for i, (p, _) in enumerate(leads) if (p >= self._r) == kernel]
+        vecs = [basis[i] if kernel else {t: c for t, c in basis[i].items() if t[0] < self._r}
+                for i in kept]
+        return _interreduce(vecs, [leads[i] for i in kept], self._key, self._ring.field)
+
+    @cached_property
+    def kernel(self) -> list[FreeModuleElement]:
+        return [_from_vec(v, self._ring, self._k, self._r) for v in self._half(True)]
+
+    @cached_property
+    def image(self) -> GroebnerBasis:
+        out = tuple(_from_vec(v, self._ring, self._rank) for v in self._half(False))
+        return GroebnerBasis(out, self._order)
+
+
+def syzygy_basis(columns, order: MonomialOrder = DEGREVLEX,
+                 step_budget: int = DEFAULT_STEP_BUDGET,
+                 modulo=()) -> list[FreeModuleElement]:
+    """Reduced basis of the kernel of P^k -> (+)_j P/M_j sending e_i to column i:
+    the kernel half of ``GraphBasis``, or none for no columns.  Colons,
+    intersections, Koszul cycles and, as the image half, Koszul boundaries
+    are all this one computation."""
     cols = list(columns)
-    if not cols:
-        return []
-    ring, rank = _common_shape(cols)
-    r = 1 if rank is None else rank
-    if modulo and len(modulo) != r:
-        raise ValidationError(f"modulo lists {len(modulo)} submodules for {r} positions")
-    one, origin = ring.field.coerce(1), (0,) * ring.nvars
-    graph = [{**_to_vec(col), (r + i, origin): one} for i, col in enumerate(cols)]
-    settled = []
-    for j, entry in enumerate(modulo):
-        is_basis = isinstance(entry, GroebnerBasis)
-        gens = entry.generators if is_basis else entry
-        if any(g.ring != ring for g in gens):
-            raise RingMismatchError("modulo generator from a different ring")
-        start = len(graph)
-        graph += [{(j, m): c for m, c in g.terms.items()} for g in gens if not g.is_zero()]
-        if is_basis and entry.order == order:
-            settled.append((start, len(graph)))
-    kernel = _engine(graph, order, ring.field, step_budget, rank_one=False, kernel_from=r,
-                     settled=settled)
-    return [_from_vec(v, ring, len(cols), r) for v in kernel]
+    return GraphBasis(cols, order, step_budget, modulo).kernel if cols else []

@@ -278,6 +278,20 @@ class PolynomialRing:
             i += 1
         return f"{stem}{i}"
 
+    def fresh_names(self, stem: str, count: int) -> list[str]:
+        """``count`` distinct names ``stem1``, ``stem2``, ... that this ring
+        does not use, skipping the ones it does."""
+        taken = set(self.variables)
+        out: list[str] = []
+        i = 1
+        while len(out) < count:
+            name = f"{stem}{i}"
+            if name not in taken:
+                out.append(name)
+                taken.add(name)
+            i += 1
+        return out
+
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(self, text)
 

@@ -69,6 +69,15 @@ def parse_session(text: str) -> SessionSpec:
     seen: set[str] = set()
     params = CriterionParams()
 
+    def make_ring() -> PolynomialRing:
+        """The ring of the declared field and variables, built by whichever of
+        the two lines comes second; a bad or repeated name is reported at the
+        vars line either way."""
+        try:
+            return PolynomialRing(field_spec, variables)
+        except ValidationError as exc:
+            raise ParseError(str(exc), *vars_at, ("variable names",))
+
     def need_ring(lineno: int, col: int) -> PolynomialRing:
         if ring is None:
             raise ParseError("field and vars must come before expressions", lineno, col,
@@ -107,7 +116,7 @@ def parse_session(text: str) -> SessionSpec:
                 raise ParseError(f"bad field declaration {rest!r}", lineno, indent + 1,
                                  ("QQ", "FP <prime>"))
             if variables is not None:
-                ring = PolynomialRing(field_spec, variables)
+                ring = make_ring()
             continue
 
         if word == "vars":
@@ -117,12 +126,9 @@ def parse_session(text: str) -> SessionSpec:
             names = tuple(n.strip() for n, _ in _split_top_level(rest))
             if not names:
                 raise ParseError("empty variable list", lineno, indent + 1, ("name",))
-            variables = names
+            variables, vars_at = names, (lineno, indent + 1)
             if field_spec is not None:
-                try:
-                    ring = PolynomialRing(field_spec, variables)
-                except ValidationError as exc:
-                    raise ParseError(str(exc), lineno, indent + 1, ("variable names",))
+                ring = make_ring()
             continue
 
         if word == "set":

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -205,6 +206,23 @@ def test_emit_cas_prime_field():
     spec = parse_session("field FP 5\nvars x\nbase: 0\nmodule: 0\nq: x\na: x\n")
     assert "ZZ/5" in emit_cas_script(spec, "macaulay2")
     assert "ring S = 5" in emit_cas_script(spec, "singular")
+
+
+@pytest.mark.parametrize("dialect,ring_line,assignment,count", [
+    ("macaulay2", r"^\w+ = \w+\[(.*?)\];$", r"^(\w+) = ", 8),
+    ("singular", r"^ring \w+ = \d+, \((.*?)\), dp;$", r"^(?:ring |ideal |qring )?(\w+) = ", 7),
+], ids=["macaulay2", "singular"])
+def test_emit_cas_names_avoid_the_variables(dialect, ring_line, assignment, count):
+    """Variables named like every script name, like T and like a y name: no
+    name the script assigns equals a variable of the ring it builds."""
+    spec = parse_session("field QQ\nvars kk, S, IM, J, H, P, HG, G, T, y1\n"
+                         "base: S*J - H^2\nq: kk, S, H\na: kk\n")
+    script = emit_cas_script(spec, dialect)
+    variables = set(re.search(ring_line, script, re.M).group(1).split(", "))
+    assert set(spec.variables) < variables
+    assigned = set(re.findall(assignment, script, re.M))
+    assert len(assigned) == count
+    assert not assigned & variables
 
 
 def test_run_command_payload_reuse():

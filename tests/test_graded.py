@@ -1,8 +1,9 @@
 import math
 import random
-from itertools import combinations
+import sys
 
 import pytest
+from corpus import tier4_contexts
 from oracle import graph_kernel
 
 from formcone import (
@@ -22,9 +23,10 @@ from formcone import (
     koszul_grade,
     syzygy_basis,
 )
+from formcone.criterion import system_images
 from formcone.filtration import GradedQuotientPresentation
 from formcone.graded import _koszul_columns
-from formcone.groebner import FreeModuleElement
+from formcone.groebner import FreeModuleElement, GraphBasis, buchberger
 
 R1 = PolynomialRing(QQ, ("Y",))
 R2 = PolynomialRing(QQ, ("X", "Y"))
@@ -187,7 +189,10 @@ def test_koszul_middle_homology_indices():
 def test_relations_match_stacked_syzygies_on_koszul_examples():
     """Cycles modulo H * P^rank from ``modulo`` equal the stacked route:
     the h * e_j vectors as extra columns, then the first block of each syzygy.
-    They also equal the kernel read off the fully interreduced graph basis."""
+    They also equal the kernel read off the fully interreduced graph basis.
+    The image half of the same graph basis is the reduced basis of the
+    columns plus the h * e_j vectors, and asking for it first leaves the
+    kernel as it was."""
     X, Y = R2.gens()
     Xs, Ys, Zs = RS.gens()
     examples = [
@@ -204,10 +209,9 @@ def test_relations_match_stacked_syzygies_on_koszul_examples():
     for pres, reps in examples:
         ring, r = pres.ring, len(reps)
         h_gens = pres.groebner().generators
-        for i in range(r - 1, 0, -1):
-            subsets_lo = list(combinations(range(r), i - 1))
-            cols = _koszul_columns(list(reps), list(combinations(range(r), i)), subsets_lo, ring)
-            rank = len(subsets_lo)
+        for i in range(r, 0, -1):
+            cols = _koszul_columns(list(reps), i, ring)
+            rank = math.comb(r, i - 1)
             relations = [
                 FreeModuleElement(ring, tuple(h if k == j else ring.zero() for k in range(rank)))
                 for h in h_gens for j in range(rank)
@@ -219,8 +223,38 @@ def test_relations_match_stacked_syzygies_on_koszul_examples():
             # the settled form koszul_grade passes: the basis itself
             assert syzygy_basis(cols, pres.order, modulo=[pres.groebner()] * rank) == expected
             assert graph_kernel(cols, pres.order, [h_gens] * rank) == expected
+            boundaries = buchberger(cols + relations, pres.order)
+            for modulo in ([h_gens] * rank, [pres.groebner()] * rank):
+                graph = GraphBasis(cols, pres.order, modulo=modulo)
+                assert graph.image == boundaries
+                assert graph.kernel == expected
             compared += bool(expected)
     assert compared >= 8
+
+
+def test_koszul_homology_builds_no_module_basis(monkeypatch):
+    """Cycles and boundaries both come from graph bases: ``depth`` and
+    ``koszul_grade`` on the tier-4 presentations run ``buchberger`` on ring
+    polynomials only (the annihilators), at every binding in the package."""
+    calls = []
+
+    def recording(gens, *args, **kwargs):
+        gens = list(gens)
+        calls.append(any(isinstance(g, FreeModuleElement) for g in gens))
+        return buchberger(gens, *args, **kwargs)
+
+    work = []
+    for ctx in tier4_contexts():
+        pres = ctx.form_presentation()
+        work.append((pres, system_images(ctx, pres)))
+    bindings = [m for name, m in sorted(sys.modules.items())
+                if name.split(".")[0] == "formcone" and getattr(m, "buchberger", None) is buchberger]
+    assert len(bindings) >= 3
+    for module in bindings:
+        monkeypatch.setattr(module, "buchberger", recording)
+    reports = [(depth(pres).value, koszul_grade(pres, images).value) for pres, images in work]
+    assert reports == [(0, 0), (2, 2), (2, 1)]
+    assert calls and not any(calls)
 
 
 def test_koszul_grade_permutation_invariant():

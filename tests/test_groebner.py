@@ -32,6 +32,7 @@ from formcone import (
     syzygy_basis,
     weighted_order,
 )
+from formcone.groebner import GraphBasis
 
 R2 = PolynomialRing(QQ, ("x", "y"))
 R3 = PolynomialRing(QQ, ("x", "y", "z"))
@@ -279,6 +280,10 @@ def test_syzygy_basis_checks_modulo():
         syzygy_basis([col], modulo=[[x]])
     with pytest.raises(RingMismatchError):
         syzygy_basis([col], modulo=[[x], [RS.var(0)]])
+    # no columns: the kernel of P^0 is zero, but a graph basis has no ring
+    assert syzygy_basis([]) == []
+    with pytest.raises(ValidationError):
+        GraphBasis([])
 
 
 def test_kernel_budgets_are_resource_errors():
@@ -449,7 +454,9 @@ def test_engine_output_is_canonical(characteristic):
 @pytest.mark.parametrize("characteristic", [0, 3])
 def test_syzygy_basis_matches_full_graph_basis(characteristic):
     """Kernel-only interreduction gives the kernel that the fully interreduced
-    graph basis gives, with and without ``modulo``, on random inputs.  Random
+    graph basis gives, with and without ``modulo``, on random inputs; the
+    image half of the same basis is the reduced basis of the columns plus
+    each M_j e_j, and asking for it leaves the kernel unchanged.  Random
     rank-2 kernels of three columns, or under LEX or a weighted order, can
     take minutes over QQ (coefficient swell), so the inputs stay at two
     columns and the other orders are left to the Koszul examples."""
@@ -466,4 +473,10 @@ def test_syzygy_basis_matches_full_graph_basis(characteristic):
                     kernel = syzygy_basis(cols, order, modulo=modulo)
                     assert kernel == graph_kernel(cols, order, modulo)
                     nonzero += bool(kernel)
+                    graph = GraphBasis(cols, order, modulo=modulo)
+                    units = [g if rank is None else FreeModuleElement(
+                                 ring, tuple(g if p == j else ring.zero() for p in range(rank)))
+                             for j, gens in enumerate(modulo) for g in gens]
+                    assert graph.image == buchberger(cols + units, order)
+                    assert graph.kernel == kernel
     assert nonzero >= 30

@@ -112,3 +112,21 @@ def test_repeated_declarations_rejected(text, line, column):
         parse_session(text)
     assert (err.value.line, err.value.column) == (line, column)
     assert "duplicate" in str(err.value)
+
+
+@pytest.mark.parametrize("names,message", [
+    ("x, 1y", "bad variable name '1y'"),
+    ("x, y, x", "duplicate variable name 'x'"),
+], ids=["bad-name", "duplicate-name"])
+@pytest.mark.parametrize("field_first", [True, False], ids=["field-first", "vars-first"])
+def test_variable_names_are_checked_at_the_vars_line(names, message, field_first):
+    """A bad or repeated name is a parse error at the vars line, whether the
+    field comes before or after it."""
+    lines = ["field QQ", f"  vars {names}"]
+    if not field_first:
+        lines.reverse()
+    text = "\n".join(lines) + "\nq: x\n"
+    with pytest.raises(ParseError) as err:
+        parse_session(text)
+    assert (err.value.line, err.value.column) == (2 if field_first else 1, 3)
+    assert message in str(err.value)
