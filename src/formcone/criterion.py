@@ -13,10 +13,11 @@ the Cohen-Macaulay verdict.
 
 Each level's l-chain, and the colon sequence that graded inputs share across
 levels, is one append-only chain type that asserts the ascending property as
-it grows; ``defect_at`` reads its stopping window from it.  Nonvanishing
-detections are exact (the probed chain only grows); vanishing verdicts are
-bounded by n_max/l_max and every record says so via ``certified=False``.
-The exact graded route is always the authority.
+it grows, from its first step on, which also gives every record's sandwich
+C(n, l) >= q^n M; ``defect_at`` reads its stopping window from it.
+Nonvanishing detections are exact (the probed chain only grows); vanishing
+verdicts are bounded by n_max/l_max and every record says so via
+``certified=False``.  The exact graded route is always the authority.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .graded import (
     is_system_of_parameters,
     koszul_grade,
 )
-from .groebner import DEFAULT_STEP_BUDGET
+from .groebner import DEFAULT_STEP_BUDGET, normal_forms
 from .ideals import PresentedIdeal, meet_of_colons
 from .rings import Polynomial
 
@@ -192,16 +193,21 @@ class _Chain:
         """Add the next term; None repeats the last one, for a step already
         known to leave the chain unchanged.
 
-        From l = 2 on, each term must contain the one before (step 1 always
-        does, because a colon contains its target).  Equal reduced bases
-        contain each other, so containment is tested only where they differ;
-        a violation is an internal bug, not an input problem.
+        Each term must contain the one before, from l = 1 on.  By
+        transitivity every term then contains term 0, which is C(n, 0) =
+        q^n M on a level chain and K_0 = I_M on the shared colon sequence
+        (so K_l + m^n contains m^n + I_M = q^n M): this one check is the
+        sandwich C(n, l) >= q^n M of every record, and on the shared
+        sequence it runs once per context instead of once per level.  Equal
+        reduced bases contain each other, so containment is tested only
+        where they differ; a violation is an internal bug, not an input
+        problem.
         """
         prev = self.ideals[-1]
         term = prev if term is None else term
         basis, before = term.groebner().generators, prev.groebner().generators
         differ = set(basis).symmetric_difference(before) if basis != before else ()
-        if differ and self.changed and not term.contains_ideal(prev):
+        if differ and not term.contains_ideal(prev):
             raise ConsistencyError(
                 f"colon chain is not ascending at {self.label}, l={len(self.ideals)}")
         self.ideals.append(term)
@@ -277,6 +283,21 @@ def _colon_sequence(ctx: FiltrationContext, l: int) -> _Chain:
     return seq
 
 
+def _residue_table(ctx: FiltrationContext, seq: _Chain, l: int) -> list:
+    """(degree of g, normal form of g modulo I_M) for the g in K_l's reduced
+    basis whose form is nonzero, in basis order; memoised per context, and
+    shared by the terms of a run of equal K."""
+    while l and seq.changed[l - 1] is None:
+        l -= 1
+    key = ("residues", l)
+    if key not in ctx.scratch:
+        basis = seq.ideals[l].groebner().generators
+        forms = normal_forms(basis, ctx.ideal_m.groebner())
+        ctx.scratch[key] = [(g.total_degree(), r) for g, r in zip(basis, forms)
+                            if not r.is_zero()]
+    return ctx.scratch[key]
+
+
 def defect_at(ctx: FiltrationContext, n: int,
               params: CriterionParams = DEFAULT_PARAMS) -> DefectRecord:
     """Stabilize the l-chain C(n, l) of colon intersections at level n.
@@ -305,6 +326,21 @@ def defect_at(ctx: FiltrationContext, n: int,
     K_l = intersection over i of (I_M : a_i^l).  One colon sequence of the
     K_l, memoised per context, serves every level: step l leaves level n's
     chain unchanged iff K_l and K_(l-1) agree in every degree below n.
+
+    The record's residues are the nonzero, de-duplicated normal forms of its
+    ideal's reduced basis modulo q^n M.  On the shared route they are read
+    off K_l's reduced basis, whose normal forms modulo I_M are memoised once
+    per distinct K (``_residue_table``): level n keeps those of degree below
+    n, in K_l's basis order.  This is exact.  ``graded_power_basis`` lists
+    the reduced basis of K_l + m^n as K_l's elements of degree below n, in
+    K_l's order, followed by degree-n monomials, which lie in m^n, inside
+    q^n M = m^n + I_M, and so leave no residue.  K_l is homogeneous (I_M
+    and every a_i are), and for a homogeneous g of degree d < n, NF(g,
+    m^n + I_M) = NF(g, I_M): a normal form is the unique standard
+    representative of g's class, reduction keeps it homogeneous of degree
+    d, and in degree d the two ideals, and so their standard monomials,
+    agree.  The sandwich C(n, l) >= q^n M is the chain's own ascending check
+    (``_Chain.append``).
     """
     _require_usable_system(ctx)
     if n < 0:
@@ -329,23 +365,17 @@ def defect_at(ctx: FiltrationContext, n: int,
     if shared:
         current = ctx.ideal_m.spawn_reduced(
             graded_power_basis(ctx.ring, current.groebner().generators, n))
-
-    target = ctx.q_power(n)
-    if not current.contains_ideal(target):
-        raise ConsistencyError(f"sandwich violated at level n={n}: q^n M not inside the chain")
-    gb = current.groebner().generators
-    residues = []
-    for g in gb:
-        r = target.reduce(g)
-        if not r.is_zero() and r not in residues:
-            residues.append(r)
+        forms = (r for d, r in _residue_table(ctx, chain, l) if d < n)
+    else:
+        forms = normal_forms(current.groebner().generators, ctx.q_power(n).groebner())
+    residues = tuple(dict.fromkeys(r for r in forms if not r.is_zero()))
     record = DefectRecord(
         n=n,
         stabilized_l=stabilized_l,
         window=params.window,
         ideal=current,
         vanishing=not residues,
-        quotient_generators=tuple(residues),
+        quotient_generators=residues,
         certified=False,
         status=status,
     )

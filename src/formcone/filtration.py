@@ -35,7 +35,13 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .errors import ConsistencyError, RingMismatchError, ValidationError
-from .groebner import DEFAULT_STEP_BUDGET, GroebnerBasis, buchberger, normal_form
+from .groebner import (
+    DEFAULT_STEP_BUDGET,
+    GroebnerBasis,
+    buchberger,
+    normal_form,
+    normal_forms,
+)
 from .ideals import PresentedIdeal
 from .rings import (
     DEGREVLEX,
@@ -303,7 +309,7 @@ class FiltrationContext:
             else:
                 prev = cache[level - 1].groebner().generators
                 if j_ideal.combined():
-                    prev = (j_ideal.reduce(g) for g in prev)
+                    prev = normal_forms(prev, j_ideal.groebner())
                 gens = tuple(dict.fromkeys(
                     g * f for g in prev if not g.is_zero() for f in self.q_generators
                 ))

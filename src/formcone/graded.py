@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .errors import ConsistencyError, InfiniteComponentError, ValidationError
 from .filtration import FiltrationContext, GradedQuotientPresentation
-from .groebner import FreeModuleElement, GraphBasis, normal_form
+from .groebner import FreeModuleElement, GraphBasis, normal_forms
 from .rings import Monomial, Polynomial
 
 
@@ -185,8 +185,7 @@ def annihilator_witness(pres: GradedQuotientPresentation, reps) -> Polynomial | 
     ann = pres.ideal.colon_ideal(pres.ideal.spawn(tuple(reps)))
     if ann.equals(pres.ideal):
         return None
-    for g in ann.groebner().generators:
-        w = pres.reduce(g)
+    for w in normal_forms(ann.groebner().generators, pres.groebner()):
         if not w.is_zero():
             return w
     raise ConsistencyError("annihilator grew but no witness survived reduction")
@@ -277,8 +276,7 @@ def koszul_grade(pres: GradedQuotientPresentation, generators) -> GradeReport:
     above = graph(r) if r > 1 else None
     for i in range(r - 1, 0, -1):
         here = graph(i)
-        for cycle in here.kernel:
-            residue = normal_form(cycle, above.image)
+        for residue in normal_forms(here.kernel, above.image):
             if not residue.is_zero():
                 return GradeReport(
                     r - i, "koszul",

@@ -28,8 +28,10 @@ order is a settled block: no pair is formed inside it, and the chain
 criterion counts its elements as established partners of each other; a plain
 list is never settled, since it need not be a Groebner basis.  A
 ``GroebnerBasis`` builds the lead index of its generators once;
-``normal_form`` converts the generators to term vectors per call and keeps
-none, which keeps long-lived bases small.
+``normal_forms`` converts the generators to term vectors once per batch and
+keeps none, which keeps long-lived bases small, so callers reducing many
+elements against one basis pass them as one batch (``normal_form`` is a
+batch of one).
 """
 
 from __future__ import annotations
@@ -105,6 +107,7 @@ class GroebnerBasis:
 
         The term vectors are deliberately not kept: stored beside every
         cached basis they raise peak memory more than they save time.
+        ``normal_forms`` converts the generators once per batch instead.
         """
         gens = tuple(g for g in self.generators if not g.is_zero())
         if not gens:
@@ -395,19 +398,34 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX,
     return GroebnerBasis(tuple(_from_vec(v, ring, rank) for v in out), order)
 
 
-def normal_form(element, basis: GroebnerBasis):
-    """Remainder of full division of ``element`` by ``basis`` (same ambient, same order)."""
+def normal_forms(elements, basis: GroebnerBasis):
+    """Remainders of full division of each of ``elements`` by ``basis``,
+    yielded lazily and in order (same ambient, same order).
+
+    The basis is converted to term vectors once, on the first element, and
+    one term-key memo serves the whole batch; a caller that stops early
+    converts nothing more.  An empty basis yields the elements unchanged.
+    """
     ring, rank, gens, by_pos = basis._shape
     if not gens:
-        return element
-    if element.ring != ring:
-        raise RingMismatchError("element and basis live in different rings")
-    e_rank = None if isinstance(element, Polynomial) else element.rank
-    if e_rank != rank:
-        raise RingMismatchError("element and basis have different ranks")
-    r = _reduce_full(_to_vec(element), [_to_vec(g) for g in gens], by_pos,
-                     _term_key(basis.order), ring.field)
-    return _from_vec(r, ring, rank)
+        yield from elements
+        return
+    vecs = key = None
+    for element in elements:
+        if element.ring != ring:
+            raise RingMismatchError("element and basis live in different rings")
+        e_rank = None if isinstance(element, Polynomial) else element.rank
+        if e_rank != rank:
+            raise RingMismatchError("element and basis have different ranks")
+        if vecs is None:
+            vecs, key = [_to_vec(g) for g in gens], _term_key(basis.order)
+        yield _from_vec(_reduce_full(_to_vec(element), vecs, by_pos, key, ring.field),
+                        ring, rank)
+
+
+def normal_form(element, basis: GroebnerBasis):
+    """Remainder of full division of ``element`` by ``basis`` (same ambient, same order)."""
+    return next(normal_forms((element,), basis))
 
 
 class GraphBasis:

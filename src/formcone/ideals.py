@@ -17,6 +17,7 @@ from .groebner import (
     GroebnerBasis,
     buchberger,
     normal_form,
+    normal_forms,
     syzygy_basis,
 )
 from .rings import DEGREVLEX, MonomialOrder, Polynomial, PolynomialRing, block_order
@@ -67,19 +68,14 @@ class PresentedIdeal:
         self._check_ring(f)
         return normal_form(f, self.groebner()).is_zero()
 
-    def reduce(self, f: Polynomial) -> Polynomial:
-        self._check_ring(f)
-        return normal_form(f, self.groebner())
-
     def equals(self, other: "PresentedIdeal") -> bool:
         self._check(other)
         return self.groebner().generators == other.groebner().generators
 
     def contains_ideal(self, other: "PresentedIdeal") -> bool:
         self._check(other)
-        gb = self.groebner()
         # _check ensured a shared base, and self contains its own base
-        return all(normal_form(g, gb).is_zero() for g in other.generators)
+        return all(r.is_zero() for r in normal_forms(other.generators, self.groebner()))
 
     def is_proper(self) -> bool:
         gb = self.groebner().generators

@@ -429,7 +429,7 @@ def direct_defect_at(ctx: FiltrationContext, n: int, params: CriterionParams) ->
     target = product_power(ctx, n)
     residues = []
     for g in current.groebner().generators:
-        r = target.reduce(g)
+        r = normal_form(g, target.groebner())
         if not r.is_zero() and r not in residues:
             residues.append(r)
     return DefectRecord(n=n, stabilized_l=stabilized_l, window=params.window, ideal=current,

@@ -259,3 +259,20 @@ def test_json_report_is_independent_of_hash_seed(command, tmp_path):
             report.pop("timings")
             reports.append(report)
         assert reports[0] == reports[1], path.name
+
+
+def test_python_dash_m_runs_the_cli(curve_file):
+    """``python -m formcone`` is the same entry point as the ``formcone`` script."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "formcone", "cm-check", str(curve_file),
+                           "--json"], cwd=root, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert (report["verdict"], report["depth"], report["dim"]) == ("not-cohen-macaulay", 0, 1)
+    done = subprocess.run([sys.executable, "-m", "formcone", "cm-check",
+                           str(curve_file.with_name("missing.fc"))],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2 and "cannot read" in done.stderr

@@ -23,6 +23,7 @@ from formcone import (
     grade_by_recursion,
     is_regular_element,
     koszul_grade,
+    normal_form,
     radical_invariance_check,
     regular_form_exists,
     squared_system,
@@ -385,11 +386,75 @@ def test_radical_invariance():
     assert same.agree and not same.disagreeing_levels
 
 
-def test_sandwich_in_every_record():
-    for ctx in (curve_context(q="m"), nilpotent_context()):
+def test_sandwich_in_every_record(corpus):
+    # inst20 takes the shared colon sequence, the other two level chains
+    inst20 = _fresh(next(i.ctx for i in corpus if i.name.startswith("inst20")))
+    assert _shared_colons(inst20)
+    for ctx in (curve_context(q="m"), nilpotent_context(), inst20):
         for n in range(4):
             record = defect_at(ctx, n)
             assert record.ideal.contains_ideal(ctx.q_power(n))
+
+
+def _minors_context():
+    # the 2x2 minors of a generic 2x3 matrix, q = m, a = the first variable
+    ring = PolynomialRing(QQ, ("a", "b", "c", "d", "e", "f"))
+    a, b, c, d, e, f = ring.gens()
+    return FiltrationContext(ring, (a * e - b * d, a * f - c * d, b * f - c * e), (),
+                             ring.gens(), [(a, 1)])
+
+
+def test_shared_residues_are_those_of_the_reduction(corpus):
+    # the shared route reads each level's residues off K_l's normal forms
+    # modulo I_M; they must be the nonzero normal forms of the record
+    # ideal's basis modulo q^n M, de-duplicated, in basis order
+    cases = [(i.ctx, CORPUS_PARAMS.n_max) for i in corpus]
+    cases += [(ctx, CORPUS_PARAMS.n_max) for ctx in tier4_contexts()]
+    cases.append((_minors_context(), 8))
+    checked = nonvanishing = 0
+    for ctx, n_max in cases:
+        if not _shared_colons(ctx):
+            continue
+        checked += 1
+        for n in range(n_max + 1):
+            record = defect_at(ctx, n, CORPUS_PARAMS)
+            target = ctx.q_power(n).groebner()
+            expected = []
+            for g in record.ideal.groebner().generators:
+                r = normal_form(g, target)
+                if not r.is_zero() and r not in expected:
+                    expected.append(r)
+            assert record.quotient_generators == tuple(expected), (str(ctx), n)
+            nonvanishing += bool(expected)
+    assert checked == 29  # 26 corpus inputs, 2 of tier 4 and the minors
+    assert nonvanishing >= 20
+
+
+def test_the_sandwich_is_the_chain_check_from_step_one(monkeypatch):
+    # a step-1 kernel that does not contain term 0 (C(n, 0) = q^n M on a
+    # level chain, K_0 = I_M on the shared colon sequence) must stop the
+    # scan: the chain's check from step 1 on is the only place that
+    # enforces the sandwich C(n, l) >= q^n M
+    meet = criterion_module.meet_of_colons
+    x, y = R2.gens()
+    graded = FiltrationContext(R2, (), (x * x,), (x, y), [(y, 1)])
+    for ctx in (curve_context(), graded):
+        firsts = tuple(s.element for s in ctx.system)
+        wrong = []
+
+        def outside(ideals, elements, firsts=firsts, wrong=wrong, y=ctx.ring.var(1)):
+            ideals, elements = tuple(ideals), tuple(elements)
+            if elements != firsts:
+                return meet(ideals, elements)
+            wrong.append(1)
+            return ideals[0].spawn((y,))
+
+        monkeypatch.setattr(criterion_module, "meet_of_colons", outside)
+        with pytest.raises(ConsistencyError, match="not ascending .*l=1"):
+            defect_scan(ctx, DEMO_PARAMS)
+        assert wrong == [1], str(ctx)
+    assert not _shared_colons(curve_context())
+    assert _shared_colons(graded)
 
 
 def test_unit_like_system_is_rejected_by_graded_routes():

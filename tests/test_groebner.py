@@ -480,3 +480,47 @@ def test_syzygy_basis_matches_full_graph_basis(characteristic):
                     assert graph.image == buchberger(cols + units, order)
                     assert graph.kernel == kernel
     assert nonzero >= 30
+
+
+@pytest.mark.parametrize("characteristic", [0, 3])
+def test_normal_forms_batch_the_basis_conversion(characteristic, monkeypatch):
+    """``normal_forms`` yields, in order, what ``normal_form`` gives element by
+    element, on random ideals and rank-2 modules; it converts the basis's
+    generators to term vectors once per batch, and only as far as the
+    caller reads."""
+    ring = PolynomialRing(FieldSpec(characteristic), ("x", "y", "z"))
+    rng = random.Random(307 + characteristic)
+    converted = []
+    to_vec = groebner_module._to_vec
+    batches = 0
+    for rank in (None, 2):
+        for _ in range(8):
+            gb = buchberger([_random_element(rng, ring, rank) for _ in range(rng.randint(1, 3))])
+            elements = [_random_element(rng, ring, rank) for _ in range(rng.randint(2, 5))]
+            expected = [normal_form(e, gb) for e in elements]  # also builds the lead index
+            gens = [g for g in gb.generators if not g.is_zero()]
+            monkeypatch.setattr(groebner_module, "_to_vec",
+                                lambda e: converted.append(e) or to_vec(e))
+            converted.clear()
+            assert list(groebner_module.normal_forms(iter(elements), gb)) == expected
+            if gens:
+                batches += 1
+                assert [e for e in converted if any(e is g for g in gens)] == gens
+                assert len(converted) == len(gens) + len(elements)
+                converted.clear()
+                assert next(groebner_module.normal_forms(elements, gb)) == expected[0]
+                assert len(converted) == len(gens) + 1
+            monkeypatch.setattr(groebner_module, "_to_vec", to_vec)
+            assert_public_coefficients(expected)
+    assert batches >= 12
+    # an empty basis yields the elements unchanged, and checks nothing
+    x, y = R2.gens()
+    empty = buchberger([R2.zero()])
+    odd = [x * y, FreeModuleElement(R3, (R3.var(2), R3.zero()))]
+    assert list(groebner_module.normal_forms(odd, empty)) == odd
+    # a ring or rank mismatch raises when the element is reached
+    gb = buchberger([ring.var(0)])
+    with pytest.raises(RingMismatchError):
+        list(groebner_module.normal_forms([ring.var(1), x], gb))
+    with pytest.raises(RingMismatchError):
+        list(groebner_module.normal_forms([FreeModuleElement(ring, (ring.var(1),))], gb))
