@@ -1,8 +1,12 @@
 """Command-line front end: ``formcone <command> <file> [--json] [--set k=v ...]``.
 
-Exit codes: 0 mathematical success, 2 input error, 3 budget exhaustion,
-1 internal consistency failure.  JSON reports have a fixed key order and are
-byte-identical across runs except for the ``timings`` field.
+Exit codes: 0 mathematical success, 2 input error (also an unreadable or
+non-UTF-8 file), 3 budget exhaustion, 1 internal consistency failure.  JSON
+reports have a fixed key order and are byte-identical across runs except for
+the ``timings`` field.  ``gb``, ``formring`` and ``hilbert`` build payloads
+of their own, the report commands fill their keys of the one ``_schema``
+(``full-report`` is ``cm-check``), and ``emit-cas`` builds no context;
+``COMMANDS``, and so the argparse choices, are read off the dispatch table.
 """
 
 from __future__ import annotations
@@ -33,13 +37,9 @@ from .errors import (
     RingMismatchError,
     ValidationError,
 )
+from .filtration import FiltrationContext
 from .graded import graded_dim, hilbert_function
-from .session import PARAM_KEYS, SessionSpec, parse_session
-
-COMMANDS = (
-    "gb", "formring", "hilbert", "dim", "depth", "lzero", "grade",
-    "cm-check", "full-report", "emit-cas",
-)
+from .session import SessionSpec, apply_setting, parse_session
 
 _INPUT_ERRORS = (ParseError, ValidationError, DegenerateSystemError, RingMismatchError,
                  InfiniteComponentError)
@@ -63,130 +63,119 @@ def _params_dict(params: CriterionParams) -> dict:
     return out
 
 
-def _schema(params: CriterionParams, *, verdict=None, depth=None, dim=None, grade=None,
-            sop=None, lzero_table=None, band=None, certificates=None, timings=None) -> dict:
-    return {
-        "verdict": verdict,
-        "depth": depth,
-        "dim": dim,
-        "grade": grade,
-        "sop": sop,
-        "lzero_table": lzero_table,
-        "band": band,
-        "certificates": certificates,
-        "timings": timings,
-        "parameters": _params_dict(params),
+_SCHEMA_KEYS = ("verdict", "depth", "dim", "grade", "sop", "lzero_table", "band",
+                "certificates")
+
+
+def _schema(params: CriterionParams, values: dict, started: float) -> dict:
+    """The one report schema: a command's values, None for the keys it does
+    not fill, its wall time since ``started`` and the parameters."""
+    payload = {key: values.get(key) for key in _SCHEMA_KEYS}
+    payload["timings"] = {"seconds": time.perf_counter() - started}
+    payload["parameters"] = _params_dict(params)
+    return payload
+
+
+def _regular_sequence(certificate) -> list[dict]:
+    return [{"element": str(s.element), "degree": s.degree} for s in certificate]
+
+
+def _depth_witness(certificate) -> list[str]:
+    return [str(p) for w in certificate or () for p in w.cycle]
+
+
+def _gb(ctx: FiltrationContext, params: CriterionParams) -> dict:
+    return {"ring": str(ctx.ring),
+            "generators": [str(g) for g in ctx.ideal_m.groebner().generators]}
+
+
+def _formring(ctx: FiltrationContext, params: CriterionParams) -> dict:
+    pres = ctx.form_presentation()
+    payload = {
+        "presentation_ring": str(pres.ring),
+        "weights": list(pres.weights),
+        "ideal": [g.to_string(pres.order) for g in pres.groebner().generators],
     }
+    try:
+        payload["cone"] = [str(g) for g in pres.variable_cone().ideal.groebner().generators]
+    except ValidationError:  # the presentation has no variable cone
+        pass
+    return payload
+
+
+def _hilbert(ctx: FiltrationContext, params: CriterionParams) -> dict:
+    values = hilbert_function(ctx.form_presentation(), params.n_max)
+    return {"upto": params.n_max, "values": values}
+
+
+def _dim(ctx: FiltrationContext, params: CriterionParams) -> dict:
+    return {"dim": checked_dim(ctx, ctx.form_presentation())}
+
+
+def _depth(ctx: FiltrationContext, params: CriterionParams) -> dict:
+    pres = ctx.form_presentation()
+    report = checked_depth(ctx, pres)
+    return {"depth": int(report.value), "dim": graded_dim(pres),
+            "certificates": {"method": report.method,
+                             "witness": _depth_witness(report.certificate)}}
+
+
+def _lzero(ctx: FiltrationContext, params: CriterionParams) -> dict:
+    scan = defect_scan(ctx, params)
+    return {
+        "verdict": "all-vanish" if scan.all_vanish
+        else f"nonvanishing at n={scan.first_nonvanishing}",
+        "lzero_table": [_table_row(r) for r in scan.records],
+        "certificates": {"statuses": [r.status for r in scan.records],
+                         "local_model_mismatch": ctx.local_model_mismatch},
+    }
+
+
+def _grade(ctx: FiltrationContext, params: CriterionParams) -> dict:
+    pres = ctx.form_presentation()
+    direct, recursion = checked_grades(ctx, pres, _system_images(ctx, pres), params)
+    return {"grade": int(direct.value),
+            "certificates": {"regular_sequence": _regular_sequence(recursion.certificate)}}
+
+
+def _cm_check(ctx: FiltrationContext, params: CriterionParams) -> dict:
+    report = cohen_macaulay_report(ctx, params)
+    return {
+        "verdict": "cohen-macaulay" if report.cm_verdict else "not-cohen-macaulay",
+        "depth": report.depth,
+        "dim": report.dim,
+        "grade": report.grade_direct,
+        "sop": report.sop_flag,
+        "lzero_table": [_table_row(r) for r in report.lzero_table],
+        "band": list(report.predicted_band),
+        "certificates": {
+            "regular_sequence": _regular_sequence(report.recursion_report.certificate),
+            "depth_witness": _depth_witness(report.depth_report.certificate),
+            "lzero_statuses": [r.status for r in report.lzero_table],
+            "notes": list(report.notes),
+        },
+    }
+
+
+# the dispatch table: commands with a payload of their own, then the report
+# commands, each of which fills its keys of the one schema; emit-cas builds no
+# context and comes last
+_PAYLOADS = {"gb": _gb, "formring": _formring, "hilbert": _hilbert}
+_SCHEMA_COMMANDS = {"dim": _dim, "depth": _depth, "lzero": _lzero, "grade": _grade,
+                    "cm-check": _cm_check, "full-report": _cm_check}
+COMMANDS = (*_PAYLOADS, *_SCHEMA_COMMANDS, "emit-cas")
 
 
 def run_command(command: str, spec: SessionSpec, dialect: str = "macaulay2") -> dict:
     """Execute one command and return the report payload (JSON-ready dict)."""
-    params = spec.params
     started = time.perf_counter()
-
     if command == "emit-cas":
         return {"command": "emit-cas", "dialect": dialect, "script": emit_cas_script(spec, dialect)}
-
-    ctx = spec.context()
-
-    if command == "gb":
-        gb = ctx.ideal_m.groebner()
-        return {
-            "command": "gb",
-            "ring": str(ctx.ring),
-            "generators": [str(g) for g in gb.generators],
-        }
-
-    if command == "formring":
-        pres = ctx.form_presentation()
-        payload = {
-            "command": "formring",
-            "presentation_ring": str(pres.ring),
-            "weights": list(pres.weights),
-            "ideal": [g.to_string(pres.order) for g in pres.groebner().generators],
-        }
-        try:
-            cone = pres.variable_cone()
-            payload["cone"] = [str(g) for g in cone.ideal.groebner().generators]
-        except ValidationError:  # the presentation has no variable cone
-            pass
-        return payload
-
-    if command == "hilbert":
-        pres = ctx.form_presentation()
-        values = hilbert_function(pres, params.n_max)
-        return {"command": "hilbert", "upto": params.n_max, "values": values}
-
-    if command == "dim":
-        dim_graded = checked_dim(ctx, ctx.form_presentation())
-        return _schema(params, dim=dim_graded,
-                       timings={"seconds": time.perf_counter() - started})
-
-    if command == "depth":
-        pres = ctx.form_presentation()
-        report = checked_depth(ctx, pres)
-        return _schema(
-            params, depth=int(report.value), dim=graded_dim(pres),
-            certificates={"method": report.method,
-                          "witness": [str(p) for w in report.certificate for p in w.cycle]
-                          if report.certificate else []},
-            timings={"seconds": time.perf_counter() - started},
-        )
-
-    if command == "lzero":
-        scan = defect_scan(ctx, params)
-        return _schema(
-            params,
-            verdict="all-vanish" if scan.all_vanish
-            else f"nonvanishing at n={scan.first_nonvanishing}",
-            lzero_table=[_table_row(r) for r in scan.records],
-            certificates={
-                "statuses": [r.status for r in scan.records],
-                "local_model_mismatch": ctx.local_model_mismatch,
-            },
-            timings={"seconds": time.perf_counter() - started},
-        )
-
-    if command == "grade":
-        pres = ctx.form_presentation()
-        direct, recursion = checked_grades(ctx, pres, _system_images(ctx, pres), params)
-        return _schema(
-            params, grade=int(direct.value),
-            certificates={
-                "regular_sequence": [
-                    {"element": str(s.element), "degree": s.degree}
-                    for s in recursion.certificate
-                ],
-            },
-            timings={"seconds": time.perf_counter() - started},
-        )
-
-    if command in ("cm-check", "full-report"):
-        report = cohen_macaulay_report(ctx, params)
-        certificates = {
-            "regular_sequence": [
-                {"element": str(s.element), "degree": s.degree}
-                for s in report.recursion_report.certificate
-            ],
-            "depth_witness": [
-                str(p) for w in report.depth_report.certificate for p in w.cycle
-            ] if report.depth_report.certificate else [],
-            "lzero_statuses": [r.status for r in report.lzero_table],
-            "notes": list(report.notes),
-        }
-        return _schema(
-            params,
-            verdict="cohen-macaulay" if report.cm_verdict else "not-cohen-macaulay",
-            depth=report.depth,
-            dim=report.dim,
-            grade=report.grade_direct,
-            sop=report.sop_flag,
-            lzero_table=[_table_row(r) for r in report.lzero_table],
-            band=list(report.predicted_band),
-            certificates=certificates,
-            timings={"seconds": time.perf_counter() - started},
-        )
-
+    if command in _PAYLOADS:
+        return {"command": command, **_PAYLOADS[command](spec.context(), spec.params)}
+    if command in _SCHEMA_COMMANDS:
+        return _schema(spec.params, _SCHEMA_COMMANDS[command](spec.context(), spec.params),
+                       started)
     raise ValidationError(f"unknown command {command!r}")
 
 
@@ -233,23 +222,6 @@ def _render_human(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _apply_overrides(spec: SessionSpec, overrides: list[str]) -> SessionSpec:
-    params = spec.params
-    for item in overrides:
-        if "=" not in item:
-            raise ValidationError(f"--set expects key=value, got {item!r}")
-        key, value = (part.strip() for part in item.split("=", 1))
-        if key not in PARAM_KEYS:
-            raise ValidationError(
-                f"unknown parameter {key!r}; known: {', '.join(sorted(PARAM_KEYS))}"
-            )
-        try:
-            params = replace(params, **{key: int(value)})
-        except ValueError:
-            raise ValidationError(f"parameter {key} needs an integer value")
-    return replace(spec, params=params)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="formcone",
@@ -275,12 +247,13 @@ def main(argv=None) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
     try:
         spec = parse_session(text)
-        spec = _apply_overrides(spec, args.overrides)
+        for item in args.overrides:
+            spec = replace(spec, params=apply_setting(spec.params, item))
         payload = run_command(args.command, spec, dialect=args.dialect)
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -497,6 +497,10 @@ class Polynomial:
 # Polynomial expression parser
 # ---------------------------------------------------------------------------
 
+# parentheses nest at most this deep: each level costs the recursive-descent
+# parser four stack frames, so deeper input would hit Python's recursion limit
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:\s*/\s*\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
 )
@@ -508,6 +512,7 @@ class _Tokens:
         self.line = line
         self.col_offset = col_offset
         self.pos = 0
+        self.nesting = 0
         self.items: list[tuple[str, str, int]] = []  # (kind, value, col)
         while self.pos < len(text):
             m = _TOKEN_RE.match(text, self.pos)
@@ -612,7 +617,12 @@ def _parse_atom(ring: PolynomialRing, toks: _Tokens) -> Polynomial:
             raise ParseError(f"unknown variable {value!r}", toks.line, col, tuple(ring.variables))
         return ring.var(ring.variables.index(value))
     if kind == "op" and value == "(":
+        if toks.nesting == MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING} levels",
+                             toks.line, col, ())
+        toks.nesting += 1
         inner = _parse_sum(ring, toks)
+        toks.nesting -= 1
         kind, value, col = toks.next()
         if not (kind == "op" and value == ")"):
             raise ParseError("unbalanced parenthesis", toks.line, col, (")",))

@@ -9,6 +9,8 @@
     set n_max = 10
 
 `#` starts a comment; expressions use the canonical polynomial syntax.
+`base:`, `module:` and `q:` come at most once each, and `0` is the empty list.
+`set` lines and the CLI's `--set` flags go through one setter, `apply_setting`.
 Parse errors carry 1-based line/column and the accepted alternatives.
 """
 
@@ -23,6 +25,8 @@ from .rings import FieldSpec, Polynomial, PolynomialRing, parse_polynomial
 
 # the keys a `set` line or a `--set` flag may name
 PARAM_KEYS = frozenset(f.name for f in fields(CriterionParams)) - {"search_coefficients"}
+# the sections that each hold one expression list
+LIST_SECTIONS = ("base", "module", "q")
 
 
 @dataclass(frozen=True)
@@ -58,15 +62,28 @@ def _split_top_level(text: str) -> list[tuple[str, int]]:
     return [(c, off) for c, off in out if c.strip()]
 
 
+def apply_setting(params: CriterionParams, assignment: str) -> CriterionParams:
+    """``params`` with one ``key = value`` assignment applied: the one setter
+    of the ``set`` lines and the ``--set`` flags (raises ValidationError)."""
+    key, eq, value = (part.strip() for part in assignment.partition("="))
+    if not eq:
+        raise ValidationError(f"expected key=value, got {assignment.strip()!r}")
+    if key not in PARAM_KEYS:
+        raise ValidationError(
+            f"unknown parameter {key!r}; known: {', '.join(sorted(PARAM_KEYS))}")
+    try:
+        number = int(value)
+    except ValueError:
+        raise ValidationError(f"parameter {key} needs an integer value")
+    return replace(params, **{key: number})
+
+
 def parse_session(text: str) -> SessionSpec:
     field_spec: FieldSpec | None = None
     variables: tuple[str, ...] | None = None
     ring: PolynomialRing | None = None
-    base: list[Polynomial] = []
-    module: list[Polynomial] = []
-    q: list[Polynomial] = []
+    sections: dict[str, list[Polynomial]] = {}
     system: list[tuple[Polynomial, int | None]] = []
-    seen: set[str] = set()
     params = CriterionParams()
 
     def make_ring() -> PolynomialRing:
@@ -83,14 +100,6 @@ def parse_session(text: str) -> SessionSpec:
             raise ParseError("field and vars must come before expressions", lineno, col,
                              ("field", "vars"))
         return ring
-
-    def parse_list(body: str, lineno: int, col0: int) -> list[Polynomial]:
-        if body.strip() == "0":
-            return []
-        out = []
-        for chunk, off in _split_top_level(body):
-            out.append(parse_polynomial(need_ring(lineno, col0), chunk, lineno, col0 + off))
-        return out
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -132,43 +141,22 @@ def parse_session(text: str) -> SessionSpec:
             continue
 
         if word == "set":
-            rest = stripped[len("set"):]
-            if "=" not in rest:
-                raise ParseError("set needs key = value", lineno, indent + 1, ("key = value",))
-            key, value = (part.strip() for part in rest.split("=", 1))
-            if key not in PARAM_KEYS:
-                raise ParseError(f"unknown parameter {key!r}", lineno, indent + 1,
-                                 tuple(sorted(PARAM_KEYS)))
             try:
-                params = replace(params, **{key: int(value)})
-            except ValueError:
-                raise ParseError(f"parameter {key} needs an integer", lineno, indent + 1,
-                                 ("integer",))
+                params = apply_setting(params, stripped[len("set"):])
             except ValidationError as exc:
-                raise ParseError(str(exc), lineno, indent + 1, ())
+                raise ParseError(str(exc), lineno, indent + 1)
             continue
 
         if ":" in stripped:
             raw_head, body = stripped.split(":", 1)
             head = raw_head.strip()
             col0 = indent + len(raw_head) + 1
-            if head == "base":
-                if "base" in seen:
-                    raise ParseError("duplicate base section", lineno, indent + 1, ())
-                seen.add("base")
-                base = parse_list(body, lineno, col0)
-                continue
-            if head == "module":
-                if "module" in seen:
-                    raise ParseError("duplicate module section", lineno, indent + 1, ())
-                seen.add("module")
-                module = parse_list(body, lineno, col0)
-                continue
-            if head == "q":
-                if "q" in seen:
-                    raise ParseError("duplicate q section", lineno, indent + 1, ())
-                seen.add("q")
-                q = parse_list(body, lineno, col0)
+            if head in LIST_SECTIONS:
+                if head in sections:
+                    raise ParseError(f"duplicate {head} section", lineno, indent + 1, ())
+                sections[head] = [] if body.strip() == "0" else [
+                    parse_polynomial(need_ring(lineno, col0), chunk, lineno, col0 + off)
+                    for chunk, off in _split_top_level(body)]
                 continue
             if head == "a":
                 for chunk, off in _split_top_level(body):
@@ -185,7 +173,7 @@ def parse_session(text: str) -> SessionSpec:
                     system.append((poly, degree))
                 continue
             raise ParseError(f"unknown section {head!r}", lineno, indent + 1,
-                             ("base", "module", "q", "a"))
+                             (*LIST_SECTIONS, "a"))
 
         raise ParseError(f"unrecognized directive {word!r}", lineno, indent + 1,
                          ("field", "vars", "base:", "module:", "q:", "a:", "set"))
@@ -194,14 +182,14 @@ def parse_session(text: str) -> SessionSpec:
         raise ParseError("missing field declaration", 1, 1, ("field",))
     if variables is None:
         raise ParseError("missing vars declaration", 1, 1, ("vars",))
-    if "q" not in seen or not q:
+    if not sections.get("q"):
         raise ParseError("missing q section", 1, 1, ("q:",))
     return SessionSpec(
         field=field_spec,
         variables=variables,
-        base=tuple(base),
-        module=tuple(module),
-        q=tuple(q),
+        base=tuple(sections.get("base", ())),
+        module=tuple(sections.get("module", ())),
+        q=tuple(sections["q"]),
         system=tuple(system),
         params=params,
     )

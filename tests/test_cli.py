@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from formcone.cas import emit_cas_script
-from formcone.errors import BudgetExceededError
+from formcone.errors import BudgetExceededError, ParseError
 from formcone.filtration import GradedQuotientPresentation
-from formcone.cli import COMMANDS, emit_report, main, run_command
+from formcone.cli import COMMANDS, build_parser, emit_report, main, run_command
 from formcone.session import parse_session
 
 CURVE_TEXT = """\
@@ -101,6 +101,11 @@ def test_exit_code_for_input_errors(tmp_path, capsys):
     claim.write_text("field QQ\nvars x, y\nq: x, y\na: x @ 2\n", encoding="utf-8")
     assert main(["cm-check", str(claim)]) == 2
 
+    undecodable = tmp_path / "latin1.fc"
+    undecodable.write_bytes(b"field QQ\nvars x\nq: x\xff\n")
+    assert main(["gb", str(undecodable)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
 
 def test_depth_and_cm_check_refuse_a_shifted_filtration(tmp_path, capsys):
     """q = (x - 1, y) is not inside the variable ideal: both depth routes
@@ -138,6 +143,29 @@ def test_bad_override_rejected(curve_file, capsys):
     assert main(["gb", str(curve_file), "--set", "nonsense=3"]) == 2
 
 
+@pytest.mark.parametrize("line,flag", [
+    ("bogus = 3", "bogus=3"), ("n_max = y", "n_max=y"), ("n_max", "n_max"),
+], ids=["unknown-key", "not-an-integer", "no-value"])
+def test_set_line_and_set_flag_share_one_message(curve_file, capsys, line, flag):
+    """A `set` line and a `--set` flag go through one setter: the same
+    refusal, at the line for the session file."""
+    with pytest.raises(ParseError) as err:
+        parse_session(f"field QQ\nvars x\nset {line}\nq: x\n")
+    assert (err.value.line, err.value.column) == (3, 1)
+    at_line, message = str(err.value).split(": ", 1)
+    assert at_line == "line 3, column 1"
+    assert main(["gb", str(curve_file), "--set", flag]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_commands_are_the_parser_choices():
+    """The argparse choices are the dispatch table's commands, in order."""
+    action = next(a for a in build_parser()._actions if a.dest == "command")
+    assert tuple(action.choices) == COMMANDS == (
+        "gb", "formring", "hilbert", "dim", "depth", "lzero", "grade",
+        "cm-check", "full-report", "emit-cas")
+
+
 def test_negative_search_parameters_are_input_errors(tmp_path, capsys):
     plane = tmp_path / "plane.fc"
     plane.write_text("field QQ\nvars x, y\nq: x, y\na: x\n", encoding="utf-8")
@@ -154,6 +182,9 @@ ADVERSARIAL = {
     "char2": "field FP 2\nvars x, y, z\nbase: x^2 + y^2 + z^2\nq: x, y, z\na: x, y\n",
     "not_separated": "field QQ\nvars x, y\nbase: x - x*y\nq: x, y\na: y\n",
     "degree0": "field QQ\nvars x, y\nq: x, y\na: x + 1\n",
+    # malformed files: every command refuses them
+    "not_utf8": b"field QQ\nvars x\nq: x\xff\n",
+    "deep_nesting": "field QQ\nvars x\nq: " + "(" * 300 + "x" + ")" * 300 + "\n",
 }
 
 
@@ -163,7 +194,8 @@ def test_adversarial_inputs_never_exit_1(tmp_path, capsys, name):
     returned for a consistency failure or taken by an exception that escapes
     ``main``, would mean an internal failure on a valid input."""
     path = tmp_path / f"{name}.fc"
-    path.write_text(ADVERSARIAL[name], encoding="utf-8")
+    text = ADVERSARIAL[name]
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     codes = {}
     for command in COMMANDS:
         codes[command] = main([command, str(path), "--json"])
@@ -171,6 +203,8 @@ def test_adversarial_inputs_never_exit_1(tmp_path, capsys, name):
     assert {c: code for c, code in codes.items() if code not in (0, 2)} == {}
     if name == "plane":
         assert codes["hilbert"] == 2
+    if name in ("not_utf8", "deep_nesting"):
+        assert set(codes.values()) == {2}
 
 
 def test_minors_cm_check(tmp_path, capsys):
@@ -230,6 +264,10 @@ def test_run_command_payload_reuse():
     payload = run_command("cm-check", spec)
     text = emit_report(payload)
     assert json.loads(text)["verdict"] == "not-cohen-macaulay"
+    # full-report is an alias of cm-check
+    full = run_command("full-report", spec)
+    full.pop("timings"), payload.pop("timings")
+    assert full == payload
 
 
 @pytest.mark.parametrize("command", ["cm-check", "lzero", "full-report"])

@@ -18,7 +18,7 @@ from formcone import (
     parse_polynomial,
     weighted_order,
 )
-from formcone.rings import _drl_key, mono_div, mono_lcm, mono_mul
+from formcone.rings import MAX_NESTING, _drl_key, mono_div, mono_lcm, mono_mul
 
 R2 = PolynomialRing(QQ, ("x", "y"))
 R3 = PolynomialRing(QQ, ("X", "Y", "Z"))
@@ -210,6 +210,19 @@ def test_parser_variants_and_errors():
         R2.parse("x + ")
     with pytest.raises(ParseError):
         parse_polynomial(R2, "(x + y")
+
+
+def test_parenthesis_nesting_is_bounded():
+    """Nesting up to MAX_NESTING parses; one level more is a parse error at
+    the opening parenthesis, long before Python's recursion limit."""
+    nested = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert R2.parse(nested) == R2.parse("x")
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(R2, "y + (" + nested + ")", line=3, col_offset=4)
+    assert (err.value.line, err.value.column) == (3, 4 + 5 + MAX_NESTING)
+    assert f"nested deeper than {MAX_NESTING}" in str(err.value)
+    with pytest.raises(ParseError):
+        R2.parse("(" * 1000 + "x" + ")" * 1000)
 
 
 def test_substitution():

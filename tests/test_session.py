@@ -85,8 +85,12 @@ def test_set_directives_override_defaults():
 
 
 def test_duplicate_sections_rejected():
-    with pytest.raises(ParseError):
-        parse_session("field QQ\nvars x\nq: x\nq: x\n")
+    """Each list section comes at most once, also after an empty "0" list."""
+    for section in ("base", "module", "q"):
+        with pytest.raises(ParseError) as err:
+            parse_session(f"field QQ\nvars x\n{section}: 0\n  {section}: x\nq: x\n")
+        assert (err.value.line, err.value.column) == (4, 3)
+        assert f"duplicate {section} section" in str(err.value)
 
 
 def test_directives_are_whole_words():
