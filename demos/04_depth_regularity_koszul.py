@@ -1,12 +1,14 @@
 """Tour 4: regular elements, Koszul grade, and depth of graded quotients.
 
 Every verdict is exact and certified: regularity failures come with an
-annihilator witness, grade values with a nonvanishing homology cycle.
+annihilator witness, grade values with a nonvanishing homology cycle, and
+depth with a regular sequence and, below the dimension, a socle witness.
 """
 
 from formcone import (
     FiltrationContext,
     GradedElement,
+    KoszulWitness,
     PolynomialRing,
     QQ,
     colon_chain_regularity,
@@ -36,9 +38,9 @@ print("colon-chain test:", colon_chain_regularity(ctx, X, 1, n_max=6))
 images = system_images(ctx, cone)
 print("grade of the initial-form ideal:", koszul_grade(cone, images).value)
 report = depth(cone)
-print("depth:", report.value, "  dim:", graded_dim(cone))
-print("depth witness (annihilator cycle):",
-      [str(p) for w in report.certificate for p in w.cycle])
+print("depth:", report.value, "  dim:", graded_dim(cone), "  route:", report.method)
+print("depth witness (a class every variable kills):",
+      [str(p) for w in report.certificate if isinstance(w, KoszulWitness) for p in w.cycle])
 
 # (4) The initial form of X is a one-element system of parameters of the cone.
 print("system of parameters:", is_system_of_parameters(cone, images))

@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .filtration import FiltrationContext
-from .graded import graded_dim, hilbert_function
+from .graded import GradedElement, GradeReport, KoszulWitness, graded_dim, hilbert_function
 from .session import SessionSpec, apply_setting, parse_session
 
 _INPUT_ERRORS = (ParseError, ValidationError, DegenerateSystemError, RingMismatchError,
@@ -80,8 +80,15 @@ def _regular_sequence(certificate) -> list[dict]:
     return [{"element": str(s.element), "degree": s.degree} for s in certificate]
 
 
-def _depth_witness(certificate) -> list[str]:
-    return [str(p) for w in certificate or () for p in w.cycle]
+def _depth_certificates(report: GradeReport) -> dict:
+    """The depth route, its regular sequence and its witness: the same keys
+    in every report."""
+    cert = report.certificate
+    return {
+        "depth_method": report.method,
+        "depth_sequence": [str(e.representative) for e in cert if isinstance(e, GradedElement)],
+        "depth_witness": [str(p) for w in cert if isinstance(w, KoszulWitness) for p in w.cycle],
+    }
 
 
 def _gb(ctx: FiltrationContext, params: CriterionParams) -> dict:
@@ -116,8 +123,7 @@ def _depth(ctx: FiltrationContext, params: CriterionParams) -> dict:
     pres = ctx.form_presentation()
     report = checked_depth(ctx, pres)
     return {"depth": int(report.value), "dim": graded_dim(pres),
-            "certificates": {"method": report.method,
-                             "witness": _depth_witness(report.certificate)}}
+            "certificates": _depth_certificates(report)}
 
 
 def _lzero(ctx: FiltrationContext, params: CriterionParams) -> dict:
@@ -150,7 +156,7 @@ def _cm_check(ctx: FiltrationContext, params: CriterionParams) -> dict:
         "band": list(report.predicted_band),
         "certificates": {
             "regular_sequence": _regular_sequence(report.recursion_report.certificate),
-            "depth_witness": _depth_witness(report.depth_report.certificate),
+            **_depth_certificates(report.depth_report),
             "lzero_statuses": [r.status for r in report.lzero_table],
             "notes": list(report.notes),
         },
@@ -210,15 +216,15 @@ def _render_human(payload: dict) -> str:
                 f"  {row['n']:>3}  {str(row['vanishing']):<5}  {row['stabilized_l']:>2}  "
                 f"{str(row['certified']):<5}  {gens}"
             )
-    certs = payload.get("certificates") or {}
-    seq = certs.get("regular_sequence")
-    if seq:
-        lines.append("regular sequence: " + ", ".join(
-            f"{item['element']} (degree {item['degree']})" for item in seq))
-    if certs.get("depth_witness"):
-        lines.append("depth witness: " + ", ".join(certs["depth_witness"]))
-    for note in certs.get("notes", ()):
-        lines.append(f"note: {note}")
+    for key, value in (payload.get("certificates") or {}).items():
+        if key == "notes":
+            lines.extend(f"note: {note}" for note in value)
+            continue
+        if key == "regular_sequence":
+            value = [f"{item['element']} (degree {item['degree']})" for item in value]
+        if isinstance(value, list):
+            value = ", ".join(str(item) for item in value) or "-"
+        lines.append(f"{key.replace('_', ' ')}: {value}")
     return "\n".join(lines) + "\n"
 
 

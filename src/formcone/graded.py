@@ -2,8 +2,10 @@
 
 Everything here is exact: Hilbert functions by recursive standard-monomial
 counting on the leading ideal, regularity of homogeneous elements by colon
-comparison, and grade/depth by Koszul-complex codepth (which needs no
-genericity and works over every supported field).
+comparison, grade by Koszul-complex codepth (which needs no genericity and
+works over every supported field), and depth by a greedy regular sequence
+stopped by a socle witness or the dimension, with Koszul homology as its
+fallback.
 """
 
 from __future__ import annotations
@@ -287,19 +289,107 @@ def koszul_grade(pres: GradedQuotientPresentation, generators) -> GradeReport:
     return GradeReport(r, "koszul")
 
 
+def _candidates(gens: list[GradedElement], sizes):
+    """Sums of ``size`` distinct generators of one weight, for each size."""
+    for size in sizes:
+        for combo in combinations(gens, size):
+            if len({g.degree for g in combo}) == 1:
+                rep = combo[0].representative
+                for g in combo[1:]:
+                    rep = rep + g.representative
+                yield GradedElement(combo[0].presentation, rep, combo[0].degree)
+
+
+def _regular_on(cur: GradedQuotientPresentation, candidates,
+                killers: list[Polynomial]) -> GradedElement | None:
+    """The first candidate that is nonzero and a nonzerodivisor on ``cur``.
+
+    ``killers`` holds a nonzero class that each rejected candidate kills: a
+    candidate that one of them, still nonzero in ``cur``, kills is a zero
+    divisor without a colon."""
+    ideal = cur.ideal
+    for c in candidates:
+        x = c.representative
+        if ideal.contains(x) or any(ideal.contains(w * x) and not ideal.contains(w)
+                                    for w in killers):
+            continue
+        ann = ideal.colon(x)
+        if ann.equals(ideal):
+            return c
+        killers.append(next(w for w in normal_forms(ann.generators, ideal.groebner())
+                            if not w.is_zero()))
+    return None
+
+
+def _socle_witness(cur: GradedQuotientPresentation, reps,
+                   killers: list[Polynomial]) -> Polynomial | None:
+    """A nonzero class of ``cur`` killed by every element of ``reps``: a
+    known killer when one is, else ``annihilator_witness``."""
+    ideal = cur.ideal
+    for w in normal_forms(killers, ideal.groebner()) if killers else ():
+        if not w.is_zero() and all(ideal.contains(w * g) for g in reps):
+            return w
+    return annihilator_witness(cur, reps) if reps else None
+
+
 def depth(pres: GradedQuotientPresentation) -> GradeReport:
-    """Grade of the maximal homogeneous ideal: all degree-0 and degree-1
+    """Grade of the maximal homogeneous ideal I: all degree-0 and degree-1
     variable images that are nonzero in the quotient.
 
     Degree-0 residue generators are included deliberately (the degree-0 part
     need not be a field); reports carry this note.
+
+    Route ``"regular-sequence"``: grow a sequence in I greedily.  Each element
+    is a variable image, or a sum of two or three of one weight, that is
+    nonzero and a nonzerodivisor modulo the earlier ones.  Stop at
+      - a socle witness: a nonzero class of the quotient by the sequence that
+        I kills.  Every element of I is then a zero divisor there, so the
+        sequence is a maximal regular sequence in I, and all of those have
+        the same length (Bruns-Herzog, Thm 1.2.5): depth = its length;
+      - a sequence of length dim, or of length dim - 1 whose quotient has no
+        socle, so that I holds a nonzerodivisor on it (BH Prop. 1.2.3).
+        Depth is at most dim (BH Prop. 1.2.12), so depth = dim.
+    The certificate is the sequence, then the socle witness when there is
+    one, as the ``KoszulWitness`` of the top index on that quotient.  The
+    socle is checked first, which gives the depth-0 verdict and witness of
+    ``koszul_grade``, and then only when no variable image extends the
+    sequence.  A class that a rejected candidate kills rejects later
+    candidates, and answers later socle checks, without a colon.  The images
+    generate the ring, so with one image dim is at most 1 and is not
+    computed.  When no candidate extends the sequence and there is no socle
+    (small fields, or every sum a zero divisor), the answer is
+    ``koszul_grade`` on the same generators, route ``"koszul"``.  Both
+    routes are exact and deterministic.
     """
     gens = []
     for i in range(pres.ring.nvars):
         v = pres.ring.var(i)
         if not pres.contains(v):
             gens.append(GradedElement(pres, v, pres.weights[i]))
-    return koszul_grade(pres, gens)
+    reps = [g.representative for g in gens]
+    if not pres.ideal.sum_with(*reps).is_proper():
+        return GradeReport(math.inf, "regular-sequence")
+    seq: list[GradedElement] = []
+    killers: list[Polynomial] = []
+    cur, dim = pres, None
+    while True:
+        x = _regular_on(cur, _candidates(gens, (1,)), killers) if seq else None
+        if x is None:
+            witness = _socle_witness(cur, reps, killers)
+            if witness is not None:
+                return GradeReport(len(seq), "regular-sequence",
+                                   (*seq, KoszulWitness(len(reps), (witness,))))
+            if dim is None:
+                dim = graded_dim(pres) if len(reps) > 1 else len(reps)
+            if len(seq) >= dim - 1:
+                return GradeReport(dim, "regular-sequence", tuple(seq))
+            x = _regular_on(cur, _candidates(gens, (2, 3) if seq else (1, 2, 3)), killers)
+            if x is None:
+                return koszul_grade(pres, gens)
+        seq.append(x)
+        if len(seq) == dim:
+            return GradeReport(dim, "regular-sequence", tuple(seq))
+        cur = cur.quotient_by([x.representative])
 
 
 def is_system_of_parameters(pres: GradedQuotientPresentation, elems) -> bool:

@@ -136,3 +136,11 @@ def tier4_contexts() -> list[FiltrationContext]:
     return [FiltrationContext(ring, tuple(ring.parse(e) for e in base), (), ring.gens(),
                               [(ring.parse(a), None) for a in system])
             for base, system in ((curve, ("x",)), (cone, ("x", "w")), (cone, ("x",)))]
+
+
+def minors_context() -> FiltrationContext:
+    """The 2x2 minors of a generic 2x3 matrix, q = m, a = the first variable."""
+    ring = PolynomialRing(FieldSpec(0), ("a", "b", "c", "d", "e", "f"))
+    a, b, c, d, e, f = ring.gens()
+    return FiltrationContext(ring, (a * e - b * d, a * f - c * d, b * f - c * e), (),
+                             ring.gens(), [(a, 1)])

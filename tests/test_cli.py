@@ -221,6 +221,48 @@ def test_minors_cm_check(tmp_path, capsys):
     assert all(row["vanishing"] for row in report["lzero_table"])
 
 
+CUBIC_TEXT = """\
+field QQ
+vars x, y, z, w
+base: x*z - y^2, x*w - y*z, y*w - z^2
+q: x, y, z, w
+a: x
+"""
+
+
+def test_depth_certificates_share_keys_and_are_printed(curve_file, tmp_path, capsys):
+    """``depth`` and ``cm-check`` file the depth route, sequence and witness
+    under the same keys, and the text output prints every certificate entry
+    of every report command."""
+    cubic = tmp_path / "cubic.fc"
+    cubic.write_text(CUBIC_TEXT, encoding="utf-8")
+    expected = {
+        curve_file: {"depth_method": "regular-sequence", "depth_sequence": [],
+                     "depth_witness": ["y3"]},
+        cubic: {"depth_method": "regular-sequence", "depth_sequence": ["y1", "y4"],
+                "depth_witness": []},
+    }
+    for path, depth_certs in expected.items():
+        for command in ("depth", "cm-check"):
+            assert main([command, str(path), "--json"]) == 0
+            certs = json.loads(capsys.readouterr().out)["certificates"]
+            assert {k: certs.get(k) for k in depth_certs} == depth_certs
+        assert main(["depth", str(path), "--json"]) == 0
+        assert list(json.loads(capsys.readouterr().out)["certificates"]) == list(depth_certs)
+    for command in ("dim", "depth", "lzero", "grade", "cm-check"):
+        assert main([command, str(curve_file), "--json"]) == 0
+        certs = json.loads(capsys.readouterr().out)["certificates"] or {}
+        assert main([command, str(curve_file)]) == 0
+        text = capsys.readouterr().out
+        for key in certs:
+            label = "note: " if key == "notes" else key.replace("_", " ") + ": "
+            assert label in text, (command, key)
+    assert main(["depth", str(curve_file)]) == 0
+    assert "depth witness: y3\n" in capsys.readouterr().out
+    assert main(["lzero", str(curve_file)]) == 0
+    assert "local model mismatch: False\n" in capsys.readouterr().out
+
+
 def test_emit_cas_dialects(curve_file, capsys):
     assert main(["emit-cas", str(curve_file)]) == 0
     script = capsys.readouterr().out

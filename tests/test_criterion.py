@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from corpus import CORPUS_PARAMS, tier4_contexts
+from corpus import CORPUS_PARAMS, minors_context, tier4_contexts
 from oracle import direct_defect_at
 
 import formcone.criterion as criterion_module
@@ -396,21 +396,13 @@ def test_sandwich_in_every_record(corpus):
             assert record.ideal.contains_ideal(ctx.q_power(n))
 
 
-def _minors_context():
-    # the 2x2 minors of a generic 2x3 matrix, q = m, a = the first variable
-    ring = PolynomialRing(QQ, ("a", "b", "c", "d", "e", "f"))
-    a, b, c, d, e, f = ring.gens()
-    return FiltrationContext(ring, (a * e - b * d, a * f - c * d, b * f - c * e), (),
-                             ring.gens(), [(a, 1)])
-
-
 def test_shared_residues_are_those_of_the_reduction(corpus):
     # the shared route reads each level's residues off K_l's normal forms
     # modulo I_M; they must be the nonzero normal forms of the record
     # ideal's basis modulo q^n M, de-duplicated, in basis order
     cases = [(i.ctx, CORPUS_PARAMS.n_max) for i in corpus]
     cases += [(ctx, CORPUS_PARAMS.n_max) for ctx in tier4_contexts()]
-    cases.append((_minors_context(), 8))
+    cases.append((minors_context(), 8))
     checked = nonvanishing = 0
     for ctx, n_max in cases:
         if not _shared_colons(ctx):

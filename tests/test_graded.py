@@ -1,16 +1,20 @@
 import math
 import random
 import sys
+from itertools import combinations
 
 import pytest
-from corpus import tier4_contexts
+from corpus import minors_context, tier4_contexts
 from oracle import graph_kernel
 
+import formcone.graded as graded_module
 from formcone import (
     QQ,
+    FieldSpec,
     FiltrationContext,
     GradedElement,
     InfiniteComponentError,
+    KoszulWitness,
     PolynomialRing,
     PresentedIdeal,
     ValidationError,
@@ -25,7 +29,7 @@ from formcone import (
 )
 from formcone.criterion import system_images
 from formcone.filtration import GradedQuotientPresentation
-from formcone.graded import _koszul_columns
+from formcone.graded import _koszul_columns, annihilator_witness
 from formcone.groebner import FreeModuleElement, GraphBasis, buchberger
 
 R1 = PolynomialRing(QQ, ("Y",))
@@ -320,3 +324,105 @@ def test_depth_report_feeds_cm_flag():
     assert int(depth(cone).value) == 0 and graded_dim(cone) == 1  # not CM
     free = plain(R2)
     assert int(depth(free).value) == graded_dim(free)  # CM
+
+
+def variable_images(pres):
+    """The generators ``depth`` takes: the variable images nonzero in the quotient."""
+    return [GradedElement(pres, pres.ring.var(i), w) for i, w in enumerate(pres.weights)
+            if not pres.contains(pres.ring.var(i))]
+
+
+def check_depth_certificate(pres, report):
+    """Re-verify a regular-sequence depth report from its certificate: each
+    sequence element is nonzero and a nonzerodivisor modulo the earlier
+    ones; then either a witness is nonzero in the quotient and killed by
+    every generator, or the sequence reaches the dimension, or stops one
+    short of it with no such witness."""
+    reps = [g.representative for g in variable_images(pres)]
+    seq = [c for c in report.certificate if isinstance(c, GradedElement)]
+    witnesses = [c for c in report.certificate if isinstance(c, KoszulWitness)]
+    assert len(seq) + len(witnesses) == len(report.certificate) and len(witnesses) <= 1
+    sums = _sums_of_images(reps)
+    cur = pres
+    for element in seq:
+        x = element.representative
+        assert element.presentation is pres and x in sums
+        assert not cur.contains(x)
+        assert cur.ideal.colon(x).equals(cur.ideal)
+        cur = cur.quotient_by([x])
+    if witnesses:
+        (cls,) = witnesses[0].cycle
+        assert report.value == len(seq)
+        assert not cur.contains(cls)
+        assert all(cur.contains(cls * g) for g in reps)
+    else:
+        assert report.value == graded_dim(pres)
+        assert len(seq) == report.value or (
+            len(seq) == report.value - 1 and annihilator_witness(cur, reps) is None)
+
+
+def _sums_of_images(reps):
+    return {sum(combo[1:], combo[0]) for size in (1, 2, 3) for combo in combinations(reps, size)}
+
+
+def test_depth_routes_agree(corpus):
+    """On the corpus, tier 4, the demo curve and the 2x3 minors, the
+    regular-sequence route gives the Koszul grade of the same generators,
+    never falls back, and its certificate checks out."""
+    contexts = [inst.ctx for inst in corpus] + tier4_contexts()
+    contexts += [curve_context(), minors_context()]
+    assert len(contexts) == 46
+    values = []
+    for ctx in contexts:
+        pres = ctx.form_presentation()
+        report = depth(pres)
+        assert report.method == "regular-sequence"
+        assert report.value == koszul_grade(pres, variable_images(pres)).value
+        check_depth_certificate(pres, report)
+        values.append(report.value)
+    assert values[-5:] == [0, 2, 2, 0, 4]
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_depth_falls_back_to_koszul(char):
+    """Where every candidate is a zero divisor the route is Koszul homology.
+    x*y*(x + y) in two variables needs no candidate: no socle in dimension 1
+    gives depth 1.  The product of the seven sums of x, y, z is a surface of
+    depth 2 on which every sum of one, two or three variables is a zero
+    divisor."""
+    ring = PolynomialRing(FieldSpec(char), ("X", "Y"))
+    X, Y = ring.gens()
+    lines = plain(ring, X * Y * (X + Y))
+    report = depth(lines)
+    assert (report.value, report.method, report.certificate) == (1, "regular-sequence", ())
+    check_depth_certificate(lines, report)
+
+    ring = PolynomialRing(FieldSpec(char), ("X", "Y", "Z"))
+    X, Y, Z = ring.gens()
+    surface = plain(ring, X * Y * Z * (X + Y) * (X + Z) * (Y + Z) * (X + Y + Z))
+    gens = variable_images(surface)
+    for sum_ in _sums_of_images([g.representative for g in gens]):
+        assert not is_regular_element(surface, GradedElement(surface, sum_, 1)).regular
+    report = depth(surface)
+    assert (report.value, report.method) == (2, "koszul")
+    assert report == koszul_grade(surface, gens)
+
+
+def test_depth_builds_no_graph_basis(monkeypatch):
+    """``depth`` on the twisted-cubic presentations of tier 4 runs colons
+    only; ``koszul_grade`` of their system images still builds one graph
+    basis per Koszul differential below the top index."""
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return GraphBasis(*args, **kwargs)
+
+    monkeypatch.setattr(graded_module, "GraphBasis", counting)
+    counts = []
+    for ctx in tier4_contexts()[1:]:
+        pres = ctx.form_presentation()
+        for run in (lambda: depth(pres), lambda: koszul_grade(pres, system_images(ctx, pres))):
+            before = len(built)
+            counts.append((run().value, len(built) - before))
+    assert counts == [(2, 0), (2, 2), (2, 0), (1, 0)]
