@@ -9,10 +9,10 @@ module driven by stabilized colon intersections, cross-verified by two
 independent exact routes.
 
 Values (polynomials, ideals, records, reports) are immutable after
-construction.  Contexts and ideals memoise in place: Groebner bases, filtration
-powers, and the level chains and colon sequence of the criterion grow as they
-are used.  Scan one context from one thread at a time: two threads extending
-one chain can append the same step twice, which shifts every later flag.
+construction.  Contexts and ideals memoise in place (bases, filtration powers,
+the criterion's level chains), and a context and those derived from it share
+``base``'s caches, so scan one such family from one thread: two threads
+extending one chain can append the same step twice, shifting every later flag.
 """
 
 from .criterion import (

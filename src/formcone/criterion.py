@@ -422,7 +422,7 @@ def system_images(ctx: FiltrationContext,
     for s in ctx.system:
         image = ctx.graded_image(s.element, s.degree, pres)
         out.append(GradedElement(pres, image, s.degree))
-    if not pres.ideal.sum_with(*(e.representative for e in out)).is_proper():
+    if not pres.quotient_by(e.representative for e in out).ideal.is_proper():
         raise ValidationError(
             "the system's initial forms act as the unit ideal on the graded "
             "module; grades would be the infinite sentinel and the criterion "
@@ -509,7 +509,7 @@ def _search_regular_lift(ctx: FiltrationContext,
 
     def try_candidate(b: Polynomial, d: int) -> CertificateStep | None:
         try:
-            if ctx.initial_degree(b) != d:
+            if ctx.base.initial_degree(b) != d:
                 return None
         except ValidationError:
             return None

@@ -5,8 +5,9 @@ associated-graded (form ring) presentations by tag-variable elimination, a
 direct lowest-form tangent-cone route for cross-checking, and the passage
 M -> M/bM used by the depth recursion.  A context's inputs are immutable,
 but it memoises in place (powers, presentations, and the ``scratch`` space
-where the criterion grows its level chains), so one context must not be
-scanned from two threads at once.
+where the criterion grows its level chains), so one context and those
+derived from it, which share its ``base``, must not be scanned from two
+threads at once.
 
 One basis per context, of I_M + (y_j - f_j T) under an order that eliminates
 the tag T, serves both presentations and the graded images.  The image of a
@@ -15,22 +16,22 @@ when the normal form of a*T^d against that basis is free of T, and the
 T-free normal form is then a polynomial in the x- and y-variables that
 presents the image.
 
-The power ladder q^n + J (J = I_M or I_A) is built level by level from the
-identity (q^(n-1) + J) * q + J = q^n + J, multiplying the previous level's
-reduced basis by q's generators instead of forming all degree-n products.
-Each previous basis element is first reduced modulo J: the part of it that
-lies in J would only add products that are already in J, and their S-pairs
-are wasted work.
+The power ladder q^n M = q^n + I_M is built level by level from the
+identity (q^(n-1) + I_M) * q + I_M = q^n + I_M, multiplying the previous
+level's reduced basis, reduced modulo I_M, by q's generators instead of
+forming all degree-n products.  The ladder q^n + I_A, which system
+validation reads, is the same method on ``ctx.base``, the context of M = A;
+when M = A the two are one.
 
-Graded inputs skip the ladder.  When J is homogeneous and q + I_A is the
-ideal m of all variables, q^n + J = m^n + J, whose reduced basis is read off
-J's (``graded_power_basis``): the elements of degree below n, plus the
-degree-n monomials that none of their leads divides.  ``is_graded`` decides
-this once per ladder.
+Graded inputs skip the ladder.  When I_M is homogeneous and q + I_A is the
+ideal m of all variables, q^n + I_M = m^n + I_M, whose reduced basis is read
+off I_M's (``graded_power_basis``): the elements of degree below n, plus the
+degree-n monomials that none of their leads divides.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -104,7 +105,7 @@ class GradedQuotientPresentation:
     variable has weight 1 and it is 0.
     """
 
-    __slots__ = ("ring", "weights", "ideal", "context", "y_offset", "_order")
+    __slots__ = ("ring", "weights", "ideal", "context", "y_offset", "_order", "_quotients")
 
     def __init__(self, ring: PolynomialRing, weights, ideal: PresentedIdeal, context):
         self.ring = ring
@@ -113,6 +114,7 @@ class GradedQuotientPresentation:
         self.context = context
         self.y_offset = next((i for i, w in enumerate(self.weights) if w), len(self.weights))
         self._order = weighted_order(self.weights)
+        self._quotients: dict[tuple, GradedQuotientPresentation] = {}
         if len(self.weights) != ring.nvars:
             raise ValidationError("one weight per presentation variable required")
 
@@ -136,10 +138,14 @@ class GradedQuotientPresentation:
         return self.reduce(f).is_zero()
 
     def quotient_by(self, reps) -> "GradedQuotientPresentation":
-        """Presentation of the quotient by the listed (homogeneous) elements."""
-        return GradedQuotientPresentation(
-            self.ring, self.weights, self.ideal.sum_with(*reps), self.context,
-        )
+        """Presentation of the quotient by the listed (homogeneous) elements:
+        one per tuple of elements, so its basis is computed once."""
+        reps = tuple(reps)
+        if reps not in self._quotients:
+            self._quotients[reps] = GradedQuotientPresentation(
+                self.ring, self.weights, self.ideal.sum_with(*reps), self.context,
+            )
+        return self._quotients[reps]
 
     def variable_cone(self) -> "GradedQuotientPresentation":
         """Rename y-variables onto the ambient variables they present.
@@ -179,6 +185,13 @@ class GradedQuotientPresentation:
 class FiltrationContext:
     """The tuple (A = P/I_A, cyclic M = A/I_M, filtration ideal q, system a).
 
+    Three layers, each with one owner.  ``base`` is the context of M = A
+    over the same A, q, ``probe_cap`` and ``step_budget`` (a context built
+    with no module is its own); only it builds and checks I_A, q + I_A,
+    ``local_model_mismatch``, the q-products and the q^n + I_A ladder.  The
+    module layer holds I_M, its ladder and the presentations, the system
+    layer the system; derived contexts replace one layer and share the rest.
+
     Construction verifies that q is proper, that M and M/qM are nonzero, and
     that every system element has the claimed initial degree modulo I_A.
     ``local_model_mismatch`` flags inputs whose filtration ideal is not
@@ -188,67 +201,77 @@ class FiltrationContext:
 
     def __init__(self, ring: PolynomialRing, base_gens, module_gens, q_gens,
                  system, probe_cap: int = DEFAULT_PROBE_CAP,
-                 step_budget: int = DEFAULT_STEP_BUDGET,
-                 _validated_system: tuple[SystemElement, ...] | None = None):
-        self.ring = ring
-        self.base_generators = tuple(base_gens)
-        self.module_generators = tuple(module_gens)
-        self.q_generators = tuple(q_gens)
-        self.probe_cap = probe_cap
-        self.step_budget = step_budget
-        for f in self.base_generators + self.module_generators + self.q_generators:
+                 step_budget: int = DEFAULT_STEP_BUDGET):
+        base_gens, module_gens, q_gens = tuple(base_gens), tuple(module_gens), tuple(q_gens)
+        for f in base_gens + module_gens + q_gens:
             if f.ring != ring:
                 raise RingMismatchError("context data from a different ring")
+        if module_gens:  # share the base layer of the context of M = A
+            vars(self).update(vars(FiltrationContext(
+                ring, base_gens, (), q_gens, (), probe_cap, step_budget)))
+        else:
+            self._set_base(ring, base_gens, q_gens, probe_cap, step_budget)
+        self._set_module(module_gens)
+        self._set_system(tuple(self._validated(entry) for entry in system))
 
-        self.ideal_a = PresentedIdeal(ring, (), self.base_generators, step_budget)
-        self.ideal_m = PresentedIdeal(ring, self.base_generators, self.module_generators, step_budget)
-        self.q_ideal = PresentedIdeal(ring, self.base_generators, self.q_generators, step_budget)
+    # -- layers ------------------------------------------------------------------
 
-        if not self.q_generators:
+    def _set_base(self, ring, base_gens, q_gens, probe_cap, step_budget):
+        self.base = self
+        self.ring, self.probe_cap, self.step_budget = ring, probe_cap, step_budget
+        self.base_generators, self.q_generators = base_gens, q_gens
+        if not q_gens:
             raise ValidationError("filtration ideal needs at least one generator")
+        self.ideal_a = PresentedIdeal(ring, base_gens, (), step_budget)
+        self.q_ideal = self.ideal_a.spawn(q_gens)
         if not self.ideal_a.is_proper():
             raise ValidationError("base ideal is the unit ideal")
-        if not self.ideal_m.is_proper():
-            raise ValidationError("module is zero (module ideal is the unit ideal)")
         if not self.q_ideal.is_proper():
             raise ValidationError("filtration ideal is not proper")
-        if not self.ideal_m.spawn(self.module_generators + self.q_generators).is_proper():
-            raise ValidationError("filtration ideal acts as the unit ideal on the module")
-
-        self._variable_ideal = PresentedIdeal(ring, self.base_generators, ring.gens(),
-                                              step_budget)
-        self.local_model_mismatch = not all(
-            self._variable_ideal.contains(g) for g in self.q_generators
-        )
-
+        # the variable ideal m is maximal: I_A + m is m if every base generator
+        # vanishes at 0, else (1), and the proper q + I_A is m iff it holds every variable
+        self.local_model_mismatch = (all(g.min_degree() != 0 for g in base_gens)
+                                     and any(g.min_degree() == 0 for g in q_gens))
+        self._q_is_m = all(self.q_ideal.contains(v) for v in ring.gens())
         self._products: dict[int, tuple] = {}
-        self._powers_base: dict[int, PresentedIdeal] = {}
-        self._powers_module: dict[int, PresentedIdeal] = {}
-        self._system_powers: dict = {}
+
+    def _set_module(self, module_gens: tuple):
+        self.module_generators, self.ideal_m = module_gens, self.ideal_a
+        if module_gens:
+            self.ideal_m = self.ideal_a.spawn(module_gens)
+            if not self.ideal_m.is_proper():
+                raise ValidationError("module is zero (module ideal is the unit ideal)")
+            if not self.ideal_m.sum_with(*self.q_generators).is_proper():
+                raise ValidationError("filtration ideal acts as the unit ideal on the module")
+        self._graded = self._q_is_m and all(
+            g.is_homogeneous() for g in self.ideal_m.groebner().generators)
+        self._powers: dict[int, PresentedIdeal] = {}
         self._presentations: dict = {}
-        self._graded: dict[str, bool] = {}
         # memo space for higher layers: records are immutable, but level
         # chains and the colon sequence in it are extended in place
         self.scratch: dict = {}
 
-        if _validated_system is not None:
-            self.system = _validated_system
-        else:
-            validated = []
-            for entry in system:
-                element, claimed = entry if isinstance(entry, tuple) else (entry, None)
-                if self.ideal_a.contains(element):
-                    raise ValidationError(f"system element {element} is zero in the base ring")
-                degree = self.initial_degree(element)
-                if degree is None:
-                    validated.append(SystemElement(element, probe_cap, zero_flag=True))
-                    continue
-                if claimed is not None and claimed != degree:
-                    raise ValidationError(
-                        f"claimed initial degree {claimed} for {element}, computed {degree}"
-                    )
-                validated.append(SystemElement(element, degree))
-            self.system = tuple(validated)
+    def _set_system(self, system: tuple[SystemElement, ...]):
+        self.system = system
+        self._system_powers: dict = {}
+        self.scratch = {}
+
+    def _base_degree(self, element: Polynomial) -> int | None:
+        """Initial degree modulo I_A of a system element; zero in A is refused."""
+        if self.ideal_a.contains(element):
+            raise ValidationError(f"system element {element} is zero in the base ring")
+        return self.base.initial_degree(element)
+
+    def _validated(self, entry) -> SystemElement:
+        element, claimed = entry if isinstance(entry, tuple) else (entry, None)
+        degree = self._base_degree(element)
+        if degree is None:
+            return SystemElement(element, self.probe_cap, zero_flag=True)
+        if claimed is not None and claimed != degree:
+            raise ValidationError(
+                f"claimed initial degree {claimed} for {element}, computed {degree}"
+            )
+        return SystemElement(element, degree)
 
     # -- power ladder ---------------------------------------------------------
 
@@ -276,68 +299,51 @@ class FiltrationContext:
             products[level] = tuple(sorted(seen.items()))
         return products[n]
 
-    def q_power(self, n: int, modulo: str = "module") -> PresentedIdeal:
-        """q^n + J as a presented ideal with cached reduced basis, where J is
-        I_M (``modulo="module"``) or I_A (``"base"``).
+    def q_power(self, n: int) -> PresentedIdeal:
+        """q^n M, that is q^n + I_M, as a presented ideal with cached reduced
+        basis; ``base.q_power`` is q^n + I_A.
 
         Levels 0 and 1 are generated by the products of q's generators.  Each
         higher level comes from the level below by the identity
 
-            (q^(n-1) + J) * q + J = q^n + J        (J*q lies in J),
+            (q^(n-1) + I_M) * q + I_M = q^n + I_M        (I_M*q lies in I_M),
 
         so its generators are the products g*f, with f among q's generators
-        and g among the reduced basis of q^(n-1) + J, plus J's generators.
-        That basis is far smaller than the C(n+k-1, k-1) products of degree
-        n.  Each g is first reduced modulo J's basis, which keeps its class
-        modulo J: the part of g inside J would only contribute products that
-        already lie in J, and the S-pairs they create reduce to zero.  Zero
-        remainders are dropped and the products deduplicated in order.
-        Levels are filled upward from the highest cached one.
+        and g among the reduced basis of q^(n-1) + I_M, plus I_M's
+        generators.  That basis is far smaller than the C(n+k-1, k-1)
+        products of degree n.  Each g is first reduced modulo I_M's basis,
+        which keeps its class modulo I_M: the part of g inside I_M would only
+        contribute products that already lie in I_M, and the S-pairs they
+        create reduce to zero.  Zero remainders are dropped, the products
+        deduplicated in order, and levels filled upward from the top one.
 
-        Where ``is_graded(modulo)`` holds, each level is instead the closed
-        form m^n + J of ``graded_power_basis``, with no basis computation.
+        Where ``is_graded()`` holds, each level is the closed form m^n + I_M
+        of ``graded_power_basis`` instead, with no basis computation.
         """
-        cache, j_ideal, j_gens = self._ladder(modulo)
-        if self.is_graded(modulo):
+        cache = self._powers
+        if self._graded:
             if n not in cache:
                 cache[n] = self.q_ideal.spawn_reduced(
-                    graded_power_basis(self.ring, j_ideal.groebner().generators, n))
+                    graded_power_basis(self.ring, self.ideal_m.groebner().generators, n))
             return cache[n]
         for level in range(len(cache), n + 1):
             if level <= 1:
                 gens = tuple(p for _, p in self.q_power_products(level))
             else:
                 prev = cache[level - 1].groebner().generators
-                if j_ideal.combined():
-                    prev = normal_forms(prev, j_ideal.groebner())
+                if self.ideal_m.combined():
+                    prev = normal_forms(prev, self.ideal_m.groebner())
                 gens = tuple(dict.fromkeys(
                     g * f for g in prev if not g.is_zero() for f in self.q_generators
                 ))
-            cache[level] = PresentedIdeal(self.ring, self.base_generators,
-                                          gens + j_gens, self.step_budget)
+            cache[level] = self.ideal_a.spawn(gens + self.module_generators)
         return cache[n]
 
-    def is_graded(self, modulo: str = "module") -> bool:
-        """True when J (I_M for ``modulo="module"``, I_A for ``"base"``) is
-        homogeneous and q + I_A is the ideal m of all variables, so that
-        q^n + J = m^n + J for every n.  Decided once per ladder from bases
-        that construction already computed."""
-        if modulo not in self._graded:
-            _, j_ideal, _ = self._ladder(modulo)
-            self._graded[modulo] = (
-                all(g.is_homogeneous() for g in j_ideal.groebner().generators)
-                and self.q_ideal.equals(self._variable_ideal)
-            )
-        return self._graded[modulo]
-
-    def _ladder(self, modulo: str) -> tuple[dict, PresentedIdeal, tuple]:
-        """(power cache, J, J's extra generators) for ``modulo`` "module"
-        (J = I_M) or "base" (J = I_A); any other value is refused."""
-        if modulo == "module":
-            return self._powers_module, self.ideal_m, self.module_generators
-        if modulo == "base":
-            return self._powers_base, self.ideal_a, ()
-        raise ValidationError(f'modulo must be "module" or "base", not {modulo!r}')
+    def is_graded(self) -> bool:
+        """True when I_M is homogeneous and q + I_A is the ideal m of all
+        variables, so that q^n M = m^n + I_M for every n; ``base.is_graded``
+        asks the same of I_A.  Read off bases that construction computed."""
+        return self._graded
 
     def system_power(self, index: int, exponent: int) -> Polynomial:
         key = (index, exponent)
@@ -347,14 +353,14 @@ class FiltrationContext:
 
     # -- initial degrees -------------------------------------------------------
 
-    def initial_degree(self, a: Polynomial, modulo: str = "base") -> int | None:
-        """Largest c <= probe_cap with a in q^c (mod I_A or I_M); None once the
-        probe cap is hit, which by convention means the initial form is zero."""
-        _, zero_test, _ = self._ladder(modulo)
-        if zero_test.contains(a):
+    def initial_degree(self, a: Polynomial) -> int | None:
+        """Largest c <= probe_cap with a in q^c M; None once the probe cap is
+        hit, which by convention means the initial form is zero.
+        ``base.initial_degree`` is the degree modulo I_A."""
+        if self.ideal_m.contains(a):
             raise ValidationError("element is zero in the quotient; no initial degree")
         for c in range(1, self.probe_cap + 1):
-            if not self.q_power(c, modulo).contains(a):
+            if not self.q_power(c).contains(a):
                 return c - 1
         return None
 
@@ -426,7 +432,7 @@ class FiltrationContext:
         key = ("cone",)
         if key in self._presentations:
             return self._presentations[key]
-        if not self.q_ideal.equals(self._variable_ideal):
+        if not self._q_is_m:
             raise ValidationError("direct cone route needs q = (all variables)")
         n = self.ring.nvars
         h_name = self.ring.fresh_name("h")
@@ -491,42 +497,32 @@ class FiltrationContext:
     # -- derived contexts ---------------------------------------------------------------
 
     def quotient_by_element(self, b: Polynomial) -> "FiltrationContext":
-        """Context for M/bM: the module ideal grows by b; ring, q, and the
-        system (validated modulo I_A) are unchanged."""
+        """Context for M/bM: this context with only its module layer
+        replaced (I_M grows by b); base and system are shared."""
         self._check_ring(b)
-        return FiltrationContext(
-            self.ring, self.base_generators, self.module_generators + (b,),
-            self.q_generators, (), probe_cap=self.probe_cap,
-            step_budget=self.step_budget,
-            _validated_system=self.system,
-        )
+        child = copy.copy(self)
+        child._set_module(self.module_generators + (b,))
+        return child
 
     def with_exponent_system(self, pairs) -> "FiltrationContext":
-        """Same data with a system given by (element, exponent) pairs where
-        only membership in that power is required.
+        """This context with only its system layer replaced, by a system given
+        as (element, exponent) pairs where only membership in that power of
+        q, modulo I_A, is required.
 
         The exponent need not be the initial degree (the element may sit
         deeper); such systems drive level scans but not the graded routes.
         """
         validated = []
         for element, exponent in pairs:
-            if self.ideal_a.contains(element):
-                raise ValidationError(f"system element {element} is zero in the base ring")
-            if exponent < 0 or not self.q_power(exponent, "base").contains(element):
+            computed = self._base_degree(element)
+            if exponent < 0 or not self.base.q_power(exponent).contains(element):
                 raise ValidationError(
                     f"element {element} is not in power {exponent} of the filtration ideal"
                 )
-            computed = self.initial_degree(element)
-            validated.append(
-                SystemElement(element, exponent, zero_flag=False,
-                              exact=(computed == exponent))
-            )
-        return FiltrationContext(
-            self.ring, self.base_generators, self.module_generators,
-            self.q_generators, (), probe_cap=self.probe_cap,
-            step_budget=self.step_budget,
-            _validated_system=tuple(validated),
-        )
+            validated.append(SystemElement(element, exponent, exact=computed == exponent))
+        child = copy.copy(self)
+        child._set_system(tuple(validated))
+        return child
 
     def _check_ring(self, f: Polynomial):
         if f.ring != self.ring:

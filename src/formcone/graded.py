@@ -216,7 +216,7 @@ def colon_chain_regularity(ctx: FiltrationContext, b: Polynomial, d: int,
     Heuristic counterpart of the exact graded test; the two must agree on
     every instance where both run.
     """
-    computed = ctx.initial_degree(b, modulo="module")
+    computed = ctx.initial_degree(b)
     if computed != d:
         raise ValidationError(f"stated degree {d} but initial degree is {computed}")
     for n in range(n_max + 1):
@@ -262,7 +262,7 @@ def koszul_grade(pres: GradedQuotientPresentation, generators) -> GradeReport:
     reps = [g.representative for g in gens]
     r = len(reps)
     h_gb = pres.groebner()
-    if not pres.ideal.sum_with(*reps).is_proper():
+    if not pres.quotient_by(reps).ideal.is_proper():
         return GradeReport(math.inf, "koszul")
 
     # top index: homology is the annihilator of the generator ideal
@@ -361,14 +361,16 @@ def depth(pres: GradedQuotientPresentation) -> GradeReport:
     ``koszul_grade`` on the same generators, route ``"koszul"``.  Both
     routes are exact and deterministic.
     """
+    # H plus every variable image is H + m, the unit ideal exactly when H
+    # does not lie in m: when some generator of H has a constant term
+    if any(g.min_degree() == 0 for g in pres.ideal.combined()):
+        return GradeReport(math.inf, "regular-sequence")
     gens = []
     for i in range(pres.ring.nvars):
         v = pres.ring.var(i)
         if not pres.contains(v):
             gens.append(GradedElement(pres, v, pres.weights[i]))
     reps = [g.representative for g in gens]
-    if not pres.ideal.sum_with(*reps).is_proper():
-        return GradeReport(math.inf, "regular-sequence")
     seq: list[GradedElement] = []
     killers: list[Polynomial] = []
     cur, dim = pres, None

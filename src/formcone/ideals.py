@@ -147,7 +147,9 @@ class PresentedIdeal:
         """Krull dimension of P/(I + base); -1 for the unit ideal (empty spectrum).
 
         Computed as the largest variable subset independent modulo the leading
-        ideal: no leading monomial may be supported inside the subset.
+        ideal: no leading monomial may be supported inside the subset.  A
+        variable that is a pure-power lead lies in no such subset, so the
+        search runs over the other variables only.
         """
         if not self.is_proper():
             return -1
@@ -155,9 +157,9 @@ class PresentedIdeal:
             frozenset(i for i, e in enumerate(g.leading_monomial()) if e)
             for g in self.groebner().generators
         ]
-        n = self.ring.nvars
-        for size in range(n, 0, -1):
-            for subset in combinations(range(n), size):
+        free = [i for i in range(self.ring.nvars) if frozenset((i,)) not in supports]
+        for size in range(len(free), 0, -1):
+            for subset in combinations(free, size):
                 chosen = set(subset)
                 if all(not s <= chosen for s in supports):
                     return size

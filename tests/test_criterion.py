@@ -226,7 +226,7 @@ def test_inputs_off_the_graded_case_keep_the_chain():
         reference = [_record_fields(direct_defect_at(ctx, n, params)) for n in levels]
         assert [_record_fields(defect_at(ctx, n, params)) for n in levels] == reference
         assert ("colon_sequence",) not in ctx.scratch
-    assert curve_context().is_graded("base") is False
+    assert curve_context().base.is_graded() is False
     assert cases[1][0].is_graded()  # graded ladder, inhomogeneous element
 
 
@@ -372,6 +372,34 @@ def test_local_model_mismatch_is_flagged_and_refused_for_depth():
         cohen_macaulay_report(shifted)
 
 
+def test_each_ideal_is_built_once(monkeypatch):
+    """Over the tier-4 pipeline no context recomputes the basis of I_A or of
+    I_A + q, which the base built at construction: the quotient contexts of
+    the grade recursion share them.  The basis of H + (system images) is
+    computed once per context, since every unit-ideal check reaches it
+    through ``GradedQuotientPresentation.quotient_by``."""
+    runs = []
+    real = ideals_module.buchberger
+
+    def counting(gens, *args, **kwargs):
+        runs.append(tuple(gens))
+        return real(gens, *args, **kwargs)
+
+    monkeypatch.setattr("formcone.ideals.buchberger", counting)
+    params = CriterionParams(n_max=2)
+    grades = []
+    for ctx in tier4_contexts():
+        runs.clear()
+        defect_regularity_equivalence(ctx, params)
+        report = cohen_macaulay_report(ctx, params)
+        grades.append(report.grade_recursion)
+        images = tuple(e.representative for e in report.system_images)
+        a_gens = ctx.base_generators
+        assert runs.count(a_gens) == runs.count(ctx.q_generators + a_gens) == 0
+        assert runs.count(ctx.form_presentation().ideal.generators + images) == 1
+    assert grades == [0, 2, 1]  # the cone inputs pass through quotient contexts
+
+
 def test_radical_invariance():
     ctx = curve_context(q="x")
     res = radical_invariance_check(ctx, squared_system(ctx))
@@ -489,7 +517,7 @@ def test_exact_and_bounded_regularity_agree_on_corpus(corpus):
         if element.degree < 1:
             continue
         try:
-            d = ctx.initial_degree(element.element, modulo="module")
+            d = ctx.initial_degree(element.element)
         except ValidationError:
             continue
         if d != element.degree:

@@ -36,6 +36,10 @@ def test_construction_validations():
         FiltrationContext(R2, (), (), (x, x + 1), [])
     with pytest.raises(ValidationError):  # zero module
         FiltrationContext(R2, (), (R2.one(),), (x,), [])
+    # the base checks A and q before the module: a zero module with an
+    # improper q reports q
+    with pytest.raises(ValidationError, match="filtration ideal is not proper"):
+        FiltrationContext(R2, (), (R2.one(),), (x, x + 1), [])
     with pytest.raises(ValidationError):  # system element zero in A
         FiltrationContext(R2, (x * x,), (), (x, y), [(x * x, None)])
     with pytest.raises(ValidationError):  # claimed degree off by one
@@ -48,6 +52,10 @@ def test_local_model_flag():
     assert not good.local_model_mismatch
     shifted = FiltrationContext(R2, (), (), (x + 1, y), [])
     assert shifted.local_model_mismatch
+    # a base component away from the origin: q + I_A = (x - 1, y) is proper,
+    # but I_A + (all variables) is the unit ideal, so nothing is flagged
+    away = FiltrationContext(R2, (x - 1,), (), (y,), [])
+    assert not away.local_model_mismatch
 
 
 def test_initial_degrees():
@@ -60,20 +68,22 @@ def test_initial_degrees():
         FiltrationContext(R2, (x,), (), (x, y), []).initial_degree(x)
 
 
-def test_unknown_modulo_is_refused():
-    """q_power and initial_degree read ``modulo`` the same way: "module" or
-    "base", anything else a ValidationError (not a silent fallback)."""
+def test_contexts_share_their_base():
+    """A context of M = A is its own base; derived contexts share it, and
+    read initial degrees and powers modulo I_M, with ``base`` modulo I_A."""
     x, y = R2.gens()
-    ctx = FiltrationContext(R2, (), (y * y,), (x, y), [])
-    assert ctx.initial_degree(y, modulo="base") == 1
-    assert ctx.initial_degree(y, modulo="module") == 1
-    assert ctx.q_power(2, "module").contains(y * y)
-    assert not ctx.q_power(1, "base").contains(R2.one())
-    for bad in ("Module", "BASE", "", "ideal"):
-        with pytest.raises(ValidationError):
-            ctx.q_power(2, bad)
-        with pytest.raises(ValidationError):
-            ctx.initial_degree(x, modulo=bad)
+    ctx = FiltrationContext(R2, (), (), (x, y), [(x, 1)])
+    assert ctx.base is ctx and ctx.ideal_m is ctx.ideal_a
+    quotient = ctx.quotient_by_element(y)
+    assert quotient.base is ctx.base and quotient.system is ctx.system
+    assert quotient.quotient_by_element(x).base is ctx.base
+    exponents = ctx.with_exponent_system([(x * y, 1)])
+    assert exponents.base is ctx.base and exponents.ideal_m is ctx.ideal_m
+    parabola = FiltrationContext(R2, (), (y - x * x,), (x, y), [])
+    assert parabola.base is not parabola and parabola.base.base is parabola.base
+    assert parabola.initial_degree(y) == 2 and parabola.base.initial_degree(y) == 1
+    assert parabola.q_power(2).contains(y) and not parabola.base.q_power(2).contains(y)
+    assert parabola.quotient_by_element(x).base is parabola.base
 
 
 def test_initial_form_zero_flag_convention():
@@ -308,15 +318,15 @@ def test_power_ladder_matches_products(corpus):
     # products of q's generators plus J; the ladder's shape is checked where
     # it is used
     for ctx in _ladder_contexts(corpus):
-        for modulo, j_ideal in (("module", ctx.ideal_m), ("base", ctx.ideal_a)):
-            j_gens = ctx.module_generators if modulo == "module" else ()
+        for layer in (ctx, ctx.base):
+            j_gens = layer.module_generators
             for n in range(9):
                 products = tuple(p for _, p in ctx.q_power_products(n))
-                ideal = ctx.q_power(n, modulo)
-                old = buchberger(products + j_ideal.combined())
-                assert ideal.groebner().generators == old.generators, (str(ctx), modulo, n)
+                ideal = layer.q_power(n)
+                old = buchberger(products + layer.ideal_m.combined())
+                assert ideal.groebner().generators == old.generators, (str(layer), n)
                 assert ideal.base == ctx.base_generators
-                if ctx.is_graded(modulo):
+                if layer.is_graded():
                     continue
                 if n <= 1:
                     assert ideal.generators == products + j_gens
@@ -342,11 +352,11 @@ def test_graded_powers_need_no_basis_run(corpus, monkeypatch):
     ]
     contexts = [i.ctx for i in corpus] + tier4_contexts()
     assert sum(ctx.is_graded() for ctx in contexts) == 28
-    assert [ctx.is_graded("base") for ctx in tier4_contexts()] == [False, True, True]
+    assert [ctx.base.is_graded() for ctx in tier4_contexts()] == [False, True, True]
     expected = []
     for ring, base, top in cases:
         ctx = FiltrationContext(ring, base, (), ring.gens(), [])
-        assert ctx.is_graded("module") and ctx.is_graded("base")
+        assert ctx.is_graded() and ctx.base.is_graded()
         for k in range(top + 1):
             products = tuple(p for _, p in ctx.q_power_products(k))
             expected.append((ctx, k, buchberger(products + base).generators))
@@ -356,8 +366,8 @@ def test_graded_powers_need_no_basis_run(corpus, monkeypatch):
 
     monkeypatch.setattr("formcone.ideals.buchberger", refuse)
     for ctx, k, basis in expected:
-        for modulo in ("module", "base"):
-            assert ctx.q_power(k, modulo).groebner().generators == basis, (str(ctx), k)
+        for layer in (ctx, ctx.base):
+            assert layer.q_power(k).groebner().generators == basis, (str(ctx), k)
 
 
 def test_power_ladder_is_built_without_recursion():

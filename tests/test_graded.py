@@ -13,6 +13,7 @@ from formcone import (
     FieldSpec,
     FiltrationContext,
     GradedElement,
+    GradeReport,
     InfiniteComponentError,
     KoszulWitness,
     PolynomialRing,
@@ -144,7 +145,7 @@ def test_exact_and_chain_regularity_agree():
         base = tuple(R2.parse(e) for e in base_exprs)
         ctx = FiltrationContext(R2, base, (), R2.gens(), [])
         b = R2.parse(elem_expr)
-        d = ctx.initial_degree(b, modulo="module")
+        d = ctx.initial_degree(b)
         form = ctx.form_presentation()
         image = ctx.graded_image(b, d, form)
         exact = is_regular_element(form, GradedElement(form, image, d)).regular
@@ -276,6 +277,23 @@ def test_koszul_unit_sentinel():
     Y, = R1.gens()
     filled = plain(R1)
     assert koszul_grade(filled, [GradedElement(filled, R1.one(), 0)]).value == math.inf
+
+
+def test_depth_unit_sentinel_needs_no_basis_run(monkeypatch):
+    """H + (every variable image) is H + m, the unit ideal exactly when a
+    generator of H has a constant term; ``depth`` reads that off H's
+    generators without a basis computation."""
+    x, y = R2.gens()
+    shifted = GradedQuotientPresentation(
+        R2, (0, 1), PresentedIdeal(R2, (), (x - R2.one(), y * y)), None)
+    unit = plain(R1, R1.one())
+
+    def refuse(*args):
+        raise AssertionError("the depth sentinel ran a basis computation")
+
+    monkeypatch.setattr("formcone.ideals.buchberger", refuse)
+    assert depth(shifted) == GradeReport(math.inf, "regular-sequence")
+    assert depth(unit).value == math.inf
 
 
 def test_depths():
