@@ -9,8 +9,9 @@ module driven by stabilized colon intersections, cross-verified by two
 independent exact routes.
 
 Values (polynomials, ideals, records, reports) are immutable after
-construction.  Contexts and ideals memoise in place (bases, filtration powers,
-the criterion's level chains), and a context and those derived from it share
+construction.  Contexts, ideals and graded presentations memoise in place
+(bases, filtration powers, a presentation's quotients and annihilators, the
+criterion's level chains), and a context and those derived from it share
 ``base``'s caches, so scan one such family from one thread: two threads
 extending one chain can append the same step twice, shifting every later flag.
 """

@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .filtration import FiltrationContext
-from .graded import GradedElement, GradeReport, KoszulWitness, graded_dim, hilbert_function
+from .graded import GradedElement, GradeReport, KoszulWitness, hilbert_function
 from .session import SessionSpec, apply_setting, parse_session
 
 _INPUT_ERRORS = (ParseError, ValidationError, DegenerateSystemError, RingMismatchError,
@@ -122,7 +122,7 @@ def _dim(ctx: FiltrationContext, params: CriterionParams) -> dict:
 def _depth(ctx: FiltrationContext, params: CriterionParams) -> dict:
     pres = ctx.form_presentation()
     report = checked_depth(ctx, pres)
-    return {"depth": int(report.value), "dim": graded_dim(pres),
+    return {"depth": int(report.value), "dim": checked_dim(ctx, pres),
             "certificates": _depth_certificates(report)}
 
 

@@ -43,10 +43,9 @@ from .filtration import (
 from .graded import (
     GradedElement,
     GradeReport,
-    annihilator_witness,
     depth,
+    first_regular,
     graded_dim,
-    is_regular_element,
     is_system_of_parameters,
     koszul_grade,
 )
@@ -436,15 +435,11 @@ def regular_form_exists(ctx: FiltrationContext) -> tuple[bool, Polynomial | None
     graded module iff its annihilator there is zero.
 
     Returns the verdict and, when negative, a nonzero annihilator class that
-    kills every candidate at once.  Memoised per context.
+    kills every candidate at once.  The presentation memoises the answer.
     """
-    key = ("regular_form",)
-    if key not in ctx.scratch:
-        pres = ctx.form_presentation()
-        images = system_images(ctx, pres)
-        witness = annihilator_witness(pres, (e.representative for e in images))
-        ctx.scratch[key] = (witness is None, witness)
-    return ctx.scratch[key]
+    pres = ctx.form_presentation()
+    witness = pres.annihilator(e.representative for e in system_images(ctx, pres))
+    return witness is None, witness and pres.reduce(witness)
 
 
 def _candidate_multipliers(ctx: FiltrationContext, c_i: int, d: int,
@@ -507,20 +502,6 @@ def _search_regular_lift(ctx: FiltrationContext,
     degrees = sorted({s.degree for s in ctx.system})
     d_min = min(degrees)
 
-    def try_candidate(b: Polynomial, d: int) -> CertificateStep | None:
-        try:
-            if ctx.base.initial_degree(b) != d:
-                return None
-        except ValidationError:
-            return None
-        image = ctx.graded_image(b, d, pres)
-        if image.is_zero():
-            return None
-        element = GradedElement(pres, image, d)
-        if is_regular_element(pres, element).regular:
-            return CertificateStep(b, d, element)
-        return None
-
     def candidates():
         """(candidate, degree) pairs: per degree, singles, pairs, random rounds."""
         for d in range(d_min, d_min + params.search_degree_span + 1):
@@ -549,12 +530,16 @@ def _search_regular_lift(ctx: FiltrationContext,
                     acc = acc + rng.choice(pool).scale(rng.choice(coeffs))
                 yield acc, d
 
+    killers: list[Polynomial] = []
     for b, d in islice(candidates(), params.search_budget):
-        if b.is_zero():
+        try:
+            if b.is_zero() or ctx.base.initial_degree(b) != d:
+                continue
+        except ValidationError:  # b is zero in A
             continue
-        found = try_candidate(b, d)
-        if found:
-            return found
+        image = GradedElement(pres, ctx.graded_image(b, d, pres), d)
+        if first_regular(pres, (image,), killers) is not None:
+            return CertificateStep(b, d, image)
     return None
 
 
@@ -643,9 +628,13 @@ def checked_depth(ctx: FiltrationContext, pres: GradedQuotientPresentation) -> G
 
 
 def checked_dim(ctx: FiltrationContext, pres: GradedQuotientPresentation) -> int:
-    """Dimension of the graded module, which must equal the module's own."""
+    """Dimension of the graded module, which must equal the module's own at
+    the origin: with q + I_A = m, where the global one differs, the
+    lowest-form cone ``tangent_cone_direct``, an independent route, gives it."""
     dim_graded = graded_dim(pres)
     dim_module = ctx.ideal_m.krull_dim()
+    if dim_graded != dim_module and ctx.base._q_is_m:
+        dim_module = graded_dim(ctx.tangent_cone_direct())
     if dim_graded != dim_module:
         raise ConsistencyError(
             f"graded dimension {dim_graded} differs from module dimension {dim_module}"

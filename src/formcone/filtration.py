@@ -105,7 +105,8 @@ class GradedQuotientPresentation:
     variable has weight 1 and it is 0.
     """
 
-    __slots__ = ("ring", "weights", "ideal", "context", "y_offset", "_order", "_quotients")
+    __slots__ = ("ring", "weights", "ideal", "context", "y_offset", "_order", "_quotients",
+                 "_annihilators")
 
     def __init__(self, ring: PolynomialRing, weights, ideal: PresentedIdeal, context):
         self.ring = ring
@@ -115,6 +116,7 @@ class GradedQuotientPresentation:
         self.y_offset = next((i for i, w in enumerate(self.weights) if w), len(self.weights))
         self._order = weighted_order(self.weights)
         self._quotients: dict[tuple, GradedQuotientPresentation] = {}
+        self._annihilators: dict[tuple, Polynomial | None] = {}
         if len(self.weights) != ring.nvars:
             raise ValidationError("one weight per presentation variable required")
 
@@ -146,6 +148,20 @@ class GradedQuotientPresentation:
                 self.ring, self.weights, self.ideal.sum_with(*reps), self.context,
             )
         return self._quotients[reps]
+
+    def annihilator(self, reps) -> Polynomial | None:
+        """The first generator of the reduced basis of (H : (reps)) outside H,
+        unreduced: a nonzero class that every listed element kills.  None
+        when (H : (reps)) = H.  One answer per tuple of elements."""
+        reps = tuple(reps)
+        if reps not in self._annihilators:
+            ann, witness = self.ideal.colon_ideal(self.ideal.spawn(reps)), None
+            if not ann.equals(self.ideal):
+                witness = next((g for g in ann.generators if not self.ideal.contains(g)), None)
+                if witness is None:
+                    raise ConsistencyError("annihilator grew but no generator lies outside H")
+            self._annihilators[reps] = witness
+        return self._annihilators[reps]
 
     def variable_cone(self) -> "GradedQuotientPresentation":
         """Rename y-variables onto the ambient variables they present.
@@ -236,16 +252,18 @@ class FiltrationContext:
         self._products: dict[int, tuple] = {}
 
     def _set_module(self, module_gens: tuple):
-        self.module_generators, self.ideal_m = module_gens, self.ideal_a
+        self.module_generators, self.ideal_m, level_one = module_gens, self.ideal_a, self.q_ideal
         if module_gens:
             self.ideal_m = self.ideal_a.spawn(module_gens)
             if not self.ideal_m.is_proper():
                 raise ValidationError("module is zero (module ideal is the unit ideal)")
-            if not self.ideal_m.sum_with(*self.q_generators).is_proper():
+            level_one = self.ideal_m.sum_with(*self.q_generators)
+            if not level_one.is_proper():
                 raise ValidationError("filtration ideal acts as the unit ideal on the module")
         self._graded = self._q_is_m and all(
             g.is_homogeneous() for g in self.ideal_m.groebner().generators)
-        self._powers: dict[int, PresentedIdeal] = {}
+        self._powers: dict[int, PresentedIdeal] = {
+            0: self.ideal_a.spawn_reduced((self.ring.one(),)), 1: level_one}
         self._presentations: dict = {}
         # memo space for higher layers: records are immutable, but level
         # chains and the colon sequence in it are extended in place
@@ -303,8 +321,9 @@ class FiltrationContext:
         """q^n M, that is q^n + I_M, as a presented ideal with cached reduced
         basis; ``base.q_power`` is q^n + I_A.
 
-        Levels 0 and 1 are generated by the products of q's generators.  Each
-        higher level comes from the level below by the identity
+        Level 0 is the unit ideal and level 1 the q + I_M that construction
+        checked (``q_ideal`` when M = A), so neither runs a basis computation.
+        Each higher level comes from the level below by the identity
 
             (q^(n-1) + I_M) * q + I_M = q^n + I_M        (I_M*q lies in I_M),
 
@@ -317,8 +336,8 @@ class FiltrationContext:
         create reduce to zero.  Zero remainders are dropped, the products
         deduplicated in order, and levels filled upward from the top one.
 
-        Where ``is_graded()`` holds, each level is the closed form m^n + I_M
-        of ``graded_power_basis`` instead, with no basis computation.
+        Where ``is_graded()`` holds, each higher level is the closed form
+        m^n + I_M of ``graded_power_basis`` instead, with no basis computation.
         """
         cache = self._powers
         if self._graded:
@@ -327,15 +346,12 @@ class FiltrationContext:
                     graded_power_basis(self.ring, self.ideal_m.groebner().generators, n))
             return cache[n]
         for level in range(len(cache), n + 1):
-            if level <= 1:
-                gens = tuple(p for _, p in self.q_power_products(level))
-            else:
-                prev = cache[level - 1].groebner().generators
-                if self.ideal_m.combined():
-                    prev = normal_forms(prev, self.ideal_m.groebner())
-                gens = tuple(dict.fromkeys(
-                    g * f for g in prev if not g.is_zero() for f in self.q_generators
-                ))
+            prev = cache[level - 1].groebner().generators
+            if self.ideal_m.combined():
+                prev = normal_forms(prev, self.ideal_m.groebner())
+            gens = tuple(dict.fromkeys(
+                g * f for g in prev if not g.is_zero() for f in self.q_generators
+            ))
             cache[level] = self.ideal_a.spawn(gens + self.module_generators)
         return cache[n]
 

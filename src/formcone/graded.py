@@ -1,11 +1,13 @@
 """Graded-module invariants of associated-graded presentations.
 
 Everything here is exact: Hilbert functions by recursive standard-monomial
-counting on the leading ideal, regularity of homogeneous elements by colon
-comparison, grade by Koszul-complex codepth (which needs no genericity and
-works over every supported field), and depth by a greedy regular sequence
-stopped by a socle witness or the dimension, with Koszul homology as its
-fallback.
+counting on the leading ideal, regularity of homogeneous elements by the
+presentation's memoised annihilator, grade by Koszul-complex codepth (which
+needs no genericity and works over every supported field), and depth by a
+greedy regular sequence stopped by a socle witness or the dimension, with
+Koszul homology as its fallback.  ``first_regular`` picks the first nonzero
+nonzerodivisor among candidates, for ``depth`` and the criterion's lift
+search alike.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ConsistencyError, InfiniteComponentError, ValidationError
+from .errors import InfiniteComponentError, ValidationError
 from .filtration import FiltrationContext, GradedQuotientPresentation
 from .groebner import FreeModuleElement, GraphBasis, normal_forms
 from .rings import Monomial, Polynomial
@@ -181,18 +183,6 @@ def graded_dim(pres: GradedQuotientPresentation) -> int:
 # Regularity
 # ---------------------------------------------------------------------------
 
-def annihilator_witness(pres: GradedQuotientPresentation, reps) -> Polynomial | None:
-    """A nonzero class of the presented quotient killed by every element of
-    ``reps``, or None when (H : (reps)) = H, i.e. no nonzero class is."""
-    ann = pres.ideal.colon_ideal(pres.ideal.spawn(tuple(reps)))
-    if ann.equals(pres.ideal):
-        return None
-    for w in normal_forms(ann.groebner().generators, pres.groebner()):
-        if not w.is_zero():
-            return w
-    raise ConsistencyError("annihilator grew but no witness survived reduction")
-
-
 def is_regular_element(pres: GradedQuotientPresentation, b: GradedElement) -> RegularityResult:
     """Exact verdict: b is regular iff (H : b) = H; otherwise a nonzero
     annihilator class is returned as witness.
@@ -205,8 +195,8 @@ def is_regular_element(pres: GradedQuotientPresentation, b: GradedElement) -> Re
             raise ValidationError("element belongs to a different presentation")
     if b.degree < 0:
         raise ValidationError("regularity test expects nonnegative degree")
-    witness = annihilator_witness(pres, (b.representative,))
-    return RegularityResult(witness is None, witness)
+    witness = pres.annihilator((b.representative,))
+    return RegularityResult(witness is None, witness and pres.reduce(witness))
 
 
 def colon_chain_regularity(ctx: FiltrationContext, b: Polynomial, d: int,
@@ -267,9 +257,9 @@ def koszul_grade(pres: GradedQuotientPresentation, generators) -> GradeReport:
 
     # top index: homology is the annihilator of the generator ideal
     if r > 0:
-        witness = annihilator_witness(pres, reps)
+        witness = pres.annihilator(reps)
         if witness is not None:
-            return GradeReport(0, "koszul", (KoszulWitness(r, (witness,)),))
+            return GradeReport(0, "koszul", (KoszulWitness(r, (pres.reduce(witness),)),))
 
     def graph(i: int) -> GraphBasis:
         return GraphBasis(_koszul_columns(reps, i, pres.ring), pres.order,
@@ -300,36 +290,36 @@ def _candidates(gens: list[GradedElement], sizes):
                 yield GradedElement(combo[0].presentation, rep, combo[0].degree)
 
 
-def _regular_on(cur: GradedQuotientPresentation, candidates,
-                killers: list[Polynomial]) -> GradedElement | None:
-    """The first candidate that is nonzero and a nonzerodivisor on ``cur``.
+def first_regular(pres: GradedQuotientPresentation, candidates,
+                  killers: list[Polynomial]) -> GradedElement | None:
+    """The first candidate that is nonzero and a nonzerodivisor on ``pres``.
 
     ``killers`` holds a nonzero class that each rejected candidate kills: a
-    candidate that one of them, still nonzero in ``cur``, kills is a zero
+    candidate that one of them, still nonzero in ``pres``, kills is a zero
     divisor without a colon."""
-    ideal = cur.ideal
+    ideal = pres.ideal
     for c in candidates:
         x = c.representative
         if ideal.contains(x) or any(ideal.contains(w * x) and not ideal.contains(w)
                                     for w in killers):
             continue
-        ann = ideal.colon(x)
-        if ann.equals(ideal):
+        witness = pres.annihilator((x,))
+        if witness is None:
             return c
-        killers.append(next(w for w in normal_forms(ann.generators, ideal.groebner())
-                            if not w.is_zero()))
+        killers.append(witness)
     return None
 
 
 def _socle_witness(cur: GradedQuotientPresentation, reps,
                    killers: list[Polynomial]) -> Polynomial | None:
     """A nonzero class of ``cur`` killed by every element of ``reps``: a
-    known killer when one is, else ``annihilator_witness``."""
+    known killer when one is, else the presentation's annihilator."""
     ideal = cur.ideal
     for w in normal_forms(killers, ideal.groebner()) if killers else ():
         if not w.is_zero() and all(ideal.contains(w * g) for g in reps):
             return w
-    return annihilator_witness(cur, reps) if reps else None
+    witness = cur.annihilator(reps) if reps else None
+    return witness and cur.reduce(witness)
 
 
 def depth(pres: GradedQuotientPresentation) -> GradeReport:
@@ -375,7 +365,7 @@ def depth(pres: GradedQuotientPresentation) -> GradeReport:
     killers: list[Polynomial] = []
     cur, dim = pres, None
     while True:
-        x = _regular_on(cur, _candidates(gens, (1,)), killers) if seq else None
+        x = first_regular(cur, _candidates(gens, (1,)), killers) if seq else None
         if x is None:
             witness = _socle_witness(cur, reps, killers)
             if witness is not None:
@@ -385,7 +375,7 @@ def depth(pres: GradedQuotientPresentation) -> GradeReport:
                 dim = graded_dim(pres) if len(reps) > 1 else len(reps)
             if len(seq) >= dim - 1:
                 return GradeReport(dim, "regular-sequence", tuple(seq))
-            x = _regular_on(cur, _candidates(gens, (2, 3) if seq else (1, 2, 3)), killers)
+            x = first_regular(cur, _candidates(gens, (2, 3) if seq else (1, 2, 3)), killers)
             if x is None:
                 return koszul_grade(pres, gens)
         seq.append(x)

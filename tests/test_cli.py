@@ -7,11 +7,15 @@ from pathlib import Path
 
 import pytest
 
+from certificates import check_cm_certificates
+from corpus import CORPUS_PARAMS, tier4_contexts
+
 from formcone.cas import emit_cas_script
+from formcone.criterion import CriterionParams
 from formcone.errors import BudgetExceededError, ParseError
 from formcone.filtration import GradedQuotientPresentation
 from formcone.cli import COMMANDS, build_parser, emit_report, main, run_command
-from formcone.session import parse_session
+from formcone.session import SessionSpec, parse_session
 
 CURVE_TEXT = """\
 field QQ
@@ -182,6 +186,9 @@ ADVERSARIAL = {
     "char2": "field FP 2\nvars x, y, z\nbase: x^2 + y^2 + z^2\nq: x, y, z\na: x, y\n",
     "not_separated": "field QQ\nvars x, y\nbase: x - x*y\nq: x, y\na: y\n",
     "degree0": "field QQ\nvars x, y\nq: x, y\na: x + 1\n",
+    # two components, the z-axis through the origin and the plane z = 1: the
+    # module's dimension is 2 globally but 1 at the origin, the graded one's
+    "affine": "field QQ\nvars x, y, z\nbase: x - x*z, y - y*z\nq: x, y, z\na: z\n",
     # malformed files: every command refuses them
     "not_utf8": b"field QQ\nvars x\nq: x\xff\n",
     "deep_nesting": "field QQ\nvars x\nq: " + "(" * 300 + "x" + ")" * 300 + "\n",
@@ -196,11 +203,14 @@ def test_adversarial_inputs_never_exit_1(tmp_path, capsys, name):
     path = tmp_path / f"{name}.fc"
     text = ADVERSARIAL[name]
     path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
-    codes = {}
+    codes, outputs = {}, {}
     for command in COMMANDS:
         codes[command] = main([command, str(path), "--json"])
-        capsys.readouterr()
+        outputs[command] = capsys.readouterr().out
     assert {c: code for c, code in codes.items() if code not in (0, 2)} == {}
+    if name == "affine":  # 1 - z is a unit at the origin: the local ring is k[z]_(z)
+        report = json.loads(outputs["cm-check"])
+        assert (report["verdict"], report["depth"], report["dim"]) == ("cohen-macaulay", 1, 1)
     if name == "plane":
         assert codes["hilbert"] == 2
     if name in ("not_utf8", "deep_nesting"):
@@ -356,3 +366,22 @@ def test_python_dash_m_runs_the_cli(curve_file):
                            str(curve_file.with_name("missing.fc"))],
                           cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 2 and "cannot read" in done.stderr
+
+
+def test_cm_check_certificates_replay(corpus):
+    """Every certificate of a ``cm-check`` report replays from the context
+    and the JSON payload alone, by linear algebra and membership
+    (tests/certificates.py), on the demo, the tier-4 inputs and the corpus."""
+    root = Path(__file__).resolve().parent.parent
+    specs = [parse_session((root / "demos" / "semigroup_curve.fc").read_text(encoding="utf-8"))]
+    cases = [(i.ctx, CORPUS_PARAMS) for i in corpus]
+    cases += [(ctx, CriterionParams(n_max=2)) for ctx in tier4_contexts()]
+    specs += [SessionSpec(ctx.ring.field, ctx.ring.variables, ctx.base_generators,
+                          ctx.module_generators, ctx.q_generators,
+                          tuple((s.element, None) for s in ctx.system), params)
+              for ctx, params in cases]
+    checked = 0
+    for spec in specs:
+        payload = json.loads(emit_report(run_command("cm-check", spec)))
+        checked += check_cm_certificates(spec.context(), payload)
+    assert len(specs) == 45 and checked > len(specs)

@@ -400,6 +400,32 @@ def test_each_ideal_is_built_once(monkeypatch):
     assert grades == [0, 2, 1]  # the cone inputs pass through quotient contexts
 
 
+def test_each_regularity_question_is_answered_once(monkeypatch):
+    """Over the tier-4 pipelines every graded-side colon kernel answers a
+    new (presentation ideal, elements) pair within its pipeline:
+    ``regular_form_exists``, Koszul's top index, ``depth`` and the lift
+    search share each presentation's memoised annihilators.  The level scan
+    binds ``meet_of_colons`` itself, so the wrapper sees only the graded
+    side."""
+    asked, kernels = [], 0
+    real = ideals_module.meet_of_colons
+
+    def counting(ideals, elements):
+        ideals, elements = tuple(ideals), tuple(elements)
+        asked.append((tuple(i.combined() for i in ideals), elements))
+        return real(ideals, elements)
+
+    monkeypatch.setattr("formcone.ideals.meet_of_colons", counting)
+    params = CriterionParams(n_max=2)
+    for ctx in tier4_contexts():
+        asked.clear()
+        defect_regularity_equivalence(ctx, params)
+        cohen_macaulay_report(ctx, params)
+        assert len(set(asked)) == len(asked)
+        kernels += len(asked)
+    assert kernels == 15
+
+
 def test_radical_invariance():
     ctx = curve_context(q="x")
     res = radical_invariance_check(ctx, squared_system(ctx))

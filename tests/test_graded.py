@@ -30,7 +30,7 @@ from formcone import (
 )
 from formcone.criterion import system_images
 from formcone.filtration import GradedQuotientPresentation
-from formcone.graded import _koszul_columns, annihilator_witness
+from formcone.graded import _koszul_columns
 from formcone.groebner import FreeModuleElement, GraphBasis, buchberger
 
 R1 = PolynomialRing(QQ, ("Y",))
@@ -376,7 +376,7 @@ def check_depth_certificate(pres, report):
     else:
         assert report.value == graded_dim(pres)
         assert len(seq) == report.value or (
-            len(seq) == report.value - 1 and annihilator_witness(cur, reps) is None)
+            len(seq) == report.value - 1 and cur.annihilator(reps) is None)
 
 
 def _sums_of_images(reps):
