@@ -409,25 +409,29 @@ def defect_scan(ctx: FiltrationContext, params: CriterionParams = DEFAULT_PARAMS
 
 def system_images(ctx: FiltrationContext,
                   pres: GradedQuotientPresentation | None = None) -> tuple[GradedElement, ...]:
-    """Initial forms of the system as elements of the graded presentation.
+    """Initial forms of the system as elements of the graded presentation,
+    computed once per context and presentation.
 
     Rejects systems whose initial forms act as the unit ideal (for example a
-    degree-0 element that is a unit on the module): every grade degenerates
-    to the +infinity sentinel and the criterion does not apply.
+    degree-0 element that is a unit on the module), on every call: every
+    grade degenerates to the +infinity sentinel and the criterion does not
+    apply.
     """
     _require_exact_system(ctx)
     pres = pres or ctx.form_presentation()
-    out = []
-    for s in ctx.system:
-        image = ctx.graded_image(s.element, s.degree, pres)
-        out.append(GradedElement(pres, image, s.degree))
-    if not pres.quotient_by(e.representative for e in out).ideal.is_proper():
+    key = ("system_images", pres)
+    if key not in ctx.scratch:
+        ctx.scratch[key] = tuple(
+            GradedElement(pres, ctx.graded_image(s.element, s.degree, pres), s.degree)
+            for s in ctx.system)
+    images = ctx.scratch[key]
+    if not pres.quotient_by(e.representative for e in images).ideal.is_proper():
         raise ValidationError(
             "the system's initial forms act as the unit ideal on the graded "
             "module; grades would be the infinite sentinel and the criterion "
             "does not apply"
         )
-    return tuple(out)
+    return images
 
 
 def regular_form_exists(ctx: FiltrationContext) -> tuple[bool, Polynomial | None]:

@@ -16,6 +16,11 @@ when the normal form of a*T^d against that basis is free of T, and the
 T-free normal form is then a polynomial in the x- and y-variables that
 presents the image.
 
+A graded presentation holds its ideal H in the presentation's weighted
+order, and so do its quotients and colons: each presentation computes one
+reduced basis of H, each quotient extends it (``PresentedIdeal.sum_with``),
+and membership, colons and dimension all read those bases.
+
 The power ladder q^n M = q^n + I_M is built level by level from the
 identity (q^(n-1) + I_M) * q + I_M = q^n + I_M, multiplying the previous
 level's reduced basis, reduced modulo I_M, by q's generators instead of
@@ -103,18 +108,26 @@ class GradedQuotientPresentation:
     carry weight 1 (one per filtration-ideal generator).  ``y_offset`` counts
     the leading weight-0 variables; for the direct tangent-cone route every
     variable has weight 1 and it is 0.
+
+    H is held in the presentation's weighted order (an ideal given in
+    another order is rebuilt from its generators), so every question asked
+    of the presentation, and of its quotients and colons, reads H's one
+    reduced basis.
     """
 
-    __slots__ = ("ring", "weights", "ideal", "context", "y_offset", "_order", "_quotients",
+    __slots__ = ("ring", "weights", "ideal", "context", "y_offset", "_quotients",
                  "_annihilators")
 
     def __init__(self, ring: PolynomialRing, weights, ideal: PresentedIdeal, context):
         self.ring = ring
         self.weights = tuple(weights)
+        order = weighted_order(self.weights)
+        if ideal.order != order:
+            ideal = PresentedIdeal(ideal.ring, ideal.base, ideal.generators, ideal.step_budget,
+                                   order)
         self.ideal = ideal
         self.context = context
         self.y_offset = next((i for i, w in enumerate(self.weights) if w), len(self.weights))
-        self._order = weighted_order(self.weights)
         self._quotients: dict[tuple, GradedQuotientPresentation] = {}
         self._annihilators: dict[tuple, Polynomial | None] = {}
         if len(self.weights) != ring.nvars:
@@ -122,10 +135,10 @@ class GradedQuotientPresentation:
 
     @property
     def order(self):
-        return self._order
+        return self.ideal.order
 
     def groebner(self):
-        return self.ideal.groebner(self._order)
+        return self.ideal.groebner()
 
     def y_degree(self, mono: Monomial) -> int:
         return sum(w * e for w, e in zip(self.weights, mono))
@@ -141,7 +154,8 @@ class GradedQuotientPresentation:
 
     def quotient_by(self, reps) -> "GradedQuotientPresentation":
         """Presentation of the quotient by the listed (homogeneous) elements:
-        one per tuple of elements, so its basis is computed once."""
+        one per tuple of elements, so its basis is computed once, and that
+        run extends H's reduced basis by the elements alone (``sum_with``)."""
         reps = tuple(reps)
         if reps not in self._quotients:
             self._quotients[reps] = GradedQuotientPresentation(

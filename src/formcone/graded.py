@@ -7,7 +7,9 @@ needs no genericity and works over every supported field), and depth by a
 greedy regular sequence stopped by a socle witness or the dimension, with
 Koszul homology as its fallback.  ``first_regular`` picks the first nonzero
 nonzerodivisor among candidates, for ``depth`` and the criterion's lift
-search alike.
+search alike.  Every one of these reads the presentation ideal H's one
+reduced basis, in the presentation's weighted order, or that of a quotient
+of H, which extends it.
 """
 
 from __future__ import annotations

@@ -26,7 +26,11 @@ A single-term vector normalises to coefficient 1 without gcd work.  A
 ``GraphBasis`` modulo entry given as a ``GroebnerBasis`` in the kernel's own
 order is a settled block: no pair is formed inside it, and the chain
 criterion counts its elements as established partners of each other; a plain
-list is never settled, since it need not be a Groebner basis.  A
+list is never settled, since it need not be a Groebner basis.  ``buchberger``
+takes a ``settled`` basis in its own order the same way, so extending a
+reduced basis by a few elements (an ideal's ``sum_with``, a graded
+presentation's quotients) forms only the pairs those elements bring.  Each
+queued pair carries the lcm of its leads, which the chain criterion reads.  A
 ``GroebnerBasis`` builds the lead index of its generators once;
 ``normal_forms`` converts the generators to term vectors once per batch and
 keeps none, which keeps long-lived bases small, so callers reducing many
@@ -302,23 +306,21 @@ def _engine(vectors: list[dict], key, fld, step_budget: int, rank_one: bool,
             if rank_one and lcm == mono_mul(mi, mj):
                 establish(i, j)  # coprime leads: S-polynomial reduces to zero
                 continue
-            heapq.heappush(heap, (sum(lcm), key((pj, lcm)), i, j))
+            heapq.heappush(heap, (sum(lcm), key((pj, lcm)), i, j, lcm))
 
     for j in range(len(basis)):
         push_pairs(j)
 
     steps = 0
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, _, i, j, lcm = heapq.heappop(heap)
         common = partners[i] & partners[j]
         if blocks[i] is not None:
             common |= partners[j] & blocks[i]
         if blocks[j] is not None:
             common |= partners[i] & blocks[j]
-        if common:
-            lcm = mono_lcm(leads[i][1], leads[j][1])
-            if any(mono_divides(leads[k][1], lcm) for k in common):
-                continue
+        if any(mono_divides(leads[k][1], lcm) for k in common):
+            continue
         steps += 1
         if steps > step_budget:
             raise BudgetExceededError(
@@ -385,16 +387,35 @@ def _common_shape(elements):
 
 
 def buchberger(gens, order: MonomialOrder = DEGREVLEX,
-               step_budget: int = DEFAULT_STEP_BUDGET) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal/submodule spanned by ``gens``."""
+               step_budget: int = DEFAULT_STEP_BUDGET,
+               settled: GroebnerBasis | None = None) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal/submodule spanned by ``gens`` and
+    the generators of ``settled``.
+
+    A ``settled`` basis in ``order`` is a settled block of the engine, as a
+    ``GraphBasis`` modulo entry is: no pair inside it is formed, so extending
+    a known basis by a few elements costs only the pairs they bring.  With
+    nothing to add it is the answer.  One in another order counts as plain
+    generators.
+    """
     gens = [g for g in gens if not g.is_zero()]
-    if not gens:
+    block = []
+    if settled is not None:
+        if settled.order != order:
+            gens = list(settled.generators) + gens
+        elif not gens:
+            return settled
+        else:
+            block = list(settled.generators)
+    elements = block + gens
+    if not elements:
         return GroebnerBasis((), order)
-    ring, rank = _common_shape(gens)
-    vecs = [_to_vec(g) for g in gens]
+    ring, rank = _common_shape(elements)
+    vecs = [_to_vec(g) for g in elements]
     key = _term_key(order)
-    out = _interreduce(*_engine(vecs, key, ring.field, step_budget, rank_one=rank in (None, 1)),
-                       key, ring.field)
+    run = _engine(vecs, key, ring.field, step_budget, rank in (None, 1),
+                  [(0, len(block))] if block else ())
+    out = _interreduce(*run, key, ring.field)
     return GroebnerBasis(tuple(_from_vec(v, ring, rank) for v in out), order)
 
 

@@ -2,8 +2,12 @@
 
 Every ideal of A is carried as an ideal of the ambient polynomial ring P
 containing a fixed ``base`` ideal I_A; all operations add the base
-automatically, so one Groebner engine serves the quotient world.  Values are
-immutable; the cached reduced basis is write-once.
+automatically, so one Groebner engine serves the quotient world.  Each ideal
+has one monomial order, DEGREVLEX unless its maker chose another (a graded
+presentation takes its weighted order), and computes one reduced basis in
+it; membership, colons, intersections and dimension all read that basis, and
+every ideal derived from it keeps the order.  Values are immutable; the
+cached reduced basis is write-once.
 """
 
 from __future__ import annotations
@@ -24,32 +28,37 @@ from .rings import DEGREVLEX, MonomialOrder, Polynomial, PolynomialRing, block_o
 
 
 class PresentedIdeal:
-    """generators + base inside a common ambient ring; equality via reduced bases."""
+    """generators + base inside a common ambient ring, with one monomial
+    order; equality via reduced bases."""
 
-    __slots__ = ("ring", "base", "generators", "step_budget", "_gb_cache")
+    __slots__ = ("ring", "base", "generators", "step_budget", "order", "_gb", "_extends")
 
     def __init__(self, ring: PolynomialRing, base, generators,
-                 step_budget: int = DEFAULT_STEP_BUDGET):
+                 step_budget: int = DEFAULT_STEP_BUDGET, order: MonomialOrder = DEGREVLEX):
         self.ring = ring
         self.base = tuple(base)
         self.generators = tuple(generators)
         self.step_budget = step_budget
+        self.order = order
         for f in self.base + self.generators:
             if f.ring != ring:
                 raise RingMismatchError("generator from a different ring")
-        self._gb_cache: dict[MonomialOrder, GroebnerBasis] = {}
+        self._gb: GroebnerBasis | None = None
+        self._extends: PresentedIdeal | None = None  # set by ``sum_with``
 
     # -- construction helpers -------------------------------------------------
 
     def spawn(self, generators) -> "PresentedIdeal":
-        """Same ring and base, new generators."""
-        return PresentedIdeal(self.ring, self.base, tuple(generators), self.step_budget)
+        """Same ring, base and order, new generators."""
+        return PresentedIdeal(self.ring, self.base, tuple(generators), self.step_budget,
+                              self.order)
 
     def spawn_reduced(self, basis) -> "PresentedIdeal":
-        """Same ring and base, generated by ``basis``, which must be the
-        result's reduced, monic, sorted DEGREVLEX basis; it seeds the cache."""
+        """Same ring, base and order, generated by ``basis``, which must be
+        the result's reduced, monic, sorted basis in that order; it seeds the
+        cache."""
         result = self.spawn(basis)
-        result._gb_cache[DEGREVLEX] = GroebnerBasis(result.generators, DEGREVLEX)
+        result._gb = GroebnerBasis(result.generators, self.order)
         return result
 
     def combined(self) -> tuple[Polynomial, ...]:
@@ -57,12 +66,18 @@ class PresentedIdeal:
 
     # -- Groebner layer --------------------------------------------------------
 
-    def groebner(self, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
-        gb = self._gb_cache.get(order)
-        if gb is None:
-            gb = buchberger(self.combined(), order, self.step_budget)
-            self._gb_cache[order] = gb
-        return gb
+    def groebner(self) -> GroebnerBasis:
+        """The reduced basis in ``order``, computed once.  An ideal made by
+        ``sum_with`` extends its summand's basis, a settled block of the run,
+        by the added elements alone."""
+        if self._gb is None:
+            first = self._extends
+            if first is None:
+                self._gb = buchberger(self.combined(), self.order, self.step_budget)
+            else:
+                self._gb = buchberger(self.generators[len(first.generators):], self.order,
+                                      self.step_budget, settled=first.groebner())
+        return self._gb
 
     def contains(self, f: Polynomial) -> bool:
         self._check_ring(f)
@@ -91,7 +106,10 @@ class PresentedIdeal:
         return self.spawn(self.generators + other.generators)
 
     def sum_with(self, *polys: Polynomial) -> "PresentedIdeal":
-        return self.spawn(self.generators + tuple(polys))
+        """I + (polys); its basis run extends I's reduced basis (``groebner``)."""
+        result = self.spawn(self.generators + tuple(polys))
+        result._extends = self
+        return result
 
     def intersect(self, other: "PresentedIdeal") -> "PresentedIdeal":
         """I cap J = (I : 1) cap (J : 1), one module kernel (see ``meet_of_colons``)."""
@@ -139,7 +157,7 @@ class PresentedIdeal:
             g for g in gb.generators
             if all(all(m[i] == 0 for i in gone) for m in g.terms)
         )
-        return PresentedIdeal(self.ring, (), keep, self.step_budget)
+        return PresentedIdeal(self.ring, (), keep, self.step_budget, self.order)
 
     # -- invariants ---------------------------------------------------------------
 
@@ -154,7 +172,7 @@ class PresentedIdeal:
         if not self.is_proper():
             return -1
         supports = [
-            frozenset(i for i, e in enumerate(g.leading_monomial()) if e)
+            frozenset(i for i, e in enumerate(g.leading_monomial(self.order)) if e)
             for g in self.groebner().generators
         ]
         free = [i for i in range(self.ring.nvars) if frozenset((i,)) not in supports]
@@ -172,6 +190,8 @@ class PresentedIdeal:
             raise RingMismatchError("ideals live in different rings")
         if self.base != other.base:
             raise RingMismatchError("ideals have different base ideals")
+        if self.order != other.order:
+            raise RingMismatchError("ideals use different monomial orders")
 
     def _check_ring(self, f: Polynomial):
         if f.ring != self.ring:
@@ -188,11 +208,11 @@ def meet_of_colons(ideals, elements) -> PresentedIdeal:
     """The intersection of the colons (I_k : f_k), all in one ring and base.
 
     It is one module kernel: the kernel of P -> (+)_k P/I_k sending 1 to
-    (f_k), computed by ``syzygy_basis`` modulo the reduced bases of the I_k,
-    which are passed as ``GroebnerBasis`` values so the engine forms no
-    pairs within them.
-    The result's generators are its reduced, monic, sorted DEGREVLEX basis,
-    so they seed its basis cache (``spawn_reduced``).
+    (f_k), computed by ``syzygy_basis`` in the ideals' shared order modulo
+    their reduced bases, which are passed as ``GroebnerBasis`` values so the
+    engine forms no pairs within them.  The result's generators are its
+    reduced, monic, sorted basis in that order, so they seed its basis cache
+    (``spawn_reduced``).
     """
     ideals, elements = tuple(ideals), tuple(elements)
     if not ideals or len(ideals) != len(elements):
@@ -201,6 +221,6 @@ def meet_of_colons(ideals, elements) -> PresentedIdeal:
     for ideal, f in zip(ideals, elements):
         first._check(ideal)
         first._check_ring(f)
-    kernel = syzygy_basis((FreeModuleElement(first.ring, elements),), DEGREVLEX,
+    kernel = syzygy_basis((FreeModuleElement(first.ring, elements),), first.order,
                           first.step_budget, [ideal.groebner() for ideal in ideals])
     return first.spawn_reduced(v.components[0] for v in kernel)

@@ -174,11 +174,16 @@ class MonomialOrder:
             return lambda m: m
         if self.kind is OrderKind.BLOCK:
             inside = frozenset(self.block)
+            splits: dict[int, tuple[list[int], list[int]]] = {}  # nvars -> (block, rest)
 
             def block_key(m: Monomial):
-                first = tuple(e for i, e in enumerate(m) if i in inside)
-                rest = tuple(e for i, e in enumerate(m) if i not in inside)
-                return (_drl_key(first), _drl_key(rest))
+                split = splits.get(len(m))
+                if split is None:
+                    n = range(len(m))
+                    split = splits[len(m)] = ([i for i in n if i in inside],
+                                              [i for i in n if i not in inside])
+                first, rest = split
+                return (_drl_key([m[i] for i in first]), _drl_key([m[i] for i in rest]))
 
             return block_key
         if self.kind is OrderKind.WDEGREVLEX:
@@ -200,7 +205,11 @@ def block_order(indexes: Iterable[int]) -> MonomialOrder:
 
 
 def weighted_order(weights: Iterable[int]) -> MonomialOrder:
-    return MonomialOrder(OrderKind.WDEGREVLEX, weights=tuple(weights))
+    """Weights first, degrevlex as tie-break.  Equal weights rank monomials
+    exactly as degrevlex does, so they give ``DEGREVLEX`` itself: one order,
+    one value, and ideals in either compare."""
+    order = MonomialOrder(OrderKind.WDEGREVLEX, weights=tuple(weights))
+    return DEGREVLEX if len(set(order.weights)) <= 1 else order
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,26 @@ def test_minors_cm_check(tmp_path, capsys):
     assert all(row["vanishing"] for row in report["lzero_table"])
 
 
+PINNED = json.loads((Path(__file__).parent / "pinned_cm_check.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_cm_check_is_pinned_where_the_orders_differ(tmp_path, capsys, name):
+    """Two inputs with q != m, where a presentation's weighted order and
+    DEGREVLEX sort the reduced bases of H's colons and quotients
+    differently (a y-variable is the largest variable in one and the
+    smallest in the other): the exact ``cm-check --json`` output, minus
+    timings, recorded while the package still kept a DEGREVLEX basis of
+    every presentation ideal beside the weighted one.  ``xzyz`` takes the
+    Koszul depth route with a witness."""
+    path = tmp_path / f"{name}.fc"
+    path.write_text(PINNED[name]["input"], encoding="utf-8")
+    assert main(["cm-check", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    report.pop("timings")
+    assert json.dumps(report) == json.dumps(PINNED[name]["payload"])
+
+
 CUBIC_TEXT = """\
 field QQ
 vars x, y, z, w

@@ -1,12 +1,17 @@
+import contextlib
+import io
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from corpus import CORPUS_PARAMS, minors_context, tier4_contexts
 from oracle import direct_defect_at
 
 import formcone.criterion as criterion_module
+import formcone.groebner as groebner_module
 import formcone.ideals as ideals_module
 from formcone import (
+    DEGREVLEX,
     QQ,
     BudgetExceededError,
     ConsistencyError,
@@ -29,7 +34,10 @@ from formcone import (
     squared_system,
     system_images,
 )
+from formcone.cli import COMMANDS, main
 from formcone.criterion import _shared_colons
+from formcone.filtration import GradedQuotientPresentation
+from formcone.session import parse_session
 
 DEMO_PARAMS = CriterionParams(n_max=10)  # the scan bound of demos/semigroup_curve.fc
 R1 = PolynomialRing(QQ, ("x",))
@@ -377,12 +385,13 @@ def test_each_ideal_is_built_once(monkeypatch):
     I_A + q, which the base built at construction: the quotient contexts of
     the grade recursion share them.  The basis of H + (system images) is
     computed once per context, since every unit-ideal check reaches it
-    through ``GradedQuotientPresentation.quotient_by``."""
+    through ``GradedQuotientPresentation.quotient_by``, and as one run whose
+    generators are the images and whose settled block is H's basis."""
     runs = []
     real = ideals_module.buchberger
 
     def counting(gens, *args, **kwargs):
-        runs.append(tuple(gens))
+        runs.append((tuple(gens), kwargs.get("settled")))
         return real(gens, *args, **kwargs)
 
     monkeypatch.setattr("formcone.ideals.buchberger", counting)
@@ -395,9 +404,75 @@ def test_each_ideal_is_built_once(monkeypatch):
         grades.append(report.grade_recursion)
         images = tuple(e.representative for e in report.system_images)
         a_gens = ctx.base_generators
-        assert runs.count(a_gens) == runs.count(ctx.q_generators + a_gens) == 0
-        assert runs.count(ctx.form_presentation().ideal.generators + images) == 1
+        assert runs.count((a_gens, None)) == runs.count((ctx.q_generators + a_gens, None)) == 0
+        assert runs.count((images, ctx.form_presentation().groebner())) == 1
     assert grades == [0, 2, 1]  # the cone inputs pass through quotient contexts
+
+
+def test_system_images_are_built_once_per_context(monkeypatch):
+    """The equivalence check, the grade recursion and the CM report read the
+    system's graded images from one memo per context and presentation; the
+    unit-ideal refusal still runs on every call (see
+    ``test_unit_like_system_is_rejected_by_graded_routes``)."""
+    ctx = curve_context()
+    images = system_images(ctx)
+
+    def refuse(*args):
+        raise AssertionError("a system image was computed twice")
+
+    monkeypatch.setattr(FiltrationContext, "graded_image", refuse)
+    assert system_images(ctx) is images
+    defect_regularity_equivalence(ctx, DEMO_PARAMS)
+    assert cohen_macaulay_report(ctx, DEMO_PARAMS).system_images is images
+
+
+def test_presentation_rings_run_in_the_presentation_order(monkeypatch):
+    """Over the tier-4 pipelines and every command on the demo, each basis
+    run and each graph basis in a presentation ring uses that presentation's
+    weighted order: membership, colons, quotients and dimension all read the
+    one basis of H.  On tier 4 the presentation rings see 9 basis runs."""
+    orders, runs, mismatched = {}, [], []
+    real_init = GradedQuotientPresentation.__init__
+    real_run = ideals_module.buchberger
+    real_graph = groebner_module.GraphBasis.__init__
+
+    def presenting(self, ring, weights, *args):
+        real_init(self, ring, weights, *args)
+        orders.setdefault(ring, set()).add(self.order)
+
+    def check(kind, ring, order):
+        if ring in orders and ring not in ambient:
+            runs.append(kind)
+            if order not in orders[ring]:
+                mismatched.append((kind, str(ring), order.kind.value))
+
+    def running(gens, order=DEGREVLEX, *args, **kwargs):
+        gens = list(gens)
+        if gens:
+            check("run", gens[0].ring, order)
+        return real_run(gens, order, *args, **kwargs)
+
+    def graphing(self, columns, order=DEGREVLEX, *args, **kwargs):
+        columns = list(columns)
+        check("graph", columns[0].ring, order)
+        real_graph(self, columns, order, *args, **kwargs)
+
+    monkeypatch.setattr(GradedQuotientPresentation, "__init__", presenting)
+    monkeypatch.setattr("formcone.ideals.buchberger", running)
+    monkeypatch.setattr(groebner_module.GraphBasis, "__init__", graphing)
+    params = CriterionParams(n_max=2)
+    contexts = tier4_contexts()
+    ambient = {ctx.ring for ctx in contexts}
+    for ctx in contexts:
+        defect_regularity_equivalence(ctx, params)
+        cohen_macaulay_report(ctx, params)
+    assert runs.count("run") == 9 and mismatched == []
+    runs.clear()
+    demo = Path(__file__).parent.parent / "demos" / "semigroup_curve.fc"
+    ambient.add(parse_session(demo.read_text(encoding="utf-8")).context().ring)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert all(main([command, str(demo), "--json"]) == 0 for command in COMMANDS)
+    assert runs and mismatched == []
 
 
 def test_each_regularity_question_is_answered_once(monkeypatch):

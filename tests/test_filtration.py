@@ -113,13 +113,14 @@ def test_rees_presentations():
     rees = ctx2.rees_presentation()
     ring = rees.ring
     X, Y, Y1, Y2 = (ring.var(i) for i in range(4))
-    assert rees.ideal.equals(PresentedIdeal(ring, (), (X * Y2 - Y * Y1,)))
+    assert rees.ideal.order == rees.order
+    assert rees.ideal.equals(rees.ideal.spawn((X * Y2 - Y * Y1,)))
 
     # curve ring: the degree-0 slice of the blowup presentation is the base ideal
     ctx3 = curve_context()
     rees3 = ctx3.rees_presentation()
     x_only = [
-        g for g in rees3.ideal.groebner(rees3.order).generators
+        g for g in rees3.groebner().generators
         if all(all(m[i] == 0 for i in range(3, 6)) for m in g.terms)
     ]
     back = [0, 1, 2, 0, 0, 0]

@@ -350,6 +350,26 @@ def test_pair_decisions_are_pinned(monkeypatch):
 
 
 @pytest.mark.parametrize("characteristic", [0, 3])
+def test_settled_basis_extends_to_the_same_basis(characteristic):
+    """``buchberger(extra, order, settled=basis)``, which forms no pair
+    inside the settled block, is the reduced basis of both generator sets
+    together.  With nothing to add it returns the settled basis; a basis in
+    another order counts as plain generators."""
+    ring = PolynomialRing(FieldSpec(characteristic), ("x", "y", "z"))
+    rng = random.Random(311 + characteristic)
+    weighted = weighted_order((0, 1, 1))
+    for order, other in ((DEGREVLEX, weighted), (weighted, DEGREVLEX)):
+        for _ in range(8):
+            first = [_random_element(rng, ring, None) for _ in range(rng.randint(1, 3))]
+            extra = [_random_element(rng, ring, None) for _ in range(rng.randint(0, 2))]
+            basis = buchberger(first, order)
+            plain = buchberger(first + extra, order)
+            assert buchberger(extra, order, settled=basis) == plain
+            assert buchberger(extra, order, settled=buchberger(first, other)) == plain
+        assert buchberger([ring.zero()], order, settled=basis) is basis
+
+
+@pytest.mark.parametrize("characteristic", [0, 3])
 def test_settled_modulo_gives_the_same_kernel(characteristic):
     """A ``GroebnerBasis`` modulo entry in the kernel's own order is a settled
     block of the engine; the kernel must be the one that the same basis as a

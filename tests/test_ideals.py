@@ -14,6 +14,7 @@ from formcone import (
     RingMismatchError,
     ValidationError,
     buchberger,
+    weighted_order,
 )
 from formcone.ideals import meet_of_colons
 
@@ -333,10 +334,11 @@ def test_two_element_level_ideals_match_tag_elimination(corpus):
 
 
 def assert_seeded_basis(result):
-    """The kernel seeds the DEGREVLEX basis cache with the result's reduced basis."""
-    assert DEGREVLEX in result._gb_cache
-    fresh = buchberger(result.combined(), DEGREVLEX).generators
-    assert result._gb_cache[DEGREVLEX].generators == fresh
+    """The kernel seeds the basis cache with the result's reduced basis in
+    the result's one order."""
+    assert result._gb is not None and result._gb.order == result.order
+    fresh = buchberger(result.combined(), result.order).generators
+    assert result._gb.generators == fresh
     assert result.groebner().generators == fresh
 
 
@@ -353,6 +355,11 @@ def test_kernel_results_seed_their_basis_cache(corpus):
     unit = I.colon(x * x)  # colon by a member
     assert not unit.is_proper()
     assert_seeded_basis(unit)
+    # an ideal in a weighted order: its kernels take that order
+    weighted = PresentedIdeal(R2, base, (x * x, x * y), order=weighted_order((0, 1)))
+    for result in (weighted.colon(y), weighted.colon_ideal(weighted.spawn((x, y)))):
+        assert result.order == weighted.order
+        assert_seeded_basis(result)
     checked = 0
     for inst in corpus:
         ctx = inst.ctx
@@ -376,3 +383,18 @@ def test_contains_ideal_matches_elementwise_membership():
         I = ideal2(*rng.sample(pool, rng.randint(1, 3)), base=base)
         J = ideal2(*rng.sample(pool, rng.randint(1, 3)), base=base)
         assert I.contains_ideal(J) == all(I.contains(g) for g in J.combined())
+
+
+def test_one_order_per_ideal():
+    """Derived ideals keep their ideal's order, a sum extends its summand's
+    basis to the same reduced basis, and ideals in two orders do not mix."""
+    x, y = R2.gens()
+    order = weighted_order((0, 1))
+    I = PresentedIdeal(R2, (x**3 - y * y,), (x * y,), order=order)
+    J = I.sum_with(x * x - y, y**3)
+    assert J.order == I.spawn(()).order == I.colon(x).order == order
+    assert J.groebner() == buchberger(J.combined(), order)
+    assert J.groebner().generators != buchberger(J.combined()).generators
+    with pytest.raises(RingMismatchError):
+        I.equals(ideal2(x * y, base=I.base))
+    assert weighted_order((1, 1)) is DEGREVLEX and weighted_order((2, 2)) == DEGREVLEX
