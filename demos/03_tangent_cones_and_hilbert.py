@@ -25,7 +25,7 @@ for g in form.groebner().generators:
     print("  ", g.to_string(form.order))
 
 # (2) Rename the weight-1 slots back onto X, Y, Z: the tangent cone.
-cone = form.variable_cone()
+cone = ctx.variable_cone()
 print("tangent cone:", [str(g) for g in cone.ideal.groebner().generators])
 
 # (3) The lowest-form route recomputes it independently.

@@ -25,6 +25,7 @@ from .criterion import (
     InvarianceResult,
     ScanResult,
     cohen_macaulay_report,
+    colon_chain_regularity,
     defect_at,
     defect_regularity_equivalence,
     defect_scan,
@@ -45,17 +46,13 @@ from .errors import (
     RingMismatchError,
     ValidationError,
 )
-from .filtration import (
-    FiltrationContext,
-    GradedQuotientPresentation,
-    SystemElement,
-)
+from .filtration import FiltrationContext, SystemElement
 from .graded import (
     GradedElement,
+    GradedQuotientPresentation,
     GradeReport,
     KoszulWitness,
     RegularityResult,
-    colon_chain_regularity,
     depth,
     graded_dim,
     hilbert_function,

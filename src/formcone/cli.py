@@ -104,7 +104,7 @@ def _formring(ctx: FiltrationContext, params: CriterionParams) -> dict:
         "ideal": [g.to_string(pres.order) for g in pres.groebner().generators],
     }
     try:
-        payload["cone"] = [str(g) for g in pres.variable_cone().ideal.groebner().generators]
+        payload["cone"] = [str(g) for g in ctx.variable_cone().ideal.groebner().generators]
     except ValidationError:  # the presentation has no variable cone
         pass
     return payload

@@ -18,6 +18,10 @@ C(n, l) >= q^n M; ``defect_at`` reads its stopping window from it.
 Nonvanishing detections are exact (the probed chain only grows); vanishing
 verdicts are bounded by n_max/l_max and every record says so via
 ``certified=False``.  The exact graded route is always the authority.
+
+The level scan, and ``colon_chain_regularity`` beside it, read the context's
+q-powers and colons.  The graded side reads the form presentation that the
+context builds, and the graded images of the system, through ``graded``.
 """
 
 from __future__ import annotations
@@ -34,14 +38,10 @@ from .errors import (
     DegenerateSystemError,
     ValidationError,
 )
-from .filtration import (
-    DEFAULT_PROBE_CAP,
-    FiltrationContext,
-    GradedQuotientPresentation,
-    graded_power_basis,
-)
+from .filtration import DEFAULT_PROBE_CAP, FiltrationContext, graded_power_basis
 from .graded import (
     GradedElement,
+    GradedQuotientPresentation,
     GradeReport,
     depth,
     first_regular,
@@ -286,6 +286,7 @@ def _residue_table(ctx: FiltrationContext, seq: _Chain, l: int) -> list:
     """(degree of g, normal form of g modulo I_M) for the g in K_l's reduced
     basis whose form is nonzero, in basis order; memoised per context, and
     shared by the terms of a run of equal K."""
+    # cheaper than reducing each level's basis modulo its large m^n + I_M
     while l and seq.changed[l - 1] is None:
         l -= 1
     key = ("residues", l)
@@ -401,6 +402,23 @@ def defect_scan(ctx: FiltrationContext, params: CriterionParams = DEFAULT_PARAMS
         first_nonvanishing=first,
         budget_limited=any(r.status == "budget" for r in records),
     )
+
+
+def colon_chain_regularity(ctx: FiltrationContext, b: Polynomial, d: int,
+                           n_max: int = 10) -> bool:
+    """Bounded colon test: (q^(n+d)M : b) = q^n M for all n <= n_max.
+
+    Heuristic counterpart of the exact graded test; the two must agree on
+    every instance where both run.
+    """
+    computed = ctx.initial_degree(b)
+    if computed != d:
+        raise ValidationError(f"stated degree {d} but initial degree is {computed}")
+    for n in range(n_max + 1):
+        lhs = ctx.q_power(n + d).colon(b)
+        if not lhs.equals(ctx.q_power(n)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +554,7 @@ def _search_regular_lift(ctx: FiltrationContext,
 
     killers: list[Polynomial] = []
     for b, d in islice(candidates(), params.search_budget):
-        try:
+        try:  # the degree probe skips a graded image and a colon for deeper candidates
             if b.is_zero() or ctx.base.initial_degree(b) != d:
                 continue
         except ValidationError:  # b is zero in A
@@ -637,7 +655,7 @@ def checked_dim(ctx: FiltrationContext, pres: GradedQuotientPresentation) -> int
     lowest-form cone ``tangent_cone_direct``, an independent route, gives it."""
     dim_graded = graded_dim(pres)
     dim_module = ctx.ideal_m.krull_dim()
-    if dim_graded != dim_module and ctx.base._q_is_m:
+    if dim_graded != dim_module and ctx.q_is_m:
         dim_module = graded_dim(ctx.tangent_cone_direct())
     if dim_graded != dim_module:
         raise ConsistencyError(

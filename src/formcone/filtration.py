@@ -3,7 +3,11 @@
 Provides initial degrees along the q-adic filtration, Rees-algebra and
 associated-graded (form ring) presentations by tag-variable elimination, a
 direct lowest-form tangent-cone route for cross-checking, and the passage
-M -> M/bM used by the depth recursion.  A context's inputs are immutable,
+M -> M/bM used by the depth recursion.  This module builds every graded
+presentation, a plain ``graded.GradedQuotientPresentation`` that keeps no
+reference to the context, and maps ring elements into it (``graded_image``);
+``graded`` reads presentations and never imports this module, and
+``criterion`` reads both.  A context's inputs are immutable,
 but it memoises in place (powers, presentations, and the ``scratch`` space
 where the criterion grows its level chains), so one context and those
 derived from it, which share its ``base``, must not be scanned from two
@@ -15,11 +19,6 @@ in degree d is the class of a in q^d M / q^(d+1) M: a lies in q^d M exactly
 when the normal form of a*T^d against that basis is free of T, and the
 T-free normal form is then a polynomial in the x- and y-variables that
 presents the image.
-
-A graded presentation holds its ideal H in the presentation's weighted
-order, and so do its quotients and colons: each presentation computes one
-reduced basis of H, each quotient extends it (``PresentedIdeal.sum_with``),
-and membership, colons and dimension all read those bases.
 
 The power ladder q^n M = q^n + I_M is built level by level from the
 identity (q^(n-1) + I_M) * q + I_M = q^n + I_M, multiplying the previous
@@ -41,6 +40,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .errors import ConsistencyError, RingMismatchError, ValidationError
+from .graded import GradedQuotientPresentation
 from .groebner import (
     DEFAULT_STEP_BUDGET,
     GroebnerBasis,
@@ -49,15 +49,7 @@ from .groebner import (
     normal_forms,
 )
 from .ideals import PresentedIdeal
-from .rings import (
-    DEGREVLEX,
-    Monomial,
-    Polynomial,
-    PolynomialRing,
-    block_order,
-    mono_divides,
-    weighted_order,
-)
+from .rings import DEGREVLEX, Polynomial, PolynomialRing, block_order, mono_divides
 
 DEFAULT_PROBE_CAP = 12
 
@@ -101,117 +93,6 @@ def graded_power_basis(ring: PolynomialRing, basis, n: int) -> tuple[Polynomial,
     return low + tuple(Polynomial(ring, {m: one}) for m in monos)
 
 
-class GradedQuotientPresentation:
-    """Polynomial presentation of a graded quotient: k[x-vars, y-vars]/H.
-
-    x-variables carry weight 0 (they present the degree-0 part), y-variables
-    carry weight 1 (one per filtration-ideal generator).  ``y_offset`` counts
-    the leading weight-0 variables; for the direct tangent-cone route every
-    variable has weight 1 and it is 0.
-
-    H is held in the presentation's weighted order (an ideal given in
-    another order is rebuilt from its generators), so every question asked
-    of the presentation, and of its quotients and colons, reads H's one
-    reduced basis.
-    """
-
-    __slots__ = ("ring", "weights", "ideal", "context", "y_offset", "_quotients",
-                 "_annihilators")
-
-    def __init__(self, ring: PolynomialRing, weights, ideal: PresentedIdeal, context):
-        self.ring = ring
-        self.weights = tuple(weights)
-        order = weighted_order(self.weights)
-        if ideal.order != order:
-            ideal = PresentedIdeal(ideal.ring, ideal.base, ideal.generators, ideal.step_budget,
-                                   order)
-        self.ideal = ideal
-        self.context = context
-        self.y_offset = next((i for i, w in enumerate(self.weights) if w), len(self.weights))
-        self._quotients: dict[tuple, GradedQuotientPresentation] = {}
-        self._annihilators: dict[tuple, Polynomial | None] = {}
-        if len(self.weights) != ring.nvars:
-            raise ValidationError("one weight per presentation variable required")
-
-    @property
-    def order(self):
-        return self.ideal.order
-
-    def groebner(self):
-        return self.ideal.groebner()
-
-    def y_degree(self, mono: Monomial) -> int:
-        return sum(w * e for w, e in zip(self.weights, mono))
-
-    def is_y_homogeneous(self, f: Polynomial) -> bool:
-        return f.is_homogeneous(self.weights)
-
-    def reduce(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self.groebner())
-
-    def contains(self, f: Polynomial) -> bool:
-        return self.reduce(f).is_zero()
-
-    def quotient_by(self, reps) -> "GradedQuotientPresentation":
-        """Presentation of the quotient by the listed (homogeneous) elements:
-        one per tuple of elements, so its basis is computed once, and that
-        run extends H's reduced basis by the elements alone (``sum_with``)."""
-        reps = tuple(reps)
-        if reps not in self._quotients:
-            self._quotients[reps] = GradedQuotientPresentation(
-                self.ring, self.weights, self.ideal.sum_with(*reps), self.context,
-            )
-        return self._quotients[reps]
-
-    def annihilator(self, reps) -> Polynomial | None:
-        """The first generator of the reduced basis of (H : (reps)) outside H,
-        unreduced: a nonzero class that every listed element kills.  None
-        when (H : (reps)) = H.  One answer per tuple of elements."""
-        reps = tuple(reps)
-        if reps not in self._annihilators:
-            ann, witness = self.ideal.colon_ideal(self.ideal.spawn(reps)), None
-            if not ann.equals(self.ideal):
-                witness = next((g for g in ann.generators if not self.ideal.contains(g)), None)
-                if witness is None:
-                    raise ConsistencyError("annihilator grew but no generator lies outside H")
-            self._annihilators[reps] = witness
-        return self._annihilators[reps]
-
-    def variable_cone(self) -> "GradedQuotientPresentation":
-        """Rename y-variables onto the ambient variables they present.
-
-        Valid when the filtration ideal is the full variable ideal (each
-        y-variable presents one ambient variable) and the degree-0 part is the
-        base field (every x-variable lies in the defining ideal).  The result
-        is directly comparable with the lowest-form tangent-cone route.
-        """
-        ctx = self.context
-        if ctx is None or self.y_offset == 0:
-            raise ValidationError("presentation does not carry filtration provenance")
-        ambient = ctx.ring
-        slots: list[int] = []
-        for g in ctx.q_generators:
-            if len(g.terms) != 1:
-                raise ValidationError("filtration ideal generators are not single variables")
-            mono, coeff = next(iter(g.terms.items()))
-            if sum(mono) != 1 or coeff != ambient.field.coerce(1):
-                raise ValidationError("filtration ideal generators are not single variables")
-            slots.append(mono.index(1))
-        gb = self.groebner()
-        for i in range(self.y_offset):
-            if not self.contains(self.ring.var(i)):
-                raise ValidationError("degree-0 part of the presentation is not the base field")
-        positions = list(range(self.y_offset)) + slots
-        gens = []
-        for g in gb.generators:
-            if all(all(m[i] == 0 for i in range(self.y_offset)) for m in g.terms):
-                gens.append(g.map_to(ambient, positions))
-        return GradedQuotientPresentation(
-            ambient, (1,) * ambient.nvars,
-            PresentedIdeal(ambient, (), tuple(gens), self.ideal.step_budget), ctx,
-        )
-
-
 class FiltrationContext:
     """The tuple (A = P/I_A, cyclic M = A/I_M, filtration ideal q, system a).
 
@@ -226,7 +107,9 @@ class FiltrationContext:
     that every system element has the claimed initial degree modulo I_A.
     ``local_model_mismatch`` flags inputs whose filtration ideal is not
     contained in the variable ideal; affine results then need not match the
-    power-series picture and reports say so.
+    power-series picture and reports say so.  ``q_is_m`` records whether
+    q + I_A is the ideal m of all variables, the condition of the graded
+    ladder and of ``tangent_cone_direct``.
     """
 
     def __init__(self, ring: PolynomialRing, base_gens, module_gens, q_gens,
@@ -262,7 +145,7 @@ class FiltrationContext:
         # vanishes at 0, else (1), and the proper q + I_A is m iff it holds every variable
         self.local_model_mismatch = (all(g.min_degree() != 0 for g in base_gens)
                                      and any(g.min_degree() == 0 for g in q_gens))
-        self._q_is_m = all(self.q_ideal.contains(v) for v in ring.gens())
+        self.q_is_m = all(self.q_ideal.contains(v) for v in ring.gens())
         self._products: dict[int, tuple] = {}
 
     def _set_module(self, module_gens: tuple):
@@ -274,7 +157,7 @@ class FiltrationContext:
             level_one = self.ideal_m.sum_with(*self.q_generators)
             if not level_one.is_proper():
                 raise ValidationError("filtration ideal acts as the unit ideal on the module")
-        self._graded = self._q_is_m and all(
+        self._graded = self.q_is_m and all(
             g.is_homogeneous() for g in self.ideal_m.groebner().generators)
         self._powers: dict[int, PresentedIdeal] = {
             0: self.ideal_a.spawn_reduced((self.ring.one(),)), 1: level_one}
@@ -427,7 +310,7 @@ class FiltrationContext:
         weights = (0,) * self.ring.nvars + (1,) * len(self.q_generators)
         return GradedQuotientPresentation(
             pres_ring, weights,
-            PresentedIdeal(pres_ring, (), tuple(keep), self.step_budget), self,
+            PresentedIdeal(pres_ring, (), tuple(keep), self.step_budget),
         )
 
     def form_presentation(self) -> GradedQuotientPresentation:
@@ -443,10 +326,10 @@ class FiltrationContext:
         gens = rees.ideal.generators + tuple(f.map_to(pres_ring, emb) for f in self.q_generators)
         pres = GradedQuotientPresentation(
             pres_ring, rees.weights,
-            PresentedIdeal(pres_ring, (), gens, self.step_budget), self,
+            PresentedIdeal(pres_ring, (), gens, self.step_budget),
         )
         for g in pres.groebner().generators:
-            if not pres.is_y_homogeneous(g):
+            if not g.is_homogeneous(pres.weights):
                 raise ConsistencyError("form presentation is not weight-homogeneous")
         self._presentations[key] = pres
         return pres
@@ -462,7 +345,7 @@ class FiltrationContext:
         key = ("cone",)
         if key in self._presentations:
             return self._presentations[key]
-        if not self._q_is_m:
+        if not self.q_is_m:
             raise ValidationError("direct cone route needs q = (all variables)")
         n = self.ring.nvars
         h_name = self.ring.fresh_name("h")
@@ -487,10 +370,34 @@ class FiltrationContext:
             cone_gens.append(Polynomial(self.ring, slice_terms))
         pres = GradedQuotientPresentation(
             self.ring, (1,) * n,
-            PresentedIdeal(self.ring, (), tuple(cone_gens), self.step_budget), self,
+            PresentedIdeal(self.ring, (), tuple(cone_gens), self.step_budget),
         )
         self._presentations[key] = pres
         return pres
+
+    def variable_cone(self) -> GradedQuotientPresentation:
+        """The form presentation with its y-variables renamed onto the
+        ambient variables they present.
+
+        Valid when every generator of q is a single variable and the degree-0
+        part is the base field (every x-variable lies in the defining ideal).
+        The result is directly comparable with ``tangent_cone_direct``.
+        """
+        n, one = self.ring.nvars, self.ring.field.coerce(1)
+        slots: list[int] = []
+        for g in self.q_generators:
+            terms = list(g.terms.items())
+            if len(terms) != 1 or sum(terms[0][0]) != 1 or terms[0][1] != one:
+                raise ValidationError("filtration ideal generators are not single variables")
+            slots.append(terms[0][0].index(1))
+        form = self.form_presentation()
+        for i in range(n):
+            if not form.contains(form.ring.var(i)):
+                raise ValidationError("degree-0 part of the presentation is not the base field")
+        free = (g for g in form.groebner().generators if not any(any(m[:n]) for m in g.terms))
+        gens = tuple(g.map_to(self.ring, list(range(n)) + slots) for g in free)
+        return GradedQuotientPresentation(
+            self.ring, (1,) * n, PresentedIdeal(self.ring, (), gens, self.step_budget))
 
     # -- graded images of ring elements ---------------------------------------------
 
@@ -510,17 +417,18 @@ class FiltrationContext:
         in M is zero maps to 0.
         """
         self._check_ring(a)
-        if presentation.y_offset == 0:
-            raise ValidationError("presentation has no degree-0 slots; use the elimination route")
         big, gb = self._rees_basis()
         t_index = big.nvars - 1
+        if presentation.ring != big.drop((t_index,)):
+            raise ValidationError("presentation is not over this context's Rees ring; "
+                                  "use the elimination route")
         lifted = normal_form(a.map_to(big, list(range(self.ring.nvars)))
                              * big.var(t_index) ** degree, gb)
         if any(m[t_index] for m in lifted.terms):
             raise ValidationError(f"element is not in power {degree} of the filtration "
                                   "ideal on the module")
         image = presentation.reduce(lifted.map_to(presentation.ring, list(range(t_index)) + [0]))
-        if not presentation.is_y_homogeneous(image):
+        if not image.is_homogeneous(presentation.weights):
             raise ConsistencyError("graded image came out inhomogeneous")
         return image
 

@@ -1,4 +1,10 @@
-"""Graded-module invariants of associated-graded presentations.
+"""Graded quotient presentations and their invariants.
+
+A ``GradedQuotientPresentation`` is a plain value, k[variables]/H with one
+weight per variable, built from its ring, weights and H alone; this module
+knows nothing of filtrations.  ``filtration`` builds the Rees, form and
+tangent-cone presentations and the graded images of ring elements, and
+``criterion`` and the CLI read them through the functions here.
 
 Everything here is exact: Hilbert functions by recursive standard-monomial
 counting on the leading ideal, regularity of homogeneous elements by the
@@ -18,10 +24,80 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InfiniteComponentError, ValidationError
-from .filtration import FiltrationContext, GradedQuotientPresentation
-from .groebner import FreeModuleElement, GraphBasis, normal_forms
-from .rings import Monomial, Polynomial
+from .errors import ConsistencyError, InfiniteComponentError, ValidationError
+from .groebner import FreeModuleElement, GraphBasis, normal_form, normal_forms
+from .ideals import PresentedIdeal
+from .rings import Monomial, Polynomial, PolynomialRing, weighted_order
+
+
+class GradedQuotientPresentation:
+    """Polynomial presentation of a graded quotient k[variables]/H, a plain
+    value built from its ring, one weight per variable and H.
+
+    The form and Rees presentations give weight 0 to the variables of the
+    degree-0 part and weight 1 to one variable per filtration-ideal
+    generator; the direct tangent-cone route gives every variable weight 1.
+
+    H is held in the presentation's weighted order (an ideal given in
+    another order is rebuilt from its generators), so every question asked
+    of the presentation, and of its quotients and colons, reads H's one
+    reduced basis.
+    """
+
+    __slots__ = ("ring", "weights", "ideal", "_quotients", "_annihilators")
+
+    def __init__(self, ring: PolynomialRing, weights, ideal: PresentedIdeal):
+        self.ring = ring
+        self.weights = tuple(weights)
+        order = weighted_order(self.weights)
+        if ideal.order != order:
+            ideal = PresentedIdeal(ideal.ring, ideal.base, ideal.generators, ideal.step_budget,
+                                   order)
+        self.ideal = ideal
+        self._quotients: dict[tuple, GradedQuotientPresentation] = {}
+        self._annihilators: dict[tuple, Polynomial | None] = {}
+        if len(self.weights) != ring.nvars:
+            raise ValidationError("one weight per presentation variable required")
+
+    @property
+    def order(self):
+        return self.ideal.order
+
+    def groebner(self):
+        return self.ideal.groebner()
+
+    def y_degree(self, mono: Monomial) -> int:
+        return sum(w * e for w, e in zip(self.weights, mono))
+
+    def reduce(self, f: Polynomial) -> Polynomial:
+        return normal_form(f, self.groebner())
+
+    def contains(self, f: Polynomial) -> bool:
+        return self.reduce(f).is_zero()
+
+    def quotient_by(self, reps) -> "GradedQuotientPresentation":
+        """Presentation of the quotient by the listed (homogeneous) elements:
+        one per tuple of elements, so its basis is computed once, and that
+        run extends H's reduced basis by the elements alone (``sum_with``)."""
+        reps = tuple(reps)
+        if reps not in self._quotients:
+            self._quotients[reps] = GradedQuotientPresentation(
+                self.ring, self.weights, self.ideal.sum_with(*reps))
+        return self._quotients[reps]
+
+    def annihilator(self, reps) -> Polynomial | None:
+        """The first generator of the reduced basis of (H : (reps)) outside H,
+        unreduced: a nonzero class that every listed element kills.  None
+        when (H : (reps)) = H.  One answer per tuple of elements."""
+        reps = tuple(reps)
+        if reps not in self._annihilators:
+            ann, witness = self.ideal.colon_ideal(self.ideal.spawn(reps)), None
+            if not ann.equals(self.ideal):
+                witness = next((g for g in ann.generators if not self.ideal.contains(g)), None)
+                if witness is None:
+                    raise ConsistencyError("annihilator grew but no generator lies outside H")
+            self._annihilators[reps] = witness
+        return self._annihilators[reps]
 
 
 @dataclass(frozen=True)
@@ -199,23 +275,6 @@ def is_regular_element(pres: GradedQuotientPresentation, b: GradedElement) -> Re
         raise ValidationError("regularity test expects nonnegative degree")
     witness = pres.annihilator((b.representative,))
     return RegularityResult(witness is None, witness and pres.reduce(witness))
-
-
-def colon_chain_regularity(ctx: FiltrationContext, b: Polynomial, d: int,
-                           n_max: int = 10) -> bool:
-    """Bounded colon test: (q^(n+d)M : b) = q^n M for all n <= n_max.
-
-    Heuristic counterpart of the exact graded test; the two must agree on
-    every instance where both run.
-    """
-    computed = ctx.initial_degree(b)
-    if computed != d:
-        raise ValidationError(f"stated degree {d} but initial degree is {computed}")
-    for n in range(n_max + 1):
-        lhs = ctx.q_power(n + d).colon(b)
-        if not lhs.equals(ctx.q_power(n)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ from itertools import product as cartesian
 
 from oracle import exact_rank, lifted_image, mul_term, product_power
 
-from formcone.filtration import FiltrationContext, GradedQuotientPresentation
+from formcone.filtration import FiltrationContext
+from formcone.graded import GradedQuotientPresentation
 
 TOP = 4
 

@@ -33,7 +33,8 @@ from formcone.errors import (
     RingMismatchError,
     ValidationError,
 )
-from formcone.filtration import FiltrationContext, GradedQuotientPresentation
+from formcone.filtration import FiltrationContext
+from formcone.graded import GradedQuotientPresentation
 from formcone.groebner import (
     FreeModuleElement,
     _common_shape,

@@ -53,8 +53,7 @@ def test_criterion_1_tangent_cone_presentation():
     with verdict(1, "tangent cone presentation"):
         started = time.perf_counter()
         ctx = curve_context("m")
-        form = ctx.form_presentation()
-        cone = form.variable_cone()
+        cone = ctx.variable_cone()
         expected = PresentedIdeal(RS, (), EXPECTED_CONE)
         assert cone.ideal.equals(expected)
         # independent lowest-form route agrees exactly

@@ -13,7 +13,7 @@ from corpus import CORPUS_PARAMS, tier4_contexts
 from formcone.cas import emit_cas_script
 from formcone.criterion import CriterionParams
 from formcone.errors import BudgetExceededError, ParseError
-from formcone.filtration import GradedQuotientPresentation
+from formcone.filtration import FiltrationContext
 from formcone.cli import COMMANDS, build_parser, emit_report, main, run_command
 from formcone.session import SessionSpec, parse_session
 
@@ -138,7 +138,7 @@ def test_formring_reports_budget_exhaustion_inside_the_cone(curve_file, capsys, 
     def exhausted(self):
         raise BudgetExceededError("step budget spent inside variable_cone")
 
-    monkeypatch.setattr(GradedQuotientPresentation, "variable_cone", exhausted)
+    monkeypatch.setattr(FiltrationContext, "variable_cone", exhausted)
     assert main(["formring", str(curve_file)]) == 3
     assert "budget exhausted" in capsys.readouterr().err
 

@@ -36,7 +36,7 @@ from formcone import (
 )
 from formcone.cli import COMMANDS, main
 from formcone.criterion import _shared_colons
-from formcone.filtration import GradedQuotientPresentation
+from formcone.graded import GradedQuotientPresentation
 from formcone.session import parse_session
 
 DEMO_PARAMS = CriterionParams(n_max=10)  # the scan bound of demos/semigroup_curve.fc

@@ -139,8 +139,7 @@ def test_form_presentation_of_regular_plane():
 
 def test_form_presentation_of_curve_matches_named_cone():
     ctx = curve_context()
-    form = ctx.form_presentation()
-    cone = form.variable_cone()
+    cone = ctx.variable_cone()
     X, Y, Z = RS.gens()
     expected = PresentedIdeal(RS, (), (X * Z, Y * Z, Y**4, Z * Z))
     assert cone.ideal.equals(expected)
@@ -152,8 +151,7 @@ def test_form_presentation_of_monomial_nilpotents():
     ctx = FiltrationContext(R2, (x * x, x * y), (), (x, y), [])
     direct = ctx.tangent_cone_direct()
     assert direct.ideal.equals(PresentedIdeal(R2, (), (x * x, x * y)))
-    form = ctx.form_presentation()
-    assert form.variable_cone().ideal.equals(direct.ideal)
+    assert ctx.variable_cone().ideal.equals(direct.ideal)
 
 
 def test_tangent_cone_direct_examples():
@@ -188,7 +186,7 @@ def test_direct_and_elimination_cones_agree(base, module):
         ring.gens(), [],
     )
     direct = ctx.tangent_cone_direct()
-    renamed = ctx.form_presentation().variable_cone()
+    renamed = ctx.variable_cone()
     assert direct.ideal.equals(renamed.ideal)
     assert hilbert_function(direct, 10) == hilbert_function(renamed, 10)
 
@@ -244,6 +242,18 @@ def test_graded_image_consistency():
     image = ctx.graded_image(X, 1, form)
     assert image == form.ring.var(3)  # the slot presenting the first q-generator
     assert ctx.system[0].degree == ctx.initial_degree(ctx.system[0].element)
+
+
+def test_graded_image_refuses_presentations_over_other_rings():
+    # a presentation keeps no context, so the ring is what ties it to one:
+    # only the Rees ring without T (the form and Rees presentations) fits
+    ctx = curve_context()
+    X = RS.var(0)
+    assert ctx.graded_image(X, 1, ctx.rees_presentation()) == ctx.form_presentation().ring.var(3)
+    other = curve_context(q="x").form_presentation()
+    for pres in (ctx.tangent_cone_direct(), other):
+        with pytest.raises(ValidationError, match="Rees ring"):
+            ctx.graded_image(X, 1, pres)
 
 
 def test_quotient_hilbert_matches_graded_quotient_for_regular_step():

@@ -29,8 +29,7 @@ from formcone import (
     syzygy_basis,
 )
 from formcone.criterion import system_images
-from formcone.filtration import GradedQuotientPresentation
-from formcone.graded import _koszul_columns
+from formcone.graded import GradedQuotientPresentation, _koszul_columns
 from formcone.groebner import FreeModuleElement, GraphBasis, buchberger
 
 R1 = PolynomialRing(QQ, ("Y",))
@@ -41,7 +40,7 @@ RS = PolynomialRing(QQ, ("X", "Y", "Z"))
 def plain(ring, *gens):
     """Presentation with every variable in weight 1 (a plain graded cone)."""
     return GradedQuotientPresentation(
-        ring, (1,) * ring.nvars, PresentedIdeal(ring, (), gens), None,
+        ring, (1,) * ring.nvars, PresentedIdeal(ring, (), gens),
     )
 
 
@@ -73,7 +72,7 @@ def test_hilbert_on_mixed_weights():
 def test_hilbert_rejects_infinite_components():
     X, Y = R2.gens()
     mixed = GradedQuotientPresentation(
-        R2, (0, 1), PresentedIdeal(R2, (), (X * Y,)), None,
+        R2, (0, 1), PresentedIdeal(R2, (), (X * Y,)),
     )
     with pytest.raises(InfiniteComponentError):
         hilbert_function(mixed, 3)
@@ -285,7 +284,7 @@ def test_depth_unit_sentinel_needs_no_basis_run(monkeypatch):
     generators without a basis computation."""
     x, y = R2.gens()
     shifted = GradedQuotientPresentation(
-        R2, (0, 1), PresentedIdeal(R2, (), (x - R2.one(), y * y)), None)
+        R2, (0, 1), PresentedIdeal(R2, (), (x - R2.one(), y * y)))
     unit = plain(R1, R1.one())
 
     def refuse(*args):

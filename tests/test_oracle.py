@@ -20,7 +20,7 @@ from formcone import (
     defect_at,
     is_regular_element,
 )
-from formcone.filtration import GradedQuotientPresentation
+from formcone.graded import GradedQuotientPresentation
 
 R1 = PolynomialRing(QQ, ("X",))
 R2 = PolynomialRing(QQ, ("X", "Y"))
@@ -29,7 +29,7 @@ RS = PolynomialRing(QQ, ("X", "Y", "Z"))
 
 def plain(ring, *gens):
     return GradedQuotientPresentation(
-        ring, (1,) * ring.nvars, PresentedIdeal(ring, (), gens), None,
+        ring, (1,) * ring.nvars, PresentedIdeal(ring, (), gens),
     )
 
 

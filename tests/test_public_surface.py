@@ -2,12 +2,20 @@
 
 import ast
 import contextlib
+import inspect
 import io
 import pkgutil
 import re
 from pathlib import Path
 
 import formcone
+from formcone import (
+    QQ,
+    FiltrationContext,
+    GradedQuotientPresentation,
+    PolynomialRing,
+    PresentedIdeal,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,3 +56,50 @@ def test_modules_import_no_private_names_from_each_other():
             found += [f"{path.name}: {alias.name}" for alias in node.names
                       if alias.name.startswith("_")]
     assert found == []
+
+
+def test_modules_read_no_private_attributes_of_each_other():
+    """A formcone module reads an attribute ``x._name`` only when it defines
+    ``_name`` itself, as a function, a class or an attribute it assigns:
+    another module's private state stays private."""
+    package = ROOT / "src" / "formcone"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined, read = set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Store):
+                    defined.add(node.attr)
+                elif node.attr.startswith("_") and not node.attr.endswith("__"):
+                    read.append(node)
+        found += [f"{path.name}:{attr.lineno}: {ast.unparse(attr)}"
+                  for attr in read if attr.attr not in defined]
+    assert found == []
+
+
+def test_graded_layer_imports_nothing_from_filtration():
+    """``filtration`` builds graded presentations and imports ``graded``,
+    never the other way round."""
+    tree = ast.parse((ROOT / "src" / "formcone" / "graded.py").read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert not imported & {"filtration", "formcone.filtration"}
+
+
+def test_graded_presentation_is_a_plain_value():
+    """A presentation is built from (ring, weights, ideal) alone and keeps no
+    context; the one method that needed it is the context's own."""
+    parameters = inspect.signature(GradedQuotientPresentation).parameters
+    assert list(parameters) == ["ring", "weights", "ideal"]
+    ring = PolynomialRing(QQ, ("x", "y"))
+    x, y = ring.gens()
+    pres = GradedQuotientPresentation(ring, (0, 1), PresentedIdeal(ring, (), (x * y,)))
+    for gone in ("context", "y_offset", "is_y_homogeneous", "variable_cone"):
+        assert not hasattr(pres, gone)
+    assert inspect.isfunction(FiltrationContext.variable_cone)
+    assert GradedQuotientPresentation.__module__ == "formcone.graded"
+    assert formcone.colon_chain_regularity.__module__ == "formcone.criterion"
