@@ -197,16 +197,18 @@ class _Chain:
         q^n M on a level chain and K_0 = I_M on the shared colon sequence
         (so K_l + m^n contains m^n + I_M = q^n M): this one check is the
         sandwich C(n, l) >= q^n M of every record, and on the shared
-        sequence it runs once per context instead of once per level.  Equal
-        reduced bases contain each other, so containment is tested only
-        where they differ; a violation is an internal bug, not an input
-        problem.
+        sequence it runs once per context instead of once per level.  Term
+        l contains term l-1 when it contains each element of l-1's reduced
+        basis, so only the elements its own basis lacks are reduced (term
+        0's generators are the raw ladder products, far more than its
+        basis); a violation is an internal bug, not an input problem.
         """
         prev = self.ideals[-1]
         term = prev if term is None else term
         basis, before = term.groebner().generators, prev.groebner().generators
         differ = set(basis).symmetric_difference(before) if basis != before else ()
-        if differ and not term.contains_ideal(prev):
+        lacking = [g for g in before if g in differ]
+        if any(not r.is_zero() for r in normal_forms(lacking, term.groebner())):
             raise ConsistencyError(
                 f"colon chain is not ascending at {self.label}, l={len(self.ideals)}")
         self.ideals.append(term)

@@ -20,6 +20,16 @@ when the normal form of a*T^d against that basis is free of T, and the
 T-free normal form is then a polynomial in the x- and y-variables that
 presents the image.
 
+Graded inputs whose q is generated by the ring's variables skip that basis.
+When ``is_graded()`` holds and q's generators are exactly the variables,
+each once with coefficient 1 in any order, G_M(m) is M itself (Bruns-Herzog
+4.5, Eisenbud 5.1): the form presentation is generated by the x-variables
+and I_M's reduced basis rewritten in the y's, where y_j stands for the
+variable of q's j-th generator, and the image of a in degree d is a's
+degree-d part rewritten so, once its lower parts lie in I_M.  The Rees
+presentation, and every other input, keep the Rees basis; the tests
+cross-check the two routes.
+
 The power ladder q^n M = q^n + I_M is built level by level from the
 identity (q^(n-1) + I_M) * q + I_M = q^n + I_M, multiplying the previous
 level's reduced basis, reduced modulo I_M, by q's generators instead of
@@ -27,10 +37,10 @@ forming all degree-n products.  The ladder q^n + I_A, which system
 validation reads, is the same method on ``ctx.base``, the context of M = A;
 when M = A the two are one.
 
-Graded inputs skip the ladder.  When I_M is homogeneous and q + I_A is the
-ideal m of all variables, q^n + I_M = m^n + I_M, whose reduced basis is read
-off I_M's (``graded_power_basis``): the elements of degree below n, plus the
-degree-n monomials that none of their leads divides.
+Graded inputs skip the ladder too.  When I_M is homogeneous and q + I_A is
+the ideal m of all variables, q^n + I_M = m^n + I_M, whose reduced basis is
+read off I_M's (``graded_power_basis``): the elements of degree below n,
+plus the degree-n monomials that none of their leads divides.
 """
 
 from __future__ import annotations
@@ -93,6 +103,18 @@ def graded_power_basis(ring: PolynomialRing, basis, n: int) -> tuple[Polynomial,
     return low + tuple(Polynomial(ring, {m: one}) for m in monos)
 
 
+def _variable_slots(gens) -> tuple[int, ...] | None:
+    """The index of the variable each generator is, when every generator is
+    a single variable with coefficient 1; else None."""
+    slots = []
+    for g in gens:
+        terms = list(g.terms.items())
+        if len(terms) != 1 or sum(terms[0][0]) != 1 or terms[0][1] != g.ring.field.coerce(1):
+            return None
+        slots.append(terms[0][0].index(1))
+    return tuple(slots)
+
+
 class FiltrationContext:
     """The tuple (A = P/I_A, cyclic M = A/I_M, filtration ideal q, system a).
 
@@ -146,6 +168,7 @@ class FiltrationContext:
         self.local_model_mismatch = (all(g.min_degree() != 0 for g in base_gens)
                                      and any(g.min_degree() == 0 for g in q_gens))
         self.q_is_m = all(self.q_ideal.contains(v) for v in ring.gens())
+        self._q_slots = _variable_slots(q_gens)
         self._products: dict[int, tuple] = {}
 
     def _set_module(self, module_gens: tuple):
@@ -159,6 +182,12 @@ class FiltrationContext:
                 raise ValidationError("filtration ideal acts as the unit ideal on the module")
         self._graded = self.q_is_m and all(
             g.is_homogeneous() for g in self.ideal_m.groebner().generators)
+        # where G_M(m) = M (see the module docstring): the slot of each
+        # variable's y in the presentation ring, for the closed-form route
+        n, slots = self.ring.nvars, self._q_slots
+        self._to_y = None
+        if self._graded and slots is not None and sorted(slots) == list(range(n)):
+            self._to_y = [n + slots.index(i) for i in range(n)]
         self._powers: dict[int, PresentedIdeal] = {
             0: self.ideal_a.spawn_reduced((self.ring.one(),)), 1: level_one}
         self._presentations: dict = {}
@@ -279,6 +308,13 @@ class FiltrationContext:
 
     # -- graded presentations -----------------------------------------------------
 
+    def _presentation_ring(self) -> tuple[PolynomialRing, tuple[int, ...]]:
+        """The ring P[y] of the Rees and form presentations, one y-variable
+        per generator of q after the x-variables, and its weights: 0 on the
+        x's, 1 on the y's."""
+        n, s = self.ring.nvars, len(self.q_generators)
+        return self.ring.extend(self.ring.fresh_names("y", s)), (0,) * n + (1,) * s
+
     def _rees_basis(self) -> tuple[PolynomialRing, GroebnerBasis]:
         """The ring P[y, T] and the basis of I_M + (y_j - f_j T) in it under
         the order that eliminates T, the last variable; computed once per
@@ -286,8 +322,8 @@ class FiltrationContext:
         key = ("rees",)
         if key not in self._presentations:
             n, s = self.ring.nvars, len(self.q_generators)
-            y_names = self.ring.fresh_names("y", s)
-            big = self.ring.extend(tuple(y_names) + (self.ring.fresh_name("T"),))
+            pres_ring, _ = self._presentation_ring()
+            big = pres_ring.extend((pres_ring.fresh_name("T"),))
             emb = list(range(n))
             t = big.var(n + s)
             gens = [g.map_to(big, emb) for g in self.base_generators + self.module_generators]
@@ -302,12 +338,11 @@ class FiltrationContext:
         the Rees basis, which generate I_M + (y_j - f_j T) with T eliminated."""
         big, gb = self._rees_basis()
         t_index = big.nvars - 1
-        pres_ring = big.drop((t_index,))
+        pres_ring, weights = self._presentation_ring()
         keep = []
         for g in gb.generators:
             if all(m[t_index] == 0 for m in g.terms):
                 keep.append(g.map_to(pres_ring, list(range(t_index)) + [0]))
-        weights = (0,) * self.ring.nvars + (1,) * len(self.q_generators)
         return GradedQuotientPresentation(
             pres_ring, weights,
             PresentedIdeal(pres_ring, (), tuple(keep), self.step_budget),
@@ -315,17 +350,26 @@ class FiltrationContext:
 
     def form_presentation(self) -> GradedQuotientPresentation:
         """Associated-graded presentation of M: the Rees presentation modulo
-        the filtration ideal rewritten in the degree-0 variables."""
+        the filtration ideal rewritten in the degree-0 variables.
+
+        Where ``is_graded()`` holds and q's generators are the ring's
+        variables, G_M(m) = M and no Rees basis is computed: the ideal is
+        generated by the x-variables and I_M's reduced basis, each variable
+        replaced by its y (the module docstring)."""
         key = ("form",)
         if key in self._presentations:
             return self._presentations[key]
-        rees = self.rees_presentation()
-        pres_ring = rees.ring
+        pres_ring, weights = self._presentation_ring()
         n = self.ring.nvars
-        emb = list(range(n))
-        gens = rees.ideal.generators + tuple(f.map_to(pres_ring, emb) for f in self.q_generators)
+        if self._to_y is not None:
+            gens = pres_ring.gens()[:n] + tuple(
+                g.map_to(pres_ring, self._to_y) for g in self.ideal_m.groebner().generators)
+        else:
+            emb = list(range(n))
+            gens = self.rees_presentation().ideal.generators + tuple(
+                f.map_to(pres_ring, emb) for f in self.q_generators)
         pres = GradedQuotientPresentation(
-            pres_ring, rees.weights,
+            pres_ring, weights,
             PresentedIdeal(pres_ring, (), gens, self.step_budget),
         )
         for g in pres.groebner().generators:
@@ -383,19 +427,15 @@ class FiltrationContext:
         part is the base field (every x-variable lies in the defining ideal).
         The result is directly comparable with ``tangent_cone_direct``.
         """
-        n, one = self.ring.nvars, self.ring.field.coerce(1)
-        slots: list[int] = []
-        for g in self.q_generators:
-            terms = list(g.terms.items())
-            if len(terms) != 1 or sum(terms[0][0]) != 1 or terms[0][1] != one:
-                raise ValidationError("filtration ideal generators are not single variables")
-            slots.append(terms[0][0].index(1))
+        n, slots = self.ring.nvars, self._q_slots
+        if slots is None:
+            raise ValidationError("filtration ideal generators are not single variables")
         form = self.form_presentation()
         for i in range(n):
             if not form.contains(form.ring.var(i)):
                 raise ValidationError("degree-0 part of the presentation is not the base field")
         free = (g for g in form.groebner().generators if not any(any(m[:n]) for m in g.terms))
-        gens = tuple(g.map_to(self.ring, list(range(n)) + slots) for g in free)
+        gens = tuple(g.map_to(self.ring, list(range(n)) + list(slots)) for g in free)
         return GradedQuotientPresentation(
             self.ring, (1,) * n, PresentedIdeal(self.ring, (), gens, self.step_budget))
 
@@ -415,19 +455,33 @@ class FiltrationContext:
         normal form of a*T^degree already has weight ``degree``.  An element
         outside q^degree M raises ValidationError; one inside it whose class
         in M is zero maps to 0.
+
+        Where ``form_presentation`` takes its closed form, so does this, with
+        no Rees basis: a lies in q^degree M = m^degree + I_M exactly when its
+        homogeneous parts below ``degree`` lie in I_M, and its class is then
+        that of its degree-``degree`` part, each variable replaced by its y.
+        Against the Rees presentation that part stands for itself times
+        T^degree, not a*T^degree; both have the one class in the form module.
         """
         self._check_ring(a)
-        big, gb = self._rees_basis()
-        t_index = big.nvars - 1
-        if presentation.ring != big.drop((t_index,)):
+        if presentation.ring != self._presentation_ring()[0]:
             raise ValidationError("presentation is not over this context's Rees ring; "
                                   "use the elimination route")
-        lifted = normal_form(a.map_to(big, list(range(self.ring.nvars)))
-                             * big.var(t_index) ** degree, gb)
-        if any(m[t_index] for m in lifted.terms):
+        if self._to_y is not None:
+            low = [a.homogeneous_part(e) for e in sorted({sum(m) for m in a.terms}) if e < degree]
+            inside = all(r.is_zero() for r in normal_forms(low, self.ideal_m.groebner()))
+            lifted = a.homogeneous_part(degree).map_to(presentation.ring, self._to_y)
+        else:
+            big, gb = self._rees_basis()
+            t_index = big.nvars - 1
+            lifted = normal_form(a.map_to(big, list(range(self.ring.nvars)))
+                                 * big.var(t_index) ** degree, gb)
+            inside = not any(m[t_index] for m in lifted.terms)
+            lifted = lifted.map_to(presentation.ring, list(range(t_index)) + [0])
+        if not inside:
             raise ValidationError(f"element is not in power {degree} of the filtration "
                                   "ideal on the module")
-        image = presentation.reduce(lifted.map_to(presentation.ring, list(range(t_index)) + [0]))
+        image = presentation.reduce(lifted)
         if not image.is_homogeneous(presentation.weights):
             raise ConsistencyError("graded image came out inhomogeneous")
         return image

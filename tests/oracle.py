@@ -7,7 +7,8 @@ elimination over the integers for characteristic 0, plain elimination mod p)
 and with definitional membership tests.  ``is_groebner`` checks Buchberger's
 S-pair criterion on a generator list, ``graph_kernel`` reads a module
 kernel off the fully interreduced graph basis, ``lifted_image`` computes
-a graded image by membership lifting, and ``direct_defect_at`` runs the
+a graded image by membership lifting, ``rees_form_presentation`` builds the
+form presentation from the Rees basis, and ``direct_defect_at`` runs the
 level-n colon chain with one kernel per step.  The level checks take q^k M
 from ``product_power``, a basis of the degree-k products of q's generators
 plus I_M, so they share neither the package's power ladder nor its closed
@@ -110,7 +111,8 @@ def lifted_image(ctx: FiltrationContext, a: Polynomial, degree: int,
     against the basis of the graph vectors ``g_i (+) e_i``, then replaces
     each product by its y-monomial and reduces modulo the presentation.
     ``FiltrationContext.graded_image`` takes one normal form against the
-    Rees basis instead.
+    Rees basis instead, or on graded inputs whose q is generated by the
+    variables reads a's degree-``degree`` part.
     """
     ring = ctx.ring
     products = ctx.q_power_products(degree)
@@ -126,6 +128,19 @@ def lifted_image(ctx: FiltrationContext, a: Polynomial, degree: int,
     for (expt, _), h in zip(products, rest.components[1:]):
         acc = acc - h.map_to(pres.ring, list(range(n))) * pres.ring.monomial((0,) * n + expt)
     return pres.reduce(acc)
+
+
+def rees_form_presentation(ctx: FiltrationContext) -> GradedQuotientPresentation:
+    """The form presentation by the Rees route, on every input: the Rees
+    presentation plus q's generators in the degree-0 variables, in the
+    presentation's weighted order.  ``FiltrationContext.form_presentation``
+    reads graded inputs whose q is generated by the variables off I_M instead.
+    """
+    rees = ctx.rees_presentation()
+    emb = list(range(ctx.ring.nvars))
+    gens = rees.ideal.generators + tuple(f.map_to(rees.ring, emb) for f in ctx.q_generators)
+    return GradedQuotientPresentation(rees.ring, rees.weights,
+                                      PresentedIdeal(rees.ring, (), gens, ctx.step_budget))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 import pytest
 from corpus import TIER4_BASES, tier4_contexts
-from oracle import lifted_image
+from oracle import lifted_image, rees_form_presentation
 
 from formcone import (
     QQ,
+    CriterionParams,
     DegenerateSystemError,
     FieldSpec,
     FiltrationContext,
     PolynomialRing,
     PresentedIdeal,
     ValidationError,
+    cohen_macaulay_report,
+    grade_by_recursion,
     graded_dim,
     hilbert_function,
     is_regular_element,
@@ -19,6 +22,9 @@ from formcone.groebner import buchberger
 
 R2 = PolynomialRing(QQ, ("x", "y"))
 RS = PolynomialRing(QQ, ("X", "Y", "Z"))
+R4 = PolynomialRing(QQ, ("x", "y", "z", "w"))
+TIER4_PARAMS = CriterionParams(n_max=2, l_max=12, window=2, degree_cap=6)
+OUTSIDE = r"^element is not in power 2 of the filtration ideal on the module$"
 
 
 def curve_context(q="m"):
@@ -26,6 +32,13 @@ def curve_context(q="m"):
     base = (X**4 - Y * Z, Y**3 - X * Z, Z**2 - X**3 * Y**2)
     q_gens = (X, Y, Z) if q == "m" else (X,)
     return FiltrationContext(RS, base, (), q_gens, [(X, 1)])
+
+
+def cone_context(q="xyzw"):
+    """The twisted cubic cone, a graded input, with q's generators the
+    named variables in the given order."""
+    base = tuple(R4.parse(e) for e in TIER4_BASES[1])
+    return FiltrationContext(R4, base, (), tuple(R4.parse(v) for v in q), [(R4.var(0), 1)])
 
 
 def test_construction_validations():
@@ -242,18 +255,34 @@ def test_graded_image_consistency():
     image = ctx.graded_image(X, 1, form)
     assert image == form.ring.var(3)  # the slot presenting the first q-generator
     assert ctx.system[0].degree == ctx.initial_degree(ctx.system[0].element)
+    # the Rees route (the curve) and the closed form (the cone, with q in
+    # either order) agree on the edge cases: the first variable is outside
+    # q^2 M, and elements of I_M, homogeneous or not, map to 0
+    for ctx in (curve_context(), cone_context(), cone_context("wzyx")):
+        n, x = ctx.ring.nvars, ctx.ring.var(0)
+        form = ctx.form_presentation()
+        slot = ctx.q_generators.index(x)
+        assert ctx.graded_image(x, 1, form) == form.ring.var(n + slot), str(ctx)
+        with pytest.raises(ValidationError, match=OUTSIDE):
+            ctx.graded_image(x, 2, form)
+        for g in ctx.base_generators[:2]:
+            for d in range(4):
+                assert ctx.graded_image(g, d, form).is_zero(), (str(ctx), str(g), d)
+                assert ctx.graded_image((x + 1) * g, d, form).is_zero(), (str(ctx), str(g), d)
 
 
 def test_graded_image_refuses_presentations_over_other_rings():
     # a presentation keeps no context, so the ring is what ties it to one:
     # only the Rees ring without T (the form and Rees presentations) fits
-    ctx = curve_context()
-    X = RS.var(0)
-    assert ctx.graded_image(X, 1, ctx.rees_presentation()) == ctx.form_presentation().ring.var(3)
+    # (the cone takes the closed form, which checks the same ring)
     other = curve_context(q="x").form_presentation()
-    for pres in (ctx.tangent_cone_direct(), other):
-        with pytest.raises(ValidationError, match="Rees ring"):
-            ctx.graded_image(X, 1, pres)
+    for ctx in (curve_context(), cone_context()):
+        x = ctx.ring.var(0)
+        form = ctx.form_presentation()
+        assert ctx.graded_image(x, 1, ctx.rees_presentation()) == form.ring.var(ctx.ring.nvars)
+        for pres in (ctx.tangent_cone_direct(), other, cone_context("xy").form_presentation()):
+            with pytest.raises(ValidationError, match="Rees ring"):
+                ctx.graded_image(x, 1, pres)
 
 
 def test_quotient_hilbert_matches_graded_quotient_for_regular_step():
@@ -390,6 +419,67 @@ def test_graded_powers_need_no_basis_run(corpus, monkeypatch):
     for ctx, k, basis in expected:
         for layer in (ctx, ctx.base):
             assert layer.q_power(k).groebner().generators == basis, (str(ctx), k)
+
+
+def _refuse_rees(*args):
+    raise AssertionError("a graded input ran the Rees basis")
+
+
+def test_graded_forms_match_the_rees_route(corpus_results, monkeypatch):
+    # on graded inputs whose q is generated by the variables, the form
+    # presentation read off I_M must have the reduced basis of the Rees
+    # route: the corpus and tier-4 inputs and the quotients their grade
+    # recursions pass through, the char-2 quadric, the 2x3 minors, and the
+    # cone with q's generators in two other orders, so that y_j is not the
+    # j-th variable: reversed, a symmetry of the cone, and one that is not
+    inputs = []
+    for ctx, recursion in ([(r["instance"].ctx, r["report"].recursion_report)
+                            for r in corpus_results]
+                           + [(c, grade_by_recursion(c, TIER4_PARAMS)) for c in tier4_contexts()]):
+        module = ctx.module_generators
+        inputs.append((ctx.ring, ctx.base_generators, module, ctx.q_generators))
+        for step in recursion.certificate:
+            module += (step.element,)
+            inputs.append((ctx.ring, ctx.base_generators, module, ctx.q_generators))
+    f2 = PolynomialRing(FieldSpec(2), ("x", "y", "z"))
+    r6 = PolynomialRing(QQ, ("a", "b", "c", "d", "e", "f"))
+    a, b, c, d, e, f = r6.gens()
+    inputs += [
+        (f2, (f2.parse("x^2 + y^2 + z^2"),), (), f2.gens()),
+        (r6, (a * e - b * d, a * f - c * d, b * f - c * e), (), r6.gens()),
+    ]
+    for order in ("wzyx", "zxwy"):
+        cone = cone_context(order)
+        inputs.append((R4, cone.base_generators, (), cone.q_generators))
+
+    def closed(ring, base, module, q):
+        ctx = FiltrationContext(ring, base, module, q, [])
+        return ctx.is_graded() and sorted(q, key=str) == sorted(ring.gens(), key=str)
+
+    inputs = [i for i in inputs if closed(*i)]
+    assert len(inputs) == 28 + 28 + 4  # graded inputs, their quotients, the four above
+    expected = [rees_form_presentation(FiltrationContext(*i, [])).groebner().generators
+                for i in inputs]
+    monkeypatch.setattr(FiltrationContext, "_rees_basis", _refuse_rees)
+    for i, basis in zip(inputs, expected):
+        ctx = FiltrationContext(*i, [])
+        assert ctx.form_presentation().groebner().generators == basis, str(ctx)
+
+
+def test_graded_reports_need_no_rees_basis(monkeypatch):
+    # the whole CM report on a graded input runs without the Rees basis; the
+    # demo curve, whose base is inhomogeneous, still runs it
+    runs = []
+    rees_basis = FiltrationContext._rees_basis
+    monkeypatch.setattr(FiltrationContext, "_rees_basis", _refuse_rees)
+    for ctx in (cone_context(), cone_context("wzyx"), tier4_contexts()[1]):
+        assert ctx.is_graded()
+        cohen_macaulay_report(ctx, TIER4_PARAMS)
+    monkeypatch.setattr(FiltrationContext, "_rees_basis",
+                        lambda self: runs.append(self) or rees_basis(self))
+    curve = curve_context()
+    cohen_macaulay_report(curve, CriterionParams(n_max=10))
+    assert not curve.is_graded() and curve in runs
 
 
 def test_power_ladder_is_built_without_recursion():
