@@ -1,12 +1,20 @@
 """Tour 3: blowup presentations, tangent cones, and Hilbert functions.
 
 The associated graded ring of the q-adic filtration is presented by
-eliminating the tag variable from the blowup relations; when q is the full
-variable ideal there is an independent lowest-form route, and the two must
-agree exactly.
+eliminating the tag variable from the blowup relations.  When q's generators
+are the variables, the package reads that presentation off the lowest-form
+cone instead (Lazard's homogenization), and the elimination route recomputes
+it independently: the two must agree exactly.
 """
 
-from formcone import FiltrationContext, PolynomialRing, QQ, hilbert_function
+from formcone import (
+    QQ,
+    FiltrationContext,
+    GradedQuotientPresentation,
+    PolynomialRing,
+    PresentedIdeal,
+    hilbert_function,
+)
 
 RS = PolynomialRing(QQ, ("X", "Y", "Z"))
 X, Y, Z = RS.gens()
@@ -28,9 +36,15 @@ for g in form.groebner().generators:
 cone = ctx.variable_cone()
 print("tangent cone:", [str(g) for g in cone.ideal.groebner().generators])
 
-# (3) The lowest-form route recomputes it independently.
+# (3) The form presentation came from the lowest-form cone.  The blowup
+# presentation plus q's generators in the degree-0 variables recomputes it
+# by elimination, independently.
 direct = ctx.tangent_cone_direct()
-print("lowest-form route agrees:", direct.ideal.equals(cone.ideal))
+print("renamed slots give the lowest-form cone back:", direct.ideal.equals(cone.ideal))
+q_in_x = tuple(f.map_to(rees.ring, [0, 1, 2]) for f in ctx.q_generators)
+eliminated = GradedQuotientPresentation(
+    rees.ring, rees.weights, PresentedIdeal(rees.ring, (), rees.ideal.generators + q_in_x))
+print("elimination route agrees:", eliminated.ideal.equals(form.ideal))
 
 # (4) Hilbert function: dimensions of the graded slices; the multiplicity of
 # the curve shows up as the stable value 4.

@@ -653,12 +653,14 @@ def checked_depth(ctx: FiltrationContext, pres: GradedQuotientPresentation) -> G
 
 def checked_dim(ctx: FiltrationContext, pres: GradedQuotientPresentation) -> int:
     """Dimension of the graded module, which must equal the module's own at
-    the origin: with q + I_A = m, where the global one differs, the
-    lowest-form cone ``tangent_cone_direct``, an independent route, gives it."""
+    the origin.  Where q + I_A is m-primary, A/q^n lives at the origin, so
+    dim G_q(M) = dim M_m; where the global dimension differs, the tangent
+    cone by the route the form presentation did not take
+    (``FiltrationContext.origin_cone``) gives dim M_m."""
     dim_graded = graded_dim(pres)
     dim_module = ctx.ideal_m.krull_dim()
-    if dim_graded != dim_module and ctx.q_is_m:
-        dim_module = graded_dim(ctx.tangent_cone_direct())
+    if dim_graded != dim_module and ctx.q_ideal.is_m_primary():
+        dim_module = graded_dim(ctx.origin_cone())
     if dim_graded != dim_module:
         raise ConsistencyError(
             f"graded dimension {dim_graded} differs from module dimension {dim_module}"

@@ -1,13 +1,13 @@
 """Adic filtration toolkit for cyclic modules M = A/I_M over A = P/I_A.
 
 Provides initial degrees along the q-adic filtration, Rees-algebra and
-associated-graded (form ring) presentations by tag-variable elimination, a
-direct lowest-form tangent-cone route for cross-checking, and the passage
-M -> M/bM used by the depth recursion.  This module builds every graded
-presentation, a plain ``graded.GradedQuotientPresentation`` that keeps no
-reference to the context, and maps ring elements into it (``graded_image``);
-``graded`` reads presentations and never imports this module, and
-``criterion`` reads both.  A context's inputs are immutable,
+associated-graded (form ring) presentations by tag-variable elimination or,
+where q is generated by the variables, from the lowest-form tangent cone,
+and the passage M -> M/bM used by the depth recursion.  This module builds
+every graded presentation, a plain ``graded.GradedQuotientPresentation``
+that keeps no reference to the context, and maps ring elements into it
+(``graded_image``); ``graded`` reads presentations and never imports this
+module, and ``criterion`` reads both.  A context's inputs are immutable,
 but it memoises in place (powers, presentations, and the ``scratch`` space
 where the criterion grows its level chains), so one context and those
 derived from it, which share its ``base``, must not be scanned from two
@@ -20,13 +20,18 @@ when the normal form of a*T^d against that basis is free of T, and the
 T-free normal form is then a polynomial in the x- and y-variables that
 presents the image.
 
-Graded inputs whose q is generated by the ring's variables skip that basis.
-When ``is_graded()`` holds and q's generators are exactly the variables,
-each once with coefficient 1 in any order, G_M(m) is M itself (Bruns-Herzog
-4.5, Eisenbud 5.1): the form presentation is generated by the x-variables
-and I_M's reduced basis rewritten in the y's, where y_j stands for the
-variable of q's j-th generator, and the image of a in degree d is a's
-degree-d part rewritten so, once its lower parts lie in I_M.  The Rees
+Inputs whose q is generated by the ring's variables skip that basis.  When
+q's generators are exactly the variables, each once with coefficient 1 in
+any order, q + I_A = m and G_M(m) = P[y] / ((x) + in(I_M)(y)), where in(I_M)
+is the ideal of lowest forms of I_M's elements (the tangent cone) and y_j
+stands for the variable of q's j-th generator.  So the form presentation is
+generated by the x-variables and in(I_M) rewritten in the y's.  Where I_M is
+homogeneous, in(I_M) = I_M and its reduced basis serves (Bruns-Herzog 4.5,
+Eisenbud 5.1); otherwise in(I_M) comes from one basis run in n+1 variables,
+Lazard's homogenization (EUROCAL 1983), instead of the Rees run in 2n+1.
+The image of a in degree d is a's degree-d part rewritten so, once its
+parts below d lie in I_M; an inhomogeneous I_M may still hold a in
+m^d + I_M otherwise, and that case takes the Rees normal form.  The Rees
 presentation, and every other input, keep the Rees basis; the tests
 cross-check the two routes.
 
@@ -168,7 +173,13 @@ class FiltrationContext:
         self.local_model_mismatch = (all(g.min_degree() != 0 for g in base_gens)
                                      and any(g.min_degree() == 0 for g in q_gens))
         self.q_is_m = all(self.q_ideal.contains(v) for v in ring.gens())
-        self._q_slots = _variable_slots(q_gens)
+        self._q_slots = slots = _variable_slots(q_gens)
+        # where q's generators are the variables (see the module docstring):
+        # the slot of each variable's y in the presentation ring
+        n = ring.nvars
+        self._to_y = None
+        if slots is not None and sorted(slots) == list(range(n)):
+            self._to_y = [n + slots.index(i) for i in range(n)]
         self._products: dict[int, tuple] = {}
 
     def _set_module(self, module_gens: tuple):
@@ -182,12 +193,6 @@ class FiltrationContext:
                 raise ValidationError("filtration ideal acts as the unit ideal on the module")
         self._graded = self.q_is_m and all(
             g.is_homogeneous() for g in self.ideal_m.groebner().generators)
-        # where G_M(m) = M (see the module docstring): the slot of each
-        # variable's y in the presentation ring, for the closed-form route
-        n, slots = self.ring.nvars, self._q_slots
-        self._to_y = None
-        if self._graded and slots is not None and sorted(slots) == list(range(n)):
-            self._to_y = [n + slots.index(i) for i in range(n)]
         self._powers: dict[int, PresentedIdeal] = {
             0: self.ideal_a.spawn_reduced((self.ring.one(),)), 1: level_one}
         self._presentations: dict = {}
@@ -348,49 +353,53 @@ class FiltrationContext:
             PresentedIdeal(pres_ring, (), tuple(keep), self.step_budget),
         )
 
+    def _rees_form(self) -> GradedQuotientPresentation:
+        """The form presentation by the Rees route: the Rees presentation
+        plus q's generators in the degree-0 variables."""
+        pres_ring, weights = self._presentation_ring()
+        emb = list(range(self.ring.nvars))
+        gens = self.rees_presentation().ideal.generators + tuple(
+            f.map_to(pres_ring, emb) for f in self.q_generators)
+        return GradedQuotientPresentation(
+            pres_ring, weights, PresentedIdeal(pres_ring, (), gens, self.step_budget))
+
     def form_presentation(self) -> GradedQuotientPresentation:
         """Associated-graded presentation of M: the Rees presentation modulo
         the filtration ideal rewritten in the degree-0 variables.
 
-        Where ``is_graded()`` holds and q's generators are the ring's
-        variables, G_M(m) = M and no Rees basis is computed: the ideal is
-        generated by the x-variables and I_M's reduced basis, each variable
-        replaced by its y (the module docstring)."""
+        Where q's generators are the ring's variables, no Rees basis is
+        computed: the ideal is generated by the x-variables and the
+        lowest-form cone of I_M, each variable replaced by its y (the module
+        docstring).  The cone is I_M's reduced basis where ``is_graded()``
+        holds, else the cone that ``tangent_cone_direct`` returns."""
         key = ("form",)
         if key in self._presentations:
             return self._presentations[key]
-        pres_ring, weights = self._presentation_ring()
-        n = self.ring.nvars
-        if self._to_y is not None:
-            gens = pres_ring.gens()[:n] + tuple(
-                g.map_to(pres_ring, self._to_y) for g in self.ideal_m.groebner().generators)
+        if self._to_y is None:
+            pres = self._rees_form()
         else:
-            emb = list(range(n))
-            gens = self.rees_presentation().ideal.generators + tuple(
-                f.map_to(pres_ring, emb) for f in self.q_generators)
-        pres = GradedQuotientPresentation(
-            pres_ring, weights,
-            PresentedIdeal(pres_ring, (), gens, self.step_budget),
-        )
+            pres_ring, weights = self._presentation_ring()
+            cone = (self.ideal_m.groebner().generators if self._graded
+                    else self._lowest_form_cone().ideal.generators)
+            gens = pres_ring.gens()[:self.ring.nvars] + tuple(
+                g.map_to(pres_ring, self._to_y) for g in cone)
+            pres = GradedQuotientPresentation(
+                pres_ring, weights, PresentedIdeal(pres_ring, (), gens, self.step_budget))
         for g in pres.groebner().generators:
             if not g.is_homogeneous(pres.weights):
                 raise ConsistencyError("form presentation is not weight-homogeneous")
         self._presentations[key] = pres
         return pres
 
-    def tangent_cone_direct(self) -> GradedQuotientPresentation:
-        """Lowest-form route to the tangent cone, for cross-checking.
-
-        Requires q to be the full variable ideal of A.  Homogenize the module
-        ideal with an auxiliary variable, run a basis computation under an
-        order that ranks the auxiliary variable first, and collect the lowest
-        x-degree slice of each basis element.
-        """
+    def _lowest_form_cone(self) -> GradedQuotientPresentation:
+        """The lowest-form cone of I_M by Lazard's homogenization (EUROCAL
+        1983), computed once per context: homogenize I_M's generators with
+        an auxiliary variable h, run one basis under an order that ranks h
+        first, and keep the top-h slice, the lowest x-degree part, of each
+        basis element."""
         key = ("cone",)
         if key in self._presentations:
             return self._presentations[key]
-        if not self.q_is_m:
-            raise ValidationError("direct cone route needs q = (all variables)")
         n = self.ring.nvars
         h_name = self.ring.fresh_name("h")
         big = self.ring.extend((h_name,))
@@ -419,13 +428,35 @@ class FiltrationContext:
         self._presentations[key] = pres
         return pres
 
+    def tangent_cone_direct(self) -> GradedQuotientPresentation:
+        """The tangent cone G_M(m) by the lowest-form route; requires q to be
+        the full variable ideal of A.
+
+        Where q's generators are the variables, ``form_presentation`` is
+        built from this cone, so it is no independent check of that
+        presentation; the Rees route is (``origin_cone``).
+        """
+        if not self.q_is_m:
+            raise ValidationError("direct cone route needs q = (all variables)")
+        return self._lowest_form_cone()
+
+    def origin_cone(self) -> GradedQuotientPresentation:
+        """G_M(m), the tangent cone of M at the origin, by the route that
+        ``form_presentation`` did not take: the Rees-route form where q's
+        generators are the variables (q = m, and the form was read off I_M
+        or its lowest-form cone), else the lowest-form cone.  Its dimension
+        is that of M at the origin, whatever q is."""
+        return self._rees_form() if self._to_y is not None else self._lowest_form_cone()
+
     def variable_cone(self) -> GradedQuotientPresentation:
         """The form presentation with its y-variables renamed onto the
         ambient variables they present.
 
         Valid when every generator of q is a single variable and the degree-0
         part is the base field (every x-variable lies in the defining ideal).
-        The result is directly comparable with ``tangent_cone_direct``.
+        The result is directly comparable with ``tangent_cone_direct``; where
+        q's generators are the variables, the form presentation is read off
+        that cone, so the independent check is the Rees route.
         """
         n, slots = self.ring.nvars, self._q_slots
         if slots is None:
@@ -456,22 +487,27 @@ class FiltrationContext:
         outside q^degree M raises ValidationError; one inside it whose class
         in M is zero maps to 0.
 
-        Where ``form_presentation`` takes its closed form, so does this, with
-        no Rees basis: a lies in q^degree M = m^degree + I_M exactly when its
-        homogeneous parts below ``degree`` lie in I_M, and its class is then
-        that of its degree-``degree`` part, each variable replaced by its y.
-        Against the Rees presentation that part stands for itself times
-        T^degree, not a*T^degree; both have the one class in the form module.
+        Where q's generators are the variables, this reads a's homogeneous
+        parts first.  Let ``low`` be the sum of those below ``degree``.  When
+        I_M contains ``low``, a is congruent to its parts of degree
+        ``degree`` and up, which lie in m^degree, and its class is that of
+        its degree-``degree`` part, each variable replaced by its y; no Rees
+        basis is needed.  Against the Rees presentation that part stands for
+        itself times T^degree, not a*T^degree; both have the one class in
+        the form module.  Otherwise a graded I_M puts a outside
+        q^degree M = m^degree + I_M, and any other I_M takes the Rees normal
+        form above, which decides membership (a = x lies in m^2 + (x - y^2)).
         """
         self._check_ring(a)
         if presentation.ring != self._presentation_ring()[0]:
             raise ValidationError("presentation is not over this context's Rees ring; "
                                   "use the elimination route")
+        inside = False
         if self._to_y is not None:
-            low = [a.homogeneous_part(e) for e in sorted({sum(m) for m in a.terms}) if e < degree]
-            inside = all(r.is_zero() for r in normal_forms(low, self.ideal_m.groebner()))
+            inside = self.ideal_m.contains(
+                Polynomial(self.ring, {m: c for m, c in a.terms.items() if sum(m) < degree}))
             lifted = a.homogeneous_part(degree).map_to(presentation.ring, self._to_y)
-        else:
+        if not inside and not (self._to_y is not None and self._graded):
             big, gb = self._rees_basis()
             t_index = big.nvars - 1
             lifted = normal_form(a.map_to(big, list(range(self.ring.nvars)))

@@ -21,7 +21,6 @@ from .groebner import (
     GroebnerBasis,
     buchberger,
     normal_form,
-    normal_forms,
     syzygy_basis,
 )
 from .rings import DEGREVLEX, MonomialOrder, Polynomial, PolynomialRing, block_order
@@ -87,14 +86,17 @@ class PresentedIdeal:
         self._check(other)
         return self.groebner().generators == other.groebner().generators
 
-    def contains_ideal(self, other: "PresentedIdeal") -> bool:
-        self._check(other)
-        # _check ensured a shared base, and self contains its own base
-        return all(r.is_zero() for r in normal_forms(other.generators, self.groebner()))
-
     def is_proper(self) -> bool:
         gb = self.groebner().generators
         return not (gb and gb[0] == self.ring.one())
+
+    def is_m_primary(self) -> bool:
+        """True when the ideal (plus base) is proper and every variable is
+        nilpotent modulo it, that is, when the origin is its only zero.  A
+        variable is nilpotent exactly when saturating by it gives the unit
+        ideal."""
+        return self.is_proper() and not any(
+            self.saturation(v)[0].is_proper() for v in self.ring.gens())
 
     def is_zero(self) -> bool:
         return not self.groebner().generators

@@ -7,8 +7,9 @@ elimination over the integers for characteristic 0, plain elimination mod p)
 and with definitional membership tests.  ``is_groebner`` checks Buchberger's
 S-pair criterion on a generator list, ``graph_kernel`` reads a module
 kernel off the fully interreduced graph basis, ``lifted_image`` computes
-a graded image by membership lifting, ``rees_form_presentation`` builds the
-form presentation from the Rees basis, and ``direct_defect_at`` runs the
+a graded image by membership lifting, ``rees_form_presentation``,
+``rees_cone`` and ``rees_image`` give the form presentation, the tangent
+cone and graded images by the Rees route, and ``direct_defect_at`` runs the
 level-n colon chain with one kernel per step.  The level checks take q^k M
 from ``product_power``, a basis of the degree-k products of q's generators
 plus I_M, so they share neither the package's power ladder nor its closed
@@ -16,8 +17,8 @@ form for graded inputs.  Disagreement with the main route is always a hard
 failure of the library, never a tolerance issue.
 
 The last section holds small operations that only tests use: monomial
-comparison, term multiplication, substitution, ideal products and session
-printing.
+comparison, term multiplication, substitution, ideal products and
+containment, and session printing.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from formcone.groebner import (
     _to_vec,
     buchberger,
     normal_form,
+    normal_forms,
 )
 from formcone.ideals import PresentedIdeal, meet_of_colons
 from formcone.rings import (
@@ -134,13 +136,43 @@ def rees_form_presentation(ctx: FiltrationContext) -> GradedQuotientPresentation
     """The form presentation by the Rees route, on every input: the Rees
     presentation plus q's generators in the degree-0 variables, in the
     presentation's weighted order.  ``FiltrationContext.form_presentation``
-    reads graded inputs whose q is generated by the variables off I_M instead.
+    reads inputs whose q is generated by the variables off I_M's lowest-form
+    cone instead.
     """
     rees = ctx.rees_presentation()
     emb = list(range(ctx.ring.nvars))
     gens = rees.ideal.generators + tuple(f.map_to(rees.ring, emb) for f in ctx.q_generators)
     return GradedQuotientPresentation(rees.ring, rees.weights,
                                       PresentedIdeal(rees.ring, (), gens, ctx.step_budget))
+
+
+def rees_cone(ctx: FiltrationContext) -> PresentedIdeal:
+    """The tangent cone by the Rees route, where q's generators are the
+    variables.  The form ideal is then (x) + J(y), so the elements of its
+    reduced basis free of x are J's reduced basis; each y is renamed onto
+    the variable it presents."""
+    form = rees_form_presentation(ctx)
+    n = ctx.ring.nvars
+    slots = [ctx.ring.gens().index(f) for f in ctx.q_generators]
+    free = (g for g in form.groebner().generators if not any(any(m[:n]) for m in g.terms))
+    return PresentedIdeal(ctx.ring, (), tuple(g.map_to(ctx.ring, list(range(n)) + slots)
+                                              for g in free))
+
+
+def rees_image(ctx: FiltrationContext, a: Polynomial, degree: int,
+               pres: GradedQuotientPresentation) -> Polynomial | None:
+    """Graded image of a by the Rees route, on every input, or None when a
+    is not in q^degree M: the normal form of a*T^degree against the Rees
+    basis, when it is free of T, reduced modulo the presentation.
+    ``FiltrationContext.graded_image`` reads a's homogeneous parts instead
+    where q's generators are the variables and the parts below ``degree``
+    lie in I_M."""
+    big, gb = ctx._rees_basis()
+    t = big.nvars - 1
+    lifted = normal_form(a.map_to(big, list(range(ctx.ring.nvars))) * big.var(t) ** degree, gb)
+    if any(m[t] for m in lifted.terms):
+        return None
+    return pres.reduce(lifted.map_to(pres.ring, list(range(t)) + [0]))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +466,7 @@ def direct_defect_at(ctx: FiltrationContext, n: int, params: CriterionParams) ->
         if prev is not None:
             if current.equals(prev):
                 run += 1
-            elif current.contains_ideal(prev):
+            elif contains_ideal(current, prev):
                 run = 0
             else:
                 raise ConsistencyError(f"colon chain is not ascending at level n={n}, l={l}")
@@ -494,6 +526,14 @@ def product(ideal: PresentedIdeal, other: PresentedIdeal) -> PresentedIdeal:
     ideal._check(other)
     gens = tuple(dict.fromkeys(f * g for f in ideal.generators for g in other.generators))
     return ideal.spawn(gens)
+
+
+def contains_ideal(ideal: PresentedIdeal, other: PresentedIdeal) -> bool:
+    """True when ``ideal`` contains ``other``: the two share ring, base and
+    order, and each generator of ``other`` reduces to zero (``ideal``
+    contains its own base)."""
+    ideal._check(other)
+    return all(r.is_zero() for r in normal_forms(other.generators, ideal.groebner()))
 
 
 def print_session(spec: SessionSpec) -> str:

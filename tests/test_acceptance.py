@@ -9,7 +9,14 @@ from contextlib import contextmanager
 from itertools import product as cartesian
 
 from corpus import CORPUS_PARAMS
-from oracle import component_basis, defect_agrees, is_groebner, mul_term, truncated_regularity
+from oracle import (
+    component_basis,
+    defect_agrees,
+    is_groebner,
+    mul_term,
+    rees_cone,
+    truncated_regularity,
+)
 
 from formcone import (
     QQ,
@@ -56,8 +63,10 @@ def test_criterion_1_tangent_cone_presentation():
         cone = ctx.variable_cone()
         expected = PresentedIdeal(RS, (), EXPECTED_CONE)
         assert cone.ideal.equals(expected)
-        # independent lowest-form route agrees exactly
+        # the lowest-form route, which the form presentation is read off,
+        # and the independent Rees route agree exactly
         assert ctx.tangent_cone_direct().ideal.equals(expected)
+        assert rees_cone(ctx).equals(expected)
         assert time.perf_counter() - started < 10.0
 
 

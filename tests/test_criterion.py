@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 from corpus import CORPUS_PARAMS, minors_context, tier4_contexts
-from oracle import direct_defect_at
+from oracle import contains_ideal, direct_defect_at
 
 import formcone.criterion as criterion_module
 import formcone.groebner as groebner_module
@@ -17,8 +17,10 @@ from formcone import (
     ConsistencyError,
     CriterionParams,
     DegenerateSystemError,
+    FieldSpec,
     FiltrationContext,
     PolynomialRing,
+    PresentedIdeal,
     ValidationError,
     cohen_macaulay_report,
     defect_at,
@@ -35,7 +37,7 @@ from formcone import (
     system_images,
 )
 from formcone.cli import COMMANDS, main
-from formcone.criterion import _shared_colons
+from formcone.criterion import _shared_colons, checked_dim
 from formcone.graded import GradedQuotientPresentation
 from formcone.session import parse_session
 
@@ -522,7 +524,7 @@ def test_sandwich_in_every_record(corpus):
     for ctx in (curve_context(q="m"), nilpotent_context(), inst20):
         for n in range(4):
             record = defect_at(ctx, n)
-            assert record.ideal.contains_ideal(ctx.q_power(n))
+            assert contains_ideal(record.ideal, ctx.q_power(n))
 
 
 def test_shared_residues_are_those_of_the_reduction(corpus):
@@ -630,3 +632,32 @@ def test_exact_and_bounded_regularity_agree_on_corpus(corpus):
         assert exact == bounded, inst.name
         checked += 1
     assert checked >= 20
+
+
+def test_the_dimension_fallback_takes_the_other_route(monkeypatch):
+    """Where the global dimension differs from the graded one and q + I_A is
+    m-primary, ``checked_dim`` reads dim M_m off the tangent cone by the
+    route the form presentation did not take: the Rees route on the affine
+    input x - x*z, y - y*z (q = m, the form read off the lowest-form cone),
+    the lowest-form cone modulo y^2 - y^3, x^3 - x^3*y over F_2 with q = (y)
+    (the form by the Rees route).  A second route that disagrees fails."""
+    x, y, z = R3.gens()
+    f2 = PolynomialRing(FieldSpec(2), ("x", "y"))
+    u, v = f2.gens()
+    affine = FiltrationContext(R3, (x - x * z, y - y * z), (), R3.gens(), [])
+    away = FiltrationContext(f2, (v**2 - v**3, u**3 - u**3 * v), (), (v,), [])
+    runs = []
+    rees_basis = FiltrationContext._rees_basis
+    monkeypatch.setattr(FiltrationContext, "_rees_basis",
+                        lambda self: runs.append(self) or rees_basis(self))
+    for ctx, local, rees in ((affine, 1, True), (away, 0, False)):
+        form = ctx.form_presentation()
+        assert ctx.ideal_m.krull_dim() == local + 1 and ctx.q_ideal.is_m_primary()
+        before = len(runs)
+        assert checked_dim(ctx, form) == local
+        assert (ctx.origin_cone().ring == form.ring) == rees
+        assert (len(runs) > before) == rees
+    wrong = GradedQuotientPresentation(R3, (1, 1, 1), PresentedIdeal(R3, (), ()))
+    monkeypatch.setattr(FiltrationContext, "origin_cone", lambda self: wrong)
+    with pytest.raises(ConsistencyError, match="graded dimension 1 differs from module dimension 3"):
+        checked_dim(affine, affine.form_presentation())

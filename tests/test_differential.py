@@ -6,7 +6,8 @@ has a component away from the origin); q = all variables or a subset; one or
 two system elements; ``n_max = 4`` and ``l_max = 8``.  On every input the
 report commands exit 0, 2 or 3 (1 is reserved for internal consistency
 failures), and ``defect_at`` gives the record of the direct loop
-``oracle.direct_defect_at`` at every level.  For three inputs the
+``oracle.direct_defect_at`` at every level.  Seed 174, whose q + I_A is
+m-primary but not m, reads its dimension at the origin.  For three inputs the
 ``cm-check`` JSON, minus ``timings``, does not depend on the hash seed.
 """
 
@@ -91,6 +92,26 @@ def test_random_input_exits_cleanly_and_levels_match_the_direct_loop(seed, tmp_p
     for n, record in enumerate(records):
         direct = direct_defect_at(spec.context(), n, spec.params)
         assert _record_fields(record) == _record_fields(direct), (n, text)
+
+
+def test_m_primary_q_reads_the_dimension_at_the_origin(tmp_path):
+    # seed 174: F_2, I_A = (y^2 - y^3, x^3 - x^3*y), q = (y).  The global
+    # dimension 1 comes from the component y = 1, away from V(q); q + I_A
+    # is m-primary, so dim G = dim A_m = 0, and no command may report a
+    # dimension mismatch
+    text = random_session(174)
+    assert "q: y\n" in text and "x^3 - x^3*y" in text
+    path = tmp_path / "input.fc"
+    path.write_text(text, encoding="utf-8")
+    for command in ("dim", "depth", "cm-check", "full-report"):
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([command, str(path), "--json"])
+        assert code == 0, (command, err.getvalue())
+        report = json.loads(out.getvalue())
+        assert report["dim"] == 0, command
+        if command != "dim":
+            assert report["depth"] == 0, command
 
 
 @pytest.mark.parametrize("seed", HASH_SEEDS)

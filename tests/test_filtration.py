@@ -1,6 +1,6 @@
 import pytest
 from corpus import TIER4_BASES, tier4_contexts
-from oracle import lifted_image, rees_form_presentation
+from oracle import lifted_image, rees_cone, rees_form_presentation, rees_image
 
 from formcone import (
     QQ,
@@ -159,11 +159,13 @@ def test_form_presentation_of_curve_matches_named_cone():
 
 
 def test_form_presentation_of_monomial_nilpotents():
-    # I = (x^2, xy) is already a cone: its lowest forms are itself
+    # I = (x^2, xy) is already a cone: its lowest forms are itself, by the
+    # lowest-form route, by the Rees route, and in the form presentation
     x, y = R2.gens()
     ctx = FiltrationContext(R2, (x * x, x * y), (), (x, y), [])
     direct = ctx.tangent_cone_direct()
     assert direct.ideal.equals(PresentedIdeal(R2, (), (x * x, x * y)))
+    assert rees_cone(ctx).equals(direct.ideal)
     assert ctx.variable_cone().ideal.equals(direct.ideal)
 
 
@@ -192,6 +194,8 @@ def test_tangent_cone_direct_examples():
     ((), ("x^2",)),
 ])
 def test_direct_and_elimination_cones_agree(base, module):
+    # the form presentation is read off the lowest-form cone here, so the
+    # independent route is the Rees one, by tag-variable elimination
     ring = R2
     parse = ring.parse
     ctx = FiltrationContext(
@@ -199,9 +203,10 @@ def test_direct_and_elimination_cones_agree(base, module):
         ring.gens(), [],
     )
     direct = ctx.tangent_cone_direct()
-    renamed = ctx.variable_cone()
-    assert direct.ideal.equals(renamed.ideal)
-    assert hilbert_function(direct, 10) == hilbert_function(renamed, 10)
+    eliminated = rees_cone(ctx)
+    assert direct.ideal.equals(eliminated)
+    assert ctx.variable_cone().ideal.equals(eliminated)
+    assert hilbert_function(direct, 10) == hilbert_function(rees_form_presentation(ctx), 10)
 
 
 def test_degree_zero_slice_matches_quotient():
@@ -426,12 +431,14 @@ def _refuse_rees(*args):
 
 
 def test_graded_forms_match_the_rees_route(corpus_results, monkeypatch):
-    # on graded inputs whose q is generated by the variables, the form
-    # presentation read off I_M must have the reduced basis of the Rees
-    # route: the corpus and tier-4 inputs and the quotients their grade
-    # recursions pass through, the char-2 quadric, the 2x3 minors, and the
-    # cone with q's generators in two other orders, so that y_j is not the
-    # j-th variable: reversed, a symmetry of the cone, and one that is not
+    # on inputs whose q is generated by the variables, graded or not, the
+    # form presentation read off I_M or its lowest-form cone must have the
+    # reduced basis of the Rees route: the corpus and tier-4 inputs and the
+    # quotients their grade recursions pass through, the demo curve, the
+    # affine input x - x*z, y - y*z (global and local dimensions differ),
+    # the char-2 quadric, the 2x3 minors, and the cone with q's generators
+    # in two other orders, so that y_j is not the j-th variable: reversed, a
+    # symmetry of the cone, and one that is not
     inputs = []
     for ctx, recursion in ([(r["instance"].ctx, r["report"].recursion_report)
                             for r in corpus_results]
@@ -444,7 +451,11 @@ def test_graded_forms_match_the_rees_route(corpus_results, monkeypatch):
     f2 = PolynomialRing(FieldSpec(2), ("x", "y", "z"))
     r6 = PolynomialRing(QQ, ("a", "b", "c", "d", "e", "f"))
     a, b, c, d, e, f = r6.gens()
+    r3 = PolynomialRing(QQ, ("x", "y", "z"))
+    x, y, z = r3.gens()
     inputs += [
+        (RS, curve_context().base_generators, (), RS.gens()),
+        (r3, (x - x * z, y - y * z), (), r3.gens()),
         (f2, (f2.parse("x^2 + y^2 + z^2"),), (), f2.gens()),
         (r6, (a * e - b * d, a * f - c * d, b * f - c * e), (), r6.gens()),
     ]
@@ -453,11 +464,13 @@ def test_graded_forms_match_the_rees_route(corpus_results, monkeypatch):
         inputs.append((R4, cone.base_generators, (), cone.q_generators))
 
     def closed(ring, base, module, q):
-        ctx = FiltrationContext(ring, base, module, q, [])
-        return ctx.is_graded() and sorted(q, key=str) == sorted(ring.gens(), key=str)
+        return sorted(q, key=str) == sorted(ring.gens(), key=str)
 
     inputs = [i for i in inputs if closed(*i)]
-    assert len(inputs) == 28 + 28 + 4  # graded inputs, their quotients, the four above
+    graded = sum(FiltrationContext(*i, []).is_graded() for i in inputs)
+    # the corpus and tier-4 inputs, their quotients and the six above; of
+    # those, 28, 28 and 4 are graded
+    assert (len(inputs), graded) == (34 + 28 + 6, 28 + 28 + 4)
     expected = [rees_form_presentation(FiltrationContext(*i, [])).groebner().generators
                 for i in inputs]
     monkeypatch.setattr(FiltrationContext, "_rees_basis", _refuse_rees)
@@ -466,20 +479,63 @@ def test_graded_forms_match_the_rees_route(corpus_results, monkeypatch):
         assert ctx.form_presentation().groebner().generators == basis, str(ctx)
 
 
-def test_graded_reports_need_no_rees_basis(monkeypatch):
-    # the whole CM report on a graded input runs without the Rees basis; the
-    # demo curve, whose base is inhomogeneous, still runs it
-    runs = []
-    rees_basis = FiltrationContext._rees_basis
+def test_graded_reports_need_no_rees_basis(corpus, monkeypatch):
+    # where q's generators are the variables, the whole CM report runs
+    # without the Rees basis, on graded inputs and on the demo curve, whose
+    # base is inhomogeneous; a corpus context with q = (x) still runs it,
+    # and so does the image of x in degree 2 modulo x - y^2, whose lower
+    # part x is not in I_M though x = y^2 lies in q^2 M
     monkeypatch.setattr(FiltrationContext, "_rees_basis", _refuse_rees)
     for ctx in (cone_context(), cone_context("wzyx"), tier4_contexts()[1]):
         assert ctx.is_graded()
         cohen_macaulay_report(ctx, TIER4_PARAMS)
+    curve = curve_context()
+    assert not curve.is_graded()
+    cohen_macaulay_report(curve, CriterionParams(n_max=10))
+    monkeypatch.undo()
+    runs = []
+    rees_basis = FiltrationContext._rees_basis
     monkeypatch.setattr(FiltrationContext, "_rees_basis",
                         lambda self: runs.append(self) or rees_basis(self))
-    curve = curve_context()
-    cohen_macaulay_report(curve, CriterionParams(n_max=10))
-    assert not curve.is_graded() and curve in runs
+    principal = next(i.ctx for i in corpus
+                     if i.ctx.ring.nvars > 1 and i.ctx.q_generators == (i.ctx.ring.var(0),))
+    fresh = FiltrationContext(principal.ring, principal.base_generators,
+                              principal.module_generators, principal.q_generators, [])
+    fresh.form_presentation()
+    x, y = R2.gens()
+    parabola = FiltrationContext(R2, (x - y * y,), (), (x, y), [])
+    form = parabola.form_presentation()
+    assert runs == [fresh]
+    parabola.graded_image(x, 2, form)
+    assert runs == [fresh, parabola]
+
+
+def test_inhomogeneous_images_by_the_closed_form(monkeypatch):
+    # modulo the cusp x^2 - y^3 with q = (x, y), a = x^2 - y^3 + y^4 has a
+    # nonzero part below degree 4 that lies in I_M, so its degree-4 image is
+    # y^4's class with no Rees basis; x + y^2 is outside q^2 M.  Modulo
+    # x - y^2, x takes the Rees normal form and gets y^2's class.  Lifting
+    # and the Rees route give the same images.
+    x, y = R2.gens()
+    cusp = FiltrationContext(R2, (x * x - y**3,), (), (x, y), [])
+    form = cusp.form_presentation()
+    a = x * x - y**3 + y**4
+    expected = form.reduce(form.ring.var(3) ** 4)
+    assert not expected.is_zero()
+    monkeypatch.setattr(FiltrationContext, "_rees_basis", _refuse_rees)
+    assert cusp.graded_image(a, 4, form) == expected
+    monkeypatch.undo()
+    assert lifted_image(cusp, a, 4, form) == rees_image(cusp, a, 4, form) == expected
+    with pytest.raises(ValidationError, match=OUTSIDE):
+        cusp.graded_image(x + y * y, 2, form)
+    assert lifted_image(cusp, x + y * y, 2, form) is None
+    assert rees_image(cusp, x + y * y, 2, form) is None
+
+    parabola = FiltrationContext(R2, (x - y * y,), (), (x, y), [])
+    form = parabola.form_presentation()
+    image = parabola.graded_image(x, 2, form)
+    assert image == form.reduce(form.ring.var(3) ** 2) and not image.is_zero()
+    assert lifted_image(parabola, x, 2, form) == rees_image(parabola, x, 2, form) == image
 
 
 def test_power_ladder_is_built_without_recursion():

@@ -2,7 +2,7 @@ import random
 from itertools import product as cartesian
 
 import pytest
-from oracle import product, substitute
+from oracle import contains_ideal, product, substitute
 
 from formcone import (
     DEGREVLEX,
@@ -144,7 +144,7 @@ def test_saturation_chain_property():
         for _ in range(k + 1):
             chain.append(chain[-1].colon(f))
         for i in range(k):
-            assert chain[i + 1].contains_ideal(chain[i])
+            assert contains_ideal(chain[i + 1], chain[i])
             assert not chain[i].equals(chain[i + 1]), "strict growth before exponent"
         assert chain[k].equals(chain[k + 1])
         assert sat.equals(chain[k])
@@ -224,7 +224,7 @@ def test_power_coherence():
         prod = product(ctx.q_power(m), ctx.q_power(n)) if m and n else None
         if prod is None:
             continue
-        assert ctx.q_power(m + n).contains_ideal(prod)
+        assert contains_ideal(ctx.q_power(m + n), prod)
 
 
 def test_intersection_universal_property_on_monomials():
@@ -236,9 +236,9 @@ def test_intersection_universal_property_on_monomials():
         J = ideal2(*rng.sample(monos, 2))
         K = ideal2(*rng.sample(monos, 1))
         meet = I.intersect(J)
-        assert I.contains_ideal(meet) and J.contains_ideal(meet)
-        if I.contains_ideal(K) and J.contains_ideal(K):
-            assert meet.contains_ideal(K)
+        assert contains_ideal(I, meet) and contains_ideal(J, meet)
+        if contains_ideal(I, K) and contains_ideal(J, K):
+            assert contains_ideal(meet, K)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +382,33 @@ def test_contains_ideal_matches_elementwise_membership():
         base = rng.choice(bases)
         I = ideal2(*rng.sample(pool, rng.randint(1, 3)), base=base)
         J = ideal2(*rng.sample(pool, rng.randint(1, 3)), base=base)
-        assert I.contains_ideal(J) == all(I.contains(g) for g in J.combined())
+        assert contains_ideal(I, J) == all(I.contains(g) for g in J.combined())
+
+
+def test_is_m_primary_matches_radical_membership():
+    # a proper J is m-primary exactly when 1 lies in J + (1 - t*v) for each
+    # variable v, so that v is nilpotent modulo J (Rabinowitsch); on ideals
+    # with and without zeros away from the origin, with and without a base
+    x, y = R2.gens()
+    big = R2.extend(("t",))
+    t = big.var(2)
+
+    def nilpotent(ideal, v):
+        gens = [g.map_to(big, [0, 1]) for g in ideal.combined()]
+        return buchberger(gens + [big.one() - t * v.map_to(big, [0, 1])]).generators == (big.one(),)
+
+    cases = [
+        (ideal2(x * x, y**3), True),
+        (ideal2(x * y, x * x + y * y), True),
+        (ideal2(y * y, base=(x**3 - x**3 * y,)), True),  # a base component at y = 1
+        (ideal2(y, x * x - x**3), False),  # a zero at (1, 0)
+        (ideal2(x * x), False),  # the y-axis
+        (ideal2(x - 1, y), False),
+        (ideal2(R2.one()), False),
+    ]
+    for ideal, expected in cases:
+        assert ideal.is_m_primary() == expected, str(ideal)
+        assert (ideal.is_proper() and all(nilpotent(ideal, v) for v in (x, y))) == expected
 
 
 def test_one_order_per_ideal():
