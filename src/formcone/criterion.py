@@ -11,10 +11,13 @@ Koszul computation must reproduce exactly.  When the initial forms are a
 system of parameters that grade equals the depth, and depth = dimension is
 the Cohen-Macaulay verdict.
 
-Each level's l-chain, and the colon sequence that graded inputs share across
-levels, is one append-only chain type that asserts the ascending property as
-it grows, from its first step on, which also gives every record's sandwich
-C(n, l) >= q^n M; ``defect_at`` reads its stopping window from it.
+Each level's l-chain, and the colon sequence K_l = intersection over i of
+(I_M : a_i^l) that levels share, is one append-only chain type that asserts
+the ascending property as it grows, from its first step on, which also
+gives every record's sandwich C(n, l) >= q^n M; ``defect_at`` reads its
+stopping window from it.  Graded inputs read every level off that sequence,
+and so does a single element a of degree c from the first level n with
+q^(n+c) M = a*q^n M + I_M on; other levels take colon kernels.
 Nonvanishing detections are exact (the probed chain only grows); vanishing
 verdicts are bounded by n_max/l_max and every record says so via
 ``certified=False``.  The exact graded route is always the authority.
@@ -219,20 +222,33 @@ def _level_chain(ctx: FiltrationContext, n: int, l: int, params: CriterionParams
     """Level n's chain, extended through C(n, l) and memoised per context by
     level alone: neither its terms nor its flags depend on l_max or window.
 
-    For a single element, each step from l = 2 on first tries the
-    propagation rule (see ``defect_at``) and otherwise takes one colon
-    kernel.  The rule reads level n+c's flag, extending that chain as
-    needed, only while n+c <= n_max; above n_max it reads a flag some
-    earlier step already computed, and otherwise takes the kernel here,
-    which costs about what extending the chain above would.
+    Level 0 takes no kernel: every C(0, l) contains q^0 M = (1).  For a
+    single element, a level that reads the colon sequence
+    (``_reads_colon_sequence``; for step 1, the level below does) takes
+    C(n, l) = q^n M + K_l, one basis per distinct K_l and none once K_l
+    stops changing.  Otherwise each step from l = 2 on first tries the
+    propagation rule (see ``defect_at``) and then takes one colon kernel.
+    The rule reads level n+c's flag, extending that chain as needed, only
+    while n+c <= n_max; above n_max it reads a flag some earlier step
+    already computed, and otherwise takes the kernel here, which costs
+    about what extending the chain above would.
     """
     key = ("chain", n)
     chain = ctx.scratch.get(key)
     if chain is None:
         chain = ctx.scratch[key] = _Chain([ctx.q_power(n)], f"level n={n}")
+    single = len(ctx.system) == 1
     while len(chain.changed) < l:
         step = len(chain.changed) + 1
-        if len(ctx.system) == 1 and step >= 2:
+        if n == 0:
+            chain.append()
+            continue
+        if single and _reads_colon_sequence(ctx, n if step >= 2 else n - 1, params):
+            seq = _colon_sequence(ctx, step)
+            chain.append(None if seq.changed[step - 1] is None else
+                         chain.ideals[0].sum_with(*seq.ideals[step].groebner().generators))
+            continue
+        if single and step >= 2:
             up = n + ctx.system[0].degree
             above = (_level_chain(ctx, up, step - 1, params) if up <= params.n_max
                      else ctx.scratch.get(("chain", up)))
@@ -247,6 +263,48 @@ def _level_chain(ctx: FiltrationContext, n: int, l: int, params: CriterionParams
     return chain
 
 
+def _reads_colon_sequence(ctx: FiltrationContext, n: int, params: CriterionParams) -> bool:
+    """True when level n reads its chain terms off the colon sequence:
+    for the single system element a of degree c, some level m <= n passes
+    the two checks below, which give q^(m+c) M = a*q^m M + I_M.
+
+    Multiplying that premise by q gives it at m+1, so at every level k >= m,
+    and then q^(k+lc) M = a^l*q^k M + I_M by induction on l.  So C(k, l) =
+    q^k M + K_l with K_l = (I_M : a^l) (``_colon_sequence``): an x with
+    x*a^l = a^l*y + j, y in q^k M and j in I_M, has x - y in K_l; and
+    a^l*q^k M lies in q^(k+lc) M because a lies in q^c + I_A.  The checks
+    in P at m:
+
+    (i) q^(m+c) M lies in I_M + (a): each element of its reduced basis
+        reduces to 0 modulo one basis of I_M + (a), computed once per
+        context;
+    (ii) C(m, 1) = q^m M, the chain's own step-1 flag; at m = 0 it holds.
+
+    Take x in q^(m+c) M and write x = a*y + j with j in I_M by (i).  Then
+    a*y = x - j lies in q^(m+c) M, so y lies in C(m, 1) = q^m M by (ii).
+    The verdicts are memoised per context, level by level upward, and
+    level n's reads levels 0..n alone; a chain's step 1 reads no parameter
+    and only the verdict below, so neither does a verdict.  (ii) is tested
+    first, since the scan takes that step anyway.
+    """
+    verdicts = ctx.scratch.setdefault(("reads_colons",), [])
+    while len(verdicts) <= n:
+        m = len(verdicts)
+        verdicts.append((m > 0 and verdicts[-1]) or (
+            (m == 0 or _level_chain(ctx, m, 1, params).changed[0] is None)
+            and _in_system_ideal(ctx, ctx.q_power(m + ctx.system[0].degree))))
+    return n >= 0 and verdicts[n]
+
+
+def _in_system_ideal(ctx: FiltrationContext, ideal: PresentedIdeal) -> bool:
+    """True when ``ideal`` lies in I_M + (a) for the single system element a."""
+    key = ("system_ideal",)
+    if key not in ctx.scratch:
+        ctx.scratch[key] = ctx.ideal_m.sum_with(ctx.system[0].element).groebner()
+    return all(r.is_zero() for r in normal_forms(ideal.groebner().generators,
+                                                  ctx.scratch[key]))
+
+
 def _shared_colons(ctx: FiltrationContext) -> bool:
     """True when every level's chain reads one colon sequence: the module
     ladder is graded (``FiltrationContext.is_graded``) and each system
@@ -259,7 +317,9 @@ def _shared_colons(ctx: FiltrationContext) -> bool:
 
 def _colon_sequence(ctx: FiltrationContext, l: int) -> _Chain:
     """K_l = intersection over i of (I_M : a_i^l), memoised per context and
-    extended through K_l, one kernel per step.
+    extended through K_l, one kernel per step.  Graded inputs read every
+    level off it, and a single element's level chains from the first level
+    that meets ``_reads_colon_sequence``'s premise.
 
     Once K_l = K_(l-1), every later K equals it and no kernel is taken.
     Take f in K_(l+1) and put f_S = f * prod_(j in S) a_j for a subset S of
@@ -318,8 +378,12 @@ def defect_at(ctx: FiltrationContext, n: int,
     each step from l = 2 on first reads that equality from level n+c and
     computes a colon kernel only when the equality is absent (see
     ``_level_chain`` for how far above n_max it reads).  The rule proves
-    only true equalities, so records are those of the direct loop.  With two
-    or more elements the rule does not apply and every step is a kernel.
+    only true equalities, so records are those of the direct loop.  From
+    the first level n with q^(n+c) M = a*q^n M + I_M on, which two checks
+    in P decide (``_reads_colon_sequence``), C(n, l) = q^n M + K_l with K_l
+    = (I_M : a^l), the colon sequence below, and the level takes no kernel
+    of its own.  With two or more elements neither applies and every step
+    from level 1 on is a kernel.
 
     Graded inputs (``_shared_colons``: I_M homogeneous, q + I_A the ideal m
     of all variables, each a_i homogeneous of degree c_i) take no level

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 from corpus import CORPUS_PARAMS, minors_context, tier4_contexts
-from oracle import contains_ideal, direct_defect_at
+from oracle import contains_ideal, direct_defect_at, product_power
 
 import formcone.criterion as criterion_module
 import formcone.groebner as groebner_module
@@ -37,7 +37,7 @@ from formcone import (
     system_images,
 )
 from formcone.cli import COMMANDS, main
-from formcone.criterion import _shared_colons, checked_dim
+from formcone.criterion import _reads_colon_sequence, _shared_colons, checked_dim
 from formcone.graded import GradedQuotientPresentation
 from formcone.session import parse_session
 
@@ -112,7 +112,8 @@ def _two_element_graded_context():
 
 def test_propagated_chains_match_the_direct_loop(corpus):
     # C(n, l+1) = (C(n+c, l) : a) lets single-element chains skip kernels,
-    # and graded inputs (I_M homogeneous, q + I_A = m, each a_i homogeneous
+    # so does C(n, l) = q^n M + K_l once q^(n+c) M = a*q^n M + I_M, and
+    # graded inputs (I_M homogeneous, q + I_A = m, each a_i homogeneous
     # of its degree) read every level off one colon sequence, C(n, l) =
     # K_l + m^n; every record must still be the one the direct loop gives
     # with product-built powers, whether the levels are scanned upward
@@ -131,10 +132,11 @@ def test_propagated_chains_match_the_direct_loop(corpus):
     # reading level 1 + c's flags here would close level 1's window two
     # steps early
     cases.append(("two-element", _two_element_graded_context(), [CORPUS_PARAMS]))
-    singles = shared = rescanned = 0
+    singles = shared = rescanned = reduced = 0
     for name, ctx, param_sets in cases:
         reference = {params: [_record_fields(direct_defect_at(ctx, n, params))
                               for n in range(params.n_max + 1)] for params in param_sets}
+        routed = False
         for upward in (True, False):
             cold = _fresh(ctx)
             for params in param_sets:
@@ -146,8 +148,13 @@ def test_propagated_chains_match_the_direct_loop(corpus):
             if _shared_colons(cold):
                 assert routes == {"colon_sequence"}
             else:
-                assert "colon_sequence" not in routes
+                # the chain route reads the colon sequence only from a level
+                # whose premise a single element meets
+                routed = len(ctx.system) == 1 and _reads_colon_sequence(
+                    cold, max(p.n_max for p in param_sets), params)
+                assert routes == ({"chain", "colon_sequence"} if routed else {"chain"})
         singles += len(ctx.system) == 1
+        reduced += routed
         shared += _shared_colons(ctx)
         rescanned += len(param_sets) > 1
         if name.startswith("inst31"):
@@ -158,6 +165,9 @@ def test_propagated_chains_match_the_direct_loop(corpus):
     # two-element case, whose colon sequence changes at l = 1, 2 and 3
     assert shared == 29
     assert rescanned == 3
+    # inst05, inst06, inst14, inst15, inst27, inst32-34 and inst37-39, the
+    # tier-4 curve (from level 4 on) and the demo curve
+    assert reduced == 13
 
 
 def test_the_ascending_check_fires_on_both_routes(monkeypatch):
@@ -177,7 +187,9 @@ def test_the_ascending_check_fires_on_both_routes(monkeypatch):
             return ideals[0]
 
         monkeypatch.setattr(criterion_module, "meet_of_colons", shrinking)
-        with pytest.raises(ConsistencyError, match="not ascending"):
+        # on the curve, a level-chain kernel: its colon sequence is constant
+        where = "the shared colon sequence" if _shared_colons(ctx) else "level n="
+        with pytest.raises(ConsistencyError, match=f"not ascending at {where}"):
             defect_scan(ctx, DEMO_PARAMS)
         assert shrunk == [1], str(ctx)
     assert not _shared_colons(curve_context())
@@ -199,7 +211,80 @@ def test_propagation_saves_kernels(monkeypatch):
                                 for n in range(DEMO_PARAMS.n_max + 1)])
     propagated = count(lambda ctx: defect_scan(ctx, DEMO_PARAMS))
     assert propagated < direct
-    assert (direct, propagated) == (33, 14)
+    # a against q^2, q^3 and q^4 and a^2 against q^3 below level 3, and
+    # (I_M : a) = I_M for the colon sequence that every level from 3 on reads
+    assert (direct, propagated) == (33, 5)
+
+
+def _reduction_cases():
+    """(name, context, params, first level that reads the colon sequence or
+    None, kernels of an upward scan) for the chain route's choice."""
+    x, y = R2.gens()
+    f2 = PolynomialRing(FieldSpec(2), ("x", "y"))
+    u, v = f2.gens()
+    cusp = (x**2 - y**3,)
+    tier4 = replace(CORPUS_PARAMS, n_max=2)
+    return [
+        ("q = a = x", FiltrationContext(R2, cusp, (), (x,), [(x, 1)]), CORPUS_PARAMS, 0, 1),
+        ("q = a = x over F_2", FiltrationContext(f2, (u**2 - v**3,), (), (u,), [(u, 1)]),
+         CORPUS_PARAMS, 0, 1),
+        ("q = a = x + y", FiltrationContext(R2, (x * y,), (), (x + y,), [(x + y, 1)]),
+         CORPUS_PARAMS, 0, 1),
+        ("q = x, a = x^2", FiltrationContext(R2, cusp, (), (x,), [(x * x, 2)]),
+         CORPUS_PARAMS, 0, 1),
+        ("zero divisor", FiltrationContext(R2, (x * x, x * x * y), (), (x,), [(x, 1)]),
+         CORPUS_PARAMS, 0, 3),
+        ("demo curve", curve_context(), DEMO_PARAMS, 3, 5),
+        ("cusp, a = y", FiltrationContext(R2, cusp, (), (x, y), [(y, 1)]), CORPUS_PARAMS, 1, 2),
+        ("cusp, a = x", FiltrationContext(R2, cusp, (), (x, y), [(x, 1)]), CORPUS_PARAMS,
+         None, 71),
+        ("tier4 curve", tier4_contexts()[0], tier4, None, 5),
+        ("cusp, a = x, y", FiltrationContext(R2, cusp, (), (x, y), [(x, 1), (y, 1)]),
+         CORPUS_PARAMS, None, 24),
+        ("q = x, a = x, y", FiltrationContext(R2, cusp, (), (x,), [(x, 1), (y, 0)]),
+         CORPUS_PARAMS, None, 24),
+    ]
+
+
+def test_reduced_chains_read_the_colon_sequence(monkeypatch):
+    # once q^(n+c) M = a*q^n M + I_M holds at some level, every level from
+    # there on reads C(n, l) = q^n M + (I_M : a^l) off the shared colon
+    # sequence and takes no kernel of its own; records must be those of the
+    # direct loop, scanning upward or downward, and the premise must hold,
+    # compared by bases, on every level that takes the route
+    calls = []
+    kernel = ideals_module.syzygy_basis
+    monkeypatch.setattr(ideals_module, "syzygy_basis",
+                        lambda *args: calls.append(1) or kernel(*args))
+    for name, ctx, params, start, kernels in _reduction_cases():
+        levels = range(params.n_max + 1)
+        reference = [_record_fields(direct_defect_at(ctx, n, params)) for n in levels]
+        single = len(ctx.system) == 1
+        for upward in (True, False):
+            cold = _fresh(ctx)
+            calls.clear()
+            for n in levels if upward else reversed(levels):
+                assert _record_fields(defect_at(cold, n, params)) == reference[n], (name, n)
+            if upward:
+                assert len(calls) == kernels, name
+            routed = [n for n in levels if single and _reads_colon_sequence(cold, n, params)]
+            assert routed == ([] if start is None else list(range(start, params.n_max + 1))), \
+                (name, upward)
+            assert (("colon_sequence",) in cold.scratch) == bool(routed), name
+        if start is None:
+            continue
+        a, c = ctx.system[0].element, ctx.system[0].degree
+        for n in range(start, params.n_max + 1):
+            low = product_power(ctx, n).groebner().generators
+            assert product_power(ctx, n + c).equals(
+                ctx.ideal_m.sum_with(*(a * g for g in low))), (name, n)
+    # the tier-4 curve's q^3 M lies in I_M + (a), but C(2, 1) is not q^2 M,
+    # so level 2 keeps its kernels
+    curve = tier4_contexts()[0]
+    a = curve.system[0].element
+    assert contains_ideal(curve.ideal_m.sum_with(a), product_power(curve, 3))
+    assert not direct_defect_at(curve, 2, CriterionParams(n_max=2, l_max=1)).ideal.equals(
+        product_power(curve, 2))
 
 
 def test_shared_colons_save_kernels(corpus, monkeypatch):
@@ -221,21 +306,28 @@ def test_shared_colons_save_kernels(corpus, monkeypatch):
 def test_inputs_off_the_graded_case_keep_the_chain():
     # the inhomogeneous semigroup curve, a homogeneous I_M with an
     # inhomogeneous system element, q = (x) on the plane, and a system entry
-    # whose exponent is below its degree all take the l-chain
+    # whose exponent is below its degree all take the l-chain; the first
+    # three read its terms off the colon sequence from levels 3, 1 and 0 on,
+    # where q^(n+c) M = a*q^n M + I_M
     x, y = R2.gens()
     cases = [
-        (curve_context(), DEMO_PARAMS),
-        (FiltrationContext(R2, (x * x,), (), (x, y), [(y + x * x, 1)]), CORPUS_PARAMS),
-        (FiltrationContext(R2, (), (), (x,), [(x, 1)]), CORPUS_PARAMS),
+        (curve_context(), DEMO_PARAMS, True),
+        (FiltrationContext(R2, (x * x,), (), (x, y), [(y + x * x, 1)]), CORPUS_PARAMS, True),
+        (FiltrationContext(R2, (), (), (x,), [(x, 1)]), CORPUS_PARAMS, True),
         (FiltrationContext(R2, (), (), (x, y), []).with_exponent_system([(x * y, 1)]),
-         CORPUS_PARAMS),
+         CORPUS_PARAMS, False),
     ]
-    for ctx, params in cases:
+    for ctx, params, reduced in cases:
         assert not _shared_colons(ctx), str(ctx)
         levels = range(params.n_max + 1)
         reference = [_record_fields(direct_defect_at(ctx, n, params)) for n in levels]
         assert [_record_fields(defect_at(ctx, n, params)) for n in levels] == reference
-        assert ("colon_sequence",) not in ctx.scratch
+        assert ("chain", params.n_max) in ctx.scratch
+        assert (("colon_sequence",) in ctx.scratch) == reduced, str(ctx)
+    starts = [next((n for n in range(params.n_max + 1)
+                    if _reads_colon_sequence(ctx, n, params)), None)
+              for ctx, params, _ in cases]
+    assert starts == [3, 1, 0, None]
     assert curve_context().base.is_graded() is False
     assert cases[1][0].is_graded()  # graded ladder, inhomogeneous element
 
@@ -573,7 +665,8 @@ def test_the_sandwich_is_the_chain_check_from_step_one(monkeypatch):
             return ideals[0].spawn((y,))
 
         monkeypatch.setattr(criterion_module, "meet_of_colons", outside)
-        with pytest.raises(ConsistencyError, match="not ascending .*l=1"):
+        where = "the shared colon sequence" if _shared_colons(ctx) else "level n=1"
+        with pytest.raises(ConsistencyError, match=f"not ascending at {where}, l=1"):
             defect_scan(ctx, DEMO_PARAMS)
         assert wrong == [1], str(ctx)
     assert not _shared_colons(curve_context())

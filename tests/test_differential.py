@@ -6,9 +6,11 @@ has a component away from the origin); q = all variables or a subset; one or
 two system elements; ``n_max = 4`` and ``l_max = 8``.  On every input the
 report commands exit 0, 2 or 3 (1 is reserved for internal consistency
 failures), and ``defect_at`` gives the record of the direct loop
-``oracle.direct_defect_at`` at every level.  Seed 174, whose q + I_A is
-m-primary but not m, reads its dimension at the origin.  For three inputs the
-``cm-check`` JSON, minus ``timings``, does not depend on the hash seed.
+``oracle.direct_defect_at`` at every level; the seeds cover single elements
+whose level chains read the colon sequence and those that take kernels.
+Seed 174, whose q + I_A is m-primary but not m, reads its dimension at the
+origin.  For three inputs the ``cm-check`` JSON, minus ``timings``, does not
+depend on the hash seed.
 """
 
 import contextlib
@@ -24,8 +26,9 @@ from pathlib import Path
 import pytest
 from oracle import direct_defect_at
 
-from formcone import DefectRecord, FormconeError, defect_at, parse_session
+from formcone import DefectRecord, FormconeError, defect_at, defect_scan, parse_session
 from formcone.cli import main
+from formcone.criterion import _reads_colon_sequence, _shared_colons
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(60)
@@ -92,6 +95,24 @@ def test_random_input_exits_cleanly_and_levels_match_the_direct_loop(seed, tmp_p
     for n, record in enumerate(records):
         direct = direct_defect_at(spec.context(), n, spec.params)
         assert _record_fields(record) == _record_fields(direct), (n, text)
+
+
+def test_seeds_cover_both_single_element_chain_routes():
+    # a single element off the graded case either meets q^(n+c) M =
+    # a*q^n M + I_M at some level up to n_max, and reads its chain terms off
+    # the colon sequence from there, or takes a kernel per chain step
+    routed = kept = 0
+    for seed in SEEDS:
+        spec = parse_session(random_session(seed))
+        try:
+            ctx = spec.context()
+            defect_scan(ctx, spec.params)
+        except FormconeError:
+            continue
+        if len(ctx.system) == 1 and not _shared_colons(ctx):
+            reads = _reads_colon_sequence(ctx, spec.params.n_max, spec.params)
+            routed, kept = routed + reads, kept + (not reads)
+    assert (routed, kept) == (13, 18)
 
 
 def test_m_primary_q_reads_the_dimension_at_the_origin(tmp_path):
