@@ -229,9 +229,8 @@ def _level_chain(ctx: FiltrationContext, n: int, l: int, params: CriterionParams
     stops changing.  Otherwise each step from l = 2 on first tries the
     propagation rule (see ``defect_at``) and then takes one colon kernel.
     The rule reads level n+c's flag, extending that chain as needed, only
-    while n+c <= n_max; above n_max it reads a flag some earlier step
-    already computed, and otherwise takes the kernel here, which costs
-    about what extending the chain above would.
+    while n+c <= n_max; above n_max the step takes the kernel here, which
+    costs about what extending the chain above would.
     """
     key = ("chain", n)
     chain = ctx.scratch.get(key)
@@ -250,10 +249,8 @@ def _level_chain(ctx: FiltrationContext, n: int, l: int, params: CriterionParams
             continue
         if single and step >= 2:
             up = n + ctx.system[0].degree
-            above = (_level_chain(ctx, up, step - 1, params) if up <= params.n_max
-                     else ctx.scratch.get(("chain", up)))
-            if above is not None and len(above.changed) >= step - 1 \
-                    and above.changed[step - 2] is None:
+            if up <= params.n_max \
+                    and _level_chain(ctx, up, step - 1, params).changed[step - 2] is None:
                 chain.append()
                 continue
         chain.append(meet_of_colons(
@@ -376,8 +373,8 @@ def defect_at(ctx: FiltrationContext, n: int,
     because x*a^(l+1) lies in q^(n+(l+1)c) M exactly when x*a lies in
     C(n+c, l).  So C(n+c, l) = C(n+c, l-1) implies C(n, l+1) = C(n, l), and
     each step from l = 2 on first reads that equality from level n+c and
-    computes a colon kernel only when the equality is absent (see
-    ``_level_chain`` for how far above n_max it reads).  The rule proves
+    computes a colon kernel only when the equality is absent or n+c lies
+    above n_max (see ``_level_chain``).  The rule proves
     only true equalities, so records are those of the direct loop.  From
     the first level n with q^(n+c) M = a*q^n M + I_M on, which two checks
     in P decide (``_reads_colon_sequence``), C(n, l) = q^n M + K_l with K_l

@@ -6,16 +6,17 @@ knows nothing of filtrations.  ``filtration`` builds the Rees, form and
 tangent-cone presentations and the graded images of ring elements, and
 ``criterion`` and the CLI read them through the functions here.
 
-Everything here is exact: Hilbert functions by recursive standard-monomial
-counting on the leading ideal, regularity of homogeneous elements by the
-presentation's memoised annihilator, grade by Koszul-complex codepth (which
-needs no genericity and works over every supported field), and depth by a
-greedy regular sequence stopped by a socle witness or the dimension, with
-Koszul homology as its fallback.  ``first_regular`` picks the first nonzero
-nonzerodivisor among candidates, for ``depth`` and the criterion's lift
-search alike.  Every one of these reads the presentation ideal H's one
-reduced basis, in the presentation's weighted order, or that of a quotient
-of H, which extends it.
+Everything here is exact: Hilbert functions expanded from the numerator K
+of the Hilbert series, which one pivot recursion reads off the leading
+ideal (Bayer-Stillman 1992, Bigatti 1997), regularity of homogeneous
+elements by the presentation's memoised annihilator, grade by
+Koszul-complex codepth (which needs no genericity and works over every
+supported field), and depth by a greedy regular sequence stopped by a socle
+witness or the dimension, with Koszul homology as its fallback.
+``first_regular`` picks the first nonzero nonzerodivisor among candidates,
+for ``depth`` and the criterion's lift search alike.  Every one of these
+reads the presentation ideal H's one reduced basis, in the presentation's
+weighted order, or that of a quotient of H, which extends it.
 """
 
 from __future__ import annotations
@@ -167,89 +168,67 @@ def _minimal_monomials(monos) -> frozenset:
     return frozenset(out)
 
 
-def _pure_variable(m: Monomial) -> int | None:
-    support = [i for i, e in enumerate(m) if e]
-    return support[0] if len(support) == 1 else None
+def _numerator(leads: frozenset, weights, memo: dict) -> list[int]:
+    """Coefficients of K(L) in HS(P/L) = K(L) / prod over w_i > 0 of
+    (1 - t^w_i), for the monomial ideal L that ``leads`` generate.
 
-
-def _count_box(leads: frozenset, n: int, weights) -> int:
-    """Base case: every lead is a pure power.  Convolve per-variable series."""
-    caps = {}
-    for m in leads:
-        v = _pure_variable(m)
-        caps[v] = min(caps.get(v, m[v]), m[v])
-    series = [1] + [0] * n
-    scalar = 1
-    for i, w in enumerate(weights):
-        cap = caps.get(i)
-        if w == 0:
-            if cap is None:
-                raise InfiniteComponentError(
-                    "weight-0 variable without a pure-power bound: component is infinite"
-                )
-            scalar *= cap
-            continue
-        limit = n if cap is None else min(cap - 1, n)
-        nxt = [0] * (n + 1)
-        for d in range(n + 1):
-            if not series[d]:
-                continue
-            for e in range(0, min(limit, n - d) + 1):
-                nxt[d + e] += series[d]
-        series = nxt
-    return scalar * series[n]
-
-
-def _count_standard(leads: frozenset, n: int, weights, memo: dict) -> int:
-    if n < 0:
-        return 0
-    key = (leads, n)
+    Pivot on a variable v of a lead with the widest support: K(L) =
+    K(L + v) + t^w_v * K(L : v).  When every lead is a pure power x^a,
+    each such lead contributes the factor 1 - t^(w*a), or a when w = 0."""
+    key = leads
     if key in memo:
         return memo[key]
     leads = _minimal_monomials(leads)
-    zero_mono = (0,) * len(weights)
-    if zero_mono in leads:
-        memo[key] = 0
-        return 0
-    mixed = [m for m in leads if _pure_variable(m) is None]
-    if not mixed:
-        value = _count_box(leads, n, weights)
-    else:
-        pivot_gen = min(mixed, key=lambda m: (-sum(1 for e in m if e), m))
-        v = next(i for i, e in enumerate(pivot_gen) if e)
+    mixed = [m for m in leads if sum(1 for e in m if e) > 1]
+    if (0,) * len(weights) in leads:
+        value = []
+    elif mixed:
+        pivot = min(mixed, key=lambda m: (-sum(1 for e in m if e), m))
+        v = next(i for i, e in enumerate(pivot) if e)
         unit = tuple(1 if i == v else 0 for i in range(len(weights)))
-        with_v = frozenset(leads | {unit})
-        colon = frozenset(
-            tuple(max(e - 1, 0) if i == v else e for i, e in enumerate(m))
-            for m in leads
-        )
-        value = (
-            _count_standard(with_v, n, weights, memo)
-            + _count_standard(colon, n - weights[v], weights, memo)
-        )
+        value = _numerator(leads | {unit}, weights, memo)
+        colon = _numerator(frozenset(m[:v] + (max(m[v] - 1, 0),) + m[v + 1:] for m in leads),
+                           weights, memo)
+        value = value + [0] * (weights[v] + len(colon) - len(value))
+        for d, c in enumerate(colon):
+            value[weights[v] + d] += c
+    else:
+        value = [1]
+        for m in leads:
+            v = next(i for i, e in enumerate(m) if e)
+            shift = weights[v] * m[v]
+            if not shift:
+                value = [m[v] * c for c in value]
+                continue
+            value = value + [0] * shift
+            for d in range(len(value) - 1 - shift, -1, -1):
+                value[d + shift] -= value[d]
     memo[key] = value
     return value
 
 
 def hilbert_function(pres: GradedQuotientPresentation, upto: int) -> list[int]:
-    """dim_k of the weight-graded components 0..upto.
+    """dim_k of the weight-graded components 0..upto: the numerator K of
+    the presentation's Hilbert series, expanded by one prefix sum of stride
+    w for each positive weight w.
 
     Requires every weight-0 variable to be nilpotent modulo the defining
     ideal (the degree-0 part must be finite-dimensional); otherwise raises
     InfiniteComponentError.
     """
-    gb = pres.groebner()
-    leads = frozenset(g.leading_monomial(pres.order) for g in gb.generators)
+    leads = frozenset(g.leading_monomial(pres.order) for g in pres.groebner().generators)
     for i, w in enumerate(pres.weights):
-        if w:
-            continue
-        if not any(_pure_variable(m) == i for m in leads):
+        if not w and not any(0 < m[i] == sum(m) for m in leads):
             raise InfiniteComponentError(
                 f"variable {pres.ring.variables[i]} has no bound in the leading ideal; "
                 "graded components are infinite-dimensional"
             )
-    memo: dict = {}
-    return [_count_standard(leads, n, pres.weights, memo) for n in range(upto + 1)]
+    values = _numerator(leads, pres.weights, {})[:upto + 1]
+    values += [0] * (upto + 1 - len(values))
+    for w in filter(None, pres.weights):
+        for d in range(w, upto + 1):
+            values[d] += values[d - w]
+    return values
 
 
 def graded_dim(pres: GradedQuotientPresentation) -> int:

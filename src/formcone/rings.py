@@ -274,10 +274,6 @@ class PolynomialRing:
         """Fresh ring with extra variables appended."""
         return PolynomialRing(self.field, self.variables + tuple(new_names))
 
-    def drop(self, indexes: Iterable[int]) -> "PolynomialRing":
-        gone = set(indexes)
-        return PolynomialRing(self.field, tuple(n for i, n in enumerate(self.variables) if i not in gone))
-
     def fresh_name(self, stem: str) -> str:
         """A variable name not already used by this ring."""
         if stem not in self.variables:

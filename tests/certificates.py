@@ -2,26 +2,31 @@
 
 ``check_cm_certificates(ctx, payload)`` takes a context and the JSON payload
 that ``formcone cm-check --json`` printed for it, and re-verifies each
-certificate by exact linear algebra on graded components and by membership,
-never by a colon:
+certificate by Hilbert-series numerators, by exact linear algebra on graded
+components and by membership, never by a colon:
 
-- each ``depth_sequence`` element is injective on weights 0..``TOP`` of the
-  form presentation modulo the earlier elements;
+- each ``depth_sequence`` element is a nonzerodivisor on the form
+  presentation modulo the earlier elements (``_regular_on``);
 - a ``depth_witness`` of the regular-sequence route is nonzero modulo the
   whole sequence, and every variable image times it lies in H + (sequence),
   so the sequence is maximal and its length is the depth;
 - each ``regular_sequence`` element has a nonzero graded image, found by
-  membership lifting (``oracle.lifted_image``), and that image is injective
-  through weight ``TOP`` on its successive quotient context;
+  membership lifting (``oracle.lifted_image``), and that image is a
+  nonzerodivisor on the form presentation of its successive quotient
+  context (``_regular_on``);
 - each generator of a nonvanishing ``lzero_table`` row lies outside
   q^n M, taken from the products of q's generators (``oracle.product_power``).
 
-Injectivity is tested on the standard monomials of each weight, as
-``oracle.truncated_regularity`` does, but with the exponent of every
-weight-0 variable that the leading ideal does not bound kept below
-``TOP + 1``: such a presentation (q not primary to the variable ideal) has
-infinite components.  An element that is regular is injective on every
-finite piece, so a failure refutes the certificate.
+When the leading ideal bounds every weight-0 variable, every component is
+finite and a homogeneous x of weight d is a nonzerodivisor on P/H exactly
+when the Hilbert-series numerators satisfy K(H + (x)) = (1 - t^d) K(H): the
+exact sequence 0 -> (H : x)/H (-d) -> P/H (-d) -> P/H -> P/(H + x) -> 0
+leaves the kernel's series as the difference.  Otherwise (q not primary to
+the variable ideal) components are infinite, and injectivity is tested on
+the standard monomials of each weight 0..``TOP``, as
+``oracle.truncated_regularity`` does, with the exponent of every unbounded
+weight-0 variable kept below ``TOP + 1``.  An element that is regular is
+injective on every finite piece, so a failure refutes the certificate.
 """
 
 from __future__ import annotations
@@ -31,14 +36,18 @@ from itertools import product as cartesian
 from oracle import exact_rank, lifted_image, mul_term, product_power
 
 from formcone.filtration import FiltrationContext
-from formcone.graded import GradedQuotientPresentation
+from formcone.graded import GradedQuotientPresentation, _numerator
 
 TOP = 4
 
 
+def _leads(pres: GradedQuotientPresentation) -> list:
+    return [g.leading_monomial(pres.order) for g in pres.groebner().generators]
+
+
 def _standard_monomials(pres: GradedQuotientPresentation, n: int) -> list:
     """Standard monomials of weight n, unbounded weight-0 exponents below TOP + 1."""
-    leads = [g.leading_monomial(pres.order) for g in pres.groebner().generators]
+    leads = _leads(pres)
     bounds = []
     for i, w in enumerate(pres.weights):
         pure = [m[i] for m in leads if m[i] and not any(m[:i] + m[i + 1:])]
@@ -61,6 +70,36 @@ def _injective_through(pres: GradedQuotientPresentation, rep, top: int = TOP) ->
     return True
 
 
+def _trimmed(coefficients: list) -> list:
+    """The polynomial's coefficients without trailing zeros."""
+    out = list(coefficients)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _series_numerator(pres: GradedQuotientPresentation) -> list:
+    """K in HS(P/H) = K / prod over w > 0 of (1 - t^w)."""
+    return _trimmed(_numerator(frozenset(_leads(pres)), pres.weights, {}))
+
+
+def _regular_on(pres: GradedQuotientPresentation, rep) -> bool:
+    """``rep`` is a nonzerodivisor on ``pres``: exactly, by the Hilbert-series
+    numerators, when every weight-0 variable is bounded; otherwise injective
+    through weight ``TOP``."""
+    leads = _leads(pres)
+    if not all(w or any(0 < m[i] == sum(m) for m in leads) for i, w in enumerate(pres.weights)):
+        return _injective_through(pres, rep)
+    degrees = {pres.y_degree(m) for m in rep.terms}
+    assert len(degrees) == 1, f"{rep} is not a nonzero homogeneous element"
+    d = degrees.pop()
+    k = _series_numerator(pres)
+    expected = k + [0] * d
+    for e, c in enumerate(k):
+        expected[e + d] -= c
+    return _series_numerator(pres.quotient_by([rep])) == _trimmed(expected)
+
+
 def check_cm_certificates(ctx: FiltrationContext, payload: dict) -> int:
     """Re-verify every certificate of ``payload``; returns how many were
     checked and raises AssertionError on the first that fails."""
@@ -68,7 +107,7 @@ def check_cm_certificates(ctx: FiltrationContext, payload: dict) -> int:
     pres = ctx.form_presentation()
     sequence = [pres.ring.parse(text) for text in cert["depth_sequence"]]
     for k, x in enumerate(sequence):
-        assert _injective_through(pres.quotient_by(sequence[:k]), x), ("depth_sequence", k)
+        assert _regular_on(pres.quotient_by(sequence[:k]), x), ("depth_sequence", k)
         checked += 1
     if cert["depth_method"] == "regular-sequence" and cert["depth_witness"]:
         (witness,) = [pres.ring.parse(text) for text in cert["depth_witness"]]
@@ -84,7 +123,7 @@ def check_cm_certificates(ctx: FiltrationContext, payload: dict) -> int:
         form = work.form_presentation()
         image = lifted_image(work, b, d, form)
         assert image is not None and not image.is_zero(), ("regular_sequence", str(b))
-        assert _injective_through(form, image), ("regular_sequence", str(b))
+        assert _regular_on(form, image), ("regular_sequence", str(b))
         work = work.quotient_by_element(b)
         checked += 1
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from certificates import check_cm_certificates
+from certificates import TOP, _injective_through, check_cm_certificates
 from corpus import CORPUS_PARAMS, tier4_contexts
 
 from formcone.cas import emit_cas_script
@@ -405,3 +405,25 @@ def test_cm_check_certificates_replay(corpus):
         payload = json.loads(emit_report(run_command("cm-check", spec)))
         checked += check_cm_certificates(spec.context(), payload)
     assert len(specs) == 45 and checked > len(specs)
+
+
+def test_certificate_replay_rejects_a_zero_divisor_above_weight_top():
+    """Mutation check of the certificate replay: in the form ring
+    k[y1, y2]/(y1*y2^5) of x*y^5, the image y2 of y kills y1*y2^4, of weight
+    5.  Injectivity through weight TOP misses that kernel; the replay by
+    Hilbert-series numerators rejects y as a depth_sequence element and as a
+    regular_sequence element, and a repeated element as well."""
+    spec = parse_session("field QQ\nvars x, y\nbase: x*y^5\nq: x, y\na: x + y\n")
+    ctx = spec.context()
+    payload = json.loads(emit_report(run_command("cm-check", spec)))
+    certs = payload["certificates"]
+    assert check_cm_certificates(ctx, payload) > 0
+    regular = {**certs, "depth_sequence": ["y1 + y2"]}
+    assert check_cm_certificates(ctx, {**payload, "certificates": regular}) > 0
+    form = ctx.form_presentation()
+    assert TOP < 5 and _injective_through(form, form.ring.parse("y2"))
+    for mutated in ({**certs, "depth_sequence": ["y2"]},
+                    {**certs, "depth_sequence": ["y1 + y2", "y1 + y2"]},
+                    {**certs, "regular_sequence": [{"element": "y", "degree": 1}]}):
+        with pytest.raises(AssertionError):
+            check_cm_certificates(ctx, {**payload, "certificates": mutated})

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 from corpus import minors_context, tier4_contexts
-from oracle import graph_kernel
+from oracle import component_basis, graph_kernel
 
 import formcone.graded as graded_module
 from formcone import (
@@ -76,6 +76,50 @@ def test_hilbert_rejects_infinite_components():
     )
     with pytest.raises(InfiniteComponentError):
         hilbert_function(mixed, 3)
+
+
+def test_hilbert_reads_weights_above_one():
+    X, Y = R2.gens()
+    free = GradedQuotientPresentation(R2, (2, 1), PresentedIdeal(R2, (), ()))
+    assert hilbert_function(free, 5) == [1, 1, 2, 2, 3, 3]
+    capped = GradedQuotientPresentation(R2, (2, 1), PresentedIdeal(R2, (), (X * X,)))
+    assert hilbert_function(capped, 5) == [1, 1, 2, 2, 2, 2]
+
+
+def test_hilbert_matches_standard_monomial_count():
+    """Seeded presentations with weights in {0, 1, 2, 3}: monomials and
+    homogeneous binomials, the unit ideal among them.  Where a weight-0
+    variable has no pure-power lead, both sides raise."""
+    rng = random.Random(24)
+    rings = [PolynomialRing(QQ, ("X", "Y")), RS]
+    cases = []
+    for ring in rings:
+        cases.append((ring, (0,) * ring.nvars, [ring.one()]))
+        cases.append((ring, (2,) + (1,) * (ring.nvars - 1), [ring.one()]))
+    for _ in range(120):
+        ring = rng.choice(rings)
+        weights = tuple(rng.choice((0, 1, 2, 3)) for _ in range(ring.nvars))
+        gens = []
+        for _ in range(rng.randint(0, 4)):
+            expts = [tuple(rng.randint(0, 3) for _ in range(ring.nvars)) for _ in range(2)]
+            g = ring.monomial(expts[0])
+            if rng.random() < 0.3 and len({sum(w * e for w, e in zip(weights, m))
+                                           for m in expts}) == 1 and expts[0] != expts[1]:
+                g = g - ring.monomial(expts[1])
+            gens.append(g)
+        cases.append((ring, weights, gens))
+    raised = 0
+    for ring, weights, gens in cases:
+        pres = GradedQuotientPresentation(ring, weights, PresentedIdeal(ring, (), gens))
+        try:
+            expected = [component_basis(pres, n).dimension for n in range(8)]
+        except InfiniteComponentError:
+            raised += 1
+            with pytest.raises(InfiniteComponentError):
+                hilbert_function(pres, 7)
+            continue
+        assert hilbert_function(pres, 7) == expected, (weights, gens)
+    assert 0 < raised < len(cases) // 2
 
 
 def test_graded_dims():
