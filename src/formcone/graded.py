@@ -213,12 +213,13 @@ def hilbert_function(pres: GradedQuotientPresentation, upto: int) -> list[int]:
     w for each positive weight w.
 
     Requires every weight-0 variable to be nilpotent modulo the defining
-    ideal (the degree-0 part must be finite-dimensional); otherwise raises
-    InfiniteComponentError.
+    ideal (the degree-0 part must be finite-dimensional), that is, bounded
+    by a pure-power lead or by the constant lead of the unit ideal;
+    otherwise raises InfiniteComponentError.
     """
     leads = frozenset(g.leading_monomial(pres.order) for g in pres.groebner().generators)
     for i, w in enumerate(pres.weights):
-        if not w and not any(0 < m[i] == sum(m) for m in leads):
+        if not w and not any(m[i] == sum(m) for m in leads):
             raise InfiniteComponentError(
                 f"variable {pres.ring.variables[i]} has no bound in the leading ideal; "
                 "graded components are infinite-dimensional"

@@ -3,8 +3,10 @@
 The same engine serves polynomial ideals and submodules of free modules;
 internally every element is a map ``(position, monomial) -> coefficient``
 ordered position-over-term (position 0 greatest) with the caller's monomial
-order underneath.  Ring polynomials are the rank-1 case.  Colons, intersections,
-Koszul cycles and Koszul boundaries are all one ``GraphBasis`` computation.
+order underneath.  Ring polynomials are the rank-1 case.  Koszul cycles and
+Koszul boundaries are one ``GraphBasis`` computation, and so are colons and
+intersections, except those of monomial ideals by terms, which
+``ideals.meet_of_colons`` reads off exponents.
 
 Determinism contract: fixed generators plus a fixed order produce the
 identical reduced basis (reduced bases are unique up to scaling, and output
@@ -513,8 +515,8 @@ def syzygy_basis(columns, order: MonomialOrder = DEGREVLEX,
                  step_budget: int = DEFAULT_STEP_BUDGET,
                  modulo=()) -> list[FreeModuleElement]:
     """Reduced basis of the kernel of P^k -> (+)_j P/M_j sending e_i to column i:
-    the kernel half of ``GraphBasis``, or none for no columns.  Colons,
-    intersections, Koszul cycles and, as the image half, Koszul boundaries
-    are all this one computation."""
+    the kernel half of ``GraphBasis``, or none for no columns.  Colons and
+    intersections (but for the monomial ones), Koszul cycles and, as the
+    image half, Koszul boundaries are all this one computation."""
     cols = list(columns)
     return GraphBasis(cols, order, step_budget, modulo).kernel if cols else []

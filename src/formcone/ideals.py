@@ -6,8 +6,10 @@ automatically, so one Groebner engine serves the quotient world.  Each ideal
 has one monomial order, DEGREVLEX unless its maker chose another (a graded
 presentation takes its weighted order), and computes one reduced basis in
 it; membership, colons, intersections and dimension all read that basis, and
-every ideal derived from it keeps the order.  Values are immutable; the
-cached reduced basis is write-once.
+every ideal derived from it keeps the order.  Colons and intersections are
+one function, ``meet_of_colons``: one module kernel in general, and a closed
+form on exponents when every basis and element is a monomial.  Values are
+immutable; the cached reduced basis is write-once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,15 @@ from .groebner import (
     normal_form,
     syzygy_basis,
 )
-from .rings import DEGREVLEX, MonomialOrder, Polynomial, PolynomialRing, block_order
+from .rings import (
+    DEGREVLEX,
+    MonomialOrder,
+    Polynomial,
+    PolynomialRing,
+    block_order,
+    mono_divides,
+    mono_lcm,
+)
 
 
 class PresentedIdeal:
@@ -114,7 +124,7 @@ class PresentedIdeal:
         return result
 
     def intersect(self, other: "PresentedIdeal") -> "PresentedIdeal":
-        """I cap J = (I : 1) cap (J : 1), one module kernel (see ``meet_of_colons``)."""
+        """I cap J = (I : 1) cap (J : 1) (see ``meet_of_colons``)."""
         one = self.ring.one()
         return meet_of_colons((self, other), (one, one))
 
@@ -209,11 +219,14 @@ class PresentedIdeal:
 def meet_of_colons(ideals, elements) -> PresentedIdeal:
     """The intersection of the colons (I_k : f_k), all in one ring and base.
 
-    It is one module kernel: the kernel of P -> (+)_k P/I_k sending 1 to
-    (f_k), computed by ``syzygy_basis`` in the ideals' shared order modulo
-    their reduced bases, which are passed as ``GroebnerBasis`` values so the
-    engine forms no pairs within them.  The result's generators are its
-    reduced, monic, sorted basis in that order, so they seed its basis cache
+    When every f_k is a single term and every I_k's reduced basis (base
+    included) holds only monomials, the result is read off exponents with
+    no kernel (``_monomial_meet``).  Otherwise it is one module kernel: the
+    kernel of P -> (+)_k P/I_k sending 1 to (f_k), computed by
+    ``syzygy_basis`` in the ideals' shared order modulo their reduced bases,
+    which are passed as ``GroebnerBasis`` values so the engine forms no
+    pairs within them.  Either way the result's generators are its reduced,
+    monic basis sorted ascending in that order, so they seed its basis cache
     (``spawn_reduced``).
     """
     ideals, elements = tuple(ideals), tuple(elements)
@@ -223,6 +236,37 @@ def meet_of_colons(ideals, elements) -> PresentedIdeal:
     for ideal, f in zip(ideals, elements):
         first._check(ideal)
         first._check_ring(f)
+    bases = [ideal.groebner() for ideal in ideals]
+    if all(len(f.terms) == 1 for f in elements) and all(
+            len(g.terms) == 1 for gb in bases for g in gb.generators):
+        meet = _monomial_meet(bases, elements, first.order.key())
+        return first.spawn_reduced(first.ring.monomial(m) for m in meet)
     kernel = syzygy_basis((FreeModuleElement(first.ring, elements),), first.order,
-                          first.step_budget, [ideal.groebner() for ideal in ideals])
+                          first.step_budget, bases)
     return first.spawn_reduced(v.components[0] for v in kernel)
+
+
+def _minimal(monomials, key) -> list:
+    """The minimal elements of ``monomials`` under divisibility, ascending by
+    ``key``: a divisor sorts before its multiples, so one pass keeps them."""
+    kept: list = []
+    for m in sorted(monomials, key=key):
+        if not any(mono_divides(k, m) for k in kept):
+            kept.append(m)
+    return kept
+
+
+def _monomial_meet(bases, elements, key) -> list:
+    """Exponents of the minimal generators of the meet of the colons
+    (I_k : u_k), ascending by ``key``, for reduced bases of monomials and
+    single terms u_k.  (I : x^u) is generated by the x^max(v - u, 0) over
+    I's generators x^v, and I cap J by the pairwise lcms of their generators
+    (Herzog-Hibi, Monomial Ideals, 1.2)."""
+    meet = None
+    for gb, f in zip(bases, elements):
+        (u,) = f.terms
+        colon = _minimal((tuple(max(e - d, 0) for e, d in zip(v, u))
+                          for g in gb.generators for v in g.terms), key)
+        meet = colon if meet is None else _minimal(
+            (mono_lcm(a, b) for a in meet for b in colon), key)
+    return meet

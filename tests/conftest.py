@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from corpus import CORPUS_PARAMS, Instance, build_corpus  # noqa: E402
 
+import formcone.ideals as ideals_module  # noqa: E402
 from formcone import (  # noqa: E402
     cohen_macaulay_report,
     defect_regularity_equivalence,
@@ -42,3 +43,14 @@ def corpus_results(corpus):
             "seconds": time.perf_counter() - started,
         })
     return out
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch) -> list:
+    """A list that gains one entry per colon kernel, that is, per
+    ``syzygy_basis`` call that ``ideals.meet_of_colons`` makes."""
+    calls = []
+    real = ideals_module.syzygy_basis
+    monkeypatch.setattr(ideals_module, "syzygy_basis",
+                        lambda *args: calls.append(1) or real(*args))
+    return calls

@@ -306,7 +306,8 @@ def component_basis(pres: GradedQuotientPresentation, n: int) -> ComponentBasis:
         if w:
             bounds.append(n + 1)
             continue
-        pure = [m[i] for m in leads if m[i] and all(e == 0 for j, e in enumerate(m) if j != i)]
+        # pure powers of variable i, and the constant lead of the unit ideal
+        pure = [m[i] for m in leads if all(e == 0 for j, e in enumerate(m) if j != i)]
         if not pure:
             raise InfiniteComponentError(
                 f"variable {pres.ring.variables[i]} is unbounded; component is infinite"

@@ -3,6 +3,7 @@ import io
 from dataclasses import replace
 from pathlib import Path
 
+import oracle as oracle_module
 import pytest
 from corpus import CORPUS_PARAMS, minors_context, tier4_contexts
 from oracle import contains_ideal, direct_defect_at, product_power
@@ -196,11 +197,26 @@ def test_the_ascending_check_fires_on_both_routes(monkeypatch):
     assert _shared_colons(_two_element_graded_context())
 
 
-def test_propagation_saves_kernels(monkeypatch):
+def _count_colons(monkeypatch) -> list:
+    """A list that gains one entry per ``meet_of_colons`` call, at every
+    binding that calls it: ``ideals`` (colon, intersection, the graded
+    annihilators), ``criterion`` (the level scan) and ``oracle`` (the
+    direct loop).  It counts the colons a scan asks for, whichever route
+    answers them."""
     calls = []
-    kernel = ideals_module.syzygy_basis
-    monkeypatch.setattr(ideals_module, "syzygy_basis",
-                        lambda *args: calls.append(1) or kernel(*args))
+    real = ideals_module.meet_of_colons
+
+    def counting(ideals, elements):
+        calls.append(1)
+        return real(ideals, elements)
+
+    for module in (ideals_module, criterion_module, oracle_module):
+        monkeypatch.setattr(module, "meet_of_colons", counting)
+    return calls
+
+
+def test_propagation_saves_kernels(monkeypatch):
+    calls = _count_colons(monkeypatch)
 
     def count(scan):
         calls.clear()
@@ -213,12 +229,13 @@ def test_propagation_saves_kernels(monkeypatch):
     assert propagated < direct
     # a against q^2, q^3 and q^4 and a^2 against q^3 below level 3, and
     # (I_M : a) = I_M for the colon sequence that every level from 3 on reads
+    # (q^2 M and q^3 M have monomial bases, so their three colons take no kernel)
     assert (direct, propagated) == (33, 5)
 
 
 def _reduction_cases():
     """(name, context, params, first level that reads the colon sequence or
-    None, kernels of an upward scan) for the chain route's choice."""
+    None, colons of an upward scan) for the chain route's choice."""
     x, y = R2.gens()
     f2 = PolynomialRing(FieldSpec(2), ("x", "y"))
     u, v = f2.gens()
@@ -249,14 +266,11 @@ def _reduction_cases():
 def test_reduced_chains_read_the_colon_sequence(monkeypatch):
     # once q^(n+c) M = a*q^n M + I_M holds at some level, every level from
     # there on reads C(n, l) = q^n M + (I_M : a^l) off the shared colon
-    # sequence and takes no kernel of its own; records must be those of the
+    # sequence and asks for no colon of its own; records must be those of the
     # direct loop, scanning upward or downward, and the premise must hold,
     # compared by bases, on every level that takes the route
-    calls = []
-    kernel = ideals_module.syzygy_basis
-    monkeypatch.setattr(ideals_module, "syzygy_basis",
-                        lambda *args: calls.append(1) or kernel(*args))
-    for name, ctx, params, start, kernels in _reduction_cases():
+    calls = _count_colons(monkeypatch)
+    for name, ctx, params, start, colons in _reduction_cases():
         levels = range(params.n_max + 1)
         reference = [_record_fields(direct_defect_at(ctx, n, params)) for n in levels]
         single = len(ctx.system) == 1
@@ -266,7 +280,7 @@ def test_reduced_chains_read_the_colon_sequence(monkeypatch):
             for n in levels if upward else reversed(levels):
                 assert _record_fields(defect_at(cold, n, params)) == reference[n], (name, n)
             if upward:
-                assert len(calls) == kernels, name
+                assert len(calls) == colons, name
             routed = [n for n in levels if single and _reads_colon_sequence(cold, n, params)]
             assert routed == ([] if start is None else list(range(start, params.n_max + 1))), \
                 (name, upward)
@@ -279,7 +293,7 @@ def test_reduced_chains_read_the_colon_sequence(monkeypatch):
             assert product_power(ctx, n + c).equals(
                 ctx.ideal_m.sum_with(*(a * g for g in low))), (name, n)
     # the tier-4 curve's q^3 M lies in I_M + (a), but C(2, 1) is not q^2 M,
-    # so level 2 keeps its kernels
+    # so level 2 keeps its own colons
     curve = tier4_contexts()[0]
     a = curve.system[0].element
     assert contains_ideal(curve.ideal_m.sum_with(a), product_power(curve, 3))
@@ -288,12 +302,9 @@ def test_reduced_chains_read_the_colon_sequence(monkeypatch):
 
 
 def test_shared_colons_save_kernels(corpus, monkeypatch):
-    # inst20, k[x,y,z] with a = (x, y): K_1 = K_0 = 0, so one kernel serves
-    # all nine levels, where the direct loop takes three per level
-    calls = []
-    kernel = ideals_module.syzygy_basis
-    monkeypatch.setattr(ideals_module, "syzygy_basis",
-                        lambda *args: calls.append(1) or kernel(*args))
+    # inst20, k[x,y,z] with a = (x, y): K_1 = K_0 = 0, so one colon serves
+    # all nine levels, where the direct loop asks for three per level
+    calls = _count_colons(monkeypatch)
     ctx = next(i.ctx for i in corpus if i.name.startswith("inst20"))
     levels = range(CORPUS_PARAMS.n_max + 1)
     [direct_defect_at(_fresh(ctx), n, CORPUS_PARAMS) for n in levels]
@@ -301,6 +312,16 @@ def test_shared_colons_save_kernels(corpus, monkeypatch):
     calls.clear()
     defect_scan(_fresh(ctx), CORPUS_PARAMS)
     assert (direct, len(calls)) == (27, 1)
+
+
+def test_monomial_scans_take_no_kernel(corpus, kernel_calls):
+    # inst20's base, filtration ideal and system are monomials, so every
+    # colon of its scans, direct or shared, is read off exponents
+    ctx = next(i.ctx for i in corpus if i.name.startswith("inst20"))
+    for n in range(CORPUS_PARAMS.n_max + 1):
+        direct_defect_at(_fresh(ctx), n, CORPUS_PARAMS)
+    defect_scan(_fresh(ctx), CORPUS_PARAMS)
+    assert kernel_calls == []
 
 
 def test_inputs_off_the_graded_case_keep_the_chain():

@@ -78,6 +78,13 @@ def test_hilbert_rejects_infinite_components():
         hilbert_function(mixed, 3)
 
 
+def test_hilbert_of_the_unit_ideal_with_weight_zero():
+    # the constant lead bounds every variable, so every component is 0
+    unit = GradedQuotientPresentation(R1, (0,), PresentedIdeal(R1, (), (R1.one(),)))
+    assert hilbert_function(unit, 4) == [0] * 5
+    assert [component_basis(unit, n).dimension for n in range(5)] == [0] * 5
+
+
 def test_hilbert_reads_weights_above_one():
     X, Y = R2.gens()
     free = GradedQuotientPresentation(R2, (2, 1), PresentedIdeal(R2, (), ()))

@@ -2,10 +2,11 @@ import random
 from itertools import product as cartesian
 
 import pytest
-from oracle import contains_ideal, product, substitute
+from oracle import contains_ideal, graph_kernel, product, substitute
 
 from formcone import (
     DEGREVLEX,
+    LEX,
     QQ,
     FieldSpec,
     FiltrationContext,
@@ -13,9 +14,11 @@ from formcone import (
     PresentedIdeal,
     RingMismatchError,
     ValidationError,
+    block_order,
     buchberger,
     weighted_order,
 )
+from formcone.groebner import FreeModuleElement
 from formcone.ideals import meet_of_colons
 
 R2 = PolynomialRing(QQ, ("x", "y"))
@@ -303,6 +306,102 @@ def test_colon_and_intersection_match_tag_elimination():
     u, v = F3.gens()
     I = PresentedIdeal(F3, (u**3 - v**2,), (u * v, v**3))
     assert I.colon(u + 2 * v).equals(tag_colon(I, u + 2 * v))
+
+
+def kernel_meet(ideals, elements):
+    """The meet of the colons (I_k : f_k) by the full graph route."""
+    column = FreeModuleElement(ideals[0].ring, tuple(elements))
+    kernel = graph_kernel([column], ideals[0].order, [i.combined() for i in ideals])
+    return tuple(v.components[0] for v in kernel)
+
+
+def tag_meet_of_colons(ideals, elements):
+    """The same meet by tag elimination, as a reduced basis; a zero ideal's
+    colon is zero, and so is every meet with it."""
+    colons = [I if I.is_zero() else tag_colon(I, f) for I, f in zip(ideals, elements)]
+    meet = colons[0]
+    for other in colons[1:]:
+        meet = meet if meet.is_zero() else other if other.is_zero() else tag_intersect(meet, other)
+    return meet.groebner().generators
+
+
+def random_monomials(ring, rng, count):
+    return [ring.monomial(tuple(rng.randint(0, 3) for _ in range(ring.nvars)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("characteristic", [0, 2, 3])
+def test_monomial_colons_match_both_routes(characteristic, kernel_calls):
+    # inputs whose reduced bases and elements are all monomials are read
+    # off exponents, with no kernel; the result must be the full graph
+    # route's and the tag route's, generator for generator
+    rng = random.Random(2500 + characteristic)
+    field = QQ if characteristic == 0 else FieldSpec(characteristic)
+    orders = (DEGREVLEX, LEX, weighted_order((0, 2, 1)), block_order((1,)))
+    checked = zeros = 0
+    for order in orders:
+        for trial in range(8):
+            ring = PolynomialRing(field, ("x", "y", "z")[:rng.randint(1, 3)])
+            base = tuple(random_monomials(ring, rng, rng.randint(0, 1)))
+
+            def ideal(*gens):
+                return PresentedIdeal(ring, base, gens, order=order)
+
+            ideals = [ideal(*random_monomials(ring, rng, rng.randint(1, 4))) for _ in range(3)]
+            ideals += [ideal(ring.one()), ideal()]  # the unit ideal, and the base alone
+            zeros += ideals[-1].is_zero()
+            elements = random_monomials(ring, rng, 3)
+            scale = 2 if characteristic != 2 else 1  # a coefficient other than 1
+            elements.append(elements[0].scale(scale))
+            cases = [((I,), (f,)) for I in ideals for f in (elements[0], elements[3])]
+            cases.append((ideals[:2], elements[:2]))
+            cases.append((ideals[:3], elements[:3]))
+            cases.append((ideals[2:], elements[1:]))
+            cases.append((ideals[1:], (ring.one(),) * 4))
+            for targets, powers in cases:
+                result = meet_of_colons(targets, powers)
+                assert result.generators == kernel_meet(targets, powers), (order, trial)
+                assert result.generators == tag_meet_of_colons(targets, powers), (order, trial)
+                assert_seeded_basis(result)
+                checked += 1
+            I, J = ideals[0], ideals[1]
+            expected = kernel_meet((I,) * len(J.generators), J.generators)
+            assert I.colon_ideal(J).generators == expected
+            f = elements[1]
+            saturated, k = I.saturation(f)
+            current, steps = I, 0
+            while True:
+                nxt = I.spawn(kernel_meet((current,), (f,)))
+                if nxt.equals(current):
+                    break
+                current, steps = nxt, steps + 1
+            assert saturated.groebner().generators == current.groebner().generators
+            assert k == steps
+    assert checked == len(orders) * 8 * 14 and zeros > 0
+    assert kernel_calls == []
+
+
+def test_mixed_inputs_keep_the_kernel(kernel_calls):
+    # one binomial, in an element, in a generator or in a base that does
+    # not reduce to monomials, sends the meet to the kernel; generators
+    # whose reduced basis is monomial do not
+    x, y = R2.gens()
+    monomial = ideal2(x * x, x * y)
+    mixed = [
+        ((monomial,), (x + y,)),
+        ((monomial, ideal2(y * y, x - y)), (x, y)),
+        ((ideal2(y * y, base=(x**3 - x * y,)),), (x,)),
+    ]
+    for targets, powers in mixed:
+        kernel_calls.clear()
+        result = meet_of_colons(targets, powers)
+        assert kernel_calls == [1]
+        assert result.generators == kernel_meet(targets, powers)
+        assert result.generators == tag_meet_of_colons(targets, powers)
+    kernel_calls.clear()
+    assert ideal2(x + y, y).colon(x).generators == (R2.one(),)
+    assert ideal2(x * x, base=(x**3 - y * y, y * y)).colon(x).generators == (x, y * y)
+    assert kernel_calls == []
 
 
 def test_meet_of_colons_checks_its_arguments():
