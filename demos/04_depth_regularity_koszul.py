@@ -27,15 +27,14 @@ ctx = FiltrationContext(RS, BASE, (), (X, Y, Z), [(X, 1)])
 cone = ctx.form_presentation()
 
 # (1) Is the class of X regular on the tangent cone?  No: Z kills it.
-image = ctx.graded_image(X, 1, cone)
-verdict = is_regular_element(cone, GradedElement(cone, image, 1))
+verdict = is_regular_element(GradedElement(cone, ctx.graded_image(X, 1), 1))
 print("X regular on the cone:", verdict.regular, "  witness:", verdict.witness)
 
 # (2) The bounded colon chain sees the same failure from the filtration side.
-print("colon-chain test:", colon_chain_regularity(ctx, X, 1, n_max=6))
+print("colon-chain test:", colon_chain_regularity(ctx, X, n_max=6))
 
 # (3) Koszul grade of the initial-form ideal, and the depth/dimension pair.
-images = system_images(ctx, cone)
+images = system_images(ctx)
 print("grade of the initial-form ideal:", koszul_grade(cone, images).value)
 report = depth(cone)
 print("depth:", report.value, "  dim:", graded_dim(cone), "  route:", report.method)

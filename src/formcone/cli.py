@@ -27,7 +27,6 @@ from .criterion import (
     cohen_macaulay_report,
     defect_scan,
 )
-from .criterion import system_images as _system_images
 from .errors import (
     BudgetExceededError,
     ConsistencyError,
@@ -116,13 +115,12 @@ def _hilbert(ctx: FiltrationContext, params: CriterionParams) -> dict:
 
 
 def _dim(ctx: FiltrationContext, params: CriterionParams) -> dict:
-    return {"dim": checked_dim(ctx, ctx.form_presentation())}
+    return {"dim": checked_dim(ctx)}
 
 
 def _depth(ctx: FiltrationContext, params: CriterionParams) -> dict:
-    pres = ctx.form_presentation()
-    report = checked_depth(ctx, pres)
-    return {"depth": int(report.value), "dim": checked_dim(ctx, pres),
+    report = checked_depth(ctx)
+    return {"depth": int(report.value), "dim": checked_dim(ctx),
             "certificates": _depth_certificates(report)}
 
 
@@ -138,8 +136,7 @@ def _lzero(ctx: FiltrationContext, params: CriterionParams) -> dict:
 
 
 def _grade(ctx: FiltrationContext, params: CriterionParams) -> dict:
-    pres = ctx.form_presentation()
-    direct, recursion = checked_grades(ctx, pres, _system_images(ctx, pres), params)
+    direct, recursion = checked_grades(ctx, params)
     return {"grade": int(direct.value),
             "certificates": {"regular_sequence": _regular_sequence(recursion.certificate)}}
 

@@ -24,7 +24,9 @@ verdicts are bounded by n_max/l_max and every record says so via
 
 The level scan, and ``colon_chain_regularity`` beside it, read the context's
 q-powers and colons.  The graded side reads the form presentation that the
-context builds, and the graded images of the system, through ``graded``.
+context builds, and the graded images of the system, through ``graded``;
+every function here that needs them takes the context alone and derives
+them from it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import islice
-from itertools import product as cartesian
 
 from .errors import (
     BudgetExceededError,
@@ -44,7 +45,6 @@ from .errors import (
 from .filtration import DEFAULT_PROBE_CAP, FiltrationContext, graded_power_basis
 from .graded import (
     GradedElement,
-    GradedQuotientPresentation,
     GradeReport,
     depth,
     first_regular,
@@ -54,7 +54,7 @@ from .graded import (
 )
 from .groebner import DEFAULT_STEP_BUDGET, normal_forms
 from .ideals import PresentedIdeal, meet_of_colons
-from .rings import Polynomial
+from .rings import Polynomial, exponents
 
 
 @dataclass(frozen=True)
@@ -467,16 +467,17 @@ def defect_scan(ctx: FiltrationContext, params: CriterionParams = DEFAULT_PARAMS
     )
 
 
-def colon_chain_regularity(ctx: FiltrationContext, b: Polynomial, d: int,
-                           n_max: int = 10) -> bool:
-    """Bounded colon test: (q^(n+d)M : b) = q^n M for all n <= n_max.
+def colon_chain_regularity(ctx: FiltrationContext, b: Polynomial, n_max: int = 10) -> bool:
+    """Bounded colon test: (q^(n+d)M : b) = q^n M for all n <= n_max, with
+    d the initial degree of b; an element whose initial form is zero is
+    refused.
 
     Heuristic counterpart of the exact graded test; the two must agree on
     every instance where both run.
     """
-    computed = ctx.initial_degree(b)
-    if computed != d:
-        raise ValidationError(f"stated degree {d} but initial degree is {computed}")
+    d = ctx.initial_degree(b)
+    if d is None:
+        raise ValidationError(f"{b} has a zero initial form; no colon-chain test")
     for n in range(n_max + 1):
         lhs = ctx.q_power(n + d).colon(b)
         if not lhs.equals(ctx.q_power(n)):
@@ -488,10 +489,9 @@ def colon_chain_regularity(ctx: FiltrationContext, b: Polynomial, d: int,
 # Exact graded side and the candidate search
 # ---------------------------------------------------------------------------
 
-def system_images(ctx: FiltrationContext,
-                  pres: GradedQuotientPresentation | None = None) -> tuple[GradedElement, ...]:
-    """Initial forms of the system as elements of the graded presentation,
-    computed once per context and presentation.
+def system_images(ctx: FiltrationContext) -> tuple[GradedElement, ...]:
+    """Initial forms of the system as elements of the form presentation,
+    computed once per context.
 
     Rejects systems whose initial forms act as the unit ideal (for example a
     degree-0 element that is a unit on the module), on every call: every
@@ -499,11 +499,11 @@ def system_images(ctx: FiltrationContext,
     apply.
     """
     _require_exact_system(ctx)
-    pres = pres or ctx.form_presentation()
-    key = ("system_images", pres)
+    pres = ctx.form_presentation()
+    key = ("system_images",)
     if key not in ctx.scratch:
         ctx.scratch[key] = tuple(
-            GradedElement(pres, ctx.graded_image(s.element, s.degree, pres), s.degree)
+            GradedElement(pres, ctx.graded_image(s.element, s.degree), s.degree)
             for s in ctx.system)
     images = ctx.scratch[key]
     if not pres.quotient_by(e.representative for e in images).ideal.is_proper():
@@ -523,29 +523,24 @@ def regular_form_exists(ctx: FiltrationContext) -> tuple[bool, Polynomial | None
     kills every candidate at once.  The presentation memoises the answer.
     """
     pres = ctx.form_presentation()
-    witness = pres.annihilator(e.representative for e in system_images(ctx, pres))
+    witness = pres.annihilator(e.representative for e in system_images(ctx))
     return witness is None, witness and pres.reduce(witness)
 
 
 def _candidate_multipliers(ctx: FiltrationContext, c_i: int, d: int,
                            params: CriterionParams) -> list[Polynomial]:
-    """Multipliers m with m*a expected in degree d: products of filtration
-    generators of degree d-c_i, optionally times low-degree ambient monomials
-    that do not raise the initial degree."""
+    """Multipliers m with m*a expected in degree d: the products of
+    filtration generators of degree d-c_i, ascending by exponent tuple, then
+    each of them times every ambient monomial of degree 1..extra, ascending
+    lex, where extra is ``search_extra_degree``."""
     if d < c_i:
         return []
-    base = [p for _, p in ctx.q_power_products(d - c_i)]
-    out = list(base)
-    ring = ctx.ring
-    if params.search_extra_degree > 0:
-        for expts in cartesian(*(range(params.search_extra_degree + 1) for _ in range(ring.nvars))):
-            total = sum(expts)
-            if total == 0 or total > params.search_extra_degree:
-                continue
-            mono = ring.monomial(expts, 1)
-            for p in base:
-                out.append(mono * p)
-    return out
+    ring, gens, extra = ctx.ring, ctx.q_generators, params.search_extra_degree
+    base = [math.prod((g ** e for g, e in zip(gens, expt) if e), start=ring.one())
+            for expt in exponents(len(gens), d - c_i)]
+    # a slack last entry makes these the tuples of total degree <= extra
+    monos = [ring.monomial(m[:-1]) for m in exponents(ring.nvars + 1, extra) if m[-1] < extra]
+    return base + [mono * p for mono in monos for p in base]
 
 
 def _coefficient_sets(ctx: FiltrationContext, params: CriterionParams,
@@ -622,7 +617,7 @@ def _search_regular_lift(ctx: FiltrationContext,
                 continue
         except ValidationError:  # b is zero in A
             continue
-        image = GradedElement(pres, ctx.graded_image(b, d, pres), d)
+        image = GradedElement(pres, ctx.graded_image(b, d), d)
         if first_regular(pres, (image,), killers) is not None:
             return CertificateStep(b, d, image)
     return None
@@ -700,9 +695,11 @@ def grade_by_recursion(ctx: FiltrationContext,
             raise ConsistencyError("recursion depth exceeded the module dimension")
 
 
-def checked_depth(ctx: FiltrationContext, pres: GradedQuotientPresentation) -> GradeReport:
-    """Depth of the graded module, taken at the origin: inputs whose
-    filtration ideal is not inside the variable ideal are refused."""
+def checked_depth(ctx: FiltrationContext) -> GradeReport:
+    """Depth of the form module, taken at the origin: inputs whose
+    filtration ideal is not inside the variable ideal are refused, once
+    the form presentation is built."""
+    pres = ctx.form_presentation()
     if ctx.local_model_mismatch:
         raise ValidationError(
             "filtration ideal is not inside the variable ideal; depth and the "
@@ -712,13 +709,13 @@ def checked_depth(ctx: FiltrationContext, pres: GradedQuotientPresentation) -> G
     return depth(pres)
 
 
-def checked_dim(ctx: FiltrationContext, pres: GradedQuotientPresentation) -> int:
-    """Dimension of the graded module, which must equal the module's own at
+def checked_dim(ctx: FiltrationContext) -> int:
+    """Dimension of the form module, which must equal the module's own at
     the origin.  Where q + I_A is m-primary, A/q^n lives at the origin, so
     dim G_q(M) = dim M_m; where the global dimension differs, the tangent
     cone by the route the form presentation did not take
     (``FiltrationContext.origin_cone``) gives dim M_m."""
-    dim_graded = graded_dim(pres)
+    dim_graded = graded_dim(ctx.form_presentation())
     dim_module = ctx.ideal_m.krull_dim()
     if dim_graded != dim_module and ctx.q_ideal.is_m_primary():
         dim_module = graded_dim(ctx.origin_cone())
@@ -729,11 +726,11 @@ def checked_dim(ctx: FiltrationContext, pres: GradedQuotientPresentation) -> int
     return dim_graded
 
 
-def checked_grades(ctx: FiltrationContext, pres: GradedQuotientPresentation, images,
+def checked_grades(ctx: FiltrationContext,
                    params: CriterionParams = DEFAULT_PARAMS) -> tuple[GradeReport, GradeReport]:
     """The grade of the system's initial forms by both exact routes, Koszul
     homology and the regular-step recursion, which must agree."""
-    direct = koszul_grade(pres, images)
+    direct = koszul_grade(ctx.form_presentation(), system_images(ctx))
     recursion = grade_by_recursion(ctx, params)
     if direct.value != recursion.value:
         raise ConsistencyError(
@@ -757,13 +754,12 @@ def cohen_macaulay_report(ctx: FiltrationContext,
     (scans, the equivalence check, and the grade recursion still apply).
     """
     _require_exact_system(ctx)
-    pres = ctx.form_presentation()
-    depth_report = checked_depth(ctx, pres)
-    dim_graded = checked_dim(ctx, pres)
-    images = system_images(ctx, pres)
-    direct, recursion = checked_grades(ctx, pres, images, params)
+    depth_report = checked_depth(ctx)
+    dim_graded = checked_dim(ctx)
+    images = system_images(ctx)
+    direct, recursion = checked_grades(ctx, params)
     scan = defect_scan(ctx, params)
-    sop = is_system_of_parameters(pres, images)
+    sop = is_system_of_parameters(ctx.form_presentation(), images)
     if sop and depth_report.value != direct.value:
         raise ConsistencyError(
             f"system of parameters but grade {direct.value} != depth {depth_report.value}"

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .errors import ConsistencyError, RingMismatchError, ValidationError
 from .graded import GradedQuotientPresentation
@@ -64,7 +63,7 @@ from .groebner import (
     normal_forms,
 )
 from .ideals import PresentedIdeal
-from .rings import DEGREVLEX, Polynomial, PolynomialRing, block_order, mono_divides
+from .rings import DEGREVLEX, Polynomial, PolynomialRing, block_order, exponents, mono_divides
 
 DEFAULT_PROBE_CAP = 12
 
@@ -96,14 +95,8 @@ def graded_power_basis(ring: PolynomialRing, basis, n: int) -> tuple[Polynomial,
     low = tuple(g for g in basis if g.total_degree() < n)
     leads = [g.leading_monomial() for g in low]
     one = ring.field.coerce(1)
-    monos = []
-    for chosen in combinations_with_replacement(range(ring.nvars), n):
-        mono = [0] * ring.nvars
-        for i in chosen:
-            mono[i] += 1
-        mono = tuple(mono)
-        if not any(mono_divides(lead, mono) for lead in leads):
-            monos.append(mono)
+    monos = [m for m in exponents(ring.nvars, n)
+             if not any(mono_divides(lead, m) for lead in leads)]
     monos.sort(key=DEGREVLEX.key())
     return low + tuple(Polynomial(ring, {m: one}) for m in monos)
 
@@ -126,9 +119,10 @@ class FiltrationContext:
     Three layers, each with one owner.  ``base`` is the context of M = A
     over the same A, q, ``probe_cap`` and ``step_budget`` (a context built
     with no module is its own); only it builds and checks I_A, q + I_A,
-    ``local_model_mismatch``, the q-products and the q^n + I_A ladder.  The
-    module layer holds I_M, its ladder and the presentations, the system
-    layer the system; derived contexts replace one layer and share the rest.
+    ``local_model_mismatch``, the presentation ring and the q^n + I_A
+    ladder.  The module layer holds I_M, its ladder and the presentations,
+    the system layer the system; derived contexts replace one layer and
+    share the rest.
 
     Construction verifies that q is proper, that M and M/qM are nonzero, and
     that every system element has the claimed initial degree modulo I_A.
@@ -174,13 +168,17 @@ class FiltrationContext:
                                      and any(g.min_degree() == 0 for g in q_gens))
         self.q_is_m = all(self.q_ideal.contains(v) for v in ring.gens())
         self._q_slots = slots = _variable_slots(q_gens)
+        # the ring P[y] of the Rees and form presentations, one y-variable per
+        # generator of q after the x-variables, with weight 0 on the x's and
+        # 1 on the y's
+        n, s = ring.nvars, len(q_gens)
+        self._pres_ring = ring.extend(ring.fresh_names("y", s))
+        self._pres_weights = (0,) * n + (1,) * s
         # where q's generators are the variables (see the module docstring):
         # the slot of each variable's y in the presentation ring
-        n = ring.nvars
         self._to_y = None
         if slots is not None and sorted(slots) == list(range(n)):
             self._to_y = [n + slots.index(i) for i in range(n)]
-        self._products: dict[int, tuple] = {}
 
     def _set_module(self, module_gens: tuple):
         self.module_generators, self.ideal_m, level_one = module_gens, self.ideal_a, self.q_ideal
@@ -223,30 +221,6 @@ class FiltrationContext:
         return SystemElement(element, degree)
 
     # -- power ladder ---------------------------------------------------------
-
-    def q_power_products(self, n: int) -> tuple:
-        """Degree-n multiset products of q's generators as (exponent, polynomial) pairs.
-
-        Levels are filled upward, each from the one below, starting at the
-        highest cached level; the cache always holds levels 0..top.
-        """
-        products = self._products
-        s = len(self.q_generators)
-        if not products:
-            products[0] = (((0,) * s, self.ring.one()),)
-        for level in range(len(products), n + 1):
-            seen: dict[tuple, Polynomial] = {}
-            for expt, poly in products[level - 1]:
-                # extend only at or after the last used generator: each multiset once
-                top = max((i for i in range(s) if expt[i]), default=0)
-                for i in range(top, s):
-                    e = list(expt)
-                    e[i] += 1
-                    key = tuple(e)
-                    if key not in seen:
-                        seen[key] = poly * self.q_generators[i]
-            products[level] = tuple(sorted(seen.items()))
-        return products[n]
 
     def q_power(self, n: int) -> PresentedIdeal:
         """q^n M, that is q^n + I_M, as a presented ideal with cached reduced
@@ -313,13 +287,6 @@ class FiltrationContext:
 
     # -- graded presentations -----------------------------------------------------
 
-    def _presentation_ring(self) -> tuple[PolynomialRing, tuple[int, ...]]:
-        """The ring P[y] of the Rees and form presentations, one y-variable
-        per generator of q after the x-variables, and its weights: 0 on the
-        x's, 1 on the y's."""
-        n, s = self.ring.nvars, len(self.q_generators)
-        return self.ring.extend(self.ring.fresh_names("y", s)), (0,) * n + (1,) * s
-
     def _rees_basis(self) -> tuple[PolynomialRing, GroebnerBasis]:
         """The ring P[y, T] and the basis of I_M + (y_j - f_j T) in it under
         the order that eliminates T, the last variable; computed once per
@@ -327,8 +294,7 @@ class FiltrationContext:
         key = ("rees",)
         if key not in self._presentations:
             n, s = self.ring.nvars, len(self.q_generators)
-            pres_ring, _ = self._presentation_ring()
-            big = pres_ring.extend((pres_ring.fresh_name("T"),))
+            big = self._pres_ring.extend((self._pres_ring.fresh_name("T"),))
             emb = list(range(n))
             t = big.var(n + s)
             gens = [g.map_to(big, emb) for g in self.base_generators + self.module_generators]
@@ -343,25 +309,24 @@ class FiltrationContext:
         the Rees basis, which generate I_M + (y_j - f_j T) with T eliminated."""
         big, gb = self._rees_basis()
         t_index = big.nvars - 1
-        pres_ring, weights = self._presentation_ring()
+        pres_ring = self._pres_ring
         keep = []
         for g in gb.generators:
             if all(m[t_index] == 0 for m in g.terms):
                 keep.append(g.map_to(pres_ring, list(range(t_index)) + [0]))
         return GradedQuotientPresentation(
-            pres_ring, weights,
+            pres_ring, self._pres_weights,
             PresentedIdeal(pres_ring, (), tuple(keep), self.step_budget),
         )
 
     def _rees_form(self) -> GradedQuotientPresentation:
         """The form presentation by the Rees route: the Rees presentation
         plus q's generators in the degree-0 variables."""
-        pres_ring, weights = self._presentation_ring()
-        emb = list(range(self.ring.nvars))
+        pres_ring, emb = self._pres_ring, list(range(self.ring.nvars))
         gens = self.rees_presentation().ideal.generators + tuple(
             f.map_to(pres_ring, emb) for f in self.q_generators)
         return GradedQuotientPresentation(
-            pres_ring, weights, PresentedIdeal(pres_ring, (), gens, self.step_budget))
+            pres_ring, self._pres_weights, PresentedIdeal(pres_ring, (), gens, self.step_budget))
 
     def form_presentation(self) -> GradedQuotientPresentation:
         """Associated-graded presentation of M: the Rees presentation modulo
@@ -378,13 +343,13 @@ class FiltrationContext:
         if self._to_y is None:
             pres = self._rees_form()
         else:
-            pres_ring, weights = self._presentation_ring()
+            pres_ring = self._pres_ring
             cone = (self.ideal_m.groebner().generators if self._graded
                     else self._lowest_form_cone().ideal.generators)
             gens = pres_ring.gens()[:self.ring.nvars] + tuple(
                 g.map_to(pres_ring, self._to_y) for g in cone)
-            pres = GradedQuotientPresentation(
-                pres_ring, weights, PresentedIdeal(pres_ring, (), gens, self.step_budget))
+            pres = GradedQuotientPresentation(pres_ring, self._pres_weights,
+                                              PresentedIdeal(pres_ring, (), gens, self.step_budget))
         for g in pres.groebner().generators:
             if not g.is_homogeneous(pres.weights):
                 raise ConsistencyError("form presentation is not weight-homogeneous")
@@ -394,27 +359,16 @@ class FiltrationContext:
     def _lowest_form_cone(self) -> GradedQuotientPresentation:
         """The lowest-form cone of I_M by Lazard's homogenization (EUROCAL
         1983), computed once per context: homogenize I_M's generators with
-        an auxiliary variable h, run one basis under an order that ranks h
-        first, and keep the top-h slice, the lowest x-degree part, of each
-        basis element."""
+        an auxiliary variable h (each term m of f gains h^(deg f - |m|)),
+        run one basis under an order that ranks h first, and keep the top-h
+        slice, the lowest x-degree part, of each basis element."""
         key = ("cone",)
         if key in self._presentations:
             return self._presentations[key]
         n = self.ring.nvars
-        h_name = self.ring.fresh_name("h")
-        big = self.ring.extend((h_name,))
-        emb = list(range(n))
-        h = big.var(n)
-        homogenized = []
-        for f in self.ideal_m.combined():
-            if f.is_zero():
-                continue
-            lifted = f.map_to(big, emb)
-            top = f.total_degree()
-            acc = big.zero()
-            for d in range(f.min_degree(), top + 1):
-                acc = acc + lifted.homogeneous_part(d, (1,) * n + (0,)) * h ** (top - d)
-            homogenized.append(acc)
+        big = self.ring.extend((self.ring.fresh_name("h"),))
+        homogenized = [Polynomial(big, {m + (top - sum(m),): c for m, c in f.terms.items()})
+                       for f in self.ideal_m.combined() if (top := f.total_degree()) >= 0]
         gb = buchberger(homogenized, block_order((n,)), self.step_budget)
         cone_gens = []
         for g in gb.generators:
@@ -472,16 +426,15 @@ class FiltrationContext:
 
     # -- graded images of ring elements ---------------------------------------------
 
-    def graded_image(self, a: Polynomial, degree: int,
-                     presentation: GradedQuotientPresentation) -> Polynomial:
+    def graded_image(self, a: Polynomial, degree: int) -> Polynomial:
         """Class of a in q^degree M / q^(degree+1) M as a weight-homogeneous
-        element of the presentation.
+        element of the form presentation, reduced modulo it.
 
         a*T^degree lies in the Rees algebra of M exactly when its normal form
         against the Rees basis is free of T (subalgebra membership,
         Shannon-Sweedler 1988); that normal form is then a polynomial in the
         x- and y-variables with the same image in the Rees algebra, and it is
-        reduced modulo the presentation.  With weights 0, 1, 1 on x, y and T
+        reduced modulo the form presentation.  With weights 0, 1, 1 on x, y and T
         the Rees ideal is homogeneous, so its reduced basis is too, and the
         normal form of a*T^degree already has weight ``degree``.  An element
         outside q^degree M raises ValidationError; one inside it whose class
@@ -499,9 +452,7 @@ class FiltrationContext:
         form above, which decides membership (a = x lies in m^2 + (x - y^2)).
         """
         self._check_ring(a)
-        if presentation.ring != self._presentation_ring()[0]:
-            raise ValidationError("presentation is not over this context's Rees ring; "
-                                  "use the elimination route")
+        presentation = self.form_presentation()
         inside = False
         if self._to_y is not None:
             inside = self.ideal_m.contains(

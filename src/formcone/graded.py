@@ -28,7 +28,7 @@ from itertools import combinations
 from .errors import ConsistencyError, InfiniteComponentError, ValidationError
 from .groebner import FreeModuleElement, GraphBasis, normal_form, normal_forms
 from .ideals import PresentedIdeal
-from .rings import Monomial, Polynomial, PolynomialRing, weighted_order
+from .rings import Monomial, Polynomial, PolynomialRing, minimal_monomials, weighted_order
 
 
 class GradedQuotientPresentation:
@@ -160,14 +160,6 @@ class GradeReport:
 # Hilbert function
 # ---------------------------------------------------------------------------
 
-def _minimal_monomials(monos) -> frozenset:
-    out = []
-    for m in sorted(monos, key=sum):
-        if not any(all(a <= b for a, b in zip(kept, m)) for kept in out):
-            out.append(m)
-    return frozenset(out)
-
-
 def _numerator(leads: frozenset, weights, memo: dict) -> list[int]:
     """Coefficients of K(L) in HS(P/L) = K(L) / prod over w_i > 0 of
     (1 - t^w_i), for the monomial ideal L that ``leads`` generate.
@@ -178,7 +170,7 @@ def _numerator(leads: frozenset, weights, memo: dict) -> list[int]:
     key = leads
     if key in memo:
         return memo[key]
-    leads = _minimal_monomials(leads)
+    leads = frozenset(minimal_monomials(leads))
     mixed = [m for m in leads if sum(1 for e in m if e) > 1]
     if (0,) * len(weights) in leads:
         value = []
@@ -241,16 +233,14 @@ def graded_dim(pres: GradedQuotientPresentation) -> int:
 # Regularity
 # ---------------------------------------------------------------------------
 
-def is_regular_element(pres: GradedQuotientPresentation, b: GradedElement) -> RegularityResult:
-    """Exact verdict: b is regular iff (H : b) = H; otherwise a nonzero
-    annihilator class is returned as witness.
+def is_regular_element(b: GradedElement) -> RegularityResult:
+    """Exact verdict: b is regular on its presentation k[variables]/H iff
+    (H : b) = H; otherwise a nonzero annihilator class is returned as witness.
 
     Homogeneous elements of any degree are accepted; degree 0 arises from
     systems whose elements avoid the filtration ideal.
     """
-    if b.presentation is not pres and b.presentation.ideal is not pres.ideal:
-        if b.representative.ring != pres.ring:
-            raise ValidationError("element belongs to a different presentation")
+    pres = b.presentation
     if b.degree < 0:
         raise ValidationError("regularity test expects nonnegative degree")
     witness = pres.annihilator((b.representative,))

@@ -31,7 +31,7 @@ from .rings import (
     Polynomial,
     PolynomialRing,
     block_order,
-    mono_divides,
+    minimal_monomials,
     mono_lcm,
 )
 
@@ -246,16 +246,6 @@ def meet_of_colons(ideals, elements) -> PresentedIdeal:
     return first.spawn_reduced(v.components[0] for v in kernel)
 
 
-def _minimal(monomials, key) -> list:
-    """The minimal elements of ``monomials`` under divisibility, ascending by
-    ``key``: a divisor sorts before its multiples, so one pass keeps them."""
-    kept: list = []
-    for m in sorted(monomials, key=key):
-        if not any(mono_divides(k, m) for k in kept):
-            kept.append(m)
-    return kept
-
-
 def _monomial_meet(bases, elements, key) -> list:
     """Exponents of the minimal generators of the meet of the colons
     (I_k : u_k), ascending by ``key``, for reduced bases of monomials and
@@ -265,8 +255,8 @@ def _monomial_meet(bases, elements, key) -> list:
     meet = None
     for gb, f in zip(bases, elements):
         (u,) = f.terms
-        colon = _minimal((tuple(max(e - d, 0) for e, d in zip(v, u))
-                          for g in gb.generators for v in g.terms), key)
-        meet = colon if meet is None else _minimal(
+        colon = minimal_monomials((tuple(max(e - d, 0) for e, d in zip(v, u))
+                                   for g in gb.generators for v in g.terms), key)
+        meet = colon if meet is None else minimal_monomials(
             (mono_lcm(a, b) for a in meet for b in colon), key)
     return meet

@@ -128,6 +128,27 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
 
 
+def exponents(nvars: int, degree: int) -> list[Monomial]:
+    """Every exponent tuple of ``nvars`` entries and total ``degree``, in
+    ascending lex order; built one position at a time, with no recursion."""
+    rows = [((), degree)]
+    for i in range(nvars):
+        rows = [(head + (e,), left - e) for head, left in rows
+                for e in ((left,) if i == nvars - 1 else range(left + 1))]
+    return [head for head, left in rows if not left]
+
+
+def minimal_monomials(monomials, key=sum) -> list[Monomial]:
+    """The minimal elements of ``monomials`` under divisibility, ascending by
+    ``key``, which must rank a divisor before its multiples (total degree,
+    or a monomial order), so that one pass keeps them."""
+    kept: list[Monomial] = []
+    for m in sorted(monomials, key=key):
+        if not any(mono_divides(k, m) for k in kept):
+            kept.append(m)
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # Monomial orders
 # ---------------------------------------------------------------------------
@@ -339,10 +360,8 @@ class Polynomial:
     def sorted_terms(self, order: MonomialOrder = DEGREVLEX) -> list[tuple[Monomial, Coefficient]]:
         return [(m, self.terms[m]) for m in sorted(self.terms, key=order.key(), reverse=True)]
 
-    def homogeneous_part(self, degree: int, weights: tuple[int, ...] | None = None) -> "Polynomial":
-        w = weights or (1,) * self.ring.nvars
-        sel = {m: c for m, c in self.terms.items() if sum(wi * e for wi, e in zip(w, m)) == degree}
-        return Polynomial(self.ring, sel)
+    def homogeneous_part(self, degree: int) -> "Polynomial":
+        return Polynomial(self.ring, {m: c for m, c in self.terms.items() if sum(m) == degree})
 
     def is_homogeneous(self, weights: tuple[int, ...] | None = None) -> bool:
         w = weights or (1,) * self.ring.nvars

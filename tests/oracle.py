@@ -6,8 +6,9 @@ answers are cross-checked with exact linear algebra (fraction-free
 elimination over the integers for characteristic 0, plain elimination mod p)
 and with definitional membership tests.  ``is_groebner`` checks Buchberger's
 S-pair criterion on a generator list, ``graph_kernel`` reads a module
-kernel off the fully interreduced graph basis, ``lifted_image`` computes
-a graded image by membership lifting, ``rees_form_presentation``,
+kernel off the fully interreduced graph basis, ``q_products`` lists the
+degree-k products of q's generators, ``lifted_image`` computes a graded
+image by membership lifting, ``rees_form_presentation``,
 ``rees_cone`` and ``rees_image`` give the form presentation, the tangent
 cone and graded images by the Rees route, and ``direct_defect_at`` runs the
 level-n colon chain with one kernel per step.  The level checks take q^k M
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from itertools import product as cartesian
 from math import gcd
 
@@ -103,6 +105,20 @@ def graph_kernel(columns, order: MonomialOrder = DEGREVLEX, modulo=()) -> list:
             if all(c.is_zero() for c in v.components[:r])]
 
 
+def q_products(ctx: FiltrationContext, k: int) -> list[tuple[Monomial, Polynomial]]:
+    """(exponent, product) for each degree-k multiset of q's generators, one
+    per ``combinations_with_replacement``: the reference shares no
+    enumeration with the package."""
+    gens = ctx.q_generators
+    out = []
+    for chosen in combinations_with_replacement(range(len(gens)), k):
+        product = ctx.ring.one()
+        for i in chosen:
+            product = product * gens[i]
+        out.append((tuple(chosen.count(i) for i in range(len(gens))), product))
+    return out
+
+
 def lifted_image(ctx: FiltrationContext, a: Polynomial, degree: int,
                  pres: GradedQuotientPresentation) -> Polynomial | None:
     """Graded image of a by membership lifting, or None when a is not in
@@ -117,7 +133,7 @@ def lifted_image(ctx: FiltrationContext, a: Polynomial, degree: int,
     variables reads a's degree-``degree`` part.
     """
     ring = ctx.ring
-    products = ctx.q_power_products(degree)
+    products = q_products(ctx, degree)
     gens = [p for _, p in products] + list(ctx.base_generators)
     zero, one = ring.zero(), ring.one()
     graph = [FreeModuleElement(ring, (g,) + tuple(one if j == i else zero for j in range(len(gens))))
@@ -365,7 +381,7 @@ def product_power(ctx: FiltrationContext, k: int) -> PresentedIdeal:
     context's scratch space."""
     key = ("product_power", k)
     if key not in ctx.scratch:
-        products = tuple(p for _, p in ctx.q_power_products(k))
+        products = tuple(p for _, p in q_products(ctx, k))
         ctx.scratch[key] = PresentedIdeal(ctx.ring, ctx.base_generators,
                                           products + ctx.module_generators, ctx.step_budget)
     return ctx.scratch[key]

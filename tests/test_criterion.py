@@ -1,6 +1,7 @@
 import contextlib
 import io
 from dataclasses import replace
+from itertools import product as cartesian
 from pathlib import Path
 
 import oracle as oracle_module
@@ -388,7 +389,7 @@ def test_annihilator_witness_kills_all_candidates():
     exists, witness = regular_form_exists(ctx)
     assert not exists
     pres = ctx.form_presentation()
-    images = system_images(ctx, pres)
+    images = system_images(ctx)
     for image in images:
         assert pres.contains(witness * image.representative)
 
@@ -400,7 +401,7 @@ def test_grade_recursion_on_regular_plane():
     assert report.value == 2
     assert len(report.certificate) == 2
     pres = ctx.form_presentation()
-    direct = koszul_grade(pres, system_images(ctx, pres))
+    direct = koszul_grade(pres, system_images(ctx))
     assert direct.value == 2
 
 
@@ -420,10 +421,10 @@ def test_certificate_replays_through_successive_quotients():
     work = ctx
     for step in report.certificate:
         pres = work.form_presentation()
-        image = work.graded_image(step.element, step.degree, pres)
+        image = work.graded_image(step.element, step.degree)
         from formcone import GradedElement
 
-        assert is_regular_element(pres, GradedElement(pres, image, step.degree)).regular
+        assert is_regular_element(GradedElement(pres, image, step.degree)).regular
         work = work.quotient_by_element(step.element)
 
 
@@ -526,7 +527,7 @@ def test_each_ideal_is_built_once(monkeypatch):
 
 def test_system_images_are_built_once_per_context(monkeypatch):
     """The equivalence check, the grade recursion and the CM report read the
-    system's graded images from one memo per context and presentation; the
+    system's graded images from one memo per context; the
     unit-ideal refusal still runs on every call (see
     ``test_unit_like_system_is_rejected_by_graded_routes``)."""
     ctx = curve_context()
@@ -539,6 +540,60 @@ def test_system_images_are_built_once_per_context(monkeypatch):
     assert system_images(ctx) is images
     defect_regularity_equivalence(ctx, DEMO_PARAMS)
     assert cohen_macaulay_report(ctx, DEMO_PARAMS).system_images is images
+
+
+def _multipliers_by_product_table(ctx, c_i, d, extra):
+    """The lift search's multipliers as the context's product table and an
+    ``itertools.product`` filter enumerated them: the degree-(d - c_i)
+    products of q's generators sorted by exponent tuple, then each ambient
+    monomial of total degree 1..extra, in ``itertools.product`` order,
+    times each product."""
+    if d < c_i:
+        return []
+    s = len(ctx.q_generators)
+    products = {0: (((0,) * s, ctx.ring.one()),)}
+    for level in range(1, d - c_i + 1):
+        seen = {}
+        for expt, poly in products[level - 1]:
+            top = max((i for i in range(s) if expt[i]), default=0)
+            for i in range(top, s):
+                e = list(expt)
+                e[i] += 1
+                key = tuple(e)
+                if key not in seen:
+                    seen[key] = poly * ctx.q_generators[i]
+        products[level] = tuple(sorted(seen.items()))
+    base = [p for _, p in products[d - c_i]]
+    out = list(base)
+    if extra > 0:
+        for expts in cartesian(*(range(extra + 1) for _ in range(ctx.ring.nvars))):
+            total = sum(expts)
+            if total == 0 or total > extra:
+                continue
+            mono = ctx.ring.monomial(expts, 1)
+            for p in base:
+                out.append(mono * p)
+    return out
+
+
+def test_search_candidates_keep_their_order(corpus):
+    """The lift search's multipliers come from one exponent enumerator and
+    match the product-table enumeration term for term, in the same order,
+    for every (element, degree) pair the search visits."""
+    demo = Path(__file__).parent.parent / "demos" / "semigroup_curve.fc"
+    contexts = ([i.ctx for i in corpus] + tier4_contexts()
+                + [parse_session(demo.read_text(encoding="utf-8")).context()])
+    compared = 0
+    for extra in range(4):
+        params = replace(CORPUS_PARAMS, search_extra_degree=extra)
+        for ctx in contexts:
+            d_min = min(s.degree for s in ctx.system)
+            for d in range(d_min, d_min + params.search_degree_span + 1):
+                for s in ctx.system:
+                    got = criterion_module._candidate_multipliers(ctx, s.degree, d, params)
+                    assert got == _multipliers_by_product_table(ctx, s.degree, d, extra), str(ctx)
+                    compared += len(got)
+    assert compared > 1000
 
 
 def test_presentation_rings_run_in_the_presentation_order(monkeypatch):
@@ -740,9 +795,9 @@ def test_exact_and_bounded_regularity_agree_on_corpus(corpus):
         if d != element.degree:
             continue  # module-relative degree differs; chain test not comparable
         pres = ctx.form_presentation()
-        image = ctx.graded_image(element.element, d, pres)
-        exact = is_regular_element(pres, GradedElement(pres, image, d)).regular
-        bounded = colon_chain_regularity(ctx, element.element, d, n_max=6)
+        image = ctx.graded_image(element.element, d)
+        exact = is_regular_element(GradedElement(pres, image, d)).regular
+        bounded = colon_chain_regularity(ctx, element.element, n_max=6)
         assert exact == bounded, inst.name
         checked += 1
     assert checked >= 20
@@ -768,10 +823,10 @@ def test_the_dimension_fallback_takes_the_other_route(monkeypatch):
         form = ctx.form_presentation()
         assert ctx.ideal_m.krull_dim() == local + 1 and ctx.q_ideal.is_m_primary()
         before = len(runs)
-        assert checked_dim(ctx, form) == local
+        assert checked_dim(ctx) == local
         assert (ctx.origin_cone().ring == form.ring) == rees
         assert (len(runs) > before) == rees
     wrong = GradedQuotientPresentation(R3, (1, 1, 1), PresentedIdeal(R3, (), ()))
     monkeypatch.setattr(FiltrationContext, "origin_cone", lambda self: wrong)
     with pytest.raises(ConsistencyError, match="graded dimension 1 differs from module dimension 3"):
-        checked_dim(affine, affine.form_presentation())
+        checked_dim(affine)

@@ -139,15 +139,15 @@ def test_graded_dims():
 def test_regular_elements_and_witnesses():
     X, Y = R2.gens()
     free = plain(R2)
-    assert is_regular_element(free, GradedElement(free, X, 1)).regular
+    assert is_regular_element(GradedElement(free, X, 1)).regular
 
     cone = curve_cone()
     Xs, Ys, Zs = RS.gens()
-    verdict = is_regular_element(cone, GradedElement(cone, Xs, 1))
+    verdict = is_regular_element(GradedElement(cone, Xs, 1))
     assert not verdict.regular and verdict.witness == Zs
 
     nil = plain(R2, X * X, X * Y)
-    verdict = is_regular_element(nil, GradedElement(nil, Y, 1))
+    verdict = is_regular_element(GradedElement(nil, Y, 1))
     assert not verdict.regular and verdict.witness == X
 
 
@@ -163,23 +163,24 @@ def test_graded_element_validation():
 def test_colon_chain_on_curve_principal():
     ctx = curve_context(q="x")
     X = RS.var(0)
-    assert colon_chain_regularity(ctx, X, 1, n_max=6)
+    assert colon_chain_regularity(ctx, X, n_max=6)
 
 
 def test_colon_chain_detects_nilpotent_failure():
     x, y = PolynomialRing(QQ, ("x", "y")).gens()
     ring = x.ring
     ctx = FiltrationContext(ring, (x * x, x * y), (), (x, y), [])
-    assert not colon_chain_regularity(ctx, y, 1, n_max=6)
-    with pytest.raises(ValidationError):
-        colon_chain_regularity(ctx, y, 2, n_max=4)
+    assert not colon_chain_regularity(ctx, y, n_max=6)
+    # y^13 lies in q^12 M, the probe cap, so its initial form counts as zero
+    with pytest.raises(ValidationError, match="zero initial form"):
+        colon_chain_regularity(ctx, y**13, n_max=4)
 
 
 def test_colon_chain_trivial_principal():
     R = PolynomialRing(QQ, ("x",))
     x, = R.gens()
     ctx = FiltrationContext(R, (), (), (x,), [])
-    assert colon_chain_regularity(ctx, x.scale(5), 1, n_max=6)
+    assert colon_chain_regularity(ctx, x.scale(5), n_max=6)
 
 
 def test_exact_and_chain_regularity_agree():
@@ -197,9 +198,9 @@ def test_exact_and_chain_regularity_agree():
         b = R2.parse(elem_expr)
         d = ctx.initial_degree(b)
         form = ctx.form_presentation()
-        image = ctx.graded_image(b, d, form)
-        exact = is_regular_element(form, GradedElement(form, image, d)).regular
-        bounded = colon_chain_regularity(ctx, b, d, n_max=8)
+        image = ctx.graded_image(b, d)
+        exact = is_regular_element(GradedElement(form, image, d)).regular
+        bounded = colon_chain_regularity(ctx, b, n_max=8)
         assert exact == bounded, (base_exprs, elem_expr)
 
 
@@ -301,7 +302,7 @@ def test_koszul_homology_builds_no_module_basis(monkeypatch):
     work = []
     for ctx in tier4_contexts():
         pres = ctx.form_presentation()
-        work.append((pres, system_images(ctx, pres)))
+        work.append((pres, system_images(ctx)))
     bindings = [m for name, m in sorted(sys.modules.items())
                 if name.split(".")[0] == "formcone" and getattr(m, "buchberger", None) is buchberger]
     assert len(bindings) >= 3
@@ -470,7 +471,7 @@ def test_depth_falls_back_to_koszul(char):
     surface = plain(ring, X * Y * Z * (X + Y) * (X + Z) * (Y + Z) * (X + Y + Z))
     gens = variable_images(surface)
     for sum_ in _sums_of_images([g.representative for g in gens]):
-        assert not is_regular_element(surface, GradedElement(surface, sum_, 1)).regular
+        assert not is_regular_element(GradedElement(surface, sum_, 1)).regular
     report = depth(surface)
     assert (report.value, report.method) == (2, "koszul")
     assert report == koszul_grade(surface, gens)
@@ -490,7 +491,7 @@ def test_depth_builds_no_graph_basis(monkeypatch):
     counts = []
     for ctx in tier4_contexts()[1:]:
         pres = ctx.form_presentation()
-        for run in (lambda: depth(pres), lambda: koszul_grade(pres, system_images(ctx, pres))):
+        for run in (lambda: depth(pres), lambda: koszul_grade(pres, system_images(ctx))):
             before = len(built)
             counts.append((run().value, len(built) - before))
     assert counts == [(2, 0), (2, 2), (2, 0), (1, 0)]

@@ -121,7 +121,7 @@ def test_truncated_vs_exact_regularity():
     for v in (Xs, Ys, Zs, Xs + Ys):
         cases.append((cone, GradedElement(cone, v, 1)))
     for pres, element in cases:
-        exact = is_regular_element(pres, element)
+        exact = is_regular_element(element)
         bounded = truncated_regularity(pres, element, 6)
         # witness degrees here are small, so the bounded view must agree
         assert bounded == exact.regular, str(element.representative)

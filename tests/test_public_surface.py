@@ -103,3 +103,23 @@ def test_graded_presentation_is_a_plain_value():
     assert inspect.isfunction(FiltrationContext.variable_cone)
     assert GradedQuotientPresentation.__module__ == "formcone.graded"
     assert formcone.colon_chain_regularity.__module__ == "formcone.criterion"
+
+
+def test_graded_helpers_derive_what_the_context_holds():
+    """The graded helpers take the context (or a graded element, which holds
+    its presentation) and read the form presentation, the system images
+    and initial degrees off it; none of them takes them as arguments."""
+    from formcone.criterion import checked_depth, checked_dim, checked_grades
+
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(FiltrationContext.graded_image) == ["self", "a", "degree"]
+    assert names(formcone.system_images) == ["ctx"]
+    assert names(checked_depth) == ["ctx"]
+    assert names(checked_dim) == ["ctx"]
+    assert names(checked_grades) == ["ctx", "params"]
+    assert names(formcone.is_regular_element) == ["b"]
+    assert names(formcone.colon_chain_regularity) == ["ctx", "b", "n_max"]
+    assert names(formcone.Polynomial.homogeneous_part) == ["self", "degree"]
+    assert not hasattr(FiltrationContext, "q_power_products")

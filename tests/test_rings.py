@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product as cartesian
 
 import pytest
 from oracle import mono_compare, substitute
@@ -18,7 +19,15 @@ from formcone import (
     parse_polynomial,
     weighted_order,
 )
-from formcone.rings import MAX_NESTING, _drl_key, mono_div, mono_lcm, mono_mul
+from formcone.rings import (
+    MAX_NESTING,
+    _drl_key,
+    exponents,
+    minimal_monomials,
+    mono_div,
+    mono_lcm,
+    mono_mul,
+)
 
 R2 = PolynomialRing(QQ, ("x", "y"))
 R3 = PolynomialRing(QQ, ("X", "Y", "Z"))
@@ -239,6 +248,28 @@ def test_homogeneous_parts_with_weights():
     x, y = R2.gens()
     f = x**2 + y**3
     assert f.homogeneous_part(2) == x**2
-    assert f.homogeneous_part(3, (0, 1)) == y**3
+    assert f.homogeneous_part(3) == y**3
+    assert (x**2 * y + y).is_homogeneous((0, 1))
     assert not f.is_homogeneous()
     assert (x * y).is_homogeneous()
+
+
+@pytest.mark.parametrize("nvars", range(1, 5))
+def test_exponents_match_a_filtered_product(nvars):
+    # itertools.product over range(degree + 1) runs in ascending lex order
+    for degree in range(6):
+        expected = [e for e in cartesian(range(degree + 1), repeat=nvars) if sum(e) == degree]
+        assert exponents(nvars, degree) == expected, (nvars, degree)
+
+
+def test_minimal_monomials_match_brute_force():
+    rng = random.Random(7)
+    for _ in range(200):
+        nvars = rng.randint(1, 3)
+        monos = [tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(rng.randint(1, 8))]
+        expected = {m for m in monos
+                    if not any(o != m and all(a <= b for a, b in zip(o, m)) for o in monos)}
+        for key in (sum, DEGREVLEX.key()):
+            kept = minimal_monomials(monos, key)
+            assert set(kept) == expected and len(kept) == len(expected), monos
+            assert kept == sorted(kept, key=key)
