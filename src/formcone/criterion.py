@@ -14,12 +14,16 @@ the Cohen-Macaulay verdict.
 Each level's l-chain, and the colon sequence K_l = intersection over i of
 (I_M : a_i^l) that levels share, is one append-only chain type that asserts
 the ascending property as it grows, from its first step on, which also
-gives every record's sandwich C(n, l) >= q^n M; ``defect_at`` reads its
+gives every record's sandwich C(n, l) >= q^n M; ``_chain_record`` reads its
 stopping window from it.  Graded inputs read every level off that sequence,
 and so does a single element a of degree c from the first level n with
 q^(n+c) M = a*q^n M + I_M on; other levels take colon kernels.
-Nonvanishing detections are exact (the probed chain only grows); vanishing
-verdicts are bounded by n_max/l_max and every record says so via
+Where every system element is exact and the initial forms have no torsion
+on the graded module (``regular_form_exists``), every level vanishes and
+``defect_at`` returns the certified record q^n M, with no chain; the proof is
+in its docstring.  Every other input climbs the chain: nonvanishing
+detections are exact (the probed chain only grows), and vanishing verdicts
+are bounded by n_max/l_max, which such a record says with
 ``certified=False``.  The exact graded route is always the authority.
 
 The level scan, and ``colon_chain_regularity`` beside it, read the context's
@@ -92,10 +96,12 @@ DEFAULT_PARAMS = CriterionParams()
 class DefectRecord:
     """Level-n snapshot: the stabilized colon intersection and its verdict.
 
-    ``certified`` is always False: the l-chain stops on a window of
-    consecutive equalities (or on budget), which does not self-certify
-    because the colon target moves with l.  Nonvanishing, by contrast, is
-    exact as soon as it is seen.
+    ``certified`` is True on the records that the graded side proves
+    vanishing (torsion-free initial forms, see ``defect_at``): their ideal
+    is q^n M and ``stabilized_l`` is 0.  It is False on a chain's record:
+    the l-chain stops on a window of consecutive equalities (or on budget),
+    which does not self-certify because the colon target moves with l.
+    Nonvanishing, by contrast, is exact as soon as it is seen.
     """
 
     n: int
@@ -227,7 +233,7 @@ def _level_chain(ctx: FiltrationContext, n: int, l: int, params: CriterionParams
     (``_reads_colon_sequence``; for step 1, the level below does) takes
     C(n, l) = q^n M + K_l, one basis per distinct K_l and none once K_l
     stops changing.  Otherwise each step from l = 2 on first tries the
-    propagation rule (see ``defect_at``) and then takes one colon kernel.
+    propagation rule (see ``_chain_record``) and then takes one colon kernel.
     The rule reads level n+c's flag, extending that chain as needed, only
     while n+c <= n_max; above n_max the step takes the kernel here, which
     costs about what extending the chain above would.
@@ -359,6 +365,49 @@ def _residue_table(ctx: FiltrationContext, seq: _Chain, l: int) -> list:
 
 def defect_at(ctx: FiltrationContext, n: int,
               params: CriterionParams = DEFAULT_PARAMS) -> DefectRecord:
+    """The level-n record, memoised per context: the stabilized colon
+    intersection C(n, l) and whether it leaves q^n M.
+
+    Where every system element is exact and (0 :_G (a*)) = 0 on G =
+    G_M(q) (``regular_form_exists``; a refusal by ``system_images`` counts
+    as no), the record is certified: its ideal is q^n M, it vanishes, and
+    it takes no chain, no colon sequence and no kernel.  Take x in
+    C(n, inf), the union over l of the C(n, l), with x not in q^n M, and
+    let k < n be its order: x lies in q^k M but not in q^(k+1) M.  Then
+    x*a_i^l lies in q^(n+l*c_i) M, inside q^(k+1+l*c_i) M, so the nonzero
+    initial form x* in G_k has x* (a_i*)^l = 0 for each i: it is
+    (a*)-torsion.  Multiplying it by the a_i* while it stays nonzero ends
+    on a nonzero class that every a_i* kills, which (0 :_G (a*)) = 0 rules
+    out.  So C(n, inf) = q^n M, and every C(n, l), which lies between q^n M
+    and C(n, inf), equals q^n M.  Every other input takes the l-chain
+    (``_chain_record``).
+    """
+    _require_usable_system(ctx)
+    if n < 0:
+        raise ValidationError("level must be nonnegative")
+    key = ("defect", n, params.l_max, params.window)
+    if key not in ctx.scratch:
+        ctx.scratch[key] = (
+            DefectRecord(n=n, stabilized_l=0, window=params.window, ideal=ctx.q_power(n),
+                         vanishing=True, quotient_generators=(), certified=True,
+                         status="stabilized")
+            if _torsion_free(ctx) else _chain_record(ctx, n, params))
+    return ctx.scratch[key]
+
+
+def _torsion_free(ctx: FiltrationContext) -> bool:
+    """True when every system element is exact and its initial forms have
+    no common annihilator on the graded module: the premise of
+    ``defect_at``'s certified records."""
+    if not all(s.exact for s in ctx.system):
+        return False
+    try:
+        return regular_form_exists(ctx)[0]
+    except ValidationError:  # the initial forms act as the unit ideal
+        return False
+
+
+def _chain_record(ctx: FiltrationContext, n: int, params: CriterionParams) -> DefectRecord:
     """Stabilize the l-chain C(n, l) of colon intersections at level n.
 
     The chain stops once ``window`` consecutive steps from l = 2 on leave it
@@ -405,13 +454,6 @@ def defect_at(ctx: FiltrationContext, n: int,
     agree.  The sandwich C(n, l) >= q^n M is the chain's own ascending check
     (``_Chain.append``).
     """
-    _require_usable_system(ctx)
-    if n < 0:
-        raise ValidationError("level must be nonnegative")
-    key = ("defect", n, params.l_max, params.window)
-    if key in ctx.scratch:
-        return ctx.scratch[key]
-
     shared = _shared_colons(ctx)
     # on the shared route, terms that differ only in degrees >= n give the
     # same K_l + m^n, so such a step leaves level n's chain unchanged
@@ -432,7 +474,7 @@ def defect_at(ctx: FiltrationContext, n: int,
     else:
         forms = normal_forms(current.groebner().generators, ctx.q_power(n).groebner())
     residues = tuple(dict.fromkeys(r for r in forms if not r.is_zero()))
-    record = DefectRecord(
+    return DefectRecord(
         n=n,
         stabilized_l=stabilized_l,
         window=params.window,
@@ -442,25 +484,15 @@ def defect_at(ctx: FiltrationContext, n: int,
         certified=False,
         status=status,
     )
-    ctx.scratch[key] = record
-    return record
 
 
-def defect_scan(ctx: FiltrationContext, params: CriterionParams = DEFAULT_PARAMS,
-                stop_at_first: bool = False) -> ScanResult:
+def defect_scan(ctx: FiltrationContext, params: CriterionParams = DEFAULT_PARAMS) -> ScanResult:
     """Levels 0..n_max; the summary verdict is all-vanish or the first
     nonvanishing level (which is exact evidence)."""
-    records = []
-    first = None
-    for n in range(params.n_max + 1):
-        rec = defect_at(ctx, n, params)
-        records.append(rec)
-        if not rec.vanishing and first is None:
-            first = n
-            if stop_at_first:
-                break
+    records = tuple(defect_at(ctx, n, params) for n in range(params.n_max + 1))
+    first = next((r.n for r in records if not r.vanishing), None)
     return ScanResult(
-        records=tuple(records),
+        records=records,
         all_vanish=first is None,
         first_nonvanishing=first,
         budget_limited=any(r.status == "budget" for r in records),
@@ -627,11 +659,14 @@ def defect_regularity_equivalence(ctx: FiltrationContext,
                                   params: CriterionParams = DEFAULT_PARAMS) -> EquivalenceResult:
     """Both sides of the vanishing criterion, cross-checked.
 
-    Left: the bounded scan's all-vanish verdict.  Right: the exact existence
-    of a regular initial form (annihilator test), plus an explicit certificate
-    from the candidate search when one exists.  A disagreement whose scan side
-    is budget-bounded means "raise n_max/l_max"; a disagreement with an exact
-    nonvanishing witness is an internal failure.
+    Left: the scan's all-vanish verdict.  Right: the exact existence of a
+    regular initial form (annihilator test), plus an explicit certificate
+    from the candidate search when one exists.  Where a regular form exists
+    the scan's records are certified off that same test (``defect_at``), so
+    the sides agree by construction there; the tests compare the l-chain
+    (``_chain_record``) with the annihilator instead.  A disagreement whose
+    scan side is budget-bounded means "raise n_max/l_max"; a disagreement
+    with an exact nonvanishing witness is an internal failure.
     """
     scan = defect_scan(ctx, params)
     exists, ann_witness = regular_form_exists(ctx)
@@ -663,26 +698,22 @@ def defect_regularity_equivalence(ctx: FiltrationContext,
 
 def grade_by_recursion(ctx: FiltrationContext,
                        params: CriterionParams = DEFAULT_PARAMS) -> GradeReport:
-    """Count verified regular steps M -> M/bM until a level stops vanishing.
+    """Count verified regular steps M -> M/bM until the initial forms have
+    a nonzero annihilator on the graded module.
 
-    Every step's regularity is certified exactly; the terminal nonvanishing
-    is exact as well.  If the scan says all-vanish but no regular initial
-    form exists, the bounds were too small and a budget error is raised.
+    Every step's regularity is certified exactly, and so is the stop, which
+    reads no level: ``regular_form_exists`` is the exact form of "every
+    level of M/bM vanishes" (``defect_at`` proves one direction; a nonzero
+    torsion class of degree d makes level d + 1 nonvanishing).
     """
     _require_exact_system(ctx)
     dim_guard = ctx.ideal_m.krull_dim() + 1
     work = ctx
     steps: list[CertificateStep] = []
     while True:
-        scan = defect_scan(work, params, stop_at_first=True)
-        if not scan.all_vanish:
-            return GradeReport(len(steps), "lzero-recursion", tuple(steps))
         exists, _ = regular_form_exists(work)
         if not exists:
-            raise BudgetExceededError(
-                "scan reports all-vanish up to n_max but no regular initial form "
-                "exists; raise n_max or l_max"
-            )
+            return GradeReport(len(steps), "lzero-recursion", tuple(steps))
         cand = find_regular_lift(work, params)
         if cand is None:
             raise BudgetExceededError(
@@ -769,6 +800,9 @@ def cohen_macaulay_report(ctx: FiltrationContext,
     notes = [
         "higher-index nonvanishing (indexes depth..dim) is predicted by the grade "
         "identity, not computed directly",
+        "every level is certified (certified=true): the initial forms have no torsion on "
+        "the graded module, so every level vanishes; all graded certificates are exact"
+        if all(r.certified for r in scan.records) else
         "vanishing verdicts are bounded (certified=false); nonvanishing and all "
         "graded certificates are exact",
         "depth generators include the degree-0 residue classes of the ambient "

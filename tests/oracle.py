@@ -470,8 +470,10 @@ def defect_agrees(ctx: FiltrationContext, record, degree_cap: int) -> bool:
 
 def direct_defect_at(ctx: FiltrationContext, n: int, params: CriterionParams) -> DefectRecord:
     """The level-n record by the direct l-loop: one colon kernel per step,
-    no propagation between levels and no memo.  ``defect_at`` must give the
-    same record."""
+    no propagation between levels and no memo.  The package's l-chain
+    (``criterion._chain_record``) must give the same record, and so must
+    ``defect_at`` but for a certified record's ``stabilized_l``, ``status``
+    and ``certified``."""
     prev = current = None
     run = 0
     status, stabilized_l = "budget", params.l_max

@@ -132,6 +132,34 @@ def test_exit_code_for_budget_exhaustion(curve_file, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+TIER4_CURVE_TEXT = """\
+field QQ
+vars x, y, z, w
+base: z^2 - y*w, y^3 - x*w, x^3 - y*z, x^2*y*z - w^2, x^2*y^2 - z*w
+q: x, y, z, w
+a: x
+set n_max = 1
+"""
+
+
+def test_a_scan_below_the_first_nonvanishing_level_is_no_budget_exit(tmp_path, capsys):
+    """The tier-4 curve's first nonvanishing level is 2, so with n_max = 1
+    every scanned level vanishes although a* has torsion on G.  The grade
+    recursion stops on that annihilator, not on a scan: grade and cm-check
+    exit 0 with grade 0, Koszul's, where a stop on the scan exited 3 with
+    "scan reports all-vanish up to n_max but no regular initial form
+    exists"."""
+    path = tmp_path / "curve.fc"
+    path.write_text(TIER4_CURVE_TEXT, encoding="utf-8")
+    for command in ("grade", "cm-check"):
+        assert main([command, str(path), "--json"]) == 0, capsys.readouterr().err
+        report = json.loads(capsys.readouterr().out)
+        assert report["grade"] == 0, command
+        if command == "cm-check":
+            assert [row["vanishing"] for row in report["lzero_table"]] == [True, True]
+            assert report["verdict"] == "not-cohen-macaulay"
+
+
 def test_formring_reports_budget_exhaustion_inside_the_cone(curve_file, capsys, monkeypatch):
     # only the cone's own refusal (ValidationError) drops the "cone" key;
     # a budget or consistency failure inside it keeps its exit code

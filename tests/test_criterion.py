@@ -39,7 +39,13 @@ from formcone import (
     system_images,
 )
 from formcone.cli import COMMANDS, main
-from formcone.criterion import _reads_colon_sequence, _shared_colons, checked_dim
+from formcone.criterion import (
+    DEFAULT_PARAMS,
+    _chain_record,
+    _reads_colon_sequence,
+    _shared_colons,
+    checked_dim,
+)
 from formcone.graded import GradedQuotientPresentation
 from formcone.session import parse_session
 
@@ -61,6 +67,12 @@ def nilpotent_context():
     return FiltrationContext(R2, (x * x, x * y), (), (x, y), [(y, 1)])
 
 
+def _chain_scan(ctx, params=DEFAULT_PARAMS):
+    """Levels 0..n_max by the l-chain alone, certified or not: the side that
+    ``defect_at``'s certified records are checked against."""
+    return [_chain_record(ctx, n, params) for n in range(params.n_max + 1)]
+
+
 def test_curve_principal_filtration_vanishes_everywhere():
     scan = defect_scan(curve_context(q="x"))
     assert scan.all_vanish and not scan.budget_limited
@@ -75,7 +87,7 @@ def test_curve_full_filtration_nonvanishing_with_witness():
     record = scan.records[2]
     assert not record.vanishing
     assert RS.var(2) in record.quotient_generators  # the deep coordinate class
-    assert not record.certified  # vanishing-side metadata is never certified
+    assert not record.certified  # a chain's record is never certified
     # every other probed level vanishes
     assert [r.vanishing for r in scan.records] == [True, True, False] + [True] * 8
 
@@ -88,11 +100,14 @@ def test_nilpotent_level_two_defect():
 
 
 def test_scan_on_regular_line():
+    # the chain stabilizes at once; defect_at certifies every level instead
     x, = R1.gens()
     ctx = FiltrationContext(R1, (), (), (x,), [(x, 1)])
+    records = _chain_scan(ctx)
+    assert all(r.vanishing and r.stabilized_l == 1 and not r.certified for r in records)
     scan = defect_scan(ctx)
     assert scan.all_vanish
-    assert all(r.stabilized_l == 1 for r in scan.records)
+    assert all(r.certified and r.stabilized_l == 0 for r in scan.records)
 
 
 def _record_fields(record):
@@ -144,8 +159,8 @@ def test_propagated_chains_match_the_direct_loop(corpus):
             for params in param_sets:
                 levels = range(params.n_max + 1)
                 for n in levels if upward else reversed(levels):
-                    assert _record_fields(defect_at(cold, n, params)) == reference[params][n], \
-                        (name, params, n)
+                    assert _record_fields(_chain_record(cold, n, params)) \
+                        == reference[params][n], (name, params, n)
             routes = {key[0] for key in cold.scratch} & {"chain", "colon_sequence"}
             if _shared_colons(cold):
                 assert routes == {"colon_sequence"}
@@ -192,7 +207,7 @@ def test_the_ascending_check_fires_on_both_routes(monkeypatch):
         # on the curve, a level-chain kernel: its colon sequence is constant
         where = "the shared colon sequence" if _shared_colons(ctx) else "level n="
         with pytest.raises(ConsistencyError, match=f"not ascending at {where}"):
-            defect_scan(ctx, DEMO_PARAMS)
+            _chain_scan(ctx, DEMO_PARAMS)
         assert shrunk == [1], str(ctx)
     assert not _shared_colons(curve_context())
     assert _shared_colons(_two_element_graded_context())
@@ -226,7 +241,7 @@ def test_propagation_saves_kernels(monkeypatch):
 
     direct = count(lambda ctx: [direct_defect_at(ctx, n, DEMO_PARAMS)
                                 for n in range(DEMO_PARAMS.n_max + 1)])
-    propagated = count(lambda ctx: defect_scan(ctx, DEMO_PARAMS))
+    propagated = count(lambda ctx: _chain_scan(ctx, DEMO_PARAMS))
     assert propagated < direct
     # a against q^2, q^3 and q^4 and a^2 against q^3 below level 3, and
     # (I_M : a) = I_M for the colon sequence that every level from 3 on reads
@@ -279,7 +294,7 @@ def test_reduced_chains_read_the_colon_sequence(monkeypatch):
             cold = _fresh(ctx)
             calls.clear()
             for n in levels if upward else reversed(levels):
-                assert _record_fields(defect_at(cold, n, params)) == reference[n], (name, n)
+                assert _record_fields(_chain_record(cold, n, params)) == reference[n], (name, n)
             if upward:
                 assert len(calls) == colons, name
             routed = [n for n in levels if single and _reads_colon_sequence(cold, n, params)]
@@ -311,7 +326,7 @@ def test_shared_colons_save_kernels(corpus, monkeypatch):
     [direct_defect_at(_fresh(ctx), n, CORPUS_PARAMS) for n in levels]
     direct = len(calls)
     calls.clear()
-    defect_scan(_fresh(ctx), CORPUS_PARAMS)
+    _chain_scan(_fresh(ctx), CORPUS_PARAMS)
     assert (direct, len(calls)) == (27, 1)
 
 
@@ -321,7 +336,7 @@ def test_monomial_scans_take_no_kernel(corpus, kernel_calls):
     ctx = next(i.ctx for i in corpus if i.name.startswith("inst20"))
     for n in range(CORPUS_PARAMS.n_max + 1):
         direct_defect_at(_fresh(ctx), n, CORPUS_PARAMS)
-    defect_scan(_fresh(ctx), CORPUS_PARAMS)
+    _chain_scan(_fresh(ctx), CORPUS_PARAMS)
     assert kernel_calls == []
 
 
@@ -343,7 +358,7 @@ def test_inputs_off_the_graded_case_keep_the_chain():
         assert not _shared_colons(ctx), str(ctx)
         levels = range(params.n_max + 1)
         reference = [_record_fields(direct_defect_at(ctx, n, params)) for n in levels]
-        assert [_record_fields(defect_at(ctx, n, params)) for n in levels] == reference
+        assert [_record_fields(r) for r in _chain_scan(ctx, params)] == reference
         assert ("chain", params.n_max) in ctx.scratch
         assert (("colon_sequence",) in ctx.scratch) == reduced, str(ctx)
     starts = [next((n for n in range(params.n_max + 1)
@@ -600,7 +615,10 @@ def test_presentation_rings_run_in_the_presentation_order(monkeypatch):
     """Over the tier-4 pipelines and every command on the demo, each basis
     run and each graph basis in a presentation ring uses that presentation's
     weighted order: membership, colons, quotients and dimension all read the
-    one basis of H.  On tier 4 the presentation rings see 9 basis runs."""
+    one basis of H.  On tier 4 the presentation rings see 13 basis runs:
+    the grade recursion's last quotient context of each cone input builds
+    its presentation and its unit-ideal check, since the recursion stops on
+    that context's annihilator."""
     orders, runs, mismatched = {}, [], []
     real_init = GradedQuotientPresentation.__init__
     real_run = ideals_module.buchberger
@@ -636,7 +654,7 @@ def test_presentation_rings_run_in_the_presentation_order(monkeypatch):
     for ctx in contexts:
         defect_regularity_equivalence(ctx, params)
         cohen_macaulay_report(ctx, params)
-    assert runs.count("run") == 9 and mismatched == []
+    assert runs.count("run") == 13 and mismatched == []
     runs.clear()
     demo = Path(__file__).parent.parent / "demos" / "semigroup_curve.fc"
     ambient.add(parse_session(demo.read_text(encoding="utf-8")).context().ring)
@@ -651,7 +669,8 @@ def test_each_regularity_question_is_answered_once(monkeypatch):
     ``regular_form_exists``, Koszul's top index, ``depth`` and the lift
     search share each presentation's memoised annihilators.  The level scan
     binds ``meet_of_colons`` itself, so the wrapper sees only the graded
-    side."""
+    side.  Each cone input's recursion asks one annihilator on its last
+    quotient context, where it stops."""
     asked, kernels = [], 0
     real = ideals_module.meet_of_colons
 
@@ -668,7 +687,7 @@ def test_each_regularity_question_is_answered_once(monkeypatch):
         cohen_macaulay_report(ctx, params)
         assert len(set(asked)) == len(asked)
         kernels += len(asked)
-    assert kernels == 15
+    assert kernels == 17
 
 
 def test_radical_invariance():
@@ -691,7 +710,7 @@ def test_sandwich_in_every_record(corpus):
     assert _shared_colons(inst20)
     for ctx in (curve_context(q="m"), nilpotent_context(), inst20):
         for n in range(4):
-            record = defect_at(ctx, n)
+            record = _chain_record(ctx, n, DEFAULT_PARAMS)
             assert contains_ideal(record.ideal, ctx.q_power(n))
 
 
@@ -708,7 +727,7 @@ def test_shared_residues_are_those_of_the_reduction(corpus):
             continue
         checked += 1
         for n in range(n_max + 1):
-            record = defect_at(ctx, n, CORPUS_PARAMS)
+            record = _chain_record(ctx, n, CORPUS_PARAMS)
             target = ctx.q_power(n).groebner()
             expected = []
             for g in record.ideal.groebner().generators:
@@ -743,7 +762,7 @@ def test_the_sandwich_is_the_chain_check_from_step_one(monkeypatch):
         monkeypatch.setattr(criterion_module, "meet_of_colons", outside)
         where = "the shared colon sequence" if _shared_colons(ctx) else "level n=1"
         with pytest.raises(ConsistencyError, match=f"not ascending at {where}, l=1"):
-            defect_scan(ctx, DEMO_PARAMS)
+            _chain_scan(ctx, DEMO_PARAMS)
         assert wrong == [1], str(ctx)
     assert not _shared_colons(curve_context())
     assert _shared_colons(graded)

@@ -5,9 +5,15 @@ base of one or two monomials, binomials or terms times a unit (m - m*n, which
 has a component away from the origin); q = all variables or a subset; one or
 two system elements; ``n_max = 4`` and ``l_max = 8``.  On every input the
 report commands exit 0, 2 or 3 (1 is reserved for internal consistency
-failures), and ``defect_at`` gives the record of the direct loop
-``oracle.direct_defect_at`` at every level; the seeds cover single elements
-whose level chains read the colon sequence and those that take kernels.
+failures), the l-chain (``criterion._chain_record``) gives the record of
+the direct loop ``oracle.direct_defect_at`` at every level, and so does
+``defect_at``, except that a certified record's chain metadata (its
+``stabilized_l``, ``status`` and ``certified``) is its own; the seeds cover
+single elements whose level chains read the colon sequence and those that
+take kernels.  Seeds 0-59 run in tier 1 and seeds 0-299 under the ``sweep``
+marker (``pytest -m sweep``).  Over the corpus, the tier-4 inputs, the demo
+and seeds 0-59, every certified record has the chain's ideal, verdict and
+residues.
 Seed 174, whose q + I_A is m-primary but not m, reads its dimension at the
 origin.  For three inputs the ``cm-check`` JSON, minus ``timings``, does not
 depend on the hash seed.
@@ -24,14 +30,17 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from corpus import CORPUS_PARAMS, tier4_contexts
 from oracle import direct_defect_at
 
+import formcone.criterion as criterion_module
 from formcone import DefectRecord, FormconeError, defect_at, defect_scan, parse_session
 from formcone.cli import main
-from formcone.criterion import _reads_colon_sequence, _shared_colons
+from formcone.criterion import _chain_record, _reads_colon_sequence, _shared_colons
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(60)
+SWEEP_SEEDS = range(300)
 HASH_SEEDS = (0, 1, 2)  # seeds whose cm-check exits 0
 COMMANDS = ("lzero", "depth", "grade", "cm-check")
 
@@ -70,14 +79,25 @@ def random_session(seed: int) -> str:
     ]) + "\n"
 
 
-def _record_fields(record: DefectRecord) -> dict:
+# a certified record carries no chain, so these fields are its own
+CHAIN_METADATA = ("stabilized_l", "status", "certified")
+
+
+def _record_fields(record: DefectRecord, certified: bool = False) -> dict:
+    """The record's fields, its ideal by reduced basis; without the chain
+    metadata when compared with a certified record."""
     out = {f.name: getattr(record, f.name) for f in fields(record)}
     out["ideal"] = record.ideal.groebner().generators
+    if certified:
+        for name in CHAIN_METADATA:
+            del out[name]
     return out
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_random_input_exits_cleanly_and_levels_match_the_direct_loop(seed, tmp_path):
+def _check_seed(seed: int, tmp_path) -> None:
+    """Every report command exits 0, 2 or 3 on the seed's input, and at
+    every level the chain gives the direct loop's record and ``defect_at``
+    gives it too, but for a certified record's chain metadata."""
     text = random_session(seed)
     path = tmp_path / "input.fc"
     path.write_text(text, encoding="utf-8")
@@ -87,14 +107,30 @@ def test_random_input_exits_cleanly_and_levels_match_the_direct_loop(seed, tmp_p
             code = main([command, str(path)])
         assert code in (0, 2, 3), (command, text, err.getvalue())
     spec = parse_session(text)
+    levels = range(spec.params.n_max + 1)
     try:
         ctx = spec.context()
-        records = [defect_at(ctx, n, spec.params) for n in range(spec.params.n_max + 1)]
+        records = [defect_at(ctx, n, spec.params) for n in levels]
     except FormconeError:  # refused input or system: the exit codes above cover it
         return
+    chain = spec.context()
     for n, record in enumerate(records):
         direct = direct_defect_at(spec.context(), n, spec.params)
-        assert _record_fields(record) == _record_fields(direct), (n, text)
+        assert _record_fields(_chain_record(chain, n, spec.params)) == _record_fields(direct), \
+            (n, text)
+        assert _record_fields(record, record.certified) \
+            == _record_fields(direct, record.certified), (n, text)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_input_exits_cleanly_and_levels_match_the_direct_loop(seed, tmp_path):
+    _check_seed(seed, tmp_path)
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize("seed", SWEEP_SEEDS)
+def test_sweep_random_input_exits_cleanly_and_levels_match_the_direct_loop(seed, tmp_path):
+    _check_seed(seed, tmp_path)
 
 
 def test_seeds_cover_both_single_element_chain_routes():
@@ -153,3 +189,56 @@ def test_random_input_reports_do_not_depend_on_the_hash_seed(seed, tmp_path):
         report.pop("timings")
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+def _certification_cases(corpus) -> list:
+    """(context, params) for the demo, the corpus, the tier-4 inputs and the
+    seeds 0-59 whose context builds."""
+    demo = parse_session((ROOT / "demos" / "semigroup_curve.fc").read_text(encoding="utf-8"))
+    cases = [(demo.context(), demo.params)]
+    cases += [(i.ctx, CORPUS_PARAMS) for i in corpus]
+    cases += [(ctx, CORPUS_PARAMS) for ctx in tier4_contexts()]
+    for seed in SEEDS:
+        spec = parse_session(random_session(seed))
+        try:
+            cases.append((spec.context(), spec.params))
+        except FormconeError:
+            continue
+    return cases
+
+
+def _certified_against_the_chain(cases) -> tuple[int, list]:
+    """The number of certified records over every level of ``cases``, each
+    on a context with cold caches, and the (case index, level) pairs where
+    one differs from the chain's record in ideal, verdict or residues."""
+    certified, differ = 0, []
+    for index, (ctx, params) in enumerate(cases):
+        try:
+            cold = ctx.with_exponent_system([(s.element, s.degree) for s in ctx.system])
+            records = [defect_at(cold, n, params) for n in range(params.n_max + 1)]
+        except FormconeError:  # refused system: no record to certify
+            continue
+        for record in records:
+            if not record.certified:
+                continue
+            certified += 1
+            chain = _chain_record(cold, record.n, params)
+            if (record.ideal.groebner().generators, record.vanishing,
+                    record.quotient_generators) != (chain.ideal.groebner().generators,
+                                                    chain.vanishing, chain.quotient_generators):
+                differ.append((index, record.n))
+    return certified, differ
+
+
+def test_certified_records_are_the_chains(corpus, monkeypatch):
+    # a certified record (torsion-free initial forms) takes no chain; the
+    # chain, climbed anyway, must reach the same ideal q^n M with no residue
+    cases = _certification_cases(corpus)
+    certified, differ = _certified_against_the_chain(cases)
+    assert differ == []
+    assert certified == 417  # in 57 of the 105 contexts
+    # certifying every level, torsion or not, must be caught: the demo
+    # curve's level 2, among others, does not vanish
+    monkeypatch.setattr(criterion_module, "_torsion_free", lambda ctx: True)
+    _, differ = _certified_against_the_chain(cases)
+    assert (0, 2) in differ
