@@ -7,9 +7,12 @@ For a system a_1..a_t with initial degrees c_i, the level-n module is
 Vanishing of D(n) for every n is equivalent to the initial-form ideal
 containing a regular element on the associated graded module; iterating that
 step through M -> M/bM computes the grade of the initial-form ideal, which a
-Koszul computation must reproduce exactly.  When the initial forms are a
-system of parameters that grade equals the depth, and depth = dimension is
-the Cohen-Macaulay verdict.
+Koszul computation must reproduce exactly.  The iteration runs on one
+presentation: for b* regular on G = G_M(q), G_{M/bM}(q) = G/b*G
+(Valabrega-Valla 1978), so each step quotients the form presentation by b*
+(``grade_by_recursion``).  When the initial forms are a system of
+parameters that grade equals the depth, and depth = dimension is the
+Cohen-Macaulay verdict.
 
 Each level's l-chain, and the colon sequence K_l = intersection over i of
 (I_M : a_i^l) that levels share, is one append-only chain type that asserts
@@ -49,6 +52,7 @@ from .errors import (
 from .filtration import DEFAULT_PROBE_CAP, FiltrationContext, graded_power_basis
 from .graded import (
     GradedElement,
+    GradedQuotientPresentation,
     GradeReport,
     depth,
     first_regular,
@@ -398,13 +402,14 @@ def defect_at(ctx: FiltrationContext, n: int,
 def _torsion_free(ctx: FiltrationContext) -> bool:
     """True when every system element is exact and its initial forms have
     no common annihilator on the graded module: the premise of
-    ``defect_at``'s certified records."""
-    if not all(s.exact for s in ctx.system):
-        return False
-    try:
-        return regular_form_exists(ctx)[0]
-    except ValidationError:  # the initial forms act as the unit ideal
-        return False
+    ``defect_at``'s certified records, decided once per context."""
+    key = ("torsion_free",)
+    if key not in ctx.scratch:
+        try:
+            ctx.scratch[key] = all(s.exact for s in ctx.system) and regular_form_exists(ctx)[0]
+        except ValidationError:  # the initial forms act as the unit ideal
+            ctx.scratch[key] = False
+    return ctx.scratch[key]
 
 
 def _chain_record(ctx: FiltrationContext, n: int, params: CriterionParams) -> DefectRecord:
@@ -521,6 +526,10 @@ def colon_chain_regularity(ctx: FiltrationContext, b: Polynomial, n_max: int = 1
 # Exact graded side and the candidate search
 # ---------------------------------------------------------------------------
 
+_UNIT_IDEAL = ("the system's initial forms act as the unit ideal on the graded module; "
+               "grades would be the infinite sentinel and the criterion does not apply")
+
+
 def system_images(ctx: FiltrationContext) -> tuple[GradedElement, ...]:
     """Initial forms of the system as elements of the form presentation,
     computed once per context.
@@ -528,22 +537,19 @@ def system_images(ctx: FiltrationContext) -> tuple[GradedElement, ...]:
     Rejects systems whose initial forms act as the unit ideal (for example a
     degree-0 element that is a unit on the module), on every call: every
     grade degenerates to the +infinity sentinel and the criterion does not
-    apply.
+    apply.  That verdict is decided once per context too.
     """
     _require_exact_system(ctx)
-    pres = ctx.form_presentation()
     key = ("system_images",)
     if key not in ctx.scratch:
-        ctx.scratch[key] = tuple(
-            GradedElement(pres, ctx.graded_image(s.element, s.degree), s.degree)
-            for s in ctx.system)
-    images = ctx.scratch[key]
-    if not pres.quotient_by(e.representative for e in images).ideal.is_proper():
-        raise ValidationError(
-            "the system's initial forms act as the unit ideal on the graded "
-            "module; grades would be the infinite sentinel and the criterion "
-            "does not apply"
-        )
+        pres = ctx.form_presentation()
+        images = tuple(GradedElement(pres, ctx.graded_image(s.element, s.degree), s.degree)
+                       for s in ctx.system)
+        proper = pres.quotient_by(e.representative for e in images).ideal.is_proper()
+        ctx.scratch[key] = images, proper
+    images, proper = ctx.scratch[key]
+    if not proper:
+        raise ValidationError(_UNIT_IDEAL)
     return images
 
 
@@ -588,27 +594,40 @@ def _coefficient_sets(ctx: FiltrationContext, params: CriterionParams,
     return nonzero
 
 
-def find_regular_lift(ctx: FiltrationContext,
-                      params: CriterionParams = DEFAULT_PARAMS) -> CertificateStep | None:
+def find_regular_lift(ctx: FiltrationContext, params: CriterionParams = DEFAULT_PARAMS,
+                      steps: tuple[CertificateStep, ...] = ()) -> CertificateStep | None:
     """Search the system's ideal for an element whose initial form is regular
-    on the graded module; every candidate is checked exactly.
+    on the graded module G, or, after the recursion steps ``steps``, on
+    G/(b_1*, ..., b_k*)G (``grade_by_recursion``); every candidate is
+    checked exactly.
 
     Failure is a search-budget outcome, never a mathematical verdict.  The
     search is deterministic, so its outcome is memoised per context, keyed by
-    every search parameter.
+    the steps and every search parameter.
     """
     _require_exact_system(ctx)
-    key = ("regular_lift", params.search_degree_span, params.search_extra_degree,
+    key = ("regular_lift", tuple(s.image.representative for s in steps),
+           params.search_degree_span, params.search_extra_degree,
            params.search_coefficients, params.search_budget,
            params.search_random_rounds, params.seed)
     if key not in ctx.scratch:
-        ctx.scratch[key] = _search_regular_lift(ctx, params)
+        ctx.scratch[key] = _search_regular_lift(ctx, params, steps)
     return ctx.scratch[key]
 
 
-def _search_regular_lift(ctx: FiltrationContext,
-                         params: CriterionParams) -> CertificateStep | None:
-    pres = ctx.form_presentation()
+def _after(ctx: FiltrationContext,
+           steps: tuple[CertificateStep, ...]) -> GradedQuotientPresentation:
+    """G/(b_1*, ..., b_k*)G after the recursion steps ``steps``: the last
+    step's presentation modulo its image, or G itself."""
+    if not steps:
+        return ctx.form_presentation()
+    image = steps[-1].image
+    return image.presentation.quotient_by((image.representative,))
+
+
+def _search_regular_lift(ctx: FiltrationContext, params: CriterionParams,
+                         steps: tuple[CertificateStep, ...]) -> CertificateStep | None:
+    pres = _after(ctx, steps)
     rng = random.Random(params.seed)
     coeffs = _coefficient_sets(ctx, params, rng)
     degrees = sorted({s.degree for s in ctx.system})
@@ -649,7 +668,10 @@ def _search_regular_lift(ctx: FiltrationContext,
                 continue
         except ValidationError:  # b is zero in A
             continue
-        image = GradedElement(pres, ctx.graded_image(b, d), d)
+        image = ctx.graded_image(b, d)
+        if steps:  # b lies in q^d M, so its class in G maps onto G/(b_1*, ..., b_k*)G
+            image = pres.reduce(image)
+        image = GradedElement(pres, image, d)
         if first_regular(pres, (image,), killers) is not None:
             return CertificateStep(b, d, image)
     return None
@@ -701,29 +723,43 @@ def grade_by_recursion(ctx: FiltrationContext,
     """Count verified regular steps M -> M/bM until the initial forms have
     a nonzero annihilator on the graded module.
 
+    The steps run on one presentation.  When b* is regular on G = G_M(q),
+    G_{M/bM}(q) = G/b*G (Valabrega-Valla, Form rings and regular sequences,
+    Nagoya Math. J. 72, 1978), so after each step (b, d, b*) the recursion
+    passes to ``quotient_by((b*,))`` of the presentation it is on.  There
+    the system's initial forms are the top images reduced modulo it, and the
+    lift search (``find_regular_lift`` given the steps so far) reduces each
+    candidate's top image: a candidate of degree d lies in q^d M, so its
+    class maps across.  Both presentations of G_{M/bM} are one ideal of the
+    presentation ring in one weighted order, and so have one reduced basis:
+    every certificate, annihilator and normal form is the one that the
+    context of M/bM gives.
+
     Every step's regularity is certified exactly, and so is the stop, which
     reads no level: ``regular_form_exists`` is the exact form of "every
     level of M/bM vanishes" (``defect_at`` proves one direction; a nonzero
-    torsion class of degree d makes level d + 1 nonvanishing).
+    torsion class of degree d makes level d + 1 nonvanishing).  A regular
+    sequence on G is at most dim G long, which bounds the steps.
     """
-    _require_exact_system(ctx)
-    dim_guard = ctx.ideal_m.krull_dim() + 1
-    work = ctx
-    steps: list[CertificateStep] = []
+    top = tuple(e.representative for e in system_images(ctx))
+    steps: tuple[CertificateStep, ...] = ()
     while True:
-        exists, _ = regular_form_exists(work)
-        if not exists:
-            return GradeReport(len(steps), "lzero-recursion", tuple(steps))
-        cand = find_regular_lift(work, params)
+        pres, reps = _after(ctx, steps), top
+        if steps:
+            reps = tuple(normal_forms(top, pres.groebner()))
+            if not pres.quotient_by(reps).ideal.is_proper():
+                raise ValidationError(_UNIT_IDEAL)
+        if pres.annihilator(reps) is not None:
+            return GradeReport(len(steps), "lzero-recursion", steps)
+        cand = find_regular_lift(ctx, params, steps)
         if cand is None:
             raise BudgetExceededError(
                 "a regular initial form exists but the candidate search budget "
                 "ran out; widen search_degree_span/search_budget"
             )
-        steps.append(cand)
-        work = work.quotient_by_element(cand.element)
-        if len(steps) > dim_guard:
-            raise ConsistencyError("recursion depth exceeded the module dimension")
+        steps += (cand,)
+        if len(steps) > graded_dim(ctx.form_presentation()):
+            raise ConsistencyError("recursion depth exceeded the dimension of the graded module")
 
 
 def checked_depth(ctx: FiltrationContext) -> GradeReport:

@@ -3,7 +3,10 @@
 Provides initial degrees along the q-adic filtration, Rees-algebra and
 associated-graded (form ring) presentations by tag-variable elimination or,
 where q is generated by the variables, from the lowest-form tangent cone,
-and the passage M -> M/bM used by the depth recursion.  This module builds
+and the passage M -> M/bM (``quotient_by_element``).  The grade recursion
+does not take that passage: it quotients the form presentation by each
+regular initial form b*, since G_{M/bM}(q) = G_M(q)/b*G_M(q) then; the
+tests replay its certificates through the contexts M/bM.  This module builds
 every graded presentation, a plain ``graded.GradedQuotientPresentation``
 that keeps no reference to the context, and maps ring elements into it
 (``graded_image``); ``graded`` reads presentations and never imports this

@@ -10,12 +10,13 @@ kernel off the fully interreduced graph basis, ``q_products`` lists the
 degree-k products of q's generators, ``lifted_image`` computes a graded
 image by membership lifting, ``rees_form_presentation``,
 ``rees_cone`` and ``rees_image`` give the form presentation, the tangent
-cone and graded images by the Rees route, and ``direct_defect_at`` runs the
-level-n colon chain with one kernel per step.  The level checks take q^k M
-from ``product_power``, a basis of the degree-k products of q's generators
-plus I_M, so they share neither the package's power ladder nor its closed
-form for graded inputs.  Disagreement with the main route is always a hard
-failure of the library, never a tolerance issue.
+cone and graded images by the Rees route, ``direct_defect_at`` runs the
+level-n colon chain with one kernel per step, and ``quotient_recursion``
+runs the grade recursion through one quotient context per step.  The level
+checks take q^k M from ``product_power``, a basis of the degree-k products
+of q's generators plus I_M, so they share neither the package's power
+ladder nor its closed form for graded inputs.  Disagreement with the main
+route is always a hard failure of the library, never a tolerance issue.
 
 The last section holds small operations that only tests use: monomial
 comparison, term multiplication, substitution, ideal products and
@@ -30,15 +31,21 @@ from itertools import combinations_with_replacement
 from itertools import product as cartesian
 from math import gcd
 
-from formcone.criterion import CriterionParams, DefectRecord
+from formcone.criterion import (
+    CriterionParams,
+    DefectRecord,
+    find_regular_lift,
+    regular_form_exists,
+)
 from formcone.errors import (
+    BudgetExceededError,
     ConsistencyError,
     InfiniteComponentError,
     RingMismatchError,
     ValidationError,
 )
 from formcone.filtration import FiltrationContext
-from formcone.graded import GradedQuotientPresentation
+from formcone.graded import GradedQuotientPresentation, GradeReport
 from formcone.groebner import (
     FreeModuleElement,
     _common_shape,
@@ -502,6 +509,27 @@ def direct_defect_at(ctx: FiltrationContext, n: int, params: CriterionParams) ->
     return DefectRecord(n=n, stabilized_l=stabilized_l, window=params.window, ideal=current,
                         vanishing=not residues, quotient_generators=tuple(residues),
                         certified=False, status=status)
+
+
+def quotient_recursion(ctx: FiltrationContext, params: CriterionParams) -> GradeReport:
+    """The grade recursion through one context per step, M -> M/bM by
+    ``quotient_by_element``: each context builds its own form
+    presentation, system images and lift search.  The package's
+    ``grade_by_recursion`` quotients one presentation instead and must give
+    the same value and steps (element, degree, image representative), or
+    raise the same error type."""
+    dim_guard = ctx.ideal_m.krull_dim() + 1
+    work, steps = ctx, []
+    while True:
+        if not regular_form_exists(work)[0]:
+            return GradeReport(len(steps), "lzero-recursion", tuple(steps))
+        cand = find_regular_lift(work, params)
+        if cand is None:
+            raise BudgetExceededError("a regular initial form exists but the search ran out")
+        steps.append(cand)
+        work = work.quotient_by_element(cand.element)
+        if len(steps) > dim_guard:
+            raise ConsistencyError("recursion depth exceeded the module dimension")
 
 
 # ---------------------------------------------------------------------------

@@ -513,11 +513,10 @@ def test_local_model_mismatch_is_flagged_and_refused_for_depth():
 
 def test_each_ideal_is_built_once(monkeypatch):
     """Over the tier-4 pipeline no context recomputes the basis of I_A or of
-    I_A + q, which the base built at construction: the quotient contexts of
-    the grade recursion share them.  The basis of H + (system images) is
-    computed once per context, since every unit-ideal check reaches it
-    through ``GradedQuotientPresentation.quotient_by``, and as one run whose
-    generators are the images and whose settled block is H's basis."""
+    I_A + q, which the base built at construction.  The basis of H +
+    (system images) is computed once per context, since ``system_images``
+    keeps its unit-ideal verdict, and as one run whose generators are the
+    images and whose settled block is H's basis."""
     runs = []
     real = ideals_module.buchberger
 
@@ -537,7 +536,7 @@ def test_each_ideal_is_built_once(monkeypatch):
         a_gens = ctx.base_generators
         assert runs.count((a_gens, None)) == runs.count((ctx.q_generators + a_gens, None)) == 0
         assert runs.count((images, ctx.form_presentation().groebner())) == 1
-    assert grades == [0, 2, 1]  # the cone inputs pass through quotient contexts
+    assert grades == [0, 2, 1]  # the cone inputs take recursion steps
 
 
 def test_system_images_are_built_once_per_context(monkeypatch):
@@ -615,10 +614,12 @@ def test_presentation_rings_run_in_the_presentation_order(monkeypatch):
     """Over the tier-4 pipelines and every command on the demo, each basis
     run and each graph basis in a presentation ring uses that presentation's
     weighted order: membership, colons, quotients and dimension all read the
-    one basis of H.  On tier 4 the presentation rings see 13 basis runs:
-    the grade recursion's last quotient context of each cone input builds
-    its presentation and its unit-ideal check, since the recursion stops on
-    that context's annihilator."""
+    one basis of H.  On tier 4 the presentation rings see 11 basis runs:
+    each step of a cone input's grade recursion quotients the form
+    presentation by the step's initial form and checks the system's images
+    there for the unit ideal.  The quotient by x* = y1 is the one that the
+    system's own unit-ideal check (a = x) or the depth sequence (a = x, w)
+    already built, so it takes no run of its own."""
     orders, runs, mismatched = {}, [], []
     real_init = GradedQuotientPresentation.__init__
     real_run = ideals_module.buchberger
@@ -654,7 +655,7 @@ def test_presentation_rings_run_in_the_presentation_order(monkeypatch):
     for ctx in contexts:
         defect_regularity_equivalence(ctx, params)
         cohen_macaulay_report(ctx, params)
-    assert runs.count("run") == 13 and mismatched == []
+    assert runs.count("run") == 11 and mismatched == []
     runs.clear()
     demo = Path(__file__).parent.parent / "demos" / "semigroup_curve.fc"
     ambient.add(parse_session(demo.read_text(encoding="utf-8")).context().ring)
@@ -669,8 +670,10 @@ def test_each_regularity_question_is_answered_once(monkeypatch):
     ``regular_form_exists``, Koszul's top index, ``depth`` and the lift
     search share each presentation's memoised annihilators.  The level scan
     binds ``meet_of_colons`` itself, so the wrapper sees only the graded
-    side.  Each cone input's recursion asks one annihilator on its last
-    quotient context, where it stops."""
+    side.  Each cone input's recursion asks one annihilator on each
+    quotient of the form presentation it reaches; on the cone with a = x, w
+    the second step's search asks whether w* is regular modulo x*, which the
+    depth sequence already asked of that one quotient."""
     asked, kernels = [], 0
     real = ideals_module.meet_of_colons
 
@@ -687,7 +690,7 @@ def test_each_regularity_question_is_answered_once(monkeypatch):
         cohen_macaulay_report(ctx, params)
         assert len(set(asked)) == len(asked)
         kernels += len(asked)
-    assert kernels == 17
+    assert kernels == 16
 
 
 def test_radical_invariance():
@@ -778,6 +781,26 @@ def test_unit_like_system_is_rejected_by_graded_routes():
         cohen_macaulay_report(ctx)
     with pytest.raises(ValidationError):
         regular_form_exists(ctx)
+
+
+def test_torsion_and_unit_verdicts_are_decided_once(monkeypatch):
+    # each context keeps its torsion verdict and the unit-ideal verdict on
+    # its system images; the unit-like system is still refused on each call
+    x, = R1.gens()
+    contexts = (FiltrationContext(R1, (), (), (x,), [(R1.one() + x, 0)]),
+                curve_context(q="x"), curve_context(q="m"))
+    verdicts = [criterion_module._torsion_free(ctx) for ctx in contexts]
+    assert verdicts == [False, True, False]
+
+    def refuse(*args):
+        raise AssertionError("a verdict was decided twice")
+
+    monkeypatch.setattr(GradedQuotientPresentation, "quotient_by", refuse)
+    monkeypatch.setattr(GradedQuotientPresentation, "annihilator", refuse)
+    assert [criterion_module._torsion_free(ctx) for ctx in contexts] == verdicts
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            system_images(contexts[0])
 
 
 def test_system_element_that_dies_in_the_module():

@@ -13,7 +13,9 @@ single elements whose level chains read the colon sequence and those that
 take kernels.  Seeds 0-59 run in tier 1 and seeds 0-299 under the ``sweep``
 marker (``pytest -m sweep``).  Over the corpus, the tier-4 inputs, the demo
 and seeds 0-59, every certified record has the chain's ideal, verdict and
-residues.
+residues, and the grade recursion on one presentation retraces the
+recursion through quotient contexts (``oracle.quotient_recursion``); the
+latter also over seeds 0-299 under the ``sweep`` marker.
 Seed 174, whose q + I_A is m-primary but not m, reads its dimension at the
 origin.  For three inputs the ``cm-check`` JSON, minus ``timings``, does not
 depend on the hash seed.
@@ -31,10 +33,18 @@ from pathlib import Path
 
 import pytest
 from corpus import CORPUS_PARAMS, tier4_contexts
-from oracle import direct_defect_at
+from oracle import direct_defect_at, quotient_recursion
 
 import formcone.criterion as criterion_module
-from formcone import DefectRecord, FormconeError, defect_at, defect_scan, parse_session
+from formcone import (
+    BudgetExceededError,
+    DefectRecord,
+    FormconeError,
+    defect_at,
+    defect_scan,
+    grade_by_recursion,
+    parse_session,
+)
 from formcone.cli import main
 from formcone.criterion import _chain_record, _reads_colon_sequence, _shared_colons
 
@@ -242,3 +252,41 @@ def test_certified_records_are_the_chains(corpus, monkeypatch):
     monkeypatch.setattr(criterion_module, "_torsion_free", lambda ctx: True)
     _, differ = _certified_against_the_chain(cases)
     assert (0, 2) in differ
+
+
+def _recursion_outcome(run, ctx, params):
+    """The grade and each step's element, degree and image representative,
+    or the type of the error that the recursion raises."""
+    try:
+        report = run(ctx, params)
+    except FormconeError as exc:
+        return type(exc)
+    return report.value, [(s.element, s.degree, s.image.representative)
+                          for s in report.certificate]
+
+
+def test_grade_recursion_retraces_the_quotient_contexts(corpus):
+    # G/b*G for each certified step must give the steps, image
+    # representatives, grade and errors of the contexts M/bM
+    outcomes = []
+    for ctx, params in _certification_cases(corpus):
+        oracle = _recursion_outcome(quotient_recursion, ctx, params)
+        assert _recursion_outcome(grade_by_recursion, ctx, params) == oracle, str(ctx)
+        outcomes.append(oracle)
+    # seven two-step recursions, among them seed 7, whose second step's
+    # image is not reduced modulo the first quotient until it is mapped
+    # across; seeds 10 and 43 run out of search budget on both routes
+    assert sum(o != BudgetExceededError and o[0] == 2 for o in outcomes) == 7
+    assert outcomes.count(BudgetExceededError) == 2
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize("seed", SWEEP_SEEDS)
+def test_sweep_grade_recursion_retraces_the_quotient_contexts(seed):
+    spec = parse_session(random_session(seed))
+    try:
+        ctx = spec.context()
+    except FormconeError:  # refused input: no recursion to compare
+        return
+    oracle = _recursion_outcome(quotient_recursion, ctx, spec.params)
+    assert _recursion_outcome(grade_by_recursion, spec.context(), spec.params) == oracle, seed
