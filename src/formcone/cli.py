@@ -80,13 +80,17 @@ def _regular_sequence(certificate) -> list[dict]:
 
 
 def _depth_certificates(report: GradeReport) -> dict:
-    """The depth route, its regular sequence and its witness: the same keys
-    in every report."""
+    """The depth route, its regular sequence, and its witness with the
+    witness's homological index (null when there is none): the same keys in
+    every report.  The witness is a Koszul cycle at that index on the
+    generators that survive in the quotient by the sequence."""
     cert = report.certificate
+    witnesses = [w for w in cert if isinstance(w, KoszulWitness)]
     return {
         "depth_method": report.method,
         "depth_sequence": [str(e.representative) for e in cert if isinstance(e, GradedElement)],
-        "depth_witness": [str(p) for w in cert if isinstance(w, KoszulWitness) for p in w.cycle],
+        "depth_witness": [str(p) for w in witnesses for p in w.cycle],
+        "depth_witness_index": witnesses[0].index if witnesses else None,
     }
 
 

@@ -545,7 +545,7 @@ def system_images(ctx: FiltrationContext) -> tuple[GradedElement, ...]:
         pres = ctx.form_presentation()
         images = tuple(GradedElement(pres, ctx.graded_image(s.element, s.degree), s.degree)
                        for s in ctx.system)
-        proper = pres.quotient_by(e.representative for e in images).ideal.is_proper()
+        proper = pres.quotient_by(e.representative for e in images).is_proper()
         ctx.scratch[key] = images, proper
     images, proper = ctx.scratch[key]
     if not proper:
@@ -746,8 +746,8 @@ def grade_by_recursion(ctx: FiltrationContext,
     while True:
         pres, reps = _after(ctx, steps), top
         if steps:
-            reps = tuple(normal_forms(top, pres.groebner()))
-            if not pres.quotient_by(reps).ideal.is_proper():
+            reps = pres.reduce_all(top)
+            if not pres.quotient_by(reps).is_proper():
                 raise ValidationError(_UNIT_IDEAL)
         if pres.annihilator(reps) is not None:
             return GradeReport(len(steps), "lzero-recursion", steps)

@@ -28,15 +28,16 @@ q's generators are exactly the variables, each once with coefficient 1 in
 any order, q + I_A = m and G_M(m) = P[y] / ((x) + in(I_M)(y)), where in(I_M)
 is the ideal of lowest forms of I_M's elements (the tangent cone) and y_j
 stands for the variable of q's j-th generator.  So the form presentation is
-generated by the x-variables and in(I_M) rewritten in the y's.  Where I_M is
-homogeneous, in(I_M) = I_M and its reduced basis serves (Bruns-Herzog 4.5,
-Eisenbud 5.1); otherwise in(I_M) comes from one basis run in n+1 variables,
-Lazard's homogenization (EUROCAL 1983), instead of the Rees run in 2n+1.
-The image of a in degree d is a's degree-d part rewritten so, once its
-parts below d lie in I_M; an inhomogeneous I_M may still hold a in
-m^d + I_M otherwise, and that case takes the Rees normal form.  The Rees
-presentation, and every other input, keep the Rees basis; the tests
-cross-check the two routes.
+generated by the x-variables and in(I_M) rewritten in the y's; its core
+(``graded``) drops the x-variables, so every graded question runs in k[y]
+modulo in(I_M)(y).  Where I_M is homogeneous, in(I_M) = I_M and its reduced
+basis serves (Bruns-Herzog 4.5, Eisenbud 5.1); otherwise in(I_M) comes
+from one basis run in n+1 variables, Lazard's homogenization (EUROCAL
+1983), instead of the Rees run in 2n+1.  The image of a in degree d is a's
+degree-d part rewritten so, once its parts below d lie in I_M; an
+inhomogeneous I_M may still hold a in m^d + I_M otherwise, and that case
+takes the Rees normal form.  The Rees presentation, and every other input,
+keep the Rees basis; the tests cross-check the two routes.
 
 The power ladder q^n M = q^n + I_M is built level by level from the
 identity (q^(n-1) + I_M) * q + I_M = q^n + I_M, multiplying the previous
@@ -353,8 +354,9 @@ class FiltrationContext:
                 g.map_to(pres_ring, self._to_y) for g in cone)
             pres = GradedQuotientPresentation(pres_ring, self._pres_weights,
                                               PresentedIdeal(pres_ring, (), gens, self.step_budget))
-        for g in pres.groebner().generators:
-            if not g.is_homogeneous(pres.weights):
+        core = pres.core  # the split variables are homogeneous
+        for g in core.groebner().generators:
+            if not g.is_homogeneous(core.weights):
                 raise ConsistencyError("form presentation is not weight-homogeneous")
         self._presentations[key] = pres
         return pres

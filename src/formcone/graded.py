@@ -15,8 +15,10 @@ supported field), and depth by a greedy regular sequence stopped by a socle
 witness or the dimension, with Koszul homology as its fallback.
 ``first_regular`` picks the first nonzero nonzerodivisor among candidates,
 for ``depth`` and the criterion's lift search alike.  Every one of these
-reads the presentation ideal H's one reduced basis, in the presentation's
-weighted order, or that of a quotient of H, which extends it.
+reads one reduced basis, in the presentation's weighted order: that of the
+presentation's core, which drops the variables that H contains (the
+x-variables of G_M(m), or q's own variables on the Rees route), or of a
+quotient's core, which extends it.
 """
 
 from __future__ import annotations
@@ -26,9 +28,29 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ConsistencyError, InfiniteComponentError, ValidationError
-from .groebner import FreeModuleElement, GraphBasis, normal_form, normal_forms
+from .groebner import FreeModuleElement, GraphBasis, GroebnerBasis, normal_form, normal_forms
 from .ideals import PresentedIdeal
 from .rings import Monomial, Polynomial, PolynomialRing, minimal_monomials, weighted_order
+
+
+def _variable(f: Polynomial) -> int | None:
+    """The index of the variable that ``f`` is a nonzero multiple of, else None."""
+    if len(f.terms) == 1:
+        (m,) = f.terms
+        if sum(m) == 1:
+            return m.index(1)
+    return None
+
+
+def _restricted(f: Polynomial, ring: PolynomialRing, kept) -> Polynomial:
+    """``f`` with every variable outside ``kept`` set to 0, in ``ring``,
+    whose variables are those of ``kept``."""
+    terms = {}
+    for m, c in f.terms.items():
+        e = tuple(m[i] for i in kept)
+        if sum(e) == sum(m):
+            terms[e] = c
+    return Polynomial(ring, terms)
 
 
 class GradedQuotientPresentation:
@@ -40,12 +62,18 @@ class GradedQuotientPresentation:
     generator; the direct tangent-cone route gives every variable weight 1.
 
     H is held in the presentation's weighted order (an ideal given in
-    another order is rebuilt from its generators), so every question asked
-    of the presentation, and of its quotients and colons, reads H's one
-    reduced basis.
+    another order is rebuilt from its generators).  Every question reads
+    the reduced basis of the ``core`` P'/J: the variables that are
+    generators of H are 0 in P/H, so P/H = P'/J, where P' drops them and J
+    is H's other generators with them set to 0.  A quotient's core extends
+    its parent's, less every variable in the result.  Inputs are restricted
+    to the core and answers lifted back.  H's reduced basis is the split
+    variables and J's basis, sorted: the weighted order of P restricts to
+    that of P', a variable and an element free of it have coprime leads,
+    and neither reduces the other.
     """
 
-    __slots__ = ("ring", "weights", "ideal", "_quotients", "_annihilators")
+    __slots__ = ("ring", "weights", "ideal", "_core", "_kept", "_quotients", "_annihilators")
 
     def __init__(self, ring: PolynomialRing, weights, ideal: PresentedIdeal):
         self.ring = ring
@@ -55,6 +83,9 @@ class GradedQuotientPresentation:
             ideal = PresentedIdeal(ideal.ring, ideal.base, ideal.generators, ideal.step_budget,
                                    order)
         self.ideal = ideal
+        # the core and the variables of ``ring`` it keeps (None: all), set on first use
+        self._core: GradedQuotientPresentation | None = None
+        self._kept: tuple[int, ...] | None = None
         self._quotients: dict[tuple, GradedQuotientPresentation] = {}
         self._annihilators: dict[tuple, Polynomial | None] = {}
         if len(self.weights) != ring.nvars:
@@ -64,33 +95,118 @@ class GradedQuotientPresentation:
     def order(self):
         return self.ideal.order
 
-    def groebner(self):
-        return self.ideal.groebner()
+    @property
+    def core(self) -> "GradedQuotientPresentation":
+        """The presentation P'/J of the same graded ring (class docstring);
+        the presentation itself when no generator of H is a variable."""
+        if self._core is None:
+            self._split(self.ideal.combined(), reduced=False)
+        return self._core
+
+    def _split(self, gens, reduced: bool):
+        """Make the core: split off the variables among ``gens``, which
+        generate H, and restrict the others to the ring of the rest; with
+        ``reduced``, ``gens`` is H's reduced basis and so is the result J's."""
+        gone = {i for g in gens if (i := _variable(g)) is not None}
+        if not gone:
+            self._core = self
+            return
+        kept = self._kept = tuple(i for i in range(self.ring.nvars) if i not in gone)
+        ring = PolynomialRing(self.ring.field, tuple(self.ring.variables[i] for i in kept))
+        weights = tuple(self.weights[i] for i in kept)
+        rest = [h for g in gens if _variable(g) is None if (h := _restricted(g, ring, kept))]
+        ideal = PresentedIdeal(ring, (), () if reduced else rest, self.ideal.step_budget,
+                               weighted_order(weights))
+        core = self._core = GradedQuotientPresentation(
+            ring, weights, ideal.spawn_reduced(rest) if reduced else ideal)
+        core._core = core
+
+    def _restrict(self, f: Polynomial) -> Polynomial:
+        """The image in the core ring: split variables set to 0."""
+        return f if self._kept is None else _restricted(f, self._core.ring, self._kept)
+
+    def _lift(self, f: Polynomial) -> Polynomial:
+        """A core element as an element of ``ring``."""
+        kept = self._kept
+        if kept is None:
+            return f
+        zero = [0] * self.ring.nvars
+        terms = {}
+        for m, c in f.terms.items():
+            e = list(zero)
+            for i, x in zip(kept, m):
+                e[i] = x
+            terms[tuple(e)] = c
+        return Polynomial(self.ring, terms)
+
+    def groebner(self) -> GroebnerBasis:
+        """H's reduced basis: computed where the presentation is its own
+        core, else the split variables merged into the core's basis."""
+        core = self.core
+        if core is self:
+            return self.ideal.groebner()
+        basis = core.ideal.groebner().generators
+        if basis and basis[0] == core.ring.one():
+            return GroebnerBasis((self.ring.one(),), self.order)
+        kept = set(self._kept)
+        gens = [self.ring.var(i) for i in range(self.ring.nvars) if i not in kept]
+        gens += [self._lift(g) for g in basis]
+        key, order = self.order.key(), self.order
+        gens.sort(key=lambda g: key(g.leading_monomial(order)))
+        return GroebnerBasis(tuple(gens), order)
 
     def y_degree(self, mono: Monomial) -> int:
         return sum(w * e for w, e in zip(self.weights, mono))
 
     def reduce(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self.groebner())
+        return self._lift(normal_form(self._restrict(f), self.core.ideal.groebner()))
+
+    def reduce_all(self, fs) -> tuple[Polynomial, ...]:
+        """``reduce`` of each element, against one conversion of the basis."""
+        core = self.core
+        return tuple(self._lift(r) for r in normal_forms([self._restrict(f) for f in fs],
+                                                          core.ideal.groebner()))
 
     def contains(self, f: Polynomial) -> bool:
-        return self.reduce(f).is_zero()
+        return normal_form(self._restrict(f), self.core.ideal.groebner()).is_zero()
+
+    def is_proper(self) -> bool:
+        return self.core.ideal.is_proper()
 
     def quotient_by(self, reps) -> "GradedQuotientPresentation":
         """Presentation of the quotient by the listed (homogeneous) elements:
-        one per tuple of elements, so its basis is computed once, and that
-        run extends H's reduced basis by the elements alone (``sum_with``)."""
-        reps = tuple(reps)
+        one per tuple of elements.  Its core is one basis run in the core
+        ring that extends the core's basis by the restricted elements alone
+        (``sum_with``), less every variable in the result."""
+        return self._quotient(tuple(reps))
+
+    def _quotient(self, reps: tuple) -> "GradedQuotientPresentation":
         if reps not in self._quotients:
-            self._quotients[reps] = GradedQuotientPresentation(
-                self.ring, self.weights, self.ideal.sum_with(*reps))
+            core = self.core
+            quotient = GradedQuotientPresentation(self.ring, self.weights,
+                                                  self.ideal.sum_with(*reps))
+            if core is not self:
+                inner = core._quotient(tuple(self._restrict(r) for r in reps))
+                quotient._core, quotient._kept = inner._core, self._kept
+                if inner._kept is not None:
+                    quotient._kept = tuple(self._kept[i] for i in inner._kept)
+            else:
+                quotient._split(quotient.ideal.groebner().generators, reduced=True)
+                if quotient._core is not quotient:  # the core holds the basis, not the value
+                    quotient.ideal = self.ideal.sum_with(*reps)
+            self._quotients[reps] = quotient
         return self._quotients[reps]
 
     def annihilator(self, reps) -> Polynomial | None:
         """The first generator of the reduced basis of (H : (reps)) outside H,
         unreduced: a nonzero class that every listed element kills.  None
-        when (H : (reps)) = H.  One answer per tuple of elements."""
-        reps = tuple(reps)
+        when (H : (reps)) = H.  One answer per tuple of restricted elements,
+        from the core; an element of H restricts to 0, whose colon is the
+        unit ideal, so it is left out."""
+        witness = self.core._core_annihilator(tuple(filter(None, map(self._restrict, reps))))
+        return witness and self._lift(witness)
+
+    def _core_annihilator(self, reps) -> Polynomial | None:
         if reps not in self._annihilators:
             ann, witness = self.ideal.colon_ideal(self.ideal.spawn(reps)), None
             if not ann.equals(self.ideal):
@@ -209,7 +325,8 @@ def hilbert_function(pres: GradedQuotientPresentation, upto: int) -> list[int]:
     by a pure-power lead or by the constant lead of the unit ideal;
     otherwise raises InfiniteComponentError.
     """
-    leads = frozenset(g.leading_monomial(pres.order) for g in pres.groebner().generators)
+    pres = pres.core  # the split variables are 0: the same components
+    leads = frozenset(g.leading_monomial(pres.order) for g in pres.ideal.groebner().generators)
     for i, w in enumerate(pres.weights):
         if not w and not any(m[i] == sum(m) for m in leads):
             raise InfiniteComponentError(
@@ -226,7 +343,7 @@ def hilbert_function(pres: GradedQuotientPresentation, upto: int) -> list[int]:
 
 def graded_dim(pres: GradedQuotientPresentation) -> int:
     """Krull dimension of the presented graded quotient."""
-    return pres.ideal.krull_dim()
+    return pres.core.ideal.krull_dim()
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +390,9 @@ def koszul_grade(pres: GradedQuotientPresentation, generators) -> GradeReport:
     Deterministic: homology is probed from the top index downward and the
     first nonzero index decides.  Below the top index, the ``GraphBasis`` of
     d_i modulo H gives the cycles at i (kernel) and boundaries at i - 1 (image).
+    It runs on the core: a graph basis in P is the core's plus each split
+    variable at each position, a cycle and a boundary, so the witness is
+    the core's, lifted.
     """
     gens = list(generators)
     for g in gens:
@@ -280,10 +400,24 @@ def koszul_grade(pres: GradedQuotientPresentation, generators) -> GradeReport:
             raise ValidationError("koszul_grade expects graded elements")
         if g.representative.ring != pres.ring:
             raise ValidationError("generator from a different presentation ring")
-    reps = [g.representative for g in gens]
+    return _lifted(pres, _koszul(pres.core, [pres._restrict(g.representative) for g in gens]))
+
+
+def _lifted(pres: GradedQuotientPresentation, report: GradeReport) -> GradeReport:
+    """A report on ``pres.core`` with its certificate lifted to ``pres``."""
+    if pres.core is pres:
+        return report
+    return GradeReport(report.value, report.method, tuple(
+        GradedElement(pres, pres._lift(e.representative), e.degree)
+        if isinstance(e, GradedElement)
+        else KoszulWitness(e.index, tuple(pres._lift(p) for p in e.cycle))
+        for e in report.certificate))
+
+
+def _koszul(pres: GradedQuotientPresentation, reps: list[Polynomial]) -> GradeReport:
+    """``koszul_grade`` of ``reps`` on a presentation that is its own core."""
     r = len(reps)
-    h_gb = pres.groebner()
-    if not pres.quotient_by(reps).ideal.is_proper():
+    if not pres.quotient_by(reps).is_proper():
         return GradeReport(math.inf, "koszul")
 
     # top index: homology is the annihilator of the generator ideal
@@ -291,6 +425,8 @@ def koszul_grade(pres: GradedQuotientPresentation, generators) -> GradeReport:
         witness = pres.annihilator(reps)
         if witness is not None:
             return GradeReport(0, "koszul", (KoszulWitness(r, (pres.reduce(witness),)),))
+
+    h_gb = pres.ideal.groebner()
 
     def graph(i: int) -> GraphBasis:
         return GraphBasis(_koszul_columns(reps, i, pres.ring), pres.order,
@@ -328,11 +464,10 @@ def first_regular(pres: GradedQuotientPresentation, candidates,
     ``killers`` holds a nonzero class that each rejected candidate kills: a
     candidate that one of them, still nonzero in ``pres``, kills is a zero
     divisor without a colon."""
-    ideal = pres.ideal
     for c in candidates:
         x = c.representative
-        if ideal.contains(x) or any(ideal.contains(w * x) and not ideal.contains(w)
-                                    for w in killers):
+        if pres.contains(x) or any(pres.contains(w * x) and not pres.contains(w)
+                                   for w in killers):
             continue
         witness = pres.annihilator((x,))
         if witness is None:
@@ -345,9 +480,8 @@ def _socle_witness(cur: GradedQuotientPresentation, reps,
                    killers: list[Polynomial]) -> Polynomial | None:
     """A nonzero class of ``cur`` killed by every element of ``reps``: a
     known killer when one is, else the presentation's annihilator."""
-    ideal = cur.ideal
-    for w in normal_forms(killers, ideal.groebner()) if killers else ():
-        if not w.is_zero() and all(ideal.contains(w * g) for g in reps):
+    for w in cur.reduce_all(killers):
+        if not w.is_zero() and all(cur.contains(w * g) for g in reps):
             return w
     witness = cur.annihilator(reps) if reps else None
     return witness and cur.reduce(witness)
@@ -380,8 +514,13 @@ def depth(pres: GradedQuotientPresentation) -> GradeReport:
     computed.  When no candidate extends the sequence and there is no socle
     (small fields, or every sum a zero divisor), the answer is
     ``koszul_grade`` on the same generators, route ``"koszul"``.  Both
-    routes are exact and deterministic.
+    routes are exact and deterministic.  It runs on the core.
     """
+    return _lifted(pres, _depth(pres.core))
+
+
+def _depth(pres: GradedQuotientPresentation) -> GradeReport:
+    """``depth`` on a presentation that is its own core."""
     # H plus every variable image is H + m, the unit ideal exactly when H
     # does not lie in m: when some generator of H has a constant term
     if any(g.min_degree() == 0 for g in pres.ideal.combined()):

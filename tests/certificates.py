@@ -10,6 +10,12 @@ components and by membership, never by a colon:
 - a ``depth_witness`` of the regular-sequence route is nonzero modulo the
   whole sequence, and every variable image times it lies in H + (sequence),
   so the sequence is maximal and its length is the depth;
+- a ``depth_witness`` of the Koszul route is a cycle at
+  ``depth_witness_index`` of the Koszul complex on the variable images
+  that are nonzero in the form presentation: the differential maps it into
+  H, and it lies outside the boundaries plus H, by a normal form against a
+  module basis of both computed in the full presentation ring.  Its index
+  i gives the depth, the number of those images minus i;
 - each ``regular_sequence`` element has a nonzero graded image, found by
   membership lifting (``oracle.lifted_image``), and that image is a
   nonzerodivisor on the form presentation of its successive quotient
@@ -32,11 +38,13 @@ injective on every finite piece, so a failure refutes the certificate.
 from __future__ import annotations
 
 from itertools import product as cartesian
+from math import comb
 
 from oracle import exact_rank, lifted_image, mul_term, product_power
 
 from formcone.filtration import FiltrationContext
-from formcone.graded import GradedQuotientPresentation, _numerator
+from formcone.graded import GradedQuotientPresentation, _koszul_columns, _numerator
+from formcone.groebner import FreeModuleElement, buchberger, normal_form
 
 TOP = 4
 
@@ -100,6 +108,26 @@ def _regular_on(pres: GradedQuotientPresentation, rep) -> bool:
     return _series_numerator(pres.quotient_by([rep])) == _trimmed(expected)
 
 
+def _koszul_witness(pres: GradedQuotientPresentation, cycle: list, index: int) -> bool:
+    """``cycle`` is a Koszul cycle at ``index`` on the variable images that
+    are nonzero in ``pres``, and not a boundary modulo H; membership is read
+    off a basis of H and a module basis computed here in ``pres.ring``."""
+    ring, h = pres.ring, buchberger(pres.ideal.combined(), pres.order)
+    gens = [v for v in ring.gens() if not normal_form(v, h).is_zero()]
+    assert 1 <= index <= len(gens) and len(cycle) == comb(len(gens), index)
+    differential = [ring.zero()] * comb(len(gens), index - 1)
+    for coeff, column in zip(cycle, _koszul_columns(gens, index, ring)):
+        differential = [t + coeff * c for t, c in zip(differential, column.components)]
+    if not all(normal_form(t, h).is_zero() for t in differential):
+        return False
+    rank = len(cycle)
+    units = [FreeModuleElement(ring, [g if j == k else ring.zero() for j in range(rank)])
+             for k in range(rank) for g in h.generators]
+    above = _koszul_columns(gens, index + 1, ring) if index < len(gens) else []
+    boundaries = buchberger(above + units, pres.order)
+    return not normal_form(FreeModuleElement(ring, cycle), boundaries).is_zero()
+
+
 def check_cm_certificates(ctx: FiltrationContext, payload: dict) -> int:
     """Re-verify every certificate of ``payload``; returns how many were
     checked and raises AssertionError on the first that fails."""
@@ -115,6 +143,12 @@ def check_cm_certificates(ctx: FiltrationContext, payload: dict) -> int:
         assert not cur.contains(witness), "depth_witness is zero"
         assert all(cur.contains(v * witness) for v in pres.ring.gens()), "not a socle element"
         assert payload["depth"] == len(sequence)
+        checked += 1
+    if cert["depth_method"] == "koszul" and cert["depth_witness"]:
+        index = cert["depth_witness_index"]
+        cycle = [pres.ring.parse(text) for text in cert["depth_witness"]]
+        assert _koszul_witness(pres, cycle, index), "depth_witness is no Koszul witness"
+        assert payload["depth"] == sum(not pres.contains(v) for v in pres.ring.gens()) - index
         checked += 1
 
     work = ctx

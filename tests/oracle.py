@@ -25,6 +25,7 @@ containment, and session printing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -45,9 +46,22 @@ from formcone.errors import (
     ValidationError,
 )
 from formcone.filtration import FiltrationContext
-from formcone.graded import GradedQuotientPresentation, GradeReport
+from formcone.graded import (
+    GradedElement,
+    GradedQuotientPresentation,
+    GradeReport,
+    KoszulWitness,
+    _koszul_columns,
+    _numerator,
+    depth,
+    graded_dim,
+    hilbert_function,
+    koszul_grade,
+)
 from formcone.groebner import (
     FreeModuleElement,
+    GraphBasis,
+    GroebnerBasis,
     _common_shape,
     _lead,
     _lead_index,
@@ -530,6 +544,136 @@ def quotient_recursion(ctx: FiltrationContext, params: CriterionParams) -> Grade
         work = work.quotient_by_element(cand.element)
         if len(steps) > dim_guard:
             raise ConsistencyError("recursion depth exceeded the module dimension")
+
+
+# ---------------------------------------------------------------------------
+# The graded side in the full presentation ring
+# ---------------------------------------------------------------------------
+
+class FullRing:
+    """The graded questions of a presentation P/H asked in P itself, as the
+    package asked them before it split off the variables that H contains:
+    one basis run of H's generators in P's weighted order, normal forms
+    against it, the first generator outside H of the colon (H : reps)
+    computed in P, and Koszul homology from ``GraphBasis`` in P."""
+
+    def __init__(self, pres: GradedQuotientPresentation, extra=()):
+        self.pres, self.ring, self.order, self.extra = pres, pres.ring, pres.order, tuple(extra)
+        self.ideal = PresentedIdeal(pres.ring, (), pres.ideal.combined() + self.extra,
+                                    pres.ideal.step_budget, pres.order)
+
+    def groebner(self) -> GroebnerBasis:
+        return buchberger(self.ideal.combined(), self.order, self.ideal.step_budget)
+
+    def quotient(self, reps) -> "FullRing":
+        return FullRing(self.pres, self.extra + tuple(reps))
+
+    def reduce(self, f: Polynomial) -> Polynomial:
+        return normal_form(f, self.ideal.groebner())
+
+    def contains(self, f: Polynomial) -> bool:
+        return self.reduce(f).is_zero()
+
+    def annihilator(self, reps) -> Polynomial | None:
+        ann = self.ideal.colon_ideal(self.ideal.spawn(reps))
+        if ann.equals(self.ideal):
+            return None
+        return next(g for g in ann.generators if not self.ideal.contains(g))
+
+    def koszul_grade(self, reps) -> GradeReport:
+        """Top nonvanishing Koszul homology index of ``reps``, as
+        ``graded.koszul_grade`` reports it."""
+        reps, r = list(reps), len(reps)
+        if not self.quotient(reps).ideal.is_proper():
+            return GradeReport(math.inf, "koszul")
+        witness = self.annihilator(reps) if r else None
+        if witness is not None:
+            return GradeReport(0, "koszul", (KoszulWitness(r, (self.reduce(witness),)),))
+        h_gb = self.ideal.groebner()
+
+        def graph(i):
+            return GraphBasis(_koszul_columns(reps, i, self.ring), self.order,
+                              self.ideal.step_budget, [h_gb] * math.comb(r, i - 1))
+
+        above = graph(r) if r > 1 else None
+        for i in range(r - 1, 0, -1):
+            here = graph(i)
+            for residue in normal_forms(here.kernel, above.image):
+                if not residue.is_zero():
+                    return GradeReport(r - i, "koszul",
+                                       (KoszulWitness(i, tuple(residue.components)),))
+            above = here
+        return GradeReport(r, "koszul")
+
+    def hilbert_function(self, upto: int) -> list[int]:
+        """The components' dimensions off the numerator of P/H's own leads."""
+        weights = self.pres.weights
+        leads = frozenset(g.leading_monomial(self.order) for g in self.ideal.groebner().generators)
+        for i, w in enumerate(weights):
+            if not w and not any(m[i] == sum(m) for m in leads):
+                raise InfiniteComponentError(self.ring.variables[i])
+        values = _numerator(leads, weights, {})[:upto + 1]
+        values += [0] * (upto + 1 - len(values))
+        for w in filter(None, weights):
+            for d in range(w, upto + 1):
+                values[d] += values[d - w]
+        return values
+
+
+def graded_side_differs(pres: GradedQuotientPresentation) -> list[str]:
+    """The questions on which ``pres`` and its ``FullRing`` answer
+    differently: the reduced basis, the normal forms of the variables and
+    their pairwise products, the annihilator of each variable and of all of
+    them, Koszul grade and depth on the variable images that are nonzero
+    (depth's certificate replayed in P), the Hilbert function through
+    weight 4 and the dimension."""
+    ref, ring, out = FullRing(pres), pres.ring, []
+    if pres.groebner() != ref.groebner():
+        out.append("groebner")
+    variables = ring.gens()
+    probes = list(variables) + [u * v for k, u in enumerate(variables) for v in variables[k:]]
+    if [pres.reduce(f) for f in probes] != [ref.reduce(f) for f in probes]:
+        out.append("reduce")
+    for reps in [(v,) for v in variables] + [variables]:
+        if pres.annihilator(reps) != ref.annihilator(reps):
+            out.append(f"annihilator {reps}")
+    gens = [GradedElement(pres, v, w) for v, w in zip(variables, pres.weights)
+            if not ref.contains(v)]
+    koszul = ref.koszul_grade([g.representative for g in gens])
+    if koszul_grade(pres, gens) != koszul:
+        out.append("koszul_grade")
+    report = depth(pres)
+    if report.method == "koszul":
+        if report != koszul:
+            out.append("depth")
+    elif report.value != koszul.value:
+        out.append("depth value")
+    else:
+        seq = [e.representative for e in report.certificate if isinstance(e, GradedElement)]
+        cur = ref.quotient(seq)
+        for k, x in enumerate(seq):
+            below = ref.quotient(seq[:k])
+            if below.contains(x) or below.annihilator((x,)) is not None:
+                out.append(f"depth sequence {k}")
+        for w in report.certificate:
+            if isinstance(w, KoszulWitness):
+                (witness,) = w.cycle
+                if cur.contains(witness) or not all(cur.contains(g.representative * witness)
+                                                    for g in gens):
+                    out.append("depth witness")
+    try:
+        values = hilbert_function(pres, 4)
+    except InfiniteComponentError:
+        values = None
+    try:
+        expected = ref.hilbert_function(4)
+    except InfiniteComponentError:
+        expected = None
+    if values != expected:
+        out.append("hilbert_function")
+    if graded_dim(pres) != ref.ideal.krull_dim():
+        out.append("graded_dim")
+    return out
 
 
 # ---------------------------------------------------------------------------

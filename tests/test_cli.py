@@ -296,9 +296,9 @@ def test_depth_certificates_share_keys_and_are_printed(curve_file, tmp_path, cap
     cubic.write_text(CUBIC_TEXT, encoding="utf-8")
     expected = {
         curve_file: {"depth_method": "regular-sequence", "depth_sequence": [],
-                     "depth_witness": ["y3"]},
+                     "depth_witness": ["y3"], "depth_witness_index": 3},
         cubic: {"depth_method": "regular-sequence", "depth_sequence": ["y1", "y4"],
-                "depth_witness": []},
+                "depth_witness": [], "depth_witness_index": None},
     }
     for path, depth_certs in expected.items():
         for command in ("depth", "cm-check"):
@@ -453,5 +453,25 @@ def test_certificate_replay_rejects_a_zero_divisor_above_weight_top():
     for mutated in ({**certs, "depth_sequence": ["y2"]},
                     {**certs, "depth_sequence": ["y1 + y2", "y1 + y2"]},
                     {**certs, "regular_sequence": [{"element": "y", "degree": 1}]}):
+        with pytest.raises(AssertionError):
+            check_cm_certificates(ctx, {**payload, "certificates": mutated})
+
+
+def test_koszul_depth_witness_replays():
+    """x*z, y*z with q = a = z takes the Koszul depth route: the witness
+    (0, y, -x) is a cycle at index 2 on the images of x, y and y1, not a
+    boundary, so the depth is 3 - 2 = 1.  Its index is in the payload, and
+    the replay rejects a wrong index, the boundary d_3(e_123) and a chain
+    that is no cycle."""
+    spec = parse_session("field QQ\nvars x, y, z\nbase: x*z, y*z\nq: z\na: z\n")
+    ctx = spec.context()
+    payload = json.loads(emit_report(run_command("cm-check", spec)))
+    certs = payload["certificates"]
+    assert (certs["depth_method"], certs["depth_witness"], certs["depth_witness_index"]) == (
+        "koszul", ["0", "y", "-x"], 2)
+    assert check_cm_certificates(ctx, payload) > 0
+    for mutated in ({**certs, "depth_witness_index": 1},
+                    {**certs, "depth_witness": ["y1", "-y", "x"]},
+                    {**certs, "depth_witness": ["0", "y", "x"]}):
         with pytest.raises(AssertionError):
             check_cm_certificates(ctx, {**payload, "certificates": mutated})

@@ -515,8 +515,9 @@ def test_each_ideal_is_built_once(monkeypatch):
     """Over the tier-4 pipeline no context recomputes the basis of I_A or of
     I_A + q, which the base built at construction.  The basis of H +
     (system images) is computed once per context, since ``system_images``
-    keeps its unit-ideal verdict, and as one run whose generators are the
-    images and whose settled block is H's basis."""
+    keeps its unit-ideal verdict, and as one run in the core ring of the
+    form presentation, whose generators are the images restricted to the
+    core and whose settled block is the core's basis."""
     runs = []
     real = ideals_module.buchberger
 
@@ -535,7 +536,9 @@ def test_each_ideal_is_built_once(monkeypatch):
         images = tuple(e.representative for e in report.system_images)
         a_gens = ctx.base_generators
         assert runs.count((a_gens, None)) == runs.count((ctx.q_generators + a_gens, None)) == 0
-        assert runs.count((images, ctx.form_presentation().groebner())) == 1
+        core, pres = ctx.form_presentation().core, ctx.form_presentation()
+        restricted = tuple(pres._restrict(image) for image in images)
+        assert runs.count((restricted, core.groebner())) == 1
     assert grades == [0, 2, 1]  # the cone inputs take recursion steps
 
 
@@ -614,13 +617,16 @@ def test_presentation_rings_run_in_the_presentation_order(monkeypatch):
     """Over the tier-4 pipelines and every command on the demo, each basis
     run and each graph basis in a presentation ring uses that presentation's
     weighted order: membership, colons, quotients and dimension all read the
-    one basis of H.  On tier 4 the presentation rings see 11 basis runs:
-    each step of a cone input's grade recursion quotients the form
-    presentation by the step's initial form and checks the system's images
-    there for the unit ideal.  The quotient by x* = y1 is the one that the
-    system's own unit-ideal check (a = x) or the depth sequence (a = x, w)
-    already built, so it takes no run of its own."""
-    orders, runs, mismatched = {}, [], []
+    one basis of H's core.  The core rings are presentation rings of their
+    own: k[y1..y4] (the x's lie in H), then k[y2, y3, y4] and k[y2, y3]
+    after quotients by variables.  On tier 4 they see 11 basis runs and 17
+    graph bases, and the form presentations' ring P[y] sees none: each step
+    of a cone input's grade recursion quotients the form presentation by
+    the step's initial form and checks the system's images there for the
+    unit ideal.  The quotient by x* = y1 is the one that the system's own
+    unit-ideal check (a = x) or the depth sequence (a = x, w) already built,
+    so it takes no run of its own."""
+    orders, runs, mismatched, rings = {}, [], [], []
     real_init = GradedQuotientPresentation.__init__
     real_run = ideals_module.buchberger
     real_graph = groebner_module.GraphBasis.__init__
@@ -632,6 +638,7 @@ def test_presentation_rings_run_in_the_presentation_order(monkeypatch):
     def check(kind, ring, order):
         if ring in orders and ring not in ambient:
             runs.append(kind)
+            rings.append(ring)
             if order not in orders[ring]:
                 mismatched.append((kind, str(ring), order.kind.value))
 
@@ -655,7 +662,8 @@ def test_presentation_rings_run_in_the_presentation_order(monkeypatch):
     for ctx in contexts:
         defect_regularity_equivalence(ctx, params)
         cohen_macaulay_report(ctx, params)
-    assert runs.count("run") == 11 and mismatched == []
+    assert runs.count("run") == 11 and runs.count("graph") == 17 and mismatched == []
+    assert not {ctx.form_presentation().ring for ctx in contexts} & set(rings)
     runs.clear()
     demo = Path(__file__).parent.parent / "demos" / "semigroup_curve.fc"
     ambient.add(parse_session(demo.read_text(encoding="utf-8")).context().ring)
@@ -673,7 +681,9 @@ def test_each_regularity_question_is_answered_once(monkeypatch):
     side.  Each cone input's recursion asks one annihilator on each
     quotient of the form presentation it reaches; on the cone with a = x, w
     the second step's search asks whether w* is regular modulo x*, which the
-    depth sequence already asked of that one quotient."""
+    depth sequence already asked of that one quotient.  So does its stop
+    test: the images (x*, w*) restrict to (w*) = (y4) on the core of G/x*G,
+    since an element of H restricts to 0 and leaves the colon unchanged."""
     asked, kernels = [], 0
     real = ideals_module.meet_of_colons
 
@@ -690,7 +700,7 @@ def test_each_regularity_question_is_answered_once(monkeypatch):
         cohen_macaulay_report(ctx, params)
         assert len(set(asked)) == len(asked)
         kernels += len(asked)
-    assert kernels == 16
+    assert kernels == 15
 
 
 def test_radical_invariance():

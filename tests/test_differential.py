@@ -13,9 +13,11 @@ single elements whose level chains read the colon sequence and those that
 take kernels.  Seeds 0-59 run in tier 1 and seeds 0-299 under the ``sweep``
 marker (``pytest -m sweep``).  Over the corpus, the tier-4 inputs, the demo
 and seeds 0-59, every certified record has the chain's ideal, verdict and
-residues, and the grade recursion on one presentation retraces the
-recursion through quotient contexts (``oracle.quotient_recursion``); the
-latter also over seeds 0-299 under the ``sweep`` marker.
+residues, the grade recursion on one presentation retraces the
+recursion through quotient contexts (``oracle.quotient_recursion``), and
+every presentation the pipeline reaches answers its graded questions on
+its core as ``oracle.FullRing`` does in the full presentation ring; the
+latter two also over seeds 0-299 under the ``sweep`` marker.
 Seed 174, whose q + I_A is m-primary but not m, reads its dimension at the
 origin.  For three inputs the ``cm-check`` JSON, minus ``timings``, does not
 depend on the hash seed.
@@ -33,14 +35,17 @@ from pathlib import Path
 
 import pytest
 from corpus import CORPUS_PARAMS, tier4_contexts
-from oracle import direct_defect_at, quotient_recursion
+from oracle import direct_defect_at, graded_side_differs, quotient_recursion
 
 import formcone.criterion as criterion_module
 from formcone import (
     BudgetExceededError,
     DefectRecord,
+    FiltrationContext,
     FormconeError,
+    cohen_macaulay_report,
     defect_at,
+    defect_regularity_equivalence,
     defect_scan,
     grade_by_recursion,
     parse_session,
@@ -290,3 +295,59 @@ def test_sweep_grade_recursion_retraces_the_quotient_contexts(seed):
         return
     oracle = _recursion_outcome(quotient_recursion, ctx, spec.params)
     assert _recursion_outcome(grade_by_recursion, spec.context(), spec.params) == oracle, seed
+
+
+def _reached_presentations(ctx, params) -> list:
+    """Every presentation that the equivalence check and the CM report
+    reach on a cold copy of ``ctx``: the form presentation, its quotient by
+    the system images, each recursion step's and each depth step's
+    quotient, and the core of each, found through the memos that keep
+    them."""
+    ctx = FiltrationContext(ctx.ring, ctx.base_generators, ctx.module_generators,
+                            ctx.q_generators, [(s.element, None) for s in ctx.system],
+                            ctx.probe_cap, ctx.step_budget)
+    try:
+        defect_regularity_equivalence(ctx, params)
+        cohen_macaulay_report(ctx, params)
+    except FormconeError:  # a refused or budget-bound input still reaches some
+        pass
+    reached, todo = [], [ctx.form_presentation()]
+    while todo:
+        pres = todo.pop()
+        if not any(pres is seen for seen in reached):
+            reached.append(pres)
+            todo += [*pres._quotients.values(), pres.core]
+    return reached
+
+
+def _full_ring_disagreements(cases) -> tuple[int, int, list]:
+    """(presentations compared, those that split off variables, and each
+    that answers a graded question unlike ``oracle.FullRing``)."""
+    compared, split, differ = 0, 0, []
+    for ctx, params in cases:
+        for pres in _reached_presentations(ctx, params):
+            compared += 1
+            split += pres.core is not pres
+            if failed := graded_side_differs(pres):
+                differ.append((str(ctx), str(pres.ring), failed))
+    return compared, split, differ
+
+
+def test_graded_side_matches_the_full_ring(corpus):
+    # the graded side runs on each presentation's core; in P itself the
+    # basis, normal forms, annihilators, Koszul grade, depth, Hilbert
+    # function and dimension must come out the same
+    compared, split, differ = _full_ring_disagreements(_certification_cases(corpus))
+    assert differ == []
+    assert (compared, split) == (784, 455)  # over the 105 cases; 455 split off variables
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize("seed", SWEEP_SEEDS)
+def test_sweep_graded_side_matches_the_full_ring(seed):
+    spec = parse_session(random_session(seed))
+    try:
+        ctx = spec.context()
+    except FormconeError:  # refused input: no presentation to compare
+        return
+    assert _full_ring_disagreements([(ctx, spec.params)])[2] == []
