@@ -30,10 +30,14 @@ are bounded by n_max/l_max, which such a record says with
 ``certified=False``.  The exact graded route is always the authority.
 
 The level scan, and ``colon_chain_regularity`` beside it, read the context's
-q-powers and colons.  The graded side reads the form presentation that the
-context builds, and the graded images of the system, through ``graded``;
-every function here that needs them takes the context alone and derives
-them from it.
+q-powers and colons.  Every chain starts at q^n M, but the ladder forms a
+level only when its basis or generators are read
+(``FiltrationContext.q_power``): a chain that only repeats its term 0 reads
+neither, and neither does its record or a certified one, so such levels
+cost no basis computation.  The graded side reads the form presentation
+that the context builds, and the graded images of the system, through
+``graded``; every function here that needs them takes the context alone
+and derives them from it.
 """
 
 from __future__ import annotations
@@ -203,7 +207,9 @@ class _Chain:
 
     def append(self, term: PresentedIdeal | None = None) -> None:
         """Add the next term; None repeats the last one, for a step already
-        known to leave the chain unchanged.
+        known to leave the chain unchanged.  A term contains itself, so a
+        repeat reads no basis and its flag is None: a level chain that only
+        repeats never reads q^n M's basis, nor forms that ladder level.
 
         Each term must contain the one before, from l = 1 on.  By
         transitivity every term then contains term 0, which is C(n, 0) =
@@ -213,11 +219,14 @@ class _Chain:
         sequence it runs once per context instead of once per level.  Term
         l contains term l-1 when it contains each element of l-1's reduced
         basis, so only the elements its own basis lacks are reduced (term
-        0's generators are the raw ladder products, far more than its
-        basis); a violation is an internal bug, not an input problem.
+        0's generators are I_M's and the raw ladder products, far more than
+        its basis); a violation is an internal bug, not an input problem.
         """
         prev = self.ideals[-1]
-        term = prev if term is None else term
+        if term is None:
+            self.ideals.append(prev)
+            self.changed.append(None)
+            return
         basis, before = term.groebner().generators, prev.groebner().generators
         differ = set(basis).symmetric_difference(before) if basis != before else ()
         lacking = [g for g in before if g in differ]
@@ -445,18 +454,21 @@ def _chain_record(ctx: FiltrationContext, n: int, params: CriterionParams) -> De
     chain unchanged iff K_l and K_(l-1) agree in every degree below n.
 
     The record's residues are the nonzero, de-duplicated normal forms of its
-    ideal's reduced basis modulo q^n M.  On the shared route they are read
-    off K_l's reduced basis, whose normal forms modulo I_M are memoised once
-    per distinct K (``_residue_table``): level n keeps those of degree below
-    n, in K_l's basis order.  This is exact.  ``graded_power_basis`` lists
-    the reduced basis of K_l + m^n as K_l's elements of degree below n, in
-    K_l's order, followed by degree-n monomials, which lie in m^n, inside
-    q^n M = m^n + I_M, and so leave no residue.  K_l is homogeneous (I_M
-    and every a_i are), and for a homogeneous g of degree d < n, NF(g,
-    m^n + I_M) = NF(g, I_M): a normal form is the unique standard
-    representative of g's class, reduction keeps it homogeneous of degree
-    d, and in degree d the two ideals, and so their standard monomials,
-    agree.  The sandwich C(n, l) >= q^n M is the chain's own ascending check
+    ideal's reduced basis modulo q^n M.  A level chain whose flags through l
+    are all None has C(n, l) = q^n M, which leaves none, so its record reads no
+    basis: where the chain only repeats term 0, level n of the ladder is never
+    formed (``FiltrationContext.q_power``).  On the shared route the residues
+    are read off K_l's reduced basis, whose normal forms modulo I_M are
+    memoised once per distinct K (``_residue_table``): level n keeps those of
+    degree below n, in K_l's basis order.  This is exact.
+    ``graded_power_basis`` lists the reduced basis of K_l + m^n as K_l's
+    elements of degree below n, in K_l's order, followed by degree-n monomials,
+    which lie in m^n, inside q^n M = m^n + I_M, and so leave no residue.  K_l
+    is homogeneous (I_M and every a_i are), and for a homogeneous g of
+    degree d < n, NF(g, m^n + I_M) = NF(g, I_M): a normal form is the unique standard
+    representative of g's class, reduction keeps it homogeneous of degree d,
+    and in degree d the two ideals, and so their standard monomials, agree.
+    The sandwich C(n, l) >= q^n M is the chain's own ascending check
     (``_Chain.append``).
     """
     shared = _shared_colons(ctx)
@@ -476,6 +488,8 @@ def _chain_record(ctx: FiltrationContext, n: int, params: CriterionParams) -> De
         current = ctx.ideal_m.spawn_reduced(
             graded_power_basis(ctx.ring, current.groebner().generators, n))
         forms = (r for d, r in _residue_table(ctx, chain, l) if d < n)
+    elif all(c is None for c in chain.changed[:l]):  # C(n, l) = C(n, 0) = q^n M
+        forms = ()
     else:
         forms = normal_forms(current.groebner().generators, ctx.q_power(n).groebner())
     residues = tuple(dict.fromkeys(r for r in forms if not r.is_zero()))
@@ -526,10 +540,6 @@ def colon_chain_regularity(ctx: FiltrationContext, b: Polynomial, n_max: int = 1
 # Exact graded side and the candidate search
 # ---------------------------------------------------------------------------
 
-_UNIT_IDEAL = ("the system's initial forms act as the unit ideal on the graded module; "
-               "grades would be the infinite sentinel and the criterion does not apply")
-
-
 def system_images(ctx: FiltrationContext) -> tuple[GradedElement, ...]:
     """Initial forms of the system as elements of the form presentation,
     computed once per context.
@@ -549,7 +559,9 @@ def system_images(ctx: FiltrationContext) -> tuple[GradedElement, ...]:
         ctx.scratch[key] = images, proper
     images, proper = ctx.scratch[key]
     if not proper:
-        raise ValidationError(_UNIT_IDEAL)
+        raise ValidationError(
+            "the system's initial forms act as the unit ideal on the graded module; "
+            "grades would be the infinite sentinel and the criterion does not apply")
     return images
 
 
@@ -740,15 +752,19 @@ def grade_by_recursion(ctx: FiltrationContext,
     level of M/bM vanishes" (``defect_at`` proves one direction; a nonzero
     torsion class of degree d makes level d + 1 nonvanishing).  A regular
     sequence on G is at most dim G long, which bounds the steps.
+
+    No step can make the initial forms act as the unit ideal, so the
+    recursion asks that only once, in ``system_images``.  Each step's b is
+    a sum of m_i*a_i with m_i in q^(d-c_i) and b of initial degree d, so b*
+    is the sum of the classes of m_i in G_(d-c_i) times a_i*, and lies in
+    (a*)G.  With H the ideal of G's presentation, H + (b_1*, ..., b_k*) +
+    (a*) is then H + (a*), whose quotient ``system_images`` found proper.
     """
     top = tuple(e.representative for e in system_images(ctx))
     steps: tuple[CertificateStep, ...] = ()
     while True:
-        pres, reps = _after(ctx, steps), top
-        if steps:
-            reps = pres.reduce_all(top)
-            if not pres.quotient_by(reps).is_proper():
-                raise ValidationError(_UNIT_IDEAL)
+        pres = _after(ctx, steps)
+        reps = pres.reduce_all(top) if steps else top
         if pres.annihilator(reps) is not None:
             return GradeReport(len(steps), "lzero-recursion", steps)
         cand = find_regular_lift(ctx, params, steps)

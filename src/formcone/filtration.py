@@ -42,7 +42,11 @@ keep the Rees basis; the tests cross-check the two routes.
 The power ladder q^n M = q^n + I_M is built level by level from the
 identity (q^(n-1) + I_M) * q + I_M = q^n + I_M, multiplying the previous
 level's reduced basis, reduced modulo I_M, by q's generators instead of
-forming all degree-n products.  The ladder q^n + I_A, which system
+forming all degree-n products.  It is built on demand: ``q_power(n)``
+forms nothing, and a level's generators are formed when they or its basis
+are first read, together with every unformed level below it.  The level
+scan names q^n M for every level but reads it only where a chain leaves
+it or a premise check needs it.  The ladder q^n + I_A, which system
 validation reads, is the same method on ``ctx.base``, the context of M = A;
 when M = A the two are one.
 
@@ -115,6 +119,49 @@ def _variable_slots(gens) -> tuple[int, ...] | None:
             return None
         slots.append(terms[0][0].index(1))
     return tuple(slots)
+
+
+class _Level(PresentedIdeal):
+    """Level n >= 2 of a ladder that is not graded, q^n + I_M, whose
+    generators are formed when something first reads them or its reduced
+    basis (``FiltrationContext.q_power``).
+
+    Until then the ``generators`` slot is unset, so reading it reaches
+    ``__getattr__``, which forms this level and every unformed one below it
+    in one upward loop; a formed level is a plain ``PresentedIdeal`` to
+    every reader.  Its generators are I_M's followed by the products, as
+    ``sum_with`` lists them, and its basis run extends I_M's reduced basis
+    as a settled block.
+    """
+
+    __slots__ = ("_below", "_q")
+
+    def __init__(self, below: PresentedIdeal, module: PresentedIdeal, q_gens):
+        super().__init__(module.ring, module.base, (), module.step_budget, module.order)
+        del self.generators
+        self._extends, self._below, self._q = module, below, q_gens
+
+    def __getattr__(self, name):
+        if name != "generators":  # only the generators of an unformed level are unset
+            raise AttributeError(name)
+        pending, level = [], self
+        while isinstance(level, _Level) and level._below is not None:
+            pending.append(level)
+            level = level._below
+        for level in reversed(pending):
+            level._form()
+        return self.generators
+
+    def _form(self):
+        """Set the generators from the formed level below (the identity in
+        ``FiltrationContext.q_power``)."""
+        module = self._extends
+        prev = self._below.groebner().generators
+        if module.combined():
+            prev = normal_forms(prev, module.groebner())
+        self.generators = module.generators + tuple(dict.fromkeys(
+            g * f for g in prev if not g.is_zero() for f in self._q))
+        self._below = None
 
 
 class FiltrationContext:
@@ -242,8 +289,17 @@ class FiltrationContext:
         products of degree n.  Each g is first reduced modulo I_M's basis,
         which keeps its class modulo I_M: the part of g inside I_M would only
         contribute products that already lie in I_M, and the S-pairs they
-        create reduce to zero.  Zero remainders are dropped, the products
-        deduplicated in order, and levels filled upward from the top one.
+        create reduce to zero.  Zero remainders are dropped and the products
+        deduplicated in order; they follow I_M's generators, and the level's
+        basis run extends I_M's reduced basis as a settled block.
+
+        Naming a level forms nothing: this returns level n at once, and its
+        generators are formed when its generators or its reduced basis are
+        first read.  That read forms every unformed level below n, upward,
+        and so runs the bases of the levels below n that are not yet
+        computed; level n's own basis runs when that basis is read.  A
+        level that nothing reads, such as the certified record q^n M or a
+        chain that never leaves it, costs no basis computation.
 
         Where ``is_graded()`` holds, each higher level is the closed form
         m^n + I_M of ``graded_power_basis`` instead, with no basis computation.
@@ -255,13 +311,7 @@ class FiltrationContext:
                     graded_power_basis(self.ring, self.ideal_m.groebner().generators, n))
             return cache[n]
         for level in range(len(cache), n + 1):
-            prev = cache[level - 1].groebner().generators
-            if self.ideal_m.combined():
-                prev = normal_forms(prev, self.ideal_m.groebner())
-            gens = tuple(dict.fromkeys(
-                g * f for g in prev if not g.is_zero() for f in self.q_generators
-            ))
-            cache[level] = self.ideal_a.spawn(gens + self.module_generators)
+            cache[level] = _Level(cache[level - 1], self.ideal_m, self.q_generators)
         return cache[n]
 
     def is_graded(self) -> bool:

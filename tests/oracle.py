@@ -1,22 +1,25 @@
 """Reference checks for the test suite; the package does not use them.
 
 Degreewise brute force over finite-dimensional graded slices: graded
-components are represented by their standard monomials, and the Groebner-route
-answers are cross-checked with exact linear algebra (fraction-free
-elimination over the integers for characteristic 0, plain elimination mod p)
-and with definitional membership tests.  ``is_groebner`` checks Buchberger's
-S-pair criterion on a generator list, ``graph_kernel`` reads a module
-kernel off the fully interreduced graph basis, ``q_products`` lists the
-degree-k products of q's generators, ``lifted_image`` computes a graded
-image by membership lifting, ``rees_form_presentation``,
+components are represented by their standard monomials, and the
+Groebner-route answers are cross-checked with exact linear algebra
+(fraction-free elimination over the integers for characteristic 0, plain
+elimination mod p) and with definitional membership tests.  ``is_groebner``
+checks Buchberger's S-pair criterion on a generator list, ``graph_kernel``
+reads a module kernel off the fully interreduced graph basis, ``q_products``
+lists the degree-k products of q's generators, ``lifted_image`` computes a
+graded image by membership lifting, ``rees_form_presentation``,
 ``rees_cone`` and ``rees_image`` give the form presentation, the tangent
 cone and graded images by the Rees route, ``direct_defect_at`` runs the
-level-n colon chain with one kernel per step, and ``quotient_recursion``
-runs the grade recursion through one quotient context per step.  The level
-checks take q^k M from ``product_power``, a basis of the degree-k products
-of q's generators plus I_M, so they share neither the package's power
-ladder nor its closed form for graded inputs.  Disagreement with the main
-route is always a hard failure of the library, never a tolerance issue.
+level-n colon chain with one kernel per step, ``eager_ladder_records`` runs
+the level scan over a q-power ladder formed in full before the scan reads it
+and takes each record's residues against that ladder, and
+``quotient_recursion`` runs the grade recursion through one quotient context
+per step.  The level checks take q^k M from ``product_power``, a basis of
+the degree-k products of q's generators plus I_M, so they share neither the
+package's power ladder nor its closed form for graded inputs.  Disagreement
+with the main route is always a hard failure of the library, never a
+tolerance issue.
 
 The last section holds small operations that only tests use: monomial
 comparison, term multiplication, substitution, ideal products and
@@ -26,7 +29,7 @@ containment, and session printing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from itertools import product as cartesian
@@ -35,6 +38,7 @@ from math import gcd
 from formcone.criterion import (
     CriterionParams,
     DefectRecord,
+    defect_scan,
     find_regular_lift,
     regular_form_exists,
 )
@@ -523,6 +527,46 @@ def direct_defect_at(ctx: FiltrationContext, n: int, params: CriterionParams) ->
     return DefectRecord(n=n, stabilized_l=stabilized_l, window=params.window, ideal=current,
                         vanishing=not residues, quotient_generators=tuple(residues),
                         certified=False, status=status)
+
+
+def cold_copy(ctx: FiltrationContext) -> FiltrationContext:
+    """A context built afresh from ``ctx``'s inputs, exact system included,
+    so that none of its caches, its ladders among them, is shared."""
+    return FiltrationContext(ctx.ring, ctx.base_generators, ctx.module_generators,
+                             ctx.q_generators, [(s.element, None) for s in ctx.system],
+                             ctx.probe_cap, ctx.step_budget)
+
+
+def eager_ladder_records(ctx: FiltrationContext, params: CriterionParams,
+                         top: int) -> tuple[DefectRecord, ...]:
+    """``defect_scan``'s records on a cold copy of ``ctx`` whose module
+    ladder is formed through level ``top`` before the scan starts, each
+    level's basis computed at once, as the package formed its ladder before
+    a level was formed only when read: level n is generated by the products
+    of level n-1's reduced basis, reduced modulo I_M, by q's generators,
+    followed by I_M's generators, and its basis is one plain run of them
+    all.  These levels replace those that construction formed, and graded
+    inputs take them instead of the closed form.  Each record's residues
+    and verdict are taken again, as the nonzero, de-duplicated normal forms
+    of its ideal's reduced basis modulo that ladder's q^n M, whatever route
+    the scan took; ``top`` must be at least ``n_max``.  The package's scan
+    must give the same records."""
+    ctx = cold_copy(ctx)
+    powers, module = ctx._powers, ctx.ideal_m
+    for n in range(2, top + 1):
+        prev = powers[n - 1].groebner().generators
+        if module.combined():
+            prev = normal_forms(prev, module.groebner())
+        products = tuple(dict.fromkeys(
+            g * f for g in prev if not g.is_zero() for f in ctx.q_generators))
+        powers[n] = ctx.ideal_a.spawn(products + ctx.module_generators)
+        powers[n].groebner()
+    records = []
+    for record in defect_scan(ctx, params).records:
+        forms = normal_forms(record.ideal.groebner().generators, powers[record.n].groebner())
+        residues = tuple(dict.fromkeys(r for r in forms if not r.is_zero()))
+        records.append(replace(record, vanishing=not residues, quotient_generators=residues))
+    return tuple(records)
 
 
 def quotient_recursion(ctx: FiltrationContext, params: CriterionParams) -> GradeReport:

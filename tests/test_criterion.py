@@ -619,13 +619,13 @@ def test_presentation_rings_run_in_the_presentation_order(monkeypatch):
     weighted order: membership, colons, quotients and dimension all read the
     one basis of H's core.  The core rings are presentation rings of their
     own: k[y1..y4] (the x's lie in H), then k[y2, y3, y4] and k[y2, y3]
-    after quotients by variables.  On tier 4 they see 11 basis runs and 17
+    after quotients by variables.  On tier 4 they see 8 basis runs and 17
     graph bases, and the form presentations' ring P[y] sees none: each step
     of a cone input's grade recursion quotients the form presentation by
-    the step's initial form and checks the system's images there for the
-    unit ideal.  The quotient by x* = y1 is the one that the system's own
-    unit-ideal check (a = x) or the depth sequence (a = x, w) already built,
-    so it takes no run of its own."""
+    the step's initial form, and asks no unit-ideal question there
+    (``grade_by_recursion``).  The quotient by x* = y1 is the one that the
+    system's own unit-ideal check (a = x) or the depth sequence (a = x, w)
+    already built, so it takes no run of its own."""
     orders, runs, mismatched, rings = {}, [], [], []
     real_init = GradedQuotientPresentation.__init__
     real_run = ideals_module.buchberger
@@ -662,7 +662,7 @@ def test_presentation_rings_run_in_the_presentation_order(monkeypatch):
     for ctx in contexts:
         defect_regularity_equivalence(ctx, params)
         cohen_macaulay_report(ctx, params)
-    assert runs.count("run") == 11 and runs.count("graph") == 17 and mismatched == []
+    assert runs.count("run") == 8 and runs.count("graph") == 17 and mismatched == []
     assert not {ctx.form_presentation().ring for ctx in contexts} & set(rings)
     runs.clear()
     demo = Path(__file__).parent.parent / "demos" / "semigroup_curve.fc"

@@ -14,10 +14,14 @@ take kernels.  Seeds 0-59 run in tier 1 and seeds 0-299 under the ``sweep``
 marker (``pytest -m sweep``).  Over the corpus, the tier-4 inputs, the demo
 and seeds 0-59, every certified record has the chain's ideal, verdict and
 residues, the grade recursion on one presentation retraces the
-recursion through quotient contexts (``oracle.quotient_recursion``), and
-every presentation the pipeline reaches answers its graded questions on
-its core as ``oracle.FullRing`` does in the full presentation ring; the
-latter two also over seeds 0-299 under the ``sweep`` marker.
+recursion through quotient contexts (``oracle.quotient_recursion``) and
+leaves the system's initial forms a proper ideal after every step, the
+scan over the q-power ladder formed on demand gives the records of one
+formed in full (``oracle.eager_ladder_records``), and every presentation
+the pipeline reaches answers its graded questions on its core as
+``oracle.FullRing`` does in the full presentation ring; the retraced
+recursion, the ladder and the full ring also over seeds 0-299 under the
+``sweep`` marker.
 Seed 174, whose q + I_A is m-primary but not m, reads its dimension at the
 origin.  For three inputs the ``cm-check`` JSON, minus ``timings``, does not
 depend on the hash seed.
@@ -35,7 +39,13 @@ from pathlib import Path
 
 import pytest
 from corpus import CORPUS_PARAMS, tier4_contexts
-from oracle import direct_defect_at, graded_side_differs, quotient_recursion
+from oracle import (
+    cold_copy,
+    direct_defect_at,
+    eager_ladder_records,
+    graded_side_differs,
+    quotient_recursion,
+)
 
 import formcone.criterion as criterion_module
 from formcone import (
@@ -49,6 +59,7 @@ from formcone import (
     defect_scan,
     grade_by_recursion,
     parse_session,
+    system_images,
 )
 from formcone.cli import main
 from formcone.criterion import _chain_record, _reads_colon_sequence, _shared_colons
@@ -297,6 +308,61 @@ def test_sweep_grade_recursion_retraces_the_quotient_contexts(seed):
     assert _recursion_outcome(grade_by_recursion, spec.context(), spec.params) == oracle, seed
 
 
+def test_grade_recursion_steps_leave_the_system_ideal_proper(corpus):
+    # the recursion asks only once, in system_images, whether the initial
+    # forms act as the unit ideal: each step's b* lies in (a*)G, so after
+    # the steps H + (b*) + (a*) = H + (a*), which must stay proper
+    steps = 0
+    for ctx, params in _certification_cases(corpus):
+        try:
+            report = grade_by_recursion(ctx, params)
+        except FormconeError:  # refused or budget-bound: no steps to check
+            continue
+        top = tuple(e.representative for e in system_images(ctx))
+        system_ideal = ctx.form_presentation().quotient_by(top)
+        for step in report.certificate:
+            assert system_ideal.contains(step.image.representative), str(ctx)
+            pres = step.image.presentation.quotient_by((step.image.representative,))
+            assert pres.quotient_by(pres.reduce_all(top)).is_proper(), str(ctx)
+            steps += 1
+    assert steps == 62
+
+
+def _ladder_outcome(records, *args):
+    """Every record's fields, its ideal by reduced basis, or the type of
+    the error that the scan raises."""
+    try:
+        return [_record_fields(r) for r in records(*args)]
+    except FormconeError as exc:
+        return type(exc)
+
+
+def _check_ladder_on_demand(ctx, params) -> None:
+    """The scan over a ladder formed on demand gives the records of one
+    formed in full through the highest level the scan names, with residues
+    taken against that ladder."""
+    lazy = cold_copy(ctx)
+    outcome = _ladder_outcome(lambda: defect_scan(lazy, params).records)
+    top = max(*lazy._powers, params.n_max)
+    assert _ladder_outcome(eager_ladder_records, ctx, params, top) == outcome, str(ctx)
+
+
+def test_ladder_on_demand_gives_the_eager_ladders_records(corpus):
+    for ctx, params in _certification_cases(corpus):
+        _check_ladder_on_demand(ctx, params)
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize("seed", SWEEP_SEEDS)
+def test_sweep_ladder_on_demand_gives_the_eager_ladders_records(seed):
+    spec = parse_session(random_session(seed))
+    try:
+        ctx = spec.context()
+    except FormconeError:  # refused input: no scan to compare
+        return
+    _check_ladder_on_demand(ctx, spec.params)
+
+
 def _reached_presentations(ctx, params) -> list:
     """Every presentation that the equivalence check and the CM report
     reach on a cold copy of ``ctx``: the form presentation, its quotient by
@@ -339,7 +405,10 @@ def test_graded_side_matches_the_full_ring(corpus):
     # function and dimension must come out the same
     compared, split, differ = _full_ring_disagreements(_certification_cases(corpus))
     assert differ == []
-    assert (compared, split) == (784, 455)  # over the 105 cases; 455 split off variables
+    # over the 105 cases; 374 split off variables.  The recursion builds no
+    # quotient of a step's presentation by the system's images any more
+    # (see test_grade_recursion_steps_leave_the_system_ideal_proper)
+    assert (compared, split) == (641, 374)
 
 
 @pytest.mark.sweep

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from corpus import TIER4_BASES, tier4_contexts
 from oracle import lifted_image, q_products, rees_cone, rees_form_presentation, rees_image
@@ -12,15 +14,18 @@ from formcone import (
     PresentedIdeal,
     ValidationError,
     cohen_macaulay_report,
+    defect_scan,
     grade_by_recursion,
     graded_dim,
     hilbert_function,
     is_regular_element,
+    parse_session,
 )
 from formcone.graded import GradedElement
 from formcone.groebner import buchberger
 from formcone.rings import exponents
 
+ROOT = Path(__file__).resolve().parent.parent
 R2 = PolynomialRing(QQ, ("x", "y"))
 RS = PolynomialRing(QQ, ("X", "Y", "Z"))
 R4 = PolynomialRing(QQ, ("x", "y", "z", "w"))
@@ -374,8 +379,8 @@ def test_power_ladder_matches_products(corpus, monkeypatch):
                 assert ideal.base == ctx.base_generators
                 if layer.is_graded() or n <= 1:
                     continue
-                ladder = ideal.generators[:len(ideal.generators) - len(j_gens)]
-                assert ideal.generators[len(ladder):] == j_gens
+                ladder = ideal.generators[len(j_gens):]
+                assert ideal.generators[:len(j_gens)] == j_gens
                 assert not any(g.is_zero() for g in ladder)
                 assert len(set(ladder)) == len(ladder)
 
@@ -530,3 +535,39 @@ def test_power_ladder_is_built_without_recursion():
     ctx = FiltrationContext(R2, (), (), (x,), [(x, None)])
     assert ctx.q_power(1100).groebner().generators == (x**1100,)
     assert exponents(1, 1100) == [(1100,)]
+
+
+def _refuse_basis(*args, **kwargs):
+    raise AssertionError("a ladder level ran a basis computation before it was read")
+
+
+def test_power_ladder_forms_a_level_when_it_is_read(monkeypatch):
+    # naming a level of the demo curve's ladder, which is not graded, runs
+    # no basis; reading it forms the levels below it, upward, and gives
+    # the basis that climbing one level at a time gives
+    ctx = curve_context()
+    assert not ctx.is_graded()
+    monkeypatch.setattr("formcone.ideals.buchberger", _refuse_basis)
+    level = ctx.q_power(9)
+    assert level.ring == ctx.ring and level.base == ctx.base_generators
+    monkeypatch.undo()
+    basis = level.groebner().generators
+    assert all(ctx._powers[n]._gb is not None for n in range(10))
+    climbed = curve_context()
+    for n in range(2, 10):
+        climbed.q_power(n).groebner()
+    assert climbed.q_power(9).generators == level.generators
+    assert climbed.q_power(9).groebner().generators == basis
+
+
+def test_demo_scan_reads_the_ladder_through_level_4():
+    # from level 3 on the demo's records are q^n M: the reduction premise
+    # holds there, (I_M : X) = I_M, and every chain repeats its term 0, so
+    # only the premise check's q^4 M and the levels below hold a basis
+    spec = parse_session((ROOT / "demos" / "semigroup_curve.fc").read_text(encoding="utf-8"))
+    assert spec.params.n_max == 10
+    ctx = spec.context()
+    defect_scan(ctx, spec.params)
+    assert max(ctx._powers) >= spec.params.n_max
+    assert [n for n, level in sorted(ctx._powers.items()) if level._gb is not None] \
+        == [0, 1, 2, 3, 4]
