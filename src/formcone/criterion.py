@@ -7,10 +7,12 @@ For a system a_1..a_t with initial degrees c_i, the level-n module is
 Vanishing of D(n) for every n is equivalent to the initial-form ideal
 containing a regular element on the associated graded module; iterating that
 step through M -> M/bM computes the grade of the initial-form ideal, which a
-Koszul computation must reproduce exactly.  The iteration runs on one
-presentation: for b* regular on G = G_M(q), G_{M/bM}(q) = G/b*G
-(Valabrega-Valla 1978), so each step quotients the form presentation by b*
-(``grade_by_recursion``).  When the initial forms are a system of
+Koszul computation must reproduce exactly.  Each step's regular form comes
+from one exact, finite construction (``find_regular_lift``), which fails
+only where (a*) holds no homogeneous nonzerodivisor.  The iteration runs
+on one presentation: for b* regular on G = G_M(q), G_{M/bM}(q) = G/b*G
+(Valabrega-Valla 1978), so each step quotients the form presentation by
+b* (``grade_by_recursion``).  When the initial forms are a system of
 parameters that grade equals the depth, and depth = dimension is the
 Cohen-Macaulay verdict.
 
@@ -42,17 +44,11 @@ and derives them from it.
 
 from __future__ import annotations
 
+import itertools
 import math
-import random
 from dataclasses import dataclass, field
-from itertools import islice
 
-from .errors import (
-    BudgetExceededError,
-    ConsistencyError,
-    DegenerateSystemError,
-    ValidationError,
-)
+from .errors import ConsistencyError, DegenerateSystemError, ValidationError
 from .filtration import DEFAULT_PROBE_CAP, FiltrationContext, graded_power_basis
 from .graded import (
     GradedElement,
@@ -71,7 +67,9 @@ from .rings import Polynomial, exponents
 
 @dataclass(frozen=True)
 class CriterionParams:
-    """All scan bounds and search budgets in one place; everything configurable."""
+    """All scan bounds and budgets in one place.  ``degree_cap`` and the
+    search fields but ``search_extra_degree`` are unused, kept so the JSON
+    ``parameters`` object keeps its keys."""
 
     n_max: int = 10
     l_max: int = 12
@@ -91,10 +89,8 @@ class CriterionParams:
             raise ValidationError("need n_max >= 0, l_max >= 1, window >= 1")
         if self.degree_cap < 0 or self.probe_cap < 1 or self.step_budget < 1:
             raise ValidationError("need degree_cap >= 0, probe_cap >= 1, step_budget >= 1")
-        if min(self.search_degree_span, self.search_extra_degree, self.search_budget,
-               self.search_random_rounds) < 0:
-            raise ValidationError("need search_degree_span, search_extra_degree, "
-                                  "search_budget and search_random_rounds >= 0")
+        if self.search_extra_degree < 0:
+            raise ValidationError("need search_extra_degree >= 0")
 
 
 DEFAULT_PARAMS = CriterionParams()
@@ -537,7 +533,7 @@ def colon_chain_regularity(ctx: FiltrationContext, b: Polynomial, n_max: int = 1
 
 
 # ---------------------------------------------------------------------------
-# Exact graded side and the candidate search
+# Exact graded side and the regular-form construction
 # ---------------------------------------------------------------------------
 
 def system_images(ctx: FiltrationContext) -> tuple[GradedElement, ...]:
@@ -593,37 +589,36 @@ def _candidate_multipliers(ctx: FiltrationContext, c_i: int, d: int,
     return base + [mono * p for mono in monos for p in base]
 
 
-def _coefficient_sets(ctx: FiltrationContext, params: CriterionParams,
-                      rng: random.Random) -> list:
-    p = ctx.ring.field.characteristic
-    if p == 0:
-        coeffs = list(params.search_coefficients)
-        extra = [rng.randint(2, 9) for _ in range(4)]
-        return coeffs + [c for c in extra if c not in coeffs]
-    nonzero = list(range(1, p))
-    if len(nonzero) > 8:
-        nonzero = nonzero[:8] + [rng.randrange(1, p) for _ in range(4)]
-    return nonzero
-
-
 def find_regular_lift(ctx: FiltrationContext, params: CriterionParams = DEFAULT_PARAMS,
                       steps: tuple[CertificateStep, ...] = ()) -> CertificateStep | None:
-    """Search the system's ideal for an element whose initial form is regular
-    on the graded module G, or, after the recursion steps ``steps``, on
-    G/(b_1*, ..., b_k*)G (``grade_by_recursion``); every candidate is
-    checked exactly.
+    """An element b of the system's ideal whose initial form b* is a
+    homogeneous nonzerodivisor on G = G_M(q), or, after the recursion steps
+    ``steps``, on G/(b_1*, ..., b_k*)G (``grade_by_recursion``); None exactly
+    when the initial-form ideal (a*) holds none there.  Memoised per context.
 
-    Failure is a search-budget outcome, never a mathematical verdict.  The
-    search is deterministic, so its outcome is memoised per context, keyed by
-    the steps and every search parameter.
+    For d from min c_i to max c_i + 1, the products m*a_i (m a product of
+    q's generators of degree d - c_i), each system element's followed by
+    their ambient-monomial multiples (``_candidate_multipliers``), are tried
+    one by one, sharing killers.  The products b_1..b_s of initial degree d
+    have classes g_1..g_s whose span V generates J_d = ((a*)_d)G.
+    (a*) holds a nonzerodivisor of degree d iff (0 :_G J_d) = 0, that is,
+    iff V lies in no associated prime P of G.  Then V & P is a proper
+    subspace, and a linear form phi vanishing on it but not on V makes
+    phi(sum_j t^(j-1)*g_j) a nonzero polynomial in t of degree below s
+    (graded prime avoidance, Bruns-Herzog 1.5.10).  So the walk
+    b_t = sum_j t^(j-1)*b_j, t = 1, 2, ..., whose class is
+    sum_j t^(j-1)*g_j, meets a nonzerodivisor after at most (s - 1)*|Ass G|
+    failures over QQ; over F_p it stops at t = p - 1, and ValidationError
+    names the field size.  Below min c_i, J_d = 0.  Above max c_i each
+    d - c_i is at least 1 and G_1 generates G_+, so a prime P contains J_d
+    iff, for each i, P contains G_1 or a_i*: iff P contains G_+ or (a*),
+    whatever d is.  So degree max c_i + 1 answers for every higher one.
     """
     _require_exact_system(ctx)
     key = ("regular_lift", tuple(s.image.representative for s in steps),
-           params.search_degree_span, params.search_extra_degree,
-           params.search_coefficients, params.search_budget,
-           params.search_random_rounds, params.seed)
+           params.search_extra_degree)
     if key not in ctx.scratch:
-        ctx.scratch[key] = _search_regular_lift(ctx, params, steps)
+        ctx.scratch[key] = _construct_regular_lift(ctx, params, steps)
     return ctx.scratch[key]
 
 
@@ -637,56 +632,51 @@ def _after(ctx: FiltrationContext,
     return image.presentation.quotient_by((image.representative,))
 
 
-def _search_regular_lift(ctx: FiltrationContext, params: CriterionParams,
-                         steps: tuple[CertificateStep, ...]) -> CertificateStep | None:
-    pres = _after(ctx, steps)
-    rng = random.Random(params.seed)
-    coeffs = _coefficient_sets(ctx, params, rng)
-    degrees = sorted({s.degree for s in ctx.system})
-    d_min = min(degrees)
-
-    def candidates():
-        """(candidate, degree) pairs: per degree, singles, pairs, random rounds."""
-        for d in range(d_min, d_min + params.search_degree_span + 1):
-            pools = [
-                [m * s.element for m in _candidate_multipliers(ctx, s.degree, d, params)]
-                for s in ctx.system
-            ]
-            # single-generator candidates (scaling never changes regularity)
-            for pool in pools:
-                for b in pool:
-                    yield b, d
-            # pairwise combinations with small coefficients
-            t = len(pools)
-            for i in range(t):
-                for j in range(i + 1, t):
-                    for bi in pools[i][:12]:
-                        for bj in pools[j][:12]:
-                            for lam in coeffs:
-                                yield bi + bj.scale(lam), d
-            # pseudorandom full combinations
-            for _ in range(params.search_random_rounds):
-                acc = ctx.ring.zero()
-                for pool in pools:
-                    if not pool:
-                        continue
-                    acc = acc + rng.choice(pool).scale(rng.choice(coeffs))
-                yield acc, d
-
+def _construct_regular_lift(ctx: FiltrationContext, params: CriterionParams,
+                            steps: tuple[CertificateStep, ...]) -> CertificateStep | None:
+    pres, p = _after(ctx, steps), ctx.ring.field.characteristic
     killers: list[Polynomial] = []
-    for b, d in islice(candidates(), params.search_budget):
-        try:  # the degree probe skips a graded image and a colon for deeper candidates
-            if b.is_zero() or ctx.base.initial_degree(b) != d:
-                continue
-        except ValidationError:  # b is zero in A
-            continue
-        image = ctx.graded_image(b, d)
-        if steps:  # b lies in q^d M, so its class in G maps onto G/(b_1*, ..., b_k*)G
-            image = pres.reduce(image)
+
+    def regular(b: Polynomial, image: Polynomial, d: int) -> CertificateStep | None:
         image = GradedElement(pres, image, d)
-        if first_regular(pres, (image,), killers) is not None:
-            return CertificateStep(b, d, image)
+        return first_regular(pres, (image,), killers) and CertificateStep(b, d, image)
+
+    degrees = [s.degree for s in ctx.system]
+    for d in range(min(degrees), max(degrees) + 2):
+        pool: list[tuple[Polynomial, Polynomial]] = []
+        for s in ctx.system:
+            # the first multipliers are the products, the rest their multiples
+            products = math.comb(len(ctx.q_generators) + d - s.degree - 1, d - s.degree) \
+                if d >= s.degree else 0
+            for index, m in enumerate(_candidate_multipliers(ctx, s.degree, d, params)):
+                b = m * s.element
+                try:  # the degree probe skips a graded image and a colon for deeper candidates
+                    if b.is_zero() or ctx.base.initial_degree(b) != d:
+                        continue
+                except ValidationError:  # b is zero in A
+                    continue
+                image = ctx.graded_image(b, d)
+                if steps:  # b lies in q^d M, so its class in G maps onto G/(b_1*, ..., b_k*)G
+                    image = pres.reduce(image)
+                if found := regular(b, image, d):
+                    return found
+                if index < products:
+                    pool.append((b, image))
+        if not pool or pres.annihilator(image for _, image in pool) is not None:
+            continue
+        elements, images = zip(*pool)
+        for t in itertools.count(1) if p == 0 else range(1, p):
+            if found := regular(_walk(elements, t), _walk(images, t), d):
+                return found
+        raise ValidationError(
+            f"(a*) holds a homogeneous nonzerodivisor of degree {d} on the graded module, "
+            f"but no sum_j t^(j-1)*b_j with t in F_{p} is one: the field is too small")
     return None
+
+
+def _walk(fs: tuple[Polynomial, ...], t: int) -> Polynomial:
+    """The sum over j of t^(j-1)*f_j."""
+    return sum((f.scale(t ** j) for j, f in enumerate(fs)), fs[0].ring.zero())
 
 
 def defect_regularity_equivalence(ctx: FiltrationContext,
@@ -695,7 +685,7 @@ def defect_regularity_equivalence(ctx: FiltrationContext,
 
     Left: the scan's all-vanish verdict.  Right: the exact existence of a
     regular initial form (annihilator test), plus an explicit certificate
-    from the candidate search when one exists.  Where a regular form exists
+    from ``find_regular_lift`` when one exists.  Where a regular form exists
     the scan's records are certified off that same test (``defect_at``), so
     the sides agree by construction there; the tests compare the l-chain
     (``_chain_record``) with the annihilator instead.  A disagreement whose
@@ -740,9 +730,9 @@ def grade_by_recursion(ctx: FiltrationContext,
     Nagoya Math. J. 72, 1978), so after each step (b, d, b*) the recursion
     passes to ``quotient_by((b*,))`` of the presentation it is on.  There
     the system's initial forms are the top images reduced modulo it, and the
-    lift search (``find_regular_lift`` given the steps so far) reduces each
-    candidate's top image: a candidate of degree d lies in q^d M, so its
-    class maps across.  Both presentations of G_{M/bM} are one ideal of the
+    construction (``find_regular_lift`` given the steps so far) reduces each
+    product's top image: a product of degree d lies in q^d M, so its class
+    maps across.  Both presentations of G_{M/bM} are one ideal of the
     presentation ring in one weighted order, and so have one reduced basis:
     every certificate, annihilator and normal form is the one that the
     context of M/bM gives.
@@ -769,10 +759,10 @@ def grade_by_recursion(ctx: FiltrationContext,
             return GradeReport(len(steps), "lzero-recursion", steps)
         cand = find_regular_lift(ctx, params, steps)
         if cand is None:
-            raise BudgetExceededError(
-                "a regular initial form exists but the candidate search budget "
-                "ran out; widen search_degree_span/search_budget"
-            )
+            raise ValidationError(
+                "the initial forms have no common annihilator on the graded module, but "
+                "the ideal (a*) they generate holds no homogeneous nonzerodivisor in any "
+                "degree; the recursion's steps must be homogeneous")
         steps += (cand,)
         if len(steps) > graded_dim(ctx.form_presentation()):
             raise ConsistencyError("recursion depth exceeded the dimension of the graded module")

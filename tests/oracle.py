@@ -43,7 +43,6 @@ from formcone.criterion import (
     regular_form_exists,
 )
 from formcone.errors import (
-    BudgetExceededError,
     ConsistencyError,
     InfiniteComponentError,
     RingMismatchError,
@@ -583,7 +582,7 @@ def quotient_recursion(ctx: FiltrationContext, params: CriterionParams) -> Grade
             return GradeReport(len(steps), "lzero-recursion", tuple(steps))
         cand = find_regular_lift(work, params)
         if cand is None:
-            raise BudgetExceededError("a regular initial form exists but the search ran out")
+            raise ValidationError("(a*) holds no homogeneous nonzerodivisor")
         steps.append(cand)
         work = work.quotient_by_element(cand.element)
         if len(steps) > dim_guard:

@@ -175,9 +175,15 @@ def test_bad_override_rejected(curve_file, capsys):
     assert main(["gb", str(curve_file), "--set", "nonsense=3"]) == 2
 
 
+# the CriterionParams fields that no code reads are unknown keys too
+UNUSED = ("search_degree_span", "search_coefficients", "search_budget", "search_random_rounds",
+          "seed")
+
+
 @pytest.mark.parametrize("line,flag", [
     ("bogus = 3", "bogus=3"), ("n_max = y", "n_max=y"), ("n_max", "n_max"),
-], ids=["unknown-key", "not-an-integer", "no-value"])
+    *((f"{key} = 3", f"{key}=3") for key in UNUSED),
+], ids=["unknown-key", "not-an-integer", "no-value", *(f"unused-{key}" for key in UNUSED)])
 def test_set_line_and_set_flag_share_one_message(curve_file, capsys, line, flag):
     """A `set` line and a `--set` flag go through one setter: the same
     refusal, at the line for the session file."""
@@ -201,11 +207,10 @@ def test_commands_are_the_parser_choices():
 def test_negative_search_parameters_are_input_errors(tmp_path, capsys):
     plane = tmp_path / "plane.fc"
     plane.write_text("field QQ\nvars x, y\nq: x, y\na: x\n", encoding="utf-8")
-    for key in ("search_budget", "search_degree_span"):
-        assert main(["cm-check", str(plane), "--set", f"{key}=-1"]) == 2, key
-        assert "input error" in capsys.readouterr().err
-    # an empty search is legal and runs out of budget honestly
-    assert main(["cm-check", str(plane), "--set", "search_budget=0"]) == 3
+    assert main(["cm-check", str(plane), "--set", "search_extra_degree=-1"]) == 2
+    assert "input error" in capsys.readouterr().err
+    # with no ambient-monomial multiples the products alone certify x
+    assert main(["cm-check", str(plane), "--set", "search_extra_degree=0"]) == 0
 
 
 ADVERSARIAL = {

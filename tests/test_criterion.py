@@ -15,7 +15,6 @@ import formcone.ideals as ideals_module
 from formcone import (
     DEGREVLEX,
     QQ,
-    BudgetExceededError,
     ConsistencyError,
     CriterionParams,
     DegenerateSystemError,
@@ -46,7 +45,7 @@ from formcone.criterion import (
     _shared_colons,
     checked_dim,
 )
-from formcone.graded import GradedQuotientPresentation
+from formcone.graded import GradedElement, GradedQuotientPresentation
 from formcone.session import parse_session
 
 DEMO_PARAMS = CriterionParams(n_max=10)  # the scan bound of demos/semigroup_curve.fc
@@ -443,43 +442,71 @@ def test_certificate_replays_through_successive_quotients():
         work = work.quotient_by_element(step.element)
 
 
-def test_search_failure_is_budget_error():
+def test_unused_search_fields_change_nothing():
+    # the regular form comes from one exact construction, which reads no
+    # candidate budget, coefficient list, random rounds or seed
     x, y = R2.gens()
     ctx = FiltrationContext(R2, (), (), (x, y), [(x, 1), (y, 1)])
-    starved = CriterionParams(search_budget=0, search_random_rounds=0)
-    with pytest.raises(BudgetExceededError):
-        grade_by_recursion(ctx, starved)
+    starved = CriterionParams(search_degree_span=0, search_budget=0, search_random_rounds=0,
+                              search_coefficients=(), seed=1)
+    assert grade_by_recursion(ctx, starved) == grade_by_recursion(ctx)
+    assert grade_by_recursion(ctx).value == 2
 
 
 def test_params_reject_negative_search_bounds():
-    for key in ("search_degree_span", "search_extra_degree", "search_budget",
-                "search_random_rounds"):
-        with pytest.raises(ValidationError):
-            CriterionParams(**{key: -1})
-        assert getattr(CriterionParams(**{key: 0}), key) == 0
+    with pytest.raises(ValidationError):
+        CriterionParams(search_extra_degree=-1)
+    assert CriterionParams(search_extra_degree=0).search_extra_degree == 0
 
 
-def test_search_budget_counts_candidates():
-    # corpus instance inst12: x + y is the 13th candidate the search tries
+def test_walk_certifies_when_no_single_is_regular():
+    # corpus instance inst12: no single product m*a_i of degree 1 (x, y and
+    # their ambient-monomial multiples) is regular on G = k[y1, y2]/(y1^2*y2),
+    # but (0 :_G J_1) = 0, so the walk's t = 1 element x + y certifies
     x, y = R2.gens()
     ctx = FiltrationContext(R2, (x * x * y,), (), (x, y), [(x, None), (y, None)])
-    found = find_regular_lift(ctx, CriterionParams(search_budget=13))
+    found = find_regular_lift(ctx)
     assert (found.element, found.degree) == (x + y, 1)
-    assert find_regular_lift(ctx, CriterionParams(search_budget=12)) is None
+    singles = [m * s.element for s in ctx.system
+               for m in criterion_module._candidate_multipliers(ctx, 1, 1, DEFAULT_PARAMS)]
+    assert len(singles) == 12
+    # the ambient multiples are 0 in A or lie deeper: only x and y have
+    # initial degree 1
+    assert [b for b in singles
+            if not ctx.ideal_m.contains(b) and ctx.initial_degree(b) == 1] == [x, y]
+    pres = ctx.form_presentation()
+    assert not any(is_regular_element(GradedElement(pres, ctx.graded_image(b, 1), 1)).regular
+                   for b in (x, y))
 
 
 def test_degree_zero_obstruction_is_reported_not_miscomputed():
     # A = k[x,y]/(xy), q = (x), system (x, y): the level modules vanish and the
     # annihilator of the initial forms is zero, yet no homogeneous element of
     # the initial-form ideal is regular (x+y works but is inhomogeneous), so
-    # the homogeneous-step recursion must stop with a budget report.
+    # the homogeneous-step recursion must refuse the input, and say why.
     x, y = R2.gens()
     ctx = FiltrationContext(R2, (x * y,), (), (x,), [(x, 1), (y, 0)])
     eq = defect_regularity_equivalence(ctx)
     assert eq.agree and eq.all_vanish and eq.regular_exists
     assert find_regular_lift(ctx) is None
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(ValidationError, match="holds no homogeneous nonzerodivisor"):
         grade_by_recursion(ctx)
+
+
+def test_walk_over_a_small_field_names_the_field():
+    # three lines through the origin, x*y*(x + y): x, y and x + y are zero
+    # divisors, yet (0 :_G (x, y)) = 0.  The walk's t = 2 gives x + 2*y over
+    # QQ and F_3; over F_2, t = 1 is its only value, and the refusal says so
+    for p in (0, 3, 2):
+        ring = PolynomialRing(FieldSpec(p), ("x", "y"))
+        x, y = ring.gens()
+        ctx = FiltrationContext(ring, (x * y * (x + y),), (), (x, y), [(x, 1), (y, 1)])
+        if p == 2:
+            with pytest.raises(ValidationError, match="t in F_2 is one"):
+                grade_by_recursion(ctx)
+        else:
+            step, = grade_by_recursion(ctx).certificate
+            assert (step.element, step.degree) == (x + y.scale(2), 1)
 
 
 def test_reports_on_reference_examples():

@@ -49,10 +49,10 @@ from oracle import (
 
 import formcone.criterion as criterion_module
 from formcone import (
-    BudgetExceededError,
     DefectRecord,
     FiltrationContext,
     FormconeError,
+    ValidationError,
     cohen_macaulay_report,
     defect_at,
     defect_regularity_equivalence,
@@ -291,9 +291,30 @@ def test_grade_recursion_retraces_the_quotient_contexts(corpus):
         outcomes.append(oracle)
     # seven two-step recursions, among them seed 7, whose second step's
     # image is not reduced modulo the first quotient until it is mapped
-    # across; seeds 10 and 43 run out of search budget on both routes
-    assert sum(o != BudgetExceededError and o[0] == 2 for o in outcomes) == 7
-    assert outcomes.count(BudgetExceededError) == 2
+    # across; on seeds 10 and 43, (a*) holds no homogeneous nonzerodivisor,
+    # and both routes refuse them
+    assert sum(o != ValidationError and o[0] == 2 for o in outcomes) == 7
+    assert outcomes.count(ValidationError) == 2
+
+
+# seeds whose initial forms have no common annihilator on G while (a*)
+# holds no homogeneous nonzerodivisor in any degree: every J_d lies in an
+# associated prime (seed 10: F_2, I = (x^2*y), q = (x), a = y + x, x; each
+# J_d lies in (x*) or in (y))
+NO_HOMOGENEOUS_NONZERODIVISOR = (10, 43, 66, 125, 182, 205, 234, 283, 287)
+
+
+@pytest.mark.parametrize("seed", NO_HOMOGENEOUS_NONZERODIVISOR)
+def test_grade_refuses_an_initial_form_ideal_without_a_homogeneous_nonzerodivisor(
+        seed, tmp_path):
+    path = tmp_path / "input.fc"
+    path.write_text(random_session(seed), encoding="utf-8")
+    for command in ("grade", "cm-check"):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([command, str(path)])
+        assert code == 2, (command, err.getvalue())
+        assert "holds no homogeneous nonzerodivisor in any degree" in err.getvalue()
 
 
 @pytest.mark.sweep

@@ -42,6 +42,23 @@ def test_package_ships_no_test_oracle():
     assert "oracle" not in modules
 
 
+def test_package_imports_no_random():
+    """Every answer is exact and deterministic, so no module draws from a
+    pseudorandom generator."""
+    package = ROOT / "src" / "formcone"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "random"]
+    assert found == []
+
+
 def test_modules_import_no_private_names_from_each_other():
     """A formcone module takes only public names from another one: a name
     with a leading underscore stays inside the module that defines it."""
