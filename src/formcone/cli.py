@@ -140,7 +140,7 @@ def _lzero(ctx: FiltrationContext, params: CriterionParams) -> dict:
 
 
 def _grade(ctx: FiltrationContext, params: CriterionParams) -> dict:
-    direct, recursion = checked_grades(ctx, params)
+    direct, recursion = checked_grades(ctx)
     return {"grade": int(direct.value),
             "certificates": {"regular_sequence": _regular_sequence(recursion.certificate)}}
 

@@ -8,9 +8,8 @@ Vanishing of D(n) for every n is equivalent to the initial-form ideal
 containing a regular element on the associated graded module; iterating that
 step through M -> M/bM computes the grade of the initial-form ideal, which a
 Koszul computation must reproduce exactly.  Each step's regular form comes
-from one exact, finite construction (``find_regular_lift``), which fails
-only where (a*) holds no homogeneous nonzerodivisor.  The iteration runs
-on one presentation: for b* regular on G = G_M(q), G_{M/bM}(q) = G/b*G
+from one exact, finite construction (``find_regular_lift``), and runs on one
+presentation: for b* regular on G = G_M(q), G_{M/bM}(q) = G/b*G
 (Valabrega-Valla 1978), so each step quotients the form presentation by
 b* (``grade_by_recursion``).  When the initial forms are a system of
 parameters that grade equals the depth, and depth = dimension is the
@@ -44,6 +43,7 @@ and derives them from it.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -65,11 +65,17 @@ from .ideals import PresentedIdeal, meet_of_colons
 from .rings import Polynomial, exponents
 
 
+# CriterionParams fields that nothing reads, kept so the JSON ``parameters``
+# object keeps its keys; a `set` line or flag naming one is refused as unknown
+RETIRED_PARAMS = frozenset({"search_degree_span", "search_extra_degree", "search_coefficients",
+                            "search_budget", "search_random_rounds", "seed"})
+
+
 @dataclass(frozen=True)
 class CriterionParams:
     """All scan bounds and budgets in one place.  ``degree_cap`` and the
-    search fields but ``search_extra_degree`` are unused, kept so the JSON
-    ``parameters`` object keeps its keys."""
+    ``RETIRED_PARAMS`` fields are unused, kept so the JSON ``parameters``
+    object keeps its keys."""
 
     n_max: int = 10
     l_max: int = 12
@@ -89,8 +95,6 @@ class CriterionParams:
             raise ValidationError("need n_max >= 0, l_max >= 1, window >= 1")
         if self.degree_cap < 0 or self.probe_cap < 1 or self.step_budget < 1:
             raise ValidationError("need degree_cap >= 0, probe_cap >= 1, step_budget >= 1")
-        if self.search_extra_degree < 0:
-            raise ValidationError("need search_extra_degree >= 0")
 
 
 DEFAULT_PARAMS = CriterionParams()
@@ -573,52 +577,53 @@ def regular_form_exists(ctx: FiltrationContext) -> tuple[bool, Polynomial | None
     return witness is None, witness and pres.reduce(witness)
 
 
-def _candidate_multipliers(ctx: FiltrationContext, c_i: int, d: int,
-                           params: CriterionParams) -> list[Polynomial]:
+def _candidate_multipliers(ctx: FiltrationContext, c_i: int, d: int) -> list[Polynomial]:
     """Multipliers m with m*a expected in degree d: the products of
-    filtration generators of degree d-c_i, ascending by exponent tuple, then
-    each of them times every ambient monomial of degree 1..extra, ascending
-    lex, where extra is ``search_extra_degree``."""
+    filtration generators of degree d-c_i, ascending by exponent tuple."""
     if d < c_i:
         return []
-    ring, gens, extra = ctx.ring, ctx.q_generators, params.search_extra_degree
-    base = [math.prod((g ** e for g, e in zip(gens, expt) if e), start=ring.one())
+    ring, gens = ctx.ring, ctx.q_generators
+    return [math.prod((g ** e for g, e in zip(gens, expt) if e), start=ring.one())
             for expt in exponents(len(gens), d - c_i)]
-    # a slack last entry makes these the tuples of total degree <= extra
-    monos = [ring.monomial(m[:-1]) for m in exponents(ring.nvars + 1, extra) if m[-1] < extra]
-    return base + [mono * p for mono in monos for p in base]
 
 
-def find_regular_lift(ctx: FiltrationContext, params: CriterionParams = DEFAULT_PARAMS,
+class _FieldTooSmall(ValidationError):
+    """No walk value over F_p is regular, though J_d has no annihilator."""
+
+
+def find_regular_lift(ctx: FiltrationContext,
                       steps: tuple[CertificateStep, ...] = ()) -> CertificateStep | None:
     """An element b of the system's ideal whose initial form b* is a
     homogeneous nonzerodivisor on G = G_M(q), or, after the recursion steps
-    ``steps``, on G/(b_1*, ..., b_k*)G (``grade_by_recursion``); None exactly
-    when the initial-form ideal (a*) holds none there.  Memoised per context.
+    ``steps``, on G/(b_1*, ..., b_k*)G (``grade_by_recursion``); None
+    exactly when (a*) holds none there, though over F_p it may refuse
+    instead (below).  Memoised per context.
 
     For d from min c_i to max c_i + 1, the products m*a_i (m a product of
-    q's generators of degree d - c_i), each system element's followed by
-    their ambient-monomial multiples (``_candidate_multipliers``), are tried
-    one by one, sharing killers.  The products b_1..b_s of initial degree d
-    have classes g_1..g_s whose span V generates J_d = ((a*)_d)G.
-    (a*) holds a nonzerodivisor of degree d iff (0 :_G J_d) = 0, that is,
-    iff V lies in no associated prime P of G.  Then V & P is a proper
-    subspace, and a linear form phi vanishing on it but not on V makes
+    q's generators of degree d - c_i, ``_candidate_multipliers``), each
+    system element's in turn, are tried one by one, sharing killers.  Those
+    b_1..b_s of initial degree d have classes g_1..g_s whose span V
+    generates J_d = ((a*)_d)G.  Over an infinite field, (a*) holds a
+    nonzerodivisor of degree d iff (0 :_G J_d) = 0, that is, iff V lies in
+    no associated prime P of G.  Then V & P is a proper subspace, and a
+    linear form phi vanishing on it but not on V makes
     phi(sum_j t^(j-1)*g_j) a nonzero polynomial in t of degree below s
     (graded prime avoidance, Bruns-Herzog 1.5.10).  So the walk
     b_t = sum_j t^(j-1)*b_j, t = 1, 2, ..., whose class is
     sum_j t^(j-1)*g_j, meets a nonzerodivisor after at most (s - 1)*|Ass G|
-    failures over QQ; over F_p it stops at t = p - 1, and ValidationError
-    names the field size.  Below min c_i, J_d = 0.  Above max c_i each
-    d - c_i is at least 1 and G_1 generates G_+, so a prime P contains J_d
-    iff, for each i, P contains G_1 or a_i*: iff P contains G_+ or (a*),
-    whatever d is.  So degree max c_i + 1 answers for every higher one.
+    failures over QQ.  Over F_p the walk stops at t = p - 1, as prime
+    avoidance may need more field elements, and goes on to the next degree;
+    if J_d had no annihilator for some d but every walk ran out, None would
+    claim too much, so ValidationError names the field instead.
+    Below min c_i, J_d = 0.  Above max c_i each d - c_i is at least 1 and
+    G_1 generates G_+, so a prime P contains J_d iff, for each i, P
+    contains G_1 or a_i*: iff P contains G_+ or (a*), whatever d is.  So
+    degree max c_i + 1 answers for every higher one.
     """
     _require_exact_system(ctx)
-    key = ("regular_lift", tuple(s.image.representative for s in steps),
-           params.search_extra_degree)
+    key = ("regular_lift", tuple(s.image.representative for s in steps))
     if key not in ctx.scratch:
-        ctx.scratch[key] = _construct_regular_lift(ctx, params, steps)
+        ctx.scratch[key] = _construct_regular_lift(ctx, steps)
     return ctx.scratch[key]
 
 
@@ -632,7 +637,7 @@ def _after(ctx: FiltrationContext,
     return image.presentation.quotient_by((image.representative,))
 
 
-def _construct_regular_lift(ctx: FiltrationContext, params: CriterionParams,
+def _construct_regular_lift(ctx: FiltrationContext,
                             steps: tuple[CertificateStep, ...]) -> CertificateStep | None:
     pres, p = _after(ctx, steps), ctx.ring.field.characteristic
     killers: list[Polynomial] = []
@@ -642,13 +647,11 @@ def _construct_regular_lift(ctx: FiltrationContext, params: CriterionParams,
         return first_regular(pres, (image,), killers) and CertificateStep(b, d, image)
 
     degrees = [s.degree for s in ctx.system]
+    walked: list[int] = []  # the degrees whose F_p walk ran out
     for d in range(min(degrees), max(degrees) + 2):
         pool: list[tuple[Polynomial, Polynomial]] = []
         for s in ctx.system:
-            # the first multipliers are the products, the rest their multiples
-            products = math.comb(len(ctx.q_generators) + d - s.degree - 1, d - s.degree) \
-                if d >= s.degree else 0
-            for index, m in enumerate(_candidate_multipliers(ctx, s.degree, d, params)):
+            for m in _candidate_multipliers(ctx, s.degree, d):
                 b = m * s.element
                 try:  # the degree probe skips a graded image and a colon for deeper candidates
                     if b.is_zero() or ctx.base.initial_degree(b) != d:
@@ -660,17 +663,19 @@ def _construct_regular_lift(ctx: FiltrationContext, params: CriterionParams,
                     image = pres.reduce(image)
                 if found := regular(b, image, d):
                     return found
-                if index < products:
-                    pool.append((b, image))
+                pool.append((b, image))
         if not pool or pres.annihilator(image for _, image in pool) is not None:
             continue
         elements, images = zip(*pool)
         for t in itertools.count(1) if p == 0 else range(1, p):
             if found := regular(_walk(elements, t), _walk(images, t), d):
                 return found
-        raise ValidationError(
-            f"(a*) holds a homogeneous nonzerodivisor of degree {d} on the graded module, "
-            f"but no sum_j t^(j-1)*b_j with t in F_{p} is one: the field is too small")
+        walked.append(d)
+    if walked:
+        raise _FieldTooSmall(
+            f"J_d has no annihilator on the graded module for d in {walked}, but no walk "
+            f"value sum_j t^(j-1)*b_j with t in F_{p} is regular there; prime avoidance "
+            "needs a larger field")
     return None
 
 
@@ -694,7 +699,9 @@ def defect_regularity_equivalence(ctx: FiltrationContext,
     """
     scan = defect_scan(ctx, params)
     exists, ann_witness = regular_form_exists(ctx)
-    certificate = find_regular_lift(ctx, params) if exists else None
+    certificate = None
+    with contextlib.suppress(_FieldTooSmall):  # the verdict is exact even so
+        certificate = find_regular_lift(ctx) if exists else None
     agree = scan.all_vanish == exists
     if agree:
         classification = "ok"
@@ -720,8 +727,7 @@ def defect_regularity_equivalence(ctx: FiltrationContext,
 # Grade recursion and the full report
 # ---------------------------------------------------------------------------
 
-def grade_by_recursion(ctx: FiltrationContext,
-                       params: CriterionParams = DEFAULT_PARAMS) -> GradeReport:
+def grade_by_recursion(ctx: FiltrationContext) -> GradeReport:
     """Count verified regular steps M -> M/bM until the initial forms have
     a nonzero annihilator on the graded module.
 
@@ -757,7 +763,7 @@ def grade_by_recursion(ctx: FiltrationContext,
         reps = pres.reduce_all(top) if steps else top
         if pres.annihilator(reps) is not None:
             return GradeReport(len(steps), "lzero-recursion", steps)
-        cand = find_regular_lift(ctx, params, steps)
+        cand = find_regular_lift(ctx, steps)
         if cand is None:
             raise ValidationError(
                 "the initial forms have no common annihilator on the graded module, but "
@@ -799,12 +805,11 @@ def checked_dim(ctx: FiltrationContext) -> int:
     return dim_graded
 
 
-def checked_grades(ctx: FiltrationContext,
-                   params: CriterionParams = DEFAULT_PARAMS) -> tuple[GradeReport, GradeReport]:
+def checked_grades(ctx: FiltrationContext) -> tuple[GradeReport, GradeReport]:
     """The grade of the system's initial forms by both exact routes, Koszul
     homology and the regular-step recursion, which must agree."""
     direct = koszul_grade(ctx.form_presentation(), system_images(ctx))
-    recursion = grade_by_recursion(ctx, params)
+    recursion = grade_by_recursion(ctx)
     if direct.value != recursion.value:
         raise ConsistencyError(
             "grade mismatch between the Koszul route and the recursion: "
@@ -830,7 +835,7 @@ def cohen_macaulay_report(ctx: FiltrationContext,
     depth_report = checked_depth(ctx)
     dim_graded = checked_dim(ctx)
     images = system_images(ctx)
-    direct, recursion = checked_grades(ctx, params)
+    direct, recursion = checked_grades(ctx)
     scan = defect_scan(ctx, params)
     sop = is_system_of_parameters(ctx.form_presentation(), images)
     if sop and depth_report.value != direct.value:

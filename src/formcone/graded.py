@@ -14,7 +14,7 @@ Koszul-complex codepth (which needs no genericity and works over every
 supported field), and depth by a greedy regular sequence stopped by a socle
 witness or the dimension, with Koszul homology as its fallback.
 ``first_regular`` picks the first nonzero nonzerodivisor among candidates,
-for ``depth`` and the criterion's lift search alike.  Every one of these
+for ``depth`` and the criterion's regular forms alike.  Every one of these
 reads one reduced basis, in the presentation's weighted order: that of the
 presentation's core, which drops the variables that H contains (the
 x-variables of G_M(m), or q's own variables on the Rees route), or of a

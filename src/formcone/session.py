@@ -18,14 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from .criterion import CriterionParams
+from .criterion import RETIRED_PARAMS, CriterionParams
 from .errors import ParseError, ValidationError
 from .filtration import FiltrationContext
 from .rings import FieldSpec, Polynomial, PolynomialRing, parse_polynomial
 
-# the keys a `set` line or a `--set` flag may name: not the unused search fields
-PARAM_KEYS = frozenset(f.name for f in fields(CriterionParams)) - {
-    "search_degree_span", "search_coefficients", "search_budget", "search_random_rounds", "seed"}
+# the keys a `set` line or a `--set` flag may name
+PARAM_KEYS = frozenset(f.name for f in fields(CriterionParams)) - RETIRED_PARAMS
 # the sections that each hold one expression list
 LIST_SECTIONS = ("base", "module", "q")
 

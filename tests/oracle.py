@@ -568,10 +568,10 @@ def eager_ladder_records(ctx: FiltrationContext, params: CriterionParams,
     return tuple(records)
 
 
-def quotient_recursion(ctx: FiltrationContext, params: CriterionParams) -> GradeReport:
+def quotient_recursion(ctx: FiltrationContext) -> GradeReport:
     """The grade recursion through one context per step, M -> M/bM by
     ``quotient_by_element``: each context builds its own form
-    presentation, system images and lift search.  The package's
+    presentation, system images and regular forms.  The package's
     ``grade_by_recursion`` quotients one presentation instead and must give
     the same value and steps (element, degree, image representative), or
     raise the same error type."""
@@ -580,7 +580,7 @@ def quotient_recursion(ctx: FiltrationContext, params: CriterionParams) -> Grade
     while True:
         if not regular_form_exists(work)[0]:
             return GradeReport(len(steps), "lzero-recursion", tuple(steps))
-        cand = find_regular_lift(work, params)
+        cand = find_regular_lift(work)
         if cand is None:
             raise ValidationError("(a*) holds no homogeneous nonzerodivisor")
         steps.append(cand)

@@ -176,8 +176,8 @@ def test_bad_override_rejected(curve_file, capsys):
 
 
 # the CriterionParams fields that no code reads are unknown keys too
-UNUSED = ("search_degree_span", "search_coefficients", "search_budget", "search_random_rounds",
-          "seed")
+UNUSED = ("search_degree_span", "search_extra_degree", "search_coefficients", "search_budget",
+          "search_random_rounds", "seed")
 
 
 @pytest.mark.parametrize("line,flag", [
@@ -207,10 +207,13 @@ def test_commands_are_the_parser_choices():
 def test_negative_search_parameters_are_input_errors(tmp_path, capsys):
     plane = tmp_path / "plane.fc"
     plane.write_text("field QQ\nvars x, y\nq: x, y\na: x\n", encoding="utf-8")
+    # no search field is read any more, so none is a key, whatever its value
     assert main(["cm-check", str(plane), "--set", "search_extra_degree=-1"]) == 2
-    assert "input error" in capsys.readouterr().err
-    # with no ambient-monomial multiples the products alone certify x
-    assert main(["cm-check", str(plane), "--set", "search_extra_degree=0"]) == 0
+    assert "unknown parameter 'search_extra_degree'" in capsys.readouterr().err
+    # a bound that is read refuses a negative value
+    assert main(["cm-check", str(plane), "--set", "n_max=-1"]) == 2
+    assert "input error: need n_max >= 0" in capsys.readouterr().err
+    assert main(["cm-check", str(plane), "--set", "n_max=0"]) == 0
 
 
 ADVERSARIAL = {

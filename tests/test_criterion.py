@@ -1,7 +1,6 @@
 import contextlib
 import io
 from dataclasses import replace
-from itertools import product as cartesian
 from pathlib import Path
 
 import oracle as oracle_module
@@ -444,39 +443,36 @@ def test_certificate_replays_through_successive_quotients():
 
 def test_unused_search_fields_change_nothing():
     # the regular form comes from one exact construction, which reads no
-    # candidate budget, coefficient list, random rounds or seed
+    # search field: no candidate budget, coefficient list, random rounds,
+    # seed or ambient-monomial multiples
     x, y = R2.gens()
-    ctx = FiltrationContext(R2, (), (), (x, y), [(x, 1), (y, 1)])
-    starved = CriterionParams(search_degree_span=0, search_budget=0, search_random_rounds=0,
-                              search_coefficients=(), seed=1)
-    assert grade_by_recursion(ctx, starved) == grade_by_recursion(ctx)
-    assert grade_by_recursion(ctx).value == 2
-
-
-def test_params_reject_negative_search_bounds():
-    with pytest.raises(ValidationError):
-        CriterionParams(search_extra_degree=-1)
-    assert CriterionParams(search_extra_degree=0).search_extra_degree == 0
+    starved = CriterionParams(search_degree_span=0, search_extra_degree=0, search_budget=0,
+                              search_random_rounds=0, search_coefficients=(), seed=1)
+    steps = []
+    for params in (starved, DEFAULT_PARAMS):
+        ctx = FiltrationContext(R2, (), (), (x, y), [(x, 1), (y, 1)])
+        report = cohen_macaulay_report(ctx, params)
+        assert report.grade_recursion == 2
+        steps.append([(s.element, s.degree, s.image.representative)
+                      for s in report.recursion_report.certificate])
+    assert steps[0] == steps[1]
+    assert [b for b, _, _ in steps[0]] == [x, y]
 
 
 def test_walk_certifies_when_no_single_is_regular():
-    # corpus instance inst12: no single product m*a_i of degree 1 (x, y and
-    # their ambient-monomial multiples) is regular on G = k[y1, y2]/(y1^2*y2),
-    # but (0 :_G J_1) = 0, so the walk's t = 1 element x + y certifies
+    # corpus instance inst12: no single product m*a_i of degree 1 (x and y)
+    # is regular on G = k[y1, y2]/(y1^2*y2), but (0 :_G J_1) = 0, so the
+    # walk's t = 1 element x + y certifies
     x, y = R2.gens()
     ctx = FiltrationContext(R2, (x * x * y,), (), (x, y), [(x, None), (y, None)])
     found = find_regular_lift(ctx)
     assert (found.element, found.degree) == (x + y, 1)
     singles = [m * s.element for s in ctx.system
-               for m in criterion_module._candidate_multipliers(ctx, 1, 1, DEFAULT_PARAMS)]
-    assert len(singles) == 12
-    # the ambient multiples are 0 in A or lie deeper: only x and y have
-    # initial degree 1
-    assert [b for b in singles
-            if not ctx.ideal_m.contains(b) and ctx.initial_degree(b) == 1] == [x, y]
+               for m in criterion_module._candidate_multipliers(ctx, 1, 1)]
+    assert singles == [x, y]
     pres = ctx.form_presentation()
     assert not any(is_regular_element(GradedElement(pres, ctx.graded_image(b, 1), 1)).regular
-                   for b in (x, y))
+                   for b in singles)
 
 
 def test_degree_zero_obstruction_is_reported_not_miscomputed():
@@ -496,14 +492,23 @@ def test_degree_zero_obstruction_is_reported_not_miscomputed():
 def test_walk_over_a_small_field_names_the_field():
     # three lines through the origin, x*y*(x + y): x, y and x + y are zero
     # divisors, yet (0 :_G (x, y)) = 0.  The walk's t = 2 gives x + 2*y over
-    # QQ and F_3; over F_2, t = 1 is its only value, and the refusal says so
+    # QQ and F_3.  Over F_2, t = 1 is the walk's only value, in degree 1
+    # (x + y) and in degree 2 (x^2 + y^2 = (x + y)^2), so the recursion
+    # refuses, naming the field, though x^2 + x*y + y^2 is regular there;
+    # the equivalence check still gives its exact verdict, with no certificate
     for p in (0, 3, 2):
         ring = PolynomialRing(FieldSpec(p), ("x", "y"))
         x, y = ring.gens()
         ctx = FiltrationContext(ring, (x * y * (x + y),), (), (x, y), [(x, 1), (y, 1)])
         if p == 2:
-            with pytest.raises(ValidationError, match="t in F_2 is one"):
+            with pytest.raises(ValidationError, match=r"for d in \[1, 2\].* t in F_2 is regular "
+                                                      "there; prime avoidance needs a larger field"):
                 grade_by_recursion(ctx)
+            eq = defect_regularity_equivalence(ctx)
+            assert eq.agree and eq.all_vanish and eq.regular_exists
+            assert eq.regular_certificate is None
+            form = ctx.graded_image(x * x + x * y + y * y, 2)
+            assert is_regular_element(GradedElement(ctx.form_presentation(), form, 2)).regular
         else:
             step, = grade_by_recursion(ctx).certificate
             assert (step.element, step.degree) == (x + y.scale(2), 1)
@@ -586,12 +591,10 @@ def test_system_images_are_built_once_per_context(monkeypatch):
     assert cohen_macaulay_report(ctx, DEMO_PARAMS).system_images is images
 
 
-def _multipliers_by_product_table(ctx, c_i, d, extra):
-    """The lift search's multipliers as the context's product table and an
-    ``itertools.product`` filter enumerated them: the degree-(d - c_i)
-    products of q's generators sorted by exponent tuple, then each ambient
-    monomial of total degree 1..extra, in ``itertools.product`` order,
-    times each product."""
+def _multipliers_by_product_table(ctx, c_i, d):
+    """The regular-form construction's multipliers as the context's product
+    table enumerated them: the degree-(d - c_i) products of q's generators
+    sorted by exponent tuple."""
     if d < c_i:
         return []
     s = len(ctx.q_generators)
@@ -607,37 +610,25 @@ def _multipliers_by_product_table(ctx, c_i, d, extra):
                 if key not in seen:
                     seen[key] = poly * ctx.q_generators[i]
         products[level] = tuple(sorted(seen.items()))
-    base = [p for _, p in products[d - c_i]]
-    out = list(base)
-    if extra > 0:
-        for expts in cartesian(*(range(extra + 1) for _ in range(ctx.ring.nvars))):
-            total = sum(expts)
-            if total == 0 or total > extra:
-                continue
-            mono = ctx.ring.monomial(expts, 1)
-            for p in base:
-                out.append(mono * p)
-    return out
+    return [p for _, p in products[d - c_i]]
 
 
 def test_search_candidates_keep_their_order(corpus):
-    """The lift search's multipliers come from one exponent enumerator and
-    match the product-table enumeration term for term, in the same order,
-    for every (element, degree) pair the search visits."""
+    """The regular-form construction's multipliers come from one exponent
+    enumerator and match the product-table enumeration term for term, in
+    the same order, for every (element, degree) pair it visits."""
     demo = Path(__file__).parent.parent / "demos" / "semigroup_curve.fc"
     contexts = ([i.ctx for i in corpus] + tier4_contexts()
                 + [parse_session(demo.read_text(encoding="utf-8")).context()])
     compared = 0
-    for extra in range(4):
-        params = replace(CORPUS_PARAMS, search_extra_degree=extra)
-        for ctx in contexts:
-            d_min = min(s.degree for s in ctx.system)
-            for d in range(d_min, d_min + params.search_degree_span + 1):
-                for s in ctx.system:
-                    got = criterion_module._candidate_multipliers(ctx, s.degree, d, params)
-                    assert got == _multipliers_by_product_table(ctx, s.degree, d, extra), str(ctx)
-                    compared += len(got)
-    assert compared > 1000
+    for ctx in contexts:
+        degrees = [s.degree for s in ctx.system]
+        for d in range(min(degrees), max(degrees) + 2):
+            for s in ctx.system:
+                got = criterion_module._candidate_multipliers(ctx, s.degree, d)
+                assert got == _multipliers_by_product_table(ctx, s.degree, d), str(ctx)
+                compared += len(got)
+    assert compared == 174
 
 
 def test_presentation_rings_run_in_the_presentation_order(monkeypatch):

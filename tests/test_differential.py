@@ -270,11 +270,11 @@ def test_certified_records_are_the_chains(corpus, monkeypatch):
     assert (0, 2) in differ
 
 
-def _recursion_outcome(run, ctx, params):
+def _recursion_outcome(run, ctx):
     """The grade and each step's element, degree and image representative,
     or the type of the error that the recursion raises."""
     try:
-        report = run(ctx, params)
+        report = run(ctx)
     except FormconeError as exc:
         return type(exc)
     return report.value, [(s.element, s.degree, s.image.representative)
@@ -285,9 +285,9 @@ def test_grade_recursion_retraces_the_quotient_contexts(corpus):
     # G/b*G for each certified step must give the steps, image
     # representatives, grade and errors of the contexts M/bM
     outcomes = []
-    for ctx, params in _certification_cases(corpus):
-        oracle = _recursion_outcome(quotient_recursion, ctx, params)
-        assert _recursion_outcome(grade_by_recursion, ctx, params) == oracle, str(ctx)
+    for ctx, _ in _certification_cases(corpus):
+        oracle = _recursion_outcome(quotient_recursion, ctx)
+        assert _recursion_outcome(grade_by_recursion, ctx) == oracle, str(ctx)
         outcomes.append(oracle)
     # seven two-step recursions, among them seed 7, whose second step's
     # image is not reduced modulo the first quotient until it is mapped
@@ -325,8 +325,8 @@ def test_sweep_grade_recursion_retraces_the_quotient_contexts(seed):
         ctx = spec.context()
     except FormconeError:  # refused input: no recursion to compare
         return
-    oracle = _recursion_outcome(quotient_recursion, ctx, spec.params)
-    assert _recursion_outcome(grade_by_recursion, spec.context(), spec.params) == oracle, seed
+    oracle = _recursion_outcome(quotient_recursion, ctx)
+    assert _recursion_outcome(grade_by_recursion, spec.context()) == oracle, seed
 
 
 def test_grade_recursion_steps_leave_the_system_ideal_proper(corpus):
@@ -334,9 +334,9 @@ def test_grade_recursion_steps_leave_the_system_ideal_proper(corpus):
     # forms act as the unit ideal: each step's b* lies in (a*)G, so after
     # the steps H + (b*) + (a*) = H + (a*), which must stay proper
     steps = 0
-    for ctx, params in _certification_cases(corpus):
+    for ctx, _ in _certification_cases(corpus):
         try:
-            report = grade_by_recursion(ctx, params)
+            report = grade_by_recursion(ctx)
         except FormconeError:  # refused or budget-bound: no steps to check
             continue
         top = tuple(e.representative for e in system_images(ctx))

@@ -434,7 +434,7 @@ def test_graded_forms_match_the_rees_route(corpus_results, monkeypatch):
     inputs = []
     for ctx, recursion in ([(r["instance"].ctx, r["report"].recursion_report)
                             for r in corpus_results]
-                           + [(c, grade_by_recursion(c, TIER4_PARAMS)) for c in tier4_contexts()]):
+                           + [(c, grade_by_recursion(c)) for c in tier4_contexts()]):
         module = ctx.module_generators
         inputs.append((ctx.ring, ctx.base_generators, module, ctx.q_generators))
         for step in recursion.certificate:

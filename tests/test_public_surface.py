@@ -135,7 +135,7 @@ def test_graded_helpers_derive_what_the_context_holds():
     assert names(formcone.system_images) == ["ctx"]
     assert names(checked_depth) == ["ctx"]
     assert names(checked_dim) == ["ctx"]
-    assert names(checked_grades) == ["ctx", "params"]
+    assert names(checked_grades) == ["ctx"]
     assert names(formcone.is_regular_element) == ["b"]
     assert names(formcone.colon_chain_regularity) == ["ctx", "b", "n_max"]
     assert names(formcone.Polynomial.homogeneous_part) == ["self", "degree"]
