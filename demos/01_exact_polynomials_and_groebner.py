@@ -15,7 +15,7 @@ from formcone import (
 )
 
 # (1) Rings fix a field and an ordered variable list.  All arithmetic is
-# exact: Fractions over QQ, reduced residues over a prime field.
+# exact: ints and Fractions over QQ, reduced residues over a prime field.
 R = PolynomialRing(QQ, ("x", "y", "z"))
 x, y, z = R.gens()
 f = R.parse("x^4 - y*z")

@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from dataclasses import fields, replace
+from functools import cache
 
 from .cas import DIALECTS, emit_cas_script
 from .criterion import (
@@ -229,7 +230,10 @@ def _render_human(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one argparse parser of the process, built on first use.  Sharing
+    it is safe: parsing copies the ``--set`` list before it appends."""
     parser = argparse.ArgumentParser(
         prog="formcone",
         description="Exact associated-graded computations and the Cohen-Macaulay check.",

@@ -294,22 +294,39 @@ def _reads_colon_sequence(ctx: FiltrationContext, n: int, params: CriterionParam
     (i) q^(m+c) M lies in I_M + (a): each element of its reduced basis
         reduces to 0 modulo one basis of I_M + (a), computed once per
         context;
-    (ii) C(m, 1) = q^m M, the chain's own step-1 flag; at m = 0 it holds.
+    (ii) C(m, 1) = q^m M + K_1; at m = 0 it holds.
 
     Take x in q^(m+c) M and write x = a*y + j with j in I_M by (i).  Then
-    a*y = x - j lies in q^(m+c) M, so y lies in C(m, 1) = q^m M by (ii).
-    The verdicts are memoised per context, level by level upward, and
-    level n's reads levels 0..n alone; a chain's step 1 reads no parameter
-    and only the verdict below, so neither does a verdict.  (ii) is tested
-    first, since the scan takes that step anyway.
+    a*y = x - j lies in q^(m+c) M, so y lies in C(m, 1), and by (ii) y = z
+    + k with z in q^m M and a*k in I_M: x = a*z + (a*k + j).  Conversely
+    the premise gives (i) and, with l = 1 above, (ii), so the checks are
+    exact.  C(m, 1) always contains q^m M + K_1, so (ii) is the chain's own
+    step-1 flag (C(m, 1) = q^m M, tested first, since the scan takes that
+    step anyway) or, where that fails and (i) holds, C(m, 1)'s basis
+    compared with that of q^m M + K_1; where K_1's basis is I_M's, a is a
+    nonzerodivisor on P/I_M, the failed flag decides and no such basis is
+    formed.  The verdicts are memoised per context, level by level upward,
+    and level n's reads levels 0..n alone; a chain's step 1 reads no
+    parameter and only the verdict below, so neither does a verdict.
     """
     verdicts = ctx.scratch.setdefault(("reads_colons",), [])
     while len(verdicts) <= n:
         m = len(verdicts)
-        verdicts.append((m > 0 and verdicts[-1]) or (
-            (m == 0 or _level_chain(ctx, m, 1, params).changed[0] is None)
-            and _in_system_ideal(ctx, ctx.q_power(m + ctx.system[0].degree))))
+        verdicts.append((m > 0 and verdicts[-1]) or _premise_at(ctx, m, params))
     return n >= 0 and verdicts[n]
+
+
+def _premise_at(ctx: FiltrationContext, m: int, params: CriterionParams) -> bool:
+    """Checks (i) and (ii) of ``_reads_colon_sequence`` at level m."""
+    chain = _level_chain(ctx, m, 1, params) if m else None
+    if not _in_system_ideal(ctx, ctx.q_power(m + ctx.system[0].degree)):
+        return False
+    if chain is None or chain.changed[0] is None:
+        return True
+    seq = _colon_sequence(ctx, 1)
+    if seq.changed[0] is None:
+        return False
+    return chain.ideals[1].equals(chain.ideals[0].sum_with(*seq.ideals[1].groebner().generators))
 
 
 def _in_system_ideal(ctx: FiltrationContext, ideal: PresentedIdeal) -> bool:

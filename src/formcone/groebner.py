@@ -15,11 +15,12 @@ is monic and sorted by leading term).
 Cost notes: each basis run computes a term's order key once (a memo local
 to the run), interreduces in a single pass, and updates coefficients with
 one multiply and one add per term, reducing mod p only in characteristic p.
-Over QQ the engine holds integer values as Python ints (``_to_vec``) and
-turns them back into Fractions only at the public boundary (``_from_vec``):
-basis elements are primitive integer vectors, and the S-polynomial is formed
-fraction-free, lc(g) * m_f * f - lc(f) * m_g * g.  Each half of a graph
-basis is interreduced by itself.  A run grows one lead index (the
+Coefficients keep ``FieldSpec``'s format (over QQ an int when integral, a
+Fraction otherwise), so ``_to_vec`` and ``_from_vec`` only re-key terms and
+convert no coefficient.  Inside a run, basis elements over QQ are primitive
+integer vectors, and the S-polynomial is formed fraction-free,
+lc(g) * m_f * f - lc(f) * m_g * g.  Each half of a graph basis is
+interreduced by itself.  A run grows one lead index (the
 divisor lookup of every reduction) as its basis grows, and forms pairs by
 walking the lead index of the new element's position only.  The chain
 criterion keeps, per element, the set of partners whose pair is settled, and
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
@@ -128,24 +128,16 @@ class GroebnerBasis:
 # ---------------------------------------------------------------------------
 
 def _to_vec(element) -> dict:
-    """Term vector of a public element; integer-valued Fractions become ints."""
+    """Term vector of a public element: its coefficients, keyed by
+    ``(position, monomial)``."""
     if isinstance(element, Polynomial):
-        return {(0, m): c.numerator if c.denominator == 1 else c
-                for m, c in element.terms.items()}
-    return {
-        (i, m): c.numerator if c.denominator == 1 else c
-        for i, comp in enumerate(element.components)
-        for m, c in comp.terms.items()
-    }
+        return {(0, m): c for m, c in element.terms.items()}
+    return {(i, m): c for i, comp in enumerate(element.components)
+            for m, c in comp.terms.items()}
 
 
 def _from_vec(vec: dict, ring: PolynomialRing, rank: int | None, shift: int = 0):
-    """Public element from a term vector; ``shift`` is taken off every position.
-
-    Over QQ every coefficient becomes a Fraction again, as ``Polynomial`` holds.
-    """
-    if ring.field.is_rationals:
-        vec = {t: Fraction(c) if type(c) is int else c for t, c in vec.items()}
+    """Public element from a term vector; ``shift`` is taken off every position."""
     if rank is None:
         return Polynomial(ring, {m: c for (_, m), c in vec.items()})
     comps = [dict() for _ in range(rank)]
@@ -215,7 +207,10 @@ def _lead_index(leads) -> dict:
 
 
 def _reduce_full(vec: dict, basis, by_pos: dict, key, fld) -> dict:
-    """Full normal form: no remaining term is divisible by a lead in ``by_pos``."""
+    """Full normal form: no remaining term is divisible by a lead in ``by_pos``.
+
+    The updates sum raw products (over QQ an integral sum may be a
+    Fraction); each remainder term is coerced to the field's format once."""
     work = dict(vec)
     remainder: dict = {}
     while work:
@@ -227,7 +222,7 @@ def _reduce_full(vec: dict, basis, by_pos: dict, key, fld) -> dict:
                 hit = (lead_mono, idx)
                 break
         if hit is None:
-            remainder[t] = work.pop(t)
+            remainder[t] = fld.coerce(work.pop(t))
             continue
         lead_mono, idx = hit
         g = basis[idx]

@@ -2,9 +2,13 @@
 
 Monomials are exponent tuples; a polynomial is an immutable map from
 monomials to nonzero coefficients together with a reference to its ambient
-ring.  Coefficients are `fractions.Fraction` in characteristic zero and
-reduced residues (plain ints in ``0..p-1``) in characteristic ``p``.  No
-floating point appears anywhere.
+ring.  ``FieldSpec`` alone decides how a coefficient is stored, and every
+polynomial operation and the parser go through it.  In characteristic zero
+an integral value is a plain ``int`` and any other a ``fractions.Fraction``
+with denominator > 1; in characteristic ``p`` a coefficient is a reduced
+residue, an int in ``0..p-1``.  Equality, hashing and printing depend only on
+the value (``1 == Fraction(1)``, with equal hashes).  No floating point
+appears anywhere.
 """
 
 from __future__ import annotations
@@ -19,7 +23,14 @@ from typing import Callable, Iterable, Union
 from .errors import ParseError, RingMismatchError, ValidationError
 
 Monomial = tuple[int, ...]
-Coefficient = Union[Fraction, int]
+# over QQ an int when the value is integral and a Fraction with denominator
+# > 1 otherwise; over F_p an int in 0..p-1
+Coefficient = Union[int, Fraction]
+
+
+def _rational(value: Fraction) -> Coefficient:
+    """The canonical QQ value of a Fraction: its int when it is integral."""
+    return value.numerator if value.denominator == 1 else value
 
 
 def _is_prime(p: int) -> bool:
@@ -57,23 +68,30 @@ class FieldSpec:
 
         Floats are rejected outright: arithmetic is exact everywhere.
         """
+        p = self.characteristic
+        if type(value) is int:
+            return value % p if p else value
         if isinstance(value, float):
             raise ValidationError("floating-point coefficients are not supported")
-        if self.characteristic == 0:
-            return value if isinstance(value, Fraction) else Fraction(value)
+        if p == 0:
+            return _rational(value if isinstance(value, Fraction) else Fraction(value))
         if isinstance(value, Fraction):
-            if value.denominator % self.characteristic == 0:
+            if value.denominator % p == 0:
                 raise ZeroDivisionError("denominator vanishes in the prime field")
-            return (value.numerator * pow(value.denominator, -1, self.characteristic)) % self.characteristic
-        return value % self.characteristic
+            return (value.numerator * pow(value.denominator, -1, p)) % p
+        return value % p
 
     def add(self, a: Coefficient, b: Coefficient) -> Coefficient:
         s = a + b
-        return s if self.characteristic == 0 else s % self.characteristic
+        if self.characteristic:
+            return s % self.characteristic
+        return s if type(s) is int else _rational(s)
 
     def mul(self, a: Coefficient, b: Coefficient) -> Coefficient:
         s = a * b
-        return s if self.characteristic == 0 else s % self.characteristic
+        if self.characteristic:
+            return s % self.characteristic
+        return s if type(s) is int else _rational(s)
 
     def neg(self, a: Coefficient) -> Coefficient:
         return -a if self.characteristic == 0 else (-a) % self.characteristic
@@ -82,21 +100,17 @@ class FieldSpec:
         if not a:
             raise ZeroDivisionError("inverse of zero field element")
         if self.characteristic == 0:
-            return 1 / Fraction(a)
+            return _rational(1 / Fraction(a))
         return pow(a, -1, self.characteristic)
 
     def div(self, a: Coefficient, b: Coefficient) -> Coefficient:
-        """Exact a / b; over QQ an int quotient of two ints stays an int.
-
-        Over QQ the operands are Fractions (as ``coerce`` gives) or the ints
-        the Groebner engine holds for integer values; the result is never a
-        float.  b == 0 raises ZeroDivisionError.
-        """
+        """Exact a / b in the canonical representation; b == 0 raises
+        ZeroDivisionError."""
         if self.characteristic == 0:
             if type(a) is int and type(b) is int:
                 q, r = divmod(a, b)
                 return Fraction(a, b) if r else q
-            return a / b
+            return _rational(a / b)
         return self.mul(a, self.inv(b))
 
     def __str__(self) -> str:

@@ -21,9 +21,9 @@ package's power ladder nor its closed form for graded inputs.  Disagreement
 with the main route is always a hard failure of the library, never a
 tolerance issue.
 
-The last section holds small operations that only tests use: monomial
-comparison, term multiplication, substitution, ideal products and
-containment, and session printing.
+The last section holds small operations that only tests use: the
+coefficient-format check, monomial comparison, term multiplication,
+substitution, ideal products and containment, and session printing.
 """
 
 from __future__ import annotations
@@ -722,6 +722,15 @@ def graded_side_differs(pres: GradedQuotientPresentation) -> list[str]:
 # ---------------------------------------------------------------------------
 # Operations only the tests use
 # ---------------------------------------------------------------------------
+
+def is_field_value(c, characteristic: int) -> bool:
+    """True when ``c`` is in the package's coefficient format: over QQ an int
+    exactly when the value is integral and a Fraction with denominator > 1
+    otherwise, over F_p an int in 0..p-1; never a float."""
+    if characteristic:
+        return type(c) is int and 0 <= c < characteristic
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
 
 def mono_compare(order: MonomialOrder, m1: Monomial, m2: Monomial) -> int:
     """-1, 0, or 1 as m1 <, =, > m2 under the order."""

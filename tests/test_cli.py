@@ -196,6 +196,16 @@ def test_set_line_and_set_flag_share_one_message(curve_file, capsys, line, flag)
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
+def test_set_flags_do_not_outlive_their_call(curve_file, capsys):
+    """One parser serves every ``main`` call of a process; an earlier call's
+    ``--set`` flags must not reach a later call's parameters."""
+    assert build_parser() is build_parser()
+    assert main(["dim", str(curve_file), "--json", "--set", "n_max=3"]) == 0
+    assert json.loads(capsys.readouterr().out)["parameters"]["n_max"] == 3
+    assert main(["dim", str(curve_file), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["parameters"]["n_max"] == CriterionParams().n_max != 3
+
+
 def test_commands_are_the_parser_choices():
     """The argparse choices are the dispatch table's commands, in order."""
     action = next(a for a in build_parser()._actions if a.dest == "command")

@@ -163,11 +163,13 @@ def test_propagated_chains_match_the_direct_loop(corpus):
             if _shared_colons(cold):
                 assert routes == {"colon_sequence"}
             else:
-                # the chain route reads the colon sequence only from a level
-                # whose premise a single element meets
+                # the chain route reads the colon sequence from a level whose
+                # premise a single element meets; below it, at most K_1,
+                # for the premise's check (ii)
                 routed = len(ctx.system) == 1 and _reads_colon_sequence(
                     cold, max(p.n_max for p in param_sets), params)
-                assert routes == ({"chain", "colon_sequence"} if routed else {"chain"})
+                assert routes == ({"chain", "colon_sequence"} if routed or _reads_k1_only(cold)
+                                  else {"chain"}), name
         singles += len(ctx.system) == 1
         reduced += routed
         shared += _shared_colons(ctx)
@@ -211,6 +213,12 @@ def test_the_ascending_check_fires_on_both_routes(monkeypatch):
     assert _shared_colons(_two_element_graded_context())
 
 
+def _reads_k1_only(ctx) -> bool:
+    """True when the context's colon sequence holds K_1 alone."""
+    seq = ctx.scratch.get(("colon_sequence",))
+    return seq is not None and len(seq.changed) == 1
+
+
 def _count_colons(monkeypatch) -> list:
     """A list that gains one entry per ``meet_of_colons`` call, at every
     binding that calls it: ``ideals`` (colon, intersection, the graded
@@ -249,7 +257,10 @@ def test_propagation_saves_kernels(monkeypatch):
 
 def _reduction_cases():
     """(name, context, params, first level that reads the colon sequence or
-    None, colons of an upward scan) for the chain route's choice."""
+    None, colons of an upward scan) for the chain route's choice.  The
+    cusp with a = x and the tier-4 curve never take the route, but each has
+    a level where q^(n+c) M lies in I_M + (a) and C(n, 1) is not q^n M, so
+    its scan also reads K_1 = I_M, one colon per context."""
     x, y = R2.gens()
     f2 = PolynomialRing(FieldSpec(2), ("x", "y"))
     u, v = f2.gens()
@@ -268,8 +279,8 @@ def _reduction_cases():
         ("demo curve", curve_context(), DEMO_PARAMS, 3, 5),
         ("cusp, a = y", FiltrationContext(R2, cusp, (), (x, y), [(y, 1)]), CORPUS_PARAMS, 1, 2),
         ("cusp, a = x", FiltrationContext(R2, cusp, (), (x, y), [(x, 1)]), CORPUS_PARAMS,
-         None, 71),
-        ("tier4 curve", tier4_contexts()[0], tier4, None, 5),
+         None, 72),
+        ("tier4 curve", tier4_contexts()[0], tier4, None, 6),
         ("cusp, a = x, y", FiltrationContext(R2, cusp, (), (x, y), [(x, 1), (y, 1)]),
          CORPUS_PARAMS, None, 24),
         ("q = x, a = x, y", FiltrationContext(R2, cusp, (), (x,), [(x, 1), (y, 0)]),
@@ -298,7 +309,8 @@ def test_reduced_chains_read_the_colon_sequence(monkeypatch):
             routed = [n for n in levels if single and _reads_colon_sequence(cold, n, params)]
             assert routed == ([] if start is None else list(range(start, params.n_max + 1))), \
                 (name, upward)
-            assert (("colon_sequence",) in cold.scratch) == bool(routed), name
+            assert (("colon_sequence",) in cold.scratch) == bool(routed or _reads_k1_only(cold)), \
+                name
         if start is None:
             continue
         a, c = ctx.system[0].element, ctx.system[0].degree

@@ -44,6 +44,7 @@ from oracle import (
     direct_defect_at,
     eager_ladder_records,
     graded_side_differs,
+    product_power,
     quotient_recursion,
 )
 
@@ -63,6 +64,7 @@ from formcone import (
 )
 from formcone.cli import main
 from formcone.criterion import _chain_record, _reads_colon_sequence, _shared_colons
+from formcone.ideals import meet_of_colons
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(60)
@@ -174,7 +176,30 @@ def test_seeds_cover_both_single_element_chain_routes():
         if len(ctx.system) == 1 and not _shared_colons(ctx):
             reads = _reads_colon_sequence(ctx, spec.params.n_max, spec.params)
             routed, kept = routed + reads, kept + (not reads)
-    assert (routed, kept) == (13, 18)
+    assert (routed, kept) == (14, 17)
+
+
+# seeds whose single element is a zero divisor on P/I_M, with the first level
+# where q^(n+c) M = a*q^n M + I_M holds (seed 200: QQ, base x*y - x*y*y,
+# x^3 - x*y^2, q = (x, y), a = y); C(n, 1) there is q^n M + (I_M : a), larger
+# than q^n M
+ZERO_DIVISOR_STARTS = {19: 2, 78: 4, 200: 2, 260: 3}
+
+
+@pytest.mark.parametrize("seed", sorted(ZERO_DIVISOR_STARTS))
+def test_a_zero_divisor_reads_the_colon_sequence_where_the_premise_holds(seed):
+    spec = parse_session(random_session(seed))
+    ctx, params, start = spec.context(), spec.params, ZERO_DIVISOR_STARTS[seed]
+    assert len(ctx.system) == 1 and not _shared_colons(ctx)
+    a, c = ctx.system[0].element, ctx.system[0].degree
+    assert not meet_of_colons([ctx.ideal_m], [a]).equals(ctx.ideal_m)
+    levels = range(params.n_max + 1)
+    for n in levels:
+        assert _record_fields(_chain_record(ctx, n, params)) \
+            == _record_fields(direct_defect_at(spec.context(), n, params)), n
+        low = product_power(ctx, n).groebner().generators
+        premise = product_power(ctx, n + c).equals(ctx.ideal_m.sum_with(*(a * g for g in low)))
+        assert premise == (n >= start) == _reads_colon_sequence(ctx, n, params), n
 
 
 def test_m_primary_q_reads_the_dimension_at_the_origin(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from oracle import (
     exact_rank,
     graph_kernel,
+    is_field_value,
     is_groebner,
     kernel_sample,
     mono_compare,
@@ -54,13 +55,14 @@ def curve_ideal():
 
 
 def assert_public_coefficients(elements):
-    """The public type contract: over QQ every coefficient is a Fraction,
-    over F_p an int in 0..p-1 (the engine's internal ints never leak)."""
+    """The public format contract: over QQ an int exactly when the value is
+    integral and a Fraction with denominator > 1 otherwise, over F_p an int
+    in 0..p-1 (``oracle.is_field_value``)."""
     for e in elements:
         for comp in (e,) if isinstance(e, Polynomial) else e.components:
             p = comp.ring.field.characteristic
             for c in comp.terms.values():
-                assert (type(c) is int and 0 <= c < p) if p else type(c) is Fraction, c
+                assert is_field_value(c, p), (c, type(c))
 
 
 def test_normal_form_membership_basics():
@@ -80,6 +82,12 @@ def test_normal_form_on_curve_ideal():
     assert not normal_form(Y**4, gb).is_zero()
     probes = (Y**4, 3 * Y**4 - X**2 * Fraction(1, 2), 2 * Z**3)
     assert_public_coefficients([normal_form(f, gb) for f in probes])
+    # against the monic basis X - 1/2, 2*X leaves the integral 2 * 1/2
+    half = buchberger([2 * X - 1])
+    assert half.generators == (X - Fraction(1, 2),)
+    rest = normal_form(2 * X + Y, half)
+    assert rest == Y + 1
+    assert_public_coefficients([rest])
 
 
 def test_buchberger_principal_and_zero():

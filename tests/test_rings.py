@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product as cartesian
 
 import pytest
-from oracle import mono_compare, substitute
+from oracle import is_field_value, mono_compare, substitute
 
 from formcone import (
     DEGREVLEX,
@@ -47,6 +47,46 @@ def test_rational_coercion_is_reduced():
     f = FieldSpec(0)
     c = f.coerce(Fraction(4, -6))
     assert c == Fraction(-2, 3) and c.denominator == 3
+    assert type(f.coerce(Fraction(6, 3))) is int and f.coerce(True) == 1
+
+
+def test_field_operations_keep_the_coefficient_format():
+    # every result of the six operations is in the field's format and equals
+    # plain Fraction arithmetic (reduced mod p over F_p)
+    rng = random.Random(5)
+
+    def draw():
+        # an integral value comes as an int or as a Fraction with denominator 1
+        value = Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 4, 6)))
+        return int(value) if value.denominator == 1 and rng.random() < 0.5 else value
+
+    for fld in (QQ, FieldSpec(7)):
+        p = fld.characteristic
+
+        def expect(value):
+            return value if not p else value.numerator * pow(value.denominator, -1, p) % p
+
+        for _ in range(300):
+            a, b = draw(), draw()
+            if p and (Fraction(a).denominator % p or Fraction(b).denominator % p):
+                continue
+            x, y = fld.coerce(a), fld.coerce(b)
+            results = [(x, expect(Fraction(a))), (fld.add(x, y), expect(Fraction(a) + b)),
+                       (fld.mul(x, y), expect(Fraction(a) * b)), (fld.neg(x), expect(-Fraction(a)))]
+            if b:
+                results += [(fld.inv(y), expect(1 / Fraction(b))),
+                            (fld.div(x, y), expect(Fraction(a) / b))]
+            for got, want in results:
+                assert is_field_value(got, p) and got == want, (fld, a, b, got, want)
+
+
+def test_parser_and_arithmetic_keep_integral_values_as_ints():
+    x, y = R2.gens()
+    f = R2.parse("4/2*x + 1/2*y")
+    assert f.terms == {(1, 0): 2, (0, 1): Fraction(1, 2)} and type(f.terms[(1, 0)]) is int
+    g = f * R2.parse("2*y") + f.scale(Fraction(2, 3)) - y.scale(Fraction(1, 3))
+    assert all(is_field_value(c, 0) for c in g.terms.values())
+    assert g == x * y.scale(4) + y * y + x.scale(Fraction(4, 3))
 
 
 def test_floats_and_negative_exponents_rejected():
@@ -78,9 +118,10 @@ def test_difference_of_squares():
 def test_field_division():
     F7 = FieldSpec(7)
     assert QQ.div(Fraction(3, 4), Fraction(-3, 2)) == Fraction(-1, 2)
-    # exact on the ints the engine holds: never a float
+    # exact, never a float, and an int exactly when the quotient is integral
     assert type(QQ.div(3, 2)) is Fraction and QQ.div(3, 2) == Fraction(3, 2)
-    assert QQ.div(6, 3) == 2
+    assert type(QQ.div(6, 3)) is int and QQ.div(6, 3) == 2
+    assert type(QQ.div(Fraction(3, 2), Fraction(1, 2))) is int
     with pytest.raises(ZeroDivisionError):
         QQ.div(1, 0)
     assert F7.div(3, 5) == F7.mul(3, F7.inv(5)) == 2
