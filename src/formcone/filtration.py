@@ -50,15 +50,34 @@ it or a premise check needs it.  The ladder q^n + I_A, which system
 validation reads, is the same method on ``ctx.base``, the context of M = A;
 when M = A the two are one.
 
+Where q + I_A is the ideal m of all variables, the ladder's low levels and
+the initial degrees are read off orders.  Then m^n = (q + I_A)^n lies in
+q^n + I_A, and q lies in m, so q^n + I_M = m^n + I_M for every n.  Where
+q's generators are the variables, q + I_A = I_A + m is m when every
+generator of I_A vanishes at the origin and (1) otherwise (m is maximal),
+so its reduced basis is the variables, sorted, or 1, with no basis run.
+Let o be the order of I_M, the least lowest degree of its nonzero
+generators (every element of I_M has lowest degree at least o; o is
+infinite for I_M = 0).  For n <= o, I_M lies in m^n, so q^n M = m^n, whose
+reduced basis is the degree-n monomials; the ladder above o grows from
+level o.  An element a of lowest degree c0 < o has initial degree c0: it
+lies in m^c0, and a - f in m^(c0+1) with f in I_M would give f the lowest
+form of a, so o <= ord f = c0.
+
 Graded inputs skip the ladder too.  When I_M is homogeneous and q + I_A is
-the ideal m of all variables, q^n + I_M = m^n + I_M, whose reduced basis is
-read off I_M's (``graded_power_basis``): the elements of degree below n,
-plus the degree-n monomials that none of their leads divides.
+m, q^n + I_M = m^n + I_M, whose reduced basis is read off I_M's
+(``graded_power_basis``): the elements of degree below n, plus the
+degree-n monomials that none of their leads divides.  The initial degree
+of a is the lowest degree of its normal form modulo I_M: a homogeneous
+basis under a degree order reduces each homogeneous part of a by itself,
+so a lies in m^c + I_M exactly when that normal form has no term below
+degree c.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, RingMismatchError, ValidationError
@@ -122,7 +141,8 @@ def _variable_slots(gens) -> tuple[int, ...] | None:
 
 
 class _Level(PresentedIdeal):
-    """Level n >= 2 of a ladder that is not graded, q^n + I_M, whose
+    """A level q^n + I_M of a ladder that is not graded, above its closed
+    forms (level 1, or the order of I_M where q + I_A = m), whose
     generators are formed when something first reads them or its reduced
     basis (``FiltrationContext.q_power``).
 
@@ -208,21 +228,26 @@ class FiltrationContext:
         if not q_gens:
             raise ValidationError("filtration ideal needs at least one generator")
         self.ideal_a = PresentedIdeal(ring, base_gens, (), step_budget)
-        self.q_ideal = self.ideal_a.spawn(q_gens)
         if not self.ideal_a.is_proper():
             raise ValidationError("base ideal is the unit ideal")
-        if not self.q_ideal.is_proper():
-            raise ValidationError("filtration ideal is not proper")
         # the variable ideal m is maximal: I_A + m is m if every base generator
         # vanishes at 0, else (1), and the proper q + I_A is m iff it holds every variable
-        self.local_model_mismatch = (all(g.min_degree() != 0 for g in base_gens)
-                                     and any(g.min_degree() == 0 for g in q_gens))
-        self.q_is_m = all(self.q_ideal.contains(v) for v in ring.gens())
+        inside = all(g.min_degree() != 0 for g in base_gens)
+        self.local_model_mismatch = inside and any(g.min_degree() == 0 for g in q_gens)
         self._q_slots = slots = _variable_slots(q_gens)
+        n, s = ring.nvars, len(q_gens)
+        variables = slots is not None and set(slots) == set(range(n))
+        if variables:  # q + I_A = I_A + m, seeded with its reduced basis
+            self.q_ideal = self.ideal_a.spawn_reduced(
+                graded_power_basis(ring, (), 1) if inside else (ring.one(),), q_gens)
+        else:
+            self.q_ideal = self.ideal_a.sum_with(*q_gens)
+        if not self.q_ideal.is_proper():
+            raise ValidationError("filtration ideal is not proper")
+        self.q_is_m = variables or all(self.q_ideal.contains(v) for v in ring.gens())
         # the ring P[y] of the Rees and form presentations, one y-variable per
         # generator of q after the x-variables, with weight 0 on the x's and
         # 1 on the y's
-        n, s = ring.nvars, len(q_gens)
         self._pres_ring = ring.extend(ring.fresh_names("y", s))
         self._pres_weights = (0,) * n + (1,) * s
         # where q's generators are the variables (see the module docstring):
@@ -242,6 +267,9 @@ class FiltrationContext:
                 raise ValidationError("filtration ideal acts as the unit ideal on the module")
         self._graded = self.q_is_m and all(
             g.is_homogeneous() for g in self.ideal_m.groebner().generators)
+        # the order o of I_M: the least lowest degree of its nonzero generators
+        self._im_order = min((g.min_degree() for g in self.ideal_m.combined() if not g.is_zero()),
+                             default=math.inf)
         self._powers: dict[int, PresentedIdeal] = {
             0: self.ideal_a.spawn_reduced((self.ring.one(),)), 1: level_one}
         self._presentations: dict = {}
@@ -256,9 +284,10 @@ class FiltrationContext:
 
     def _base_degree(self, element: Polynomial) -> int | None:
         """Initial degree modulo I_A of a system element; zero in A is refused."""
-        if self.ideal_a.contains(element):
-            raise ValidationError(f"system element {element} is zero in the base ring")
-        return self.base.initial_degree(element)
+        try:
+            return self.base.initial_degree(element)
+        except ValidationError:  # initial_degree's one refusal: the element is zero
+            raise ValidationError(f"system element {element} is zero in the base ring") from None
 
     def _validated(self, entry) -> SystemElement:
         element, claimed = entry if isinstance(entry, tuple) else (entry, None)
@@ -303,15 +332,24 @@ class FiltrationContext:
 
         Where ``is_graded()`` holds, each higher level is the closed form
         m^n + I_M of ``graded_power_basis`` instead, with no basis computation.
+        Where q + I_A is m but I_M is not homogeneous, q^n M = m^n + I_M too,
+        and I_M lies in m^n for n <= o, the order of I_M (the least lowest
+        degree of its nonzero generators): each such level is m^n, whose
+        reduced basis is the degree-n monomials, with no basis computation,
+        and the levels above o grow from level o by the identity above.
         """
         cache = self._powers
-        if self._graded:
-            if n not in cache:
-                cache[n] = self.q_ideal.spawn_reduced(
-                    graded_power_basis(self.ring, self.ideal_m.groebner().generators, n))
+        if n in cache:
             return cache[n]
-        for level in range(len(cache), n + 1):
-            cache[level] = _Level(cache[level - 1], self.ideal_m, self.q_generators)
+        if self.q_is_m and (self._graded or n <= self._im_order):
+            low = self.ideal_m.groebner().generators if self._graded else ()
+            cache[n] = self.q_ideal.spawn_reduced(graded_power_basis(self.ring, low, n))
+            return cache[n]
+        top = self._im_order if self.q_is_m else 1  # the highest closed form, below n
+        self.q_power(top)
+        for level in range(top + 1, n + 1):
+            if level not in cache:
+                cache[level] = _Level(cache[level - 1], self.ideal_m, self.q_generators)
         return cache[n]
 
     def is_graded(self) -> bool:
@@ -329,12 +367,36 @@ class FiltrationContext:
     # -- initial degrees -------------------------------------------------------
 
     def initial_degree(self, a: Polynomial) -> int | None:
-        """Largest c <= probe_cap with a in q^c M; None once the probe cap is
-        hit, which by convention means the initial form is zero.
-        ``base.initial_degree`` is the degree modulo I_A."""
+        """Largest c < probe_cap with a in q^c M; None once a lies in
+        q^probe_cap M, which by convention means the initial form is zero.
+        ``base.initial_degree`` is the degree modulo I_A.
+
+        In general this probes q^c M for c = 1, 2, ... and stops at the
+        first power that misses a.  Where q + I_A is m (the module
+        docstring has the proofs):
+
+        - where ``is_graded()`` holds, it is the lowest degree of the normal
+          form of a modulo I_M, with no probe;
+        - otherwise, with c0 the lowest degree of a and o the order of I_M,
+          it is c0 when c0 < o, with no probe; when c0 >= o, a lies in
+          m^c0, so the probe starts at c0 + 1.
+        """
+        self._check_ring(a)
+        if self._graded:
+            residue = normal_form(a, self.ideal_m.groebner())
+            if residue.is_zero():
+                raise ValidationError("element is zero in the quotient; no initial degree")
+            degree = residue.min_degree()
+            return degree if degree < self.probe_cap else None
+        start = 1
+        if self.q_is_m and not a.is_zero():
+            degree = a.min_degree()
+            if degree < self._im_order:
+                return degree if degree < self.probe_cap else None
+            start = degree + 1
         if self.ideal_m.contains(a):
             raise ValidationError("element is zero in the quotient; no initial degree")
-        for c in range(1, self.probe_cap + 1):
+        for c in range(start, self.probe_cap + 1):
             if not self.q_power(c).contains(a):
                 return c - 1
         return None

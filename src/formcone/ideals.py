@@ -62,12 +62,13 @@ class PresentedIdeal:
         return PresentedIdeal(self.ring, self.base, tuple(generators), self.step_budget,
                               self.order)
 
-    def spawn_reduced(self, basis) -> "PresentedIdeal":
-        """Same ring, base and order, generated by ``basis``, which must be
-        the result's reduced, monic, sorted basis in that order; it seeds the
-        cache."""
-        result = self.spawn(basis)
-        result._gb = GroebnerBasis(result.generators, self.order)
+    def spawn_reduced(self, basis, generators=None) -> "PresentedIdeal":
+        """Same ring, base and order, generated by ``generators`` (default
+        ``basis``); ``basis`` must be the result's reduced, monic, sorted
+        basis in that order, and it seeds the cache."""
+        basis = tuple(basis)
+        result = self.spawn(basis if generators is None else generators)
+        result._gb = GroebnerBasis(basis, self.order)
         return result
 
     def combined(self) -> tuple[Polynomial, ...]:

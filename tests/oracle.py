@@ -15,11 +15,11 @@ level-n colon chain with one kernel per step, ``eager_ladder_records`` runs
 the level scan over a q-power ladder formed in full before the scan reads it
 and takes each record's residues against that ladder, and
 ``quotient_recursion`` runs the grade recursion through one quotient context
-per step.  The level checks take q^k M from ``product_power``, a basis of
-the degree-k products of q's generators plus I_M, so they share neither the
-package's power ladder nor its closed form for graded inputs.  Disagreement
-with the main route is always a hard failure of the library, never a
-tolerance issue.
+per step.  The level checks and ``probed_initial_degree`` take q^k M from
+``product_power``, a basis of the degree-k products of q's generators plus
+I_M, so they share neither the package's power ladder nor its closed forms
+for graded inputs and for low levels.  Disagreement with the main route is
+always a hard failure of the library, never a tolerance issue.
 
 The last section holds small operations that only tests use: the
 coefficient-format check, monomial comparison, term multiplication,
@@ -409,6 +409,18 @@ def product_power(ctx: FiltrationContext, k: int) -> PresentedIdeal:
         ctx.scratch[key] = PresentedIdeal(ctx.ring, ctx.base_generators,
                                           products + ctx.module_generators, ctx.step_budget)
     return ctx.scratch[key]
+
+
+def probed_initial_degree(ctx: FiltrationContext, a: Polynomial) -> int | None:
+    """The largest c < ctx.probe_cap with a in q^c M, by probing c = 1, 2,
+    ... against ``product_power``; None once a lies in q^probe_cap M.  An
+    element zero in M raises ValidationError."""
+    if PresentedIdeal(ctx.ring, ctx.base_generators, ctx.module_generators).contains(a):
+        raise ValidationError("element is zero in the quotient; no initial degree")
+    for c in range(1, ctx.probe_cap + 1):
+        if not product_power(ctx, c).contains(a):
+            return c - 1
+    return None
 
 
 @dataclass(frozen=True)

@@ -127,7 +127,9 @@ def test_depth_and_cm_check_refuse_a_shifted_filtration(tmp_path, capsys):
 
 
 def test_exit_code_for_budget_exhaustion(curve_file, capsys):
-    code = main(["gb", str(curve_file), "--set", "step_budget=2"])
+    # construction runs I_A's basis only, which fits in 2 pair reductions;
+    # step_budget = 1 is the smallest accepted value and exhausts it
+    code = main(["gb", str(curve_file), "--set", "step_budget=1"])
     assert code == 3
     assert "budget" in capsys.readouterr().err
 
@@ -493,3 +495,12 @@ def test_koszul_depth_witness_replays():
                     {**certs, "depth_witness": ["0", "y", "x"]}):
         with pytest.raises(AssertionError):
             check_cm_certificates(ctx, {**payload, "certificates": mutated})
+
+
+def test_a_base_away_from_the_origin_makes_the_variable_ideal_improper(tmp_path, capsys):
+    """q = (x, y) with I_A = (x - 1): q + I_A = I_A + m is the unit ideal,
+    read off I_A's generators with no basis run, and refused as before."""
+    path = tmp_path / "away.fc"
+    path.write_text("field QQ\nvars x, y\nbase: x - 1\nq: x, y\na: y\n", encoding="utf-8")
+    assert main(["gb", str(path)]) == 2
+    assert "filtration ideal is not proper" in capsys.readouterr().err

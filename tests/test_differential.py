@@ -8,7 +8,10 @@ report commands exit 0, 2 or 3 (1 is reserved for internal consistency
 failures), the l-chain (``criterion._chain_record``) gives the record of
 the direct loop ``oracle.direct_defect_at`` at every level, and so does
 ``defect_at``, except that a certified record's chain metadata (its
-``stabilized_l``, ``status`` and ``certified``) is its own; the seeds cover
+``stabilized_l``, ``status`` and ``certified``) is its own, and
+``initial_degree`` gives the degrees of the probe loop
+``oracle.probed_initial_degree``, as it does on the corpus, the tier-4
+inputs and the demo; the seeds cover
 single elements whose level chains read the colon sequence and those that
 take kernels.  Seeds 0-59 run in tier 1 and seeds 0-299 under the ``sweep``
 marker (``pytest -m sweep``).  Over the corpus, the tier-4 inputs, the demo
@@ -44,6 +47,7 @@ from oracle import (
     direct_defect_at,
     eager_ladder_records,
     graded_side_differs,
+    probed_initial_degree,
     product_power,
     quotient_recursion,
 )
@@ -63,7 +67,12 @@ from formcone import (
     system_images,
 )
 from formcone.cli import main
-from formcone.criterion import _chain_record, _reads_colon_sequence, _shared_colons
+from formcone.criterion import (
+    _candidate_multipliers,
+    _chain_record,
+    _reads_colon_sequence,
+    _shared_colons,
+)
 from formcone.ideals import meet_of_colons
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -123,9 +132,10 @@ def _record_fields(record: DefectRecord, certified: bool = False) -> dict:
 
 
 def _check_seed(seed: int, tmp_path) -> None:
-    """Every report command exits 0, 2 or 3 on the seed's input, and at
-    every level the chain gives the direct loop's record and ``defect_at``
-    gives it too, but for a certified record's chain metadata."""
+    """Every report command exits 0, 2 or 3 on the seed's input, initial
+    degrees are the probe's, and at every level the chain gives the direct
+    loop's record and ``defect_at`` gives it too, but for a certified
+    record's chain metadata."""
     text = random_session(seed)
     path = tmp_path / "input.fc"
     path.write_text(text, encoding="utf-8")
@@ -138,8 +148,12 @@ def _check_seed(seed: int, tmp_path) -> None:
     levels = range(spec.params.n_max + 1)
     try:
         ctx = spec.context()
+    except FormconeError:  # refused input: the exit codes above cover it
+        return
+    assert _initial_degrees_differ(spec.context()) == [], text
+    try:
         records = [defect_at(ctx, n, spec.params) for n in levels]
-    except FormconeError:  # refused input or system: the exit codes above cover it
+    except FormconeError:  # refused system: the exit codes above cover it
         return
     chain = spec.context()
     for n, record in enumerate(records):
@@ -148,6 +162,39 @@ def _check_seed(seed: int, tmp_path) -> None:
             (n, text)
         assert _record_fields(record, record.certified) \
             == _record_fields(direct, record.certified), (n, text)
+
+
+def _degree_outcome(initial_degree, a):
+    """The initial degree of a, or ValidationError for an element zero in M."""
+    try:
+        return initial_degree(a)
+    except ValidationError:
+        return ValidationError
+
+
+def _initial_degrees_differ(ctx) -> list:
+    """The (layer, element) pairs where ``initial_degree`` differs from
+    ``oracle.probed_initial_degree``, on ``ctx`` and on ``ctx.base``, for
+    every system element and, on a system of exact degrees, every product
+    that the regular-lift search probes (``_candidate_multipliers``)."""
+    elements = [s.element for s in ctx.system]
+    if ctx.system and all(s.exact and not s.zero_flag for s in ctx.system):
+        degrees = [s.degree for s in ctx.system]
+        elements += [m * s.element for d in range(min(degrees), max(degrees) + 2)
+                     for s in ctx.system for m in _candidate_multipliers(ctx, s.degree, d)]
+    return [(str(layer), str(a)) for layer in (ctx, ctx.base) for a in elements
+            if _degree_outcome(layer.initial_degree, a)
+            != _degree_outcome(lambda b: probed_initial_degree(layer, b), a)]
+
+
+def test_initial_degrees_match_the_probe(corpus):
+    # the closed forms (lowest degree below the order of I_M, the normal
+    # form on graded inputs) and the probe from the lowest degree up must
+    # give the probe loop's degrees, and refuse the same elements
+    demo = parse_session((ROOT / "demos" / "semigroup_curve.fc").read_text(encoding="utf-8"))
+    contexts = [demo.context(), *(i.ctx for i in corpus), *tier4_contexts()]
+    for ctx in contexts:
+        assert _initial_degrees_differ(cold_copy(ctx)) == [], str(ctx)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,8 +1,16 @@
+import math
 from pathlib import Path
 
 import pytest
 from corpus import TIER4_BASES, tier4_contexts
-from oracle import lifted_image, q_products, rees_cone, rees_form_presentation, rees_image
+from oracle import (
+    lifted_image,
+    probed_initial_degree,
+    q_products,
+    rees_cone,
+    rees_form_presentation,
+    rees_image,
+)
 
 from formcone import (
     QQ,
@@ -117,6 +125,57 @@ def test_initial_form_zero_flag_convention():
     from formcone import defect_at
     with pytest.raises(DegenerateSystemError):
         defect_at(ctx2, 0)
+
+
+def test_initial_degree_routes(monkeypatch):
+    """Each route of ``initial_degree`` gives the degree of the probe loop
+    (``oracle.probed_initial_degree``), and the two closed forms read no
+    level of the ladder."""
+    x, y = R2.gens()
+    xc, yc, zc, _ = R4.gens()
+    R1 = PolynomialRing(QQ, ("t",))
+    t, = R1.gens()
+    cases = [  # (context, element, initial degree, read off a closed form)
+        # lowest degree 1 below the order 2 of I_A
+        (curve_context(), RS.var(0), 1, True),
+        # lowest degree 2, the order of I_A: x^2 = y^3 lies in q^3, probed from 3
+        (FiltrationContext(R2, (x**2 - y**3,), (), (x, y), []), x**2, 3, False),
+        # lowest degree 1, the order of I_M = (y - x^2): y = x^2 lies in q^2 M
+        (FiltrationContext(R2, (), (y - x * x,), (x, y), []), y, 2, False),
+        # graded: the normal form of x*z - y^2 + x^3 modulo the cubic cone is x^3
+        (cone_context(), xc * zc - yc**2 + xc**3, 3, True),
+        # t^2 = t^3 = ... lies in every power, so the probe reaches its cap
+        (FiltrationContext(R1, (t * t - t**3,), (), (t,), [], probe_cap=8), t * t, None, False),
+        # q = (x) is not the variables: the probe from 1, y^3 = x^2
+        (FiltrationContext(R2, (x**2 - y**3,), (), (x,), []), y**3, 2, False),
+    ]
+
+    def refuse(self, n):
+        raise AssertionError("a closed form read a ladder level")
+
+    for ctx, a, degree, closed in cases:
+        assert probed_initial_degree(ctx, a) == degree, str(ctx)
+        with monkeypatch.context() as patch:
+            if closed:
+                patch.setattr(FiltrationContext, "q_power", refuse)
+            assert ctx.initial_degree(a) == degree, str(ctx)
+
+
+def test_the_demo_context_runs_one_basis(monkeypatch):
+    """Building the demo's context runs one basis computation, I_A's: q + I_A
+    is m with no run, and the system element X has lowest degree 1, below
+    the order 2 of I_A, so its degree reads no ladder level."""
+    spec = parse_session((ROOT / "demos" / "semigroup_curve.fc").read_text(encoding="utf-8"))
+    runs = []
+
+    def counted(gens, *args, **kwargs):
+        runs.append(tuple(gens))
+        return buchberger(gens, *args, **kwargs)
+
+    monkeypatch.setattr("formcone.ideals.buchberger", counted)
+    monkeypatch.setattr("formcone.filtration.buchberger", counted)
+    ctx = spec.context()
+    assert runs == [ctx.base_generators]
 
 
 def test_rees_presentations():
@@ -349,25 +408,40 @@ def test_graded_image_matches_lifting(corpus):
     assert ctx.graded_image(x, 2).is_zero()
 
 
+def order(ideal: PresentedIdeal) -> float:
+    """The order of an ideal: the least lowest degree of its nonzero
+    generators, infinite for the zero ideal."""
+    return min((g.min_degree() for g in ideal.combined() if not g.is_zero()), default=math.inf)
+
+
 def test_power_ladder_matches_products(corpus, monkeypatch):
-    # q^n + J, from the previous power's basis or, on graded ladders, from
-    # the closed form, must equal the old route, a basis of all degree-n
-    # products of q's generators plus J; the ladder's shape is checked where
-    # it is used.  Levels 0 and 1 are the unit ideal and the q + J whose
-    # properness construction checked, so they run no basis computation.
+    # q^n + J, from the previous power's basis or, on graded ladders and on
+    # levels n <= o where q + I_A = m (o the order of J), from the closed
+    # form, must equal the old route, a basis of all degree-n products of
+    # q's generators plus J; the ladder's shape is checked where it is
+    # used.  Levels 0 and 1 are the unit ideal and the q + J whose
+    # properness construction checked, and a level n <= o is m^n, so none
+    # of them runs a basis computation.
     contexts = _ladder_contexts(corpus)
     assert any(ctx.module_generators for ctx in contexts)
 
     def refuse(*args):
-        raise AssertionError("level 0 or 1 ran a basis computation")
+        raise AssertionError("level 0 or 1, or a level n <= o, ran a basis computation")
 
     monkeypatch.setattr("formcone.ideals.buchberger", refuse)
+    closed = set()
     for ctx in contexts:
         assert ctx.base.q_power(1) is ctx.base.q_ideal
         for layer in (ctx, ctx.base):
             assert layer.q_power(0).groebner().generators == (ctx.ring.one(),)
             assert layer.q_power(1).is_proper()
+            if layer.q_is_m and not layer.is_graded():
+                for n in range(2, order(layer.ideal_m) + 1):
+                    layer.q_power(n).groebner()
+                    closed.add((id(layer), n))
     monkeypatch.undo()
+    # 12 levels 2 <= n <= o, all compared with the products below
+    assert len(closed) == 12 and max(n for _, n in closed) <= 8
     for ctx in contexts:
         for layer in (ctx, ctx.base):
             j_gens = layer.module_generators
@@ -377,7 +451,7 @@ def test_power_ladder_matches_products(corpus, monkeypatch):
                 old = buchberger(products + layer.ideal_m.combined())
                 assert ideal.groebner().generators == old.generators, (str(layer), n)
                 assert ideal.base == ctx.base_generators
-                if layer.is_graded() or n <= 1:
+                if layer.is_graded() or n <= 1 or (layer.q_is_m and n <= order(layer.ideal_m)):
                     continue
                 ladder = ideal.generators[len(j_gens):]
                 assert ideal.generators[:len(j_gens)] == j_gens
