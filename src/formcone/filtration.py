@@ -2,11 +2,11 @@
 
 Provides initial degrees along the q-adic filtration, Rees-algebra and
 associated-graded (form ring) presentations by tag-variable elimination or,
-where q is generated by the variables, from the lowest-form tangent cone,
-and the passage M -> M/bM (``quotient_by_element``).  The grade recursion
-does not take that passage: it quotients the form presentation by each
-regular initial form b*, since G_{M/bM}(q) = G_M(q)/b*G_M(q) then; the
-tests replay its certificates through the contexts M/bM.  This module builds
+where q is generated by the variables, from the lowest-form tangent cone.
+The grade recursion builds no context for M/bM: it quotients the form
+presentation by each regular initial form b*, since
+G_{M/bM}(q) = G_M(q)/b*G_M(q) then; the tests replay its certificates
+through contexts for M/bM.  This module builds
 every graded presentation, a plain ``graded.GradedQuotientPresentation``
 that keeps no reference to the context, and maps ring elements into it
 (``graded_image``); ``graded`` reads presentations and never imports this
@@ -60,9 +60,11 @@ Let o be the order of I_M, the least lowest degree of its nonzero
 generators (every element of I_M has lowest degree at least o; o is
 infinite for I_M = 0).  For n <= o, I_M lies in m^n, so q^n M = m^n, whose
 reduced basis is the degree-n monomials; the ladder above o grows from
-level o.  An element a of lowest degree c0 < o has initial degree c0: it
-lies in m^c0, and a - f in m^(c0+1) with f in I_M would give f the lowest
-form of a, so o <= ord f = c0.
+level o.  So construction checks level one, q + I_M = m + I_M, with no
+basis run: it is m for o >= 1 and (1), which is refused, for o = 0.  An
+element a of lowest degree c0 < o has initial degree c0: it lies in m^c0,
+and a - f in m^(c0+1) with f in I_M would give f the lowest form of a, so
+o <= ord f = c0.
 
 Graded inputs skip the ladder too.  When I_M is homogeneous and q + I_A is
 m, q^n + I_M = m^n + I_M, whose reduced basis is read off I_M's
@@ -90,7 +92,7 @@ from .groebner import (
     normal_forms,
 )
 from .ideals import PresentedIdeal
-from .rings import DEGREVLEX, Polynomial, PolynomialRing, block_order, exponents, mono_divides
+from .rings import Polynomial, PolynomialRing, block_order, exponents, mono_divides
 
 DEFAULT_PROBE_CAP = 12
 
@@ -117,15 +119,17 @@ def graded_power_basis(ring: PolynomialRing, basis, n: int) -> tuple[Polynomial,
     In degrees below n the sum is J, and from degree n on it holds every
     monomial.  So its leads are those of J's elements of degree below n,
     which stay reduced, plus the degree-n monomials that none of them
-    divides; sorted by ascending lead, as the engine returns them.
+    divides; sorted by ascending lead, as the engine returns them.  In one
+    degree, DEGREVLEX ranks m below m' when reversed(m) is lex-greater than
+    reversed(m'), so the reversed tuples of ``exponents`` (ascending lex),
+    taken last first, ascend.
     """
     low = tuple(g for g in basis if g.total_degree() < n)
     leads = [g.leading_monomial() for g in low]
     one = ring.field.coerce(1)
-    monos = [m for m in exponents(ring.nvars, n)
-             if not any(mono_divides(lead, m) for lead in leads)]
-    monos.sort(key=DEGREVLEX.key())
-    return low + tuple(Polynomial(ring, {m: one}) for m in monos)
+    monos = [m[::-1] for m in reversed(exponents(ring.nvars, n))]
+    return low + tuple(Polynomial(ring, {m: one}) for m in monos
+                       if not any(mono_divides(lead, m) for lead in leads))
 
 
 def _variable_slots(gens) -> tuple[int, ...] | None:
@@ -259,17 +263,24 @@ class FiltrationContext:
     def _set_module(self, module_gens: tuple):
         self.module_generators, self.ideal_m, level_one = module_gens, self.ideal_a, self.q_ideal
         if module_gens:
-            self.ideal_m = self.ideal_a.spawn(module_gens)
+            self.ideal_m = self.ideal_a.sum_with(*module_gens)
             if not self.ideal_m.is_proper():
                 raise ValidationError("module is zero (module ideal is the unit ideal)")
-            level_one = self.ideal_m.sum_with(*self.q_generators)
+        # the order o of I_M: the least lowest degree of its nonzero generators
+        self._im_order = min((g.min_degree() for g in self.ideal_m.combined() if not g.is_zero()),
+                             default=math.inf)
+        if module_gens:
+            if self.q_is_m:  # q + I_M = m + I_M: m when I_M lies in m (o >= 1), else (1)
+                ring = self.ring
+                basis = graded_power_basis(ring, (), 1) if self._im_order >= 1 else (ring.one(),)
+                level_one = self.ideal_m.spawn_reduced(
+                    basis, self.ideal_m.generators + self.q_generators)
+            else:
+                level_one = self.ideal_m.sum_with(*self.q_generators)
             if not level_one.is_proper():
                 raise ValidationError("filtration ideal acts as the unit ideal on the module")
         self._graded = self.q_is_m and all(
             g.is_homogeneous() for g in self.ideal_m.groebner().generators)
-        # the order o of I_M: the least lowest degree of its nonzero generators
-        self._im_order = min((g.min_degree() for g in self.ideal_m.combined() if not g.is_zero()),
-                             default=math.inf)
         self._powers: dict[int, PresentedIdeal] = {
             0: self.ideal_a.spawn_reduced((self.ring.one(),)), 1: level_one}
         self._presentations: dict = {}
@@ -591,14 +602,6 @@ class FiltrationContext:
         return image
 
     # -- derived contexts ---------------------------------------------------------------
-
-    def quotient_by_element(self, b: Polynomial) -> "FiltrationContext":
-        """Context for M/bM: this context with only its module layer
-        replaced (I_M grows by b); base and system are shared."""
-        self._check_ring(b)
-        child = copy.copy(self)
-        child._set_module(self.module_generators + (b,))
-        return child
 
     def with_exponent_system(self, pairs) -> "FiltrationContext":
         """This context with only its system layer replaced, by a system given

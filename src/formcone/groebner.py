@@ -1,9 +1,10 @@
 """Buchberger engine: normal forms and reduced Groebner bases.
 
 The same engine serves polynomial ideals and submodules of free modules;
-internally every element is a map ``(position, monomial) -> coefficient``
-ordered position-over-term (position 0 greatest) with the caller's monomial
-order underneath.  Ring polynomials are the rank-1 case.  Koszul cycles and
+internally every element is a map ``term -> coefficient``, where a term is
+one int packing a position and a monomial (``_Codec``), ordered
+position-over-term (position 0 greatest) with the caller's monomial order
+underneath.  Ring polynomials are the rank-1 case.  Koszul cycles and
 Koszul boundaries are one ``GraphBasis`` computation, and so are colons and
 intersections, except those of monomial ideals by terms, which
 ``ideals.meet_of_colons`` reads off exponents.
@@ -12,15 +13,23 @@ Determinism contract: fixed generators plus a fixed order produce the
 identical reduced basis (reduced bases are unique up to scaling, and output
 is monic and sorted by leading term).
 
-Cost notes: each basis run computes a term's order key once (a memo local
-to the run), interreduces in a single pass, and updates coefficients with
-one multiply and one add per term, reducing mod p only in characteristic p.
-Coefficients keep ``FieldSpec``'s format (over QQ an int when integral, a
-Fraction otherwise), so ``_to_vec`` and ``_from_vec`` only re-key terms and
-convert no coefficient.  Inside a run, basis elements over QQ are primitive
-integer vectors, and the S-polynomial is formed fraction-free,
-lc(g) * m_f * f - lc(f) * m_g * g.  Each half of a graph basis is
-interreduced by itself.  A run grows one lead index (the
+Cost notes: a term's int is laid out so that comparing two ints compares the
+terms in the order (Bachmann-Schoenemann, ISSAC 1998): a vector's lead is
+its ``max``, a quotient monomial is the difference of two terms and
+multiplying by it is a sum, a divisibility test is one subtraction and one
+mask, and under DEGREVLEX an lcm takes a fixed number of integer operations
+whatever the number of variables.  Public elements become term vectors only
+in ``_to_vec`` and return only in ``_from_vec``.  Every field keeps a guard
+bit that a valid term leaves clear; a product whose exponent outgrows its
+field sets it, and the computation is redone with fields twice as wide
+(``_first_fit``), so the width bounds no exponent.  Each basis run
+interreduces in a single pass, and updates coefficients with one multiply
+and one add per term, reducing mod p only in characteristic p.  Coefficients
+keep ``FieldSpec``'s format (over QQ an int when integral, a Fraction
+otherwise), so conversion touches no coefficient.  Inside a run, basis
+elements over QQ are primitive integer vectors, and the S-polynomial is
+formed fraction-free, lc(g) * m_f * f - lc(f) * m_g * g.  Each half of a
+graph basis is interreduced by itself.  A run grows one lead index (the
 divisor lookup of every reduction) as its basis grows, and forms pairs by
 walking the lead index of the new element's position only.  The chain
 criterion keeps, per element, the set of partners whose pair is settled, and
@@ -29,38 +38,30 @@ A single-term vector normalises to coefficient 1 without gcd work.  A
 ``GraphBasis`` modulo entry given as a ``GroebnerBasis`` in the kernel's own
 order is a settled block: no pair is formed inside it, and the chain
 criterion counts its elements as established partners of each other; a plain
-list is never settled, since it need not be a Groebner basis.  ``buchberger``
-takes a ``settled`` basis in its own order the same way, so extending a
-reduced basis by a few elements (an ideal's ``sum_with``, a graded
-presentation's quotients) forms only the pairs those elements bring.  Each
-queued pair carries the lcm of its leads, which the chain criterion reads.  A
-``GroebnerBasis`` builds the lead index of its generators once;
-``normal_forms`` converts the generators to term vectors once per batch and
-keeps none, which keeps long-lived bases small, so callers reducing many
-elements against one basis pass them as one batch (``normal_form`` is a
-batch of one).
+list is never settled, since it need not be a Groebner basis.
+``buchberger`` takes a ``settled`` basis in its own order the same way, so
+extending a reduced basis by a few elements (an ideal's ``sum_with``, a
+graded presentation's quotients) forms only the pairs those elements bring.
+Each queued pair carries the lcm of its leads, which the chain criterion and
+the S-polynomial read.  A ``GroebnerBasis`` packs its generators and builds
+their lead index once, on first use, and every ``normal_forms`` batch
+against it reuses both (``normal_form`` is a batch of one).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain
 from math import gcd, lcm
+from operator import mul
 
 from .errors import BudgetExceededError, RingMismatchError, ValidationError
-from .rings import (
-    DEGREVLEX,
-    MonomialOrder,
-    Polynomial,
-    PolynomialRing,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-)
+from .rings import DEGREVLEX, MonomialOrder, OrderKind, Polynomial, PolynomialRing
 
 DEFAULT_STEP_BUDGET = 10**6
+_MIN_WIDTH = 8  # bits per field, below its guard bit, of a run's first attempt
 
 
 class FreeModuleElement:
@@ -109,80 +110,191 @@ class GroebnerBasis:
 
     @cached_property
     def _shape(self):
-        """(ring, rank, nonzero generators, their lead index), computed on first use.
+        """(ring, rank, nonzero generators, codec, their term vectors, their
+        lead index), computed on first use.
 
-        The term vectors are deliberately not kept: stored beside every
-        cached basis they raise peak memory more than they save time.
-        ``normal_forms`` converts the generators once per batch instead.
+        Every later ``normal_forms`` batch reuses the packed generators: one
+        int per term is smaller than the exponent tuple that the generator
+        itself keys its term by.
         """
         gens = tuple(g for g in self.generators if not g.is_zero())
         if not gens:
-            return None, None, gens, {}
+            return None, None, gens, None, None, None
         ring, rank = _common_shape(gens)
-        key = _term_key(self.order)
-        return ring, rank, gens, _lead_index([_lead(_to_vec(g), key) for g in gens])
+        packed = _first_fit(lambda codec: (codec, *_packed(gens, codec)),
+                            self.order, ring.nvars, rank or 1)
+        return (ring, rank, gens, *packed)
 
 
 # ---------------------------------------------------------------------------
-# Internal vector representation
+# Internal term representation
 # ---------------------------------------------------------------------------
 
-def _to_vec(element) -> dict:
-    """Term vector of a public element: its coefficients, keyed by
-    ``(position, monomial)``."""
-    if isinstance(element, Polynomial):
-        return {(0, m): c for m, c in element.terms.items()}
-    return {(i, m): c for i, comp in enumerate(element.components)
-            for m, c in comp.terms.items()}
+class _Overflow(Exception):
+    """A term outgrew its fields; the computation is redone with wider ones."""
 
 
-def _from_vec(vec: dict, ring: PolynomialRing, rank: int | None, shift: int = 0):
+class _Codec:
+    """The engine's terms for one order, number of variables, number of
+    positions and field width: one int per (position, monomial).
+
+    Fields of ``width`` value bits, each with a guard bit above it, are
+    stacked lowest first.  DEGREVLEX on x_1..x_n has the complements
+    L - e_1, ..., L - e_n and the total degree on top; the weighted order
+    adds its weight field above those; a block order stacks the DEGREVLEX
+    fields of the block above those of the other variables; LEX has
+    e_n, ..., e_1.  The position field, rank - 1 - position, sits on top.
+    Comparing two ints is then comparing (-position, order.key()(m)).
+
+    L (``limit``) is the largest exponent a term may carry: it keeps every
+    sum field (a degree, a weight) below 2^width.  A valid term leaves
+    every guard bit clear.  The map is affine in the exponents, so for
+    terms u, v, w at one position with v | w, u + (w - v) packs u * (w / v),
+    with a guard bit set if any field left its range.  Divisibility reads
+    the exponent fields: v | w iff ``(key(v) - (w ^ flip)) & exps`` is 0,
+    where ``flip`` turns LEX's fields into complements like the others and
+    ``key`` also sets the guard bits of the sum fields, so that they
+    borrow nothing.
+    """
+
+    def __init__(self, order: MonomialOrder, nvars: int, npos: int, width: int):
+        n = range(nvars)
+
+        def drl(group):  # DEGREVLEX on ``group``: complements, then the degree
+            return [({i: -1}, i) for i in group] + [(dict.fromkeys(group, 1), None)]
+
+        # (coefficient per variable, the variable of an exponent field), lowest first
+        if order.kind is OrderKind.LEX:
+            fields = [({i: 1}, i) for i in reversed(n)]
+        elif order.kind is OrderKind.BLOCK:
+            inside = set(order.block)
+            fields = drl([i for i in n if i not in inside]) + drl([i for i in n if i in inside])
+        else:
+            fields = drl(n)
+            if order.kind is OrderKind.WDEGREVLEX:
+                fields.append((dict(zip(n, order.weights)), None))
+        span = width + 1
+        self.width, self.npos, self.pshift = width, npos, len(fields) * span
+        self.fm = (1 << width) - 1
+        self.limit = self.fm // max([1] + [sum(c.values()) for c, var in fields if var is None])
+        self.complement = order.kind is not OrderKind.LEX
+        self.guard = self.exps = self.flip = self.one = 0
+        self.coefs, self.shifts = [0] * nvars, [0] * nvars
+        for slot, (coefs, var) in enumerate(fields):
+            shift = slot * span
+            self.guard |= 1 << (shift + width)
+            for i, c in coefs.items():
+                self.coefs[i] += c << shift
+            if var is not None:
+                self.exps |= 1 << (shift + width)
+                self.shifts[var] = shift
+                if self.complement:
+                    self.one += self.limit << shift
+                else:
+                    self.flip |= self.fm << shift
+        self.free = self.guard ^ self.exps
+        self.values = self.exps - (self.exps >> width)  # the value bits of the exponent fields
+        self.low = (1 << self.pshift) - 1
+        self.lcm = self._lcm_unpacked
+        if order.kind is OrderKind.DEGREVLEX and nvars:
+            # exponent fields in slots 0..n-1, the degree in slot n
+            self.lcm = self._lcm_drl
+            self._ones = sum(1 << (i * span) for i in n)
+            self._top = (nvars - 1) * span
+            self._total = nvars * self.limit
+
+    def origin(self, position: int) -> int:
+        """The term of the monomial 1 at ``position``."""
+        return ((self.npos - 1 - position) << self.pshift) + self.one
+
+    def mono(self, t: int) -> tuple:
+        if self.complement:  # the exponents, each in its field
+            t = self.one - (t & self.values)
+        fm = self.fm
+        return tuple([(t >> s) & fm for s in self.shifts])
+
+    def position(self, t: int) -> int:
+        return self.npos - 1 - (t >> self.pshift)
+
+    def key(self, t: int) -> int:
+        """The divisor key of ``t`` (see the class docstring)."""
+        return (t ^ self.flip) | self.free
+
+    def _lcm_unpacked(self, a: int, b: int) -> tuple[int, int]:
+        """(total degree, term) of the lcm of two terms at one position."""
+        m = tuple(map(max, self.mono(a), self.mono(b)))
+        return sum(m), (a & ~self.low) + sum(map(mul, m, self.coefs), self.one)
+
+    def _lcm_drl(self, a: int, b: int) -> tuple[int, int]:
+        """``_lcm_unpacked`` for DEGREVLEX, on all fields at once: the lcm's
+        complements are the fieldwise minimum of the two, and its degree is
+        n * limit minus their sum, which no partial sum lets carry."""
+        values = self.values
+        ac, bc = a & values, b & values
+        ge = ((ac | self.exps) - bc) & self.exps  # guard bit kept where a's field >= b's
+        least = ac ^ ((ac ^ bc) & (ge - (ge >> self.width)))
+        degree = self._total - ((least * self._ones) >> self._top & self.fm)
+        return degree, (a & ~self.low) | (degree << (self._top + self.width + 1)) | least
+
+
+@lru_cache(maxsize=256)
+def _codec(order: MonomialOrder, nvars: int, npos: int, width: int) -> _Codec:
+    return _Codec(order, nvars, npos, width)
+
+
+def _first_fit(attempt, order: MonomialOrder, nvars: int, npos: int, width: int = _MIN_WIDTH):
+    """``attempt(codec)`` under the narrowest fields, from ``width`` up by
+    doubling, in which no term it makes overflows."""
+    while True:
+        try:
+            return attempt(_codec(order, nvars, npos, width))
+        except _Overflow:
+            width *= 2
+
+
+def _to_vec(element, codec: _Codec, position: int = 0) -> dict:
+    """Term vector of a public element, its components placed from ``position``
+    on; an exponent above the codec's limit overflows."""
+    comps = (element,) if isinstance(element, Polynomial) else element.components
+    coefs = codec.coefs
+    vec = {}
+    for p, comp in enumerate(comps, position):
+        if max(chain.from_iterable(comp.terms), default=0) > codec.limit:
+            raise _Overflow
+        origin = codec.origin(p)
+        vec.update({sum(map(mul, m, coefs), origin): c for m, c in comp.terms.items()})
+    return vec
+
+
+def _from_vec(vec: dict, codec: _Codec, ring: PolynomialRing, rank: int | None, shift: int = 0):
     """Public element from a term vector; ``shift`` is taken off every position."""
     if rank is None:
-        return Polynomial(ring, {m: c for (_, m), c in vec.items()})
+        return Polynomial(ring, {codec.mono(t): c for t, c in vec.items()})
     comps = [dict() for _ in range(rank)]
-    for (p, m), c in vec.items():
-        comps[p - shift][m] = c
+    for t, c in vec.items():
+        comps[codec.position(t) - shift][codec.mono(t)] = c
     return FreeModuleElement(ring, tuple(Polynomial(ring, d) for d in comps))
 
 
-def _term_key(order: MonomialOrder):
-    """Sort key on ``(position, monomial)`` terms, memoised for one basis run.
-
-    The memo lives in the returned closure, so it is dropped with the run.
-    """
-    mono_key = order.key()
-    memo: dict = {}
-
-    def key(term):
-        k = memo.get(term)
-        if k is None:
-            k = memo[term] = (-term[0], mono_key(term[1]))
-        return k
-
-    return key
-
-
-def _lead(vec: dict, key):
-    return max(vec, key=key)
-
-
-def _sub_scaled(vec: dict, other: dict, q_mono, q_coeff, fld) -> None:
-    """In place: vec -= q_coeff * x^q_mono * other."""
+def _sub_scaled(vec: dict, other: dict, q: int, q_coeff, fld, guard: int) -> None:
+    """In place: vec -= q_coeff * x^q * other, for the quotient monomial q
+    (a difference of two terms); a product that sets a guard bit overflows."""
     p = fld.characteristic
     neg = -q_coeff
-    for (pos, m), c in other.items():
-        t = (pos, mono_mul(m, q_mono))
-        s = vec.get(t, 0) + neg * c
+    for s, c in other.items():
+        t = s + q
+        if t & guard:
+            raise _Overflow
+        v = vec.get(t, 0) + neg * c
         if p:
-            s %= p
-        if s:
-            vec[t] = s
+            v %= p
+        if v:
+            vec[t] = v
         else:
             vec.pop(t, None)
 
 
-def _normalize(vec: dict, key, fld) -> dict:
+def _normalize(vec: dict, fld) -> dict:
     """Scale to a canonical representative: over QQ the primitive integer
     vector (as ints) with a positive lead, over F_p the monic one.  For a
     single term both are coefficient 1."""
@@ -191,64 +303,66 @@ def _normalize(vec: dict, key, fld) -> dict:
     if fld.is_rationals:
         den = lcm(*(c.denominator for c in vec.values()))
         num = gcd(*(c.numerator * (den // c.denominator) for c in vec.values()))
-        if vec[_lead(vec, key)] < 0:
+        if vec[max(vec)] < 0:
             num = -num
         return {t: c.numerator * (den // c.denominator) // num for t, c in vec.items()}
-    inv = fld.inv(vec[_lead(vec, key)])
+    inv = fld.inv(vec[max(vec)])
     return {t: fld.mul(c, inv) for t, c in vec.items()}
 
 
-def _lead_index(leads) -> dict:
-    """position -> [(lead monomial, basis index)], the divisor lookup of ``_reduce_full``."""
+def _lead_index(leads, codec: _Codec) -> dict:
+    """position field -> [(divisor key, lead, basis index)], the divisor
+    lookup of ``_reduce_full``."""
     by_pos: dict[int, list[tuple]] = {}
-    for idx, (p, m) in enumerate(leads):
-        by_pos.setdefault(p, []).append((m, idx))
+    for idx, t in enumerate(leads):
+        by_pos.setdefault(t >> codec.pshift, []).append((codec.key(t), t, idx))
     return by_pos
 
 
-def _reduce_full(vec: dict, basis, by_pos: dict, key, fld) -> dict:
+def _packed(gens, codec: _Codec) -> tuple[list[dict], dict]:
+    """Term vectors of nonzero ``gens`` and their lead index."""
+    vecs = [_to_vec(g, codec) for g in gens]
+    return vecs, _lead_index([max(v) for v in vecs], codec)
+
+
+def _reduce_full(vec: dict, basis, by_pos: dict, codec: _Codec, fld) -> dict:
     """Full normal form: no remaining term is divisible by a lead in ``by_pos``.
 
     The updates sum raw products (over QQ an integral sum may be a
     Fraction); each remainder term is coerced to the field's format once."""
+    flip, exps, pshift, guard = codec.flip, codec.exps, codec.pshift, codec.guard
     work = dict(vec)
     remainder: dict = {}
     while work:
-        t = _lead(work, key)
-        pos, mono = t
-        hit = None
-        for lead_mono, idx in by_pos.get(pos, ()):
-            if mono_divides(lead_mono, mono):
-                hit = (lead_mono, idx)
+        t = max(work)
+        tk = t ^ flip
+        for key, lead, idx in by_pos.get(t >> pshift, ()):
+            if not (key - tk) & exps:
                 break
-        if hit is None:
+        else:
             remainder[t] = fld.coerce(work.pop(t))
             continue
-        lead_mono, idx = hit
         g = basis[idx]
-        q_mono = mono_div(mono, lead_mono)
-        q_coeff = fld.div(work[t], g[(pos, lead_mono)])
-        _sub_scaled(work, g, q_mono, q_coeff, fld)
+        _sub_scaled(work, g, t - lead, fld.div(work[t], g[lead]), fld, guard)
     return remainder
 
 
-def _spoly(f: dict, g: dict, lf, lg, key, fld) -> dict:
-    """Fraction-free S-polynomial lc(g) * m_f * f - lc(f) * m_g * g.
+def _spoly(f: dict, g: dict, lf: int, lg: int, m: int, fld, guard: int) -> dict:
+    """Fraction-free S-polynomial lc(g) * m_f * f - lc(f) * m_g * g, with
+    m = lcm(lf, lg).
 
     It is lc(f) * lc(g) times the monic S-polynomial, so it reduces to zero
     exactly when that one does; the engine's F_p elements are monic, where the
     two coincide.
     """
-    (_, mf), (_, mg) = lf, lg
-    m = mono_lcm(mf, mg)
     out = dict()
-    _sub_scaled(out, f, mono_div(m, mf), -g[lg], fld)
-    _sub_scaled(out, g, mono_div(m, mg), f[lf], fld)
+    _sub_scaled(out, f, m - lf, -g[lg], fld, guard)
+    _sub_scaled(out, g, m - lg, f[lf], fld, guard)
     return out
 
 
-def _engine(vectors: list[dict], key, fld, step_budget: int, rank_one: bool,
-            settled=()) -> tuple[list[dict], list]:
+def _engine(vectors: list[dict], codec: _Codec, fld, step_budget: int, rank_one: bool,
+            settled=()) -> tuple[list[dict], list[int]]:
     """Buchberger with normal (degree-queue) pair selection; not interreduced.
 
     Product criterion only in rank one (it is unsound for modules); chain
@@ -261,9 +375,9 @@ def _engine(vectors: list[dict], key, fld, step_budget: int, rank_one: bool,
     elements of one lead position, so every partner shares it; a queued pair
     is established only after it is popped, so neither i nor j is in the
     intersection; and the test is existential, so set order is irrelevant.
+    Pairs pop by the lcm's total degree, then by the lcm in the order.
     ``step_budget`` bounds the S-polynomial reductions; pairs either
-    criterion skips are not counted.  The caller passes the term key, so one
-    memo serves the whole run and the caller's interreduction of its result.
+    criterion skips are not counted.
 
     ``settled`` lists (start, stop) index ranges of ``vectors``, which then
     holds no zero vector.  Each range is a *settled block*: a Groebner basis
@@ -273,9 +387,13 @@ def _engine(vectors: list[dict], key, fld, step_budget: int, rank_one: bool,
     partners of each other: a popped pair (i, j) with i in block B also
     looks for k in ``partners[j] & B``, and likewise with i and j swapped.
     """
-    basis = [_normalize(v, key, fld) for v in vectors if v]
-    leads = [_lead(v, key) for v in basis]
-    by_pos = _lead_index(leads)
+    basis = [_normalize(v, fld) for v in vectors if v]
+    leads = [max(v) for v in basis]
+    keys = [codec.key(t) for t in leads]
+    by_pos = _lead_index(leads, codec)
+    flip, exps, pshift, low, one, guard = (codec.flip, codec.exps, codec.pshift, codec.low,
+                                           codec.one, codec.guard)
+    lcm_of = codec.lcm
     blocks: list = [None] * len(basis)
     for start, stop in settled:
         blocks[start:stop] = [frozenset(range(start, stop))] * (stop - start)
@@ -288,10 +406,10 @@ def _engine(vectors: list[dict], key, fld, step_budget: int, rank_one: bool,
         partners[j].add(i)
 
     def push_pairs(j: int):
-        pj, mj = leads[j]
+        lj = leads[j]
         mono_j = len(basis[j]) == 1
         block_j = blocks[j]
-        for mi, i in by_pos[pj]:
+        for _, li, i in by_pos[lj >> pshift]:
             if i == j:
                 break
             if block_j is not None and i in block_j:
@@ -299,46 +417,48 @@ def _engine(vectors: list[dict], key, fld, step_budget: int, rank_one: bool,
             if mono_j and len(basis[i]) == 1:
                 establish(i, j)  # S-polynomial of two terms is identically zero
                 continue
-            lcm = mono_lcm(mi, mj)
-            if rank_one and lcm == mono_mul(mi, mj):
-                establish(i, j)  # coprime leads: S-polynomial reduces to zero
+            degree, m = lcm_of(li, lj)
+            if rank_one and (li + lj - m) & low == one:
+                establish(i, j)  # coprime leads (their gcd is 1): reduces to zero
                 continue
-            heapq.heappush(heap, (sum(lcm), key((pj, lcm)), i, j, lcm))
+            heapq.heappush(heap, (degree, m, i, j))
 
     for j in range(len(basis)):
         push_pairs(j)
 
     steps = 0
     while heap:
-        _, _, i, j, lcm = heapq.heappop(heap)
+        _, m, i, j = heapq.heappop(heap)
         common = partners[i] & partners[j]
         if blocks[i] is not None:
             common |= partners[j] & blocks[i]
         if blocks[j] is not None:
             common |= partners[i] & blocks[j]
-        if any(mono_divides(leads[k][1], lcm) for k in common):
+        mk = m ^ flip
+        if any(not (keys[k] - mk) & exps for k in common):
             continue
         steps += 1
         if steps > step_budget:
             raise BudgetExceededError(
                 f"pair-reduction budget {step_budget} exhausted; raise step_budget"
             )
-        s = _spoly(basis[i], basis[j], leads[i], leads[j], key, fld)
-        r = _reduce_full(s, basis, by_pos, key, fld)
+        s = _spoly(basis[i], basis[j], leads[i], leads[j], m, fld, guard)
+        r = _reduce_full(s, basis, by_pos, codec, fld)
         establish(i, j)
         if r:
-            r = _normalize(r, key, fld)
-            p, m = _lead(r, key)
-            by_pos.setdefault(p, []).append((m, len(basis)))
+            r = _normalize(r, fld)
+            t = max(r)
+            keys.append(codec.key(t))
+            by_pos.setdefault(t >> pshift, []).append((keys[-1], t, len(basis)))
             basis.append(r)
-            leads.append((p, m))
+            leads.append(t)
             partners.append(set())
             blocks.append(None)
             push_pairs(len(basis) - 1)
     return basis, leads
 
 
-def _interreduce(basis: list[dict], leads: list, key, fld) -> list[dict]:
+def _interreduce(basis: list[dict], leads: list[int], codec: _Codec, fld) -> list[dict]:
     """Reduced basis from a Groebner basis: monic, sorted by ascending lead.
 
     Keeps the elements with minimal leads, then reduces each tail against
@@ -347,19 +467,23 @@ def _interreduce(basis: list[dict], leads: list, key, fld) -> list[dict]:
     reduction never changes a lead; every tail is then irreducible against
     the final leads, and a second pass would change nothing.
     """
-    order_ix = sorted(range(len(basis)), key=lambda i: key(leads[i]))
+    flip, exps, pshift = codec.flip, codec.exps, codec.pshift
     minimal: list[dict] = []
-    min_leads: list = []
-    for i in order_ix:
-        if not any(p == leads[i][0] and mono_divides(m, leads[i][1]) for p, m in min_leads):
+    min_leads: list[int] = []
+    by_pos: dict[int, list[tuple]] = {}
+    for i in sorted(range(len(basis)), key=leads.__getitem__):
+        t = leads[i]
+        tk = t ^ flip
+        at = by_pos.setdefault(t >> pshift, [])
+        if not any(not (key - tk) & exps for key, _, _ in at):
+            at.append((codec.key(t), t, len(minimal)))
             minimal.append(basis[i])
-            min_leads.append(leads[i])
-    by_pos = _lead_index(min_leads)
+            min_leads.append(t)
     monic = []
     for v, lead in zip(minimal, min_leads):
         r = {lead: v[lead]}
         r.update(_reduce_full({t: c for t, c in v.items() if t != lead}, minimal, by_pos,
-                              key, fld))
+                              codec, fld))
         inv = fld.inv(r[lead])
         monic.append({t: fld.mul(c, inv) for t, c in r.items()})
     return monic
@@ -408,37 +532,45 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX,
     if not elements:
         return GroebnerBasis((), order)
     ring, rank = _common_shape(elements)
-    vecs = [_to_vec(g) for g in elements]
-    key = _term_key(order)
-    run = _engine(vecs, key, ring.field, step_budget, rank in (None, 1),
-                  [(0, len(block))] if block else ())
-    out = _interreduce(*run, key, ring.field)
-    return GroebnerBasis(tuple(_from_vec(v, ring, rank) for v in out), order)
+    fld = ring.field
+
+    def attempt(codec):
+        run = _engine([_to_vec(g, codec) for g in elements], codec, fld, step_budget,
+                      rank in (None, 1), [(0, len(block))] if block else ())
+        return tuple(_from_vec(v, codec, ring, rank) for v in _interreduce(*run, codec, fld))
+
+    return GroebnerBasis(_first_fit(attempt, order, ring.nvars, rank or 1), order)
 
 
 def normal_forms(elements, basis: GroebnerBasis):
     """Remainders of full division of each of ``elements`` by ``basis``,
     yielded lazily and in order (same ambient, same order).
 
-    The basis is converted to term vectors once, on the first element, and
-    one term-key memo serves the whole batch; a caller that stops early
-    converts nothing more.  An empty basis yields the elements unchanged.
+    The basis is packed once, on its first use (``GroebnerBasis._shape``);
+    an element with an exponent too large for its fields is reduced against
+    the basis packed wider.  An empty basis yields the elements unchanged.
     """
-    ring, rank, gens, by_pos = basis._shape
+    ring, rank, gens, codec, vecs, by_pos = basis._shape
     if not gens:
         yield from elements
         return
-    vecs = key = None
+
+    def reduced(element, codec, vecs, by_pos):
+        return _from_vec(_reduce_full(_to_vec(element, codec), vecs, by_pos, codec, ring.field),
+                         codec, ring, rank)
+
     for element in elements:
         if element.ring != ring:
             raise RingMismatchError("element and basis live in different rings")
         e_rank = None if isinstance(element, Polynomial) else element.rank
         if e_rank != rank:
             raise RingMismatchError("element and basis have different ranks")
-        if vecs is None:
-            vecs, key = [_to_vec(g) for g in gens], _term_key(basis.order)
-        yield _from_vec(_reduce_full(_to_vec(element), vecs, by_pos, key, ring.field),
-                        ring, rank)
+        try:
+            out = reduced(element, codec, vecs, by_pos)
+        except _Overflow:
+            out = _first_fit(lambda wide: reduced(element, wide, *_packed(gens, wide)),
+                             basis.order, ring.nvars, rank or 1, codec.width * 2)
+        yield out
 
 
 def normal_form(element, basis: GroebnerBasis):
@@ -473,37 +605,57 @@ class GraphBasis:
         r = 1 if rank is None else rank
         if modulo and len(modulo) != r:
             raise ValidationError(f"modulo lists {len(modulo)} submodules for {r} positions")
-        one, origin = ring.field.coerce(1), (0,) * ring.nvars
-        graph = [{**_to_vec(col), (r + i, origin): one} for i, col in enumerate(cols)]
-        settled = []
-        for j, entry in enumerate(modulo):
+        blocks = []
+        for entry in modulo:
             is_basis = isinstance(entry, GroebnerBasis)
             gens = entry.generators if is_basis else entry
             if any(g.ring != ring for g in gens):
                 raise RingMismatchError("modulo generator from a different ring")
-            start = len(graph)
-            graph += [{(j, m): c for m, c in g.terms.items()} for g in gens if not g.is_zero()]
-            if is_basis and entry.order == order:
-                settled.append((start, len(graph)))
-        self._key, self._order = _term_key(order), order
-        self._ring, self._rank, self._r, self._k = ring, rank, r, len(cols)
-        self._run = _engine(graph, self._key, ring.field, step_budget, False, settled)
+            blocks.append(([g for g in gens if not g.is_zero()],
+                           is_basis and entry.order == order))
+        self._order, self._budget = order, step_budget
+        self._ring, self._rank, self._r, self._cols, self._blocks = ring, rank, r, cols, blocks
+        self._run = _first_fit(self._graph_run, order, ring.nvars, r + len(cols))
 
-    def _half(self, kernel: bool) -> list[dict]:
-        basis, leads = self._run
-        kept = [i for i, (p, _) in enumerate(leads) if (p >= self._r) == kernel]
-        vecs = [basis[i] if kernel else {t: c for t, c in basis[i].items() if t[0] < self._r}
+    def _graph_run(self, codec: _Codec):
+        """(codec, basis, leads) of the graph basis under ``codec``."""
+        r, ring = self._r, self._ring
+        one = ring.field.coerce(1)
+        graph = [{**_to_vec(col, codec), codec.origin(r + i): one}
+                 for i, col in enumerate(self._cols)]
+        settled = []
+        for j, (gens, is_settled) in enumerate(self._blocks):
+            start = len(graph)
+            graph += [_to_vec(g, codec, j) for g in gens]
+            if is_settled:
+                settled.append((start, len(graph)))
+        return codec, *_engine(graph, codec, ring.field, self._budget, False, settled)
+
+    def _half(self, kernel: bool) -> list:
+        """The reduced kernel (shifted down by r) or image half, as public
+        elements; an overflow in the interreduction reruns the basis wider."""
+        codec, basis, leads = self._run
+        split = len(self._cols) << codec.pshift  # terms at positions below r lie above it
+        kept = [i for i, t in enumerate(leads) if (t < split) == kernel]
+        vecs = [basis[i] if kernel else {t: c for t, c in basis[i].items() if t >= split}
                 for i in kept]
-        return _interreduce(vecs, [leads[i] for i in kept], self._key, self._ring.field)
+        try:
+            out = _interreduce(vecs, [leads[i] for i in kept], codec, self._ring.field)
+        except _Overflow:
+            self._run = _first_fit(self._graph_run, self._order, self._ring.nvars,
+                                   codec.npos, codec.width * 2)
+            return self._half(kernel)
+        if kernel:
+            return [_from_vec(v, codec, self._ring, len(self._cols), self._r) for v in out]
+        return [_from_vec(v, codec, self._ring, self._rank) for v in out]
 
     @cached_property
     def kernel(self) -> list[FreeModuleElement]:
-        return [_from_vec(v, self._ring, self._k, self._r) for v in self._half(True)]
+        return self._half(True)
 
     @cached_property
     def image(self) -> GroebnerBasis:
-        out = tuple(_from_vec(v, self._ring, self._rank) for v in self._half(False))
-        return GroebnerBasis(out, self._order)
+        return GroebnerBasis(tuple(self._half(False)), self._order)
 
 
 def syzygy_basis(columns, order: MonomialOrder = DEGREVLEX,

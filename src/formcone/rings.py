@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from operator import add, le, neg, sub
+from operator import add, le, neg
 from typing import Callable, Iterable, Union
 
 from .errors import ParseError, RingMismatchError, ValidationError
@@ -131,11 +131,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True iff a | b componentwise."""
     return all(map(le, a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """Quotient a / b; caller guarantees divisibility."""
-    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:

@@ -40,7 +40,7 @@ from __future__ import annotations
 from itertools import product as cartesian
 from math import comb
 
-from oracle import exact_rank, lifted_image, mul_term, product_power
+from oracle import exact_rank, lifted_image, mul_term, product_power, quotient_by_element
 
 from formcone.filtration import FiltrationContext
 from formcone.graded import GradedQuotientPresentation, _koszul_columns, _numerator
@@ -158,7 +158,7 @@ def check_cm_certificates(ctx: FiltrationContext, payload: dict) -> int:
         image = lifted_image(work, b, d, form)
         assert image is not None and not image.is_zero(), ("regular_sequence", str(b))
         assert _regular_on(form, image), ("regular_sequence", str(b))
-        work = work.quotient_by_element(b)
+        work = quotient_by_element(work, b)
         checked += 1
 
     for row in payload["lzero_table"]:

@@ -15,7 +15,7 @@ level-n colon chain with one kernel per step, ``eager_ladder_records`` runs
 the level scan over a q-power ladder formed in full before the scan reads it
 and takes each record's residues against that ladder, and
 ``quotient_recursion`` runs the grade recursion through one quotient context
-per step.  The level checks and ``probed_initial_degree`` take q^k M from
+per step (``quotient_by_element``).  The level checks and ``probed_initial_degree`` take q^k M from
 ``product_power``, a basis of the degree-k products of q's generators plus
 I_M, so they share neither the package's power ladder nor its closed forms
 for graded inputs and for low levels.  Disagreement with the main route is
@@ -28,12 +28,14 @@ substitution, ideal products and containment, and session printing.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from itertools import product as cartesian
 from math import gcd
+from operator import le, sub
 
 from formcone.criterion import (
     CriterionParams,
@@ -65,13 +67,6 @@ from formcone.groebner import (
     FreeModuleElement,
     GraphBasis,
     GroebnerBasis,
-    _common_shape,
-    _lead,
-    _lead_index,
-    _reduce_full,
-    _spoly,
-    _term_key,
-    _to_vec,
     buchberger,
     normal_form,
     normal_forms,
@@ -89,22 +84,48 @@ from formcone.session import PARAM_KEYS, SessionSpec
 
 
 def is_groebner(gens, order: MonomialOrder = DEGREVLEX) -> bool:
-    """True iff every S-polynomial of the list reduces to zero against it."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return True
-    ring, _ = _common_shape(gens)
-    fld = ring.field
-    key = _term_key(order)
-    vecs = [_to_vec(g) for g in gens]
-    leads = [_lead(v, key) for v in vecs]
+    """True iff every S-polynomial of the list reduces to zero against it.
+
+    Public ``Polynomial`` arithmetic on exponent tuples throughout, so the
+    check shares no code with the engine it checks.  An element is its tuple
+    of components, its lead the leading term of its first nonzero component
+    under ``order`` (position-over-term, position 0 greatest), and an
+    S-polynomial reduces to zero when top-reduction empties it.
+    """
+    vecs = [(g,) if isinstance(g, Polynomial) else g.components
+            for g in gens if not g.is_zero()]
+    leads = [_vector_lead(v, order) for v in vecs]
     for j in range(len(vecs)):
         for i in range(j):
-            if leads[i][0] != leads[j][0]:
+            (p, mi, ci), (q, mj, cj) = leads[i], leads[j]
+            if p != q:
                 continue
-            s = _spoly(vecs[i], vecs[j], leads[i], leads[j], key, fld)
-            if _reduce_full(s, vecs, _lead_index(leads), key, fld):
+            m = tuple(map(max, mi, mj))
+            ui, uj = tuple(map(sub, m, mi)), tuple(map(sub, m, mj))
+            s = tuple(mul_term(a, ui, cj) - mul_term(b, uj, ci)
+                      for a, b in zip(vecs[i], vecs[j]))
+            if not _top_reduces_to_zero(s, vecs, leads, order):
                 return False
+    return True
+
+
+def _vector_lead(v, order: MonomialOrder) -> tuple:
+    """(position, monomial, coefficient) of the lead of a nonzero component tuple."""
+    p = next(i for i, c in enumerate(v) if not c.is_zero())
+    return (p, *v[p].leading_term(order))
+
+
+def _top_reduces_to_zero(v, vecs, leads, order: MonomialOrder) -> bool:
+    fld = v[0].ring.field
+    while not all(c.is_zero() for c in v):
+        p, m, c = _vector_lead(v, order)
+        for g, (q, lm, lc) in zip(vecs, leads):
+            if q == p and all(map(le, lm, m)):
+                u = tuple(map(sub, m, lm))
+                v = tuple(a - mul_term(b, u, fld.div(c, lc)) for a, b in zip(v, g))
+                break
+        else:
+            return False
     return True
 
 
@@ -580,6 +601,16 @@ def eager_ladder_records(ctx: FiltrationContext, params: CriterionParams,
     return tuple(records)
 
 
+def quotient_by_element(ctx: FiltrationContext, b: Polynomial) -> FiltrationContext:
+    """Context for M/bM: ``ctx`` with only its module layer replaced (I_M
+    grows by b); base and system are shared."""
+    if b.ring != ctx.ring:
+        raise RingMismatchError("element lives in a different ring")
+    child = copy.copy(ctx)
+    child._set_module(ctx.module_generators + (b,))
+    return child
+
+
 def quotient_recursion(ctx: FiltrationContext) -> GradeReport:
     """The grade recursion through one context per step, M -> M/bM by
     ``quotient_by_element``: each context builds its own form
@@ -596,7 +627,7 @@ def quotient_recursion(ctx: FiltrationContext) -> GradeReport:
         if cand is None:
             raise ValidationError("(a*) holds no homogeneous nonzerodivisor")
         steps.append(cand)
-        work = work.quotient_by_element(cand.element)
+        work = quotient_by_element(work, cand.element)
         if len(steps) > dim_guard:
             raise ConsistencyError("recursion depth exceeded the module dimension")
 

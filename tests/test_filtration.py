@@ -7,6 +7,7 @@ from oracle import (
     lifted_image,
     probed_initial_degree,
     q_products,
+    quotient_by_element,
     rees_cone,
     rees_form_presentation,
     rees_image,
@@ -29,9 +30,10 @@ from formcone import (
     is_regular_element,
     parse_session,
 )
+from formcone.filtration import graded_power_basis
 from formcone.graded import GradedElement
 from formcone.groebner import buchberger
-from formcone.rings import exponents
+from formcone.rings import DEGREVLEX, exponents
 
 ROOT = Path(__file__).resolve().parent.parent
 R2 = PolynomialRing(QQ, ("x", "y"))
@@ -101,16 +103,16 @@ def test_contexts_share_their_base():
     x, y = R2.gens()
     ctx = FiltrationContext(R2, (), (), (x, y), [(x, 1)])
     assert ctx.base is ctx and ctx.ideal_m is ctx.ideal_a
-    quotient = ctx.quotient_by_element(y)
+    quotient = quotient_by_element(ctx, y)
     assert quotient.base is ctx.base and quotient.system is ctx.system
-    assert quotient.quotient_by_element(x).base is ctx.base
+    assert quotient_by_element(quotient, x).base is ctx.base
     exponents = ctx.with_exponent_system([(x * y, 1)])
     assert exponents.base is ctx.base and exponents.ideal_m is ctx.ideal_m
     parabola = FiltrationContext(R2, (), (y - x * x,), (x, y), [])
     assert parabola.base is not parabola and parabola.base.base is parabola.base
     assert parabola.initial_degree(y) == 2 and parabola.base.initial_degree(y) == 1
     assert parabola.q_power(2).contains(y) and not parabola.base.q_power(2).contains(y)
-    assert parabola.quotient_by_element(x).base is parabola.base
+    assert quotient_by_element(parabola, x).base is parabola.base
 
 
 def test_initial_form_zero_flag_convention():
@@ -176,6 +178,48 @@ def test_the_demo_context_runs_one_basis(monkeypatch):
     monkeypatch.setattr("formcone.filtration.buchberger", counted)
     ctx = spec.context()
     assert runs == [ctx.base_generators]
+
+
+def test_a_module_context_reads_level_one_off_the_order(monkeypatch):
+    """With q + I_A = m, construction reads level one, q + I_M = m + I_M, off
+    the order o of I_M, and I_M's basis run extends I_A's reduced basis:
+    I_A = (x^3 - y^4), I_M adding z^2 - x*y and q = (x, y, z) run two
+    bases, I_A's and the extension by z^2 - x*y alone.  Level one is m, the
+    sum's own basis; an I_M of order 0 makes it (1), which is refused."""
+    R3 = PolynomialRing(QQ, ("x", "y", "z"))
+    x, y, z = R3.gens()
+    runs = []
+
+    def counted(gens, *args, **kwargs):
+        runs.append(tuple(gens))
+        return buchberger(gens, *args, **kwargs)
+
+    monkeypatch.setattr("formcone.ideals.buchberger", counted)
+    monkeypatch.setattr("formcone.filtration.buchberger", counted)
+    ctx = FiltrationContext(R3, (x**3 - y**4,), (z**2 - x * y,), (x, y, z), [])
+    assert runs == [(x**3 - y**4,), (z**2 - x * y,)]
+    monkeypatch.undo()
+    level_one = ctx.q_power(1)
+    assert level_one.generators == (z**2 - x * y, x, y, z)
+    assert level_one.groebner() == buchberger(level_one.combined()) == buchberger([z, y, x])
+    assert ctx.ideal_m.groebner() == buchberger([x**3 - y**4, z**2 - x * y])
+    with pytest.raises(ValidationError, match="^filtration ideal acts as the unit ideal"):
+        FiltrationContext(R3, (x**3 - y**4,), (1 + x,), (x, y, z), [])
+
+
+def test_graded_power_basis_needs_no_sort():
+    """The degree-n monomials come out of ``graded_power_basis`` ascending in
+    DEGREVLEX, as sorting them would leave them, with and without leads to
+    filter by."""
+    for nvars in range(1, 6):
+        ring = PolynomialRing(QQ, tuple(f"x{i}" for i in range(nvars)))
+        for n in range(6):
+            monos = sorted(exponents(nvars, n), key=DEGREVLEX.key())
+            assert [g.leading_monomial() for g in graded_power_basis(ring, (), n)] == monos
+            low = (ring.var(0) ** 2,) if n > 2 else ()
+            kept = [m for m in monos if not low or m[0] < 2]
+            filtered = graded_power_basis(ring, low, n)[len(low):]
+            assert [g.leading_monomial() for g in filtered] == kept
 
 
 def test_rees_presentations():
@@ -307,15 +351,15 @@ def test_graded_dimension_equals_module_dimension(base, q):
 def test_quotient_by_element():
     x, y = R2.gens()
     ctx = FiltrationContext(R2, (), (), (x, y), [(x, 1)])
-    quot = ctx.quotient_by_element(x)
+    quot = quotient_by_element(ctx, x)
     assert quot.ideal_m.contains(x)
     assert quot.system == ctx.system
     # quotient by something already in the module ideal changes nothing
-    again = quot.quotient_by_element(x)
+    again = quotient_by_element(quot, x)
     assert again.ideal_m.equals(quot.ideal_m)
     curve = curve_context()
     X = RS.var(0)
-    assert curve.quotient_by_element(X).ideal_m.contains(X)
+    assert quotient_by_element(curve, X).ideal_m.contains(X)
 
 
 def test_graded_image_consistency():
@@ -351,7 +395,7 @@ def test_quotient_hilbert_matches_graded_quotient_for_regular_step():
     element = GradedElement(form, image, 1)
     assert is_regular_element(element).regular
     quotient_pres = form.quotient_by((image,))
-    ctx_quot = ctx.quotient_by_element(x)
+    ctx_quot = quotient_by_element(ctx, x)
     form_quot = ctx_quot.form_presentation()
     assert hilbert_function(quotient_pres, 10) == hilbert_function(form_quot, 10)
 

@@ -407,12 +407,110 @@ def test_settled_modulo_gives_the_same_kernel(characteristic):
     assert nonzero >= 16
 
 
+def _pack(codec, ring, mono, position):
+    """The engine's term for ``mono`` at ``position``."""
+    (term,) = groebner_module._to_vec(ring.monomial(mono), codec, position)
+    return term
+
+
 def test_normalize_single_term():
-    key = groebner_module._term_key(DEGREVLEX)
-    term = (0, (1, 0))
+    codec = groebner_module._codec(DEGREVLEX, 2, 1, groebner_module._MIN_WIDTH)
+    term = _pack(codec, R2, (1, 0), 0)
     for fld, c in ((QQ, Fraction(-3, 7)), (FieldSpec(5), 3)):
-        out = groebner_module._normalize({term: c}, key, fld)
+        out = groebner_module._normalize({term: c}, fld)
         assert out == {term: 1} and type(out[term]) is int
+
+
+@pytest.mark.parametrize("characteristic", [0, 3])
+def test_packed_terms_follow_the_order(characteristic):
+    """The engine's packed term: for every order kind (a weighted order with
+    a zero weight, a block order), ranks 1-3 and two field widths, comparing
+    two ints compares (-position, order.key()(monomial)); the divisor test,
+    the quotient, the lcm and the gcd read off the ints agree with exponent
+    tuples; a term round-trips, and so does a vector with its coefficients.
+    An exponent above the codec's limit refuses to pack, and a product that
+    leaves its field sets a guard bit."""
+    ring = PolynomialRing(FieldSpec(characteristic), ("x", "y", "z"))
+    rng = random.Random(53 + characteristic)
+    orders = [DEGREVLEX, LEX, block_order([0, 2]), weighted_order((0, 2, 1))]
+    for order, rank, width in cartesian(orders, (1, 2, 3), (groebner_module._MIN_WIDTH, 16)):
+        key = order.key()
+        codec = groebner_module._codec(order, 3, rank, width)
+        terms = {(rng.randrange(rank), tuple(rng.randint(0, 4) for _ in range(3)))
+                 for _ in range(30)}
+        packed = {_pack(codec, ring, m, p): (p, m) for p, m in terms}
+        assert len(packed) == len(terms)
+        for a, (p, m) in packed.items():
+            assert (codec.position(a), codec.mono(a)) == (p, m) and not a & codec.guard
+            for b, (q, n) in packed.items():
+                assert (a < b) == ((-p, key(m)) < (-q, key(n)))
+                if p != q:
+                    continue
+                divides = all(x <= y for x, y in zip(m, n))
+                assert (not (codec.key(a) - (b ^ codec.flip)) & codec.exps) == divides
+                if divides:  # b - a is the quotient: adding it multiplies by n / m
+                    for c, (r, k) in list(packed.items())[:5]:
+                        product = tuple(u + v - w for u, v, w in zip(k, n, m))
+                        assert c + (b - a) == _pack(codec, ring, product, r)
+                lcm = tuple(map(max, m, n))
+                assert codec.lcm(a, b) == (sum(lcm), _pack(codec, ring, lcm, p))
+                coprime = not any(x and y for x, y in zip(m, n))
+                assert ((a + b - codec.lcm(a, b)[1]) & codec.low == codec.one) == coprime
+        top = codec.limit
+        with pytest.raises(groebner_module._Overflow):
+            _pack(codec, ring, (0, top + 1, 0), 0)
+        edge = _pack(codec, ring, (top, 0, 0), 0)
+        assert (edge + (_pack(codec, ring, (1, 0, 0), 0) - codec.origin(0))) & codec.guard
+        for _ in range(4):
+            element = _random_element(rng, ring, None if rank == 1 else rank)
+            vec = groebner_module._to_vec(element, codec)
+            back = groebner_module._from_vec(vec, codec, ring, None if rank == 1 else rank)
+            assert back == element
+
+
+def test_exponents_beyond_the_field_width(monkeypatch):
+    """Exponents too large for the first field width, in the inputs or only
+    in what the run makes, give the exact basis, normal form and kernel:
+    the run is redone with wider fields, never refused."""
+    widths = []
+    codec = groebner_module._codec
+    monkeypatch.setattr(groebner_module, "_codec",
+                        lambda *args: widths.append(args[-1]) or codec(*args))
+    for characteristic in (0, 3):
+        ring = PolynomialRing(FieldSpec(characteristic), ("x", "y"))
+        x, y = ring.gens()
+        huge = 2**40
+        for gens, order, expected in (
+                ([x**huge - y, y**2 - x], DEGREVLEX, (y**2 - x, x**huge - y)),
+                ([x**200 - y, y**2 - x], LEX, (y**400 - y, x - y**2))):
+            widths.clear()
+            gb = buchberger(gens, order)
+            assert gb.generators == expected and is_groebner(list(expected), order)
+            assert max(widths) > groebner_module._MIN_WIDTH
+        # the element packs at the first width, but its normal form does not
+        gb = buchberger([y**2 - x])
+        widths.clear()
+        assert normal_form(x**100 * y**100, gb) == x**150
+        assert normal_form(x**huge * y**3, gb) == x**(huge + 1) * y
+        assert max(widths) > groebner_module._MIN_WIDTH
+        widths.clear()
+        kernel = syzygy_basis([x**100, y**100 - x**50])
+        assert kernel == [FreeModuleElement(ring, (y**100 - x**50, -x**100))]
+        assert max(widths) > groebner_module._MIN_WIDTH
+    # an overflow in a graph basis's interreduction reruns its basis wider
+    interreduce, failed = groebner_module._interreduce, []
+
+    def fails_once(*args):
+        if not failed:
+            failed.append(args)
+            raise groebner_module._Overflow
+        return interreduce(*args)
+
+    monkeypatch.setattr(groebner_module, "_interreduce", fails_once)
+    x, y = R2.gens()
+    widths.clear()
+    assert syzygy_basis([x**2, y**2 - x]) == [FreeModuleElement(R2, (y**2 - x, -x**2))]
+    assert failed and widths == [groebner_module._MIN_WIDTH, 2 * groebner_module._MIN_WIDTH]
 
 
 def test_prime_field_groebner():
@@ -513,9 +611,10 @@ def test_syzygy_basis_matches_full_graph_basis(characteristic):
 @pytest.mark.parametrize("characteristic", [0, 3])
 def test_normal_forms_batch_the_basis_conversion(characteristic, monkeypatch):
     """``normal_forms`` yields, in order, what ``normal_form`` gives element by
-    element, on random ideals and rank-2 modules; it converts the basis's
-    generators to term vectors once per batch, and only as far as the
-    caller reads."""
+    element, on random ideals and rank-2 modules; it packs the basis's
+    generators into term vectors once, on the basis's first use, and every
+    later batch packs only the elements, and only as far as the caller
+    reads."""
     ring = PolynomialRing(FieldSpec(characteristic), ("x", "y", "z"))
     rng = random.Random(307 + characteristic)
     converted = []
@@ -525,19 +624,25 @@ def test_normal_forms_batch_the_basis_conversion(characteristic, monkeypatch):
         for _ in range(8):
             gb = buchberger([_random_element(rng, ring, rank) for _ in range(rng.randint(1, 3))])
             elements = [_random_element(rng, ring, rank) for _ in range(rng.randint(2, 5))]
-            expected = [normal_form(e, gb) for e in elements]  # also builds the lead index
             gens = [g for g in gb.generators if not g.is_zero()]
             monkeypatch.setattr(groebner_module, "_to_vec",
-                                lambda e: converted.append(e) or to_vec(e))
+                                lambda e, *args: converted.append(e) or to_vec(e, *args))
+            converted.clear()
+            expected = [normal_form(e, gb) for e in elements]  # the first use packs the basis
+            if gens:
+                assert [e for e in converted if any(e is g for g in gens)] == gens
+                assert len(converted) == len(gens) + len(elements)
             converted.clear()
             assert list(groebner_module.normal_forms(iter(elements), gb)) == expected
             if gens:
                 batches += 1
-                assert [e for e in converted if any(e is g for g in gens)] == gens
-                assert len(converted) == len(gens) + len(elements)
+                assert len(converted) == len(elements)
+                assert all(c is e for c, e in zip(converted, elements))
                 converted.clear()
                 assert next(groebner_module.normal_forms(elements, gb)) == expected[0]
-                assert len(converted) == len(gens) + 1
+                assert len(converted) == 1
+            else:
+                assert not converted
             monkeypatch.setattr(groebner_module, "_to_vec", to_vec)
             assert_public_coefficients(expected)
     assert batches >= 12
