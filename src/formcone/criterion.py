@@ -35,10 +35,12 @@ q-powers and colons.  Every chain starts at q^n M, but the ladder forms a
 level only when its basis or generators are read
 (``FiltrationContext.q_power``): a chain that only repeats its term 0 reads
 neither, and neither does its record or a certified one, so such levels
-cost no basis computation.  The graded side reads the form presentation
-that the context builds, and the graded images of the system, through
-``graded``; every function here that needs them takes the context alone
-and derives them from it.
+cost no basis computation.  A graded level, and the K_l + m^n of a
+shared-route record, are listed only when read too
+(``filtration.graded_power_sum``).  The graded side reads the form
+presentation that the context builds, and the graded images of the
+system, through ``graded``; every function here that needs them takes the
+context alone and derives them from it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, DegenerateSystemError, ValidationError
-from .filtration import DEFAULT_PROBE_CAP, FiltrationContext, graded_power_basis
+from .filtration import DEFAULT_PROBE_CAP, FiltrationContext, graded_power_sum
 from .graded import (
     GradedElement,
     GradedQuotientPresentation,
@@ -477,10 +479,11 @@ def _chain_record(ctx: FiltrationContext, n: int, params: CriterionParams) -> De
     formed (``FiltrationContext.q_power``).  On the shared route the residues
     are read off K_l's reduced basis, whose normal forms modulo I_M are
     memoised once per distinct K (``_residue_table``): level n keeps those of
-    degree below n, in K_l's basis order.  This is exact.
-    ``graded_power_basis`` lists the reduced basis of K_l + m^n as K_l's
-    elements of degree below n, in K_l's order, followed by degree-n monomials,
-    which lie in m^n, inside q^n M = m^n + I_M, and so leave no residue.  K_l
+    degree below n, in K_l's basis order.  This is exact.  The record's
+    ideal K_l + m^n (``graded_power_sum``) is named, not listed: its reduced
+    basis, were it read, is K_l's elements of degree below n, in K_l's
+    order, followed by degree-n monomials, which lie in m^n, inside
+    q^n M = m^n + I_M, and so leave no residue.  K_l
     is homogeneous (I_M and every a_i are), and for a homogeneous g of
     degree d < n, NF(g, m^n + I_M) = NF(g, I_M): a normal form is the unique standard
     representative of g's class, reduction keeps it homogeneous of degree d,
@@ -502,8 +505,7 @@ def _chain_record(ctx: FiltrationContext, n: int, params: CriterionParams) -> De
     status, stabilized_l = ("stabilized", l - w) if run == w else ("budget", params.l_max)
     current = chain.ideals[l]
     if shared:
-        current = ctx.ideal_m.spawn_reduced(
-            graded_power_basis(ctx.ring, current.groebner().generators, n))
+        current = graded_power_sum(current, n)
         forms = (r for d, r in _residue_table(ctx, chain, l) if d < n)
     elif all(c is None for c in chain.changed[:l]):  # C(n, l) = C(n, 0) = q^n M
         forms = ()

@@ -69,7 +69,11 @@ o <= ord f = c0.
 Graded inputs skip the ladder too.  When I_M is homogeneous and q + I_A is
 m, q^n + I_M = m^n + I_M, whose reduced basis is read off I_M's
 (``graded_power_basis``): the elements of degree below n, plus the
-degree-n monomials that none of their leads divides.  The initial degree
+degree-n monomials that none of their leads divides.  Such a level
+(``graded_power_sum``), like a level n <= o above, is named at once and
+listed only when its generators or its basis are first read, so a
+certified record, which names q^n M and reads neither, lists none of the
+C(n+k-1, k-1) degree-n monomials in k variables.  The initial degree
 of a is the lowest degree of its normal form modulo I_M: a homogeneous
 basis under a degree order reduces each homogeneous part of a by itself,
 so a lies in m^c + I_M exactly when that normal form has no term below
@@ -144,31 +148,51 @@ def _variable_slots(gens) -> tuple[int, ...] | None:
     return tuple(slots)
 
 
+def graded_power_sum(ideal: PresentedIdeal, n: int) -> PresentedIdeal:
+    """m^n + J for an ideal J under DEGREVLEX that is homogeneous or lies in
+    m^n, in J's ring, base and order.  The sum is named here and listed
+    when its generators or its basis are first read: both are then the
+    ``graded_power_basis`` listing of J's reduced basis.  Where J lies in
+    m^n, no element of J has degree below n and the listing is m^n's."""
+    return _Level(ideal, n)
+
+
 class _Level(PresentedIdeal):
-    """A level q^n + I_M of a ladder that is not graded, above its closed
-    forms (level 1, or the order of I_M where q + I_A = m), whose
-    generators are formed when something first reads them or its reduced
-    basis (``FiltrationContext.q_power``).
+    """An ideal whose generators and reduced basis are formed when something
+    first reads either.  It forms in one of two ways:
+
+    - listed: m^n + J (``graded_power_sum``), whose generators are the
+      ``graded_power_basis`` listing of J's reduced basis, which is also
+      its reduced basis, so no basis run follows;
+    - from the level below: q^n + I_M on a ladder above its closed forms
+      (``FiltrationContext.q_power``), whose generators are I_M's followed
+      by the products, as ``sum_with`` lists them, and whose basis run
+      extends I_M's reduced basis as a settled block.
 
     Until then the ``generators`` slot is unset, so reading it reaches
-    ``__getattr__``, which forms this level and every unformed one below it
-    in one upward loop; a formed level is a plain ``PresentedIdeal`` to
-    every reader.  Its generators are I_M's followed by the products, as
-    ``sum_with`` lists them, and its basis run extends I_M's reduced basis
-    as a settled block.
+    ``__getattr__``, which forms this level and every unformed level below
+    it in one upward loop; ``groebner`` lists a listed level first.  A
+    formed level is a plain ``PresentedIdeal`` to every reader.
     """
 
-    __slots__ = ("_below", "_q")
+    __slots__ = ("_below", "_q", "_listing")
 
-    def __init__(self, below: PresentedIdeal, module: PresentedIdeal, q_gens):
-        super().__init__(module.ring, module.base, (), module.step_budget, module.order)
+    def __init__(self, summand: PresentedIdeal, n: int, below: PresentedIdeal | None = None,
+                 q_gens=()):
+        """Level n: m^n + ``summand``, listed, when ``below`` is None; else
+        q^n + I_M, with ``summand`` = I_M, from ``below``, level n - 1."""
+        super().__init__(summand.ring, summand.base, (), summand.step_budget, summand.order)
         del self.generators
-        self._extends, self._below, self._q = module, below, q_gens
+        self._below, self._q, self._listing = below, q_gens, None
+        if below is None:
+            self._listing = (summand, n)
+        else:
+            self._extends = summand
 
     def __getattr__(self, name):
         if name != "generators":  # only the generators of an unformed level are unset
             raise AttributeError(name)
-        pending, level = [], self
+        pending, level = [self], self._below
         while isinstance(level, _Level) and level._below is not None:
             pending.append(level)
             level = level._below
@@ -176,9 +200,20 @@ class _Level(PresentedIdeal):
             level._form()
         return self.generators
 
+    def groebner(self) -> GroebnerBasis:
+        if self._listing is not None:
+            self._form()
+        return super().groebner()
+
     def _form(self):
-        """Set the generators from the formed level below (the identity in
-        ``FiltrationContext.q_power``)."""
+        """Set the generators by listing, or from the formed level below
+        (the identity in ``FiltrationContext.q_power``)."""
+        if self._listing is not None:
+            summand, n = self._listing
+            basis = graded_power_basis(self.ring, summand.groebner().generators, n)
+            self.generators, self._listing = basis, None
+            self._gb = GroebnerBasis(basis, self.order)
+            return
         module = self._extends
         prev = self._below.groebner().generators
         if module.combined():
@@ -342,25 +377,27 @@ class FiltrationContext:
         chain that never leaves it, costs no basis computation.
 
         Where ``is_graded()`` holds, each higher level is the closed form
-        m^n + I_M of ``graded_power_basis`` instead, with no basis computation.
+        m^n + I_M of ``graded_power_sum`` instead, with no basis computation.
         Where q + I_A is m but I_M is not homogeneous, q^n M = m^n + I_M too,
         and I_M lies in m^n for n <= o, the order of I_M (the least lowest
         degree of its nonzero generators): each such level is m^n, whose
         reduced basis is the degree-n monomials, with no basis computation,
-        and the levels above o grow from level o by the identity above.
+        and the levels above o grow from level o by the identity above.  A
+        closed form is named at once too: its generators and reduced basis,
+        both the ``graded_power_basis`` listing of I_M's reduced basis, are
+        listed when either is first read.
         """
         cache = self._powers
         if n in cache:
             return cache[n]
         if self.q_is_m and (self._graded or n <= self._im_order):
-            low = self.ideal_m.groebner().generators if self._graded else ()
-            cache[n] = self.q_ideal.spawn_reduced(graded_power_basis(self.ring, low, n))
+            cache[n] = graded_power_sum(self.ideal_m, n)
             return cache[n]
         top = self._im_order if self.q_is_m else 1  # the highest closed form, below n
         self.q_power(top)
         for level in range(top + 1, n + 1):
             if level not in cache:
-                cache[level] = _Level(cache[level - 1], self.ideal_m, self.q_generators)
+                cache[level] = _Level(self.ideal_m, level, cache[level - 1], self.q_generators)
         return cache[n]
 
     def is_graded(self) -> bool:

@@ -13,7 +13,8 @@ graded image by membership lifting, ``rees_form_presentation``,
 cone and graded images by the Rees route, ``direct_defect_at`` runs the
 level-n colon chain with one kernel per step, ``eager_ladder_records`` runs
 the level scan over a q-power ladder formed in full before the scan reads it
-and takes each record's residues against that ladder, and
+and takes each record's residues against that ladder, ``listed_at_once``
+lists a graded level m^n + J as soon as it is named, and
 ``quotient_recursion`` runs the grade recursion through one quotient context
 per step (``quotient_by_element``).  The level checks and ``probed_initial_degree`` take q^k M from
 ``product_power``, a basis of the degree-k products of q's generators plus
@@ -40,6 +41,7 @@ from operator import le, sub
 from formcone.criterion import (
     CriterionParams,
     DefectRecord,
+    _colon_sequence,
     defect_scan,
     find_regular_lift,
     regular_form_exists,
@@ -50,7 +52,7 @@ from formcone.errors import (
     RingMismatchError,
     ValidationError,
 )
-from formcone.filtration import FiltrationContext
+from formcone.filtration import FiltrationContext, graded_power_basis
 from formcone.graded import (
     GradedElement,
     GradedQuotientPresentation,
@@ -599,6 +601,24 @@ def eager_ladder_records(ctx: FiltrationContext, params: CriterionParams,
         residues = tuple(dict.fromkeys(r for r in forms if not r.is_zero()))
         records.append(replace(record, vanishing=not residues, quotient_generators=residues))
     return tuple(records)
+
+
+def listed_at_once(summand: PresentedIdeal, n: int) -> PresentedIdeal:
+    """m^n + J listed at once, its basis cache seeded with the
+    ``graded_power_basis`` listing of J's reduced basis, as graded levels
+    and shared-route records were formed before they were listed on first
+    read."""
+    return summand.spawn_reduced(
+        graded_power_basis(summand.ring, summand.groebner().generators, n))
+
+
+def graded_record_summand(ctx: FiltrationContext, record: DefectRecord) -> PresentedIdeal:
+    """The J of a graded record's ideal m^n + J: I_M for a certified record,
+    and on the shared route the K_l its chain stabilized at, which agrees
+    with the chain's last K below degree n."""
+    if record.certified:
+        return ctx.ideal_m
+    return _colon_sequence(ctx, record.stabilized_l).ideals[record.stabilized_l]
 
 
 def quotient_by_element(ctx: FiltrationContext, b: Polynomial) -> FiltrationContext:

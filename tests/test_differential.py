@@ -46,7 +46,9 @@ from oracle import (
     cold_copy,
     direct_defect_at,
     eager_ladder_records,
+    graded_record_summand,
     graded_side_differs,
+    listed_at_once,
     probed_initial_degree,
     product_power,
     quotient_recursion,
@@ -135,7 +137,8 @@ def _check_seed(seed: int, tmp_path) -> None:
     """Every report command exits 0, 2 or 3 on the seed's input, initial
     degrees are the probe's, and at every level the chain gives the direct
     loop's record and ``defect_at`` gives it too, but for a certified
-    record's chain metadata."""
+    record's chain metadata; a graded record's basis, listed when read, is
+    the one listed at once."""
     text = random_session(seed)
     path = tmp_path / "input.fc"
     path.write_text(text, encoding="utf-8")
@@ -162,6 +165,9 @@ def _check_seed(seed: int, tmp_path) -> None:
             (n, text)
         assert _record_fields(record, record.certified) \
             == _record_fields(direct, record.certified), (n, text)
+        if ctx.is_graded() and (record.certified or _shared_colons(ctx)):
+            eager = listed_at_once(graded_record_summand(ctx, record), n)
+            assert record.ideal.groebner().generators == eager.groebner().generators, (n, text)
 
 
 def _degree_outcome(initial_degree, a):

@@ -2,9 +2,12 @@ import math
 from pathlib import Path
 
 import pytest
-from corpus import TIER4_BASES, tier4_contexts
+from corpus import CORPUS_PARAMS, TIER4_BASES, minors_context, tier4_contexts
 from oracle import (
+    cold_copy,
+    graded_record_summand,
     lifted_image,
+    listed_at_once,
     probed_initial_degree,
     q_products,
     quotient_by_element,
@@ -23,6 +26,7 @@ from formcone import (
     PresentedIdeal,
     ValidationError,
     cohen_macaulay_report,
+    defect_regularity_equivalence,
     defect_scan,
     grade_by_recursion,
     graded_dim,
@@ -30,6 +34,7 @@ from formcone import (
     is_regular_element,
     parse_session,
 )
+from formcone.criterion import _chain_record
 from formcone.filtration import graded_power_basis
 from formcone.graded import GradedElement
 from formcone.groebner import buchberger
@@ -689,3 +694,99 @@ def test_demo_scan_reads_the_ladder_through_level_4():
     assert max(ctx._powers) >= spec.params.n_max
     assert [n for n, level in sorted(ctx._powers.items()) if level._gb is not None] \
         == [0, 1, 2, 3, 4]
+
+
+def test_graded_records_list_no_level_until_read(corpus, monkeypatch):
+    # the equivalence check and the CM report name m^n + I_M on certified
+    # records and K_l + m^n on shared-route ones, and read neither basis;
+    # read afterwards, each is the eager listing, and a fresh basis run on
+    # its generators gives it too.  Each is listed once, but for levels 0
+    # and 1, which construction formed
+    contexts = [cold_copy(i.ctx) for i in corpus if i.ctx.is_graded()]
+    contexts += [cone_context(), minors_context()]
+    assert len(contexts) == 28 and all(ctx.is_graded() for ctx in contexts)
+    listings = []
+    real = graded_power_basis
+    monkeypatch.setattr("formcone.filtration.graded_power_basis",
+                        lambda *args: listings.append(args[2]) or real(*args))
+    reports = [(defect_regularity_equivalence(ctx, CORPUS_PARAMS),
+                cohen_macaulay_report(ctx, CORPUS_PARAMS)) for ctx in contexts]
+    assert listings == []
+    kinds, named = set(), set()
+    for ctx, (equivalence, report) in zip(contexts, reports):
+        assert equivalence.scan.records == report.lzero_table
+        for record in report.lzero_table:
+            kinds.add(record.certified)
+            if not (record.certified and record.n <= 1):
+                named.add(id(record.ideal))
+            basis = record.ideal.groebner().generators
+            eager = listed_at_once(graded_record_summand(ctx, record), record.n)
+            assert basis == eager.groebner().generators, (str(ctx), record.n)
+            assert buchberger(record.ideal.combined()).generators == basis, (str(ctx), record.n)
+    assert kinds == {True, False}
+    assert len(listings) == len(named)
+
+
+def _lazy_levels():
+    """(factory, eager) pairs: ``factory()`` names a fresh lazy m^n + J,
+    over QQ and F_2, on graded ladders, on the demo curve's closed form
+    n = o = 2 and on shared-route K_l + m^n records; ``eager`` is the same
+    ideal listed at once."""
+    f2 = PolynomialRing(FieldSpec(2), ("x", "y", "z"))
+    x, y, z = f2.gens()
+    quadric = (x**2 + y**2 + z**2,)
+    f2_cone = (x * y, x * z, y * z)
+    out = []
+    for make, levels in ((cone_context, range(2, 6)),
+                         (lambda: FiltrationContext(f2, quadric, (), f2.gens(), []), range(2, 6)),
+                         (lambda: FiltrationContext(f2, (x**3,), (x * y,), f2.gens(), []), (2, 3)),
+                         (curve_context, (2,))):
+        ctx = make()
+        low = ctx.ideal_m.groebner().generators if ctx.is_graded() else ()  # else n <= o: m^n
+        for n in levels:
+            eager = ctx.ideal_m.spawn_reduced(graded_power_basis(ctx.ring, low, n))
+            out.append((lambda make=make, n=n: make().q_power(n), eager))
+    for make, params in ((cone_context, TIER4_PARAMS),
+                         (lambda: FiltrationContext(f2, f2_cone, (), f2.gens(), [(x + y, 1)]),
+                          CORPUS_PARAMS)):
+        ctx = make()
+        for n in range(1, 4):
+            summand = graded_record_summand(ctx, _chain_record(ctx, n, params))
+            out.append((lambda make=make, n=n, params=params:
+                        _chain_record(make(), n, params).ideal,
+                        listed_at_once(summand, n)))
+    return out
+
+
+def test_a_lazy_level_answers_alike_whichever_is_read_first():
+    levels = _lazy_levels()
+    assert len(levels) == 17
+    for factory, eager in levels:
+        ring = eager.ring
+        probes = ring.gens() + tuple(g * h for g in ring.gens() for h in ring.gens()) \
+            + eager.groebner().generators[:3] + (ring.one(),)
+        answers = []
+        for first in ("generators", "basis"):
+            level = factory()
+            assert level.base == eager.base and level.order == eager.order
+            head = level.generators if first == "generators" else level.groebner().generators
+            assert head == eager.groebner().generators
+            answers.append((
+                level.generators,
+                level.groebner().generators,
+                [level.contains(f) for f in probes],
+                level.equals(eager) and eager.equals(level),
+                level.is_proper(),
+                [level.colon(f).groebner().generators for f in ring.gens()],
+                [level.sum_with(f).groebner().generators for f in ring.gens()[:2]],
+            ))
+        eager_answers = (
+            eager.generators,
+            eager.groebner().generators,
+            [eager.contains(f) for f in probes],
+            True,
+            eager.is_proper(),
+            [eager.colon(f).groebner().generators for f in ring.gens()],
+            [eager.sum_with(f).groebner().generators for f in ring.gens()[:2]],
+        )
+        assert answers == [eager_answers, eager_answers], str(eager)
