@@ -463,16 +463,19 @@ def first_regular(pres: GradedQuotientPresentation, candidates,
 
     ``killers`` holds a nonzero class that each rejected candidate kills: a
     candidate that one of them, still nonzero in ``pres``, kills is a zero
-    divisor without a colon."""
+    divisor without a colon.  The killers are reduced modulo ``pres`` once,
+    on entry, and the nonzero ones kept; a class is the same for every
+    candidate, so each candidate then costs one membership per killer."""
+    live = [w for w in pres.reduce_all(killers) if not w.is_zero()] if killers else []
     for c in candidates:
         x = c.representative
-        if pres.contains(x) or any(pres.contains(w * x) and not pres.contains(w)
-                                   for w in killers):
+        if pres.contains(x) or any(pres.contains(w * x) for w in live):
             continue
         witness = pres.annihilator((x,))
         if witness is None:
             return c
         killers.append(witness)
+        live.append(witness)
     return None
 
 

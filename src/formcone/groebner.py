@@ -14,38 +14,46 @@ identical reduced basis (reduced bases are unique up to scaling, and output
 is monic and sorted by leading term).
 
 Cost notes: a term's int is laid out so that comparing two ints compares the
-terms in the order (Bachmann-Schoenemann, ISSAC 1998): a vector's lead is
-its ``max``, a quotient monomial is the difference of two terms and
-multiplying by it is a sum, a divisibility test is one subtraction and one
-mask, and under DEGREVLEX an lcm takes a fixed number of integer operations
-whatever the number of variables.  Public elements become term vectors only
-in ``_to_vec`` and return only in ``_from_vec``.  Every field keeps a guard
-bit that a valid term leaves clear; a product whose exponent outgrows its
-field sets it, and the computation is redone with fields twice as wide
-(``_first_fit``), so the width bounds no exponent.  Each basis run
-interreduces in a single pass, and updates coefficients with one multiply
-and one add per term, reducing mod p only in characteristic p.  Coefficients
-keep ``FieldSpec``'s format (over QQ an int when integral, a Fraction
-otherwise), so conversion touches no coefficient.  Inside a run, basis
-elements over QQ are primitive integer vectors, and the S-polynomial is
-formed fraction-free, lc(g) * m_f * f - lc(f) * m_g * g.  Each half of a
-graph basis is interreduced by itself.  A run grows one lead index (the
-divisor lookup of every reduction) as its basis grows, and forms pairs by
-walking the lead index of the new element's position only.  The chain
-criterion keeps, per element, the set of partners whose pair is settled, and
-tests only the intersection of two such sets instead of scanning the basis.
-A single-term vector normalises to coefficient 1 without gcd work.  A
-``GraphBasis`` modulo entry given as a ``GroebnerBasis`` in the kernel's own
-order is a settled block: no pair is formed inside it, and the chain
-criterion counts its elements as established partners of each other; a plain
-list is never settled, since it need not be a Groebner basis.
+terms in the order (Bachmann-Schoenemann, ISSAC 1998): a vector's lead is its
+``max``, a quotient monomial is the difference of two terms and multiplying
+by it is a sum, a divisibility test is one subtraction and one mask, and
+under DEGREVLEX an lcm takes a fixed number of integer operations whatever
+the number of variables.  Public elements become term vectors only in
+``_to_vec`` and return only in ``_from_vec``, through the codec's ``pack``
+and ``unpack``, compiled once per codec with the variables unrolled.  A basis
+the engine makes (``buchberger``, a graph basis's image, a colon kernel) is
+born holding its run's monic vectors and lead index (``_born``), so no later
+batch packs its generators; a basis listed from generators packs them once,
+on first use.  Every field keeps a guard bit that a valid term leaves clear;
+a product whose exponent outgrows its field sets it, and the computation is
+redone with fields twice as wide (``_first_fit``), so the width bounds no
+exponent.  Each basis run interreduces in a single pass, and updates
+coefficients with one multiply and one add per term, reducing mod p only in
+characteristic p.  Coefficients keep ``FieldSpec``'s format (over QQ an int
+when integral, a Fraction otherwise), so conversion touches no coefficient.
+Inside a run, basis elements over QQ are primitive integer vectors (an
+all-int vector takes one gcd, and one already primitive is kept as it is),
+and the S-polynomial is formed fraction-free,
+lc(g) * m_f * f - lc(f) * m_g * g; the interreduction makes a vector monic
+by exact division by its lead, none when the lead is 1.  Each half of a
+graph basis is interreduced by itself.  A run grows one lead index (the divisor lookup of every reduction)
+as its basis grows, and forms pairs by walking the lead index of the new
+element's position only.  The chain criterion keeps, per element, the set of
+partners whose pair is settled, and tests only the intersection of two such
+sets instead of scanning the basis.  A single-term vector normalises to
+coefficient 1 without gcd work.  A ``GraphBasis`` modulo entry given as a
+``GroebnerBasis`` in the kernel's own order is a settled block: no pair is
+formed inside it (a member's pair loop stops where its block starts), and the
+chain criterion counts its elements as established partners of each other; a
+plain list is never settled, since it need not be a Groebner basis.
 ``buchberger`` takes a ``settled`` basis in its own order the same way, so
 extending a reduced basis by a few elements (an ideal's ``sum_with``, a
 graded presentation's quotients) forms only the pairs those elements bring.
-Each queued pair carries the lcm of its leads, which the chain criterion and
-the S-polynomial read.  A ``GroebnerBasis`` packs its generators and builds
-their lead index once, on first use, and every ``normal_forms`` batch
-against it reuses both (``normal_form`` is a batch of one).
+A settled block reads the basis's packed vectors, moved to its position by
+one addition per term, unless they were packed at another width.  Each queued
+pair carries the lcm of its leads, which the chain criterion and the
+S-polynomial read.  Every ``normal_forms`` batch against a ``GroebnerBasis``
+reuses its packed vectors and lead index (``normal_form`` is a batch of one).
 """
 
 from __future__ import annotations
@@ -53,7 +61,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -111,11 +118,12 @@ class GroebnerBasis:
     @cached_property
     def _shape(self):
         """(ring, rank, nonzero generators, codec, their term vectors, their
-        lead index), computed on first use.
+        lead index), computed on first use unless the engine set it
+        (``_born``).
 
         Every later ``normal_forms`` batch reuses the packed generators: one
         int per term is smaller than the exponent tuple that the generator
-        itself keys its term by.
+        itself keys its term by.  Nothing mutates the stored vectors.
         """
         gens = tuple(g for g in self.generators if not g.is_zero())
         if not gens:
@@ -124,6 +132,17 @@ class GroebnerBasis:
         packed = _first_fit(lambda codec: (codec, *_packed(gens, codec)),
                             self.order, ring.nvars, rank or 1)
         return (ring, rank, gens, *packed)
+
+
+def _born(ring: PolynomialRing, rank: int | None, order: MonomialOrder, codec: _Codec,
+          vecs: list[dict], leads: list[int]) -> GroebnerBasis:
+    """The reduced basis of monic term vectors ``vecs`` (leads ``leads``,
+    ascending) under ``codec``: its ``_shape`` is these vectors themselves,
+    so no later batch packs its generators again."""
+    gens = tuple(_from_vec(v, codec, ring, rank) for v in vecs)
+    basis = GroebnerBasis(gens, order)
+    basis.__dict__["_shape"] = (ring, rank, gens, codec, vecs, _lead_index(leads, codec))
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +158,8 @@ class _Codec:
     positions and field width: one int per (position, monomial).
 
     Fields of ``width`` value bits, each with a guard bit above it, are
-    stacked lowest first.  DEGREVLEX on x_1..x_n has the complements
+    stacked lowest first; ``pack``, ``unpack`` and ``mono`` convert between
+    exponent tuples and terms.  DEGREVLEX on x_1..x_n has the complements
     L - e_1, ..., L - e_n and the total degree on top; the weighted order
     adds its weight field above those; a block order stacks the DEGREVLEX
     fields of the block above those of the other variables; LEX has
@@ -194,6 +214,17 @@ class _Codec:
                     self.flip |= self.fm << shift
         self.free = self.guard ^ self.exps
         self.values = self.exps - (self.exps >> width)  # the value bits of the exponent fields
+        # unrolled over the variables: pack maps exponent tuples to terms at an
+        # origin, dropping any with an exponent above the limit; unpack maps
+        # terms back, and mono reads one term's exponents
+        xs = "".join(f"x{i}, " for i in n)
+        packed = "".join(f"x{i} * {c} + " for i, c in enumerate(self.coefs))
+        fits = " and ".join(f"x{i} <= {self.limit}" for i in n) or "True"
+        top = f"{self.limit} - " if self.complement else ""
+        exps = "".join(f"{top}(t >> {s} & {self.fm}), " for s in self.shifts)
+        self.pack, self.unpack, self.mono = eval(
+            f"(lambda terms, o: {{{packed}o: c for ({xs}), c in terms.items() if {fits}}},"
+            f" lambda vec: {{({exps}): c for t, c in vec.items()}}, lambda t: ({exps}))")
         self.low = (1 << self.pshift) - 1
         self.lcm = self._lcm_unpacked
         if order.kind is OrderKind.DEGREVLEX and nvars:
@@ -206,12 +237,6 @@ class _Codec:
     def origin(self, position: int) -> int:
         """The term of the monomial 1 at ``position``."""
         return ((self.npos - 1 - position) << self.pshift) + self.one
-
-    def mono(self, t: int) -> tuple:
-        if self.complement:  # the exponents, each in its field
-            t = self.one - (t & self.values)
-        fm = self.fm
-        return tuple([(t >> s) & fm for s in self.shifts])
 
     def position(self, t: int) -> int:
         return self.npos - 1 - (t >> self.pshift)
@@ -256,23 +281,23 @@ def _to_vec(element, codec: _Codec, position: int = 0) -> dict:
     """Term vector of a public element, its components placed from ``position``
     on; an exponent above the codec's limit overflows."""
     comps = (element,) if isinstance(element, Polynomial) else element.components
-    coefs = codec.coefs
     vec = {}
     for p, comp in enumerate(comps, position):
-        if max(chain.from_iterable(comp.terms), default=0) > codec.limit:
+        packed = codec.pack(comp.terms, codec.origin(p))
+        if len(packed) < len(comp.terms):
             raise _Overflow
-        origin = codec.origin(p)
-        vec.update({sum(map(mul, m, coefs), origin): c for m, c in comp.terms.items()})
+        vec.update(packed)
     return vec
 
 
-def _from_vec(vec: dict, codec: _Codec, ring: PolynomialRing, rank: int | None, shift: int = 0):
-    """Public element from a term vector; ``shift`` is taken off every position."""
+def _from_vec(vec: dict, codec: _Codec, ring: PolynomialRing, rank: int | None):
+    """Public element from a term vector."""
     if rank is None:
-        return Polynomial(ring, {codec.mono(t): c for t, c in vec.items()})
+        return Polynomial(ring, codec.unpack(vec))
     comps = [dict() for _ in range(rank)]
+    mono = codec.mono
     for t, c in vec.items():
-        comps[codec.position(t) - shift][codec.mono(t)] = c
+        comps[codec.position(t)][mono(t)] = c
     return FreeModuleElement(ring, tuple(Polynomial(ring, d) for d in comps))
 
 
@@ -297,16 +322,23 @@ def _sub_scaled(vec: dict, other: dict, q: int, q_coeff, fld, guard: int) -> Non
 def _normalize(vec: dict, fld) -> dict:
     """Scale to a canonical representative: over QQ the primitive integer
     vector (as ints) with a positive lead, over F_p the monic one.  For a
-    single term both are coefficient 1."""
+    single term both are coefficient 1.  A vector that is canonical already
+    is returned itself."""
     if len(vec) == 1:
         return dict.fromkeys(vec, 1)
+    lc = vec[max(vec)]
     if fld.is_rationals:
-        den = lcm(*(c.denominator for c in vec.values()))
-        num = gcd(*(c.numerator * (den // c.denominator) for c in vec.values()))
-        if vec[max(vec)] < 0:
-            num = -num
-        return {t: c.numerator * (den // c.denominator) // num for t, c in vec.items()}
-    inv = fld.inv(vec[max(vec)])
+        try:
+            num = gcd(*vec.values())
+        except TypeError:  # a Fraction among the coefficients: clear the denominators
+            den = lcm(*(c.denominator for c in vec.values()))
+            vec = {t: c.numerator * (den // c.denominator) for t, c in vec.items()}
+            num = gcd(*vec.values())
+        num = -num if lc < 0 else num
+        return vec if num == 1 else {t: c // num for t, c in vec.items()}
+    if lc == 1:
+        return vec
+    inv = fld.inv(lc)
     return {t: fld.mul(c, inv) for t, c in vec.items()}
 
 
@@ -395,8 +427,10 @@ def _engine(vectors: list[dict], codec: _Codec, fld, step_budget: int, rank_one:
                                            codec.one, codec.guard)
     lcm_of = codec.lcm
     blocks: list = [None] * len(basis)
+    first = list(range(len(basis)))  # where each element's settled block starts
     for start, stop in settled:
         blocks[start:stop] = [frozenset(range(start, stop))] * (stop - start)
+        first[start:stop] = [start] * (stop - start)
 
     heap: list = []
     partners: list[set[int]] = [set() for _ in basis]
@@ -408,12 +442,10 @@ def _engine(vectors: list[dict], codec: _Codec, fld, step_budget: int, rank_one:
     def push_pairs(j: int):
         lj = leads[j]
         mono_j = len(basis[j]) == 1
-        block_j = blocks[j]
+        before = first[j]  # the lists run in index order: what follows is j or its block
         for _, li, i in by_pos[lj >> pshift]:
-            if i == j:
-                break
-            if block_j is not None and i in block_j:
-                continue  # settled: the pair reduces to zero within its block
+            if i >= before:
+                break  # settled: a pair inside a block reduces to zero within it
             if mono_j and len(basis[i]) == 1:
                 establish(i, j)  # S-polynomial of two terms is identically zero
                 continue
@@ -454,12 +486,15 @@ def _engine(vectors: list[dict], codec: _Codec, fld, step_budget: int, rank_one:
             leads.append(t)
             partners.append(set())
             blocks.append(None)
+            first.append(len(basis) - 1)
             push_pairs(len(basis) - 1)
     return basis, leads
 
 
-def _interreduce(basis: list[dict], leads: list[int], codec: _Codec, fld) -> list[dict]:
-    """Reduced basis from a Groebner basis: monic, sorted by ascending lead.
+def _interreduce(basis: list[dict], leads: list[int], codec: _Codec,
+                 fld) -> tuple[list[dict], list[int]]:
+    """Reduced basis from a Groebner basis, with its leads: monic, sorted by
+    ascending lead.
 
     Keeps the elements with minimal leads, then reduces each tail against
     all of them in one pass.  A tail term lies below its own lead, so no
@@ -481,12 +516,12 @@ def _interreduce(basis: list[dict], leads: list[int], codec: _Codec, fld) -> lis
             min_leads.append(t)
     monic = []
     for v, lead in zip(minimal, min_leads):
-        r = {lead: v[lead]}
+        lc = v[lead]
+        r = {lead: lc}
         r.update(_reduce_full({t: c for t, c in v.items() if t != lead}, minimal, by_pos,
                               codec, fld))
-        inv = fld.inv(r[lead])
-        monic.append({t: fld.mul(c, inv) for t, c in r.items()})
-    return monic
+        monic.append(r if lc == 1 else {t: fld.div(c, lc) for t, c in r.items()})
+    return monic, min_leads
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +542,20 @@ def _common_shape(elements):
     return ring, rank
 
 
+def _settled_vecs(basis: GroebnerBasis, codec: _Codec, position: int = 0) -> list[dict]:
+    """Term vectors under ``codec`` of the nonzero generators of ``basis``
+    (in the codec's order), placed from ``position`` on: its packed vectors
+    moved to that position when they were packed at the codec's width, else
+    packed afresh."""
+    _, _, gens, own, vecs, _ = basis._shape
+    if not gens:
+        return []
+    if own.width != codec.width:
+        return [_to_vec(g, codec, position) for g in gens]
+    shift = (codec.npos - own.npos - position) << codec.pshift
+    return vecs if not shift else [{t + shift: c for t, c in v.items()} for v in vecs]
+
+
 def buchberger(gens, order: MonomialOrder = DEGREVLEX,
                step_budget: int = DEFAULT_STEP_BUDGET,
                settled: GroebnerBasis | None = None) -> GroebnerBasis:
@@ -517,29 +566,31 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX,
     ``GraphBasis`` modulo entry is: no pair inside it is formed, so extending
     a known basis by a few elements costs only the pairs they bring.  With
     nothing to add it is the answer.  One in another order counts as plain
-    generators.
+    generators.  The result holds the run's term vectors (``_born``).
     """
     gens = [g for g in gens if not g.is_zero()]
-    block = []
+    block = None
     if settled is not None:
         if settled.order != order:
             gens = list(settled.generators) + gens
         elif not gens:
             return settled
         else:
-            block = list(settled.generators)
-    elements = block + gens
+            block = settled
+    elements = gens if block is None else list(block.generators) + gens
     if not elements:
         return GroebnerBasis((), order)
     ring, rank = _common_shape(elements)
     fld = ring.field
 
     def attempt(codec):
-        run = _engine([_to_vec(g, codec) for g in elements], codec, fld, step_budget,
-                      rank in (None, 1), [(0, len(block))] if block else ())
-        return tuple(_from_vec(v, codec, ring, rank) for v in _interreduce(*run, codec, fld))
+        vecs = [] if block is None else _settled_vecs(block, codec)
+        blocks = [(0, len(vecs))] if vecs else ()
+        vecs = vecs + [_to_vec(g, codec) for g in gens]
+        run = _engine(vecs, codec, fld, step_budget, rank in (None, 1), blocks)
+        return _born(ring, rank, order, codec, *_interreduce(*run, codec, fld))
 
-    return GroebnerBasis(_first_fit(attempt, order, ring.nvars, rank or 1), order)
+    return _first_fit(attempt, order, ring.nvars, rank or 1)
 
 
 def normal_forms(elements, basis: GroebnerBasis):
@@ -584,16 +635,18 @@ class GraphBasis:
     ``modulo`` is empty (plain syzygies) or lists, for each of the r
     positions of the columns, M_j as a list of generators or as a
     ``GroebnerBasis``; one in ``order`` itself is a settled block of the
-    engine, and both halves are the same either way.  Method: one module
+    engine, read off its packed vectors, and both halves are the same either
+    way.  Method: one module
     Groebner basis of the graph vectors ``column_i (+) e_i`` and ``g * e_j``
     inside P^(r+k) under position-over-term with the original positions
     dominating; each half is interreduced by itself when first asked for.
     An element with its lead at position r or later has no term below r, so
     no other lead divides any of its terms: these elements alone decide which
     are minimal and what their tails reduce to; shifted down by r they are
-    the reduced ``kernel``.  The others, projected below r, keep their leads
-    and span span(columns) + (+)_j M_j e_j: a Groebner basis of it, which
-    interreduces to its reduced basis, the ``image`` (Greuel-Pfister 2.8).
+    the reduced ``kernel`` (``kernel_ideal`` for one column).  The others,
+    projected below r, keep their leads and span span(columns) + (+)_j M_j
+    e_j: a Groebner basis of it, which interreduces to its reduced basis, the
+    ``image`` (Greuel-Pfister 2.8).  Both bases are born packed.
     """
 
     def __init__(self, columns, order: MonomialOrder = DEGREVLEX,
@@ -611,8 +664,8 @@ class GraphBasis:
             gens = entry.generators if is_basis else entry
             if any(g.ring != ring for g in gens):
                 raise RingMismatchError("modulo generator from a different ring")
-            blocks.append(([g for g in gens if not g.is_zero()],
-                           is_basis and entry.order == order))
+            blocks.append(entry if is_basis and entry.order == order
+                          else [g for g in gens if not g.is_zero()])
         self._order, self._budget = order, step_budget
         self._ring, self._rank, self._r, self._cols, self._blocks = ring, rank, r, cols, blocks
         self._run = _first_fit(self._graph_run, order, ring.nvars, r + len(cols))
@@ -624,38 +677,52 @@ class GraphBasis:
         graph = [{**_to_vec(col, codec), codec.origin(r + i): one}
                  for i, col in enumerate(self._cols)]
         settled = []
-        for j, (gens, is_settled) in enumerate(self._blocks):
+        for j, block in enumerate(self._blocks):
             start = len(graph)
-            graph += [_to_vec(g, codec, j) for g in gens]
-            if is_settled:
+            if isinstance(block, GroebnerBasis):
+                graph += _settled_vecs(block, codec, j)
                 settled.append((start, len(graph)))
+            else:
+                graph += [_to_vec(g, codec, j) for g in block]
         return codec, *_engine(graph, codec, ring.field, self._budget, False, settled)
 
-    def _half(self, kernel: bool) -> list:
-        """The reduced kernel (shifted down by r) or image half, as public
-        elements; an overflow in the interreduction reruns the basis wider."""
+    def _half(self, kernel: bool) -> tuple:
+        """(codec, vectors, leads) of the reduced kernel or image half, under
+        the codec of its own rank: the kernel's positions r.. of the graph
+        have the fields of its own positions 0.., and the image's positions
+        are shifted up by the number of columns.  An overflow in the
+        interreduction reruns the basis wider."""
         codec, basis, leads = self._run
-        split = len(self._cols) << codec.pshift  # terms at positions below r lie above it
+        k = len(self._cols)
+        split = k << codec.pshift  # terms at positions below r lie above it
         kept = [i for i, t in enumerate(leads) if (t < split) == kernel]
-        vecs = [basis[i] if kernel else {t: c for t, c in basis[i].items() if t >= split}
-                for i in kept]
+        off = 0 if kernel else split  # the image keeps its terms above it, moved down
+        vecs = [{t - off: c for t, c in basis[i].items() if t >= off} for i in kept]
         try:
-            out = _interreduce(vecs, [leads[i] for i in kept], codec, self._ring.field)
+            out = _interreduce(vecs, [leads[i] - off for i in kept], codec, self._ring.field)
         except _Overflow:
             self._run = _first_fit(self._graph_run, self._order, self._ring.nvars,
                                    codec.npos, codec.width * 2)
             return self._half(kernel)
-        if kernel:
-            return [_from_vec(v, codec, self._ring, len(self._cols), self._r) for v in out]
-        return [_from_vec(v, codec, self._ring, self._rank) for v in out]
+        return (_codec(self._order, self._ring.nvars, k if kernel else self._r, codec.width),
+                *out)
 
     @cached_property
     def kernel(self) -> list[FreeModuleElement]:
-        return self._half(True)
+        codec, vecs, _ = self._half(True)
+        return [_from_vec(v, codec, self._ring, len(self._cols)) for v in vecs]
+
+    @cached_property
+    def kernel_ideal(self) -> GroebnerBasis:
+        """The kernel of a one-column map, an ideal of P, as its reduced
+        basis (the polynomials of ``kernel``), holding the run's vectors."""
+        if len(self._cols) != 1:
+            raise ValidationError("an ideal kernel needs exactly one column")
+        return _born(self._ring, None, self._order, *self._half(True))
 
     @cached_property
     def image(self) -> GroebnerBasis:
-        return GroebnerBasis(tuple(self._half(False)), self._order)
+        return _born(self._ring, self._rank, self._order, *self._half(False))
 
 
 def syzygy_basis(columns, order: MonomialOrder = DEGREVLEX,

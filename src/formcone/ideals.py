@@ -20,10 +20,10 @@ from .errors import RingMismatchError, ValidationError
 from .groebner import (
     DEFAULT_STEP_BUDGET,
     FreeModuleElement,
+    GraphBasis,
     GroebnerBasis,
     buchberger,
     normal_form,
-    syzygy_basis,
 )
 from .rings import (
     DEGREVLEX,
@@ -64,11 +64,13 @@ class PresentedIdeal:
 
     def spawn_reduced(self, basis, generators=None) -> "PresentedIdeal":
         """Same ring, base and order, generated by ``generators`` (default
-        ``basis``); ``basis`` must be the result's reduced, monic, sorted
-        basis in that order, and it seeds the cache."""
-        basis = tuple(basis)
-        result = self.spawn(basis if generators is None else generators)
-        result._gb = GroebnerBasis(basis, self.order)
+        the basis's); ``basis`` must be the result's reduced, monic, sorted
+        basis in that order, as a ``GroebnerBasis`` or its generators, and
+        it seeds the cache."""
+        if not isinstance(basis, GroebnerBasis):
+            basis = GroebnerBasis(tuple(basis), self.order)
+        result = self.spawn(basis.generators if generators is None else generators)
+        result._gb = basis
         return result
 
     def combined(self) -> tuple[Polynomial, ...]:
@@ -223,12 +225,13 @@ def meet_of_colons(ideals, elements) -> PresentedIdeal:
     When every f_k is a single term and every I_k's reduced basis (base
     included) holds only monomials, the result is read off exponents with
     no kernel (``_monomial_meet``).  Otherwise it is one module kernel: the
-    kernel of P -> (+)_k P/I_k sending 1 to (f_k), computed by
-    ``syzygy_basis`` in the ideals' shared order modulo their reduced bases,
+    kernel of P -> (+)_k P/I_k sending 1 to (f_k), the ``kernel_ideal`` of
+    a ``GraphBasis`` in the ideals' shared order modulo their reduced bases,
     which are passed as ``GroebnerBasis`` values so the engine forms no
-    pairs within them.  Either way the result's generators are its reduced,
-    monic basis sorted ascending in that order, so they seed its basis cache
-    (``spawn_reduced``).
+    pairs within them and reads their packed terms.  Either way the result's
+    generators are its reduced, monic basis sorted ascending in that order,
+    so they seed its basis cache (``spawn_reduced``); the kernel's basis
+    seeds it as the engine made it, term vectors included.
     """
     ideals, elements = tuple(ideals), tuple(elements)
     if not ideals or len(ideals) != len(elements):
@@ -242,9 +245,9 @@ def meet_of_colons(ideals, elements) -> PresentedIdeal:
             len(g.terms) == 1 for gb in bases for g in gb.generators):
         meet = _monomial_meet(bases, elements, first.order.key())
         return first.spawn_reduced(first.ring.monomial(m) for m in meet)
-    kernel = syzygy_basis((FreeModuleElement(first.ring, elements),), first.order,
-                          first.step_budget, bases)
-    return first.spawn_reduced(v.components[0] for v in kernel)
+    column = FreeModuleElement(first.ring, elements)
+    return first.spawn_reduced(
+        GraphBasis((column,), first.order, first.step_budget, bases).kernel_ideal)
 
 
 def _monomial_meet(bases, elements, key) -> list:

@@ -48,9 +48,9 @@ def corpus_results(corpus):
 @pytest.fixture
 def kernel_calls(monkeypatch) -> list:
     """A list that gains one entry per colon kernel, that is, per
-    ``syzygy_basis`` call that ``ideals.meet_of_colons`` makes."""
+    ``GraphBasis`` that ``ideals.meet_of_colons`` builds."""
     calls = []
-    real = ideals_module.syzygy_basis
-    monkeypatch.setattr(ideals_module, "syzygy_basis",
+    real = ideals_module.GraphBasis
+    monkeypatch.setattr(ideals_module, "GraphBasis",
                         lambda *args: calls.append(1) or real(*args))
     return calls

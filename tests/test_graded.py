@@ -477,6 +477,24 @@ def test_depth_falls_back_to_koszul(char):
     assert report == koszul_grade(surface, gens)
 
 
+def test_depth_tests_each_killer_by_one_membership(monkeypatch):
+    """``first_regular`` reduces the known killers once per presentation and
+    keeps the nonzero ones, so a candidate costs one membership test per
+    killer: ``depth`` on the 2x3 minors makes 84 ``contains`` calls (98 when
+    every killer's own class was re-tested on every candidate that it
+    kills), with the same value and certificate."""
+    calls = []
+    contains = GradedQuotientPresentation.contains
+    monkeypatch.setattr(GradedQuotientPresentation, "contains",
+                        lambda self, f: calls.append(1) or contains(self, f))
+    pres = minors_context().form_presentation()
+    report = depth(pres)
+    assert len(calls) == 84
+    assert (report.value, report.method) == (4, "regular-sequence")
+    assert [str(e.representative) for e in report.certificate] == ["y1", "y5", "y2 + y6"]
+    check_depth_certificate(pres, report)
+
+
 def test_depth_builds_no_graph_basis(monkeypatch):
     """``depth`` on the twisted-cubic presentations of tier 4 runs colons
     only; ``koszul_grade`` of their system images still builds one graph

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product as cartesian
+from operator import mul
 
 import pytest
 from oracle import (
@@ -23,8 +24,12 @@ from formcone import (
     FieldSpec,
     FiltrationContext,
     FreeModuleElement,
+    GroebnerBasis,
+    MonomialOrder,
+    OrderKind,
     Polynomial,
     PolynomialRing,
+    PresentedIdeal,
     RingMismatchError,
     ValidationError,
     buchberger,
@@ -510,7 +515,8 @@ def test_exponents_beyond_the_field_width(monkeypatch):
     x, y = R2.gens()
     widths.clear()
     assert syzygy_basis([x**2, y**2 - x]) == [FreeModuleElement(R2, (y**2 - x, -x**2))]
-    assert failed and widths == [groebner_module._MIN_WIDTH, 2 * groebner_module._MIN_WIDTH]
+    # the graph's codec, its wider rerun and the kernel's own codec at that width
+    assert failed and widths == [groebner_module._MIN_WIDTH] + [2 * groebner_module._MIN_WIDTH] * 2
 
 
 def test_prime_field_groebner():
@@ -611,10 +617,11 @@ def test_syzygy_basis_matches_full_graph_basis(characteristic):
 @pytest.mark.parametrize("characteristic", [0, 3])
 def test_normal_forms_batch_the_basis_conversion(characteristic, monkeypatch):
     """``normal_forms`` yields, in order, what ``normal_form`` gives element by
-    element, on random ideals and rank-2 modules; it packs the basis's
-    generators into term vectors once, on the basis's first use, and every
-    later batch packs only the elements, and only as far as the caller
-    reads."""
+    element, on random ideals and rank-2 modules.  A basis the engine made
+    holds the run's term vectors, so no batch packs its generators; the same
+    basis listed from its generators (or seeded by ``spawn_reduced``) packs
+    them once, on its first use.  Every batch packs only the elements, and
+    only as far as the caller reads."""
     ring = PolynomialRing(FieldSpec(characteristic), ("x", "y", "z"))
     rng = random.Random(307 + characteristic)
     converted = []
@@ -622,30 +629,38 @@ def test_normal_forms_batch_the_basis_conversion(characteristic, monkeypatch):
     batches = 0
     for rank in (None, 2):
         for _ in range(8):
-            gb = buchberger([_random_element(rng, ring, rank) for _ in range(rng.randint(1, 3))])
+            born = buchberger([_random_element(rng, ring, rank) for _ in range(rng.randint(1, 3))])
             elements = [_random_element(rng, ring, rank) for _ in range(rng.randint(2, 5))]
-            gens = [g for g in gb.generators if not g.is_zero()]
+            gens = [g for g in born.generators if not g.is_zero()]
+            listed = [GroebnerBasis(born.generators, born.order)]
+            if rank is None:
+                listed.append(PresentedIdeal(ring, (), gens).spawn_reduced(gens).groebner())
             monkeypatch.setattr(groebner_module, "_to_vec",
                                 lambda e, *args: converted.append(e) or to_vec(e, *args))
-            converted.clear()
-            expected = [normal_form(e, gb) for e in elements]  # the first use packs the basis
-            if gens:
-                assert [e for e in converted if any(e is g for g in gens)] == gens
-                assert len(converted) == len(gens) + len(elements)
-            converted.clear()
-            assert list(groebner_module.normal_forms(iter(elements), gb)) == expected
-            if gens:
-                batches += 1
-                assert len(converted) == len(elements)
-                assert all(c is e for c, e in zip(converted, elements))
+            results = []
+            for gb in [born] + listed:
+                packs = gens if gb is not born else []
                 converted.clear()
-                assert next(groebner_module.normal_forms(elements, gb)) == expected[0]
-                assert len(converted) == 1
-            else:
-                assert not converted
+                expected = [normal_form(e, gb) for e in elements]  # the first use packs
+                if gens:
+                    assert [e for e in converted if any(e is g for g in gens)] == packs
+                    assert len(converted) == len(packs) + len(elements)
+                converted.clear()
+                assert list(groebner_module.normal_forms(iter(elements), gb)) == expected
+                if gens:
+                    batches += 1
+                    assert len(converted) == len(elements)
+                    assert all(c is e for c, e in zip(converted, elements))
+                    converted.clear()
+                    assert next(groebner_module.normal_forms(elements, gb)) == expected[0]
+                    assert len(converted) == 1
+                else:
+                    assert not converted
+                results.append(expected)
             monkeypatch.setattr(groebner_module, "_to_vec", to_vec)
-            assert_public_coefficients(expected)
-    assert batches >= 12
+            assert all(r == results[0] for r in results)
+            assert_public_coefficients(results[0])
+    assert batches >= 24
     # an empty basis yields the elements unchanged, and checks nothing
     x, y = R2.gens()
     empty = buchberger([R2.zero()])
@@ -657,3 +672,163 @@ def test_normal_forms_batch_the_basis_conversion(characteristic, monkeypatch):
         list(groebner_module.normal_forms([ring.var(1), x], gb))
     with pytest.raises(RingMismatchError):
         list(groebner_module.normal_forms([FreeModuleElement(ring, (ring.var(1),))], gb))
+
+
+def _assert_born(basis):
+    """A basis the engine made holds, as its packed form, exactly what
+    packing its generators afresh under its codec gives."""
+    ring, rank, gens, codec, vecs, by_pos = basis._shape
+    assert gens == basis.generators
+    if gens:
+        assert (vecs, by_pos) == groebner_module._packed(gens, codec)
+        assert codec.npos == (rank or 1) and all(not t & codec.guard for v in vecs for t in v)
+
+
+@pytest.mark.parametrize("characteristic", [0, 2, 3])
+def test_engine_bases_are_born_packed(characteristic, monkeypatch):
+    """``buchberger``, ``buchberger(settled=...)``, colon kernels and graph
+    images return bases whose term vectors and lead index are those of
+    their generators, under every order kind; a settled block packed at the
+    run's width is read off its vectors, with no generator converted."""
+    ring = PolynomialRing(FieldSpec(characteristic), ("x", "y", "z"))
+    rng = random.Random(211 + characteristic)
+    orders = [DEGREVLEX, LEX, block_order([0]), weighted_order([2, 1, 3])]
+    converted = []
+    to_vec = groebner_module._to_vec
+    monkeypatch.setattr(groebner_module, "_to_vec",
+                        lambda e, *args: converted.append(e) or to_vec(e, *args))
+    settled_runs = 0
+    for order in orders:
+        for rank in (None, 2):
+            for _ in range(4):
+                gens = [_random_element(rng, ring, rank) for _ in range(rng.randint(1, 3))]
+                more = [_random_element(rng, ring, rank) for _ in range(rng.randint(1, 2))]
+                basis = buchberger(gens, order)
+                _assert_born(basis)
+                converted.clear()
+                extended = buchberger(more, order, settled=basis)
+                _assert_born(extended)
+                assert extended.generators == buchberger(gens + more, order).generators
+                if not any(g.is_zero() for g in more) and basis.generators:
+                    settled_runs += 1
+                    assert not any(c is g for c in converted for g in basis.generators)
+        ideal = PresentedIdeal(ring, (), [_random_element(rng, ring, None) for _ in range(3)],
+                               order=order)
+        for f in [_random_element(rng, ring, None) for _ in range(4)] + [ring.var(0)]:
+            colon = ideal.colon(f)
+            _assert_born(colon.groebner())
+            expected = syzygy_basis([f], order, modulo=[list(ideal.groebner().generators)])
+            assert colon.groebner().generators == tuple(v.components[0] for v in expected)
+        x, y, z = ring.gens()
+        graph = GraphBasis([x * y - z, y**2, x * z], order, modulo=[ideal.groebner()])
+        _assert_born(graph.image)
+        with pytest.raises(ValidationError):
+            graph.kernel_ideal
+    assert settled_runs >= 15
+
+
+def test_unrolled_codecs_match_the_generic_formulas():
+    """A codec's unrolled ``pack``, ``unpack`` and ``mono`` give what the
+    generic sums and shifts give, for 0-8 variables, field widths 8, 16 and
+    32, and every order kind, exponents up to the limit included; ``pack``
+    leaves out a term with an exponent above it."""
+    rng = random.Random(97)
+    for nvars, width in cartesian(range(9), (8, 16, 32)):
+        orders = [DEGREVLEX, LEX]
+        if nvars:
+            orders += [block_order(rng.sample(range(nvars), rng.randint(1, nvars))),
+                       MonomialOrder(OrderKind.WDEGREVLEX,
+                                     weights=tuple(rng.randint(0, 3) for _ in range(nvars)))]
+        for order in orders:
+            codec = groebner_module._codec(order, nvars, 2, width)
+            edge = [(codec.limit,) * nvars, (0,) * nvars]
+            terms = {m: rng.randint(1, 9) for m in edge + [
+                tuple(rng.randint(0, codec.limit) for _ in range(nvars)) for _ in range(6)]}
+            for position in (0, 1):
+                origin = codec.origin(position)
+                packed = codec.pack(terms, origin)
+                assert packed == {sum(map(mul, m, codec.coefs), origin): c
+                                  for m, c in terms.items()}
+                for t in packed:
+                    fields = codec.one - (t & codec.values) if codec.complement else t
+                    assert codec.mono(t) == tuple((fields >> s) & codec.fm
+                                                  for s in codec.shifts)
+                assert codec.unpack(packed) == terms
+                assert [codec.position(t) for t in packed] == [position] * len(packed)
+                for i in range(nvars):  # an exponent above the limit is left out
+                    high = tuple(codec.limit + (j == i) for j in range(nvars))
+                    assert codec.pack({**terms, high: 1}, origin) == packed
+
+
+def test_a_block_packed_narrower_than_the_run_is_repacked():
+    """A settled block packed at the first width, in a run that overflows to
+    wider fields, is converted afresh: the reduced basis and the kernel are
+    those of the same generators given as a plain list."""
+    for characteristic in (0, 3):
+        ring = PolynomialRing(FieldSpec(characteristic), ("x", "y"))
+        x, y = ring.gens()
+        block = buchberger([x**2 - y, x * y**2])
+        assert block._shape[3].width == groebner_module._MIN_WIDTH
+        wide = [x**200 - y**3]
+        extended = buchberger(wide, settled=block)
+        assert extended._shape[3].width > groebner_module._MIN_WIDTH
+        assert extended.generators == buchberger(list(block.generators) + wide).generators
+        _assert_born(extended)
+        kernel = GraphBasis([y**150 - x], modulo=[block])
+        plain = GraphBasis([y**150 - x], modulo=[list(block.generators)])
+        assert kernel.kernel == plain.kernel and kernel.image == plain.image
+        assert kernel.kernel_ideal.generators == tuple(v.components[0] for v in plain.kernel)
+        _assert_born(kernel.kernel_ideal)
+
+
+def test_settled_blocks_form_no_pair_inside(monkeypatch):
+    """A settled block's elements never meet in an S-polynomial, whether
+    the block extends a basis or sits in a graph basis's modulo entry."""
+    pairs = []
+    spoly = groebner_module._spoly
+    monkeypatch.setattr(groebner_module, "_spoly",
+                        lambda f, g, *args: pairs.append((f, g)) or spoly(f, g, *args))
+
+    def inside(block, codec, position=0):
+        vecs = [groebner_module._normalize(v, QQ)
+                for v in groebner_module._settled_vecs(block, codec, position)]
+        return [(f, g) for f, g in pairs if f in vecs and g in vecs]
+
+    ring = PolynomialRing(QQ, ("x", "y", "z", "w"))
+    x, y, z, w = ring.gens()
+    cone = buchberger([x * z - y**2, x * w - y * z, y * w - z**2])
+    curve = buchberger([z**2 - y * w, y**3 - x * w, x**3 - y * z, x**2 * y * z - w**2,
+                        x**2 * y**2 - z * w])
+    for block, more in ((cone, [x**3 - w**2]), (curve, [x + y + z + w])):
+        plain = buchberger(list(block.generators) + more)
+        pairs.clear()
+        assert buchberger(more, settled=block) == plain
+        assert not inside(block, block._shape[3])
+        plain = GraphBasis([x * y, z**2 - w], modulo=[list(block.generators)]).kernel
+        pairs.clear()
+        graph = GraphBasis([x * y, z**2 - w], modulo=[block])
+        assert graph.kernel == plain
+        assert pairs and not inside(block, graph._run[0])
+
+
+@pytest.mark.parametrize("characteristic", [0, 5])
+def test_normalize_gives_the_canonical_vector(characteristic):
+    """``_normalize`` of an all-int vector over QQ divides by the gcd of its
+    entries, signed like its lead; a vector with Fractions is cleared of
+    denominators first; over F_p the result is monic.  A vector already
+    canonical is returned itself."""
+    fld = FieldSpec(characteristic)
+    codec = groebner_module._codec(DEGREVLEX, 2, 1, groebner_module._MIN_WIDTH)
+    low, high = _pack(codec, R2, (0, 1), 0), _pack(codec, R2, (2, 0), 0)
+    if characteristic:
+        cases = [({high: 3, low: 4}, {high: 1, low: 3}), ({high: 1, low: 4}, None)]
+    else:
+        cases = [({high: -6, low: 4}, {high: 3, low: -2}), ({high: 4, low: 6}, {high: 2, low: 3}),
+                 ({high: Fraction(1, 2), low: Fraction(-2, 3)}, {high: 3, low: -4}),
+                 ({high: 3, low: -2}, None)]
+    for vec, expected in cases:
+        out = groebner_module._normalize(vec, fld)
+        if expected is None:
+            assert out is vec
+        else:
+            assert out == expected and all(type(c) is int for c in out.values())
