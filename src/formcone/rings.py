@@ -100,8 +100,6 @@ class FieldSpec:
         if not a:
             raise ZeroDivisionError("inverse of zero field element")
         if self.characteristic == 0:
-            if type(a) is int:  # the inverse of an int has numerator +-1
-                return a if a in (1, -1) else Fraction(1, a) if a > 0 else Fraction(-1, -a)
             return _rational(1 / Fraction(a))
         return pow(a, -1, self.characteristic)
 

@@ -80,24 +80,6 @@ def test_field_operations_keep_the_coefficient_format():
                 assert is_field_value(got, p) and got == want, (fld, a, b, got, want)
 
 
-def test_rational_inverse_matches_the_fraction_inverse():
-    """``QQ.inv`` of an int builds no Fraction of it, and gives the value and
-    the type that inverting its Fraction gives: an int for +-1, otherwise a
-    Fraction with numerator +-1; a Fraction inverts as before."""
-
-    def by_fraction(a):
-        inverse = 1 / Fraction(a)
-        return inverse.numerator if inverse.denominator == 1 else inverse
-
-    rng = random.Random(71)
-    values = [a for a in range(-50, 51) if a]
-    values += [Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(2, 99))
-               for _ in range(200)]
-    for a in values:
-        got, want = QQ.inv(a), by_fraction(a)
-        assert got == want and type(got) is type(want), a
-
-
 def test_parser_and_arithmetic_keep_integral_values_as_ints():
     x, y = R2.gens()
     f = R2.parse("4/2*x + 1/2*y")
