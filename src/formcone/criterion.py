@@ -590,9 +590,15 @@ def regular_form_exists(ctx: FiltrationContext) -> tuple[bool, Polynomial | None
 
     Returns the verdict and, when negative, a nonzero annihilator class that
     kills every candidate at once.  The presentation memoises the answer.
+    With two or more elements, the image of the first of lowest degree is
+    asked alone first: it is the lift search's first candidate, asked
+    there whenever a regular form exists, and when it is regular the
+    annihilator of all of them is read off the memo with no colon.
     """
-    pres = ctx.form_presentation()
-    witness = pres.annihilator(e.representative for e in system_images(ctx))
+    pres, images = ctx.form_presentation(), system_images(ctx)
+    if len(images) > 1:
+        pres.annihilator((min(images, key=lambda e: e.degree).representative,))
+    witness = pres.annihilator(e.representative for e in images)
     return witness is None, witness and pres.reduce(witness)
 
 

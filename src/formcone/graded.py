@@ -202,19 +202,27 @@ class GradedQuotientPresentation:
         unreduced: a nonzero class that every listed element kills.  None
         when (H : (reps)) = H.  One answer per tuple of restricted elements,
         from the core; an element of H restricts to 0, whose colon is the
-        unit ideal, so it is left out."""
+        unit ideal, so it is left out.  A tuple of two or more is answered
+        None with no colon when the memo already holds None for one element
+        r of it alone: an ideal that holds a nonzerodivisor annihilates
+        nothing, as (H : (reps)) lies in (H : r) = H.  Only the memo is
+        read; no new single question is asked."""
         witness = self.core._core_annihilator(tuple(filter(None, map(self._restrict, reps))))
         return witness and self._lift(witness)
 
     def _core_annihilator(self, reps) -> Polynomial | None:
-        if reps not in self._annihilators:
-            ann, witness = self.ideal.colon_ideal(self.ideal.spawn(reps)), None
-            if not ann.equals(self.ideal):
-                witness = next((g for g in ann.generators if not self.ideal.contains(g)), None)
-                if witness is None:
-                    raise ConsistencyError("annihilator grew but no generator lies outside H")
-            self._annihilators[reps] = witness
-        return self._annihilators[reps]
+        memo = self._annihilators
+        if reps not in memo:
+            witness = None
+            if not any(memo.get((r,), r) is None for r in reps):  # none known regular alone
+                ann = self.ideal.colon_ideal(self.ideal.spawn(reps))
+                if not ann.equals(self.ideal):
+                    witness = next((g for g in ann.generators if not self.ideal.contains(g)),
+                                   None)
+                    if witness is None:
+                        raise ConsistencyError("annihilator grew but no generator lies outside H")
+            memo[reps] = witness
+        return memo[reps]
 
 
 @dataclass(frozen=True)
@@ -508,11 +516,17 @@ def depth(pres: GradedQuotientPresentation) -> GradeReport:
         socle, so that I holds a nonzerodivisor on it (BH Prop. 1.2.3).
         Depth is at most dim (BH Prop. 1.2.12), so depth = dim.
     The certificate is the sequence, then the socle witness when there is
-    one, as the ``KoszulWitness`` of the top index on that quotient.  The
-    socle is checked first, which gives the depth-0 verdict and witness of
-    ``koszul_grade``, and then only when no variable image extends the
-    sequence.  A class that a rejected candidate kills rejects later
-    candidates, and answers later socle checks, without a colon.  The images
+    one, as the ``KoszulWitness`` of the top index on that quotient.  Where
+    dim is at least 2, the first variable image is asked alone first.  When
+    it is regular it opens the sequence, and no socle is looked for: a ring
+    with a nonzerodivisor in I has no socle, and after that check the first
+    candidate would be this image.  Otherwise, and where dim is at most 1,
+    the socle is checked first, which gives the depth-0 verdict and witness
+    of ``koszul_grade``.  Later it is checked only when no variable image
+    extends the sequence.  A class that a rejected candidate kills rejects
+    later candidates, and answers later socle checks, without a colon; the
+    first image, when asked alone and rejected, becomes such a killer only
+    when the candidates are asked in turn, off the memo.  The images
     generate the ring, so with one image dim is at most 1 and is not
     computed.  When no candidate extends the sequence and there is no socle
     (small fields, or every sum a zero divisor), the answer is
@@ -536,16 +550,17 @@ def _depth(pres: GradedQuotientPresentation) -> GradeReport:
     reps = [g.representative for g in gens]
     seq: list[GradedElement] = []
     killers: list[Polynomial] = []
-    cur, dim = pres, None
+    cur, dim = pres, graded_dim(pres) if len(reps) > 1 else len(reps)
     while True:
-        x = first_regular(cur, _candidates(gens, (1,)), killers) if seq else None
+        if seq:
+            x = first_regular(cur, _candidates(gens, (1,)), killers)
+        else:  # a rejected first image's killer joins with the candidates, off the memo
+            x = first_regular(cur, gens[:1], []) if dim >= 2 else None
         if x is None:
             witness = _socle_witness(cur, reps, killers)
             if witness is not None:
                 return GradeReport(len(seq), "regular-sequence",
                                    (*seq, KoszulWitness(len(reps), (witness,))))
-            if dim is None:
-                dim = graded_dim(pres) if len(reps) > 1 else len(reps)
             if len(seq) >= dim - 1:
                 return GradeReport(dim, "regular-sequence", tuple(seq))
             x = first_regular(cur, _candidates(gens, (2, 3) if seq else (1, 2, 3)), killers)

@@ -40,7 +40,7 @@ class PresentedIdeal:
     """generators + base inside a common ambient ring, with one monomial
     order; equality via reduced bases."""
 
-    __slots__ = ("ring", "base", "generators", "step_budget", "order", "_gb", "_extends")
+    __slots__ = ("ring", "base", "generators", "step_budget", "order", "_gb", "_extends", "_dim")
 
     def __init__(self, ring: PolynomialRing, base, generators,
                  step_budget: int = DEFAULT_STEP_BUDGET, order: MonomialOrder = DEGREVLEX):
@@ -54,6 +54,7 @@ class PresentedIdeal:
                 raise RingMismatchError("generator from a different ring")
         self._gb: GroebnerBasis | None = None
         self._extends: PresentedIdeal | None = None  # set by ``sum_with``
+        self._dim: int | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -179,11 +180,16 @@ class PresentedIdeal:
     def krull_dim(self) -> int:
         """Krull dimension of P/(I + base); -1 for the unit ideal (empty spectrum).
 
-        Computed as the largest variable subset independent modulo the leading
-        ideal: no leading monomial may be supported inside the subset.  A
-        variable that is a pure-power lead lies in no such subset, so the
-        search runs over the other variables only.
+        Computed once, as the largest variable subset independent modulo the
+        leading ideal: no leading monomial may be supported inside the
+        subset.  A variable that is a pure-power lead lies in no such subset,
+        so the search runs over the other variables only.
         """
+        if self._dim is None:
+            self._dim = self._independent_set_size()
+        return self._dim
+
+    def _independent_set_size(self) -> int:
         if not self.is_proper():
             return -1
         supports = [
@@ -222,16 +228,19 @@ class PresentedIdeal:
 def meet_of_colons(ideals, elements) -> PresentedIdeal:
     """The intersection of the colons (I_k : f_k), all in one ring and base.
 
-    When every f_k is a single term and every I_k's reduced basis (base
-    included) holds only monomials, the result is read off exponents with
-    no kernel (``_monomial_meet``).  Otherwise it is one module kernel: the
-    kernel of P -> (+)_k P/I_k sending 1 to (f_k), the ``kernel_ideal`` of
-    a ``GraphBasis`` in the ideals' shared order modulo their reduced bases,
-    which are passed as ``GroebnerBasis`` values so the engine forms no
-    pairs within them and reads their packed terms.  Either way the result's
-    generators are its reduced, monic basis sorted ascending in that order,
-    so they seed its basis cache (``spawn_reduced``); the kernel's basis
-    seeds it as the engine made it, term vectors included.
+    A pair whose f_k is 0 is dropped: (I_k : 0) is the unit ideal, the
+    identity of the meet, so with no pair left the result is the unit ideal,
+    with no kernel.  When every remaining f_k is a single term and every
+    I_k's reduced basis (base included) holds only monomials, the result is
+    read off exponents with no kernel (``_monomial_meet``).  Otherwise it is
+    one module kernel: the kernel of P -> (+)_k P/I_k sending 1 to (f_k),
+    the ``kernel_ideal`` of a ``GraphBasis`` in the ideals' shared order
+    modulo their reduced bases, which are passed as ``GroebnerBasis`` values
+    so the engine forms no pairs within them and reads their packed terms.
+    Every way, the result's generators are its reduced, monic basis sorted
+    ascending in that order, so they seed its basis cache
+    (``spawn_reduced``); the kernel's basis seeds it as the engine made it,
+    term vectors included.
     """
     ideals, elements = tuple(ideals), tuple(elements)
     if not ideals or len(ideals) != len(elements):
@@ -240,6 +249,10 @@ def meet_of_colons(ideals, elements) -> PresentedIdeal:
     for ideal, f in zip(ideals, elements):
         first._check(ideal)
         first._check_ring(f)
+    kept = [(ideal, f) for ideal, f in zip(ideals, elements) if not f.is_zero()]
+    if not kept:
+        return first.spawn_reduced((first.ring.one(),))
+    ideals, elements = zip(*kept)
     bases = [ideal.groebner() for ideal in ideals]
     if all(len(f.terms) == 1 for f in elements) and all(
             len(g.terms) == 1 for gb in bases for g in gb.generators):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from formcone import (
     CriterionParams,
@@ -138,9 +139,12 @@ def tier4_contexts() -> list[FiltrationContext]:
             for base, system in ((curve, ("x",)), (cone, ("x", "w")), (cone, ("x",)))]
 
 
-def minors_context() -> FiltrationContext:
-    """The 2x2 minors of a generic 2x3 matrix, q = m, a = the first variable."""
-    ring = PolynomialRing(FieldSpec(0), ("a", "b", "c", "d", "e", "f"))
-    a, b, c, d, e, f = ring.gens()
-    return FiltrationContext(ring, (a * e - b * d, a * f - c * d, b * f - c * e), (),
-                             ring.gens(), [(a, 1)])
+def minors_context(rows: int = 2, cols: int = 3, system=(0,)) -> FiltrationContext:
+    """The 2x2 minors of a generic ``rows`` x ``cols`` matrix whose entries
+    are the variables a, b, c, ... row by row, q = m, and a = the variables
+    at the ``system`` indexes (by default the first)."""
+    ring = PolynomialRing(FieldSpec(0), tuple("abcdefghijklmnop"[:rows * cols]))
+    m = [ring.gens()[r * cols:(r + 1) * cols] for r in range(rows)]
+    base = tuple(m[r][i] * m[s][j] - m[r][j] * m[s][i] for r, s in combinations(range(rows), 2)
+                 for i, j in combinations(range(cols), 2))
+    return FiltrationContext(ring, base, (), ring.gens(), [(ring.var(k), 1) for k in system])

@@ -14,13 +14,16 @@ cone and graded images by the Rees route, ``direct_defect_at`` runs the
 level-n colon chain with one kernel per step, ``eager_ladder_records`` runs
 the level scan over a q-power ladder formed in full before the scan reads it
 and takes each record's residues against that ladder, ``listed_at_once``
-lists a graded level m^n + J as soon as it is named, and
+lists a graded level m^n + J as soon as it is named,
 ``quotient_recursion`` runs the grade recursion through one quotient context
-per step (``quotient_by_element``).  The level checks and ``probed_initial_degree`` take q^k M from
-``product_power``, a basis of the degree-k products of q's generators plus
-I_M, so they share neither the package's power ladder nor its closed forms
-for graded inputs and for low levels.  Disagreement with the main route is
-always a hard failure of the library, never a tolerance issue.
+per step (``quotient_by_element``), and ``socle_first_depth`` runs depth's
+greedy loop with the socle checked first and every annihilator a colon
+(``colon_annihilator``).  The level checks and ``probed_initial_degree``
+take q^k M from ``product_power``, a basis of the degree-k products of q's
+generators plus I_M, so they share neither the package's power ladder nor
+its closed forms for graded inputs and for low levels.  Disagreement with
+the main route is always a hard failure of the library, never a tolerance
+issue.
 
 The last section holds small operations that only tests use: the
 coefficient-format check, monomial comparison, term multiplication,
@@ -58,7 +61,9 @@ from formcone.graded import (
     GradedQuotientPresentation,
     GradeReport,
     KoszulWitness,
+    _candidates,
     _koszul_columns,
+    _lifted,
     _numerator,
     depth,
     graded_dim,
@@ -780,6 +785,85 @@ def graded_side_differs(pres: GradedQuotientPresentation) -> list[str]:
     if graded_dim(pres) != ref.ideal.krull_dim():
         out.append("graded_dim")
     return out
+
+
+# ---------------------------------------------------------------------------
+# Depth and annihilators with every colon taken
+# ---------------------------------------------------------------------------
+
+def colon_annihilator(pres: GradedQuotientPresentation, reps) -> Polynomial | None:
+    """``GradedQuotientPresentation.annihilator`` with its colon always
+    taken: no memo, no nonzerodivisor rule and no (H : 0) rule.  On the core
+    J, (J : (reps)) is the kernel of one ``GraphBasis`` of the column of the
+    restricted elements modulo J, or of the column (0) when none is left;
+    the answer is the first generator of its reduced basis outside J,
+    lifted."""
+    core = pres.core
+    ideal, ring = core.ideal, core.ring
+    column = tuple(filter(None, map(pres._restrict, reps))) or (ring.zero(),)
+    ann = ideal.spawn_reduced(GraphBasis(
+        (FreeModuleElement(ring, column),), ideal.order, ideal.step_budget,
+        [ideal.groebner()] * len(column)).kernel_ideal)
+    if ann.equals(ideal):
+        return None
+    return pres._lift(next(g for g in ann.generators if not ideal.contains(g)))
+
+
+def socle_first_depth(pres: GradedQuotientPresentation) -> GradeReport:
+    """``graded.depth`` with the socle checked before any candidate, at
+    every length of the sequence, and every annihilator a
+    ``colon_annihilator``.  The greedy loop is the package's otherwise:
+    variable images, then sums of two or three of one weight, each rejected
+    by a known killer or else tested by a colon; a socle witness, or a
+    sequence of length dim, or of length dim - 1 with no socle, ends it; and
+    where no candidate extends it, Koszul homology in ``FullRing``
+    answers."""
+    return _lifted(pres, _socle_first_depth(pres.core))
+
+
+def _socle_first_depth(pres: GradedQuotientPresentation) -> GradeReport:
+    if any(g.min_degree() == 0 for g in pres.ideal.combined()):
+        return GradeReport(math.inf, "regular-sequence")
+    gens = [GradedElement(pres, pres.ring.var(i), w) for i, w in enumerate(pres.weights)
+            if not pres.contains(pres.ring.var(i))]
+    reps = [g.representative for g in gens]
+    seq, killers, cur, dim = [], [], pres, None
+
+    def first_regular(candidates):
+        live = [w for w in cur.reduce_all(killers) if not w.is_zero()]
+        for c in candidates:
+            x = c.representative
+            if cur.contains(x) or any(cur.contains(w * x) for w in live):
+                continue
+            witness = colon_annihilator(cur, (x,))
+            if witness is None:
+                return c
+            killers.append(witness)
+            live.append(witness)
+        return None
+
+    while True:
+        x = first_regular(_candidates(gens, (1,))) if seq else None
+        if x is None:
+            witness = next((w for w in cur.reduce_all(killers)
+                            if not w.is_zero() and all(cur.contains(w * g) for g in reps)), None)
+            if witness is None and reps:
+                witness = colon_annihilator(cur, reps)
+                witness = witness and cur.reduce(witness)
+            if witness is not None:
+                return GradeReport(len(seq), "regular-sequence",
+                                   (*seq, KoszulWitness(len(reps), (witness,))))
+            if dim is None:
+                dim = graded_dim(pres) if len(reps) > 1 else len(reps)
+            if len(seq) >= dim - 1:
+                return GradeReport(dim, "regular-sequence", tuple(seq))
+            x = first_regular(_candidates(gens, (2, 3) if seq else (1, 2, 3)))
+            if x is None:
+                return FullRing(pres).koszul_grade(reps)
+        seq.append(x)
+        if len(seq) == dim:
+            return GradeReport(dim, "regular-sequence", tuple(seq))
+        cur = cur.quotient_by([x.representative])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,15 @@ from pathlib import Path
 import oracle as oracle_module
 import pytest
 from corpus import CORPUS_PARAMS, minors_context, tier4_contexts
-from oracle import contains_ideal, direct_defect_at, product_power, quotient_by_element
+from oracle import (
+    cold_copy,
+    colon_annihilator,
+    contains_ideal,
+    direct_defect_at,
+    product_power,
+    quotient_by_element,
+    socle_first_depth,
+)
 
 import formcone.criterion as criterion_module
 import formcone.groebner as groebner_module
@@ -19,6 +27,7 @@ from formcone import (
     DegenerateSystemError,
     FieldSpec,
     FiltrationContext,
+    FormconeError,
     PolynomialRing,
     PresentedIdeal,
     ValidationError,
@@ -26,6 +35,7 @@ from formcone import (
     defect_at,
     defect_regularity_equivalence,
     defect_scan,
+    depth,
     find_regular_lift,
     grade_by_recursion,
     is_regular_element,
@@ -649,7 +659,7 @@ def test_presentation_rings_run_in_the_presentation_order(monkeypatch):
     weighted order: membership, colons, quotients and dimension all read the
     one basis of H's core.  The core rings are presentation rings of their
     own: k[y1..y4] (the x's lie in H), then k[y2, y3, y4] and k[y2, y3]
-    after quotients by variables.  On tier 4 they see 8 basis runs and 17
+    after quotients by variables.  On tier 4 they see 8 basis runs and 12
     graph bases, and the form presentations' ring P[y] sees none: each step
     of a cone input's grade recursion quotients the form presentation by
     the step's initial form, and asks no unit-ideal question there
@@ -692,7 +702,7 @@ def test_presentation_rings_run_in_the_presentation_order(monkeypatch):
     for ctx in contexts:
         defect_regularity_equivalence(ctx, params)
         cohen_macaulay_report(ctx, params)
-    assert runs.count("run") == 8 and runs.count("graph") == 17 and mismatched == []
+    assert runs.count("run") == 8 and runs.count("graph") == 12 and mismatched == []
     assert not {ctx.form_presentation().ring for ctx in contexts} & set(rings)
     runs.clear()
     demo = Path(__file__).parent.parent / "demos" / "semigroup_curve.fc"
@@ -713,7 +723,12 @@ def test_each_regularity_question_is_answered_once(monkeypatch):
     the second step's search asks whether w* is regular modulo x*, which the
     depth sequence already asked of that one quotient.  So does its stop
     test: the images (x*, w*) restrict to (w*) = (y4) on the core of G/x*G,
-    since an element of H restricts to 0 and leaves the colon unchanged."""
+    since an element of H restricts to 0 and leaves the colon unchanged.
+    On both cone inputs y1 = x* is regular: asked alone, it opens the
+    depth sequence with no socle colon, and on the cone with a = x, w it
+    answers ``regular_form_exists`` on (x*, w*) from the memo.  The wrapper
+    counts calls: the last stop test of each cone input's recursion, where
+    every image is 0, asks (H : 0), which takes no kernel."""
     asked, kernels = [], 0
     real = ideals_module.meet_of_colons
 
@@ -730,7 +745,52 @@ def test_each_regularity_question_is_answered_once(monkeypatch):
         cohen_macaulay_report(ctx, params)
         assert len(set(asked)) == len(asked)
         kernels += len(asked)
-    assert kernels == 15
+    assert kernels == 12
+
+
+def test_graded_answers_match_the_colon_reference(corpus, monkeypatch):
+    """Through the equivalence check and the CM report, every annihilator
+    the pipeline asks is the one ``oracle.colon_annihilator`` computes with
+    a colon of its own; then ``depth`` is ``oracle.socle_first_depth``
+    (value, method and certificate), and ``regular_form_exists`` is read
+    off the reference's annihilator of the system images.  The inputs are
+    the corpus, tier 4, the demo, the 2x2 minors of the generic 2x3 matrix
+    (a = a) and 3x3 matrix (a = a, i), and x^2, x*y, x*z with q = m and
+    a = y: depth 0 in dimension 2, where the first variable image is a
+    zero divisor and the socle check must still give the witness y."""
+    demo = Path(__file__).parent.parent / "demos" / "semigroup_curve.fc"
+    x, y, z = R3.gens()
+    contexts = ([cold_copy(i.ctx) for i in corpus] + tier4_contexts()
+                + [parse_session(demo.read_text(encoding="utf-8")).context(),
+                   minors_context(), minors_context(3, 3, (0, 8)),
+                   FiltrationContext(R3, (x * x, x * y, x * z), (), R3.gens(), [(y, 1)])])
+    asked = []
+    real = GradedQuotientPresentation.annihilator
+
+    def recording(self, reps):
+        reps = tuple(reps)
+        answer = real(self, reps)
+        asked.append((self, reps, answer))
+        return answer
+
+    monkeypatch.setattr(GradedQuotientPresentation, "annihilator", recording)
+    reports = []
+    for ctx in contexts:
+        for run in (defect_regularity_equivalence, cohen_macaulay_report):
+            with contextlib.suppress(FormconeError):
+                run(ctx, CORPUS_PARAMS)
+        pres = ctx.form_presentation()
+        report = depth(pres)
+        assert report == socle_first_depth(pres), str(ctx)
+        reports.append(report)
+        with contextlib.suppress(ValidationError):
+            images = [e.representative for e in system_images(ctx)]
+            witness = colon_annihilator(pres, images)
+            assert regular_form_exists(ctx) == (witness is None, witness and pres.reduce(witness))
+    assert len(asked) > 300
+    for pres, reps, answer in asked:
+        assert answer == colon_annihilator(pres, reps), (str(pres.ideal), reps)
+    assert [(r.value, str(r.certificate[-1].cycle[0])) for r in reports[-1:]] == [(0, "y1")]
 
 
 def test_radical_invariance():

@@ -52,6 +52,7 @@ from oracle import (
     probed_initial_degree,
     product_power,
     quotient_recursion,
+    socle_first_depth,
 )
 
 import formcone.criterion as criterion_module
@@ -64,6 +65,7 @@ from formcone import (
     defect_at,
     defect_regularity_equivalence,
     defect_scan,
+    depth,
     grade_by_recursion,
     parse_session,
     system_images,
@@ -138,7 +140,8 @@ def _check_seed(seed: int, tmp_path) -> None:
     degrees are the probe's, and at every level the chain gives the direct
     loop's record and ``defect_at`` gives it too, but for a certified
     record's chain metadata; a graded record's basis, listed when read, is
-    the one listed at once."""
+    the one listed at once; and ``depth`` of the form presentation is the
+    socle-first reference's (``oracle.socle_first_depth``)."""
     text = random_session(seed)
     path = tmp_path / "input.fc"
     path.write_text(text, encoding="utf-8")
@@ -154,6 +157,7 @@ def _check_seed(seed: int, tmp_path) -> None:
     except FormconeError:  # refused input: the exit codes above cover it
         return
     assert _initial_degrees_differ(spec.context()) == [], text
+    assert _depth_outcome(depth, spec) == _depth_outcome(socle_first_depth, spec), text
     try:
         records = [defect_at(ctx, n, spec.params) for n in levels]
     except FormconeError:  # refused system: the exit codes above cover it
@@ -168,6 +172,17 @@ def _check_seed(seed: int, tmp_path) -> None:
         if ctx.is_graded() and (record.certified or _shared_colons(ctx)):
             eager = listed_at_once(graded_record_summand(ctx, record), n)
             assert record.ideal.groebner().generators == eager.groebner().generators, (n, text)
+
+
+def _depth_outcome(depth_of, spec):
+    """``depth_of`` on the form presentation of a fresh context for ``spec``,
+    as its value, method and certificate, or the type of the error raised."""
+    try:
+        report = depth_of(spec.context().form_presentation())
+    except FormconeError as error:
+        return type(error)
+    return report.value, report.method, [getattr(e, "representative", e)
+                                         for e in report.certificate]
 
 
 def _degree_outcome(initial_degree, a):

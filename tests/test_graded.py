@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 from corpus import minors_context, tier4_contexts
-from oracle import component_basis, graph_kernel
+from oracle import colon_annihilator, component_basis, graph_kernel, socle_first_depth
 
 import formcone.graded as graded_module
 from formcone import (
@@ -493,6 +493,52 @@ def test_depth_tests_each_killer_by_one_membership(monkeypatch):
     assert (report.value, report.method) == (4, "regular-sequence")
     assert [str(e.representative) for e in report.certificate] == ["y1", "y5", "y2 + y6"]
     check_depth_certificate(pres, report)
+
+
+def test_a_known_nonzerodivisor_answers_a_tuple_with_no_kernel(kernel_calls):
+    """(H : (reps)) lies in (H : r) for each listed r, so a tuple holding
+    an element that the memo already knows to be regular annihilates
+    nothing: the answer is None with no kernel.  Only a memoised None is
+    read.  On k[X, Y, Z]/(X*(Y + Z)), X and Y + Z are zero divisors and Y
+    and Z are not; a memoised witness of X leaves (X, Z) to its colon, and
+    Z alone is not asked there."""
+    X, Y, Z = RS.gens()
+    pres = plain(RS, X * (Y + Z))
+    assert pres.annihilator((Y,)) is None and kernel_calls == [1]
+    kernel_calls.clear()
+    for reps in ((X, Y), (Y + Z, Z, Y), (Y, X * X)):
+        assert pres.annihilator(reps) is None
+    assert kernel_calls == []
+    assert pres.annihilator((X,)) is not None and len(kernel_calls) == 1
+    assert pres.annihilator((X, Z)) is None and len(kernel_calls) == 2
+    assert pres.annihilator((Z,)) is None and len(kernel_calls) == 3
+    witness = pres.annihilator((X, X * Y))
+    assert witness is not None and witness == colon_annihilator(pres, (X, X * Y))
+
+
+def test_depth_opens_on_a_regular_first_image(monkeypatch):
+    """Where dim is at least 2, ``depth`` asks the first variable image
+    alone before any socle colon.  On the twisted cubic cone it is regular
+    and opens the sequence, so every annihilator asked is of one element:
+    y1, then y2, y3 and y4 modulo y1.
+    On k[X, Y, Z]/(X^2, X*Y, X*Z), of dim 2 and depth 0, it is a zero
+    divisor: the socle colon runs next, with no killer known, and its
+    witness X is the socle-first reference's."""
+    X, Y, Z = RS.gens()
+    asked = []
+    real = GradedQuotientPresentation.annihilator
+    monkeypatch.setattr(GradedQuotientPresentation, "annihilator",
+                        lambda self, reps: asked.append(tuple(reps)) or real(self, asked[-1]))
+    cone = tier4_contexts()[2].form_presentation()
+    report = depth(cone)
+    assert (report.value, [str(e.representative) for e in report.certificate]) == (2, ["y1", "y4"])
+    assert [len(reps) for reps in asked] == [1, 1, 1, 1]
+    asked.clear()
+    socle = plain(RS, X * X, X * Y, X * Z)
+    report = depth(socle)
+    assert [len(reps) for reps in asked] == [1, 3]
+    assert report == socle_first_depth(socle)
+    assert (report.value, report.certificate[-1].cycle) == (0, (X,))
 
 
 def test_depth_builds_no_graph_basis(monkeypatch):

@@ -183,6 +183,19 @@ def test_krull_dimensions():
     assert PresentedIdeal(RS, (), ()).krull_dim() == 3
 
 
+def test_krull_dim_is_computed_once_per_ideal(monkeypatch):
+    calls = []
+    real = PresentedIdeal._independent_set_size
+    monkeypatch.setattr(PresentedIdeal, "_independent_set_size",
+                        lambda self: calls.append(1) or real(self))
+    X, Y, Z = RS.gens()
+    cone = PresentedIdeal(RS, (), (X * Z, Y * Z, Y**4, Z * Z))
+    unit = PresentedIdeal(RS, (), (RS.one(),))
+    assert [cone.krull_dim(), cone.krull_dim(), unit.krull_dim(), unit.krull_dim()] == [1, 1, -1, -1]
+    assert len(calls) == 2
+    assert cone.spawn(cone.generators).krull_dim() == 1 and len(calls) == 3
+
+
 def test_equality_and_membership():
     x, y = R2.gens()
     assert ideal2(x, y).equals(ideal2(y, x))
@@ -402,6 +415,27 @@ def test_mixed_inputs_keep_the_kernel(kernel_calls):
     assert ideal2(x + y, y).colon(x).generators == (R2.one(),)
     assert ideal2(x * x, base=(x**3 - y * y, y * y)).colon(x).generators == (x, y * y)
     assert kernel_calls == []
+
+
+def test_colon_by_zero_is_the_unit_ideal_with_no_kernel(kernel_calls):
+    # (I : 0) is the unit ideal, the identity of the meet: alone, or by the
+    # zero ideal, it is (1), seeded with its basis, with no kernel; beside
+    # another colon it drops out, and the meet is that colon, by one kernel
+    x, y = R2.gens()
+    zero, one = R2.zero(), R2.one()
+    target = ideal2(x * y - y * y)
+    for unit in (target.colon(zero), target.colon_ideal(target.spawn(())),
+                 meet_of_colons((target, ideal2(x)), (zero, zero)),
+                 ideal2(x * x, base=(x * y - y * y,)).colon(zero)):
+        assert unit.generators == (one,) and unit.groebner().generators == (one,)
+    assert kernel_calls == []
+    other = ideal2(x * x - y**3)
+    for targets, elements in (((target, other), (zero, x + y)), ((other, target), (x + y, zero))):
+        kernel_calls.clear()
+        meet = meet_of_colons(targets, elements)
+        assert kernel_calls == [1]
+        assert meet.generators == kernel_meet((other,), (x + y,))
+        assert meet.equals(other.colon(x + y))
 
 
 def test_meet_of_colons_checks_its_arguments():
